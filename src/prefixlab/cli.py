@@ -2,8 +2,8 @@
 
 Subcommands: verify (oracle identity suites), sample (guided rollouts),
 sweep (lambda x n_p x variant grids) and ablate (all corruption variants at
-a fixed fraction). Exit codes: 0 ok, 1 identity failure, 2 config error,
-3 IO failure, 4 every sweep cell failed.
+a fixed fraction). Exit codes: 0 ok, 1 identity failure or no identity
+checked, 2 config error, 3 IO failure, 4 every sweep cell failed.
 
 Flags mirror config keys and override file values; the output directory can
 also be overridden with the PREFIXLAB_OUTPUT_DIR environment variable.
@@ -117,16 +117,13 @@ def _synthetic_corpus(cfg: RunConfig, book, count: int, seed: int):
     ]
 
 
-def _corpus_images(cfg: RunConfig, book, count: int, seed: int):
-    return synthetic_images(cfg.schedule, cfg.latent_dim, seed, count)
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.verify
     combos = [(v, c) for v in spec.vocab_grid for c in spec.condition_grid]
     start = time.perf_counter()
     worst = 0.0
+    checked = 0
     failures = []
     for i in range(spec.models):
         vocab, conds = combos[i % len(combos)]
@@ -135,6 +132,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             model, spec.tolerance, spec.gammas, spec.lambdas
         )
         worst = max(worst, report.max_kl)
+        checked += len(report.rows)
         if not report.passed:
             for row in report.failures()[:5]:
                 failures.append((i, vocab, conds, row))
@@ -147,6 +145,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"verify: {spec.models} models, max KL {worst:.3e}, "
         f"tolerance {spec.tolerance:.1e}, {elapsed:.2f}s"
     )
+    if checked == 0:
+        print("verify: FAIL nothing was checked (0 identity rows)")
+        return EXIT_IDENTITY
     if failures:
         for i, vocab, conds, row in failures[:10]:
             print(
@@ -183,7 +184,9 @@ def _experiment(cfg: RunConfig, metric: str, n_samples: int, book, model):
     reference_images = ()
     if metric == "toy_frechet":
         reference_images = tuple(
-            _corpus_images(cfg, book, max(n_samples, 2), cfg.model.corpus_seed)
+            synthetic_images(
+                cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, max(n_samples, 2)
+            )
         )
     return ExperimentSpec(
         model=model, book=book, schedule=cfg.schedule, condition=cfg.condition,

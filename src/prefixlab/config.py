@@ -1,8 +1,9 @@
 """Run configuration: a single strict JSON file drives every command.
 
-Unknown keys are rejected by name so sweeps stay auditable; every value has
-a default mirrored by a CLI flag. Model and corpus serialization helpers
-live here too since they share the same interchange format.
+Unknown keys and malformed values are rejected by name, never coerced, so
+sweeps stay auditable; every value has a default mirrored by a CLI flag.
+Model and corpus serialization helpers live here too since they share the
+same interchange format.
 """
 
 from __future__ import annotations
@@ -30,14 +31,34 @@ from .tokenizer import Codebook, ScaleSchedule
 CONFIG_VERSION = 1
 
 
-def _take(section: dict, key: str, default, caster=None):
+def _checked(key: str, value, kind: type, minimum=None):
+    """``value`` as a JSON value of ``kind``, or a ConfigError naming ``key``.
+
+    Nothing is coerced: a bool is not a number, a float is not an int and a
+    string is not a bool. Ints are accepted where floats are expected.
+    """
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(
+            f"bad value for config key '{key}': expected {kind.__name__}, got {value!r}"
+        )
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"bad value for config key '{key}': {value!r} is below {minimum}")
+    return kind(value)
+
+
+def _take(section: dict, key: str, default, kind=None, minimum=None):
     value = section.pop(key, default)
-    if value is None or caster is None:
+    if kind is None or (value is None and default is None):
         return value
-    try:
-        return caster(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for config key '{key}': {exc}") from exc
+    return _checked(key, value, kind, minimum)
+
+
+def _take_list(section: dict, key: str, default: list, kind: type, minimum=None) -> tuple:
+    values = section.pop(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"bad value for config key '{key}': expected a non-empty list")
+    return tuple(_checked(key, v, kind, minimum) for v in values)
 
 
 def _reject_unknown(section: dict, where: str) -> None:
@@ -122,6 +143,13 @@ class RunConfig:
     sweep: SweepSpec = SweepSpec()
     ablate: AblateSpec = AblateSpec()
 
+    def __post_init__(self):
+        if not 0 <= self.condition < self.num_conditions:
+            raise ConfigError(
+                f"bad value for config key 'condition': {self.condition} is outside "
+                f"0..{self.num_conditions - 1} for num_conditions {self.num_conditions}"
+            )
+
     def codebook(self) -> Codebook:
         return Codebook.seeded(
             self.schedule.num_scales, self.vocab, self.latent_dim,
@@ -137,23 +165,26 @@ def parse_config(data: dict) -> RunConfig:
 
     try:
         schedule = ScaleSchedule(
-            tuple(tuple(d) for d in _take(data, "schedule", [[1, 1], [1, 1]]))
+            tuple(
+                tuple(_checked("schedule", n, int, 1) for n in d)
+                for d in _take(data, "schedule", [[1, 1], [1, 1]], list)
+            )
         )
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
 
-    vocab = _take(data, "vocab", 2, int)
-    num_conditions = _take(data, "num_conditions", 1, int)
-    latent_dim = _take(data, "latent_dim", 2, int)
+    vocab = _take(data, "vocab", 2, int, 1)
+    num_conditions = _take(data, "num_conditions", 1, int, 1)
+    latent_dim = _take(data, "latent_dim", 2, int, 1)
     codebook_seed = _take(data, "codebook_seed", 7, int)
-    embed_dim = _take(data, "embed_dim", 4, int)
+    embed_dim = _take(data, "embed_dim", 4, int, 1)
     embed_seed = _take(data, "embed_seed", 11, int)
     condition = _take(data, "condition", 0, int)
     output_dir = _take(data, "output_dir", "out", str)
 
-    msec = dict(_take(data, "model", {}))
+    msec = _take(data, "model", {}, dict)
     model = ModelSpec(
         kind=_take(msec, "kind", "tabular", str),
         seed=_take(msec, "seed", 3, int),
@@ -169,7 +200,7 @@ def parse_config(data: dict) -> RunConfig:
     if model.kind not in ("tabular", "count"):
         raise ConfigError(f"unknown model kind '{model.kind}'")
 
-    gsec = dict(_take(data, "guidance", {}))
+    gsec = _take(data, "guidance", {}, dict)
     mask = _take(gsec, "scale_mask", None)
     try:
         guidance = GuidanceConfig(
@@ -177,7 +208,9 @@ def parse_config(data: dict) -> RunConfig:
             lam=_take(gsec, "lambda", 0.0, float),
             fraction=_take(gsec, "n_p", 0.0, float),
             variant=_variant(_take(gsec, "variant", "same_scale_full_embedding", str)),
-            scale_mask=None if mask is None else frozenset(int(k) for k in mask),
+            scale_mask=None if mask is None else frozenset(
+                _checked("scale_mask", k, int, 1) for k in mask
+            ),
             reference=_take(gsec, "reference", "exact-marginal", str),
         )
     except ConfigError:
@@ -186,12 +219,12 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad guidance section: {exc}") from exc
     _reject_unknown(gsec, "guidance")
 
-    ssec = dict(_take(data, "sampler", {}))
-    top_k = _take(ssec, "top_k", None)
+    ssec = _take(data, "sampler", {}, dict)
+    top_k = _take(ssec, "top_k", None, int)
     try:
         sampler = SamplerConfig(
             temperature=_take(ssec, "temperature", 1.0, float),
-            top_k=None if top_k is None else int(top_k),
+            top_k=top_k,
             top_p=_take(ssec, "top_p", 1.0, float),
             seed=_take(ssec, "seed", 0, int),
         )
@@ -199,29 +232,33 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad sampler section: {exc}") from exc
     _reject_unknown(ssec, "sampler")
 
-    vsec = dict(_take(data, "verify", {}))
+    vsec = _take(data, "verify", {}, dict)
     verify = VerifySpec(
         tolerance=_take(vsec, "tolerance", 1e-9, float),
-        models=_take(vsec, "models", 100, int),
-        vocab_grid=tuple(_take(vsec, "vocab_grid", [2, 3, 5])),
-        condition_grid=tuple(_take(vsec, "condition_grid", [1, 2, 3])),
-        gammas=tuple(_take(vsec, "gammas", [0.0, 0.5, 1.0, 1.5, 3.0])),
-        lambdas=tuple(_take(vsec, "lambdas", [0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0])),
+        models=_take(vsec, "models", 100, int, 0),
+        vocab_grid=_take_list(vsec, "vocab_grid", [2, 3, 5], int, 1),
+        condition_grid=_take_list(vsec, "condition_grid", [1, 2, 3], int, 1),
+        gammas=_take_list(vsec, "gammas", [0.0, 0.5, 1.0, 1.5, 3.0], float),
+        lambdas=_take_list(vsec, "lambdas", [0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0], float),
     )
     _reject_unknown(vsec, "verify")
 
-    wsec = dict(_take(data, "sweep", {}))
-    masks = _take(wsec, "scale_masks", [None])
+    wsec = _take(data, "sweep", {}, dict)
+    masks = _take(wsec, "scale_masks", [None], list)
     sweep = SweepSpec(
-        lambdas=tuple(_take(wsec, "lambdas", [0.0, 0.5, 1.0, 2.0])),
-        fractions=tuple(_take(wsec, "n_ps", [0.0])),
+        lambdas=_take_list(wsec, "lambdas", [0.0, 0.5, 1.0, 2.0], float),
+        fractions=_take_list(wsec, "n_ps", [0.0], float),
         variants=tuple(
             _variant(v) for v in _take(
                 wsec, "variants", ["same_scale_full_embedding"]
             )
         ),
         scale_masks=tuple(
-            None if m is None else frozenset(int(k) for k in m) for m in masks
+            None if m is None else frozenset(
+                _checked("scale_masks", k, int, 1)
+                for k in _checked("scale_masks", m, list)
+            )
+            for m in masks
         ),
         replicates=_take(wsec, "replicates", 1, int),
         seed=_take(wsec, "seed", 0, int),
@@ -230,9 +267,9 @@ def parse_config(data: dict) -> RunConfig:
     )
     _reject_unknown(wsec, "sweep")
 
-    asec = dict(_take(data, "ablate", {}))
+    asec = _take(data, "ablate", {}, dict)
     ablate = AblateSpec(
-        lambdas=tuple(_take(asec, "lambdas", [0.0, 0.5, 1.0])),
+        lambdas=_take_list(asec, "lambdas", [0.0, 0.5, 1.0], float),
         fraction=_take(asec, "n_p", 0.1, float),
         replicates=_take(asec, "replicates", 1, int),
         seed=_take(asec, "seed", 0, int),
@@ -336,15 +373,19 @@ def model_to_config(model) -> dict:
 
 def model_from_config(data: dict):
     data = dict(data)
+
+    def take(key, kind, minimum=None):
+        return _checked(key, data.pop(key, None), kind, minimum)
+
     version = data.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported model version {version}")
     kind = data.pop("kind", None)
     schedule = ScaleSchedule(tuple(tuple(d) for d in data.pop("schedule")))
-    vocab = int(data.pop("vocab"))
-    num_conditions = int(data.pop("num_conditions"))
+    vocab = take("vocab", int, 1)
+    num_conditions = take("num_conditions", int, 1)
     if kind == "tabular":
-        seed = int(data.pop("seed"))
+        seed = take("seed", int)
         _reject_unknown(data, "tabular model")
         return build_tabular(schedule, vocab, num_conditions, seed)
     if kind == "count":
@@ -357,13 +398,13 @@ def model_from_config(data: dict):
             counts[key] = np.asarray(entry["table"], dtype=float)
         model = CountModel(
             schedule, vocab, num_conditions,
-            alpha=float(data.pop("alpha")),
-            spec=SignatureSpec(int(data.pop("signature_bins")),
-                               int(data.pop("signature_seed"))),
-            embed_seed=int(data.pop("embed_seed")),
-            embed_dim=int(data.pop("embed_dim")),
+            alpha=take("alpha", float),
+            spec=SignatureSpec(take("signature_bins", int, 1),
+                               take("signature_seed", int)),
+            embed_seed=take("embed_seed", int),
+            embed_dim=take("embed_dim", int, 1),
             counts=counts,
-            include_null=bool(data.pop("include_null")),
+            include_null=take("include_null", bool),
         )
         _reject_unknown(data, "count model")
         return model

@@ -20,7 +20,7 @@ from .errors import InvalidInputError, SupportViolationError
 from .corruption import CorruptionVariant
 from .guidance import GuidanceConfig
 from .model import Condition, CountModel, TokenMap, predict_logits
-from .oracle import Distribution, kl_divergence
+from .oracle import Distribution, kl_divergence, prefix_marginal_sites
 from .sampler import SamplerConfig, rollout, rollout_distribution
 from .tokenizer import AffineDecoder, Codebook, ScaleSchedule
 
@@ -69,30 +69,6 @@ def toy_frechet(images_a, images_b) -> float:
     return max(value, 0.0)
 
 
-def count_model_prefix_marginal_sites(
-    model: CountModel, book: Codebook, condition: Condition, k: int
-) -> np.ndarray:
-    """Exact per-site p(r_k | c) under the count model's own prefix law."""
-    from .model import enumerate_prefix_keys, prefix_maps
-
-    schedule = model.schedule
-    h, w = schedule.grid(k)
-    total = np.zeros((h, w, model.vocab))
-    for key in enumerate_prefix_keys(schedule, model.vocab, k):
-        # Chain the model's own per-site predictions to get p(prefix | c).
-        p = 1.0
-        for j in range(1, k):
-            maps = prefix_maps(key[: j - 1], schedule)
-            probs = np.exp(
-                predict_logits(model, condition, maps, book=book).values
-            ).reshape(-1, model.vocab)
-            ids = np.asarray(key[j - 1])
-            p *= float(np.prod(probs[np.arange(ids.size), ids]))
-        maps = prefix_maps(key, schedule)
-        total += p * np.exp(predict_logits(model, condition, maps, book=book).values)
-    return total
-
-
 @dataclass(frozen=True)
 class SurrogateRow:
     variant: CorruptionVariant
@@ -122,7 +98,7 @@ def surrogate_gap(
 
     k = len(prefix) + 1
     schedule = model.schedule
-    marginal = count_model_prefix_marginal_sites(model, book, condition, k)
+    marginal = prefix_marginal_sites(model, condition, k, book=book)
     embedding = embed_prefix(prefix, book, schedule, model.embed_seed, model.embed_dim)
     clean = np.exp(predict_logits(model, condition, prefix, book=book).values)
     clean_kl = kl_divergence(clean.reshape(-1), marginal.reshape(-1))

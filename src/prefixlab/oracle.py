@@ -1,8 +1,10 @@
 """Brute-force ground truth on enumerable models.
 
-Everything here is exact: prefix laws are chained from CPT rows, marginals
-are sums over the full prefix space, and the augmented distributions are the
-normalized ratio forms the guidance algebra is supposed to reproduce.
+Everything here is exact: one engine, ``chain_law``, chains per-site step
+laws (CPT rows, or a count model's own predictions) into sequence laws;
+marginals are sums over the full prefix space, and the augmented
+distributions are the normalized ratio forms the guidance algebra is
+supposed to reproduce.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from .model import (
     TabularModel,
     ScaleSchedule,
     enumerate_prefix_keys,
+    predict_logits,
     prefix_key,
     tabular_from_rows,
 )
+from .tokenizer import Codebook
 
 
 @dataclass(frozen=True)
@@ -59,71 +63,89 @@ def fixture_m1() -> TabularModel:
     return tabular_from_rows(schedule, 2, 1, rows)
 
 
+def chain_law(step_law, num_scales: int) -> list[tuple[PrefixKey, float]]:
+    """Every token sequence of ``num_scales`` maps with its probability.
+
+    ``step_law(key)`` is the per-site law, shape (h*w, V), of the map that
+    follows the prefix ``key``; sites are independent given the prefix.
+    Sequences are extended in lexicographic order and zero-mass extensions
+    are dropped, so the pairs list the support of the chained law.
+    """
+    sequences = [((), 1.0)]
+    for _ in range(num_scales):
+        extended = []
+        for seq, p in sequences:
+            law = step_law(seq)
+            sites = np.arange(law.shape[0])
+            for combo in product(range(law.shape[1]), repeat=law.shape[0]):
+                q = float(np.prod(law[sites, combo]))
+                if q > 0.0:
+                    extended.append((seq + (combo,), p * q))
+        sequences = extended
+    return sequences
+
+
+def _site_law(model, condition: Condition, book: Codebook | None = None):
+    """Per-site step law of a tabular or count model, as ``chain_law`` takes it."""
+    if isinstance(model, TabularModel):
+        return lambda key: model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
+    return lambda key: np.exp(
+        predict_logits(model, condition, key, book=book).values
+    ).reshape(-1, model.vocab)
+
+
 def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey, k: int) -> Distribution:
     """Joint distribution over whole scale-k token maps given one prefix."""
     row = model.row(condition, k, key).reshape(-1, model.vocab)
-    outcomes = []
-    probs = []
-    for combo in product(range(model.vocab), repeat=row.shape[0]):
-        outcomes.append(combo)
-        probs.append(float(np.prod(row[np.arange(len(combo)), combo])))
-    return Distribution(tuple(outcomes), np.asarray(probs))
+    pairs = chain_law(lambda _: row, 1)
+    return Distribution(
+        tuple(seq[0] for seq, _ in pairs), np.asarray([q for _, q in pairs])
+    )
 
 
 def enumerate_prefixes(model: TabularModel, condition: Condition, k: int) -> list[tuple[PrefixKey, float]]:
     """All (prefix, p(prefix | c)) pairs for the step at scale k."""
-    result = [((), 1.0)]
-    for j in range(1, k):
-        extended = []
-        for key, p in result:
-            dist = step_map_distribution(model, condition, key, j)
-            for combo, q in zip(dist.outcomes, dist.probs):
-                extended.append((key + (combo,), p * float(q)))
-        result = extended
-    return result
+    return chain_law(_site_law(model, condition), k - 1)
 
 
 def prefix_marginal(model: TabularModel, condition: Condition, k: int) -> Distribution:
     """p(r_k | c) over whole token maps, summed over the prefix space."""
-    outcomes = None
-    total = None
-    for key, p in enumerate_prefixes(model, condition, k):
-        dist = step_map_distribution(model, condition, key, k)
-        if outcomes is None:
-            outcomes = dist.outcomes
-            total = p * dist.probs
-        else:
-            total = total + p * dist.probs
-    return Distribution(outcomes, total)
+    total: dict = {}
+    for seq, p in chain_law(_site_law(model, condition), k):
+        total[seq[-1]] = total.get(seq[-1], 0.0) + p
+    return Distribution(tuple(total), np.asarray(list(total.values())))
 
 
-def prefix_marginal_sites(model: TabularModel, condition: Condition, k: int) -> np.ndarray:
-    """Per-site marginal probabilities, shape (h_k, w_k, V)."""
-    h, w = model.schedule.grid(k)
-    total = np.zeros((h, w, model.vocab))
-    for key, p in enumerate_prefixes(model, condition, k):
-        total += p * model.row(condition, k, key)
+def prefix_marginal_sites(
+    model, condition: Condition, k: int, *, book: Codebook | None = None
+) -> np.ndarray:
+    """Per-site p(r_k | c), shape (h_k, w_k, V), under the model's own prefix law.
+
+    Tabular models chain their stored rows; count models chain
+    ``exp(predict_logits)`` and need the codebook.
+    """
+    law = _site_law(model, condition, book)
+    total = np.zeros(model.schedule.grid(k) + (model.vocab,))
+    for key, p in chain_law(law, k - 1):
+        total += p * law(key).reshape(total.shape)
     return total
 
 
 def prefix_posterior(model: TabularModel, condition: Condition, outcome, k: int) -> Distribution:
     """p(r_{<k} | r_k, c) by Bayes over the enumerated prefix space."""
-    prefixes = enumerate_prefixes(model, condition, k)
-    weights = []
-    for key, p in prefixes:
-        weights.append(p * step_map_distribution(model, condition, key, k).prob(outcome))
-    weights = np.asarray(weights)
-    return Distribution(tuple(key for key, _ in prefixes), weights / weights.sum())
-
-
-def condition_marginal_row(model: TabularModel, k: int, key: PrefixKey) -> np.ndarray:
-    """p(r_k | prefix) under a uniform prior over class conditions."""
-    return model.row(NULL_CONDITION, k, key)
+    outcome = tuple(outcome)
+    pairs = [
+        (seq[:-1], p)
+        for seq, p in chain_law(_site_law(model, condition), k)
+        if seq[-1] == outcome
+    ]
+    weights = np.asarray([p for _, p in pairs])
+    return Distribution(tuple(key for key, _ in pairs), weights / weights.sum())
 
 
 def _normalized_power_ratio(base: np.ndarray, reference: np.ndarray, strength: float) -> np.ndarray:
     weights = base * (base / reference) ** strength
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: float, k: int) -> Distribution:
@@ -140,15 +162,9 @@ def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float, 
     """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|prefix))^gamma over maps."""
     key = prefix_key(prefix)
     base = step_map_distribution(model, condition, key, k)
-    row = condition_marginal_row(model, k, key).reshape(-1, model.vocab)
-    ref = np.asarray(
-        [
-            float(np.prod(row[np.arange(len(combo)), combo]))
-            for combo in base.outcomes
-        ]
-    )
+    ref = step_map_distribution(model, NULL_CONDITION, key, k)
     return Distribution(
-        base.outcomes, _normalized_power_ratio(base.probs, ref, strength)
+        base.outcomes, _normalized_power_ratio(base.probs, ref.probs, strength)
     )
 
 
@@ -208,82 +224,51 @@ def verify_identities(
     the null branch must reproduce the augmented-CFG law, the VPG
     extrapolation with the exact prefix marginal as reference must reproduce
     the augmented-VPG law, and the sequential CFG+VPG composition must match
-    its four-term closed form. Joint-map laws are checked on single-site
-    scales; multi-site scales use the per-site analogue with per-site
-    marginals.
+    its four-term closed form. Sites are independent given the prefix, so
+    every law is checked per site, with per-site prefix marginals; on a
+    single-site scale this is the joint-map law of ``augmented_cfg`` and
+    ``augmented_vpg``.
     """
     rows = []
     sched = model.schedule
+    scales = range(1, sched.num_scales + 1)
+    l_nc_by_scale = {
+        k: np.log(prefix_marginal_sites(model, NULL_CONDITION, k)) for k in scales
+    }
     for c in range(model.num_conditions):
-        for k in range(1, sched.num_scales + 1):
-            marg_sites_c = prefix_marginal_sites(model, c, k)
-            marg_sites_null = prefix_marginal_sites(model, NULL_CONDITION, k)
-            single_site = sched.sites(k) == 1
+        for k in scales:
+            marg = prefix_marginal_sites(model, c, k)
+            l_cc = np.log(marg)
+            l_nc = l_nc_by_scale[k]
             for key in enumerate_prefix_keys(sched, model.vocab, k):
                 cond_row = model.row(c, k, key)
-                null_row = condition_marginal_row(model, k, key)
+                null_row = model.row(NULL_CONDITION, k, key)
+                l_cg = np.log(cond_row)
+                l_ng = np.log(null_row)
                 for gamma in gammas:
-                    guided = softmax(
-                        (1 + gamma) * np.log(cond_row) - gamma * np.log(null_row)
-                    )
-                    if single_site:
-                        oracle_p = augmented_cfg(model, c, key, gamma, k).probs
-                        observed = guided.reshape(-1)
-                    else:
-                        oracle_p = np.stack(
-                            [
-                                _normalized_power_ratio(
-                                    cond_row[i, j], null_row[i, j], gamma
-                                )
-                                for i in range(cond_row.shape[0])
-                                for j in range(cond_row.shape[1])
-                            ]
-                        ).reshape(-1)
-                        observed = guided.reshape(-1)
+                    guided = softmax((1 + gamma) * l_cg - gamma * l_ng)
+                    oracle_p = _normalized_power_ratio(cond_row, null_row, gamma)
                     rows.append(
                         IdentityRow(
                             "cfg", c, k, key, gamma, 0.0,
-                            float(np.max(np.abs(observed - oracle_p))),
-                            kl_divergence(
-                                observed.reshape(-1, model.vocab),
-                                np.asarray(oracle_p).reshape(-1, model.vocab),
-                            ),
+                            float(np.max(np.abs(guided - oracle_p))),
+                            kl_divergence(guided, oracle_p),
                         )
                     )
                 for lam in lams:
-                    guided = softmax(
-                        (1 + lam) * np.log(cond_row) - lam * np.log(marg_sites_c)
-                    )
-                    if single_site:
-                        oracle_p = augmented_vpg(model, c, key, lam, k).probs
-                    else:
-                        oracle_p = np.stack(
-                            [
-                                _normalized_power_ratio(
-                                    cond_row[i, j], marg_sites_c[i, j], lam
-                                )
-                                for i in range(cond_row.shape[0])
-                                for j in range(cond_row.shape[1])
-                            ]
-                        ).reshape(-1)
+                    guided = softmax((1 + lam) * l_cg - lam * l_cc)
+                    oracle_p = _normalized_power_ratio(cond_row, marg, lam)
                     rows.append(
                         IdentityRow(
                             "vpg", c, k, key, 0.0, lam,
-                            float(np.max(np.abs(guided.reshape(-1) - np.asarray(oracle_p).reshape(-1)))),
-                            kl_divergence(
-                                guided.reshape(-1, model.vocab),
-                                np.asarray(oracle_p).reshape(-1, model.vocab),
-                            ),
+                            float(np.max(np.abs(guided - oracle_p))),
+                            kl_divergence(guided, oracle_p),
                         )
                     )
                 # Sequential composition vs. its closed-form expansion, with
                 # the exact marginals standing in for the corrupted branches.
                 for gamma in gammas:
                     for lam in lams:
-                        l_cg = np.log(cond_row)
-                        l_ng = np.log(null_row)
-                        l_cc = np.log(marg_sites_c)
-                        l_nc = np.log(marg_sites_null)
                         g_gen = (1 + gamma) * l_cg - gamma * l_ng
                         g_corr = (1 + gamma) * l_cc - gamma * l_nc
                         sequential = (1 + lam) * g_gen - lam * g_corr
@@ -293,13 +278,11 @@ def verify_identities(
                             - lam * (1 + gamma) * l_cc
                             + lam * gamma * l_nc
                         )
-                        seq_p = softmax(sequential)
-                        closed_p = softmax(closed)
                         rows.append(
                             IdentityRow(
                                 "composition", c, k, key, gamma, lam,
                                 float(np.max(np.abs(sequential - closed))),
-                                kl_divergence(seq_p, closed_p),
+                                kl_divergence(softmax(sequential), softmax(closed)),
                             )
                         )
     return IdentityReport(tuple(rows), tolerance)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
-from .model import Condition, TokenMap
-from .oracle import Distribution, softmax
+from .model import Condition, TokenMap, prefix_maps
+from .oracle import Distribution, chain_law, softmax
 from .tokenizer import AffineDecoder, Codebook, ScaleSchedule, decode, decode_maps
 
 
@@ -207,31 +206,17 @@ def rollout_distribution(
             "stochastic corruption has no single rollout law; pass fixed_plans"
         )
 
-    sequences: list[tuple[tuple, float]] = [((), 1.0)]
-    for k in range(1, schedule.num_scales + 1):
-        h, w = schedule.grid(k)
-        extended = []
-        law_cache: dict[tuple, np.ndarray] = {}
-        for seq, p in sequences:
-            if seq not in law_cache:
-                maps = [
-                    TokenMap(j + 1, np.asarray(ids).reshape(schedule.grid(j + 1)))
-                    for j, ids in enumerate(seq)
-                ]
-                plan = fixed_plans.get(k) if fixed_plans else None
-                step = guided_step(
-                    model, condition, maps, gconfig, book=book, plan=plan
-                )
-                law_cache[seq] = truncated_law(step.logits, sconfig).reshape(
-                    -1, step.logits.shape[-1]
-                )
-            laws = law_cache[seq]
-            vocab = laws.shape[-1]
-            for combo in product(range(vocab), repeat=h * w):
-                q = float(np.prod(laws[np.arange(len(combo)), combo]))
-                if q > 0.0:
-                    extended.append((seq + (combo,), p * q))
-        sequences = extended
+    def step_law(seq):
+        plan = fixed_plans.get(len(seq) + 1) if fixed_plans else None
+        step = guided_step(
+            model, condition, prefix_maps(seq, schedule), gconfig,
+            book=book, plan=plan,
+        )
+        return truncated_law(step.logits, sconfig).reshape(
+            -1, step.logits.shape[-1]
+        )
+
+    sequences = chain_law(step_law, schedule.num_scales)
     outcomes = tuple(seq for seq, _ in sequences)
     probs = np.asarray([p for _, p in sequences])
     return Distribution(outcomes, probs / probs.sum())

@@ -8,6 +8,7 @@ import pytest
 
 from prefixlab.cli import (
     EXIT_CONFIG,
+    EXIT_IDENTITY,
     EXIT_IO,
     EXIT_OK,
     EXIT_SWEEP,
@@ -48,6 +49,16 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "max KL" in printed
         assert "all identities hold" in printed
+
+    def test_nothing_checked_fails(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"verify": {"models": 0}}))
+        code = main(["verify", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_IDENTITY
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("verify: 0 models, max KL")
+        assert lines[1:] == ["verify: FAIL nothing was checked (0 identity rows)"]
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "envout"
@@ -161,6 +172,14 @@ class TestExitCodes:
              "--temperature", "-1.0"]
         )
         assert code == EXIT_CONFIG
+
+    def test_out_of_range_condition_flag_exits_two(self, tmp_path, capsys):
+        code = main(
+            ["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
+             "--condition", "1"]
+        )
+        assert code == EXIT_CONFIG
+        assert "'condition'" in capsys.readouterr().err
 
 
 def test_default_config_text_is_valid_json():

@@ -76,6 +76,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="vocab"):
             parse_config({"vocab": "many"})
 
+    @pytest.mark.parametrize(
+        "load, data, key",
+        [
+            (parse_config, {"model": {"include_null": "false"}}, "include_null"),
+            (parse_config, {"vocab": 2.7}, "vocab"),
+            (parse_config, {"vocab": 0}, "vocab"),
+            (parse_config, {"num_conditions": True}, "num_conditions"),
+            (parse_config, {"sampler": {"top_k": 2.5}}, "top_k"),
+            (parse_config, {"verify": {"vocab_grid": ["a"]}}, "vocab_grid"),
+            (parse_config, {"verify": {"condition_grid": []}}, "condition_grid"),
+            (parse_config, {"num_conditions": 2, "condition": 2}, "condition"),
+            (parse_config, {"condition": -1}, "condition"),
+            (parse_config, {"schedule": [[1.5, 1], [1, 1]]}, "schedule"),
+            (parse_config, {"sweep": {"scale_masks": [5]}}, "scale_masks"),
+            (model_from_config,
+             {"kind": "tabular", "schedule": [[1, 1]], "vocab": 2.7,
+              "num_conditions": 1, "seed": 0}, "vocab"),
+            (model_from_config,
+             {"kind": "tabular", "schedule": [[1, 1]], "vocab": 2,
+              "num_conditions": 1, "seed": False}, "seed"),
+            (model_from_config,
+             {"kind": "count", "schedule": [[1, 1]], "vocab": 2,
+              "num_conditions": 1, "counts": [], "alpha": 1.0,
+              "signature_bins": 4, "signature_seed": 0, "embed_seed": 0,
+              "embed_dim": 4, "include_null": "false"}, "include_null"),
+        ],
+    )
+    def test_malformed_scalar_rejected_by_name(self, load, data, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load(data)
+
     def test_invalid_sampler_values_rejected(self):
         with pytest.raises(ConfigError, match="sampler"):
             parse_config({"sampler": {"temperature": -1.0}})
@@ -101,7 +132,7 @@ class TestLoadConfig:
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"vocab": 3, "condition": 1}))
+        path.write_text(json.dumps({"vocab": 3, "num_conditions": 2, "condition": 1}))
         cfg = load_config(path)
         assert cfg.vocab == 3
         assert cfg.condition == 1

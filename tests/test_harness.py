@@ -13,7 +13,6 @@ from prefixlab.harness import (
     ExperimentSpec,
     SweepGrid,
     cell_seed,
-    count_model_prefix_marginal_sites,
     exact_kl,
     exposure_gap,
     run_sweep,
@@ -23,7 +22,7 @@ from prefixlab.harness import (
     write_sweep_csv,
     write_sweep_svg,
 )
-from prefixlab.oracle import Distribution
+from prefixlab.oracle import Distribution, prefix_marginal_sites
 from prefixlab.sampler import SamplerConfig, rollout
 
 
@@ -78,14 +77,14 @@ class TestToyFrechet:
 
 class TestCountModelMarginal:
     def test_sites_normalized(self, small_count, small_book):
-        sites = count_model_prefix_marginal_sites(small_count, small_book, 0, k=2)
+        sites = prefix_marginal_sites(small_count, 0, k=2, book=small_book)
         assert sites.shape == (2, 2, 3)
         np.testing.assert_allclose(sites.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_first_scale_equals_direct_prediction(self, small_count, small_book):
         from prefixlab.model import predict_logits
 
-        sites = count_model_prefix_marginal_sites(small_count, small_book, 0, k=1)
+        sites = prefix_marginal_sites(small_count, 0, k=1, book=small_book)
         direct = np.exp(predict_logits(small_count, 0, [], book=small_book).values)
         np.testing.assert_allclose(sites, direct, atol=1e-12)
 

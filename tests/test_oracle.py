@@ -1,17 +1,20 @@
 """Brute-force marginalization oracles and the identity report."""
 
 import csv
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError
+from prefixlab.guidance import GuidanceConfig
 from prefixlab.model import NULL_CONDITION, build_tabular
 from prefixlab.oracle import (
     Distribution,
     augmented_cfg,
     augmented_vpg,
-    condition_marginal_row,
     enumerate_prefixes,
     kl_divergence,
     prefix_marginal,
@@ -22,7 +25,8 @@ from prefixlab.oracle import (
     verify_identities,
     write_report_csv,
 )
-from prefixlab.tokenizer import ScaleSchedule
+from prefixlab.sampler import SamplerConfig, rollout_distribution
+from prefixlab.tokenizer import Codebook, ScaleSchedule
 
 
 class TestDistribution:
@@ -92,8 +96,8 @@ class TestEnumeration:
         assert len(pairs) == 3 * 3 ** 4
         assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_condition_marginal_row_uniform_prior(self, small_tabular):
-        row = condition_marginal_row(small_tabular, 1, ())
+    def test_null_row_uniform_prior(self, small_tabular):
+        row = small_tabular.row(NULL_CONDITION, 1, ())
         expected = (small_tabular.row(0, 1, ()) + small_tabular.row(1, 1, ())) / 2
         np.testing.assert_allclose(row, expected)
 
@@ -171,3 +175,84 @@ class TestIdentityReport:
         sites_null = prefix_marginal_sites(small_tabular, NULL_CONDITION, 2)
         assert sites_null.shape == (2, 2, 3)
         np.testing.assert_allclose(sites_null.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def brute_force_joint(model, condition):
+    """p(r_1..r_K | c) of every full sequence as a product of stored rows."""
+    sched = model.schedule
+    maps_per_scale = [
+        product(range(model.vocab), repeat=sched.sites(k))
+        for k in range(1, sched.num_scales + 1)
+    ]
+    joint = {}
+    for seq in product(*maps_per_scale):
+        p = 1.0
+        for k, ids in enumerate(seq, start=1):
+            row = model.row(condition, k, seq[: k - 1]).reshape(-1, model.vocab)
+            for site, v in enumerate(ids):
+                p *= row[site, v]
+        joint[seq] = p
+    return joint
+
+
+@st.composite
+def small_models(draw):
+    grids = draw(
+        st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+                 min_size=1, max_size=3)
+    )
+    schedule = ScaleSchedule(tuple(sorted(grids, key=lambda d: d[0] * d[1])))
+    vocab = draw(st.integers(2, 3))
+    total_sites = sum(h * w for h, w in schedule.dims)
+    assume(vocab ** total_sites <= 512)
+    conditions = draw(st.integers(1, 2))
+    return build_tabular(schedule, vocab, conditions, seed=draw(st.integers(0, 2**16)))
+
+
+class TestChainedLawsAgainstBruteForce:
+    @given(small_models())
+    @settings(max_examples=25, deadline=None)
+    def test_every_exact_law_matches_the_full_product(self, model):
+        sched = model.schedule
+        vocab = model.vocab
+        book = Codebook.seeded(sched.num_scales, vocab, 2, seed=0)
+        for c in list(range(model.num_conditions)) + [NULL_CONDITION]:
+            joint = brute_force_joint(model, c)
+            assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+            for k in range(1, sched.num_scales + 1):
+                prefix_law: dict = {}
+                sites = np.zeros(sched.grid(k) + (vocab,))
+                for seq, p in joint.items():
+                    prefix_law[seq[: k - 1]] = prefix_law.get(seq[: k - 1], 0.0) + p
+                    flat = sites.reshape(-1, vocab)
+                    for site, v in enumerate(seq[k - 1]):
+                        flat[site, v] += p
+
+                pairs = enumerate_prefixes(model, c, k)
+                assert [key for key, _ in pairs] == list(prefix_law)
+                np.testing.assert_allclose(
+                    [p for _, p in pairs], list(prefix_law.values()),
+                    rtol=0, atol=1e-12,
+                )
+                np.testing.assert_allclose(
+                    prefix_marginal_sites(model, c, k), sites, rtol=0, atol=1e-12
+                )
+
+                marg = prefix_marginal(model, c, k)
+                from_maps = np.zeros_like(sites)
+                for outcome, p in zip(marg.outcomes, marg.probs):
+                    flat = from_maps.reshape(-1, vocab)
+                    for site, v in enumerate(outcome):
+                        flat[site, v] += p
+                np.testing.assert_allclose(
+                    from_maps, prefix_marginal_sites(model, c, k),
+                    rtol=0, atol=1e-12,
+                )
+
+            law = rollout_distribution(
+                model, c, GuidanceConfig(), SamplerConfig(), book, sched
+            )
+            assert list(law.outcomes) == list(joint)
+            np.testing.assert_allclose(
+                law.probs, list(joint.values()), rtol=0, atol=1e-12
+            )
