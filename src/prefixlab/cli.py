@@ -5,8 +5,10 @@ sweep (lambda x n_p x variant grids) and ablate (all corruption variants at
 a fixed fraction). Exit codes: 0 ok, 1 identity failure or no identity
 checked, 2 config error, 3 IO failure, 4 every sweep cell failed.
 
-Flags mirror config keys and override file values; the output directory can
-also be overridden with the PREFIXLAB_OUTPUT_DIR environment variable.
+Each flag overrides the config key its help names, and the output directory
+can also be set with the PREFIXLAB_OUTPUT_DIR environment variable (flag over
+environment over file). Flags are written into the config's JSON object
+before it is parsed, so they pass the same checks as the file.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from dataclasses import replace
 from .config import (
     ConfigError,
     RunConfig,
+    config_to_json,
     corpus_from_csv,
-    load_config,
     parse_config,
+    read_config,
 )
 from .corruption import CorruptionVariant
 from .errors import PrefixLabError
@@ -49,47 +52,53 @@ def default_config_text() -> str:
     )
 
 
+def _scale_mask(text: str):
+    if text == "all":
+        return None
+    return [int(k) if k.strip().isdigit() else k for k in text.split(",")]
+
+
+def _top_k(text: str):
+    return int(text) or None
+
+
+# Flag -> (the config key it overrides, its text as a JSON value, help).
+# A scale that is not a number stays text, for parse_config to reject by
+# key name.
+FLAGS = {
+    "--output-dir": ("output_dir", str, "output directory"),
+    "--condition": ("condition", int, "class condition"),
+    "--gamma": ("guidance.gamma", float, "CFG strength"),
+    "--lambda": ("guidance.lambda", float, "prefix-guidance strength"),
+    "--n-p": ("guidance.n_p", float, "corruption fraction"),
+    "--variant": ("guidance.variant", str, "corruption variant: "
+                  + ", ".join(v.value for v in CorruptionVariant)),
+    "--reference": ("guidance.reference", str, "weak-prefix reference: corrupted, exact-marginal"),
+    "--scale-mask": ("guidance.scale_mask", _scale_mask, "comma-separated scales, 'all' for null"),
+    "--temperature": ("sampler.temperature", float, "sampling temperature"),
+    "--top-k": ("sampler.top_k", _top_k, "top-k truncation, 0 for null (no truncation)"),
+    "--top-p": ("sampler.top_p", float, "top-p truncation"),
+    "--seed": ("sampler.seed", int, "sampler seed"),
+}
+
+
 def _resolve_config(args) -> RunConfig:
+    """The config file (or the shipped one) with PREFIXLAB_OUTPUT_DIR and then
+    every given flag written over its keys, parsed once."""
     if args.config is not None:
-        cfg = load_config(args.config)
+        data = read_config(args.config)
     else:
-        cfg = parse_config(json.loads(default_config_text()))
-    overrides = {}
-    guidance = cfg.guidance
-    if args.gamma is not None:
-        guidance = replace(guidance, gamma=args.gamma)
-    if getattr(args, "lam", None) is not None:
-        guidance = replace(guidance, lam=args.lam)
-    if args.n_p is not None:
-        guidance = replace(guidance, fraction=args.n_p)
-    if args.variant is not None:
-        guidance = replace(guidance, variant=CorruptionVariant(args.variant))
-    if args.reference is not None:
-        guidance = replace(guidance, reference=args.reference)
-    if args.scale_mask is not None:
-        mask = None if args.scale_mask == "all" else frozenset(
-            int(k) for k in args.scale_mask.split(",")
-        )
-        guidance = replace(guidance, scale_mask=mask)
-    sampler = cfg.sampler
-    if args.temperature is not None:
-        sampler = replace(sampler, temperature=args.temperature)
-    if args.top_k is not None:
-        sampler = replace(sampler, top_k=args.top_k if args.top_k > 0 else None)
-    if args.top_p is not None:
-        sampler = replace(sampler, top_p=args.top_p)
-    if args.seed is not None:
-        sampler = replace(sampler, seed=args.seed)
-    if args.condition is not None:
-        overrides["condition"] = args.condition
-    out_dir = (
-        args.output_dir
-        or os.environ.get("PREFIXLAB_OUTPUT_DIR")
-        or cfg.output_dir
-    )
-    return replace(
-        cfg, guidance=guidance, sampler=sampler, output_dir=out_dir, **overrides
-    )
+        data = json.loads(default_config_text())
+    if os.environ.get("PREFIXLAB_OUTPUT_DIR"):
+        data["output_dir"] = os.environ["PREFIXLAB_OUTPUT_DIR"]
+    given = vars(args)
+    for key, _, _ in FLAGS.values():
+        if key in given:
+            section, _, name = key.rpartition(".")
+            target = data.setdefault(section, {}) if section else data
+            if isinstance(target, dict):  # else parse_config names the bad section
+                target[name] = given[key]
+    return parse_config(data)
 
 
 def _build_model(cfg: RunConfig, book):
@@ -97,7 +106,9 @@ def _build_model(cfg: RunConfig, book):
     if spec.kind == "tabular":
         return build_tabular(cfg.schedule, cfg.vocab, cfg.num_conditions, spec.seed)
     if spec.corpus_path is not None:
-        corpus = corpus_from_csv(spec.corpus_path, cfg.schedule)
+        corpus = corpus_from_csv(
+            spec.corpus_path, cfg.schedule, cfg.vocab, cfg.num_conditions
+        )
     else:
         corpus = _synthetic_corpus(cfg, book, spec.corpus_count, spec.corpus_seed)
     return fit_count_model(
@@ -245,28 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig()
+    defaults = config_to_json(RunConfig())
 
     def common(p):
-        p.add_argument("--config", help="JSON run config (default: shipped config)")
-        p.add_argument("--output-dir", help=f"output directory (default {defaults.output_dir})")
-        p.add_argument("--condition", type=int, help=f"class condition (default {defaults.condition})")
-        p.add_argument("--gamma", type=float, help="CFG strength (default 0.0)")
-        p.add_argument("--lambda", dest="lam", type=float, help="prefix-guidance strength (default 0.0)")
-        p.add_argument("--n-p", type=float, help="corruption fraction (default 0.0)")
-        p.add_argument(
-            "--variant", choices=[v.value for v in CorruptionVariant],
-            help="corruption variant (default same_scale_full_embedding)",
-        )
-        p.add_argument(
-            "--reference", choices=["corrupted", "exact-marginal"],
-            help="weak-prefix reference (default exact-marginal)",
-        )
-        p.add_argument("--scale-mask", help="comma-separated scales or 'all' (default all)")
-        p.add_argument("--temperature", type=float, help="sampling temperature (default 1.0)")
-        p.add_argument("--top-k", type=int, help="top-k truncation, 0 disables (default none)")
-        p.add_argument("--top-p", type=float, help="top-p truncation (default 1.0)")
-        p.add_argument("--seed", type=int, help="sampler seed (default 0)")
+        p.add_argument("--config", help="JSON run config (default: default_config.json)")
+        for flag, (key, kind, text) in FLAGS.items():
+            section, _, name = key.rpartition(".")
+            default = (defaults[section] if section else defaults)[name]
+            p.add_argument(
+                flag, dest=key, metavar=name.upper(), type=kind, default=argparse.SUPPRESS,
+                help=f"{text} (config key {key}, default {json.dumps(default)})",
+            )
 
     common(sub.add_parser("verify", help="run the oracle identity suites"))
     p_sample = sub.add_parser("sample", help="guided rollouts with traces and images")

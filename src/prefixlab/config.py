@@ -1,21 +1,26 @@
 """Run configuration: a single strict JSON file drives every command.
 
-Unknown keys and malformed values are rejected by name, never coerced, so
-sweeps stay auditable; every value has a default mirrored by a CLI flag.
-Model and corpus serialization helpers live here too since they share the
-same interchange format.
+The frozen dataclasses below are the only schema: ``parse_config`` takes
+each key's type from its field's annotation, its default from ``RunConfig()``
+and its range from ``_BOUNDS``. Unknown keys and malformed or out-of-range
+values are rejected by name, never coerced, so sweeps stay auditable. Model
+and corpus serialization helpers live here too since they share the same
+interchange format.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 
 import numpy as np
 
 from .corruption import CorruptionVariant
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
 from .model import (
@@ -24,14 +29,34 @@ from .model import (
     TabularModel,
     TokenMap,
     build_tabular,
+    check_corpus_sequence,
 )
 from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
 
 CONFIG_VERSION = 1
 
+# JSON keys that differ from their dataclass field names.
+_JSON_KEYS = {"lam": "lambda", "fraction": "n_p", "fractions": "n_ps"}
 
-def _checked(key: str, value, kind: type, minimum=None):
+# The values a key may take beyond its type, by JSON key. A list-valued key
+# is checked element by element.
+_BOUNDS = {
+    **dict.fromkeys(
+        ("schedule", "vocab", "num_conditions", "latent_dim", "embed_dim",
+         "signature_bins", "corpus_count", "vocab_grid", "condition_grid",
+         "scale_mask", "scale_masks", "replicates", "n_samples", "top_k"),
+        (lambda v: v >= 1, "at least 1"),
+    ),
+    **dict.fromkeys(("models", "tolerance"), (lambda v: v >= 0, "at least 0")),
+    **dict.fromkeys(("n_p", "n_ps"), (lambda v: 0 <= v <= 1, "inside [0, 1]")),
+    "alpha": (lambda v: v > 0, "above 0"),
+    "kind": (lambda v: v in ("tabular", "count"), "'tabular' or 'count'"),
+    "metric": (lambda v: v in ("exact_kl", "toy_frechet"), "'exact_kl' or 'toy_frechet'"),
+}
+
+
+def _checked(key: str, value, kind: type):
     """``value`` as a JSON value of ``kind``, or a ConfigError naming ``key``.
 
     Nothing is coerced: a bool is not a number, a float is not an int and a
@@ -42,23 +67,7 @@ def _checked(key: str, value, kind: type, minimum=None):
         raise ConfigError(
             f"bad value for config key '{key}': expected {kind.__name__}, got {value!r}"
         )
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"bad value for config key '{key}': {value!r} is below {minimum}")
     return kind(value)
-
-
-def _take(section: dict, key: str, default, kind=None, minimum=None):
-    value = section.pop(key, default)
-    if kind is None or (value is None and default is None):
-        return value
-    return _checked(key, value, kind, minimum)
-
-
-def _take_list(section: dict, key: str, default: list, kind: type, minimum=None) -> tuple:
-    values = section.pop(key, default)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"bad value for config key '{key}': expected a non-empty list")
-    return tuple(_checked(key, v, kind, minimum) for v in values)
 
 
 def _reject_unknown(section: dict, where: str) -> None:
@@ -66,11 +75,70 @@ def _reject_unknown(section: dict, where: str) -> None:
         raise ConfigError(f"unknown config key '{next(iter(section))}' in {where}")
 
 
-def _variant(name: str) -> CorruptionVariant:
+def _value(key: str, hint, raw, default=None):
+    """The JSON value ``raw`` as a value of the annotated type ``hint``, inside
+    the bounds of ``key``; ``default`` is the section a dataclass starts from."""
+    if hint is ScaleSchedule:
+        try:
+            return ScaleSchedule(_value(key, tuple[tuple[int, ...], ...], raw))
+        except (InvalidScheduleError, ValueError) as exc:  # ValueError: not a pair
+            raise ConfigError(f"bad value for config key '{key}': {exc}") from exc
+    if is_dataclass(hint):
+        return _parse_section(hint, _checked(key, raw, dict), default, key)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # every union in the schema is ``X | None``
+        return None if raw is None else _value(key, args[0], raw)
+    if origin is tuple:  # ``tuple[X, ...]``
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"bad value for config key '{key}': expected a non-empty list")
+        return tuple(_value(key, args[0], v) for v in raw)
+    if origin is frozenset:
+        return frozenset(_value(key, args[0], v) for v in _checked(key, raw, list))
+    if issubclass(hint, Enum):
+        try:
+            return hint(_checked(key, raw, str))
+        except ValueError:
+            raise ConfigError(
+                f"bad value for config key '{key}': unknown {hint.__name__} {raw!r}"
+            ) from None
+    value = _checked(key, raw, hint)
+    if key in _BOUNDS and not _BOUNDS[key][0](value):
+        raise ConfigError(f"bad value for config key '{key}': {value!r} is not {_BOUNDS[key][1]}")
+    return value
+
+
+def _parse_section(cls, raw: dict, default, where: str):
+    """``default`` with each field that ``raw`` sets replaced by its parsed value."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key in raw:
+            values[f.name] = _value(key, hints[f.name], raw.pop(key), getattr(default, f.name))
+    _reject_unknown(raw, where)
     try:
-        return CorruptionVariant(name)
-    except ValueError:
-        raise ConfigError(f"unknown corruption variant '{name}'") from None
+        return replace(default, **values)
+    except ConfigError:
+        raise
+    except PrefixLabError as exc:
+        raise ConfigError(f"bad {where} section: {exc}") from exc
+
+
+def _json_form(value):
+    if isinstance(value, ScaleSchedule):
+        return [list(d) for d in value.dims]
+    if is_dataclass(value):
+        return {
+            _JSON_KEYS.get(f.name, f.name): _json_form(getattr(value, f.name))
+            for f in fields(value)
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_json_form(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -159,133 +227,19 @@ class RunConfig:
 
 def parse_config(data: dict) -> RunConfig:
     data = dict(data)
-    version = _take(data, "version", CONFIG_VERSION, int)
+    version = _checked("version", data.pop("version", CONFIG_VERSION), int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
-
-    try:
-        schedule = ScaleSchedule(
-            tuple(
-                tuple(_checked("schedule", n, int, 1) for n in d)
-                for d in _take(data, "schedule", [[1, 1], [1, 1]], list)
-            )
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
-
-    vocab = _take(data, "vocab", 2, int, 1)
-    num_conditions = _take(data, "num_conditions", 1, int, 1)
-    latent_dim = _take(data, "latent_dim", 2, int, 1)
-    codebook_seed = _take(data, "codebook_seed", 7, int)
-    embed_dim = _take(data, "embed_dim", 4, int, 1)
-    embed_seed = _take(data, "embed_seed", 11, int)
-    condition = _take(data, "condition", 0, int)
-    output_dir = _take(data, "output_dir", "out", str)
-
-    msec = _take(data, "model", {}, dict)
-    model = ModelSpec(
-        kind=_take(msec, "kind", "tabular", str),
-        seed=_take(msec, "seed", 3, int),
-        alpha=_take(msec, "alpha", 1.0, float),
-        signature_bins=_take(msec, "signature_bins", 4, int),
-        signature_seed=_take(msec, "signature_seed", 0, int),
-        include_null=_take(msec, "include_null", True, bool),
-        corpus_path=_take(msec, "corpus_path", None, str),
-        corpus_count=_take(msec, "corpus_count", 40, int),
-        corpus_seed=_take(msec, "corpus_seed", 5, int),
-    )
-    _reject_unknown(msec, "model")
-    if model.kind not in ("tabular", "count"):
-        raise ConfigError(f"unknown model kind '{model.kind}'")
-
-    gsec = _take(data, "guidance", {}, dict)
-    mask = _take(gsec, "scale_mask", None)
-    try:
-        guidance = GuidanceConfig(
-            gamma=_take(gsec, "gamma", 0.0, float),
-            lam=_take(gsec, "lambda", 0.0, float),
-            fraction=_take(gsec, "n_p", 0.0, float),
-            variant=_variant(_take(gsec, "variant", "same_scale_full_embedding", str)),
-            scale_mask=None if mask is None else frozenset(
-                _checked("scale_mask", k, int, 1) for k in mask
-            ),
-            reference=_take(gsec, "reference", "exact-marginal", str),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad guidance section: {exc}") from exc
-    _reject_unknown(gsec, "guidance")
-
-    ssec = _take(data, "sampler", {}, dict)
-    top_k = _take(ssec, "top_k", None, int)
-    try:
-        sampler = SamplerConfig(
-            temperature=_take(ssec, "temperature", 1.0, float),
-            top_k=top_k,
-            top_p=_take(ssec, "top_p", 1.0, float),
-            seed=_take(ssec, "seed", 0, int),
-        )
-    except Exception as exc:
-        raise ConfigError(f"bad sampler section: {exc}") from exc
-    _reject_unknown(ssec, "sampler")
-
-    vsec = _take(data, "verify", {}, dict)
-    verify = VerifySpec(
-        tolerance=_take(vsec, "tolerance", 1e-9, float),
-        models=_take(vsec, "models", 100, int, 0),
-        vocab_grid=_take_list(vsec, "vocab_grid", [2, 3, 5], int, 1),
-        condition_grid=_take_list(vsec, "condition_grid", [1, 2, 3], int, 1),
-        gammas=_take_list(vsec, "gammas", [0.0, 0.5, 1.0, 1.5, 3.0], float),
-        lambdas=_take_list(vsec, "lambdas", [0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0], float),
-    )
-    _reject_unknown(vsec, "verify")
-
-    wsec = _take(data, "sweep", {}, dict)
-    masks = _take(wsec, "scale_masks", [None], list)
-    sweep = SweepSpec(
-        lambdas=_take_list(wsec, "lambdas", [0.0, 0.5, 1.0, 2.0], float),
-        fractions=_take_list(wsec, "n_ps", [0.0], float),
-        variants=tuple(
-            _variant(v) for v in _take(
-                wsec, "variants", ["same_scale_full_embedding"]
-            )
-        ),
-        scale_masks=tuple(
-            None if m is None else frozenset(
-                _checked("scale_masks", k, int, 1)
-                for k in _checked("scale_masks", m, list)
-            )
-            for m in masks
-        ),
-        replicates=_take(wsec, "replicates", 1, int),
-        seed=_take(wsec, "seed", 0, int),
-        metric=_take(wsec, "metric", "exact_kl", str),
-        n_samples=_take(wsec, "n_samples", 16, int),
-    )
-    _reject_unknown(wsec, "sweep")
-
-    asec = _take(data, "ablate", {}, dict)
-    ablate = AblateSpec(
-        lambdas=_take_list(asec, "lambdas", [0.0, 0.5, 1.0], float),
-        fraction=_take(asec, "n_p", 0.1, float),
-        replicates=_take(asec, "replicates", 1, int),
-        seed=_take(asec, "seed", 0, int),
-        n_samples=_take(asec, "n_samples", 16, int),
-    )
-    _reject_unknown(asec, "ablate")
-
-    _reject_unknown(data, "top level")
-    return RunConfig(
-        schedule, vocab, num_conditions, latent_dim, codebook_seed,
-        embed_dim, embed_seed, condition, output_dir,
-        model, guidance, sampler, verify, sweep, ablate,
-    )
+    return _parse_section(RunConfig, data, RunConfig(), "top level")
 
 
-def load_config(path) -> RunConfig:
+def config_to_json(cfg: RunConfig) -> dict:
+    """The JSON object that ``parse_config`` reads back as ``cfg``."""
+    return {"version": CONFIG_VERSION, **_json_form(cfg)}
+
+
+def read_config(path) -> dict:
+    """The JSON object held in the config file at ``path``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -293,7 +247,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    return parse_config(data)
+    return data
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_config(path))
 
 
 def corpus_to_csv(corpus, path) -> None:
@@ -305,17 +263,23 @@ def corpus_to_csv(corpus, path) -> None:
             writer.writerow([condition] + tokens)
 
 
-def corpus_from_csv(path, schedule: ScaleSchedule):
+def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: int):
+    """The corpus ``corpus_to_csv`` wrote for a model of this shape; a row
+    that is not one such sequence is an InvalidInputError naming its line."""
+    expected = sum(schedule.sites(k) for k in range(1, schedule.num_scales + 1))
     corpus = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
-            condition = int(row[0])
-            tokens = [int(x) for x in row[1:]]
-            expected = sum(schedule.sites(k) for k in range(1, schedule.num_scales + 1))
+            where = f"corpus line {reader.line_num}"
+            try:
+                condition, *tokens = (int(x) for x in row)
+            except ValueError:
+                raise InvalidInputError(f"{where}: {','.join(row)!r} is not all integers") from None
             if len(tokens) != expected:
-                raise InvalidInputError("corpus row does not match the schedule")
+                raise InvalidInputError(f"{where}: row does not match the schedule")
             maps = []
             pos = 0
             for k in range(1, schedule.num_scales + 1):
@@ -324,6 +288,7 @@ def corpus_from_csv(path, schedule: ScaleSchedule):
                     TokenMap(k, np.asarray(tokens[pos : pos + h * w]).reshape(h, w))
                 )
                 pos += h * w
+            check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where)
             corpus.append((condition, maps))
     return corpus
 
@@ -374,16 +339,16 @@ def model_to_config(model) -> dict:
 def model_from_config(data: dict):
     data = dict(data)
 
-    def take(key, kind, minimum=None):
-        return _checked(key, data.pop(key, None), kind, minimum)
+    def take(key, kind):
+        return _value(key, kind, data.pop(key, None))
 
     version = data.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported model version {version}")
     kind = data.pop("kind", None)
-    schedule = ScaleSchedule(tuple(tuple(d) for d in data.pop("schedule")))
-    vocab = take("vocab", int, 1)
-    num_conditions = take("num_conditions", int, 1)
+    schedule = _value("schedule", ScaleSchedule, data.pop("schedule", None))
+    vocab = take("vocab", int)
+    num_conditions = take("num_conditions", int)
     if kind == "tabular":
         seed = take("seed", int)
         _reject_unknown(data, "tabular model")
@@ -399,10 +364,10 @@ def model_from_config(data: dict):
         model = CountModel(
             schedule, vocab, num_conditions,
             alpha=take("alpha", float),
-            spec=SignatureSpec(take("signature_bins", int, 1),
+            spec=SignatureSpec(take("signature_bins", int),
                                take("signature_seed", int)),
             embed_seed=take("embed_seed", int),
-            embed_dim=take("embed_dim", int, 1),
+            embed_dim=take("embed_dim", int),
             counts=counts,
             include_null=take("include_null", bool),
         )

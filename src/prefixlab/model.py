@@ -267,6 +267,20 @@ class CountModel:
         return (counted + self.alpha) / (totals + self.alpha * self.vocab)
 
 
+def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where):
+    """Raise InvalidInputError, prefixed by ``where``, unless ``maps`` holds one
+    map per scale with ids in 0..vocab-1 and ``condition`` is in 0..num_conditions-1."""
+    if len(maps) != schedule.num_scales:
+        problem = "sequence does not match the schedule"
+    elif not (isinstance(condition, (int, np.integer)) and 0 <= condition < num_conditions):
+        problem = f"condition {condition!r} is outside 0..{num_conditions - 1}"
+    elif any(m.ids.min() < 0 or m.ids.max() >= vocab for m in maps):
+        problem = f"a token id is outside 0..{vocab - 1}"
+    else:
+        return
+    raise InvalidInputError(f"{where}: {problem}")
+
+
 def fit_count_model(
     corpus: Sequence[tuple[int, Sequence[TokenMap]]],
     schedule: ScaleSchedule,
@@ -285,9 +299,10 @@ def fit_count_model(
     if alpha <= 0:
         raise InvalidInputError("smoothing constant alpha must be > 0")
     counts: dict = {}
-    for condition, maps in corpus:
-        if len(maps) != schedule.num_scales:
-            raise InvalidInputError("corpus sequence does not match the schedule")
+    for i, (condition, maps) in enumerate(corpus):
+        check_corpus_sequence(
+            condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
+        )
         for k in range(1, schedule.num_scales + 1):
             emb = embed_prefix(maps[: k - 1], book, schedule, embed_seed, embed_dim)
             sig = context_signature(emb, spec, schedule.num_scales)

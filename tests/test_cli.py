@@ -12,9 +12,13 @@ from prefixlab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SWEEP,
+    FLAGS,
+    _resolve_config,
+    build_parser,
     default_config_text,
     main,
 )
+from prefixlab.config import parse_config
 
 
 def count_model_config(tmp_path, **extra):
@@ -67,6 +71,15 @@ class TestVerify:
         cfg.write_text(json.dumps({"verify": {"models": 2}}))
         assert main(["verify", "--config", str(cfg)]) == EXIT_OK
         assert (out_dir / "identity_report.csv").exists()
+
+    def test_output_dir_flag_overrides_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PREFIXLAB_OUTPUT_DIR", str(tmp_path / "envout"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verify": {"models": 2}}))
+        out_dir = tmp_path / "flagout"
+        assert main(["verify", "--config", str(cfg), "--output-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "identity_report.csv").exists()
+        assert not (tmp_path / "envout").exists()
 
 
 class TestSample:
@@ -180,6 +193,60 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
         assert "'condition'" in capsys.readouterr().err
+
+
+# Base file for the flag cases: every flag below sets a value that differs
+# from it, so an ignored flag shows.
+FLAG_BASE = {
+    "num_conditions": 2,
+    "guidance": {"scale_mask": [1]},
+    "sampler": {"top_k": 3},
+}
+FLAG_CASES = [
+    ("--output-dir", "elsewhere", "output_dir", "elsewhere"),
+    ("--condition", "1", "condition", 1),
+    ("--gamma", "0.5", "guidance.gamma", 0.5),
+    ("--lambda", "1.5", "guidance.lambda", 1.5),
+    ("--n-p", "0.25", "guidance.n_p", 0.25),
+    ("--variant", "uniform_prefix", "guidance.variant", "uniform_prefix"),
+    ("--reference", "corrupted", "guidance.reference", "corrupted"),
+    ("--scale-mask", "1,2", "guidance.scale_mask", [1, 2]),
+    ("--scale-mask", "all", "guidance.scale_mask", None),
+    ("--temperature", "0.5", "sampler.temperature", 0.5),
+    ("--top-k", "2", "sampler.top_k", 2),
+    ("--top-k", "0", "sampler.top_k", None),
+    ("--top-p", "0.9", "sampler.top_p", 0.9),
+    ("--seed", "9", "sampler.seed", 9),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag, text, key, value", FLAG_CASES)
+    def test_flag_equals_file_setting_its_key(self, tmp_path, flag, text, key, value):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(FLAG_BASE))
+        args = build_parser().parse_args(["sample", "--config", str(path), flag, text])
+        data = json.loads(json.dumps(FLAG_BASE))
+        section, _, name = key.rpartition(".")
+        (data.setdefault(section, {}) if section else data)[name] = value
+        assert _resolve_config(args) == parse_config(data)
+        assert _resolve_config(args) != parse_config(FLAG_BASE)
+
+    def test_cases_cover_every_flag(self):
+        assert {flag for flag, *_ in FLAG_CASES} == set(FLAGS)
+        assert all(FLAGS[flag][0] == key for flag, _, key, _ in FLAG_CASES)
+
+    @pytest.mark.parametrize(
+        "flag, text, key",
+        [("--scale-mask", "a", "scale_mask"), ("--scale-mask", "0", "scale_mask"),
+         ("--top-k", "-3", "top_k"), ("--n-p", "1.5", "n_p"),
+         ("--variant", "bogus", "variant")],
+    )
+    def test_bad_flag_value_exits_two_naming_key(self, tmp_path, capsys, flag, text, key):
+        code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
+                     flag, text])
+        assert code == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_default_config_text_is_valid_json():

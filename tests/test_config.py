@@ -8,6 +8,7 @@ import pytest
 from prefixlab.config import (
     ConfigError,
     RunConfig,
+    config_to_json,
     corpus_from_csv,
     corpus_to_csv,
     load_config,
@@ -28,10 +29,27 @@ class TestParseConfig:
     def test_shipped_default_parses(self):
         from prefixlab.cli import default_config_text
 
-        cfg = parse_config(json.loads(default_config_text()))
-        assert cfg.schedule.dims == ((1, 1), (1, 1))
-        assert cfg.verify.models == 100
-        assert cfg.guidance.reference == "exact-marginal"
+        data = json.loads(default_config_text())
+        assert parse_config(data) == RunConfig()
+        # Every schema key is written out, at its RunConfig() value.
+        assert data == config_to_json(RunConfig())
+
+    def test_json_form_parses_back(self):
+        cfg = parse_config(
+            {
+                "schedule": [[1, 1], [2, 2]],
+                "num_conditions": 2,
+                "condition": 1,
+                "model": {"kind": "count", "corpus_path": "corpus.csv"},
+                "guidance": {"lambda": 1.0, "n_p": 0.5, "scale_mask": [2, 1],
+                             "variant": "uniform_prefix"},
+                "sampler": {"top_k": 2},
+                "sweep": {"variants": ["random_codebook", "same_scale_token"],
+                          "scale_masks": [None, [2]], "n_ps": [0.0, 1.0]},
+            }
+        )
+        data = json.loads(json.dumps(config_to_json(cfg)))
+        assert parse_config(data) == cfg
 
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -101,6 +119,20 @@ class TestParseConfig:
               "num_conditions": 1, "counts": [], "alpha": 1.0,
               "signature_bins": 4, "signature_seed": 0, "embed_seed": 0,
               "embed_dim": 4, "include_null": "false"}, "include_null"),
+            (parse_config, {"guidance": {"n_p": 1.5}}, "n_p"),
+            (parse_config, {"guidance": {"n_p": -0.1}}, "n_p"),
+            (parse_config, {"sweep": {"n_ps": [0.5, 2.0]}}, "n_ps"),
+            (parse_config, {"ablate": {"n_p": 7}}, "n_p"),
+            (parse_config, {"sweep": {"replicates": 0}}, "replicates"),
+            (parse_config, {"sweep": {"n_samples": 0}}, "n_samples"),
+            (parse_config, {"ablate": {"replicates": 0}}, "replicates"),
+            (parse_config, {"ablate": {"n_samples": -2}}, "n_samples"),
+            (parse_config, {"model": {"corpus_count": 0}}, "corpus_count"),
+            (parse_config, {"model": {"signature_bins": 0}}, "signature_bins"),
+            (parse_config, {"model": {"alpha": 0.0}}, "alpha"),
+            (parse_config, {"model": {"alpha": -1.0}}, "alpha"),
+            (parse_config, {"verify": {"tolerance": -1e-9}}, "tolerance"),
+            (parse_config, {"sweep": {"metric": "bogus"}}, "metric"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):
@@ -145,7 +177,7 @@ class TestCorpusCsv:
         corpus = make_corpus(small_schedule, small_book, 2, 5, seed=1)
         path = tmp_path / "corpus.csv"
         corpus_to_csv(corpus, path)
-        back = corpus_from_csv(path, small_schedule)
+        back = corpus_from_csv(path, small_schedule, 3, 2)
         assert len(back) == 5
         for (ca, ma), (cb, mb) in zip(corpus, back):
             assert ca == cb
@@ -158,7 +190,16 @@ class TestCorpusCsv:
         path = tmp_path / "corpus.csv"
         path.write_text("0,1,1\n")
         with pytest.raises(InvalidInputError):
-            corpus_from_csv(path, small_schedule)
+            corpus_from_csv(path, small_schedule, 3, 2)
+
+    @pytest.mark.parametrize("row", ["7,0,1", "0,0,-1", "0,0,9", "x,0,1"])
+    def test_bad_row_rejected_by_line(self, tmp_path, row):
+        from prefixlab.errors import InvalidInputError
+
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"1,1,0\n\n{row}\n")
+        with pytest.raises(InvalidInputError, match="corpus line 3"):
+            corpus_from_csv(path, ScaleSchedule(((1, 1), (1, 1))), 2, 2)
 
 
 class TestModelSerialization:

@@ -235,6 +235,19 @@ class TestCountModel:
         with pytest.raises(InvalidInputError):
             fit_count_model(corpus, small_schedule, small_book, 3, 1)
 
+    @pytest.mark.parametrize(
+        "condition, last, problem",
+        [(2, 0, "condition 2"), (-1, 0, "condition -1"), (None, 0, "condition None"),
+         (0, 3, "a token id"), (0, -1, "a token id")],
+    )
+    def test_rejects_out_of_range_sequences(self, condition, last, problem):
+        sched = ScaleSchedule(((1, 1), (1, 1)))
+        book = Codebook.seeded(2, 3, 2, seed=0)
+        good = (0, [TokenMap(1, np.asarray([[1]])), TokenMap(2, np.asarray([[2]]))])
+        bad = (condition, [TokenMap(1, np.asarray([[0]])), TokenMap(2, np.asarray([[last]]))])
+        with pytest.raises(InvalidInputError, match=f"corpus sequence 1: {problem}"):
+            fit_count_model([good, bad], sched, book, vocab=3, num_conditions=2)
+
 
 class TestPredictLogits:
     def test_tabular_logits_are_log_rows(self, small_tabular):
