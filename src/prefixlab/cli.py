@@ -172,6 +172,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig, count: int) -> int:
+    if count < 1:
+        raise ConfigError(f"bad value for --count: {count} is not at least 1")
     os.makedirs(cfg.output_dir, exist_ok=True)
     book = cfg.codebook()
     model = _build_model(cfg, book)

@@ -11,7 +11,9 @@ interchange format.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -50,6 +52,8 @@ _BOUNDS = {
     ),
     **dict.fromkeys(("models", "tolerance"), (lambda v: v >= 0, "at least 0")),
     **dict.fromkeys(("n_p", "n_ps"), (lambda v: 0 <= v <= 1, "inside [0, 1]")),
+    **dict.fromkeys(("gamma", "lambda", "gammas", "lambdas"),
+                    (lambda v: 0 <= v < math.inf, "finite and at least 0")),
     "alpha": (lambda v: v > 0, "above 0"),
     "kind": (lambda v: v in ("tabular", "count"), "'tabular' or 'count'"),
     "metric": (lambda v: v in ("exact_kl", "toy_frechet"), "'exact_kl' or 'toy_frechet'"),
@@ -107,9 +111,14 @@ def _value(key: str, hint, raw, default=None):
     return value
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def _parse_section(cls, raw: dict, default, where: str):
     """``default`` with each field that ``raw`` sets replaced by its parsed value."""
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {}
     for f in fields(cls):
         key = _JSON_KEYS.get(f.name, f.name)

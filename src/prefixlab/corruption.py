@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InconsistentPlanError, InvalidFractionError
-from .model import PrefixEmbedding, embed_prefix, embedding_params
+from .model import EmbeddingParams, PrefixEmbedding, embed_prefix, embedding_params
 from .tokenizer import Codebook, ScaleSchedule, TokenMap
 
 
@@ -110,12 +110,16 @@ def apply_corruption(
     book: Codebook,
     schedule: ScaleSchedule,
     embed_seed: int,
+    *,
+    params: EmbeddingParams | None = None,
 ) -> PrefixEmbedding:
     """Replace embeddings at selected sites per the plan's variant.
 
     Input untouched; sites outside the selection are copied verbatim. The
     uniform-prefix variant ignores the site selection and rebuilds the whole
-    embedding from the plan's i.i.d. uniform token grids.
+    embedding from the plan's i.i.d. uniform token grids. ``params`` are the
+    ``embedding_params`` for ``embed_seed``, as a fitted count model carries
+    them; they are built here when not given.
     """
     if plan.step != embedding.step:
         raise InconsistentPlanError(
@@ -124,22 +128,21 @@ def apply_corruption(
     if any(j >= embedding.step for j, _ in plan.selected):
         raise InconsistentPlanError("plan selects sites beyond the prefix")
 
+    if params is None:
+        params = embedding_params(
+            schedule, book.latent_dim, embedding.embed_dim, embed_seed
+        )
     if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
         maps = [
             TokenMap(j, np.asarray(ids, dtype=np.int64).reshape(schedule.grid(j)))
             for j, ids in enumerate(plan.uniform_tokens, start=1)
         ]
-        return embed_prefix(maps, book, schedule, embed_seed, embedding.embed_dim)
+        return embed_prefix(
+            maps, book, schedule, embed_seed, embedding.embed_dim, params=params
+        )
 
     grids = [g.copy() for g in embedding.grids]
-    if plan.variant in (
-        CorruptionVariant.SAME_SCALE_TOKEN,
-        CorruptionVariant.SAME_SCALE_POSITION,
-        CorruptionVariant.RANDOM_CODEBOOK,
-    ):
-        proj, pos = embedding_params(
-            schedule, book.latent_dim, embedding.embed_dim, embed_seed
-        )
+    proj, pos = params
     for idx, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
         grid = grids[j - 1]
         h, w = schedule.grid(j)

@@ -14,6 +14,7 @@ implemented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .model import (
     CountModel,
     NULL_CONDITION,
     TabularModel,
-    embed_prefix,
     predict_logits,
 )
 from .oracle import prefix_marginal_sites
@@ -54,8 +54,16 @@ class GuidanceConfig:
     reference: str = "corrupted"
 
     def __post_init__(self):
-        if self.gamma < 0 or self.lam < 0:
-            raise GuidanceConfigError("guidance strengths must be >= 0")
+        for name in ("gamma", "lam"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise GuidanceConfigError(
+                    f"guidance strength {name} must be finite and >= 0, "
+                    f"got {getattr(self, name)!r}"
+                )
+        if not math.isfinite(self.fraction):
+            raise GuidanceConfigError(
+                f"corruption fraction must be finite, got {self.fraction!r}"
+            )
         if self.reference not in ("corrupted", "exact-marginal"):
             raise GuidanceConfigError(f"unknown reference mode {self.reference!r}")
         if self.scale_mask is not None:
@@ -154,9 +162,7 @@ def guided_step(
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
-        embedding = embed_prefix(
-            maps, book, schedule, model.embed_seed, model.embed_dim
-        )
+        embedding = model.embed(maps, book)
 
     evaluations = 0
 
@@ -192,7 +198,8 @@ def guided_step(
                 schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
             corrupted = apply_corruption(
-                embedding, used_plan, book, schedule, model.embed_seed
+                embedding, used_plan, book, schedule, model.embed_seed,
+                params=model.embedding_tables(book.latent_dim),
             )
 
             def corr_branch(cond):

@@ -94,12 +94,11 @@ def surrogate_gap(
     next to the clean-branch KL as the zero-corruption baseline.
     """
     from .corruption import apply_corruption, plan_corruption
-    from .model import embed_prefix
 
     k = len(prefix) + 1
     schedule = model.schedule
     marginal = prefix_marginal_sites(model, condition, k, book=book)
-    embedding = embed_prefix(prefix, book, schedule, model.embed_seed, model.embed_dim)
+    embedding = model.embed(prefix, book)
     clean = np.exp(predict_logits(model, condition, prefix, book=book).values)
     clean_kl = kl_divergence(clean.reshape(-1), marginal.reshape(-1))
     rows = []
@@ -112,7 +111,8 @@ def surrogate_gap(
                     seed=base_seed + 7919 * s, book=book,
                 )
                 corrupted = apply_corruption(
-                    embedding, plan, book, schedule, model.embed_seed
+                    embedding, plan, book, schedule, model.embed_seed,
+                    params=model.embedding_tables(book.latent_dim),
                 )
                 probs = np.exp(
                     predict_logits(

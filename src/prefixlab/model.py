@@ -9,7 +9,7 @@ categoricals given the prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
@@ -111,17 +111,28 @@ class PrefixEmbedding:
         return self.grids[0].shape[-1]
 
 
+EmbeddingParams = tuple[np.ndarray, tuple[np.ndarray, ...]]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def embedding_params(
     schedule: ScaleSchedule, latent_dim: int, embed_dim: int, embed_seed: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Seeded content projection (m, d) and per-(scale, site) position table."""
+) -> EmbeddingParams:
+    """Seeded content projection (m, d) and per-(scale, site) position tables.
+
+    The arrays are read-only, so one set can be shared by every call.
+    """
     rng = np.random.default_rng(embed_seed)
     proj = rng.normal(size=(embed_dim, latent_dim)) / np.sqrt(latent_dim)
-    pos = [
-        rng.normal(size=schedule.grid(j) + (embed_dim,))
+    pos = tuple(
+        _read_only(rng.normal(size=schedule.grid(j) + (embed_dim,)))
         for j in range(1, schedule.num_scales + 1)
-    ]
-    return proj, pos
+    )
+    return _read_only(proj), pos
 
 
 def embed_prefix(
@@ -130,9 +141,17 @@ def embed_prefix(
     schedule: ScaleSchedule,
     embed_seed: int,
     embed_dim: int = 4,
+    *,
+    params: EmbeddingParams | None = None,
 ) -> PrefixEmbedding:
-    """e_{j,u} = proj(F_j[u]) + pos(j,u), with F_j the pooled cumulative latent."""
-    proj, pos = embedding_params(schedule, book.latent_dim, embed_dim, embed_seed)
+    """e_{j,u} = proj(F_j[u]) + pos(j,u), with F_j the pooled cumulative latent.
+
+    ``params`` are the ``embedding_params`` of these seeds and dims, as a
+    fitted count model carries them; they are built here when not given.
+    """
+    if params is None:
+        params = embedding_params(schedule, book.latent_dim, embed_dim, embed_seed)
+    proj, pos = params
     fh, fw = schedule.final_dims
     latent = np.zeros((fh, fw, book.latent_dim))
     grids = []
@@ -223,23 +242,30 @@ class SignatureSpec:
     def thresholds(self, num_scales: int, embed_dim: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         t = rng.normal(size=(num_scales, embed_dim, self.bins - 1))
-        return np.sort(t, axis=-1)
+        return _read_only(np.sort(t, axis=-1))
 
 
-def context_signature(embedding: PrefixEmbedding, spec: SignatureSpec, num_scales: int):
-    """Per-scale bin tuple of the mean embedding vector; () for empty prefixes."""
+def context_signature(
+    embedding: PrefixEmbedding,
+    spec: SignatureSpec,
+    num_scales: int,
+    *,
+    thresholds: np.ndarray | None = None,
+):
+    """Per-scale bin tuple of the mean embedding vector; () for empty prefixes.
+
+    ``thresholds`` is ``spec.thresholds(num_scales, m)``, as a fitted count
+    model carries it; it is built here when not given.
+    """
     if embedding.num_prefix_scales == 0:
         return ()
-    thresholds = spec.thresholds(num_scales, embedding.embed_dim)
-    sig = []
-    for j, grid in enumerate(embedding.grids, start=1):
-        mean = grid.reshape(-1, grid.shape[-1]).mean(axis=0)
-        bins = tuple(
-            int(np.searchsorted(thresholds[j - 1, i], mean[i]))
-            for i in range(mean.shape[0])
-        )
-        sig.append(bins)
-    return tuple(sig)
+    if thresholds is None:
+        thresholds = spec.thresholds(num_scales, embedding.embed_dim)
+    means = np.stack([g.reshape(-1, g.shape[-1]).mean(axis=0) for g in embedding.grids])
+    # A dimension's bin counts the thresholds strictly below its mean, which
+    # is searchsorted's left insertion point in the sorted thresholds.
+    bins = (thresholds[: len(means)] < means[:, :, None]).sum(axis=-1)
+    return tuple(tuple(row) for row in bins.tolist())
 
 
 @dataclass(frozen=True)
@@ -255,6 +281,38 @@ class CountModel:
     embed_dim: int
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool = True
+    # Seeded read-only tables, built once per model: the signature thresholds
+    # and, per codebook latent size, the embedding_params.
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    _embedding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "thresholds",
+            self.spec.thresholds(self.schedule.num_scales, self.embed_dim),
+        )
+
+    def embedding_tables(self, latent_dim: int) -> EmbeddingParams:
+        """This model's ``embedding_params`` for a codebook of ``latent_dim``."""
+        params = self._embedding.get(latent_dim)
+        if params is None:
+            params = self._embedding[latent_dim] = embedding_params(
+                self.schedule, latent_dim, self.embed_dim, self.embed_seed
+            )
+        return params
+
+    def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> PrefixEmbedding:
+        """``embed_prefix`` with this model's seeds, dims and cached tables."""
+        return embed_prefix(
+            prefix, book, self.schedule, self.embed_seed, self.embed_dim,
+            params=self.embedding_tables(book.latent_dim),
+        )
+
+    def signature(self, embedding: PrefixEmbedding):
+        """``context_signature`` with this model's cached thresholds."""
+        return context_signature(
+            embedding, self.spec, self.schedule.num_scales, thresholds=self.thresholds
+        )
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION and not self.include_null:
@@ -299,13 +357,16 @@ def fit_count_model(
     if alpha <= 0:
         raise InvalidInputError("smoothing constant alpha must be > 0")
     counts: dict = {}
+    model = CountModel(
+        schedule, vocab, num_conditions, alpha, spec, embed_seed, embed_dim,
+        counts, include_null,
+    )
     for i, (condition, maps) in enumerate(corpus):
         check_corpus_sequence(
             condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
         )
         for k in range(1, schedule.num_scales + 1):
-            emb = embed_prefix(maps[: k - 1], book, schedule, embed_seed, embed_dim)
-            sig = context_signature(emb, spec, schedule.num_scales)
+            sig = model.signature(model.embed(maps[: k - 1], book))
             ids = maps[k - 1].ids
             targets = [(k, condition, sig)]
             if include_null:
@@ -319,10 +380,7 @@ def fit_count_model(
                     (np.arange(ids.size), ids.ravel()),
                     1.0,
                 )
-    return CountModel(
-        schedule, vocab, num_conditions, alpha, spec, embed_seed, embed_dim,
-        counts, include_null,
-    )
+    return model
 
 
 def predict_logits(
@@ -350,10 +408,8 @@ def predict_logits(
             maps = prefix
             if maps and not isinstance(maps[0], TokenMap):
                 maps = prefix_maps(prefix_key(prefix), model.schedule)
-            embedding = embed_prefix(
-                maps, book, model.schedule, model.embed_seed, model.embed_dim
-            )
-        sig = context_signature(embedding, model.spec, model.schedule.num_scales)
+            embedding = model.embed(maps, book)
+        sig = model.signature(embedding)
         k = embedding.step
         return LogitGrid(k, np.log(model.site_probs(condition, k, sig)))
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

@@ -4,11 +4,17 @@ Truncation order is fixed and documented: temperature first, then top-k,
 then top-p. Top-p keeps the smallest descending-probability prefix whose
 cumulative mass reaches the threshold (boundary token included); ties are
 broken toward the lower token id throughout.
+
+Every site of a scale is truncated and sampled in one vectorized pass. A step
+draws one uniform per site, in row-major site order, and inverts it against
+the site's cumulative law: the same random stream, token ids and generator
+state as one ``rng.choice(V, p=law)`` call per site.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,55 +34,75 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidInputError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise InvalidInputError(
+                f"temperature must be finite and > 0, got {self.temperature!r}"
+            )
         if self.top_k is not None and self.top_k < 1:
             raise InvalidInputError("top_k must be >= 1")
         if not 0 < self.top_p <= 1:
             raise InvalidInputError("top_p must lie in (0, 1]")
 
 
-def truncated_site_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
-    """Distribution over one site's vocabulary after truncation, shape (V,)."""
-    logits = np.asarray(logits, dtype=float)
-    if not np.any(logits > -np.inf):
-        raise DegenerateDistributionError("all logits are -inf")
-    vocab = logits.shape[0]
-    scaled = logits / config.temperature
-    # Descending probability with ties broken toward the lower token id.
-    order = np.lexsort((np.arange(vocab), -scaled))
-    keep = vocab if config.top_k is None else min(config.top_k, vocab)
-    kept = order[:keep]
-    probs = np.zeros(vocab)
-    kept_probs = softmax(scaled[kept])
-    cum = np.cumsum(kept_probs)
-    cutoff = int(np.searchsorted(cum, config.top_p - 1e-15)) + 1
-    support = kept[:cutoff]
-    probs[support] = kept_probs[:cutoff] / kept_probs[:cutoff].sum()
-    return probs
-
-
 def truncated_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
-    """Per-site truncated distributions for a whole (h, w, V) logit grid."""
-    h, w, vocab = logits.shape
-    out = np.empty_like(logits, dtype=float)
-    for i in range(h):
-        for j in range(w):
-            out[i, j] = truncated_site_law(logits[i, j], config)
-    return out
+    """Per-site truncated distributions for a (..., V) logit grid, one pass."""
+    logits = np.asarray(logits, dtype=float)
+    vocab = logits.shape[-1]
+    if not np.all(np.any(logits > -np.inf, axis=-1)):
+        raise DegenerateDistributionError("all logits are -inf")
+    scaled = logits.reshape(-1, vocab) / config.temperature
+    # Descending probability with ties broken toward the lower token id.
+    order = np.argsort(-scaled, axis=-1, kind="stable")
+    keep = vocab if config.top_k is None else min(config.top_k, vocab)
+    kept = order[:, :keep]
+    kept_probs = softmax(np.take_along_axis(scaled, kept, axis=-1))
+    cum = np.cumsum(kept_probs, axis=-1)
+    cutoff = np.minimum((cum < config.top_p - 1e-15).sum(axis=-1) + 1, keep)
+    # Each row's kept mass is summed over exactly its kept prefix, so the
+    # pairwise summation order matches a one-site sum of that prefix.
+    mass = np.empty(cum.shape[0])
+    for c in range(1, keep + 1):
+        rows = cutoff == c
+        if rows.any():
+            mass[rows] = kept_probs[rows, :c].sum(axis=-1)
+    in_support = np.arange(keep) < cutoff[:, None]
+    probs = np.zeros_like(scaled)
+    np.put_along_axis(
+        probs, kept, np.where(in_support, kept_probs / mass[:, None], 0.0), axis=-1
+    )
+    return probs.reshape(logits.shape)
+
+
+def truncated_site_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
+    """One site's truncated distribution, shape (V,): a one-site truncated_law."""
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 1:
+        raise InvalidInputError("a site's logits must have shape (V,)")
+    return truncated_law(logits, config)
+
+
+# Generator.choice's tolerance on the sum of p.
+_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def truncate_and_sample(
     logits: np.ndarray, config: SamplerConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """One token id per site; deterministic per rng state."""
+    """One token id per site from one uniform per site, in row-major order.
+
+    Each uniform is inverted against the site's normalized cumulative law
+    (``searchsorted(side="right")``), as ``rng.choice(V, p=law)`` does, so the
+    ids and the generator's state equal per-site ``rng.choice`` calls.
+    """
     laws = truncated_law(logits, config)
-    h, w, vocab = laws.shape
-    ids = np.empty((h, w), dtype=np.int64)
-    for i in range(h):
-        for j in range(w):
-            ids[i, j] = rng.choice(vocab, p=laws[i, j])
-    return ids
+    flat = laws.reshape(-1, laws.shape[-1])
+    if not (np.all(flat >= 0) and np.all(np.abs(flat.sum(axis=-1) - 1.0) <= _SUM_TOL)):
+        raise DegenerateDistributionError("a site law is not a probability distribution")
+    cdf = np.cumsum(flat, axis=-1)
+    cdf /= cdf[:, -1:]
+    uniforms = rng.random(flat.shape[0])
+    ids = (cdf <= uniforms[:, None]).sum(axis=-1)
+    return ids.reshape(laws.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,22 @@ class TestExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_flag_exits_two(self, tmp_path, capsys, value):
+        code = main(
+            ["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
+             "--temperature", value]
+        )
+        assert code == EXIT_CONFIG
+        assert "temperature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exits_two(self, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        assert main(["sample", "--count", count, "--output-dir", str(out)]) == EXIT_CONFIG
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_condition_flag_exits_two(self, tmp_path, capsys):
         code = main(
             ["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
@@ -240,7 +256,9 @@ class TestFlags:
         "flag, text, key",
         [("--scale-mask", "a", "scale_mask"), ("--scale-mask", "0", "scale_mask"),
          ("--top-k", "-3", "top_k"), ("--n-p", "1.5", "n_p"),
-         ("--variant", "bogus", "variant")],
+         ("--variant", "bogus", "variant"), ("--gamma", "nan", "gamma"),
+         ("--gamma", "inf", "gamma"), ("--lambda", "nan", "lambda"),
+         ("--lambda", "inf", "lambda"), ("--n-p", "nan", "n_p")],
     )
     def test_bad_flag_value_exits_two_naming_key(self, tmp_path, capsys, flag, text, key):
         code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),

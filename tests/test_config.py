@@ -1,6 +1,7 @@
 """Strict JSON run config, plus model and corpus serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,12 @@ class TestParseConfig:
             (parse_config, {"model": {"alpha": -1.0}}, "alpha"),
             (parse_config, {"verify": {"tolerance": -1e-9}}, "tolerance"),
             (parse_config, {"sweep": {"metric": "bogus"}}, "metric"),
+            (parse_config, {"guidance": {"gamma": math.nan}}, "gamma"),
+            (parse_config, {"guidance": {"lambda": math.inf}}, "lambda"),
+            (parse_config, {"guidance": {"n_p": math.nan}}, "n_p"),
+            (parse_config, {"verify": {"gammas": [0.0, math.inf]}}, "gammas"),
+            (parse_config, {"sweep": {"lambdas": [math.nan]}}, "lambdas"),
+            (parse_config, {"ablate": {"lambdas": [-1.0]}}, "lambdas"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):
@@ -142,6 +149,11 @@ class TestParseConfig:
     def test_invalid_sampler_values_rejected(self):
         with pytest.raises(ConfigError, match="sampler"):
             parse_config({"sampler": {"temperature": -1.0}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, value):
+        with pytest.raises(ConfigError, match="sampler section: temperature"):
+            parse_config({"sampler": {"temperature": value}})
 
     def test_codebook_derived_from_config(self):
         cfg = parse_config({"vocab": 4, "latent_dim": 3, "codebook_seed": 21})

@@ -90,6 +90,12 @@ class TestGuidanceConfig:
         with pytest.raises(GuidanceConfigError):
             GuidanceConfig(lam=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma", "lam", "fraction"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(GuidanceConfigError, match=field):
+            GuidanceConfig(**{field: value})
+
     def test_rejects_unknown_reference(self):
         with pytest.raises(GuidanceConfigError):
             GuidanceConfig(reference="weird")

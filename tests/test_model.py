@@ -249,6 +249,67 @@ class TestCountModel:
             fit_count_model([good, bad], sched, book, vocab=3, num_conditions=2)
 
 
+class TestSeededTables:
+    """A fitted count model builds its seeded tables once and shares them read-only."""
+
+    def test_tables_are_read_only(self, small_count, small_book):
+        proj, pos = small_count.embedding_tables(small_book.latent_dim)
+        for table in (proj, *pos, small_count.thresholds):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
+
+    def test_tables_equal_freshly_seeded_ones(self, small_count, small_book):
+        proj, pos = small_count.embedding_tables(small_book.latent_dim)
+        fresh_proj, fresh_pos = embedding_params(
+            small_count.schedule, small_book.latent_dim, small_count.embed_dim,
+            small_count.embed_seed,
+        )
+        assert np.array_equal(proj, fresh_proj)
+        assert all(np.array_equal(a, b) for a, b in zip(pos, fresh_pos))
+        assert np.array_equal(
+            small_count.thresholds,
+            small_count.spec.thresholds(small_count.schedule.num_scales, small_count.embed_dim),
+        )
+
+    def test_built_once_per_model(self, monkeypatch, small_schedule, small_book):
+        from prefixlab import model as model_module
+        from prefixlab.corruption import CorruptionVariant
+        from prefixlab.guidance import GuidanceConfig, guided_step
+        from tests.conftest import make_corpus
+
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return embedding_params(*args)
+
+        monkeypatch.setattr(model_module, "embedding_params", counting)
+        corpus = make_corpus(small_schedule, small_book, 2, 6, seed=3)
+        for _ in range(2):
+            model = fit_count_model(corpus, small_schedule, small_book, 3, 2)
+            config = GuidanceConfig(
+                gamma=1.0, lam=1.0, fraction=1.0,
+                variant=CorruptionVariant.UNIFORM_PREFIX,
+            )
+            guided_step(model, 0, corpus[0][1][:1], config, book=small_book)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("bins", [1, 2, 5])
+    def test_signature_equals_per_dimension_searchsorted(self, bins, small_book, small_schedule):
+        spec = SignatureSpec(bins=bins, seed=4)
+        thresholds = spec.thresholds(2, 4)
+        for token in range(3):
+            emb = embed_prefix(
+                [TokenMap(1, np.asarray([[token]]))], small_book, small_schedule,
+                embed_seed=11,
+            )
+            mean = emb.grids[0].reshape(-1, 4).mean(axis=0)
+            expected = (tuple(int(np.searchsorted(thresholds[0, i], mean[i])) for i in range(4)),)
+            assert context_signature(emb, spec, 2) == expected
+            assert context_signature(emb, spec, 2, thresholds=thresholds) == expected
+
+
 class TestPredictLogits:
     def test_tabular_logits_are_log_rows(self, small_tabular):
         grid = predict_logits(small_tabular, 1, [])

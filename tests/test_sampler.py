@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prefixlab.errors import (
     DegenerateDistributionError,
@@ -35,6 +36,11 @@ class TestSamplerConfig:
             SamplerConfig(top_p=0.0)
         with pytest.raises(InvalidInputError):
             SamplerConfig(top_p=1.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_temperature(self, value):
+        with pytest.raises(InvalidInputError, match="temperature"):
+            SamplerConfig(temperature=value)
 
 
 class TestTruncation:
@@ -97,6 +103,90 @@ class TestTruncation:
         assert law.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(law >= 0)
         assert np.count_nonzero(law) <= min(top_k, logits.shape[0])
+
+
+def reference_site_law(logits, config):
+    """The one-site truncation the vectorized pass must reproduce bit for bit."""
+    logits = np.asarray(logits, dtype=float)
+    if not np.any(logits > -np.inf):
+        raise DegenerateDistributionError("all logits are -inf")
+    vocab = logits.shape[0]
+    scaled = logits / config.temperature
+    order = np.lexsort((np.arange(vocab), -scaled))
+    keep = vocab if config.top_k is None else min(config.top_k, vocab)
+    kept = order[:keep]
+    probs = np.zeros(vocab)
+    kept_probs = softmax(scaled[kept])
+    cum = np.cumsum(kept_probs)
+    cutoff = int(np.searchsorted(cum, config.top_p - 1e-15)) + 1
+    support = kept[:cutoff]
+    probs[support] = kept_probs[:cutoff] / kept_probs[:cutoff].sum()
+    return probs
+
+
+# Few distinct values make ties common; -inf masks tokens out.
+LOGIT = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, -np.inf]),
+    st.floats(-30, 30, allow_nan=False),
+)
+
+
+@st.composite
+def logit_grids(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 12)))
+    grid = draw(arrays(float, shape, elements=LOGIT))
+    config = SamplerConfig(
+        temperature=draw(st.sampled_from([1.0, 0.3, 2.0, 7.5])),
+        top_k=draw(st.one_of(st.none(), st.integers(1, 13))),
+        top_p=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+    )
+    return grid, config
+
+
+class TestVectorizedPass:
+    @given(logit_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_law_equals_per_site_reference_bit_for_bit(self, case):
+        grid, config = case
+        flat = grid.reshape(-1, grid.shape[-1])
+        if not np.all(np.any(flat > -np.inf, axis=-1)):
+            with pytest.raises(DegenerateDistributionError):
+                truncated_law(grid, config)
+            return
+        expected = np.stack([reference_site_law(site, config) for site in flat])
+        got = truncated_law(grid, config)
+        assert got.shape == grid.shape
+        assert np.array_equal(got.reshape(flat.shape).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(
+            truncated_site_law(flat[0], config).view(np.int64), expected[0].view(np.int64)
+        )
+
+    @given(logit_grids(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ids_and_generator_state_equal_per_site_choice(self, case, seed):
+        grid, config = case
+        flat = grid.reshape(-1, grid.shape[-1])
+        if not np.all(np.any(flat > -np.inf, axis=-1)):
+            return
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ids = truncate_and_sample(grid, config, ours)
+        expected = [
+            theirs.choice(flat.shape[-1], p=reference_site_law(site, config))
+            for site in flat
+        ]
+        assert ids.shape == grid.shape[:-1]
+        assert ids.ravel().tolist() == expected
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("site", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0]])
+    def test_non_distribution_law_raises(self, site):
+        logits = np.asarray([[site, [0.0, 0.0, 0.0]]])
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateDistributionError):
+            truncate_and_sample(logits, SamplerConfig(), np.random.default_rng(0))
+
+    def test_site_law_needs_one_site(self):
+        with pytest.raises(InvalidInputError):
+            truncated_site_law(np.zeros((2, 3)), SamplerConfig())
 
 
 class TestSampling:
