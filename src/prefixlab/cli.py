@@ -179,9 +179,7 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     model = _build_model(cfg, book)
     for i in range(count):
         sconfig = replace(cfg.sampler, seed=cfg.sampler.seed + i)
-        result = rollout(
-            model, cfg.condition, cfg.guidance, sconfig, book, cfg.schedule
-        )
+        result = rollout(model, cfg.condition, cfg.guidance, sconfig, book)
         stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
         trace_to_csv(result, stem + "_trace.csv")
         if cfg.latent_dim <= 3:
@@ -202,7 +200,7 @@ def _experiment(cfg: RunConfig, metric: str, n_samples: int, book, model):
             )
         )
     return ExperimentSpec(
-        model=model, book=book, schedule=cfg.schedule, condition=cfg.condition,
+        model=model, book=book, condition=cfg.condition,
         gamma=cfg.guidance.gamma, metric=metric, sampler=cfg.sampler,
         reference=cfg.guidance.reference, n_samples=n_samples,
         reference_images=reference_images,

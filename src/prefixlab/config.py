@@ -345,13 +345,54 @@ def model_to_config(model) -> dict:
     raise InvalidInputError(f"cannot serialize model type {type(model)!r}")
 
 
+def _count_entry(where: str, entry, model: CountModel):
+    """One ``counts`` entry of ``model`` as its (key, table), or a ConfigError
+    naming ``where`` (the entry's index) and the key."""
+    entry = dict(_checked(where, entry, dict))
+
+    def take(name, kind=None):
+        if name not in entry:
+            raise ConfigError(f"missing config key '{where}.{name}'")
+        value = entry.pop(name)
+        return value if kind is None else _checked(f"{where}.{name}", value, kind)
+
+    def bad(name, expected):
+        return ConfigError(f"bad value for config key '{where}.{name}': expected {expected}")
+
+    def array(name, shape, kinds, high, expected):
+        raw = take(name, list)
+        try:
+            value = np.asarray(raw) if raw else np.zeros((0,) + shape[1:], int)
+        except ValueError:  # a ragged list
+            raise bad(name, expected) from None
+        if (value.shape != shape or value.dtype.kind not in kinds
+                or not np.all((value >= 0) & (value < high))
+                or any(isinstance(x, bool) for x in np.asarray(raw, dtype=object).flat)):
+            raise bad(name, expected)
+        return value
+
+    k = take("scale", int)
+    if not 1 <= k <= model.schedule.num_scales:
+        raise bad("scale", f"1..{model.schedule.num_scales}, got {k}")
+    condition = _value(f"{where}.condition", int | None, take("condition"))
+    if condition is not None and not 0 <= condition < model.num_conditions:
+        raise bad("condition", f"null or 0..{model.num_conditions - 1}, got {condition}")
+    bins, dim = model.spec.bins, model.embed_dim
+    sig = array("signature", (k - 1, dim), "iu", bins,
+                f"a ({k - 1}, {dim}) array of bins in 0..{bins - 1}")
+    shape = model.schedule.grid(k) + (model.vocab,)
+    table = array("table", shape, "iuf", np.inf, f"a {shape} array of finite counts >= 0")
+    _reject_unknown(entry, where)
+    return (k, condition, tuple(map(tuple, sig.tolist()))), table.astype(float)
+
+
 def model_from_config(data: dict):
     data = dict(data)
 
     def take(key, kind):
         return _value(key, kind, data.pop(key, None))
 
-    version = data.pop("version", CONFIG_VERSION)
+    version = _checked("version", data.pop("version", CONFIG_VERSION), int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported model version {version}")
     kind = data.pop("kind", None)
@@ -363,13 +404,6 @@ def model_from_config(data: dict):
         _reject_unknown(data, "tabular model")
         return build_tabular(schedule, vocab, num_conditions, seed)
     if kind == "count":
-        counts = {}
-        for entry in data.pop("counts"):
-            sig = tuple(tuple(int(b) for b in s) for s in entry["signature"])
-            condition = entry["condition"]
-            key = (int(entry["scale"]),
-                   None if condition is None else int(condition), sig)
-            counts[key] = np.asarray(entry["table"], dtype=float)
         model = CountModel(
             schedule, vocab, num_conditions,
             alpha=take("alpha", float),
@@ -377,9 +411,14 @@ def model_from_config(data: dict):
                                take("signature_seed", int)),
             embed_seed=take("embed_seed", int),
             embed_dim=take("embed_dim", int),
-            counts=counts,
+            counts={},
             include_null=take("include_null", bool),
         )
+        for i, entry in enumerate(_checked("counts", data.pop("counts", None), list)):
+            key, table = _count_entry(f"counts[{i}]", entry, model)
+            if key in model.counts:
+                raise ConfigError(f"bad value for config key 'counts[{i}]': repeats an earlier entry")
+            model.counts[key] = table
         _reject_unknown(data, "count model")
         return model
     raise ConfigError(f"unknown model kind '{kind}'")

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InconsistentPlanError, InvalidFractionError
-from .model import EmbeddingParams, PrefixEmbedding, embed_prefix, embedding_params
+from .model import EmbeddingParams, PrefixEmbedding, embed_prefix
 from .tokenizer import Codebook, ScaleSchedule, TokenMap
 
 
@@ -109,17 +109,15 @@ def apply_corruption(
     plan: CorruptionPlan,
     book: Codebook,
     schedule: ScaleSchedule,
-    embed_seed: int,
-    *,
-    params: EmbeddingParams | None = None,
+    params: EmbeddingParams,
 ) -> PrefixEmbedding:
     """Replace embeddings at selected sites per the plan's variant.
 
     Input untouched; sites outside the selection are copied verbatim. The
     uniform-prefix variant ignores the site selection and rebuilds the whole
     embedding from the plan's i.i.d. uniform token grids. ``params`` are the
-    ``embedding_params`` for ``embed_seed``, as a fitted count model carries
-    them; they are built here when not given.
+    ``embedding_params`` the embedding was built with, as a fitted count
+    model carries them.
     """
     if plan.step != embedding.step:
         raise InconsistentPlanError(
@@ -128,18 +126,12 @@ def apply_corruption(
     if any(j >= embedding.step for j, _ in plan.selected):
         raise InconsistentPlanError("plan selects sites beyond the prefix")
 
-    if params is None:
-        params = embedding_params(
-            schedule, book.latent_dim, embedding.embed_dim, embed_seed
-        )
     if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
         maps = [
             TokenMap(j, np.asarray(ids, dtype=np.int64).reshape(schedule.grid(j)))
             for j, ids in enumerate(plan.uniform_tokens, start=1)
         ]
-        return embed_prefix(
-            maps, book, schedule, embed_seed, embedding.embed_dim, params=params
-        )
+        return embed_prefix(maps, book, schedule, params)
 
     grids = [g.copy() for g in embedding.grids]
     proj, pos = params

@@ -198,8 +198,8 @@ def guided_step(
                 schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
             corrupted = apply_corruption(
-                embedding, used_plan, book, schedule, model.embed_seed,
-                params=model.embedding_tables(book.latent_dim),
+                embedding, used_plan, book, schedule,
+                model.embedding_tables(book.latent_dim),
             )
 
             def corr_branch(cond):

@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import InvalidInputError, SupportViolationError
 from .corruption import CorruptionVariant
-from .guidance import GuidanceConfig
+from .guidance import GuidanceConfig, guided_step
 from .model import Condition, CountModel, TokenMap, predict_logits
 from .oracle import Distribution, kl_divergence, prefix_marginal_sites
 from .sampler import SamplerConfig, rollout, rollout_distribution
-from .tokenizer import AffineDecoder, Codebook, ScaleSchedule
+from .tokenizer import AffineDecoder, Codebook
 
 
 def exact_kl(rollout_law: Distribution, data_law: Distribution) -> float:
@@ -91,35 +91,26 @@ def surrogate_gap(
 
     Per (variant, fraction): Monte Carlo mean over corruption plans of
     KL(corrupted-branch law || exact per-site marginal), summed over sites,
-    next to the clean-branch KL as the zero-corruption baseline.
+    next to the clean-branch KL as the zero-corruption baseline. The
+    corrupted branch is ``guided_step``'s; an empty prefix has none, so
+    there it is the clean branch.
     """
-    from .corruption import apply_corruption, plan_corruption
-
     k = len(prefix) + 1
-    schedule = model.schedule
-    marginal = prefix_marginal_sites(model, condition, k, book=book)
-    embedding = model.embed(prefix, book)
-    clean = np.exp(predict_logits(model, condition, prefix, book=book).values)
-    clean_kl = kl_divergence(clean.reshape(-1), marginal.reshape(-1))
+    marginal = prefix_marginal_sites(model, condition, k, book=book).reshape(-1)
+    clean = predict_logits(model, condition, prefix, book=book).values
+    clean_kl = kl_divergence(np.exp(clean).reshape(-1), marginal)
     rows = []
     for variant in variants:
         for fraction in fractions:
+            gconfig = GuidanceConfig(lam=1.0, fraction=fraction, variant=variant)
             kls = []
             for s in range(plan_samples):
-                plan = plan_corruption(
-                    schedule, k, fraction, variant,
-                    seed=base_seed + 7919 * s, book=book,
-                )
-                corrupted = apply_corruption(
-                    embedding, plan, book, schedule, model.embed_seed,
-                    params=model.embedding_tables(book.latent_dim),
-                )
-                probs = np.exp(
-                    predict_logits(
-                        model, condition, prefix, book=book, embedding=corrupted
-                    ).values
-                )
-                kls.append(kl_divergence(probs.reshape(-1), marginal.reshape(-1)))
+                branches = guided_step(
+                    model, condition, prefix, gconfig, book=book,
+                    plan_seed=base_seed + 7919 * s,
+                ).branches
+                corr = clean if branches.cond_corr is None else branches.cond_corr
+                kls.append(kl_divergence(np.exp(corr).reshape(-1), marginal))
             rows.append(SurrogateRow(variant, fraction, float(np.mean(kls)), clean_kl))
     return rows
 
@@ -130,7 +121,6 @@ def exposure_gap(
     gconfig: GuidanceConfig,
     sconfig: SamplerConfig,
     book: Codebook,
-    schedule: ScaleSchedule,
     n_rollouts: int = 100,
     seed: int = 0,
 ) -> dict[int, float]:
@@ -150,7 +140,7 @@ def exposure_gap(
         ids = maps[k - 1].ids.ravel()
         return -float(np.sum(np.log(probs[np.arange(ids.size), ids])))
 
-    data_nll = {k: [] for k in range(1, schedule.num_scales + 1)}
+    data_nll = {k: [] for k in range(1, model.schedule.num_scales + 1)}
     for condition, maps in corpus:
         for k in data_nll:
             data_nll[k].append(step_nll(condition, list(maps), k))
@@ -159,8 +149,7 @@ def exposure_gap(
     for i in range(n_rollouts):
         condition = corpus[i % len(corpus)][0]
         result = rollout(
-            model, condition, gconfig, replace(sconfig, seed=seed + i),
-            book, schedule,
+            model, condition, gconfig, replace(sconfig, seed=seed + i), book
         )
         for k in roll_nll:
             roll_nll[k].append(step_nll(condition, list(result.maps), k))
@@ -231,7 +220,6 @@ class ExperimentSpec:
 
     model: object
     book: Codebook
-    schedule: ScaleSchedule
     condition: Condition
     gamma: float = 0.0
     metric: str = "exact_kl"
@@ -260,12 +248,10 @@ class MetricRow:
 def _cell_metric(spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int) -> float:
     if spec.metric == "exact_kl":
         guided = rollout_distribution(
-            spec.model, spec.condition, gconfig, spec.sampler,
-            spec.book, spec.schedule,
+            spec.model, spec.condition, gconfig, spec.sampler, spec.book
         )
         baseline = rollout_distribution(
-            spec.model, spec.condition, GuidanceConfig(), SamplerConfig(),
-            spec.book, spec.schedule,
+            spec.model, spec.condition, GuidanceConfig(), SamplerConfig(), spec.book
         )
         return exact_kl(guided, baseline)
     if spec.metric == "toy_frechet":
@@ -273,8 +259,8 @@ def _cell_metric(spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int) -> fl
         for i in range(spec.n_samples):
             result = rollout(
                 spec.model, spec.condition, gconfig,
-                replace(spec.sampler, seed=seed + i),
-                spec.book, spec.schedule, decoder=spec.decoder,
+                replace(spec.sampler, seed=seed + i), spec.book,
+                decoder=spec.decoder,
             )
             images.append(result.image)
         return toy_frechet(images, spec.reference_images)

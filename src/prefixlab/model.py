@@ -139,18 +139,13 @@ def embed_prefix(
     prefix: Sequence[TokenMap],
     book: Codebook,
     schedule: ScaleSchedule,
-    embed_seed: int,
-    embed_dim: int = 4,
-    *,
-    params: EmbeddingParams | None = None,
+    params: EmbeddingParams,
 ) -> PrefixEmbedding:
     """e_{j,u} = proj(F_j[u]) + pos(j,u), with F_j the pooled cumulative latent.
 
-    ``params`` are the ``embedding_params`` of these seeds and dims, as a
-    fitted count model carries them; they are built here when not given.
+    ``params`` are the ``embedding_params`` of ``schedule`` and the codebook's
+    latent size, as a fitted count model carries them.
     """
-    if params is None:
-        params = embedding_params(schedule, book.latent_dim, embed_dim, embed_seed)
     proj, pos = params
     fh, fw = schedule.final_dims
     latent = np.zeros((fh, fw, book.latent_dim))
@@ -245,22 +240,14 @@ class SignatureSpec:
         return _read_only(np.sort(t, axis=-1))
 
 
-def context_signature(
-    embedding: PrefixEmbedding,
-    spec: SignatureSpec,
-    num_scales: int,
-    *,
-    thresholds: np.ndarray | None = None,
-):
+def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
     """Per-scale bin tuple of the mean embedding vector; () for empty prefixes.
 
-    ``thresholds`` is ``spec.thresholds(num_scales, m)``, as a fitted count
-    model carries it; it is built here when not given.
+    ``thresholds`` is ``SignatureSpec.thresholds(num_scales, m)``, as a
+    fitted count model carries it.
     """
     if embedding.num_prefix_scales == 0:
         return ()
-    if thresholds is None:
-        thresholds = spec.thresholds(num_scales, embedding.embed_dim)
     means = np.stack([g.reshape(-1, g.shape[-1]).mean(axis=0) for g in embedding.grids])
     # A dimension's bin counts the thresholds strictly below its mean, which
     # is searchsorted's left insertion point in the sorted thresholds.
@@ -302,17 +289,14 @@ class CountModel:
         return params
 
     def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> PrefixEmbedding:
-        """``embed_prefix`` with this model's seeds, dims and cached tables."""
+        """``embed_prefix`` with this model's cached tables."""
         return embed_prefix(
-            prefix, book, self.schedule, self.embed_seed, self.embed_dim,
-            params=self.embedding_tables(book.latent_dim),
+            prefix, book, self.schedule, self.embedding_tables(book.latent_dim)
         )
 
     def signature(self, embedding: PrefixEmbedding):
         """``context_signature`` with this model's cached thresholds."""
-        return context_signature(
-            embedding, self.spec, self.schedule.num_scales, thresholds=self.thresholds
-        )
+        return context_signature(embedding, self.thresholds)
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION and not self.include_null:

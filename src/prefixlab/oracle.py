@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from . import guidance
 from .errors import InvalidInputError
 from .model import (
     Condition,
@@ -217,17 +218,17 @@ def verify_identities(
     gammas=(0.0, 0.5, 1.0, 1.5, 3.0),
     lams=(0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0),
 ) -> IdentityReport:
-    """Check the guidance logit rules against the exact augmented laws.
+    """Check the package's guidance combiners against the exact augmented laws.
 
     For every (condition, scale, prefix) and every strength on the grid:
-    the CFG extrapolation with the exact uniform-prior condition marginal as
-    the null branch must reproduce the augmented-CFG law, the VPG
-    extrapolation with the exact prefix marginal as reference must reproduce
-    the augmented-VPG law, and the sequential CFG+VPG composition must match
-    its four-term closed form. Sites are independent given the prefix, so
-    every law is checked per site, with per-site prefix marginals; on a
-    single-site scale this is the joint-map law of ``augmented_cfg`` and
-    ``augmented_vpg``.
+    ``guidance.cfg_combine`` with the exact uniform-prior condition marginal
+    as the null branch must reproduce the augmented-CFG law,
+    ``guidance.vpg_combine`` with the exact prefix marginal as reference must
+    reproduce the augmented-VPG law, and ``guidance.compose_cfg_vpg`` must
+    match the four-term closed form written out here. Sites are independent
+    given the prefix, so every law is checked per site, with per-site prefix
+    marginals; on a single-site scale this is the joint-map law of
+    ``augmented_cfg`` and ``augmented_vpg``.
     """
     rows = []
     sched = model.schedule
@@ -245,8 +246,9 @@ def verify_identities(
                 null_row = model.row(NULL_CONDITION, k, key)
                 l_cg = np.log(cond_row)
                 l_ng = np.log(null_row)
+                branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
                 for gamma in gammas:
-                    guided = softmax((1 + gamma) * l_cg - gamma * l_ng)
+                    guided = softmax(guidance.cfg_combine(l_cg, l_ng, gamma))
                     oracle_p = _normalized_power_ratio(cond_row, null_row, gamma)
                     rows.append(
                         IdentityRow(
@@ -256,7 +258,7 @@ def verify_identities(
                         )
                     )
                 for lam in lams:
-                    guided = softmax((1 + lam) * l_cg - lam * l_cc)
+                    guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
                     oracle_p = _normalized_power_ratio(cond_row, marg, lam)
                     rows.append(
                         IdentityRow(
@@ -269,9 +271,7 @@ def verify_identities(
                 # the exact marginals standing in for the corrupted branches.
                 for gamma in gammas:
                     for lam in lams:
-                        g_gen = (1 + gamma) * l_cg - gamma * l_ng
-                        g_corr = (1 + gamma) * l_cc - gamma * l_nc
-                        sequential = (1 + lam) * g_gen - lam * g_corr
+                        sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
                         closed = (
                             (1 + lam) * (1 + gamma) * l_cg
                             - (1 + lam) * gamma * l_ng

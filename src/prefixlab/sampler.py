@@ -23,7 +23,7 @@ from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInpu
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import Condition, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
-from .tokenizer import AffineDecoder, Codebook, ScaleSchedule, decode, decode_maps
+from .tokenizer import AffineDecoder, Codebook, decode, decode_maps
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ def rollout(
     gconfig: GuidanceConfig,
     sconfig: SamplerConfig,
     book: Codebook,
-    schedule: ScaleSchedule,
     *,
     decoder: AffineDecoder | None = None,
 ) -> RolloutResult:
-    """Full guided generation loop; deterministic given the sampler seed."""
+    """Guided generation over ``model.schedule``; deterministic given the seed."""
+    schedule = model.schedule
     rng = np.random.default_rng(sconfig.seed)
     maps: list[TokenMap] = []
     trace = []
@@ -214,11 +214,10 @@ def rollout_distribution(
     gconfig: GuidanceConfig,
     sconfig: SamplerConfig,
     book: Codebook,
-    schedule: ScaleSchedule,
     *,
     fixed_plans: dict[int, "CorruptionPlan"] | None = None,
 ) -> Distribution:
-    """Exact law over full token-map sequences under the guided sampler.
+    """Exact law over the model's full token-map sequences under the sampler.
 
     The guided law must be deterministic: either the exact-marginal
     reference, lam = 0, or a fixed corruption plan per guided scale.
@@ -235,14 +234,14 @@ def rollout_distribution(
     def step_law(seq):
         plan = fixed_plans.get(len(seq) + 1) if fixed_plans else None
         step = guided_step(
-            model, condition, prefix_maps(seq, schedule), gconfig,
+            model, condition, prefix_maps(seq, model.schedule), gconfig,
             book=book, plan=plan,
         )
         return truncated_law(step.logits, sconfig).reshape(
             -1, step.logits.shape[-1]
         )
 
-    sequences = chain_law(step_law, schedule.num_scales)
+    sequences = chain_law(step_law, model.schedule.num_scales)
     outcomes = tuple(seq for seq, _ in sequences)
     probs = np.asarray([p for _, p in sequences])
     return Distribution(outcomes, probs / probs.sum())

@@ -6,14 +6,17 @@ run with ``pytest -s tests/test_acceptance.py``.
 
 import contextlib
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prefixlab
 from prefixlab.corruption import (
     CorruptionVariant,
     apply_corruption,
@@ -26,6 +29,7 @@ from prefixlab.model import (
     TokenMap,
     build_tabular,
     embed_prefix,
+    embedding_params,
     enumerate_prefix_keys,
 )
 from prefixlab.oracle import (
@@ -174,13 +178,14 @@ def test_criterion_5_corruption_invariants():
         book = Codebook.seeded(3, 3, 2, seed=7)
         rng = np.random.default_rng(0)
         maps = [TokenMap(k, rng.integers(0, 3, sched.grid(k))) for k in (1, 2)]
-        emb = embed_prefix(maps, book, sched, embed_seed=11)
+        params = embedding_params(sched, book.latent_dim, 4, 11)
+        emb = embed_prefix(maps, book, sched, params)
 
         # Full-embedding outputs stay inside the same-scale embedding set.
         plan = plan_corruption(
             sched, 3, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=1
         )
-        out = apply_corruption(emb, plan, book, sched, 11)
+        out = apply_corruption(emb, plan, book, sched, params)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, emb.embed_dim)
             for vec in grid.reshape(-1, out.embed_dim):
@@ -194,7 +199,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 3, 0.0, variant, seed=2, book=book)
-            out = apply_corruption(emb, plan, book, sched, 11)
+            out = apply_corruption(emb, plan, book, sched, params)
             for a, b in zip(out.grids, emb.grids):
                 assert np.array_equal(a, b)
 
@@ -202,8 +207,9 @@ def test_criterion_5_corruption_invariants():
         # the site itself.
         scalar_sched = ScaleSchedule(((1, 1), (1, 1)))
         scalar_book = Codebook.seeded(2, 3, 2, seed=7)
+        scalar_params = embedding_params(scalar_sched, scalar_book.latent_dim, 4, 11)
         scalar_emb = embed_prefix(
-            [TokenMap(1, np.asarray([[1]]))], scalar_book, scalar_sched, 11
+            [TokenMap(1, np.asarray([[1]]))], scalar_book, scalar_sched, scalar_params
         )
         for variant in (
             CorruptionVariant.SAME_SCALE_TOKEN,
@@ -211,7 +217,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(scalar_sched, 2, 1.0, variant, seed=3)
-            out = apply_corruption(scalar_emb, plan, scalar_book, scalar_sched, 11)
+            out = apply_corruption(scalar_emb, plan, scalar_book, scalar_sched, scalar_params)
             np.testing.assert_allclose(
                 out.grids[0], scalar_emb.grids[0], atol=1e-12
             )
@@ -269,17 +275,14 @@ def test_criterion_7_sampler_laws(small_count, small_book):
 
         model = fixture_m1()
         book = Codebook.seeded(2, 2, 2, seed=7)
-        a = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, SCHEDULE)
-        b = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, SCHEDULE)
+        a = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book)
+        b = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book)
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         for ra, rb in zip(a.trace, b.trace):
             assert np.array_equal(ra.step.logits, rb.step.logits)
 
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
-        result = rollout(
-            small_count, 1, gconfig, SamplerConfig(seed=9), small_book,
-            small_count.schedule,
-        )
+        result = rollout(small_count, 1, gconfig, SamplerConfig(seed=9), small_book)
         for record, logits in zip(
             result.trace, replay_trace(small_count, result, gconfig, small_book)
         ):
@@ -320,11 +323,15 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
 
 def test_criterion_10_end_to_end_verify(tmp_path):
     with report(10, "`verify` on the shipped default config exits 0 in under 60 s"):
+        # The child imports the same package source as this test run.
+        src = str(Path(prefixlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "prefixlab.cli", "verify",
              "--output-dir", str(tmp_path)],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr

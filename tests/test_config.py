@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,41 @@ class TestModelSerialization:
         assert back.include_null
         # Null-condition rows survive the JSON round trip.
         assert any(c is NULL_CONDITION for _, c, _ in back.counts)
+
+    @pytest.mark.parametrize(
+        "mutate, key",
+        [
+            (lambda d: d.pop("counts"), "counts"),
+            (lambda d: d["counts"][0].pop("condition"), "counts[0].condition"),
+            (lambda d: d.update(counts=3), "counts"),
+            (lambda d: d["counts"].__setitem__(1, 3), "counts[1]"),
+            (lambda d: d["counts"][0].update(signature="ab"), "counts[0].signature"),
+            (lambda d: d["counts"][3]["signature"][0].__setitem__(0, 4), "counts[3].signature"),
+            (lambda d: d["counts"][3].update(signature=[]), "counts[3].signature"),
+            (lambda d: d["counts"][0].update(scale=1.7), "counts[0].scale"),
+            (lambda d: d["counts"][0].update(scale=9), "counts[0].scale"),
+            (lambda d: d["counts"][0].update(condition=5), "counts[0].condition"),
+            (lambda d: d["counts"][0].update(table=[[[1.0, 2.0]]]), "counts[0].table"),
+            (lambda d: d["counts"][0].update(table=[[[1.0, -2.0, 0.0]]]), "counts[0].table"),
+            (lambda d: d["counts"][0].update(table=[[[1.0, 2.0, 0.0], [1.0]]]), "counts[0].table"),
+            (lambda d: d["counts"][0].update(table=[[["1", "2", "0"]]]), "counts[0].table"),
+            (lambda d: d["counts"][0].update(table=[[[True, 2, 0]]]), "counts[0].table"),
+            (lambda d: d["counts"][0].update(extra=1), "extra"),
+            (lambda d: d["counts"].insert(1, dict(d["counts"][0])), "counts[1]"),
+            (lambda d: d.update(version="1"), "version"),
+        ],
+        ids=[
+            "no-counts", "no-condition", "counts-not-list", "entry-not-object",
+            "signature-text", "signature-bin-range", "signature-shape", "scale-float",
+            "scale-range", "condition-range", "table-shape", "table-negative",
+            "table-ragged", "table-text", "table-bool", "unknown-key", "repeated-entry", "version-text",
+        ],
+    )
+    def test_malformed_count_entry_rejected_by_name(self, small_count, mutate, key):
+        data = json.loads(json.dumps(model_to_config(small_count)))
+        mutate(data)
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            model_from_config(data)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):

@@ -23,11 +23,12 @@ from tests.conftest import uniform_maps
 SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (4, 4)))
 BOOK = Codebook.seeded(4, 3, 2, seed=7)
 EMBED_SEED = 11
+PARAMS = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
 
 
 def embedded_prefix(k, seed=0):
     maps = uniform_maps(SCHEDULE, BOOK.vocab, seed)[: k - 1]
-    return maps, embed_prefix(maps, BOOK, SCHEDULE, EMBED_SEED)
+    return maps, embed_prefix(maps, BOOK, SCHEDULE, PARAMS)
 
 
 class TestSelectionSize:
@@ -108,7 +109,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 0.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, emb.grids):
             assert np.array_equal(a, b)
 
@@ -118,7 +119,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 3
         )
-        apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for a, b in zip(emb.grids, before):
             assert np.array_equal(a, b)
 
@@ -127,7 +128,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, emb.embed_dim)
             for vec in grid.reshape(-1, out.embed_dim):
@@ -138,21 +139,22 @@ class TestApplication:
         sched = ScaleSchedule(((1, 1), (1, 1)))
         book = Codebook.seeded(2, 3, 2, seed=7)
         maps = uniform_maps(sched, 3, seed=0)[:1]
-        emb = embed_prefix(maps, book, sched, EMBED_SEED)
+        params = embedding_params(sched, book.latent_dim, 4, EMBED_SEED)
+        emb = embed_prefix(maps, book, sched, params)
         for variant in (
             CorruptionVariant.SAME_SCALE_TOKEN,
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 2, 1.0, variant, seed=4)
-            out = apply_corruption(emb, plan, book, sched, EMBED_SEED)
+            out = apply_corruption(emb, plan, book, sched, params)
             np.testing.assert_allclose(out.grids[0], emb.grids[0], atol=1e-12)
 
     def test_token_and_position_variants_match_hand_formula(self):
         _, emb = embedded_prefix(3)
         proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, emb.embed_dim, EMBED_SEED)
         plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9)
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
@@ -161,7 +163,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_POSITION, 9
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
@@ -174,7 +176,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, book=BOOK
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for idx, (j, u) in enumerate(plan.selected):
             h, w = SCHEDULE.grid(j)
             tgt = (u // w, u % w)
@@ -187,12 +189,12 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, book=BOOK
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         maps = [
             TokenMap(j, np.asarray(ids).reshape(SCHEDULE.grid(j)))
             for j, ids in enumerate(plan.uniform_tokens, start=1)
         ]
-        expected = embed_prefix(maps, BOOK, SCHEDULE, EMBED_SEED, emb.embed_dim)
+        expected = embed_prefix(maps, BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, expected.grids):
             assert np.array_equal(a, b)
 
@@ -202,7 +204,7 @@ class TestApplication:
             SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
         with pytest.raises(InconsistentPlanError):
-            apply_corruption(emb, plan, BOOK, SCHEDULE, EMBED_SEED)
+            apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
 
 
 def test_plan_csv_layout(tmp_path):

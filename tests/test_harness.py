@@ -112,19 +112,67 @@ class TestSurrogateGap:
                 assert row.mean_kl == pytest.approx(row.clean_kl, abs=1e-12)
 
 
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    @pytest.mark.parametrize("prefix_scales", [0, 2])
+    def test_rows_equal_explicit_corrupted_branch(self, variant, prefix_scales):
+        # Multi-site prefix scales, so every variant moves some embedding.
+        from prefixlab.corruption import apply_corruption, plan_corruption
+        from prefixlab.model import fit_count_model, predict_logits
+        from prefixlab.oracle import kl_divergence
+        from prefixlab.tokenizer import Codebook, ScaleSchedule
+        from tests.conftest import make_corpus
+
+        schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
+        book = Codebook.seeded(3, 3, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
+        model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
+        prefix = corpus[1][1][:prefix_scales]
+        fractions = (0.0, 0.5, 1.0)
+        rows = surrogate_gap(
+            model, book, 1, prefix, variants=(variant,), fractions=fractions,
+            plan_samples=3, base_seed=4,
+        )
+
+        k = prefix_scales + 1
+        marginal = prefix_marginal_sites(model, 1, k, book=book).reshape(-1)
+        embedding = model.embed(prefix, book)
+        clean = np.exp(predict_logits(model, 1, prefix, book=book).values)
+        clean_kl = kl_divergence(clean.reshape(-1), marginal)
+        expected = []
+        for fraction in fractions:
+            kls = []
+            for s in range(3):
+                plan = plan_corruption(
+                    schedule, k, fraction, variant, seed=4 + 7919 * s, book=book
+                )
+                corrupted = apply_corruption(
+                    embedding, plan, book, schedule,
+                    model.embedding_tables(book.latent_dim),
+                )
+                probs = np.exp(
+                    predict_logits(model, 1, prefix, book=book, embedding=corrupted).values
+                )
+                kls.append(kl_divergence(probs.reshape(-1), marginal))
+            expected.append((variant, fraction, float(np.mean(kls)), clean_kl))
+        assert [(r.variant, r.fraction, r.mean_kl, r.clean_kl) for r in rows] == expected
+        if prefix_scales == 0:
+            assert all(r.mean_kl == r.clean_kl for r in rows)
+        else:
+            assert rows[-1].mean_kl != rows[-1].clean_kl
+
+
 class TestExposureGap:
     def test_zero_when_corpus_is_model_rollouts(self, small_count, small_book):
-        sched = small_count.schedule
         sconfig = SamplerConfig(seed=100)
         corpus = []
         for i in range(4):
             result = rollout(
                 small_count, i % 2, GuidanceConfig(),
-                SamplerConfig(seed=100 + i), small_book, sched,
+                SamplerConfig(seed=100 + i), small_book,
             )
             corpus.append((i % 2, list(result.maps)))
         gaps = exposure_gap(
-            small_count, corpus, GuidanceConfig(), sconfig, small_book, sched,
+            small_count, corpus, GuidanceConfig(), sconfig, small_book,
             n_rollouts=4, seed=100,
         )
         assert set(gaps) == {1, 2}
@@ -134,8 +182,7 @@ class TestExposureGap:
     def test_empty_corpus_raises(self, small_count, small_book):
         with pytest.raises(InvalidInputError):
             exposure_gap(
-                small_count, [], GuidanceConfig(), SamplerConfig(), small_book,
-                small_count.schedule,
+                small_count, [], GuidanceConfig(), SamplerConfig(), small_book
             )
 
 
@@ -175,36 +222,34 @@ class TestSweepGrid:
 
 
 class TestRunSweep:
-    def make_spec(self, m1, m1_book, m1_schedule, **kw):
-        return ExperimentSpec(
-            model=m1, book=m1_book, schedule=m1_schedule, condition=0, **kw
-        )
+    def make_spec(self, m1, m1_book, **kw):
+        return ExperimentSpec(model=m1, book=m1_book, condition=0, **kw)
 
-    def test_exact_kl_zero_at_lambda_zero(self, m1, m1_book, m1_schedule):
+    def test_exact_kl_zero_at_lambda_zero(self, m1, m1_book):
         grid = SweepGrid(lambdas=(0.0,))
-        spec = self.make_spec(m1, m1_book, m1_schedule)
+        spec = self.make_spec(m1, m1_book)
         rows = run_sweep(grid, spec)
         assert len(rows) == 1
         assert rows[0].error == ""
         assert rows[0].value == pytest.approx(0.0, abs=1e-12)
 
-    def test_exact_kl_grows_with_lambda(self, m1, m1_book, m1_schedule):
+    def test_exact_kl_grows_with_lambda(self, m1, m1_book):
         grid = SweepGrid(lambdas=(0.0, 0.5, 1.0))
-        spec = self.make_spec(m1, m1_book, m1_schedule)
+        spec = self.make_spec(m1, m1_book)
         rows = run_sweep(grid, spec)
         values = [r.value for r in rows]
         assert all(r.error == "" for r in rows)
         assert values == sorted(values)
 
-    def test_errors_recorded_not_raised(self, m1, m1_book, m1_schedule):
-        spec = self.make_spec(m1, m1_book, m1_schedule, metric="bogus")
+    def test_errors_recorded_not_raised(self, m1, m1_book):
+        spec = self.make_spec(m1, m1_book, metric="bogus")
         rows = run_sweep(SweepGrid(lambdas=(0.0,)), spec)
         assert rows[0].value is None
         assert "InvalidInputError" in rows[0].error
 
-    def test_csv_schema_and_svg_output(self, m1, m1_book, m1_schedule, tmp_path):
+    def test_csv_schema_and_svg_output(self, m1, m1_book, tmp_path):
         grid = SweepGrid(lambdas=(0.0, 1.0), replicates=2)
-        spec = self.make_spec(m1, m1_book, m1_schedule)
+        spec = self.make_spec(m1, m1_book)
         rows = run_sweep(grid, spec)
         csv_path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, csv_path)
@@ -219,9 +264,9 @@ class TestRunSweep:
         assert text.startswith("<svg")
         assert "polyline" in text
 
-    def test_replicates_of_exact_metric_agree(self, m1, m1_book, m1_schedule):
+    def test_replicates_of_exact_metric_agree(self, m1, m1_book):
         grid = SweepGrid(lambdas=(0.5,), replicates=3)
-        rows = run_sweep(grid, self.make_spec(m1, m1_book, m1_schedule))
+        rows = run_sweep(grid, self.make_spec(m1, m1_book))
         assert len({r.value for r in rows}) == 1
 
 

@@ -122,7 +122,7 @@ class TestEmbedding:
             assert np.array_equal(a, b)
 
     def test_empty_prefix_embedding(self, small_book, small_schedule):
-        emb = embed_prefix([], small_book, small_schedule, embed_seed=11)
+        emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
         assert emb.step == 1
         assert emb.num_prefix_scales == 0
         assert emb.embed_dim == 0
@@ -131,8 +131,8 @@ class TestEmbedding:
         from prefixlab.tokenizer import accumulate_latent, pool
 
         maps = [TokenMap(1, np.asarray([[2]]))]
-        emb = embed_prefix(maps, small_book, small_schedule, embed_seed=11, embed_dim=4)
         proj, pos = embedding_params(small_schedule, 2, 4, embed_seed=11)
+        emb = embed_prefix(maps, small_book, small_schedule, (proj, pos))
         latent = accumulate_latent(np.zeros((2, 2, 2)), maps[0], small_book)
         pooled = pool(latent, (1, 1))
         np.testing.assert_allclose(emb.grids[0], pooled @ proj.T + pos[0])
@@ -145,19 +145,16 @@ class TestEmbedding:
         vectors[:, 1] = [1.0, 0.0]
         vectors[:, 2] = [0.0, 1.0]
         book = Codebook(vectors)
-        emb_a = embed_prefix(
-            [TokenMap(1, np.asarray([[0]]))], book, small_schedule, embed_seed=3
-        )
-        emb_b = embed_prefix(
-            [TokenMap(1, np.asarray([[1]]))], book, small_schedule, embed_seed=3
-        )
+        params = embedding_params(small_schedule, book.latent_dim, 4, 3)
+        emb_a = embed_prefix([TokenMap(1, np.asarray([[0]]))], book, small_schedule, params)
+        emb_b = embed_prefix([TokenMap(1, np.asarray([[1]]))], book, small_schedule, params)
         np.testing.assert_allclose(emb_a.grids[0], emb_b.grids[0])
 
 
 class TestSignatures:
     def test_empty_prefix_signature(self, small_book, small_schedule):
-        emb = embed_prefix([], small_book, small_schedule, embed_seed=11)
-        assert context_signature(emb, SignatureSpec(), 2) == ()
+        emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
+        assert context_signature(emb, SignatureSpec().thresholds(2, 4)) == ()
 
     def test_single_bin_collapses_all_prefixes(self, small_book, small_schedule):
         spec = SignatureSpec(bins=1, seed=0)
@@ -165,9 +162,9 @@ class TestSignatures:
         for token in range(3):
             emb = embed_prefix(
                 [TokenMap(1, np.asarray([[token]]))], small_book, small_schedule,
-                embed_seed=11,
+                embedding_params(small_schedule, 2, 4, 11),
             )
-            sigs.add(context_signature(emb, spec, 2))
+            sigs.add(context_signature(emb, spec.thresholds(2, 4)))
         assert sigs == {((0, 0, 0, 0),)}
 
     def test_thresholds_sorted(self):
@@ -302,12 +299,11 @@ class TestSeededTables:
         for token in range(3):
             emb = embed_prefix(
                 [TokenMap(1, np.asarray([[token]]))], small_book, small_schedule,
-                embed_seed=11,
+                embedding_params(small_schedule, 2, 4, 11),
             )
             mean = emb.grids[0].reshape(-1, 4).mean(axis=0)
             expected = (tuple(int(np.searchsorted(thresholds[0, i], mean[i])) for i in range(4)),)
-            assert context_signature(emb, spec, 2) == expected
-            assert context_signature(emb, spec, 2, thresholds=thresholds) == expected
+            assert context_signature(emb, thresholds) == expected
 
 
 class TestPredictLogits:
@@ -326,7 +322,8 @@ class TestPredictLogits:
         maps = [TokenMap(1, np.asarray([[1]]))]
         emb = embed_prefix(
             maps, small_book, small_count.schedule,
-            small_count.embed_seed, small_count.embed_dim,
+            embedding_params(small_count.schedule, small_book.latent_dim,
+                             small_count.embed_dim, small_count.embed_seed),
         )
         via_maps = predict_logits(small_count, 0, maps, book=small_book).values
         via_emb = predict_logits(small_count, 0, maps, embedding=emb).values

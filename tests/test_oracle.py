@@ -156,6 +156,29 @@ class TestIdentityReport:
         assert not strict.passed
         assert len(strict.failures()) == len(report.rows)
 
+    @pytest.mark.parametrize(
+        "name, broken, kinds",
+        [
+            ("cfg_combine",
+             lambda cond, null, gamma: (1 - gamma) * cond + gamma * null,
+             {"cfg", "composition"}),
+            ("vpg_combine",
+             lambda gen, corr, lam: (1 - lam) * gen + lam * corr,
+             {"vpg", "composition"}),
+            ("compose_cfg_vpg",
+             lambda b, gamma, lam: (1 + lam) * b.cond_gen - lam * b.cond_corr,
+             {"composition"}),
+        ],
+    )
+    def test_broken_combiner_fails(self, monkeypatch, small_tabular, name, broken, kinds):
+        # The report checks the package's own combiners, not a copy of them.
+        from prefixlab import guidance
+
+        monkeypatch.setattr(guidance, name, broken)
+        report = verify_identities(small_tabular, gammas=(0.0, 1.5), lams=(0.0, 1.0))
+        assert not report.passed
+        assert {r.kind for r in report.failures()} == kinds
+
     def test_report_csv_layout(self, m1, tmp_path):
         report = verify_identities(m1, gammas=(0.0,), lams=(0.0, 1.0))
         path = tmp_path / "report.csv"
@@ -249,9 +272,7 @@ class TestChainedLawsAgainstBruteForce:
                     rtol=0, atol=1e-12,
                 )
 
-            law = rollout_distribution(
-                model, c, GuidanceConfig(), SamplerConfig(), book, sched
-            )
+            law = rollout_distribution(model, c, GuidanceConfig(), SamplerConfig(), book)
             assert list(law.outcomes) == list(joint)
             np.testing.assert_allclose(
                 law.probs, list(joint.values()), rtol=0, atol=1e-12

@@ -196,32 +196,27 @@ class TestSampling:
         ids_b = truncate_and_sample(logits, SamplerConfig(), np.random.default_rng(7))
         assert np.array_equal(ids_a, ids_b)
 
-    def test_greedy_rollout_on_m1(self, m1, m1_book, m1_schedule):
+    def test_greedy_rollout_on_m1(self, m1, m1_book):
         config = SamplerConfig(top_k=1)
-        result = rollout(m1, 0, GuidanceConfig(), config, m1_book, m1_schedule)
+        result = rollout(m1, 0, GuidanceConfig(), config, m1_book)
         # Argmax path: r1 = 0 (0.75), then r2 = 0 (0.6).
         assert [m.key() for m in result.maps] == [(0,), (0,)]
 
-    def test_rollout_seed_determinism(self, m1, m1_book, m1_schedule):
-        a = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, m1_schedule)
-        b = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, m1_schedule)
+    def test_rollout_seed_determinism(self, m1, m1_book):
+        a = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book)
+        b = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book)
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         np.testing.assert_array_equal(a.latent, b.latent)
 
     def test_replay_is_bit_exact(self, small_count, small_book):
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
-        result = rollout(
-            small_count, 1, gconfig, SamplerConfig(seed=9), small_book,
-            small_count.schedule,
-        )
+        result = rollout(small_count, 1, gconfig, SamplerConfig(seed=9), small_book)
         replayed = replay_trace(small_count, result, gconfig, small_book)
         for record, logits in zip(result.trace, replayed):
             assert np.array_equal(record.step.logits, logits)
 
-    def test_trace_csv_roundtrip(self, m1, m1_book, m1_schedule, tmp_path):
-        result = rollout(
-            m1, 0, GuidanceConfig(), SamplerConfig(seed=2), m1_book, m1_schedule
-        )
+    def test_trace_csv_roundtrip(self, m1, m1_book, tmp_path):
+        result = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=2), m1_book)
         path = tmp_path / "trace.csv"
         trace_to_csv(result, path)
         back = trace_from_csv(path)
@@ -234,10 +229,8 @@ class TestSampling:
 
 
 class TestRolloutLaw:
-    def test_unguided_law_matches_model_joint(self, m1, m1_book, m1_schedule):
-        law = rollout_distribution(
-            m1, 0, GuidanceConfig(), SamplerConfig(), m1_book, m1_schedule
-        )
+    def test_unguided_law_matches_model_joint(self, m1, m1_book):
+        law = rollout_distribution(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book)
         expected = {
             ((0,), (0,)): 0.75 * 0.6,
             ((0,), (1,)): 0.75 * 0.4,
@@ -249,11 +242,9 @@ class TestRolloutLaw:
         for seq, p in expected.items():
             assert got[seq] == pytest.approx(p, abs=1e-12)
 
-    def test_guided_law_hand_derived(self, m1, m1_book, m1_schedule):
+    def test_guided_law_hand_derived(self, m1, m1_book):
         gconfig = GuidanceConfig(lam=1.0, reference="exact-marginal")
-        law = rollout_distribution(
-            m1, 0, gconfig, SamplerConfig(), m1_book, m1_schedule
-        )
+        law = rollout_distribution(m1, 0, gconfig, SamplerConfig(), m1_book)
         aug0 = np.asarray([0.72, 0.32]) / 1.04
         aug1 = np.asarray([0.08, 1.28]) / 1.36
         expected = {
@@ -265,19 +256,16 @@ class TestRolloutLaw:
         for seq, p in expected.items():
             assert law.prob(seq) == pytest.approx(p, abs=1e-9)
 
-    def test_truncation_shrinks_support(self, m1, m1_book, m1_schedule):
+    def test_truncation_shrinks_support(self, m1, m1_book):
         law = rollout_distribution(
-            m1, 0, GuidanceConfig(), SamplerConfig(top_k=1), m1_book, m1_schedule
+            m1, 0, GuidanceConfig(), SamplerConfig(top_k=1), m1_book
         )
         assert law.as_dict() == {((0,), (0,)): 1.0}
 
     def test_stochastic_corruption_has_no_law(self, small_count, small_book):
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
         with pytest.raises(IllDefinedLawError):
-            rollout_distribution(
-                small_count, 0, gconfig, SamplerConfig(), small_book,
-                small_count.schedule,
-            )
+            rollout_distribution(small_count, 0, gconfig, SamplerConfig(), small_book)
 
     def test_fixed_plans_make_corrupted_law_exact(self, m1_book):
         from prefixlab.corruption import CorruptionVariant, plan_corruption
@@ -298,8 +286,7 @@ class TestRolloutLaw:
         )
         gconfig = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         law = rollout_distribution(
-            model, 0, gconfig, SamplerConfig(), m1_book, sched,
-            fixed_plans={2: plan},
+            model, 0, gconfig, SamplerConfig(), m1_book, fixed_plans={2: plan},
         )
         assert sum(law.probs) == pytest.approx(1.0, abs=1e-12)
         assert len(law.outcomes) == 4

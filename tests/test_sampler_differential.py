@@ -65,11 +65,10 @@ TABULAR_CASES = {
 def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
     # Schedule (1,1),(2,2) with V = 3: five sites, 243 sequences untruncated.
     gconfig, sconfig = TABULAR_CASES[case]
-    schedule = small_tabular.schedule
-    law = rollout_distribution(small_tabular, 1, gconfig, sconfig, small_book, schedule)
+    law = rollout_distribution(small_tabular, 1, gconfig, sconfig, small_book)
     samples = [
         tuple(m.key() for m in rollout(
-            small_tabular, 1, gconfig, replace(sconfig, seed=seed), small_book, schedule
+            small_tabular, 1, gconfig, replace(sconfig, seed=seed), small_book
         ).maps)
         for seed in range(DRAWS)
     ]
@@ -85,7 +84,7 @@ def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book)
     gconfig = GuidanceConfig(gamma=1.0, lam=1.5, fraction=1.0, variant=variant)
     sconfig = SamplerConfig(top_k=2, top_p=0.9)
     law = rollout_distribution(
-        small_count, 0, gconfig, sconfig, small_book, schedule, fixed_plans={2: plan}
+        small_count, 0, gconfig, sconfig, small_book, fixed_plans={2: plan}
     )
     rng = np.random.default_rng(2024)
     samples = []
