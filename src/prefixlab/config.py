@@ -3,9 +3,8 @@
 The frozen dataclasses below are the only schema: ``parse_config`` takes
 each key's type from its field's annotation, its default from ``RunConfig()``
 and its range from ``_BOUNDS``. Unknown keys and malformed or out-of-range
-values are rejected by name, never coerced, so sweeps stay auditable. Model
-and corpus serialization helpers live here too since they share the same
-interchange format.
+values are rejected by name, never coerced, so sweeps stay auditable. The
+corpus CSV that ``model.corpus_path`` names is read and written here too.
 """
 
 from __future__ import annotations
@@ -25,14 +24,7 @@ from .corruption import CorruptionVariant
 from .errors import ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
-from .model import (
-    CountModel,
-    SignatureSpec,
-    TabularModel,
-    TokenMap,
-    build_tabular,
-    check_corpus_sequence,
-)
+from .model import TokenMap, check_corpus_sequence
 from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
 
@@ -50,9 +42,9 @@ _BOUNDS = {
          "scale_mask", "scale_masks", "replicates", "n_samples", "top_k"),
         (lambda v: v >= 1, "at least 1"),
     ),
-    **dict.fromkeys(("models", "tolerance"), (lambda v: v >= 0, "at least 0")),
+    "models": (lambda v: v >= 0, "at least 0"),
     **dict.fromkeys(("n_p", "n_ps"), (lambda v: 0 <= v <= 1, "inside [0, 1]")),
-    **dict.fromkeys(("gamma", "lambda", "gammas", "lambdas"),
+    **dict.fromkeys(("tolerance", "gamma", "lambda", "gammas", "lambdas"),
                     (lambda v: 0 <= v < math.inf, "finite and at least 0")),
     "alpha": (lambda v: v > 0, "above 0"),
     "kind": (lambda v: v in ("tabular", "count"), "'tabular' or 'count'"),
@@ -301,124 +293,3 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
             corpus.append((condition, maps))
     return corpus
 
-
-def model_to_config(model) -> dict:
-    """Structured serialization with version tag and embedded seeds."""
-    if isinstance(model, TabularModel):
-        if model.seed is None:
-            raise InvalidInputError("only seed-built tabular models serialize")
-        return {
-            "version": CONFIG_VERSION,
-            "kind": "tabular",
-            "schedule": [list(d) for d in model.schedule.dims],
-            "vocab": model.vocab,
-            "num_conditions": model.num_conditions,
-            "seed": model.seed,
-        }
-    if isinstance(model, CountModel):
-        counts = [
-            {
-                "scale": k,
-                "condition": c,
-                "signature": list(list(s) for s in sig),
-                "table": table.tolist(),
-            }
-            for (k, c, sig), table in sorted(
-                model.counts.items(),
-                key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1], kv[0][2]),
-            )
-        ]
-        return {
-            "version": CONFIG_VERSION,
-            "kind": "count",
-            "schedule": [list(d) for d in model.schedule.dims],
-            "vocab": model.vocab,
-            "num_conditions": model.num_conditions,
-            "alpha": model.alpha,
-            "signature_bins": model.spec.bins,
-            "signature_seed": model.spec.seed,
-            "embed_seed": model.embed_seed,
-            "embed_dim": model.embed_dim,
-            "include_null": model.include_null,
-            "counts": counts,
-        }
-    raise InvalidInputError(f"cannot serialize model type {type(model)!r}")
-
-
-def _count_entry(where: str, entry, model: CountModel):
-    """One ``counts`` entry of ``model`` as its (key, table), or a ConfigError
-    naming ``where`` (the entry's index) and the key."""
-    entry = dict(_checked(where, entry, dict))
-
-    def take(name, kind=None):
-        if name not in entry:
-            raise ConfigError(f"missing config key '{where}.{name}'")
-        value = entry.pop(name)
-        return value if kind is None else _checked(f"{where}.{name}", value, kind)
-
-    def bad(name, expected):
-        return ConfigError(f"bad value for config key '{where}.{name}': expected {expected}")
-
-    def array(name, shape, kinds, high, expected):
-        raw = take(name, list)
-        try:
-            value = np.asarray(raw) if raw else np.zeros((0,) + shape[1:], int)
-        except ValueError:  # a ragged list
-            raise bad(name, expected) from None
-        if (value.shape != shape or value.dtype.kind not in kinds
-                or not np.all((value >= 0) & (value < high))
-                or any(isinstance(x, bool) for x in np.asarray(raw, dtype=object).flat)):
-            raise bad(name, expected)
-        return value
-
-    k = take("scale", int)
-    if not 1 <= k <= model.schedule.num_scales:
-        raise bad("scale", f"1..{model.schedule.num_scales}, got {k}")
-    condition = _value(f"{where}.condition", int | None, take("condition"))
-    if condition is not None and not 0 <= condition < model.num_conditions:
-        raise bad("condition", f"null or 0..{model.num_conditions - 1}, got {condition}")
-    bins, dim = model.spec.bins, model.embed_dim
-    sig = array("signature", (k - 1, dim), "iu", bins,
-                f"a ({k - 1}, {dim}) array of bins in 0..{bins - 1}")
-    shape = model.schedule.grid(k) + (model.vocab,)
-    table = array("table", shape, "iuf", np.inf, f"a {shape} array of finite counts >= 0")
-    _reject_unknown(entry, where)
-    return (k, condition, tuple(map(tuple, sig.tolist()))), table.astype(float)
-
-
-def model_from_config(data: dict):
-    data = dict(data)
-
-    def take(key, kind):
-        return _value(key, kind, data.pop(key, None))
-
-    version = _checked("version", data.pop("version", CONFIG_VERSION), int)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported model version {version}")
-    kind = data.pop("kind", None)
-    schedule = _value("schedule", ScaleSchedule, data.pop("schedule", None))
-    vocab = take("vocab", int)
-    num_conditions = take("num_conditions", int)
-    if kind == "tabular":
-        seed = take("seed", int)
-        _reject_unknown(data, "tabular model")
-        return build_tabular(schedule, vocab, num_conditions, seed)
-    if kind == "count":
-        model = CountModel(
-            schedule, vocab, num_conditions,
-            alpha=take("alpha", float),
-            spec=SignatureSpec(take("signature_bins", int),
-                               take("signature_seed", int)),
-            embed_seed=take("embed_seed", int),
-            embed_dim=take("embed_dim", int),
-            counts={},
-            include_null=take("include_null", bool),
-        )
-        for i, entry in enumerate(_checked("counts", data.pop("counts", None), list)):
-            key, table = _count_entry(f"counts[{i}]", entry, model)
-            if key in model.counts:
-                raise ConfigError(f"bad value for config key 'counts[{i}]': repeats an earlier entry")
-            model.counts[key] = table
-        _reject_unknown(data, "count model")
-        return model
-    raise ConfigError(f"unknown model kind '{kind}'")

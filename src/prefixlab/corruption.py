@@ -7,7 +7,6 @@ same plan can be shared across all branches of one guided step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,11 +151,3 @@ def apply_corruption(
             grid[tgt] = vector @ proj.T + pos[j - 1][tgt]
     return PrefixEmbedding(embedding.step, tuple(grids), embedding.pooled)
 
-
-def write_plan_csv(plan: CorruptionPlan, path) -> None:
-    """Audit dump: one row per selected site."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scale", "site", "donor_site", "variant"])
-        for (j, u), (_, du) in zip(plan.selected, plan.donors):
-            writer.writerow([j, u, du, plan.variant.value])

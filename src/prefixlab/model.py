@@ -167,7 +167,6 @@ class TabularModel:
     vocab: int
     num_conditions: int
     tables: dict  # (c, k, prefix_key) -> np.ndarray (h_k, w_k, V)
-    seed: int | None = None
 
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""
@@ -199,7 +198,7 @@ def build_tabular(
                 row = np.maximum(row, PROB_FLOOR)
                 row /= row.sum(axis=-1, keepdims=True)
                 tables[(c, k, key)] = row
-    return TabularModel(schedule, vocab, num_conditions, tables, seed)
+    return TabularModel(schedule, vocab, num_conditions, tables)
 
 
 def tabular_from_rows(

@@ -42,7 +42,7 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if len(self.outcomes) != p.shape[0]:
             raise InvalidInputError("outcome/probability length mismatch")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
             raise InvalidInputError("probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "probs", p)
 

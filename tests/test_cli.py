@@ -4,6 +4,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from prefixlab.cli import (
@@ -13,12 +14,15 @@ from prefixlab.cli import (
     EXIT_OK,
     EXIT_SWEEP,
     FLAGS,
+    _build_model,
     _resolve_config,
+    _synthetic_corpus,
     build_parser,
     default_config_text,
     main,
 )
-from prefixlab.config import parse_config
+from prefixlab.config import corpus_to_csv, parse_config
+from prefixlab.model import TabularModel
 
 
 def count_model_config(tmp_path, **extra):
@@ -63,6 +67,15 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("verify: 0 models, max KL")
         assert lines[1:] == ["verify: FAIL nothing was checked (0 identity rows)"]
+
+    def test_infinite_tolerance_exits_two(self, tmp_path, capsys):
+        # Python's json reads Infinity; an infinite tolerance would pass any KL.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"verify": {"models": 1, "tolerance": Infinity}}')
+        code = main(["verify", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "'tolerance'" in capsys.readouterr().err
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "envout"
@@ -165,6 +178,46 @@ class TestAblate:
         code = main(["ablate", "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "count model" in capsys.readouterr().err
+
+
+def model_tables(model):
+    return model.tables if isinstance(model, TabularModel) else model.counts
+
+
+def assert_same_tables(a, b):
+    ta, tb = model_tables(a), model_tables(b)
+    assert ta.keys() == tb.keys()
+    for key in ta:
+        assert np.array_equal(ta[key], tb[key])
+
+
+# A multi-site schedule with two conditions, so every table key part varies.
+SHAPE = {"schedule": [[1, 1], [2, 2]], "vocab": 3, "num_conditions": 2}
+
+
+class TestBuildModel:
+    """Every command rebuilds its model from the resolved config, so the same
+    config must give the same model."""
+
+    @pytest.mark.parametrize(
+        "model", [{"seed": 17}, {"kind": "count", "corpus_count": 8}], ids=["tabular", "count"]
+    )
+    def test_same_config_rebuilds_equal(self, model):
+        cfg = parse_config({**SHAPE, "model": model})
+        book = cfg.codebook()
+        built = _build_model(cfg, book)
+        assert model_tables(built)
+        assert_same_tables(built, _build_model(cfg, book))
+
+    def test_corpus_csv_count_rebuilds_equal_to_in_memory_fit(self, tmp_path):
+        synthetic = parse_config({**SHAPE, "model": {"kind": "count", "corpus_count": 8}})
+        book = synthetic.codebook()
+        path = tmp_path / "corpus.csv"
+        corpus_to_csv(_synthetic_corpus(synthetic, book, 8, synthetic.model.corpus_seed), path)
+        cfg = parse_config({**SHAPE, "model": {"kind": "count", "corpus_path": str(path)}})
+        model = _build_model(cfg, book)
+        assert_same_tables(model, _build_model(cfg, book))
+        assert_same_tables(model, _build_model(synthetic, book))
 
 
 class TestExitCodes:

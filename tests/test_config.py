@@ -1,8 +1,7 @@
-"""Strict JSON run config, plus model and corpus serialization."""
+"""Strict JSON run config, plus the corpus CSV."""
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,12 +13,9 @@ from prefixlab.config import (
     corpus_from_csv,
     corpus_to_csv,
     load_config,
-    model_from_config,
-    model_to_config,
     parse_config,
 )
 from prefixlab.corruption import CorruptionVariant
-from prefixlab.model import NULL_CONDITION, TabularModel, build_tabular
 from prefixlab.tokenizer import ScaleSchedule
 
 
@@ -110,17 +106,9 @@ class TestParseConfig:
             (parse_config, {"condition": -1}, "condition"),
             (parse_config, {"schedule": [[1.5, 1], [1, 1]]}, "schedule"),
             (parse_config, {"sweep": {"scale_masks": [5]}}, "scale_masks"),
-            (model_from_config,
-             {"kind": "tabular", "schedule": [[1, 1]], "vocab": 2.7,
-              "num_conditions": 1, "seed": 0}, "vocab"),
-            (model_from_config,
-             {"kind": "tabular", "schedule": [[1, 1]], "vocab": 2,
-              "num_conditions": 1, "seed": False}, "seed"),
-            (model_from_config,
-             {"kind": "count", "schedule": [[1, 1]], "vocab": 2,
-              "num_conditions": 1, "counts": [], "alpha": 1.0,
-              "signature_bins": 4, "signature_seed": 0, "embed_seed": 0,
-              "embed_dim": 4, "include_null": "false"}, "include_null"),
+            (parse_config, {"verify": {"tolerance": math.inf}}, "tolerance"),
+            (parse_config, {"verify": {"tolerance": math.nan}}, "tolerance"),
+            (parse_config, {"model": {"seed": False}}, "seed"),
             (parse_config, {"guidance": {"n_p": 1.5}}, "n_p"),
             (parse_config, {"guidance": {"n_p": -0.1}}, "n_p"),
             (parse_config, {"sweep": {"n_ps": [0.5, 2.0]}}, "n_ps"),
@@ -214,78 +202,3 @@ class TestCorpusCsv:
         with pytest.raises(InvalidInputError, match="corpus line 3"):
             corpus_from_csv(path, ScaleSchedule(((1, 1), (1, 1))), 2, 2)
 
-
-class TestModelSerialization:
-    def test_tabular_roundtrip(self, small_schedule):
-        model = build_tabular(small_schedule, 3, 2, seed=17)
-        data = json.loads(json.dumps(model_to_config(model)))
-        back = model_from_config(data)
-        assert isinstance(back, TabularModel)
-        assert back.tables.keys() == model.tables.keys()
-        for key in model.tables:
-            assert np.array_equal(back.tables[key], model.tables[key])
-
-    def test_unseeded_tabular_rejected(self, m1):
-        from prefixlab.errors import InvalidInputError
-
-        with pytest.raises(InvalidInputError):
-            model_to_config(m1)
-
-    def test_count_roundtrip(self, small_count, small_book):
-        data = json.loads(json.dumps(model_to_config(small_count)))
-        back = model_from_config(data)
-        assert back.counts.keys() == small_count.counts.keys()
-        for key in small_count.counts:
-            assert np.array_equal(back.counts[key], small_count.counts[key])
-        assert back.include_null
-        # Null-condition rows survive the JSON round trip.
-        assert any(c is NULL_CONDITION for _, c, _ in back.counts)
-
-    @pytest.mark.parametrize(
-        "mutate, key",
-        [
-            (lambda d: d.pop("counts"), "counts"),
-            (lambda d: d["counts"][0].pop("condition"), "counts[0].condition"),
-            (lambda d: d.update(counts=3), "counts"),
-            (lambda d: d["counts"].__setitem__(1, 3), "counts[1]"),
-            (lambda d: d["counts"][0].update(signature="ab"), "counts[0].signature"),
-            (lambda d: d["counts"][3]["signature"][0].__setitem__(0, 4), "counts[3].signature"),
-            (lambda d: d["counts"][3].update(signature=[]), "counts[3].signature"),
-            (lambda d: d["counts"][0].update(scale=1.7), "counts[0].scale"),
-            (lambda d: d["counts"][0].update(scale=9), "counts[0].scale"),
-            (lambda d: d["counts"][0].update(condition=5), "counts[0].condition"),
-            (lambda d: d["counts"][0].update(table=[[[1.0, 2.0]]]), "counts[0].table"),
-            (lambda d: d["counts"][0].update(table=[[[1.0, -2.0, 0.0]]]), "counts[0].table"),
-            (lambda d: d["counts"][0].update(table=[[[1.0, 2.0, 0.0], [1.0]]]), "counts[0].table"),
-            (lambda d: d["counts"][0].update(table=[[["1", "2", "0"]]]), "counts[0].table"),
-            (lambda d: d["counts"][0].update(table=[[[True, 2, 0]]]), "counts[0].table"),
-            (lambda d: d["counts"][0].update(extra=1), "extra"),
-            (lambda d: d["counts"].insert(1, dict(d["counts"][0])), "counts[1]"),
-            (lambda d: d.update(version="1"), "version"),
-        ],
-        ids=[
-            "no-counts", "no-condition", "counts-not-list", "entry-not-object",
-            "signature-text", "signature-bin-range", "signature-shape", "scale-float",
-            "scale-range", "condition-range", "table-shape", "table-negative",
-            "table-ragged", "table-text", "table-bool", "unknown-key", "repeated-entry", "version-text",
-        ],
-    )
-    def test_malformed_count_entry_rejected_by_name(self, small_count, mutate, key):
-        data = json.loads(json.dumps(model_to_config(small_count)))
-        mutate(data)
-        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
-            model_from_config(data)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            model_from_config(
-                {"kind": "magic", "schedule": [[1, 1]], "vocab": 2,
-                 "num_conditions": 1}
-            )
-
-    def test_version_checked(self, small_schedule):
-        model = build_tabular(small_schedule, 2, 1, seed=0)
-        data = model_to_config(model)
-        data["version"] = 9
-        with pytest.raises(ConfigError):
-            model_from_config(data)

@@ -1,7 +1,5 @@
 """Corruption plans and their deterministic application to prefix embeddings."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from prefixlab.corruption import (
     apply_corruption,
     plan_corruption,
     selection_size,
-    write_plan_csv,
 )
 from prefixlab.errors import InconsistentPlanError, InvalidFractionError
 from prefixlab.model import embed_prefix, embedding_params
@@ -206,16 +203,3 @@ class TestApplication:
         with pytest.raises(InconsistentPlanError):
             apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
 
-
-def test_plan_csv_layout(tmp_path):
-    plan = plan_corruption(
-        SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, seed=2
-    )
-    path = tmp_path / "plan.csv"
-    write_plan_csv(plan, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["scale", "site", "donor_site", "variant"]
-    assert len(rows) - 1 == len(plan.selected)
-    for row, (j, u), (_, du) in zip(rows[1:], plan.selected, plan.donors):
-        assert row == [str(j), str(u), str(du), "same_scale_token"]

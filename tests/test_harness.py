@@ -1,6 +1,7 @@
 """Metrics, sweep grids, CSV schema and SVG plots."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestRunSweep:
         svg_paths = write_sweep_svg(rows, grid, tmp_path)
         assert len(svg_paths) == 1
         assert svg_paths[0].endswith(f"exact_kl_{grid.grid_hash()}.svg")
-        text = open(svg_paths[0]).read()
+        text = Path(svg_paths[0]).read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
 

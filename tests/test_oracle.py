@@ -42,6 +42,10 @@ class TestDistribution:
         with pytest.raises(InvalidInputError):
             Distribution((0, 1), np.asarray([1.2, -0.2]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidInputError):
+            Distribution(("a", "b"), np.asarray([np.nan, np.nan]))
+
     def test_lookup(self):
         d = Distribution(("a", "b"), np.asarray([0.3, 0.7]))
         assert d.prob("b") == 0.7
