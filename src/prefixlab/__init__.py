@@ -33,7 +33,7 @@ from .oracle import (
     prefix_posterior,
     verify_identities,
 )
-from .sampler import SamplerConfig, rollout, rollout_distribution, truncate_and_sample
+from .sampler import SamplerConfig, rollout_distribution, rollouts, truncate_and_sample
 from .tokenizer import (
     Codebook,
     ScaleSchedule,

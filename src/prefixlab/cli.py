@@ -34,7 +34,7 @@ from .errors import PrefixLabError
 from .harness import ExperimentSpec, SweepGrid, run_sweep, write_sweep_csv, write_sweep_svg
 from .model import build_tabular, fit_count_model, SignatureSpec
 from .oracle import verify_identities, write_report_csv
-from .sampler import rollout, trace_to_csv
+from .sampler import rollouts, trace_to_csv
 from .tokenizer import encode_multiscale, synthetic_images, write_image_csv, write_ppm
 
 EXIT_OK = 0
@@ -177,9 +177,8 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     book = cfg.codebook()
     model = _build_model(cfg, book)
-    for i in range(count):
-        sconfig = replace(cfg.sampler, seed=cfg.sampler.seed + i)
-        result = rollout(model, cfg.condition, cfg.guidance, sconfig, book)
+    results = rollouts(model, cfg.condition, cfg.guidance, cfg.sampler, book, count)
+    for i, result in enumerate(results):
         stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
         trace_to_csv(result, stem + "_trace.csv")
         if cfg.latent_dim <= 3:
@@ -187,7 +186,7 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
         else:
             write_image_csv(result.image, stem + ".csv")
         tokens = [m.key() for m in result.maps]
-        print(f"sample {i}: seed={sconfig.seed} tokens={tokens}")
+        print(f"sample {i}: seed={result.seed} tokens={tokens}")
     return EXIT_OK
 
 

@@ -158,11 +158,12 @@ def guided_step(
             "gamma > 0 but the count model was fitted without null-condition rows"
         )
 
-    embedding = None
+    embedding = signature = None
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
         embedding = model.embed(maps, book)
+        signature = model.signature(embedding)
 
     evaluations = 0
 
@@ -170,7 +171,7 @@ def guided_step(
         nonlocal evaluations
         evaluations += 1
         return predict_logits(
-            model, cond, maps, book=book, embedding=embedding
+            model, cond, maps, book=book, embedding=embedding, signature=signature
         ).values
 
     cond_gen = gen_branch(condition)
@@ -201,12 +202,14 @@ def guided_step(
                 embedding, used_plan, book, schedule,
                 model.embedding_tables(book.latent_dim),
             )
+            corrupted_signature = model.signature(corrupted)
 
             def corr_branch(cond):
                 nonlocal evaluations
                 evaluations += 1
                 return predict_logits(
-                    model, cond, maps, book=book, embedding=corrupted
+                    model, cond, maps, book=book, embedding=corrupted,
+                    signature=corrupted_signature,
                 ).values
 
             cond_corr = corr_branch(condition)

@@ -21,7 +21,7 @@ from .corruption import CorruptionVariant
 from .guidance import GuidanceConfig, guided_step
 from .model import Condition, CountModel, TokenMap, predict_logits
 from .oracle import Distribution, kl_divergence, prefix_marginal_sites
-from .sampler import SamplerConfig, rollout, rollout_distribution
+from .sampler import SamplerConfig, rollout_distribution, rollouts
 from .tokenizer import AffineDecoder, Codebook
 
 
@@ -148,9 +148,9 @@ def exposure_gap(
     roll_nll = {k: [] for k in data_nll}
     for i in range(n_rollouts):
         condition = corpus[i % len(corpus)][0]
-        result = rollout(
-            model, condition, gconfig, replace(sconfig, seed=seed + i), book
-        )
+        result = rollouts(
+            model, condition, gconfig, replace(sconfig, seed=seed + i), book, 1
+        )[0]
         for k in roll_nll:
             roll_nll[k].append(step_nll(condition, list(result.maps), k))
 
@@ -255,15 +255,11 @@ def _cell_metric(spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int) -> fl
         )
         return exact_kl(guided, baseline)
     if spec.metric == "toy_frechet":
-        images = []
-        for i in range(spec.n_samples):
-            result = rollout(
-                spec.model, spec.condition, gconfig,
-                replace(spec.sampler, seed=seed + i), spec.book,
-                decoder=spec.decoder,
-            )
-            images.append(result.image)
-        return toy_frechet(images, spec.reference_images)
+        results = rollouts(
+            spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
+            spec.book, spec.n_samples, decoder=spec.decoder,
+        )
+        return toy_frechet([r.image for r in results], spec.reference_images)
     raise InvalidInputError(f"unknown sweep metric {spec.metric!r}")
 
 

@@ -167,12 +167,17 @@ class TabularModel:
     vocab: int
     num_conditions: int
     tables: dict  # (c, k, prefix_key) -> np.ndarray (h_k, w_k, V)
+    # Null-condition rows, read-only, built once per (k, prefix_key).
+    _null_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""
         if condition is NULL_CONDITION:
-            rows = [self.row(c, k, key) for c in range(self.num_conditions)]
-            return np.mean(rows, axis=0)
+            row = self._null_rows.get((k, key))
+            if row is None:
+                rows = [self.row(c, k, key) for c in range(self.num_conditions)]
+                row = self._null_rows[(k, key)] = _read_only(np.mean(rows, axis=0))
+            return row
         try:
             return self.tables[(condition, k, key)]
         except KeyError:
@@ -373,12 +378,15 @@ def predict_logits(
     *,
     book: Codebook | None = None,
     embedding: PrefixEmbedding | None = None,
+    signature=None,
 ) -> LogitGrid:
     """Scale-k logits for the step following ``prefix``.
 
     Tabular models take token prefixes (list of TokenMap or a prefix key);
     count models consume a PrefixEmbedding, built from the token prefix when
-    one is not supplied directly.
+    one is not supplied directly. A caller that evaluates several branches on
+    one supplied ``embedding`` may pass its ``model.signature(embedding)`` as
+    ``signature`` so that it is computed once.
     """
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
@@ -392,7 +400,8 @@ def predict_logits(
             if maps and not isinstance(maps[0], TokenMap):
                 maps = prefix_maps(prefix_key(prefix), model.schedule)
             embedding = model.embed(maps, book)
-        sig = model.signature(embedding)
+        if signature is None:
+            signature = model.signature(embedding)
         k = embedding.step
-        return LogitGrid(k, np.log(model.site_probs(condition, k, sig)))
+        return LogitGrid(k, np.log(model.site_probs(condition, k, signature)))
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

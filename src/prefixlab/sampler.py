@@ -5,10 +5,11 @@ then top-p. Top-p keeps the smallest descending-probability prefix whose
 cumulative mass reaches the threshold (boundary token included); ties are
 broken toward the lower token id throughout.
 
-Every site of a scale is truncated and sampled in one vectorized pass. A step
-draws one uniform per site, in row-major site order, and inverts it against
-the site's cumulative law: the same random stream, token ids and generator
-state as one ``rng.choice(V, p=law)`` call per site.
+Every site of a scale, across every sample of a batch, is truncated and
+sampled in one vectorized pass. Each sample has its own generator; a step
+draws one uniform per site from it, in row-major site order, and inverts it
+against the site's cumulative law: the same random stream, token ids and
+generator state as one ``rng.choice(V, p=law)`` call per site.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -86,21 +88,29 @@ _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def truncate_and_sample(
-    logits: np.ndarray, config: SamplerConfig, rng: np.random.Generator
+    logits: np.ndarray, config: SamplerConfig, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """One token id per site from one uniform per site, in row-major order.
+    """One token id per site for each sample on the leading axis of ``logits``.
 
-    Each uniform is inverted against the site's normalized cumulative law
-    (``searchsorted(side="right")``), as ``rng.choice(V, p=law)`` does, so the
-    ids and the generator's state equal per-site ``rng.choice`` calls.
+    ``logits`` has shape (len(rngs), ..., V). Sample i draws one uniform per
+    site from ``rngs[i]``, in row-major order, and each uniform is inverted
+    against its site's normalized cumulative law (``searchsorted(side="right")``),
+    as ``rng.choice(V, p=law)`` does. So the ids and every generator's state
+    equal per-site ``rng.choice`` calls, sample by sample.
     """
     laws = truncated_law(logits, config)
+    if laws.ndim < 2 or laws.shape[0] != len(rngs):
+        raise InvalidInputError(
+            f"logits of shape {laws.shape} need one generator per leading-axis "
+            f"sample, got {len(rngs)}"
+        )
     flat = laws.reshape(-1, laws.shape[-1])
     if not (np.all(flat >= 0) and np.all(np.abs(flat.sum(axis=-1) - 1.0) <= _SUM_TOL)):
         raise DegenerateDistributionError("a site law is not a probability distribution")
     cdf = np.cumsum(flat, axis=-1)
     cdf /= cdf[:, -1:]
-    uniforms = rng.random(flat.shape[0])
+    sites = flat.shape[0] // len(rngs)
+    uniforms = np.concatenate([rng.random(sites) for rng in rngs])
     ids = (cdf <= uniforms[:, None]).sum(axis=-1)
     return ids.reshape(laws.shape[:-1])
 
@@ -121,34 +131,51 @@ class RolloutResult:
     seed: int
 
 
-def rollout(
+def rollouts(
     model,
     condition: Condition,
     gconfig: GuidanceConfig,
     sconfig: SamplerConfig,
     book: Codebook,
+    count: int,
     *,
     decoder: AffineDecoder | None = None,
-) -> RolloutResult:
-    """Guided generation over ``model.schedule``; deterministic given the seed."""
-    schedule = model.schedule
-    rng = np.random.default_rng(sconfig.seed)
-    maps: list[TokenMap] = []
-    trace = []
-    for k in range(1, schedule.num_scales + 1):
-        plan_seed = int(rng.integers(2**32))
-        step = guided_step(
-            model, condition, maps, gconfig, book=book, plan_seed=plan_seed
-        )
-        ids = truncate_and_sample(step.logits, sconfig, rng)
-        tmap = TokenMap(k, ids)
-        maps.append(tmap)
-        trace.append(StepRecord(step, tmap))
-    latent = decode_maps(maps, schedule, book)
-    return RolloutResult(
-        tuple(maps), latent, decode(latent, decoder), tuple(trace), condition,
-        sconfig.seed,
-    )
+) -> list[RolloutResult]:
+    """``count`` guided generations over ``model.schedule``, advanced together.
+
+    Sample i is seeded ``sconfig.seed + i`` and has its own generator, which
+    draws the step's plan seed and then the step's uniforms, so each sample is
+    the same as if it were generated alone. Per scale, ``guided_step`` runs
+    once per sample and all samples' logits are truncated and sampled in one
+    pass.
+    """
+    if count < 1:
+        raise InvalidInputError(f"rollout count must be >= 1, got {count}")
+    seeds = [sconfig.seed + i for i in range(count)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    maps: list[list[TokenMap]] = [[] for _ in seeds]
+    traces: list[list[StepRecord]] = [[] for _ in seeds]
+    for k in range(1, model.schedule.num_scales + 1):
+        steps = [
+            guided_step(
+                model, condition, maps[i], gconfig, book=book,
+                plan_seed=int(rng.integers(2**32)),
+            )
+            for i, rng in enumerate(rngs)
+        ]
+        ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs)
+        for i, step in enumerate(steps):
+            tmap = TokenMap(k, ids[i])
+            maps[i].append(tmap)
+            traces[i].append(StepRecord(step, tmap))
+    results = []
+    for seed, sample_maps, trace in zip(seeds, maps, traces):
+        latent = decode_maps(sample_maps, model.schedule, book)
+        results.append(RolloutResult(
+            tuple(sample_maps), latent, decode(latent, decoder), tuple(trace),
+            condition, seed,
+        ))
+    return results
 
 
 def replay_trace(
@@ -177,21 +204,25 @@ def replay_trace(
 
 
 def trace_to_csv(result: RolloutResult, path) -> None:
-    """One row per (step, site): sampled id plus the guided logits."""
+    """One row per (step, site): sampled id plus the guided logits.
+
+    The file is formatted in one pass and written at once, in ``csv.writer``'s
+    layout: CRLF line ends, ``str`` of ints and ``repr`` of floats (which
+    never need quoting).
+    """
     vocab = result.trace[0].step.logits.shape[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "site", "sampled_id"] + [f"logit_{v}" for v in range(vocab)]
+    lines = [",".join(["step", "site", "sampled_id"] + [f"logit_{v}" for v in range(vocab)])]
+    for record in result.trace:
+        k = record.step.k
+        ids = record.token_map.ids.ravel().tolist()
+        logits = record.step.logits.reshape(-1, vocab).tolist()
+        lines.extend(
+            f"{k},{u},{sampled}," + ",".join(map(repr, row))
+            for u, (sampled, row) in enumerate(zip(ids, logits))
         )
-        for record in result.trace:
-            flat_ids = record.token_map.ids.ravel()
-            flat_logits = record.step.logits.reshape(-1, vocab)
-            for u in range(flat_ids.shape[0]):
-                writer.writerow(
-                    [record.step.k, u, int(flat_ids[u])]
-                    + [repr(float(x)) for x in flat_logits[u]]
-                )
+    lines.append("")
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
 
 
 def trace_from_csv(path) -> dict[int, dict[int, tuple[int, np.ndarray]]]:

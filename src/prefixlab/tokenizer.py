@@ -7,7 +7,6 @@ upsamples it to the finest grid with nearest-neighbour replication and sums.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +105,7 @@ class TokenMap:
         object.__setattr__(self, "ids", ids)
 
     def key(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.ids.ravel())
+        return tuple(self.ids.ravel().tolist())
 
 
 def nn_index_map(source: int, target: int) -> np.ndarray:
@@ -242,7 +241,7 @@ def synthetic_images(
 def write_ppm(image: np.ndarray, path) -> None:
     """Dump an image with d <= 3 as plain-text PPM, channels padded to 3.
 
-    Values are min-max scaled to 0..255 per image.
+    Values are min-max scaled to 0..255 per image. One line per image row.
     """
     if image.shape[-1] > 3:
         raise InvalidInputError("PPM output requires latent dimension <= 3")
@@ -251,19 +250,25 @@ def write_ppm(image: np.ndarray, path) -> None:
     rgb[..., :d] = image
     lo, hi = rgb.min(), rgb.max()
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pixels = np.round((rgb - lo) * scale).astype(int)
+    pixels = np.round((rgb - lo) * scale).astype(int).reshape(h, -1).tolist()
+    lines = [f"P3\n{w} {h}\n255"] + [" ".join(map(str, row)) for row in pixels]
     with open(path, "w") as fh:
-        fh.write(f"P3\n{w} {h}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(v) for v in row.reshape(-1)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_image_csv(image: np.ndarray, path) -> None:
-    """Dump per-site vectors as CSV rows (row, col, v_0..v_{d-1})."""
+    """Dump per-site vectors as CSV rows (row, col, v_0..v_{d-1}).
+
+    Formatted in ``csv.writer``'s layout (CRLF line ends, ``repr`` of
+    floats) in one pass.
+    """
     h, w, d = image.shape
+    values = np.asarray(image, dtype=float).reshape(h * w, d).tolist()
+    lines = [",".join(["row", "col"] + [f"v{i}" for i in range(d)])]
+    lines.extend(
+        ",".join([str(u // w), str(u % w), *map(repr, row)])
+        for u, row in enumerate(values)
+    )
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col"] + [f"v{i}" for i in range(d)])
-        for i in range(h):
-            for j in range(w):
-                writer.writerow([i, j] + [repr(float(x)) for x in image[i, j]])
+        fh.write("\r\n".join(lines))

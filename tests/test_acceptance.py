@@ -45,7 +45,7 @@ from prefixlab.oracle import (
 from prefixlab.sampler import (
     SamplerConfig,
     replay_trace,
-    rollout,
+    rollouts,
     truncated_site_law,
 )
 from prefixlab.harness import toy_frechet
@@ -275,14 +275,14 @@ def test_criterion_7_sampler_laws(small_count, small_book):
 
         model = fixture_m1()
         book = Codebook.seeded(2, 2, 2, seed=7)
-        a = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book)
-        b = rollout(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book)
+        a = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, 1)[0]
+        b = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, 1)[0]
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         for ra, rb in zip(a.trace, b.trace):
             assert np.array_equal(ra.step.logits, rb.step.logits)
 
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
-        result = rollout(small_count, 1, gconfig, SamplerConfig(seed=9), small_book)
+        result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
         for record, logits in zip(
             result.trace, replay_trace(small_count, result, gconfig, small_book)
         ):

@@ -17,7 +17,7 @@ from prefixlab.guidance import (
     guided_step,
     vpg_combine,
 )
-from prefixlab.model import TokenMap
+from prefixlab.model import CountModel, TokenMap, predict_logits
 from prefixlab.oracle import softmax
 
 
@@ -156,17 +156,29 @@ class TestGuidedStepCount:
         with pytest.raises(InvalidInputError):
             guided_step(small_count, 0, [], GuidanceConfig())
 
-    def test_corrupted_branch_counts(self, small_count, small_book):
+    def test_corrupted_branch_counts(self, small_count, small_book, monkeypatch):
+        # One signature per embedding (clean, corrupted), however many
+        # branches are evaluated on it.
+        signatures = []
+        signature = CountModel.signature
+        monkeypatch.setattr(
+            CountModel, "signature",
+            lambda self, emb: signatures.append(emb) or signature(self, emb),
+        )
         prefix = [TokenMap(1, np.asarray([[1]]))]
         cases = [
-            (GuidanceConfig(), 1),
-            (GuidanceConfig(gamma=1.0), 2),
-            (GuidanceConfig(lam=0.5, fraction=1.0), 2),
-            (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0), 4),
+            (GuidanceConfig(), 1, 1),
+            (GuidanceConfig(gamma=1.0), 2, 1),
+            (GuidanceConfig(lam=0.5, fraction=1.0), 2, 2),
+            (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0), 4, 2),
         ]
-        for config, expected in cases:
+        clean = predict_logits(small_count, 0, prefix, book=small_book).values
+        for config, expected, signed in cases:
+            signatures.clear()
             step = guided_step(small_count, 0, prefix, config, book=small_book)
             assert step.evaluations == expected
+            assert len(signatures) == signed
+            assert np.array_equal(step.branches.cond_gen, clean)
 
     def test_exact_marginal_rejects_count_model(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]

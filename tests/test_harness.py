@@ -24,7 +24,7 @@ from prefixlab.harness import (
     write_sweep_svg,
 )
 from prefixlab.oracle import Distribution, prefix_marginal_sites
-from prefixlab.sampler import SamplerConfig, rollout
+from prefixlab.sampler import SamplerConfig, rollouts
 
 
 class TestExactKL:
@@ -167,10 +167,10 @@ class TestExposureGap:
         sconfig = SamplerConfig(seed=100)
         corpus = []
         for i in range(4):
-            result = rollout(
+            result = rollouts(
                 small_count, i % 2, GuidanceConfig(),
-                SamplerConfig(seed=100 + i), small_book,
-            )
+                SamplerConfig(seed=100 + i), small_book, 1,
+            )[0]
             corpus.append((i % 2, list(result.maps)))
         gaps = exposure_gap(
             small_count, corpus, GuidanceConfig(), sconfig, small_book,

@@ -86,6 +86,9 @@ class TestTabular:
         mixed = small_tabular.row(NULL_CONDITION, 2, key)
         expected = (small_tabular.row(0, 2, key) + small_tabular.row(1, 2, key)) / 2
         np.testing.assert_allclose(mixed, expected)
+        # Built once per (k, key) and shared read-only.
+        assert small_tabular.row(NULL_CONDITION, 2, key) is mixed
+        assert not mixed.flags.writeable
 
     def test_missing_row_raises(self, small_tabular):
         with pytest.raises(MissingRowError):

@@ -11,19 +11,20 @@ from prefixlab.errors import (
     IllDefinedLawError,
     InvalidInputError,
 )
-from prefixlab.guidance import GuidanceConfig
+from prefixlab.guidance import GuidanceConfig, guided_step
 from prefixlab.oracle import softmax
 from prefixlab.sampler import (
     SamplerConfig,
     replay_trace,
-    rollout,
     rollout_distribution,
+    rollouts,
     trace_from_csv,
     trace_to_csv,
     truncate_and_sample,
     truncated_law,
     truncated_site_law,
 )
+from prefixlab.tokenizer import AffineDecoder, TokenMap, decode, decode_maps
 
 
 class TestSamplerConfig:
@@ -164,25 +165,33 @@ class TestVectorizedPass:
     @given(logit_grids(), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_ids_and_generator_state_equal_per_site_choice(self, case, seed):
+        # The grid's leading axis is the samples, each with its own generator.
         grid, config = case
         flat = grid.reshape(-1, grid.shape[-1])
         if not np.all(np.any(flat > -np.inf, axis=-1)):
             return
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = [np.random.default_rng(seed + i) for i in range(grid.shape[0])]
+        theirs = [np.random.default_rng(seed + i) for i in range(grid.shape[0])]
         ids = truncate_and_sample(grid, config, ours)
         expected = [
-            theirs.choice(flat.shape[-1], p=reference_site_law(site, config))
-            for site in flat
+            [rng.choice(grid.shape[-1], p=reference_site_law(site, config)) for site in sample]
+            for rng, sample in zip(theirs, grid)
         ]
         assert ids.shape == grid.shape[:-1]
-        assert ids.ravel().tolist() == expected
-        assert ours.random() == theirs.random()
+        assert ids.tolist() == expected
+        assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
 
     @pytest.mark.parametrize("site", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0]])
     def test_non_distribution_law_raises(self, site):
         logits = np.asarray([[site, [0.0, 0.0, 0.0]]])
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateDistributionError):
-            truncate_and_sample(logits, SamplerConfig(), np.random.default_rng(0))
+            truncate_and_sample(logits, SamplerConfig(), [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("generators", [1, 3])
+    def test_needs_one_generator_per_sample(self, generators):
+        rngs = [np.random.default_rng(i) for i in range(generators)]
+        with pytest.raises(InvalidInputError, match="one generator"):
+            truncate_and_sample(np.zeros((2, 2, 3)), SamplerConfig(), rngs)
 
     def test_site_law_needs_one_site(self):
         with pytest.raises(InvalidInputError):
@@ -192,31 +201,34 @@ class TestVectorizedPass:
 class TestSampling:
     def test_sample_deterministic_per_rng_state(self):
         logits = np.random.default_rng(1).normal(size=(2, 2, 3))
-        ids_a = truncate_and_sample(logits, SamplerConfig(), np.random.default_rng(7))
-        ids_b = truncate_and_sample(logits, SamplerConfig(), np.random.default_rng(7))
-        assert np.array_equal(ids_a, ids_b)
+
+        def draw():
+            rngs = [np.random.default_rng(7), np.random.default_rng(8)]
+            return truncate_and_sample(logits, SamplerConfig(), rngs)
+
+        assert np.array_equal(draw(), draw())
 
     def test_greedy_rollout_on_m1(self, m1, m1_book):
         config = SamplerConfig(top_k=1)
-        result = rollout(m1, 0, GuidanceConfig(), config, m1_book)
+        result = rollouts(m1, 0, GuidanceConfig(), config, m1_book, 1)[0]
         # Argmax path: r1 = 0 (0.75), then r2 = 0 (0.6).
         assert [m.key() for m in result.maps] == [(0,), (0,)]
 
     def test_rollout_seed_determinism(self, m1, m1_book):
-        a = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book)
-        b = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book)
+        a = rollouts(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, 1)[0]
+        b = rollouts(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, 1)[0]
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         np.testing.assert_array_equal(a.latent, b.latent)
 
     def test_replay_is_bit_exact(self, small_count, small_book):
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
-        result = rollout(small_count, 1, gconfig, SamplerConfig(seed=9), small_book)
+        result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
         replayed = replay_trace(small_count, result, gconfig, small_book)
         for record, logits in zip(result.trace, replayed):
             assert np.array_equal(record.step.logits, logits)
 
     def test_trace_csv_roundtrip(self, m1, m1_book, tmp_path):
-        result = rollout(m1, 0, GuidanceConfig(), SamplerConfig(seed=2), m1_book)
+        result = rollouts(m1, 0, GuidanceConfig(), SamplerConfig(seed=2), m1_book, 1)[0]
         path = tmp_path / "trace.csv"
         trace_to_csv(result, path)
         back = trace_from_csv(path)
@@ -226,6 +238,76 @@ class TestSampling:
             sampled, logits = back[k][0]
             assert sampled == int(record.token_map.ids.ravel()[0])
             assert np.array_equal(logits, record.step.logits.reshape(-1))
+
+
+def reference_rollouts(model, condition, gconfig, sconfig, book, count, decoder=None):
+    """One sample at a time: the loop the batched rollouts must reproduce."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng(sconfig.seed + i)
+        maps, steps = [], []
+        for k in range(1, model.schedule.num_scales + 1):
+            plan_seed = int(rng.integers(2**32))
+            step = guided_step(model, condition, maps, gconfig, book=book, plan_seed=plan_seed)
+            ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]
+            maps.append(TokenMap(k, ids))
+            steps.append(step)
+        latent = decode_maps(maps, model.schedule, book)
+        out.append((maps, steps, latent, decode(latent, decoder), sconfig.seed + i))
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+ROLLOUT_CASES = {
+    # Tabular model, CFG and prefix contrast against the exact marginal.
+    "tabular_exact_marginal": (
+        "small_tabular",
+        GuidanceConfig(gamma=1.0, lam=1.5, reference="exact-marginal"),
+        SamplerConfig(temperature=0.8, top_k=2, top_p=0.9, seed=40),
+        None,
+    ),
+    # Count model, corrupted reference with a random plan per step.
+    "count_corrupted": (
+        "small_count",
+        GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted"),
+        SamplerConfig(seed=9),
+        AffineDecoder.seeded(2, seed=3),
+    ),
+}
+
+
+class TestRollouts:
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("case", sorted(ROLLOUT_CASES))
+    def test_batch_equals_one_sample_at_a_time(self, case, count, request, small_book):
+        fixture, gconfig, sconfig, decoder = ROLLOUT_CASES[case]
+        model = request.getfixturevalue(fixture)
+        got = rollouts(model, 1, gconfig, sconfig, small_book, count, decoder=decoder)
+        expected = reference_rollouts(model, 1, gconfig, sconfig, small_book, count, decoder)
+        assert len(got) == count
+        for result, (maps, steps, latent, image, seed) in zip(got, expected):
+            assert result.seed == seed and result.condition == 1
+            assert [m.k for m in result.maps] == [m.k for m in maps]
+            assert all(same_bits(a.ids, b.ids) for a, b in zip(result.maps, maps))
+            assert [r.token_map for r in result.trace] == list(result.maps)
+            for record, step in zip(result.trace, steps, strict=True):
+                assert record.step.k == step.k
+                assert same_bits(record.step.logits, step.logits)
+                assert record.step.plan == step.plan
+                assert record.step.evaluations == step.evaluations
+            assert same_bits(result.latent, latent)
+            assert same_bits(result.image, image)
+        if fixture == "small_count":
+            assert any(r.trace[-1].step.plan is not None for r in got)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_raises(self, count, m1, m1_book):
+        with pytest.raises(InvalidInputError, match="count"):
+            rollouts(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book, count)
 
 
 class TestRolloutLaw:

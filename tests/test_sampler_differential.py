@@ -21,8 +21,8 @@ from prefixlab.guidance import GuidanceConfig, guided_step
 from prefixlab.model import TokenMap
 from prefixlab.sampler import (
     SamplerConfig,
-    rollout,
     rollout_distribution,
+    rollouts,
     truncate_and_sample,
 )
 
@@ -67,10 +67,10 @@ def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
     gconfig, sconfig = TABULAR_CASES[case]
     law = rollout_distribution(small_tabular, 1, gconfig, sconfig, small_book)
     samples = [
-        tuple(m.key() for m in rollout(
-            small_tabular, 1, gconfig, replace(sconfig, seed=seed), small_book
-        ).maps)
-        for seed in range(DRAWS)
+        tuple(m.key() for m in result.maps)
+        for result in rollouts(
+            small_tabular, 1, gconfig, replace(sconfig, seed=0), small_book, DRAWS
+        )
     ]
     assert_close_in_tv(law, samples)
 
@@ -95,6 +95,7 @@ def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book)
                 small_count, 0, maps, gconfig, book=small_book,
                 plan=plan if k == 2 else None,
             )
-            maps.append(TokenMap(k, truncate_and_sample(step.logits, sconfig, rng)))
+            ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]
+            maps.append(TokenMap(k, ids))
         samples.append(tuple(m.key() for m in maps))
     assert_close_in_tv(law, samples)
