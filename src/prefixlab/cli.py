@@ -43,6 +43,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SWEEP = 4
 
+# Samples rolled out together by the sample command before they are written.
+SAMPLE_BLOCK = 64
+
 
 def default_config_text() -> str:
     return (
@@ -177,16 +180,22 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     book = cfg.codebook()
     model = _build_model(cfg, book)
-    results = rollouts(model, cfg.condition, cfg.guidance, cfg.sampler, book, count)
-    for i, result in enumerate(results):
-        stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
-        trace_to_csv(result, stem + "_trace.csv")
-        if cfg.latent_dim <= 3:
-            write_ppm(result.image, stem + ".ppm")
-        else:
-            write_image_csv(result.image, stem + ".csv")
-        tokens = [m.key() for m in result.maps]
-        print(f"sample {i}: seed={result.seed} tokens={tokens}")
+    # Samples are rolled out in blocks and each block is written before the
+    # next starts, so memory stays bounded whatever the count. Seeds are per
+    # sample, so the block size does not change any output.
+    for start in range(0, count, SAMPLE_BLOCK):
+        sconfig = replace(cfg.sampler, seed=cfg.sampler.seed + start)
+        block = min(SAMPLE_BLOCK, count - start)
+        results = rollouts(model, cfg.condition, cfg.guidance, sconfig, book, block)
+        for i, result in enumerate(results, start=start):
+            stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
+            trace_to_csv(result, stem + "_trace.csv")
+            if cfg.latent_dim <= 3:
+                write_ppm(result.image, stem + ".ppm")
+            else:
+                write_image_csv(result.image, stem + ".csv")
+            tokens = [m.key() for m in result.maps]
+            print(f"sample {i}: seed={result.seed} tokens={tokens}")
     return EXIT_OK
 
 

@@ -158,21 +158,19 @@ def guided_step(
             "gamma > 0 but the count model was fitted without null-condition rows"
         )
 
-    embedding = signature = None
+    embedding = signed = None
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
         embedding = model.embed(maps, book)
-        signature = model.signature(embedding)
+        signed = model.sign(embedding)
 
     evaluations = 0
 
     def gen_branch(cond):
         nonlocal evaluations
         evaluations += 1
-        return predict_logits(
-            model, cond, maps, book=book, embedding=embedding, signature=signature
-        ).values
+        return predict_logits(model, cond, maps, book=book, embedding=signed).values
 
     cond_gen = gen_branch(condition)
     null_gen = gen_branch(NULL_CONDITION) if needs_cfg else None
@@ -198,18 +196,16 @@ def guided_step(
             used_plan = plan if plan is not None else plan_corruption(
                 schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
-            corrupted = apply_corruption(
+            corrupted = model.sign(apply_corruption(
                 embedding, used_plan, book, schedule,
                 model.embedding_tables(book.latent_dim),
-            )
-            corrupted_signature = model.signature(corrupted)
+            ))
 
             def corr_branch(cond):
                 nonlocal evaluations
                 evaluations += 1
                 return predict_logits(
-                    model, cond, maps, book=book, embedding=corrupted,
-                    signature=corrupted_signature,
+                    model, cond, maps, book=book, embedding=corrupted
                 ).values
 
             cond_corr = corr_branch(condition)

@@ -167,17 +167,12 @@ class TabularModel:
     vocab: int
     num_conditions: int
     tables: dict  # (c, k, prefix_key) -> np.ndarray (h_k, w_k, V)
-    # Null-condition rows, read-only, built once per (k, prefix_key).
-    _null_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""
         if condition is NULL_CONDITION:
-            row = self._null_rows.get((k, key))
-            if row is None:
-                rows = [self.row(c, k, key) for c in range(self.num_conditions)]
-                row = self._null_rows[(k, key)] = _read_only(np.mean(rows, axis=0))
-            return row
+            rows = [self.row(c, k, key) for c in range(self.num_conditions)]
+            return np.mean(rows, axis=0)
         try:
             return self.tables[(condition, k, key)]
         except KeyError:
@@ -260,6 +255,18 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
 
 
 @dataclass(frozen=True)
+class SignedEmbedding:
+    """A prefix embedding and its context signature, built by ``CountModel.sign``.
+
+    Branches evaluated on one embedding share it, so the signature is
+    computed once per embedding.
+    """
+
+    embedding: PrefixEmbedding
+    signature: tuple
+
+
+@dataclass(frozen=True)
 class CountModel:
     """Smoothed count tables keyed by (scale, condition, context signature)."""
 
@@ -301,6 +308,10 @@ class CountModel:
     def signature(self, embedding: PrefixEmbedding):
         """``context_signature`` with this model's cached thresholds."""
         return context_signature(embedding, self.thresholds)
+
+    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
+        """``embedding`` together with its signature under this model."""
+        return SignedEmbedding(embedding, self.signature(embedding))
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION and not self.include_null:
@@ -377,16 +388,15 @@ def predict_logits(
     prefix,
     *,
     book: Codebook | None = None,
-    embedding: PrefixEmbedding | None = None,
-    signature=None,
+    embedding: PrefixEmbedding | SignedEmbedding | None = None,
 ) -> LogitGrid:
     """Scale-k logits for the step following ``prefix``.
 
     Tabular models take token prefixes (list of TokenMap or a prefix key);
     count models consume a PrefixEmbedding, built from the token prefix when
     one is not supplied directly. A caller that evaluates several branches on
-    one supplied ``embedding`` may pass its ``model.signature(embedding)`` as
-    ``signature`` so that it is computed once.
+    one embedding may pass ``model.sign(embedding)`` so that its signature is
+    computed once.
     """
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
@@ -400,8 +410,10 @@ def predict_logits(
             if maps and not isinstance(maps[0], TokenMap):
                 maps = prefix_maps(prefix_key(prefix), model.schedule)
             embedding = model.embed(maps, book)
-        if signature is None:
-            signature = model.signature(embedding)
-        k = embedding.step
-        return LogitGrid(k, np.log(model.site_probs(condition, k, signature)))
+        if not isinstance(embedding, SignedEmbedding):
+            embedding = model.sign(embedding)
+        k = embedding.embedding.step
+        return LogitGrid(
+            k, np.log(model.site_probs(condition, k, embedding.signature))
+        )
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from prefixlab import cli
 from prefixlab.cli import (
     EXIT_CONFIG,
     EXIT_IDENTITY,
@@ -106,6 +107,20 @@ class TestSample:
         assert "sample_0000_trace.csv" in names
         assert "sample_0001.ppm" in names
         assert "tokens=" in capsys.readouterr().out
+
+    def test_block_size_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        def run(block):
+            monkeypatch.setattr(cli, "SAMPLE_BLOCK", block)
+            out_dir = tmp_path / f"block_{block}"
+            args = ["sample", "--count", "5", "--output-dir", str(out_dir), "--seed", "3"]
+            assert main(args) == EXIT_OK
+            files = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+            return files, capsys.readouterr().out
+
+        whole = run(64)
+        assert len(whole[0]) == 10
+        assert run(2) == whole
+        assert run(1) == whole
 
     def test_guidance_flag_overrides(self, tmp_path):
         out_dir = tmp_path / "guided"

@@ -86,9 +86,6 @@ class TestTabular:
         mixed = small_tabular.row(NULL_CONDITION, 2, key)
         expected = (small_tabular.row(0, 2, key) + small_tabular.row(1, 2, key)) / 2
         np.testing.assert_allclose(mixed, expected)
-        # Built once per (k, key) and shared read-only.
-        assert small_tabular.row(NULL_CONDITION, 2, key) is mixed
-        assert not mixed.flags.writeable
 
     def test_missing_row_raises(self, small_tabular):
         with pytest.raises(MissingRowError):
@@ -331,6 +328,10 @@ class TestPredictLogits:
         via_maps = predict_logits(small_count, 0, maps, book=small_book).values
         via_emb = predict_logits(small_count, 0, maps, embedding=emb).values
         assert np.array_equal(via_maps, via_emb)
+        signed = small_count.sign(emb)
+        assert signed.signature == small_count.signature(emb)
+        via_signed = predict_logits(small_count, 0, maps, embedding=signed).values
+        assert np.array_equal(via_maps, via_signed)
 
     def test_unknown_model_type_raises(self):
         with pytest.raises(InvalidInputError):

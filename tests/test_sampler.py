@@ -133,8 +133,11 @@ LOGIT = st.one_of(
 
 
 @st.composite
-def logit_grids(draw):
+def logit_grids(draw, samples=False):
+    """An (h, w, V) grid, or (n, h, w, V) for n samples if ``samples``."""
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 12)))
+    if samples:
+        shape = (draw(st.integers(1, 3)),) + shape
     grid = draw(arrays(float, shape, elements=LOGIT))
     config = SamplerConfig(
         temperature=draw(st.sampled_from([1.0, 0.3, 2.0, 7.5])),
@@ -162,10 +165,11 @@ class TestVectorizedPass:
             truncated_site_law(flat[0], config).view(np.int64), expected[0].view(np.int64)
         )
 
-    @given(logit_grids(), st.integers(0, 2**32 - 1))
+    @given(logit_grids(samples=True), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_ids_and_generator_state_equal_per_site_choice(self, case, seed):
-        # The grid's leading axis is the samples, each with its own generator.
+        # The leading axis is the samples, each with its own generator; each
+        # sample's (h, w) sites are drawn in row-major order.
         grid, config = case
         flat = grid.reshape(-1, grid.shape[-1])
         if not np.all(np.any(flat > -np.inf, axis=-1)):
@@ -173,12 +177,13 @@ class TestVectorizedPass:
         ours = [np.random.default_rng(seed + i) for i in range(grid.shape[0])]
         theirs = [np.random.default_rng(seed + i) for i in range(grid.shape[0])]
         ids = truncate_and_sample(grid, config, ours)
-        expected = [
-            [rng.choice(grid.shape[-1], p=reference_site_law(site, config)) for site in sample]
-            for rng, sample in zip(theirs, grid)
-        ]
         assert ids.shape == grid.shape[:-1]
-        assert ids.tolist() == expected
+        for sample_ids, sample, rng in zip(ids, grid, theirs):
+            expected = [
+                rng.choice(grid.shape[-1], p=reference_site_law(site, config))
+                for site in sample.reshape(-1, grid.shape[-1])
+            ]
+            assert sample_ids.ravel().tolist() == expected
         assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
 
     @pytest.mark.parametrize("site", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0]])
