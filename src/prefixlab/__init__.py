@@ -39,7 +39,6 @@ from .tokenizer import (
     ScaleSchedule,
     TokenMap,
     accumulate_latent,
-    decode,
     dequantize,
     encode_multiscale,
     upsample,

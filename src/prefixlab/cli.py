@@ -191,27 +191,25 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
             stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
             trace_to_csv(result, stem + "_trace.csv")
             if cfg.latent_dim <= 3:
-                write_ppm(result.image, stem + ".ppm")
+                write_ppm(result.latent, stem + ".ppm")
             else:
-                write_image_csv(result.image, stem + ".csv")
+                write_image_csv(result.latent, stem + ".csv")
             tokens = [m.key() for m in result.maps]
             print(f"sample {i}: seed={result.seed} tokens={tokens}")
     return EXIT_OK
 
 
-def _experiment(cfg: RunConfig, metric: str, n_samples: int, book, model):
+def _experiment(cfg: RunConfig, grid: SweepGrid, guidance, book, model):
     reference_images = ()
-    if metric == "toy_frechet":
+    if grid.metric == "toy_frechet":
         reference_images = tuple(
             synthetic_images(
-                cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, max(n_samples, 2)
+                cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, max(grid.n_samples, 2)
             )
         )
     return ExperimentSpec(
-        model=model, book=book, condition=cfg.condition,
-        gamma=cfg.guidance.gamma, metric=metric, sampler=cfg.sampler,
-        reference=cfg.guidance.reference, n_samples=n_samples,
-        reference_images=reference_images,
+        model=model, book=book, condition=cfg.condition, guidance=guidance,
+        sampler=cfg.sampler, reference_images=reference_images,
     )
 
 
@@ -233,9 +231,8 @@ def _emit_sweep(cfg: RunConfig, grid: SweepGrid, spec: ExperimentSpec, stem: str
 def cmd_sweep(cfg: RunConfig) -> int:
     book = cfg.codebook()
     model = _build_model(cfg, book)
-    grid = cfg.sweep.grid()
-    spec = _experiment(cfg, cfg.sweep.metric, cfg.sweep.n_samples, book, model)
-    return _emit_sweep(cfg, grid, spec, "sweep")
+    spec = _experiment(cfg, cfg.sweep, cfg.guidance, book, model)
+    return _emit_sweep(cfg, cfg.sweep, spec, "sweep")
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
@@ -251,9 +248,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
         scale_masks=(cfg.guidance.scale_mask,),
         replicates=ab.replicates,
         seed=ab.seed,
+        metric="toy_frechet",
+        n_samples=ab.n_samples,
     )
-    spec = _experiment(cfg, "toy_frechet", ab.n_samples, book, model)
-    spec = replace(spec, reference="corrupted")
+    guidance = replace(cfg.guidance, reference="corrupted")
+    spec = _experiment(cfg, grid, guidance, book, model)
     return _emit_sweep(cfg, grid, spec, "ablate")
 
 

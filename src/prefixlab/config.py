@@ -166,26 +166,6 @@ class VerifySpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    fractions: tuple[float, ...] = (0.0,)
-    variants: tuple[CorruptionVariant, ...] = (
-        CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
-    )
-    scale_masks: tuple[frozenset[int] | None, ...] = (None,)
-    replicates: int = 1
-    seed: int = 0
-    metric: str = "exact_kl"
-    n_samples: int = 16
-
-    def grid(self) -> SweepGrid:
-        return SweepGrid(
-            self.lambdas, self.fractions, self.variants, self.scale_masks,
-            self.replicates, self.seed,
-        )
-
-
-@dataclass(frozen=True)
 class AblateSpec:
     lambdas: tuple[float, ...] = (0.0, 0.5, 1.0)
     fraction: float = 0.1
@@ -209,7 +189,7 @@ class RunConfig:
     guidance: GuidanceConfig = GuidanceConfig(reference="exact-marginal")
     sampler: SamplerConfig = SamplerConfig()
     verify: VerifySpec = VerifySpec()
-    sweep: SweepSpec = SweepSpec()
+    sweep: SweepGrid = SweepGrid()
     ablate: AblateSpec = AblateSpec()
 
     def __post_init__(self):
@@ -218,6 +198,18 @@ class RunConfig:
                 f"bad value for config key 'condition': {self.condition} is outside "
                 f"0..{self.num_conditions - 1} for num_conditions {self.num_conditions}"
             )
+        # A mask naming no scale of the schedule would silently turn the
+        # prefix contrast off.
+        scales = self.schedule.num_scales
+        for key, masks in (("scale_mask", (self.guidance.scale_mask,)),
+                           ("scale_masks", self.sweep.scale_masks)):
+            for mask in masks:
+                outside = sorted(k for k in mask or () if not 1 <= k <= scales)
+                if outside:
+                    raise ConfigError(
+                        f"bad value for config key '{key}': scale {outside[0]} is "
+                        f"outside 1..{scales} for a schedule of {scales} scales"
+                    )
 
     def codebook(self) -> Codebook:
         return Codebook.seeded(

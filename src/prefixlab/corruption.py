@@ -149,5 +149,5 @@ def apply_corruption(
             scale_table, code_id = plan.code_draws[idx]
             vector = book.table(scale_table)[code_id]
             grid[tgt] = vector @ proj.T + pos[j - 1][tgt]
-    return PrefixEmbedding(embedding.step, tuple(grids), embedding.pooled)
+    return PrefixEmbedding(tuple(grids), embedding.pooled)
 

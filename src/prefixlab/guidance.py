@@ -29,6 +29,8 @@ from .model import (
     Condition,
     CountModel,
     NULL_CONDITION,
+    PrefixEmbedding,
+    SignedEmbedding,
     TabularModel,
     predict_logits,
 )
@@ -125,9 +127,36 @@ class GuidedStep:
 
     k: int
     logits: np.ndarray
-    evaluations: int
     branches: BranchLogits
     plan: CorruptionPlan | None = None
+
+    @property
+    def evaluations(self) -> int:
+        """Branches evaluated; an injected exact marginal counts as one."""
+        b = self.branches
+        return sum(x is not None for x in (b.cond_gen, b.null_gen, b.cond_corr, b.null_corr))
+
+
+def corrupted_embedding(
+    model: CountModel,
+    embedding: PrefixEmbedding,
+    config: GuidanceConfig,
+    book: Codebook,
+    plan_seed: int = 0,
+    plan: CorruptionPlan | None = None,
+) -> tuple[CorruptionPlan, SignedEmbedding]:
+    """The corruption plan and signed corrupted embedding for the step after
+    ``embedding``: ``plan`` if given, else one drawn from ``plan_seed`` with
+    ``config``'s fraction and variant."""
+    schedule = model.schedule
+    if plan is None:
+        plan = plan_corruption(
+            schedule, embedding.step, config.fraction, config.variant, plan_seed, book=book
+        )
+    corrupted = apply_corruption(
+        embedding, plan, book, schedule, model.embedding_tables(book.latent_dim)
+    )
+    return plan, model.sign(corrupted)
 
 
 def guided_step(
@@ -148,7 +177,6 @@ def guided_step(
     """
     maps = list(prefix)
     k = len(maps) + 1
-    schedule = model.schedule
 
     needs_cfg = config.gamma > 0
     needs_vpg = config.lam > 0 and k >= 2 and config.masked_in(k)
@@ -165,15 +193,11 @@ def guided_step(
         embedding = model.embed(maps, book)
         signed = model.sign(embedding)
 
-    evaluations = 0
+    def branch(cond, branch_embedding):
+        return predict_logits(model, cond, maps, book=book, embedding=branch_embedding).values
 
-    def gen_branch(cond):
-        nonlocal evaluations
-        evaluations += 1
-        return predict_logits(model, cond, maps, book=book, embedding=signed).values
-
-    cond_gen = gen_branch(condition)
-    null_gen = gen_branch(NULL_CONDITION) if needs_cfg else None
+    cond_gen = branch(condition, signed)
+    null_gen = branch(NULL_CONDITION, signed) if needs_cfg else None
 
     cond_corr = null_corr = None
     used_plan = None
@@ -183,36 +207,22 @@ def guided_step(
                 raise GuidanceConfigError(
                     "exact-marginal reference requires an enumerable tabular model"
                 )
-            evaluations += 1
             cond_corr = np.log(prefix_marginal_sites(model, condition, k))
             if needs_cfg:
-                evaluations += 1
                 null_corr = np.log(prefix_marginal_sites(model, NULL_CONDITION, k))
         else:
             if not isinstance(model, CountModel):
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
-            used_plan = plan if plan is not None else plan_corruption(
-                schedule, k, config.fraction, config.variant, plan_seed, book=book
+            used_plan, corrupted = corrupted_embedding(
+                model, embedding, config, book, plan_seed, plan
             )
-            corrupted = model.sign(apply_corruption(
-                embedding, used_plan, book, schedule,
-                model.embedding_tables(book.latent_dim),
-            ))
-
-            def corr_branch(cond):
-                nonlocal evaluations
-                evaluations += 1
-                return predict_logits(
-                    model, cond, maps, book=book, embedding=corrupted
-                ).values
-
-            cond_corr = corr_branch(condition)
+            cond_corr = branch(condition, corrupted)
             if needs_cfg:
-                null_corr = corr_branch(NULL_CONDITION)
+                null_corr = branch(NULL_CONDITION, corrupted)
 
     branches = BranchLogits(cond_gen, null_gen, cond_corr, null_corr)
     lam = config.lam if needs_vpg else 0.0
     logits = compose_cfg_vpg(branches, config.gamma, lam)
-    return GuidedStep(k, logits, evaluations, branches, used_plan)
+    return GuidedStep(k, logits, branches, used_plan)

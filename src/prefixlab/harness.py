@@ -1,10 +1,10 @@
 """Experiments and metrics.
 
 Desk-scale quality metrics: exact sequence KL where the rollout law is
-enumerable, and a Fréchet distance between Gaussian fits of decoded-image
-pixels otherwise. Sweeps emit a fixed-schema CSV and one self-contained SVG
-line plot per metric; every cell's seed is derived from (base seed, cell
-index, replicate) so rows are reproducible bit-for-bit.
+enumerable, and a Fréchet distance between Gaussian fits of rollout latents
+and reference images otherwise. Sweeps emit a fixed-schema CSV and one
+self-contained SVG line plot per metric; every cell's seed is derived from
+(base seed, cell index, replicate) so rows are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, SupportViolationError
+from .errors import GuidanceConfigError, InvalidInputError, SupportViolationError
 from .corruption import CorruptionVariant
-from .guidance import GuidanceConfig, guided_step
+from .guidance import GuidanceConfig, corrupted_embedding
 from .model import Condition, CountModel, TokenMap, predict_logits
 from .oracle import Distribution, kl_divergence, prefix_marginal_sites
 from .sampler import SamplerConfig, rollout_distribution, rollouts
-from .tokenizer import AffineDecoder, Codebook
+from .tokenizer import Codebook
 
 
 def exact_kl(rollout_law: Distribution, data_law: Distribution) -> float:
@@ -50,7 +50,8 @@ def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
 
 
 def toy_frechet(images_a, images_b) -> float:
-    """Fréchet distance between Gaussian fits of flattened pixel vectors."""
+    """Fréchet distance between Gaussian fits of flattened images; the
+    sweeps pass rollout latents and synthetic latent images."""
     a = np.stack([np.asarray(img, dtype=float).ravel() for img in images_a])
     b = np.stack([np.asarray(img, dtype=float).ravel() for img in images_b])
     if a.shape[0] < 2 or b.shape[0] < 2:
@@ -92,12 +93,18 @@ def surrogate_gap(
     Per (variant, fraction): Monte Carlo mean over corruption plans of
     KL(corrupted-branch law || exact per-site marginal), summed over sites,
     next to the clean-branch KL as the zero-corruption baseline. The
-    corrupted branch is ``guided_step``'s; an empty prefix has none, so
-    there it is the clean branch.
+    prefix is embedded and the clean branch evaluated once; each plan's
+    corrupted branch is built as ``guided_step`` builds it. An empty prefix
+    has no corrupted branch, so there it is the clean branch.
     """
     k = len(prefix) + 1
+    if k > 1 and not isinstance(model, CountModel):
+        raise GuidanceConfigError(
+            "corrupted-prefix reference requires an embedding-consuming model"
+        )
     marginal = prefix_marginal_sites(model, condition, k, book=book).reshape(-1)
-    clean = predict_logits(model, condition, prefix, book=book).values
+    embedding = model.embed(prefix, book) if k > 1 else None
+    clean = predict_logits(model, condition, prefix, book=book, embedding=embedding).values
     clean_kl = kl_divergence(np.exp(clean).reshape(-1), marginal)
     rows = []
     for variant in variants:
@@ -105,11 +112,14 @@ def surrogate_gap(
             gconfig = GuidanceConfig(lam=1.0, fraction=fraction, variant=variant)
             kls = []
             for s in range(plan_samples):
-                branches = guided_step(
-                    model, condition, prefix, gconfig, book=book,
-                    plan_seed=base_seed + 7919 * s,
-                ).branches
-                corr = clean if branches.cond_corr is None else branches.cond_corr
+                corr = clean
+                if embedding is not None:
+                    _, corrupted = corrupted_embedding(
+                        model, embedding, gconfig, book, base_seed + 7919 * s
+                    )
+                    corr = predict_logits(
+                        model, condition, prefix, book=book, embedding=corrupted
+                    ).values
                 kls.append(kl_divergence(np.exp(corr).reshape(-1), marginal))
             rows.append(SurrogateRow(variant, fraction, float(np.mean(kls)), clean_kl))
     return rows
@@ -167,7 +177,16 @@ SWEEP_CSV_HEADER = [
 
 @dataclass(frozen=True)
 class SweepGrid:
-    lambdas: tuple[float, ...]
+    """The cells a sweep runs and the metric it reports, as the config's
+    ``sweep`` section. ``grid_hash`` covers the six grid axes and seeds only.
+
+    metric "exact_kl": exact KL between the guided rollout law and the
+    model's own unguided, untruncated joint (tabular models with the
+    exact-marginal reference). metric "toy_frechet": Fréchet distance
+    between ``n_samples`` guided rollout latents and the reference images.
+    """
+
+    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
     fractions: tuple[float, ...] = (0.0,)
     variants: tuple[CorruptionVariant, ...] = (
         CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
@@ -175,6 +194,8 @@ class SweepGrid:
     scale_masks: tuple[frozenset[int] | None, ...] = (None,)
     replicates: int = 1
     seed: int = 0
+    metric: str = "exact_kl"
+    n_samples: int = 16
 
     def __post_init__(self):
         if not (self.lambdas and self.fractions and self.variants and self.scale_masks):
@@ -210,24 +231,16 @@ def cell_seed(base_seed: int, cell_index: int, replicate: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """What each sweep cell runs.
-
-    metric "exact_kl": exact KL between the guided rollout law and the
-    model's own unguided, untruncated joint (tabular models with the
-    exact-marginal reference). metric "toy_frechet": Fréchet distance
-    between decoded guided rollouts and reference images.
-    """
+    """What each sweep cell runs: the grid sets ``guidance``'s lambda,
+    fraction, variant and scale mask per cell; its gamma and reference hold
+    for every cell. ``reference_images`` are the toy_frechet comparison set."""
 
     model: object
     book: Codebook
     condition: Condition
-    gamma: float = 0.0
-    metric: str = "exact_kl"
+    guidance: GuidanceConfig = GuidanceConfig(reference="exact-marginal")
     sampler: SamplerConfig = SamplerConfig()
-    reference: str = "exact-marginal"
-    n_samples: int = 16
     reference_images: tuple = ()
-    decoder: AffineDecoder | None = None
 
 
 @dataclass(frozen=True)
@@ -245,8 +258,10 @@ class MetricRow:
     error: str = ""
 
 
-def _cell_metric(spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int) -> float:
-    if spec.metric == "exact_kl":
+def _cell_metric(
+    grid: SweepGrid, spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int
+) -> float:
+    if grid.metric == "exact_kl":
         guided = rollout_distribution(
             spec.model, spec.condition, gconfig, spec.sampler, spec.book
         )
@@ -254,13 +269,13 @@ def _cell_metric(spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int) -> fl
             spec.model, spec.condition, GuidanceConfig(), SamplerConfig(), spec.book
         )
         return exact_kl(guided, baseline)
-    if spec.metric == "toy_frechet":
+    if grid.metric == "toy_frechet":
         results = rollouts(
             spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
-            spec.book, spec.n_samples, decoder=spec.decoder,
+            spec.book, grid.n_samples,
         )
-        return toy_frechet([r.image for r in results], spec.reference_images)
-    raise InvalidInputError(f"unknown sweep metric {spec.metric!r}")
+        return toy_frechet([r.latent for r in results], spec.reference_images)
+    raise InvalidInputError(f"unknown sweep metric {grid.metric!r}")
 
 
 def run_sweep(grid: SweepGrid, spec: ExperimentSpec) -> list[MetricRow]:
@@ -269,21 +284,21 @@ def run_sweep(grid: SweepGrid, spec: ExperimentSpec) -> list[MetricRow]:
     for idx, lam, fraction, variant, mask in grid.cells():
         for rep in range(grid.replicates):
             seed = cell_seed(grid.seed, idx, rep)
-            gconfig = GuidanceConfig(
-                gamma=spec.gamma, lam=lam, fraction=fraction, variant=variant,
-                scale_mask=mask, reference=spec.reference,
+            gconfig = replace(
+                spec.guidance, lam=lam, fraction=fraction, variant=variant,
+                scale_mask=mask,
             )
             start = time.perf_counter()
             try:
-                value = _cell_metric(spec, gconfig, seed)
+                value = _cell_metric(grid, spec, gconfig, seed)
                 error = ""
             except Exception as exc:  # recorded, sweep continues
                 value = None
                 error = f"{type(exc).__name__}: {exc}"
             runtime_ms = (time.perf_counter() - start) * 1000.0
             rows.append(
-                MetricRow(lam, fraction, variant, mask, spec.gamma, spec.metric,
-                          value, rep, seed, runtime_ms, error)
+                MetricRow(lam, fraction, variant, mask, spec.guidance.gamma,
+                          grid.metric, value, rep, seed, runtime_ms, error)
             )
     return rows
 

@@ -96,13 +96,16 @@ class PrefixEmbedding:
     from, so corruption variants can rebuild individual components.
     """
 
-    step: int
     grids: tuple[np.ndarray, ...]
     pooled: tuple[np.ndarray, ...]
 
     @property
     def num_prefix_scales(self) -> int:
         return len(self.grids)
+
+    @property
+    def step(self) -> int:
+        return len(self.grids) + 1
 
     @property
     def embed_dim(self) -> int:
@@ -156,7 +159,7 @@ def embed_prefix(
         pooled = pool(latent, schedule.grid(j))
         grids.append(pooled @ proj.T + pos[j - 1])
         pooled_feats.append(pooled)
-    return PrefixEmbedding(len(grids) + 1, tuple(grids), tuple(pooled_feats))
+    return PrefixEmbedding(tuple(grids), tuple(pooled_feats))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .corruption import CorruptionPlan
 from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import Condition, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
-from .tokenizer import AffineDecoder, Codebook, decode, decode_maps
+from .tokenizer import Codebook, decode_maps
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,13 @@ def truncate_and_sample(
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step: GuidedStep
-    token_map: TokenMap
-
-
-@dataclass(frozen=True)
 class RolloutResult:
+    """One generation: ``trace[k-1]`` is the guided step that ``maps[k-1]``
+    was sampled from, and ``latent`` is the maps decoded to the finest grid."""
+
     maps: tuple[TokenMap, ...]
     latent: np.ndarray
-    image: np.ndarray
-    trace: tuple[StepRecord, ...]
+    trace: tuple[GuidedStep, ...]
     condition: Condition
     seed: int
 
@@ -138,8 +135,6 @@ def rollouts(
     sconfig: SamplerConfig,
     book: Codebook,
     count: int,
-    *,
-    decoder: AffineDecoder | None = None,
 ) -> list[RolloutResult]:
     """``count`` guided generations over ``model.schedule``, advanced together.
 
@@ -154,7 +149,7 @@ def rollouts(
     seeds = [sconfig.seed + i for i in range(count)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     maps: list[list[TokenMap]] = [[] for _ in seeds]
-    traces: list[list[StepRecord]] = [[] for _ in seeds]
+    traces: list[list[GuidedStep]] = [[] for _ in seeds]
     for k in range(1, model.schedule.num_scales + 1):
         steps = [
             guided_step(
@@ -165,17 +160,15 @@ def rollouts(
         ]
         ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs)
         for i, step in enumerate(steps):
-            tmap = TokenMap(k, ids[i])
-            maps[i].append(tmap)
-            traces[i].append(StepRecord(step, tmap))
-    results = []
-    for seed, sample_maps, trace in zip(seeds, maps, traces):
-        latent = decode_maps(sample_maps, model.schedule, book)
-        results.append(RolloutResult(
-            tuple(sample_maps), latent, decode(latent, decoder), tuple(trace),
-            condition, seed,
-        ))
-    return results
+            maps[i].append(TokenMap(k, ids[i]))
+            traces[i].append(step)
+    return [
+        RolloutResult(
+            tuple(sample_maps), decode_maps(sample_maps, model.schedule, book),
+            tuple(trace), condition, seed,
+        )
+        for seed, sample_maps, trace in zip(seeds, maps, traces)
+    ]
 
 
 def replay_trace(
@@ -190,14 +183,14 @@ def replay_trace(
     ones for a faithful trace.
     """
     logits = []
-    for idx, record in enumerate(result.trace):
+    for idx, recorded in enumerate(result.trace):
         step = guided_step(
             model,
             result.condition,
             list(result.maps[:idx]),
             gconfig,
             book=book,
-            plan=record.step.plan,
+            plan=recorded.plan,
         )
         logits.append(step.logits)
     return logits
@@ -210,14 +203,13 @@ def trace_to_csv(result: RolloutResult, path) -> None:
     layout: CRLF line ends, ``str`` of ints and ``repr`` of floats (which
     never need quoting).
     """
-    vocab = result.trace[0].step.logits.shape[-1]
+    vocab = result.trace[0].logits.shape[-1]
     lines = [",".join(["step", "site", "sampled_id"] + [f"logit_{v}" for v in range(vocab)])]
-    for record in result.trace:
-        k = record.step.k
-        ids = record.token_map.ids.ravel().tolist()
-        logits = record.step.logits.reshape(-1, vocab).tolist()
+    for step, tmap in zip(result.trace, result.maps):
+        ids = tmap.ids.ravel().tolist()
+        logits = step.logits.reshape(-1, vocab).tolist()
         lines.extend(
-            f"{k},{u},{sampled}," + ",".join(map(repr, row))
+            f"{step.k},{u},{sampled}," + ",".join(map(repr, row))
             for u, (sampled, row) in enumerate(zip(ids, logits))
         )
     lines.append("")
@@ -246,7 +238,7 @@ def rollout_distribution(
     sconfig: SamplerConfig,
     book: Codebook,
     *,
-    fixed_plans: dict[int, "CorruptionPlan"] | None = None,
+    fixed_plans: dict[int, CorruptionPlan] | None = None,
 ) -> Distribution:
     """Exact law over the model's full token-map sequences under the sampler.
 

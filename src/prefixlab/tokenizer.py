@@ -190,29 +190,6 @@ def decode_maps(maps: list[TokenMap], schedule: ScaleSchedule, book: Codebook) -
     return latent
 
 
-@dataclass(frozen=True)
-class AffineDecoder:
-    """Sitewise map f -> A f + b; seeded stand-in for a learned decoder."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    @classmethod
-    def seeded(cls, latent_dim: int, seed: int) -> "AffineDecoder":
-        rng = np.random.default_rng(seed)
-        return cls(rng.normal(size=(latent_dim, latent_dim)), rng.normal(size=latent_dim))
-
-    def __call__(self, latent: np.ndarray) -> np.ndarray:
-        return latent @ self.matrix.T + self.offset
-
-
-def decode(latent: np.ndarray, decoder: AffineDecoder | None = None) -> np.ndarray:
-    """Apply the fixed decoder (identity when none is given)."""
-    if decoder is None:
-        return latent.copy()
-    return decoder(latent)
-
-
 def synthetic_images(
     schedule: ScaleSchedule, latent_dim: int, seed: int, count: int, bumps: int = 3
 ) -> list[np.ndarray]:

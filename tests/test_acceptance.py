@@ -279,14 +279,14 @@ def test_criterion_7_sampler_laws(small_count, small_book):
         b = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, 1)[0]
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         for ra, rb in zip(a.trace, b.trace):
-            assert np.array_equal(ra.step.logits, rb.step.logits)
+            assert np.array_equal(ra.logits, rb.logits)
 
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
         result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
-        for record, logits in zip(
+        for step, logits in zip(
             result.trace, replay_trace(small_count, result, gconfig, small_book)
         ):
-            assert np.array_equal(record.step.logits, logits)
+            assert np.array_equal(step.logits, logits)
 
 
 def test_criterion_8_toy_frechet():

@@ -326,7 +326,8 @@ class TestFlags:
          ("--top-k", "-3", "top_k"), ("--n-p", "1.5", "n_p"),
          ("--variant", "bogus", "variant"), ("--gamma", "nan", "gamma"),
          ("--gamma", "inf", "gamma"), ("--lambda", "nan", "lambda"),
-         ("--lambda", "inf", "lambda"), ("--n-p", "nan", "n_p")],
+         ("--lambda", "inf", "lambda"), ("--n-p", "nan", "n_p"),
+         ("--scale-mask", "7", "scale_mask")],
     )
     def test_bad_flag_value_exits_two_naming_key(self, tmp_path, capsys, flag, text, key):
         code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),

@@ -64,6 +64,7 @@ class TestParseConfig:
     def test_guidance_key_mapping(self):
         cfg = parse_config(
             {
+                "schedule": [[1, 1], [1, 1], [1, 1]],
                 "guidance": {
                     "lambda": 1.5,
                     "n_p": 0.25,
@@ -129,6 +130,9 @@ class TestParseConfig:
             (parse_config, {"verify": {"gammas": [0.0, math.inf]}}, "gammas"),
             (parse_config, {"sweep": {"lambdas": [math.nan]}}, "lambdas"),
             (parse_config, {"ablate": {"lambdas": [-1.0]}}, "lambdas"),
+            (parse_config, {"guidance": {"scale_mask": [7]}}, "scale_mask"),
+            (parse_config, {"guidance": {"scale_mask": [1, 3]}}, "scale_mask"),
+            (parse_config, {"sweep": {"scale_masks": [None, [9]]}}, "scale_masks"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):

@@ -161,6 +161,45 @@ class TestSurrogateGap:
         else:
             assert rows[-1].mean_kl != rows[-1].clean_kl
 
+    @pytest.mark.parametrize("prefix_scales, evaluations", [(0, 1), (2, 1 + 5 * 2 * 8)])
+    def test_clean_branch_evaluated_once(self, monkeypatch, prefix_scales, evaluations):
+        # One clean branch per call, then one corrupted branch per plan; an
+        # empty prefix has no corrupted branch.
+        import prefixlab.guidance
+        import prefixlab.harness
+        from prefixlab.model import fit_count_model, predict_logits
+        from prefixlab.tokenizer import Codebook, ScaleSchedule
+        from tests.conftest import make_corpus
+
+        schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
+        book = Codebook.seeded(3, 3, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
+        model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return predict_logits(*args, **kwargs)
+
+        for module in (prefixlab.guidance, prefixlab.harness):
+            monkeypatch.setattr(module, "predict_logits", counted)
+        rows = surrogate_gap(
+            model, book, 1, corpus[1][1][:prefix_scales], variants=list(CorruptionVariant),
+            fractions=(0.5, 1.0), plan_samples=8,
+        )
+        assert len(rows) == 10
+        assert len(calls) == evaluations
+
+    def test_tabular_model_has_no_corrupted_branch(self, m1, m1_book):
+        from prefixlab.errors import GuidanceConfigError
+        from prefixlab.model import TokenMap
+
+        variants = (CorruptionVariant.UNIFORM_PREFIX,)
+        (row,) = surrogate_gap(m1, m1_book, 0, [], variants, fractions=(0.5,))
+        assert row.mean_kl == row.clean_kl
+        with pytest.raises(GuidanceConfigError, match="embedding-consuming"):
+            surrogate_gap(m1, m1_book, 0, [TokenMap(1, np.asarray([[0]]))], variants, (0.5,))
+
 
 class TestExposureGap:
     def test_zero_when_corpus_is_model_rollouts(self, small_count, small_book):
@@ -243,8 +282,8 @@ class TestRunSweep:
         assert values == sorted(values)
 
     def test_errors_recorded_not_raised(self, m1, m1_book):
-        spec = self.make_spec(m1, m1_book, metric="bogus")
-        rows = run_sweep(SweepGrid(lambdas=(0.0,)), spec)
+        spec = self.make_spec(m1, m1_book)
+        rows = run_sweep(SweepGrid(lambdas=(0.0,), metric="bogus"), spec)
         assert rows[0].value is None
         assert "InvalidInputError" in rows[0].error
 

@@ -1,4 +1,4 @@
-"""Multi-scale residual tokenizer: schedules, codebooks, encode/decode."""
+"""Multi-scale residual tokenizer: schedules, codebooks, encode/decode_maps."""
 
 import csv
 
@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError, InvalidScheduleError, InvalidTokenError
 from prefixlab.tokenizer import (
-    AffineDecoder,
     Codebook,
     ScaleSchedule,
     TokenMap,
     accumulate_latent,
-    decode,
     decode_maps,
     dequantize,
     encode_multiscale,
@@ -214,27 +212,6 @@ class TestEncodeDecode:
         maps = encode_multiscale(image, sched, book)
         err = image - decode_maps(maps, sched, book)
         np.testing.assert_allclose(err, residual, atol=1e-12)
-
-
-class TestDecoder:
-    def test_identity_decoder_on_zero_latent(self):
-        assert np.array_equal(decode(np.zeros((2, 2, 3))), np.zeros((2, 2, 3)))
-
-    def test_decode_copies_input(self):
-        latent = np.ones((1, 1, 1))
-        out = decode(latent)
-        out[0, 0, 0] = 5.0
-        assert latent[0, 0, 0] == 1.0
-
-    def test_affine_decoder_matches_seeded_params(self):
-        dec = AffineDecoder.seeded(2, seed=13)
-        rng = np.random.default_rng(13)
-        matrix = rng.normal(size=(2, 2))
-        offset = rng.normal(size=2)
-        latent = np.arange(8.0).reshape(2, 2, 2)
-        np.testing.assert_allclose(
-            decode(latent, dec), latent @ matrix.T + offset
-        )
 
 
 class TestSyntheticImages:

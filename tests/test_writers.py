@@ -13,18 +13,18 @@ from prefixlab.tokenizer import write_image_csv, write_ppm
 
 
 def reference_trace_csv(result, path):
-    vocab = result.trace[0].step.logits.shape[-1]
+    vocab = result.trace[0].logits.shape[-1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["step", "site", "sampled_id"] + [f"logit_{v}" for v in range(vocab)]
         )
-        for record in result.trace:
-            flat_ids = record.token_map.ids.ravel()
-            flat_logits = record.step.logits.reshape(-1, vocab)
+        for step, tmap in zip(result.trace, result.maps):
+            flat_ids = tmap.ids.ravel()
+            flat_logits = step.logits.reshape(-1, vocab)
             for u in range(flat_ids.shape[0]):
                 writer.writerow(
-                    [record.step.k, u, int(flat_ids[u])]
+                    [step.k, u, int(flat_ids[u])]
                     + [repr(float(x)) for x in flat_logits[u]]
                 )
 
@@ -69,9 +69,9 @@ def test_trace_csv(tmp_path, small_tabular, small_book):
     )[0]
     assert_same_bytes(tmp_path, trace_to_csv, reference_trace_csv, result)
     # The same sample with its logits swapped for awkward values.
-    record = result.trace[1]
-    logits = np.resize(np.asarray(AWKWARD), record.step.logits.shape)
-    object.__setattr__(record.step, "logits", logits)
+    step = result.trace[1]
+    logits = np.resize(np.asarray(AWKWARD), step.logits.shape)
+    object.__setattr__(step, "logits", logits)
     assert_same_bytes(tmp_path, trace_to_csv, reference_trace_csv, result)
     assert f",{AWKWARD[1]!r}," in (tmp_path / "ours").read_text()
 
