@@ -21,6 +21,8 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from .config import (
     ConfigError,
     RunConfig,
@@ -124,10 +126,10 @@ def _build_model(cfg: RunConfig, book):
 
 
 def _synthetic_corpus(cfg: RunConfig, book, count: int, seed: int):
-    images = synthetic_images(cfg.schedule, cfg.latent_dim, seed, count)
+    images = np.stack(synthetic_images(cfg.schedule, cfg.latent_dim, seed, count))
     return [
-        (i % cfg.num_conditions, encode_multiscale(img, cfg.schedule, book))
-        for i, img in enumerate(images)
+        (i % cfg.num_conditions, maps)
+        for i, maps in enumerate(encode_multiscale(images, cfg.schedule, book))
     ]
 
 
@@ -204,7 +206,7 @@ def _experiment(cfg: RunConfig, grid: SweepGrid, guidance, book, model):
     if grid.metric == "toy_frechet":
         reference_images = tuple(
             synthetic_images(
-                cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, max(grid.n_samples, 2)
+                cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, grid.n_samples
             )
         )
     return ExperimentSpec(

@@ -210,6 +210,17 @@ class RunConfig:
                         f"bad value for config key '{key}': scale {outside[0]} is "
                         f"outside 1..{scales} for a schedule of {scales} scales"
                     )
+        # toy_frechet fits a covariance, which needs two rollouts; ablate
+        # always scores with it, a sweep only when its metric is toy_frechet.
+        frechet_samples = [self.ablate.n_samples]
+        if self.sweep.metric == "toy_frechet":
+            frechet_samples.append(self.sweep.n_samples)
+        for n_samples in frechet_samples:
+            if n_samples < 2:
+                raise ConfigError(
+                    f"bad value for config key 'n_samples': {n_samples} is not at "
+                    f"least 2 for the toy_frechet metric"
+                )
 
     def codebook(self) -> Codebook:
         return Codebook.seeded(

@@ -168,12 +168,15 @@ def guided_step(
     book: Codebook | None = None,
     plan_seed: int = 0,
     plan: CorruptionPlan | None = None,
+    signed: SignedEmbedding | None = None,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
 
     ``prefix`` is the generated token history (list of TokenMap). A fixed
     ``plan`` overrides plan sampling, which keeps replay and exact rollout
-    laws deterministic.
+    laws deterministic. A count model's clean branches read ``signed``, the
+    prefix's signed embedding, when the caller carries it; otherwise the
+    prefix is embedded and signed here.
     """
     maps = list(prefix)
     k = len(maps) + 1
@@ -186,12 +189,20 @@ def guided_step(
             "gamma > 0 but the count model was fitted without null-condition rows"
         )
 
-    embedding = signed = None
+    embedding = None
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
-        embedding = model.embed(maps, book)
-        signed = model.sign(embedding)
+        if signed is None:
+            signed = model.sign(model.embed(maps, book))
+        elif signed.embedding.step != k:
+            raise InvalidInputError(
+                f"signed embedding is for step {signed.embedding.step}, "
+                f"the prefix is for step {k}"
+            )
+        embedding = signed.embedding
+    elif signed is not None:
+        raise InvalidInputError("only a count model reads a signed embedding")
 
     def branch(cond, branch_embedding):
         return predict_logits(model, cond, maps, book=book, embedding=branch_embedding).values

@@ -16,7 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, MissingRowError, TooLargeError
-from .tokenizer import Codebook, ScaleSchedule, TokenMap, accumulate_latent, pool
+from .tokenizer import (
+    Codebook,
+    ScaleSchedule,
+    TokenMap,
+    accumulate_ids,
+    accumulate_latent,
+    pool,
+)
 
 # The null condition is the reserved value contrasted against class ids.
 Condition = Optional[int]
@@ -113,6 +120,12 @@ class PrefixEmbedding:
             return 0
         return self.grids[0].shape[-1]
 
+    def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
+        """This embedding with one more scale: the embedding for the next step."""
+        return PrefixEmbedding(self.grids + (grid,), self.pooled + (pooled,))
+
+
+EMPTY_EMBEDDING = PrefixEmbedding((), ())
 
 EmbeddingParams = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
@@ -138,28 +151,38 @@ def embedding_params(
     return _read_only(proj), pos
 
 
+def embed_scale(
+    latent: np.ndarray, j: int, schedule: ScaleSchedule, params: EmbeddingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale j's embedding grid e_{j,u} = proj(F_j[u]) + pos(j,u) and its pooled
+    features F_j, from the cumulative latent after scale j.
+
+    ``latent`` is (fh, fw, d), or (n, fh, fw, d) for a stack of n prefixes,
+    which gives grids with the same leading axis.
+    """
+    proj, pos = params
+    pooled = pool(latent, schedule.grid(j))
+    return pooled @ proj.T + pos[j - 1], pooled
+
+
 def embed_prefix(
     prefix: Sequence[TokenMap],
     book: Codebook,
     schedule: ScaleSchedule,
     params: EmbeddingParams,
 ) -> PrefixEmbedding:
-    """e_{j,u} = proj(F_j[u]) + pos(j,u), with F_j the pooled cumulative latent.
+    """The prefix's maps folded in one scale at a time by :func:`embed_scale`.
 
     ``params`` are the ``embedding_params`` of ``schedule`` and the codebook's
     latent size, as a fitted count model carries them.
     """
-    proj, pos = params
     fh, fw = schedule.final_dims
     latent = np.zeros((fh, fw, book.latent_dim))
-    grids = []
-    pooled_feats = []
+    embedding = EMPTY_EMBEDDING
     for j, tmap in enumerate(prefix, start=1):
         latent = accumulate_latent(latent, tmap, book)
-        pooled = pool(latent, schedule.grid(j))
-        grids.append(pooled @ proj.T + pos[j - 1])
-        pooled_feats.append(pooled)
-    return PrefixEmbedding(tuple(grids), tuple(pooled_feats))
+        embedding = embedding.extended(*embed_scale(latent, j, schedule, params))
+    return embedding
 
 
 @dataclass(frozen=True)
@@ -242,19 +265,28 @@ class SignatureSpec:
         return _read_only(np.sort(t, axis=-1))
 
 
+def scale_bins(grid: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Per-dimension bin of the mean embedding vector of one scale's grid.
+
+    ``grid`` is (h, w, m), or (n, h, w, m) for a stack, and ``thresholds``
+    is that scale's (m, bins - 1) slice of the signature thresholds. A
+    dimension's bin counts the thresholds strictly below its mean, which is
+    searchsorted's left insertion point in the sorted thresholds.
+    """
+    means = grid.reshape(grid.shape[:-3] + (-1, grid.shape[-1])).mean(axis=-2)
+    return (thresholds < means[..., None]).sum(axis=-1)
+
+
 def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
     """Per-scale bin tuple of the mean embedding vector; () for empty prefixes.
 
     ``thresholds`` is ``SignatureSpec.thresholds(num_scales, m)``, as a
     fitted count model carries it.
     """
-    if embedding.num_prefix_scales == 0:
-        return ()
-    means = np.stack([g.reshape(-1, g.shape[-1]).mean(axis=0) for g in embedding.grids])
-    # A dimension's bin counts the thresholds strictly below its mean, which
-    # is searchsorted's left insertion point in the sorted thresholds.
-    bins = (thresholds[: len(means)] < means[:, :, None]).sum(axis=-1)
-    return tuple(tuple(row) for row in bins.tolist())
+    return tuple(
+        tuple(scale_bins(grid, thresholds[j]).tolist())
+        for j, grid in enumerate(embedding.grids)
+    )
 
 
 @dataclass(frozen=True)
@@ -283,9 +315,14 @@ class CountModel:
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool = True
     # Seeded read-only tables, built once per model: the signature thresholds
-    # and, per codebook latent size, the embedding_params.
+    # and, per codebook latent size, the embedding_params. ``_logits`` holds
+    # one read-only LogitGrid per (condition, k, signature) that
+    # ``predict_logits`` was asked for: rollouts ask for few distinct keys
+    # many times over (97% of the bench ablate's count-model calls repeat
+    # one), so it grows with the distinct prefix signatures, not the calls.
     thresholds: np.ndarray = field(init=False, repr=False, compare=False)
     _embedding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -315,6 +352,28 @@ class CountModel:
     def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
         """``embedding`` together with its signature under this model."""
         return SignedEmbedding(embedding, self.signature(embedding))
+
+    def extend(
+        self, signed: Sequence[SignedEmbedding], latent: np.ndarray, book: Codebook
+    ) -> list[SignedEmbedding]:
+        """Each signed embedding of a batch extended by one scale.
+
+        ``signed`` are embeddings for one step k, and ``latent`` stacks the
+        prefixes' cumulative latents after scale k, shape (n, fh, fw, d).
+        The new scale is embedded for the whole batch at once, and only it
+        is binned: the signature of the rest is carried over.
+        """
+        k = signed[0].embedding.step
+        if any(s.embedding.step != k for s in signed) or len(signed) != len(latent):
+            raise InvalidInputError("a batch extends one latent per embedding, all for one step")
+        grid, pooled = embed_scale(
+            latent, k, self.schedule, self.embedding_tables(book.latent_dim)
+        )
+        bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
+        return [
+            SignedEmbedding(s.embedding.extended(grid[i], pooled[i]), s.signature + (tuple(b),))
+            for i, (s, b) in enumerate(zip(signed, bins))
+        ]
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION and not self.include_null:
@@ -367,21 +426,27 @@ def fit_count_model(
         check_corpus_sequence(
             condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
         )
-        for k in range(1, schedule.num_scales + 1):
-            sig = model.signature(model.embed(maps[: k - 1], book))
-            ids = maps[k - 1].ids
-            targets = [(k, condition, sig)]
+    # Every sequence advances one scale at a time: its step-k signature
+    # counts its scale-k ids, then its embedding is extended by that scale.
+    latent = np.zeros((len(corpus),) + schedule.final_dims + (book.latent_dim,))
+    signed = [model.sign(EMPTY_EMBEDDING)] * len(corpus)
+    for k in range(1, schedule.num_scales + 1):
+        ids = np.stack([maps[k - 1].ids for _, maps in corpus])
+        # Site u's id v is bin u * vocab + v of a sequence's histogram.
+        flat = ids.reshape(len(corpus), -1) + np.arange(schedule.sites(k)) * vocab
+        members: dict = {}
+        for i, ((condition, _), s) in enumerate(zip(corpus, signed)):
+            members.setdefault((condition, s.signature), []).append(i)
+        for (condition, sig), rows in members.items():
+            hist = np.bincount(flat[rows].ravel(), minlength=flat.shape[1] * vocab)
+            table = hist.reshape(schedule.grid(k) + (vocab,)).astype(float)
+            counts[(k, condition, sig)] = table
             if include_null:
-                targets.append((k, NULL_CONDITION, sig))
-            for key in targets:
-                table = counts.setdefault(
-                    key, np.zeros(schedule.grid(k) + (vocab,))
-                )
-                np.add.at(
-                    table.reshape(-1, vocab),
-                    (np.arange(ids.size), ids.ravel()),
-                    1.0,
-                )
+                null = counts.setdefault((k, NULL_CONDITION, sig), np.zeros_like(table))
+                null += table
+        if k < schedule.num_scales:
+            latent = accumulate_ids(latent, k, ids, book)
+            signed = model.extend(signed, latent, book)
     return model
 
 
@@ -399,7 +464,8 @@ def predict_logits(
     count models consume a PrefixEmbedding, built from the token prefix when
     one is not supplied directly. A caller that evaluates several branches on
     one embedding may pass ``model.sign(embedding)`` so that its signature is
-    computed once.
+    computed once. A count model's grid is kept per (condition, k, signature)
+    and returned again on a repeat call; its values are read-only.
     """
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
@@ -415,8 +481,10 @@ def predict_logits(
             embedding = model.embed(maps, book)
         if not isinstance(embedding, SignedEmbedding):
             embedding = model.sign(embedding)
-        k = embedding.embedding.step
-        return LogitGrid(
-            k, np.log(model.site_probs(condition, k, embedding.signature))
-        )
+        key = (condition, embedding.embedding.step, embedding.signature)
+        grid = model._logits.get(key)
+        if grid is None:
+            grid = LogitGrid(key[1], _read_only(np.log(model.site_probs(*key))))
+            model._logits[key] = grid
+        return grid
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

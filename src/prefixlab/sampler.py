@@ -24,9 +24,9 @@ import numpy as np
 from .corruption import CorruptionPlan
 from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
-from .model import Condition, TokenMap, prefix_maps
+from .model import EMPTY_EMBEDDING, Condition, CountModel, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
-from .tokenizer import Codebook, decode_maps
+from .tokenizer import Codebook, accumulate_ids
 
 
 @dataclass(frozen=True)
@@ -142,32 +142,38 @@ def rollouts(
     draws the step's plan seed and then the step's uniforms, so each sample is
     the same as if it were generated alone. Per scale, ``guided_step`` runs
     once per sample and all samples' logits are truncated and sampled in one
-    pass.
+    pass. The samples' latents are carried forward one scale at a time, and
+    for a count model so are their signed prefix embeddings, which each
+    sample's ``guided_step`` reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
+    schedule = model.schedule
     seeds = [sconfig.seed + i for i in range(count)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     maps: list[list[TokenMap]] = [[] for _ in seeds]
     traces: list[list[GuidedStep]] = [[] for _ in seeds]
-    for k in range(1, model.schedule.num_scales + 1):
+    latent = np.zeros((count,) + schedule.final_dims + (book.latent_dim,))
+    carries_embedding = isinstance(model, CountModel)
+    signed = [model.sign(EMPTY_EMBEDDING) if carries_embedding else None] * count
+    for k in range(1, schedule.num_scales + 1):
         steps = [
             guided_step(
                 model, condition, maps[i], gconfig, book=book,
-                plan_seed=int(rng.integers(2**32)),
+                plan_seed=int(rng.integers(2**32)), signed=signed[i],
             )
             for i, rng in enumerate(rngs)
         ]
         ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs)
+        latent = accumulate_ids(latent, k, ids, book)
+        if carries_embedding and k < schedule.num_scales:
+            signed = model.extend(signed, latent, book)
         for i, step in enumerate(steps):
             maps[i].append(TokenMap(k, ids[i]))
             traces[i].append(step)
     return [
-        RolloutResult(
-            tuple(sample_maps), decode_maps(sample_maps, model.schedule, book),
-            tuple(trace), condition, seed,
-        )
-        for seed, sample_maps, trace in zip(seeds, maps, traces)
+        RolloutResult(tuple(sample_maps), latent[i], tuple(trace), condition, seed)
+        for i, (seed, sample_maps, trace) in enumerate(zip(seeds, maps, traces))
     ]
 
 

@@ -113,48 +113,59 @@ def nn_index_map(source: int, target: int) -> np.ndarray:
     return (np.arange(target) * source) // target
 
 
+def dequantize_ids(k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
+    """Scale k's code vector of each id: (..., h_k, w_k) ids give
+    (..., h_k, w_k, d), so a stack of maps is looked up at once."""
+    if ids.min() < 0 or ids.max() >= book.vocab:
+        raise InvalidTokenError(f"token ids must lie in [0, {book.vocab}) at scale {k}")
+    return book.table(k)[ids]
+
+
 def dequantize(token_map: TokenMap, book: Codebook) -> np.ndarray:
     """Look up each site's code vector; returns (h_k, w_k, d)."""
-    ids = token_map.ids
-    if ids.min() < 0 or ids.max() >= book.vocab:
-        raise InvalidTokenError(
-            f"token ids must lie in [0, {book.vocab}) at scale {token_map.k}"
-        )
-    return book.table(token_map.k)[ids]
+    return dequantize_ids(token_map.k, token_map.ids, book)
+
+
+# Grids are (h, w, d), or (n, h, w, d) for a stack of n samples: the
+# resampling functions act on the last three axes.
 
 
 def upsample(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbour replication of (h, w, d) onto the target grid."""
-    h, w = grid.shape[:2]
+    """Nearest-neighbour replication of (..., h, w, d) onto the target grid."""
+    h, w = grid.shape[-3:-1]
     th, tw = target
     if th < h or tw < w:
         raise InvalidScheduleError(f"cannot upsample {(h, w)} to smaller {target}")
-    return grid[np.ix_(nn_index_map(h, th), nn_index_map(w, tw))]
+    return grid[..., nn_index_map(h, th)[:, None], nn_index_map(w, tw)[None, :], :]
 
 
 def pool(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """Mean over the blocks induced by the nearest-neighbour index map.
 
     Adjoint of :func:`upsample`: each source site contributes to the pooled
-    site it would have been replicated from.
+    site it would have been replicated from, in row-major order.
     """
-    h, w = grid.shape[:2]
+    h, w = grid.shape[-3:-1]
     th, tw = target
     if th > h or tw > w:
         raise InvalidScheduleError(f"cannot pool {(h, w)} to larger {target}")
-    rows = nn_index_map(th, h)
-    cols = nn_index_map(tw, w)
-    out = np.zeros((th, tw) + grid.shape[2:])
+    sites = (nn_index_map(th, h)[:, None], nn_index_map(tw, w)[None, :])
+    out = np.zeros(grid.shape[:-3] + (th, tw) + grid.shape[-1:])
     counts = np.zeros((th, tw))
-    np.add.at(out, (rows[:, None], cols[None, :]), grid)
-    np.add.at(counts, (rows[:, None], cols[None, :]), 1.0)
+    np.add.at(out, (...,) + sites + (slice(None),), grid)
+    np.add.at(counts, sites, 1.0)
     return out / counts[..., None]
+
+
+def accumulate_ids(prev: np.ndarray, k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
+    """prev + upsample(dequantize_ids(k, ids)); pure, prev untouched. A stack
+    of latents (n, fh, fw, d) takes the stacked ids (n, h_k, w_k) of its maps."""
+    return prev + upsample(dequantize_ids(k, ids, book), prev.shape[-3:-1])
 
 
 def accumulate_latent(prev: np.ndarray, token_map: TokenMap, book: Codebook) -> np.ndarray:
     """prev + upsample(dequantize(map)); pure, prev untouched."""
-    residual = dequantize(token_map, book)
-    return prev + upsample(residual, prev.shape[:2])
+    return accumulate_ids(prev, token_map.k, token_map.ids, book)
 
 
 def quantize_sites(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -163,22 +174,33 @@ def quantize_sites(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.argmin(dist, axis=-1)
 
 
-def encode_multiscale(image: np.ndarray, schedule: ScaleSchedule, book: Codebook) -> list[TokenMap]:
-    """Greedy residual quantization into K coarse-to-fine token maps."""
+def encode_multiscale(
+    image: np.ndarray, schedule: ScaleSchedule, book: Codebook
+) -> list[TokenMap] | list[list[TokenMap]]:
+    """Greedy residual quantization into K coarse-to-fine token maps.
+
+    ``image`` is one (fh, fw, d) image, which gives its list of maps, or a
+    stack (n, fh, fw, d), encoded in one pass per scale, which gives one
+    list of maps per image.
+    """
     fh, fw = schedule.final_dims
-    if image.shape != (fh, fw, book.latent_dim):
+    if image.ndim not in (3, 4) or image.shape[-3:] != (fh, fw, book.latent_dim):
         raise InvalidInputError(
             f"image shape {image.shape} != {(fh, fw, book.latent_dim)}"
         )
     residual = image.astype(float).copy()
-    maps = []
+    scale_ids = []
     for k in range(1, schedule.num_scales + 1):
         pooled = pool(residual, schedule.grid(k))
         ids = quantize_sites(pooled, book.table(k))
-        tmap = TokenMap(k, ids)
-        residual -= upsample(dequantize(tmap, book), (fh, fw))
-        maps.append(tmap)
-    return maps
+        residual -= upsample(dequantize_ids(k, ids, book), (fh, fw))
+        scale_ids.append(ids)
+    if image.ndim == 3:
+        return [TokenMap(k, ids) for k, ids in enumerate(scale_ids, start=1)]
+    return [
+        [TokenMap(k, ids[i]) for k, ids in enumerate(scale_ids, start=1)]
+        for i in range(len(image))
+    ]
 
 
 def decode_maps(maps: list[TokenMap], schedule: ScaleSchedule, book: Codebook) -> np.ndarray:

@@ -58,6 +58,26 @@ def small_count(small_schedule, small_book):
     )
 
 
+@pytest.fixture
+def multisite_schedule():
+    return ScaleSchedule(((1, 1), (2, 2), (4, 4)))
+
+
+@pytest.fixture
+def multisite_book(multisite_schedule):
+    return Codebook.seeded(3, 4, 3, seed=7)
+
+
+@pytest.fixture
+def multisite_count(multisite_schedule, multisite_book):
+    """A count model whose every scale after the first has several sites."""
+    corpus = make_corpus(multisite_schedule, multisite_book, num_conditions=2, count=40, seed=5)
+    return fit_count_model(
+        corpus, multisite_schedule, multisite_book, vocab=4, num_conditions=2,
+        alpha=1.0, spec=SignatureSpec(bins=4, seed=0), embed_seed=11, embed_dim=4,
+    )
+
+
 def uniform_maps(schedule, vocab, seed):
     """One random TokenMap per scale, for prefix-construction helpers."""
     rng = np.random.default_rng(seed)

@@ -133,11 +133,17 @@ class TestParseConfig:
             (parse_config, {"guidance": {"scale_mask": [7]}}, "scale_mask"),
             (parse_config, {"guidance": {"scale_mask": [1, 3]}}, "scale_mask"),
             (parse_config, {"sweep": {"scale_masks": [None, [9]]}}, "scale_masks"),
+            (parse_config, {"sweep": {"metric": "toy_frechet", "n_samples": 1}}, "n_samples"),
+            (parse_config, {"ablate": {"n_samples": 1}}, "n_samples"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load(data)
+
+    def test_exact_kl_sweep_accepts_one_sample(self):
+        # exact_kl computes laws and never reads n_samples.
+        assert parse_config({"sweep": {"n_samples": 1}}).sweep.n_samples == 1
 
     def test_invalid_sampler_values_rejected(self):
         with pytest.raises(ConfigError, match="sampler"):

@@ -210,6 +210,22 @@ class TestGuidedStepCount:
         assert a.plan is plan
         assert np.array_equal(a.logits, b.logits)
 
+    def test_signed_embedding_for_wrong_step_raises(self, small_count, small_book):
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(gamma=1.0)
+        for_step_1 = small_count.sign(small_count.embed([], small_book))
+        with pytest.raises(InvalidInputError, match="step 1"):
+            guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_1)
+        for_step_2 = small_count.sign(small_count.embed(prefix, small_book))
+        carried = guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_2)
+        fresh = guided_step(small_count, 0, prefix, config, book=small_book)
+        assert np.array_equal(carried.logits, fresh.logits)
+
+    def test_signed_embedding_rejected_for_tabular_model(self, small_tabular, small_count, small_book):
+        signed = small_count.sign(small_count.embed([], small_book))
+        with pytest.raises(InvalidInputError, match="count model"):
+            guided_step(small_tabular, 0, [], GuidanceConfig(), signed=signed)
+
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0)

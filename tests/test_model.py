@@ -5,6 +5,7 @@ import pytest
 
 from prefixlab.errors import InvalidInputError, MissingRowError, TooLargeError
 from prefixlab.model import (
+    EMPTY_EMBEDDING,
     NULL_CONDITION,
     PROB_FLOOR,
     CountModel,
@@ -336,3 +337,73 @@ class TestPredictLogits:
     def test_unknown_model_type_raises(self):
         with pytest.raises(InvalidInputError):
             predict_logits(object(), 0, [])
+
+    def test_count_logits_are_memoized_read_only(self, small_count, small_book):
+        maps = [TokenMap(1, np.asarray([[2]]))]
+        signature = small_count.signature(small_count.embed(maps, small_book))
+        first = predict_logits(small_count, 1, maps, book=small_book)
+        assert not first.values.flags.writeable
+        with pytest.raises(ValueError):
+            first.values[0, 0, 0] = 0.0
+        # Each condition keeps its own grid, and a repeat call returns it.
+        for _ in range(2):
+            for condition in (1, 0, NULL_CONDITION):
+                grid = predict_logits(small_count, condition, maps, book=small_book)
+                expected = np.log(small_count.site_probs(condition, 2, signature))
+                assert grid.k == 2 and np.array_equal(grid.values, expected)
+
+
+class TestCarriedEmbeddings:
+    """Embeddings extended one scale at a time for a batch equal embeddings
+    built afresh from each prefix."""
+
+    def test_batched_fit_equals_per_sequence_counts(self, multisite_schedule, multisite_book):
+        from tests.conftest import make_corpus
+
+        sched, book = multisite_schedule, multisite_book
+        corpus = make_corpus(sched, book, num_conditions=3, count=30, seed=2)
+        model = fit_count_model(
+            corpus, sched, book, vocab=4, num_conditions=3,
+            spec=SignatureSpec(bins=3, seed=1), embed_seed=5, embed_dim=3,
+        )
+        params = embedding_params(sched, book.latent_dim, 3, 5)
+        thresholds = SignatureSpec(bins=3, seed=1).thresholds(sched.num_scales, 3)
+        expected = {}
+        for condition, maps in corpus:
+            for k in range(1, sched.num_scales + 1):
+                sig = context_signature(embed_prefix(maps[: k - 1], book, sched, params), thresholds)
+                ids = maps[k - 1].ids
+                for key in ((k, condition, sig), (k, NULL_CONDITION, sig)):
+                    table = expected.setdefault(key, np.zeros(sched.grid(k) + (4,)))
+                    np.add.at(table.reshape(-1, 4), (np.arange(ids.size), ids.ravel()), 1.0)
+        assert model.counts.keys() == expected.keys()
+        for key, table in expected.items():
+            assert model.counts[key].tobytes() == table.tobytes()
+        # Some scale splits its sequences over several signatures.
+        assert len({key[2] for key in expected if key[0] == 3}) > 1
+
+    def test_extend_equals_fresh_embedding(self, multisite_count, multisite_book):
+        from prefixlab.tokenizer import accumulate_ids
+        from tests.conftest import uniform_maps
+
+        model, book, sched = multisite_count, multisite_book, multisite_count.schedule
+        prefixes = [uniform_maps(sched, 4, seed) for seed in range(5)]
+        latent = np.zeros((5,) + sched.final_dims + (3,))
+        signed = [model.sign(EMPTY_EMBEDDING)] * 5
+        for k in range(1, sched.num_scales):
+            stacked = np.stack([p[k - 1].ids for p in prefixes])
+            latent = accumulate_ids(latent, k, stacked, book)
+            signed = model.extend(signed, latent, book)
+            for s, maps in zip(signed, prefixes):
+                fresh = model.embed(maps[:k], book)
+                assert s.embedding.step == fresh.step == k + 1
+                assert s.signature == model.signature(fresh)
+                for a, b in zip(s.embedding.grids + s.embedding.pooled, fresh.grids + fresh.pooled):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_extend_rejects_mixed_steps(self, multisite_count, multisite_book):
+        model, book = multisite_count, multisite_book
+        one = model.sign(model.embed([TokenMap(1, np.asarray([[0]]))], book))
+        latent = np.zeros((2,) + model.schedule.final_dims + (3,))
+        with pytest.raises(InvalidInputError, match="one step"):
+            model.extend([model.sign(EMPTY_EMBEDDING), one], latent, book)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prefixlab.corruption import CorruptionVariant
 from prefixlab.errors import (
     DegenerateDistributionError,
     IllDefinedLawError,
@@ -314,6 +315,40 @@ class TestRollouts:
     def test_count_below_one_raises(self, count, m1, m1_book):
         with pytest.raises(InvalidInputError, match="count"):
             rollouts(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book, count)
+
+
+class TestCarriedRollouts:
+    """The latents and signed embeddings that rollouts carry forward scale by
+    scale give the same steps as embedding each prefix afresh."""
+
+    @pytest.mark.parametrize("mask", [None, frozenset({3})])
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_every_step_equals_a_fresh_guided_step(
+        self, variant, mask, multisite_count, multisite_book
+    ):
+        model, book = multisite_count, multisite_book
+        for gamma in (0.0, 1.0):
+            for lam in (0.0, 1.0):
+                gconfig = GuidanceConfig(
+                    gamma=gamma, lam=lam, fraction=0.5, variant=variant, scale_mask=mask
+                )
+                for result in rollouts(model, 1, gconfig, SamplerConfig(seed=3), book, 4):
+                    for idx, step in enumerate(result.trace):
+                        fresh = guided_step(
+                            model, 1, list(result.maps[:idx]), gconfig, book=book,
+                            plan=step.plan,
+                        )
+                        assert fresh.k == step.k and fresh.plan == step.plan
+                        assert same_bits(fresh.logits, step.logits)
+                        for name in ("cond_gen", "null_gen", "cond_corr", "null_corr"):
+                            a = getattr(fresh.branches, name)
+                            b = getattr(step.branches, name)
+                            assert (a is None) == (b is None)
+                            assert a is None or same_bits(a, b)
+                    decoded = decode_maps(list(result.maps), model.schedule, book)
+                    assert same_bits(result.latent, decoded)
+                    if lam > 0 and mask is None:
+                        assert result.trace[-1].plan is not None
 
 
 class TestRolloutLaw:

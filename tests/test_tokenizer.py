@@ -12,6 +12,7 @@ from prefixlab.tokenizer import (
     Codebook,
     ScaleSchedule,
     TokenMap,
+    accumulate_ids,
     accumulate_latent,
     decode_maps,
     dequantize,
@@ -136,6 +137,21 @@ class TestQuantization:
         with pytest.raises(InvalidInputError):
             TokenMap(1, np.asarray([1, 2]))
 
+    def test_token_map_rejects_a_stack(self):
+        with pytest.raises(InvalidInputError):
+            TokenMap(1, np.zeros((1, 2, 2), dtype=np.int64))
+
+    def test_stacked_accumulate_equals_per_map(self):
+        book = Codebook.seeded(2, 4, 2, seed=3)
+        ids = np.random.default_rng(0).integers(0, 4, (3, 2, 2))
+        prev = np.random.default_rng(1).normal(size=(3, 2, 2, 2))
+        stacked = accumulate_ids(prev, 2, ids, book)
+        for i in range(3):
+            single = accumulate_latent(prev[i], TokenMap(2, ids[i]), book)
+            assert stacked[i].tobytes() == single.tobytes()
+        with pytest.raises(InvalidTokenError):
+            accumulate_ids(prev, 2, ids + 4, book)
+
 
 class TestEncodeDecode:
     def test_single_scale_exact_code_match(self):
@@ -212,6 +228,39 @@ class TestEncodeDecode:
         maps = encode_multiscale(image, sched, book)
         err = image - decode_maps(maps, sched, book)
         np.testing.assert_allclose(err, residual, atol=1e-12)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A schedule of up to three scales under a final grid of at most 5x5,
+    a codebook for it and a seeded stack of images."""
+    fh, fw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    coarse = draw(st.lists(st.tuples(st.integers(1, fh), st.integers(1, fw)), max_size=2))
+    dims = sorted(coarse, key=lambda d: d[0] * d[1]) + [(fh, fw)]
+    sched = ScaleSchedule(tuple(dims))
+    dim, vocab, seed = draw(st.integers(1, 3)), draw(st.integers(2, 5)), draw(st.integers(0, 999))
+    book = Codebook.seeded(sched.num_scales, vocab, dim, seed=seed)
+    images = np.stack(synthetic_images(sched, dim, seed, count=draw(st.integers(1, 4))))
+    return sched, book, images
+
+
+class TestStackedEncode:
+    @given(stacked_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_per_image_encode(self, case):
+        sched, book, images = case
+        stacked = encode_multiscale(images, sched, book)
+        assert len(stacked) == len(images)
+        for image, maps in zip(images, stacked):
+            single = encode_multiscale(image, sched, book)
+            assert [m.k for m in maps] == [m.k for m in single]
+            for a, b in zip(maps, single):
+                assert a.ids.shape == b.ids.shape and np.array_equal(a.ids, b.ids)
+
+    def test_stack_shape_mismatch_raises(self):
+        book = Codebook.seeded(1, 2, 2, seed=0)
+        with pytest.raises(InvalidInputError):
+            encode_multiscale(np.zeros((3, 2, 2, 2)), ScaleSchedule(((1, 1),)), book)
 
 
 class TestSyntheticImages:
