@@ -14,7 +14,6 @@ from .guidance import (
 )
 from .model import (
     CountModel,
-    LogitGrid,
     NULL_CONDITION,
     PrefixEmbedding,
     TabularModel,

@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .corruption import CorruptionVariant
 from .errors import ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError
 from .guidance import GuidanceConfig
 from .harness import SweepGrid

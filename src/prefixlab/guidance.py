@@ -153,9 +153,7 @@ def corrupted_embedding(
         plan = plan_corruption(
             schedule, embedding.step, config.fraction, config.variant, plan_seed, book=book
         )
-    corrupted = apply_corruption(
-        embedding, plan, book, schedule, model.embedding_tables(book.latent_dim)
-    )
+    corrupted = apply_corruption(embedding, plan, book, schedule, model.params)
     return plan, model.sign(corrupted)
 
 
@@ -189,23 +187,21 @@ def guided_step(
             "gamma > 0 but the count model was fitted without null-condition rows"
         )
 
-    embedding = None
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
         if signed is None:
-            signed = model.sign(model.embed(maps, book))
+            signed = model.embed(maps, book)
         elif signed.embedding.step != k:
             raise InvalidInputError(
                 f"signed embedding is for step {signed.embedding.step}, "
                 f"the prefix is for step {k}"
             )
-        embedding = signed.embedding
     elif signed is not None:
         raise InvalidInputError("only a count model reads a signed embedding")
 
-    def branch(cond, branch_embedding):
-        return predict_logits(model, cond, maps, book=book, embedding=branch_embedding).values
+    def branch(cond, branch_signed):
+        return predict_logits(model, cond, maps, book=book, signed=branch_signed)
 
     cond_gen = branch(condition, signed)
     null_gen = branch(NULL_CONDITION, signed) if needs_cfg else None
@@ -227,7 +223,7 @@ def guided_step(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
             used_plan, corrupted = corrupted_embedding(
-                model, embedding, config, book, plan_seed, plan
+                model, signed.embedding, config, book, plan_seed, plan
             )
             cond_corr = branch(condition, corrupted)
             if needs_cfg:

@@ -97,14 +97,16 @@ def surrogate_gap(
     corrupted branch is built as ``guided_step`` builds it. An empty prefix
     has no corrupted branch, so there it is the clean branch.
     """
+    if plan_samples < 1:
+        raise InvalidInputError(f"plan_samples must be >= 1, got {plan_samples}")
     k = len(prefix) + 1
     if k > 1 and not isinstance(model, CountModel):
         raise GuidanceConfigError(
             "corrupted-prefix reference requires an embedding-consuming model"
         )
     marginal = prefix_marginal_sites(model, condition, k, book=book).reshape(-1)
-    embedding = model.embed(prefix, book) if k > 1 else None
-    clean = predict_logits(model, condition, prefix, book=book, embedding=embedding).values
+    signed = model.embed(prefix, book) if k > 1 else None
+    clean = predict_logits(model, condition, prefix, book=book, signed=signed)
     clean_kl = kl_divergence(np.exp(clean).reshape(-1), marginal)
     rows = []
     for variant in variants:
@@ -113,13 +115,11 @@ def surrogate_gap(
             kls = []
             for s in range(plan_samples):
                 corr = clean
-                if embedding is not None:
+                if signed is not None:
                     _, corrupted = corrupted_embedding(
-                        model, embedding, gconfig, book, base_seed + 7919 * s
+                        model, signed.embedding, gconfig, book, base_seed + 7919 * s
                     )
-                    corr = predict_logits(
-                        model, condition, prefix, book=book, embedding=corrupted
-                    ).values
+                    corr = predict_logits(model, condition, prefix, signed=corrupted)
                 kls.append(kl_divergence(np.exp(corr).reshape(-1), marginal))
             rows.append(SurrogateRow(variant, fraction, float(np.mean(kls)), clean_kl))
     return rows
@@ -142,10 +142,12 @@ def exposure_gap(
     """
     if len(corpus) == 0:
         raise InvalidInputError("exposure-gap corpus must be non-empty")
+    if n_rollouts < 1:
+        raise InvalidInputError(f"n_rollouts must be >= 1, got {n_rollouts}")
 
     def step_nll(condition, maps, k):
         probs = np.exp(
-            predict_logits(model, condition, maps[: k - 1], book=book).values
+            predict_logits(model, condition, maps[: k - 1], book=book)
         ).reshape(-1, model.vocab)
         ids = maps[k - 1].ids.ravel()
         return -float(np.sum(np.log(probs[np.arange(ids.size), ids])))

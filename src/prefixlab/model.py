@@ -16,14 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, MissingRowError, TooLargeError
-from .tokenizer import (
-    Codebook,
-    ScaleSchedule,
-    TokenMap,
-    accumulate_ids,
-    accumulate_latent,
-    pool,
-)
+from .tokenizer import Codebook, ScaleSchedule, TokenMap, accumulate_latent, pool
 
 # The null condition is the reserved value contrasted against class ids.
 Condition = Optional[int]
@@ -79,22 +72,6 @@ def enumerate_prefix_keys(schedule: ScaleSchedule, vocab: int, k: int) -> list[P
 
 
 @dataclass(frozen=True)
-class LogitGrid:
-    """Per-site vocabulary logits at one scale, shape (h_k, w_k, V)."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3:
-            raise InvalidInputError("logit grid must have shape (h, w, V)")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("logits must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class PrefixEmbedding:
     """Embedded prefix for the step at scale ``step``.
 
@@ -107,18 +84,8 @@ class PrefixEmbedding:
     pooled: tuple[np.ndarray, ...]
 
     @property
-    def num_prefix_scales(self) -> int:
-        return len(self.grids)
-
-    @property
     def step(self) -> int:
         return len(self.grids) + 1
-
-    @property
-    def embed_dim(self) -> int:
-        if not self.grids:
-            return 0
-        return self.grids[0].shape[-1]
 
     def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
         """This embedding with one more scale: the embedding for the next step."""
@@ -180,7 +147,7 @@ def embed_prefix(
     latent = np.zeros((fh, fw, book.latent_dim))
     embedding = EMPTY_EMBEDDING
     for j, tmap in enumerate(prefix, start=1):
-        latent = accumulate_latent(latent, tmap, book)
+        latent = accumulate_latent(latent, tmap.k, tmap.ids, book)
         embedding = embedding.extended(*embed_scale(latent, j, schedule, params))
     return embedding
 
@@ -232,13 +199,21 @@ def tabular_from_rows(
 ) -> TabularModel:
     """Build a model from explicit rows keyed by (c, k, prefix_key).
 
-    Row values may be 1-d (single-site scales) or (h, w, V) arrays; they are
-    floored and renormalized like generated tables.
+    Row values may be (V,) arrays, shared by every site of the scale, or
+    (h_k, w_k, V) arrays of finite non-negative weights; they are floored and
+    renormalized like generated tables. Any other row raises
+    InvalidInputError naming its (c, k, key).
     """
     tables = {}
     for (c, k, key), row in rows.items():
         h, w = schedule.grid(k)
         arr = np.asarray(row, dtype=float)
+        if arr.shape not in ((vocab,), (h, w, vocab)):
+            raise InvalidInputError(
+                f"row {(c, k, key)} has shape {arr.shape}, not {(vocab,)} or {(h, w, vocab)}"
+            )
+        if not np.all(np.isfinite(arr) & (arr >= 0)):
+            raise InvalidInputError(f"row {(c, k, key)} has a negative or non-finite weight")
         if arr.ndim == 1:
             arr = np.broadcast_to(arr, (h, w, vocab)).copy()
         arr = np.maximum(arr, PROB_FLOOR)
@@ -312,16 +287,17 @@ class CountModel:
     spec: SignatureSpec
     embed_seed: int
     embed_dim: int
+    latent_dim: int  # of the codebook the model was fitted on
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool = True
     # Seeded read-only tables, built once per model: the signature thresholds
-    # and, per codebook latent size, the embedding_params. ``_logits`` holds
-    # one read-only LogitGrid per (condition, k, signature) that
-    # ``predict_logits`` was asked for: rollouts ask for few distinct keys
-    # many times over (97% of the bench ablate's count-model calls repeat
-    # one), so it grows with the distinct prefix signatures, not the calls.
+    # and the embedding_params. ``_logits`` holds one read-only (h_k, w_k, V)
+    # grid per (condition, k, signature) that ``predict_logits`` was asked
+    # for: rollouts ask for few distinct keys many times over (97% of the
+    # bench ablate's count-model calls repeat one), so it grows with the
+    # distinct prefix signatures, not the calls.
     thresholds: np.ndarray = field(init=False, repr=False, compare=False)
-    _embedding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    params: EmbeddingParams = field(init=False, repr=False, compare=False)
     _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -329,32 +305,25 @@ class CountModel:
             self, "thresholds",
             self.spec.thresholds(self.schedule.num_scales, self.embed_dim),
         )
-
-    def embedding_tables(self, latent_dim: int) -> EmbeddingParams:
-        """This model's ``embedding_params`` for a codebook of ``latent_dim``."""
-        params = self._embedding.get(latent_dim)
-        if params is None:
-            params = self._embedding[latent_dim] = embedding_params(
-                self.schedule, latent_dim, self.embed_dim, self.embed_seed
-            )
-        return params
-
-    def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> PrefixEmbedding:
-        """``embed_prefix`` with this model's cached tables."""
-        return embed_prefix(
-            prefix, book, self.schedule, self.embedding_tables(book.latent_dim)
+        object.__setattr__(
+            self, "params",
+            embedding_params(self.schedule, self.latent_dim, self.embed_dim, self.embed_seed),
         )
 
-    def signature(self, embedding: PrefixEmbedding):
-        """``context_signature`` with this model's cached thresholds."""
-        return context_signature(embedding, self.thresholds)
+    def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> SignedEmbedding:
+        """The prefix's signed embedding under this model's tables."""
+        if book.latent_dim != self.latent_dim:
+            raise InvalidInputError(
+                f"codebook latent size {book.latent_dim} is not the fitted {self.latent_dim}"
+            )
+        return self.sign(embed_prefix(prefix, book, self.schedule, self.params))
 
     def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
         """``embedding`` together with its signature under this model."""
-        return SignedEmbedding(embedding, self.signature(embedding))
+        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
 
     def extend(
-        self, signed: Sequence[SignedEmbedding], latent: np.ndarray, book: Codebook
+        self, signed: Sequence[SignedEmbedding], latent: np.ndarray
     ) -> list[SignedEmbedding]:
         """Each signed embedding of a batch extended by one scale.
 
@@ -366,9 +335,7 @@ class CountModel:
         k = signed[0].embedding.step
         if any(s.embedding.step != k for s in signed) or len(signed) != len(latent):
             raise InvalidInputError("a batch extends one latent per embedding, all for one step")
-        grid, pooled = embed_scale(
-            latent, k, self.schedule, self.embedding_tables(book.latent_dim)
-        )
+        grid, pooled = embed_scale(latent, k, self.schedule, self.params)
         bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
         return [
             SignedEmbedding(s.embedding.extended(grid[i], pooled[i]), s.signature + (tuple(b),))
@@ -420,7 +387,7 @@ def fit_count_model(
     counts: dict = {}
     model = CountModel(
         schedule, vocab, num_conditions, alpha, spec, embed_seed, embed_dim,
-        counts, include_null,
+        book.latent_dim, counts, include_null,
     )
     for i, (condition, maps) in enumerate(corpus):
         check_corpus_sequence(
@@ -445,8 +412,8 @@ def fit_count_model(
                 null = counts.setdefault((k, NULL_CONDITION, sig), np.zeros_like(table))
                 null += table
         if k < schedule.num_scales:
-            latent = accumulate_ids(latent, k, ids, book)
-            signed = model.extend(signed, latent, book)
+            latent = accumulate_latent(latent, k, ids, book)
+            signed = model.extend(signed, latent)
     return model
 
 
@@ -456,35 +423,30 @@ def predict_logits(
     prefix,
     *,
     book: Codebook | None = None,
-    embedding: PrefixEmbedding | SignedEmbedding | None = None,
-) -> LogitGrid:
-    """Scale-k logits for the step following ``prefix``.
+    signed: SignedEmbedding | None = None,
+) -> np.ndarray:
+    """Scale-k logits, shape (h_k, w_k, V), for the step following ``prefix``.
 
-    Tabular models take token prefixes (list of TokenMap or a prefix key);
-    count models consume a PrefixEmbedding, built from the token prefix when
-    one is not supplied directly. A caller that evaluates several branches on
-    one embedding may pass ``model.sign(embedding)`` so that its signature is
-    computed once. A count model's grid is kept per (condition, k, signature)
-    and returned again on a repeat call; its values are read-only.
+    Tabular models take token prefixes (list of TokenMap or a prefix key).
+    Count models read ``signed``, the prefix's signed embedding, when the
+    caller has it (several branches on one embedding share its signature);
+    otherwise they embed the token maps ``prefix`` with ``book``. A count
+    model's grid is kept per (condition, k, signature) and returned again on
+    a repeat call; it is read-only.
     """
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
-        k = len(key) + 1
-        return LogitGrid(k, np.log(model.row(condition, k, key)))
+        return np.log(model.row(condition, len(key) + 1, key))
     if isinstance(model, CountModel):
-        if embedding is None:
+        if signed is None:
             if book is None:
                 raise InvalidInputError("count-model prediction needs a codebook")
-            maps = prefix
-            if maps and not isinstance(maps[0], TokenMap):
-                maps = prefix_maps(prefix_key(prefix), model.schedule)
-            embedding = model.embed(maps, book)
-        if not isinstance(embedding, SignedEmbedding):
-            embedding = model.sign(embedding)
-        key = (condition, embedding.embedding.step, embedding.signature)
-        grid = model._logits.get(key)
-        if grid is None:
-            grid = LogitGrid(key[1], _read_only(np.log(model.site_probs(*key))))
-            model._logits[key] = grid
-        return grid
+            if not all(isinstance(m, TokenMap) for m in prefix):
+                raise InvalidInputError("a count model embeds token maps, not prefix keys")
+            signed = model.embed(prefix, book)
+        key = (condition, signed.embedding.step, signed.signature)
+        logits = model._logits.get(key)
+        if logits is None:
+            logits = model._logits[key] = _read_only(np.log(model.site_probs(*key)))
+        return logits
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

@@ -26,6 +26,7 @@ from .model import (
     enumerate_prefix_keys,
     predict_logits,
     prefix_key,
+    prefix_maps,
     tabular_from_rows,
 )
 from .tokenizer import Codebook
@@ -91,7 +92,7 @@ def _site_law(model, condition: Condition, book: Codebook | None = None):
     if isinstance(model, TabularModel):
         return lambda key: model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
     return lambda key: np.exp(
-        predict_logits(model, condition, key, book=book).values
+        predict_logits(model, condition, prefix_maps(key, model.schedule), book=book)
     ).reshape(-1, model.vocab)
 
 

@@ -26,7 +26,7 @@ from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInpu
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import EMPTY_EMBEDDING, Condition, CountModel, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
-from .tokenizer import Codebook, accumulate_ids
+from .tokenizer import Codebook, accumulate_latent
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,9 @@ def rollouts(
             for i, rng in enumerate(rngs)
         ]
         ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs)
-        latent = accumulate_ids(latent, k, ids, book)
+        latent = accumulate_latent(latent, k, ids, book)
         if carries_embedding and k < schedule.num_scales:
-            signed = model.extend(signed, latent, book)
+            signed = model.extend(signed, latent)
         for i, step in enumerate(steps):
             maps[i].append(TokenMap(k, ids[i]))
             traces[i].append(step)

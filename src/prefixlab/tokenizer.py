@@ -113,17 +113,12 @@ def nn_index_map(source: int, target: int) -> np.ndarray:
     return (np.arange(target) * source) // target
 
 
-def dequantize_ids(k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
-    """Scale k's code vector of each id: (..., h_k, w_k) ids give
-    (..., h_k, w_k, d), so a stack of maps is looked up at once."""
+def dequantize(k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
+    """Scale k's code vector of each id: one map's (h_k, w_k) ids give
+    (h_k, w_k, d), and a stack (n, h_k, w_k) is looked up at once."""
     if ids.min() < 0 or ids.max() >= book.vocab:
         raise InvalidTokenError(f"token ids must lie in [0, {book.vocab}) at scale {k}")
     return book.table(k)[ids]
-
-
-def dequantize(token_map: TokenMap, book: Codebook) -> np.ndarray:
-    """Look up each site's code vector; returns (h_k, w_k, d)."""
-    return dequantize_ids(token_map.k, token_map.ids, book)
 
 
 # Grids are (h, w, d), or (n, h, w, d) for a stack of n samples: the
@@ -157,15 +152,11 @@ def pool(grid: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     return out / counts[..., None]
 
 
-def accumulate_ids(prev: np.ndarray, k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
-    """prev + upsample(dequantize_ids(k, ids)); pure, prev untouched. A stack
-    of latents (n, fh, fw, d) takes the stacked ids (n, h_k, w_k) of its maps."""
-    return prev + upsample(dequantize_ids(k, ids, book), prev.shape[-3:-1])
-
-
-def accumulate_latent(prev: np.ndarray, token_map: TokenMap, book: Codebook) -> np.ndarray:
-    """prev + upsample(dequantize(map)); pure, prev untouched."""
-    return accumulate_ids(prev, token_map.k, token_map.ids, book)
+def accumulate_latent(prev: np.ndarray, k: int, ids: np.ndarray, book: Codebook) -> np.ndarray:
+    """prev + upsample(dequantize(k, ids)); pure, prev untouched. One latent
+    (fh, fw, d) takes one map's ids (h_k, w_k); a stack of latents
+    (n, fh, fw, d) takes the stacked ids (n, h_k, w_k) of its maps."""
+    return prev + upsample(dequantize(k, ids, book), prev.shape[-3:-1])
 
 
 def quantize_sites(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -193,7 +184,7 @@ def encode_multiscale(
     for k in range(1, schedule.num_scales + 1):
         pooled = pool(residual, schedule.grid(k))
         ids = quantize_sites(pooled, book.table(k))
-        residual -= upsample(dequantize_ids(k, ids, book), (fh, fw))
+        residual -= upsample(dequantize(k, ids, book), (fh, fw))
         scale_ids.append(ids)
     if image.ndim == 3:
         return [TokenMap(k, ids) for k, ids in enumerate(scale_ids, start=1)]
@@ -208,7 +199,7 @@ def decode_maps(maps: list[TokenMap], schedule: ScaleSchedule, book: Codebook) -
     fh, fw = schedule.final_dims
     latent = np.zeros((fh, fw, book.latent_dim))
     for tmap in maps:
-        latent = accumulate_latent(latent, tmap, book)
+        latent = accumulate_latent(latent, tmap.k, tmap.ids, book)
     return latent
 
 

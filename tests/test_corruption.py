@@ -127,8 +127,8 @@ class TestApplication:
         )
         out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for j, grid in enumerate(out.grids):
-            originals = emb.grids[j].reshape(-1, emb.embed_dim)
-            for vec in grid.reshape(-1, out.embed_dim):
+            originals = emb.grids[j].reshape(-1, grid.shape[-1])
+            for vec in grid.reshape(-1, grid.shape[-1]):
                 assert any(np.array_equal(vec, o) for o in originals)
 
     def test_single_site_scales_are_noops_for_same_scale_variants(self):
@@ -149,7 +149,7 @@ class TestApplication:
 
     def test_token_and_position_variants_match_hand_formula(self):
         _, emb = embedded_prefix(3)
-        proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, emb.embed_dim, EMBED_SEED)
+        proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
         plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9)
         out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
@@ -169,7 +169,7 @@ class TestApplication:
 
     def test_random_codebook_uses_drawn_vectors(self):
         _, emb = embedded_prefix(3)
-        proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, emb.embed_dim, EMBED_SEED)
+        proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, book=BOOK
         )

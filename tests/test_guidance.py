@@ -17,7 +17,7 @@ from prefixlab.guidance import (
     guided_step,
     vpg_combine,
 )
-from prefixlab.model import CountModel, TokenMap, predict_logits
+from prefixlab.model import TokenMap, context_signature, predict_logits
 from prefixlab.oracle import softmax
 
 
@@ -160,10 +160,9 @@ class TestGuidedStepCount:
         # One signature per embedding (clean, corrupted), however many
         # branches are evaluated on it.
         signatures = []
-        signature = CountModel.signature
         monkeypatch.setattr(
-            CountModel, "signature",
-            lambda self, emb: signatures.append(emb) or signature(self, emb),
+            "prefixlab.model.context_signature",
+            lambda emb, thresholds: signatures.append(emb) or context_signature(emb, thresholds),
         )
         prefix = [TokenMap(1, np.asarray([[1]]))]
         cases = [
@@ -172,7 +171,7 @@ class TestGuidedStepCount:
             (GuidanceConfig(lam=0.5, fraction=1.0), 2, 2),
             (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0), 4, 2),
         ]
-        clean = predict_logits(small_count, 0, prefix, book=small_book).values
+        clean = predict_logits(small_count, 0, prefix, book=small_book)
         for config, expected, signed in cases:
             signatures.clear()
             step = guided_step(small_count, 0, prefix, config, book=small_book)
@@ -213,16 +212,16 @@ class TestGuidedStepCount:
     def test_signed_embedding_for_wrong_step_raises(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(gamma=1.0)
-        for_step_1 = small_count.sign(small_count.embed([], small_book))
+        for_step_1 = small_count.embed([], small_book)
         with pytest.raises(InvalidInputError, match="step 1"):
             guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_1)
-        for_step_2 = small_count.sign(small_count.embed(prefix, small_book))
+        for_step_2 = small_count.embed(prefix, small_book)
         carried = guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_2)
         fresh = guided_step(small_count, 0, prefix, config, book=small_book)
         assert np.array_equal(carried.logits, fresh.logits)
 
     def test_signed_embedding_rejected_for_tabular_model(self, small_tabular, small_count, small_book):
-        signed = small_count.sign(small_count.embed([], small_book))
+        signed = small_count.embed([], small_book)
         with pytest.raises(InvalidInputError, match="count model"):
             guided_step(small_tabular, 0, [], GuidanceConfig(), signed=signed)
 

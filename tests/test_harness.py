@@ -86,7 +86,7 @@ class TestCountModelMarginal:
         from prefixlab.model import predict_logits
 
         sites = prefix_marginal_sites(small_count, 0, k=1, book=small_book)
-        direct = np.exp(predict_logits(small_count, 0, [], book=small_book).values)
+        direct = np.exp(predict_logits(small_count, 0, [], book=small_book))
         np.testing.assert_allclose(sites, direct, atol=1e-12)
 
 
@@ -136,8 +136,8 @@ class TestSurrogateGap:
 
         k = prefix_scales + 1
         marginal = prefix_marginal_sites(model, 1, k, book=book).reshape(-1)
-        embedding = model.embed(prefix, book)
-        clean = np.exp(predict_logits(model, 1, prefix, book=book).values)
+        embedding = model.embed(prefix, book).embedding
+        clean = np.exp(predict_logits(model, 1, prefix, book=book))
         clean_kl = kl_divergence(clean.reshape(-1), marginal)
         expected = []
         for fraction in fractions:
@@ -146,12 +146,9 @@ class TestSurrogateGap:
                 plan = plan_corruption(
                     schedule, k, fraction, variant, seed=4 + 7919 * s, book=book
                 )
-                corrupted = apply_corruption(
-                    embedding, plan, book, schedule,
-                    model.embedding_tables(book.latent_dim),
-                )
+                corrupted = apply_corruption(embedding, plan, book, schedule, model.params)
                 probs = np.exp(
-                    predict_logits(model, 1, prefix, book=book, embedding=corrupted).values
+                    predict_logits(model, 1, prefix, signed=model.sign(corrupted))
                 )
                 kls.append(kl_divergence(probs.reshape(-1), marginal))
             expected.append((variant, fraction, float(np.mean(kls)), clean_kl))
@@ -200,6 +197,13 @@ class TestSurrogateGap:
         with pytest.raises(GuidanceConfigError, match="embedding-consuming"):
             surrogate_gap(m1, m1_book, 0, [TokenMap(1, np.asarray([[0]]))], variants, (0.5,))
 
+    @pytest.mark.parametrize("plan_samples", [0, -1])
+    def test_no_plan_samples_raises(self, small_count, small_book, plan_samples):
+        variants = (CorruptionVariant.UNIFORM_PREFIX,)
+        with pytest.raises(InvalidInputError, match="plan_samples"):
+            surrogate_gap(small_count, small_book, 0, [], variants, (0.5,),
+                          plan_samples=plan_samples)
+
 
 class TestExposureGap:
     def test_zero_when_corpus_is_model_rollouts(self, small_count, small_book):
@@ -223,6 +227,17 @@ class TestExposureGap:
         with pytest.raises(InvalidInputError):
             exposure_gap(
                 small_count, [], GuidanceConfig(), SamplerConfig(), small_book
+            )
+
+    @pytest.mark.parametrize("n_rollouts", [0, -1])
+    def test_no_rollouts_raises(self, small_count, small_book, n_rollouts):
+        from prefixlab.model import TokenMap
+
+        corpus = [(0, [TokenMap(1, np.zeros((1, 1))), TokenMap(2, np.zeros((2, 2)))])]
+        with pytest.raises(InvalidInputError, match="n_rollouts"):
+            exposure_gap(
+                small_count, corpus, GuidanceConfig(), SamplerConfig(), small_book,
+                n_rollouts=n_rollouts,
             )
 
 

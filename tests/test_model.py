@@ -1,7 +1,11 @@
 """Predictors: tabular CPTs, prefix embeddings and smoothed count tables."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError, MissingRowError, TooLargeError
 from prefixlab.model import (
@@ -9,7 +13,6 @@ from prefixlab.model import (
     NULL_CONDITION,
     PROB_FLOOR,
     CountModel,
-    LogitGrid,
     SignatureSpec,
     build_tabular,
     context_signature,
@@ -56,14 +59,31 @@ class TestPrefixKeys:
         assert len(enumerate_prefix_keys(small_schedule, 2, k=3)) == 2 * 16
 
 
-class TestLogitGrid:
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(InvalidInputError):
-            LogitGrid(1, np.zeros((2, 3)))
+class TestRowsFromInput:
+    """``tabular_from_rows`` rejects a malformed row by its key instead of
+    flooring it or failing later inside a law."""
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            LogitGrid(1, np.full((1, 1, 2), np.inf))
+    @pytest.mark.parametrize(
+        "row",
+        [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], [[[0.2, 0.3, 0.5]]], [0.2, 0.3, 0.5]],
+        ids=["negative", "nan", "inf", "grid-of-wrong-vocab", "1d-of-wrong-vocab"],
+    )
+    def test_malformed_row_raises_naming_its_key(self, m1_schedule, row):
+        rows = {
+            (0, 1, ()): [0.75, 0.25],
+            (0, 2, ((0,),)): [0.6, 0.4],
+            (0, 2, ((1,),)): row,
+        }
+        with pytest.raises(InvalidInputError, match=re.escape(str((0, 2, ((1,),))))):
+            tabular_from_rows(m1_schedule, 2, 1, rows)
+
+    def test_grid_row_of_the_scale_shape_is_accepted(self, small_schedule):
+        model = build_tabular(small_schedule, 3, 1, seed=0)
+        rows = dict(model.tables)
+        rows[(0, 2, ((1,),))] = [[[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
+                                 [[0.0, 0.0, 2.0], [3.0, 1.0, 0.0]]]
+        rebuilt = tabular_from_rows(small_schedule, 3, 1, rows)
+        np.testing.assert_allclose(rebuilt.row(0, 2, ((1,),)).sum(axis=-1), 1.0)
 
 
 class TestTabular:
@@ -125,8 +145,7 @@ class TestEmbedding:
     def test_empty_prefix_embedding(self, small_book, small_schedule):
         emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
         assert emb.step == 1
-        assert emb.num_prefix_scales == 0
-        assert emb.embed_dim == 0
+        assert emb.grids == () and emb.pooled == ()
 
     def test_embedding_matches_hand_formula(self, small_book, small_schedule):
         from prefixlab.tokenizer import accumulate_latent, pool
@@ -134,7 +153,7 @@ class TestEmbedding:
         maps = [TokenMap(1, np.asarray([[2]]))]
         proj, pos = embedding_params(small_schedule, 2, 4, embed_seed=11)
         emb = embed_prefix(maps, small_book, small_schedule, (proj, pos))
-        latent = accumulate_latent(np.zeros((2, 2, 2)), maps[0], small_book)
+        latent = accumulate_latent(np.zeros((2, 2, 2)), 1, maps[0].ids, small_book)
         pooled = pool(latent, (1, 1))
         np.testing.assert_allclose(emb.grids[0], pooled @ proj.T + pos[0])
         np.testing.assert_allclose(emb.pooled[0], pooled)
@@ -181,7 +200,7 @@ class TestCountModel:
         book = Codebook.seeded(1, 3, 2, seed=0)
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])]
         model = fit_count_model(corpus, sched, book, vocab=3, num_conditions=1)
-        probs = predict_logits(model, 0, [], book=book).values
+        probs = predict_logits(model, 0, [], book=book)
         np.testing.assert_allclose(np.exp(probs[0, 0]), [0.5, 0.25, 0.25])
 
     def test_more_data_moves_toward_empirical(self):
@@ -189,7 +208,7 @@ class TestCountModel:
         book = Codebook.seeded(1, 3, 2, seed=0)
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])] * 2
         model = fit_count_model(corpus, sched, book, vocab=3, num_conditions=1)
-        probs = np.exp(predict_logits(model, 0, [], book=book).values[0, 0])
+        probs = np.exp(predict_logits(model, 0, [], book=book)[0, 0])
         np.testing.assert_allclose(probs, [0.6, 0.2, 0.2])
 
     def test_unseen_context_falls_back_to_uniform(self, small_count, small_book):
@@ -250,15 +269,16 @@ class TestCountModel:
 class TestSeededTables:
     """A fitted count model builds its seeded tables once and shares them read-only."""
 
-    def test_tables_are_read_only(self, small_count, small_book):
-        proj, pos = small_count.embedding_tables(small_book.latent_dim)
+    def test_tables_are_read_only(self, small_count):
+        proj, pos = small_count.params
         for table in (proj, *pos, small_count.thresholds):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 1.0
 
     def test_tables_equal_freshly_seeded_ones(self, small_count, small_book):
-        proj, pos = small_count.embedding_tables(small_book.latent_dim)
+        assert small_count.latent_dim == small_book.latent_dim
+        proj, pos = small_count.params
         fresh_proj, fresh_pos = embedding_params(
             small_count.schedule, small_book.latent_dim, small_count.embed_dim,
             small_count.embed_seed,
@@ -311,28 +331,34 @@ class TestPredictLogits:
     def test_tabular_logits_are_log_rows(self, small_tabular):
         grid = predict_logits(small_tabular, 1, [])
         np.testing.assert_allclose(
-            np.exp(grid.values), small_tabular.row(1, 1, ())
+            np.exp(grid), small_tabular.row(1, 1, ())
         )
-        assert grid.k == 1
+        assert grid.shape == (1, 1, 3)
 
     def test_count_model_needs_codebook_or_embedding(self, small_count):
         with pytest.raises(InvalidInputError):
             predict_logits(small_count, 0, [])
 
-    def test_count_model_accepts_prefilled_embedding(self, small_count, small_book):
+    def test_count_model_accepts_signed_embedding(self, small_count, small_book):
         maps = [TokenMap(1, np.asarray([[1]]))]
         emb = embed_prefix(
             maps, small_book, small_count.schedule,
             embedding_params(small_count.schedule, small_book.latent_dim,
                              small_count.embed_dim, small_count.embed_seed),
         )
-        via_maps = predict_logits(small_count, 0, maps, book=small_book).values
-        via_emb = predict_logits(small_count, 0, maps, embedding=emb).values
-        assert np.array_equal(via_maps, via_emb)
+        via_maps = predict_logits(small_count, 0, maps, book=small_book)
         signed = small_count.sign(emb)
-        assert signed.signature == small_count.signature(emb)
-        via_signed = predict_logits(small_count, 0, maps, embedding=signed).values
+        assert signed.signature == context_signature(emb, small_count.thresholds)
+        assert signed.signature == small_count.embed(maps, small_book).signature
+        via_signed = predict_logits(small_count, 0, maps, signed=signed)
         assert np.array_equal(via_maps, via_signed)
+
+    def test_count_model_rejects_prefix_keys_and_other_codebooks(self, small_count, small_book):
+        with pytest.raises(InvalidInputError, match="token maps"):
+            predict_logits(small_count, 0, ((1,),), book=small_book)
+        wider = Codebook.seeded(2, 3, small_book.latent_dim + 1, seed=7)
+        with pytest.raises(InvalidInputError, match="latent size"):
+            predict_logits(small_count, 0, [], book=wider)
 
     def test_unknown_model_type_raises(self):
         with pytest.raises(InvalidInputError):
@@ -340,17 +366,17 @@ class TestPredictLogits:
 
     def test_count_logits_are_memoized_read_only(self, small_count, small_book):
         maps = [TokenMap(1, np.asarray([[2]]))]
-        signature = small_count.signature(small_count.embed(maps, small_book))
+        signature = small_count.embed(maps, small_book).signature
         first = predict_logits(small_count, 1, maps, book=small_book)
-        assert not first.values.flags.writeable
+        assert not first.flags.writeable
         with pytest.raises(ValueError):
-            first.values[0, 0, 0] = 0.0
+            first[0, 0, 0] = 0.0
         # Each condition keeps its own grid, and a repeat call returns it.
         for _ in range(2):
             for condition in (1, 0, NULL_CONDITION):
                 grid = predict_logits(small_count, condition, maps, book=small_book)
                 expected = np.log(small_count.site_probs(condition, 2, signature))
-                assert grid.k == 2 and np.array_equal(grid.values, expected)
+                assert grid.shape == (2, 2, 3) and np.array_equal(grid, expected)
 
 
 class TestCarriedEmbeddings:
@@ -383,7 +409,7 @@ class TestCarriedEmbeddings:
         assert len({key[2] for key in expected if key[0] == 3}) > 1
 
     def test_extend_equals_fresh_embedding(self, multisite_count, multisite_book):
-        from prefixlab.tokenizer import accumulate_ids
+        from prefixlab.tokenizer import accumulate_latent
         from tests.conftest import uniform_maps
 
         model, book, sched = multisite_count, multisite_book, multisite_count.schedule
@@ -392,18 +418,70 @@ class TestCarriedEmbeddings:
         signed = [model.sign(EMPTY_EMBEDDING)] * 5
         for k in range(1, sched.num_scales):
             stacked = np.stack([p[k - 1].ids for p in prefixes])
-            latent = accumulate_ids(latent, k, stacked, book)
-            signed = model.extend(signed, latent, book)
+            latent = accumulate_latent(latent, k, stacked, book)
+            signed = model.extend(signed, latent)
             for s, maps in zip(signed, prefixes):
                 fresh = model.embed(maps[:k], book)
-                assert s.embedding.step == fresh.step == k + 1
-                assert s.signature == model.signature(fresh)
+                assert s.embedding.step == fresh.embedding.step == k + 1
+                assert s.signature == fresh.signature
+                fresh = fresh.embedding
                 for a, b in zip(s.embedding.grids + s.embedding.pooled, fresh.grids + fresh.pooled):
                     assert a.tobytes() == b.tobytes()
 
     def test_extend_rejects_mixed_steps(self, multisite_count, multisite_book):
         model, book = multisite_count, multisite_book
-        one = model.sign(model.embed([TokenMap(1, np.asarray([[0]]))], book))
+        one = model.embed([TokenMap(1, np.asarray([[0]]))], book)
         latent = np.zeros((2,) + model.schedule.final_dims + (3,))
         with pytest.raises(InvalidInputError, match="one step"):
-            model.extend([model.sign(EMPTY_EMBEDDING), one], latent, book)
+            model.extend([model.sign(EMPTY_EMBEDDING), one], latent)
+
+
+# Schedules of 2-3 scales whose heights and widths do not decrease (so each
+# grid pools from the final one), with at least one multi-site scale.
+multisite_schedules = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(1, 3), min_size=n, max_size=n)] * 2)
+).map(lambda hw: tuple(zip(sorted(hw[0]), sorted(hw[1])))).filter(
+    lambda dims: dims[-1] != (1, 1)
+).map(ScaleSchedule)
+
+
+class TestCountBranchInputsAgree:
+    """Both count-model inputs of ``predict_logits``, and the embeddings that
+    ``extend`` carries, give one branch for every corpus prefix."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sched=multisite_schedules,
+        vocab=st.integers(2, 3),
+        count=st.integers(3, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_maps_signed_and_carried_agree(self, sched, vocab, count, seed):
+        from prefixlab.tokenizer import accumulate_latent
+        from tests.conftest import make_corpus
+
+        book = Codebook.seeded(sched.num_scales, vocab, 2, seed=seed)
+        corpus = make_corpus(sched, book, num_conditions=2, count=count, seed=seed)
+        model = fit_count_model(
+            corpus, sched, book, vocab, num_conditions=2,
+            spec=SignatureSpec(bins=3, seed=seed), embed_seed=seed, embed_dim=3,
+        )
+        latent = np.zeros((count,) + sched.final_dims + (2,))
+        carried = [model.sign(EMPTY_EMBEDDING)] * count
+        for k in range(1, sched.num_scales + 1):
+            for (condition, maps), signed in zip(corpus, carried):
+                prefix = maps[: k - 1]
+                fresh = model.embed(prefix, book)
+                assert signed.signature == fresh.signature
+                for a, b in zip(signed.embedding.grids, fresh.embedding.grids):
+                    assert a.tobytes() == b.tobytes()
+                for c in (condition, NULL_CONDITION):
+                    via_maps = predict_logits(model, c, prefix, book=book)
+                    via_signed = predict_logits(model, c, prefix, signed=fresh)
+                    via_carried = predict_logits(model, c, prefix, signed=signed)
+                    assert via_maps.shape == sched.grid(k) + (vocab,)
+                    assert via_maps.tobytes() == via_signed.tobytes() == via_carried.tobytes()
+            if k < sched.num_scales:
+                ids = np.stack([maps[k - 1].ids for _, maps in corpus])
+                latent = accumulate_latent(latent, k, ids, book)
+                carried = model.extend(carried, latent)

@@ -12,7 +12,6 @@ from prefixlab.tokenizer import (
     Codebook,
     ScaleSchedule,
     TokenMap,
-    accumulate_ids,
     accumulate_latent,
     decode_maps,
     dequantize,
@@ -118,15 +117,15 @@ class TestQuantization:
     def test_dequantize_then_quantize_is_identity_on_codes(self):
         book = Codebook.seeded(1, 6, 3, seed=2)
         ids = np.arange(6).reshape(2, 3)
-        vectors = dequantize(TokenMap(1, ids), book)
+        vectors = dequantize(1, ids, book)
         assert np.array_equal(quantize_sites(vectors, book.table(1)), ids)
 
     def test_out_of_range_token_raises(self):
         book = Codebook.seeded(1, 2, 2, seed=0)
         with pytest.raises(InvalidTokenError):
-            dequantize(TokenMap(1, np.asarray([[5]])), book)
+            dequantize(1, np.asarray([[5]]), book)
         with pytest.raises(InvalidTokenError):
-            dequantize(TokenMap(1, np.asarray([[-1]])), book)
+            dequantize(1, np.asarray([[-1]]), book)
 
     def test_ties_break_to_lower_id(self):
         table = np.asarray([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -145,12 +144,12 @@ class TestQuantization:
         book = Codebook.seeded(2, 4, 2, seed=3)
         ids = np.random.default_rng(0).integers(0, 4, (3, 2, 2))
         prev = np.random.default_rng(1).normal(size=(3, 2, 2, 2))
-        stacked = accumulate_ids(prev, 2, ids, book)
+        stacked = accumulate_latent(prev, 2, ids, book)
         for i in range(3):
-            single = accumulate_latent(prev[i], TokenMap(2, ids[i]), book)
+            single = accumulate_latent(prev[i], 2, ids[i], book)
             assert stacked[i].tobytes() == single.tobytes()
         with pytest.raises(InvalidTokenError):
-            accumulate_ids(prev, 2, ids + 4, book)
+            accumulate_latent(prev, 2, ids + 4, book)
 
 
 class TestEncodeDecode:
@@ -189,7 +188,7 @@ class TestEncodeDecode:
             for k in (1, 2, 3):
                 ids = quantize_sites(pool(residual, sched.grid(k)), book.table(k))
                 residual = residual - upsample(
-                    dequantize(TokenMap(k, ids), book), sched.final_dims
+                    dequantize(k, ids, book), sched.final_dims
                 )
                 cur = np.linalg.norm(residual)
                 assert cur <= prev + 1e-12
@@ -203,16 +202,16 @@ class TestEncodeDecode:
         fh, fw = sched.final_dims
         forward = np.zeros((fh, fw, 2))
         for m in maps:
-            forward = accumulate_latent(forward, m, book)
+            forward = accumulate_latent(forward, m.k, m.ids, book)
         backward = np.zeros((fh, fw, 2))
         for m in reversed(maps):
-            backward = accumulate_latent(backward, m, book)
+            backward = accumulate_latent(backward, m.k, m.ids, book)
         np.testing.assert_allclose(forward, backward, atol=1e-12)
 
     def test_accumulate_leaves_input_untouched(self):
         book = Codebook.seeded(1, 2, 2, seed=0)
         prev = np.zeros((1, 1, 2))
-        accumulate_latent(prev, TokenMap(1, np.asarray([[1]])), book)
+        accumulate_latent(prev, 1, np.asarray([[1]]), book)
         assert np.array_equal(prev, np.zeros((1, 1, 2)))
 
     def test_roundtrip_error_bounded_by_final_residual(self):
@@ -223,7 +222,7 @@ class TestEncodeDecode:
         for k in (1, 2):
             ids = quantize_sites(pool(residual, sched.grid(k)), book.table(k))
             residual = residual - upsample(
-                dequantize(TokenMap(k, ids), book), sched.final_dims
+                dequantize(k, ids, book), sched.final_dims
             )
         maps = encode_multiscale(image, sched, book)
         err = image - decode_maps(maps, sched, book)
