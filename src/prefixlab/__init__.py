@@ -27,7 +27,6 @@ from .oracle import (
     augmented_cfg,
     augmented_vpg,
     enumerate_prefixes,
-    fixture_m1,
     prefix_marginal,
     prefix_posterior,
     verify_identities,

@@ -29,7 +29,6 @@ from .model import (
     Condition,
     CountModel,
     NULL_CONDITION,
-    PrefixEmbedding,
     SignedEmbedding,
     TabularModel,
     predict_logits,
@@ -137,26 +136,6 @@ class GuidedStep:
         return sum(x is not None for x in (b.cond_gen, b.null_gen, b.cond_corr, b.null_corr))
 
 
-def corrupted_embedding(
-    model: CountModel,
-    embedding: PrefixEmbedding,
-    config: GuidanceConfig,
-    book: Codebook,
-    plan_seed: int = 0,
-    plan: CorruptionPlan | None = None,
-) -> tuple[CorruptionPlan, SignedEmbedding]:
-    """The corruption plan and signed corrupted embedding for the step after
-    ``embedding``: ``plan`` if given, else one drawn from ``plan_seed`` with
-    ``config``'s fraction and variant."""
-    schedule = model.schedule
-    if plan is None:
-        plan = plan_corruption(
-            schedule, embedding.step, config.fraction, config.variant, plan_seed, book=book
-        )
-    corrupted = apply_corruption(embedding, plan, book, schedule, model.params)
-    return plan, model.sign(corrupted)
-
-
 def guided_step(
     model,
     condition: Condition,
@@ -222,9 +201,12 @@ def guided_step(
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
-            used_plan, corrupted = corrupted_embedding(
-                model, signed.embedding, config, book, plan_seed, plan
+            used_plan = plan if plan is not None else plan_corruption(
+                model.schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
+            corrupted = model.sign(apply_corruption(
+                signed.embedding, used_plan, book, model.schedule, model.params
+            ))
             cond_corr = branch(condition, corrupted)
             if needs_cfg:
                 null_corr = branch(NULL_CONDITION, corrupted)

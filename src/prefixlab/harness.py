@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GuidanceConfigError, InvalidInputError, SupportViolationError
+from .errors import InvalidInputError, SupportViolationError
 from .corruption import CorruptionVariant
-from .guidance import GuidanceConfig, corrupted_embedding
-from .model import Condition, CountModel, TokenMap, predict_logits
-from .oracle import Distribution, kl_divergence, prefix_marginal_sites
+from .guidance import GuidanceConfig
+from .model import Condition
+from .oracle import Distribution
 from .sampler import SamplerConfig, rollout_distribution, rollouts
 from .tokenizer import Codebook
 
@@ -68,107 +68,6 @@ def toy_frechet(images_a, images_b) -> float:
         + np.trace(cov_a + cov_b - 2.0 * cross)
     )
     return max(value, 0.0)
-
-
-@dataclass(frozen=True)
-class SurrogateRow:
-    variant: CorruptionVariant
-    fraction: float
-    mean_kl: float
-    clean_kl: float
-
-
-def surrogate_gap(
-    model: CountModel,
-    book: Codebook,
-    condition: Condition,
-    prefix: list[TokenMap],
-    variants,
-    fractions,
-    plan_samples: int = 8,
-    base_seed: int = 0,
-) -> list[SurrogateRow]:
-    """How far each corrupted branch sits from the exact prefix marginal.
-
-    Per (variant, fraction): Monte Carlo mean over corruption plans of
-    KL(corrupted-branch law || exact per-site marginal), summed over sites,
-    next to the clean-branch KL as the zero-corruption baseline. The
-    prefix is embedded and the clean branch evaluated once; each plan's
-    corrupted branch is built as ``guided_step`` builds it. An empty prefix
-    has no corrupted branch, so there it is the clean branch.
-    """
-    if plan_samples < 1:
-        raise InvalidInputError(f"plan_samples must be >= 1, got {plan_samples}")
-    k = len(prefix) + 1
-    if k > 1 and not isinstance(model, CountModel):
-        raise GuidanceConfigError(
-            "corrupted-prefix reference requires an embedding-consuming model"
-        )
-    marginal = prefix_marginal_sites(model, condition, k, book=book).reshape(-1)
-    signed = model.embed(prefix, book) if k > 1 else None
-    clean = predict_logits(model, condition, prefix, book=book, signed=signed)
-    clean_kl = kl_divergence(np.exp(clean).reshape(-1), marginal)
-    rows = []
-    for variant in variants:
-        for fraction in fractions:
-            gconfig = GuidanceConfig(lam=1.0, fraction=fraction, variant=variant)
-            kls = []
-            for s in range(plan_samples):
-                corr = clean
-                if signed is not None:
-                    _, corrupted = corrupted_embedding(
-                        model, signed.embedding, gconfig, book, base_seed + 7919 * s
-                    )
-                    corr = predict_logits(model, condition, prefix, signed=corrupted)
-                kls.append(kl_divergence(np.exp(corr).reshape(-1), marginal))
-            rows.append(SurrogateRow(variant, fraction, float(np.mean(kls)), clean_kl))
-    return rows
-
-
-def exposure_gap(
-    model,
-    corpus,
-    gconfig: GuidanceConfig,
-    sconfig: SamplerConfig,
-    book: Codebook,
-    n_rollouts: int = 100,
-    seed: int = 0,
-) -> dict[int, float]:
-    """Per-scale free-running vs teacher-forced negative log-likelihood gap.
-
-    Delta_k = E_rollout[-log p(r_k | rollout prefix, c)]
-            - E_data[-log p(r_k | ground-truth prefix, c)].
-    Rollout conditions cycle through the corpus conditions.
-    """
-    if len(corpus) == 0:
-        raise InvalidInputError("exposure-gap corpus must be non-empty")
-    if n_rollouts < 1:
-        raise InvalidInputError(f"n_rollouts must be >= 1, got {n_rollouts}")
-
-    def step_nll(condition, maps, k):
-        probs = np.exp(
-            predict_logits(model, condition, maps[: k - 1], book=book)
-        ).reshape(-1, model.vocab)
-        ids = maps[k - 1].ids.ravel()
-        return -float(np.sum(np.log(probs[np.arange(ids.size), ids])))
-
-    data_nll = {k: [] for k in range(1, model.schedule.num_scales + 1)}
-    for condition, maps in corpus:
-        for k in data_nll:
-            data_nll[k].append(step_nll(condition, list(maps), k))
-
-    roll_nll = {k: [] for k in data_nll}
-    for i in range(n_rollouts):
-        condition = corpus[i % len(corpus)][0]
-        result = rollouts(
-            model, condition, gconfig, replace(sconfig, seed=seed + i), book, 1
-        )[0]
-        for k in roll_nll:
-            roll_nll[k].append(step_nll(condition, list(result.maps), k))
-
-    return {
-        k: float(np.mean(roll_nll[k]) - np.mean(data_nll[k])) for k in data_nll
-    }
 
 
 SWEEP_CSV_HEADER = [

@@ -200,9 +200,9 @@ def tabular_from_rows(
     """Build a model from explicit rows keyed by (c, k, prefix_key).
 
     Row values may be (V,) arrays, shared by every site of the scale, or
-    (h_k, w_k, V) arrays of finite non-negative weights; they are floored and
-    renormalized like generated tables. Any other row raises
-    InvalidInputError naming its (c, k, key).
+    (h_k, w_k, V) arrays of finite non-negative weights with some mass at
+    every site; they are floored and renormalized like generated tables. Any
+    other row raises InvalidInputError naming its (c, k, key).
     """
     tables = {}
     for (c, k, key), row in rows.items():
@@ -214,6 +214,8 @@ def tabular_from_rows(
             )
         if not np.all(np.isfinite(arr) & (arr >= 0)):
             raise InvalidInputError(f"row {(c, k, key)} has a negative or non-finite weight")
+        if not np.all(arr.sum(axis=-1) > 0):
+            raise InvalidInputError(f"row {(c, k, key)} has a site with no mass")
         if arr.ndim == 1:
             arr = np.broadcast_to(arr, (h, w, vocab)).copy()
         arr = np.maximum(arr, PROB_FLOOR)

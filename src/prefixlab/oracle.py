@@ -22,12 +22,10 @@ from .model import (
     NULL_CONDITION,
     PrefixKey,
     TabularModel,
-    ScaleSchedule,
     enumerate_prefix_keys,
     predict_logits,
     prefix_key,
     prefix_maps,
-    tabular_from_rows,
 )
 from .tokenizer import Codebook
 
@@ -52,17 +50,6 @@ class Distribution:
 
     def as_dict(self) -> dict:
         return dict(zip(self.outcomes, self.probs))
-
-
-def fixture_m1() -> TabularModel:
-    """Two single-site scales, V=2, C=1, with hand-checkable round numbers."""
-    schedule = ScaleSchedule(((1, 1), (1, 1)))
-    rows = {
-        (0, 1, ()): [0.75, 0.25],
-        (0, 2, ((0,),)): [0.6, 0.4],
-        (0, 2, ((1,),)): [0.2, 0.8],
-    }
-    return tabular_from_rows(schedule, 2, 1, rows)
 
 
 def chain_law(step_law, num_scales: int) -> list[tuple[PrefixKey, float]]:

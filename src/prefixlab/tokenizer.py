@@ -30,6 +30,12 @@ class ScaleSchedule:
         areas = [h * w for h, w in dims]
         if any(a > b for a, b in zip(areas, areas[1:])):
             raise InvalidScheduleError("site counts must be non-decreasing")
+        fh, fw = dims[-1]
+        for k, (h, w) in enumerate(dims, start=1):
+            if h > fh or w > fw:
+                raise InvalidScheduleError(
+                    f"scale {k} grid {(h, w)} does not fit in the final grid {(fh, fw)}"
+                )
 
     @property
     def num_scales(self) -> int:

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from prefixlab.model import SignatureSpec, build_tabular, fit_count_model
-from prefixlab.oracle import fixture_m1
+from prefixlab.model import SignatureSpec, build_tabular, fit_count_model, tabular_from_rows
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, synthetic_images
+
+
+def fixture_m1():
+    """Two single-site scales, V=2, C=1, with hand-checkable round numbers."""
+    schedule = ScaleSchedule(((1, 1), (1, 1)))
+    rows = {
+        (0, 1, ()): [0.75, 0.25],
+        (0, 2, ((0,),)): [0.6, 0.4],
+        (0, 2, ((1,),)): [0.2, 0.8],
+    }
+    return tabular_from_rows(schedule, 2, 1, rows)
 
 
 @pytest.fixture

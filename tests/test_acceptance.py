@@ -35,7 +35,6 @@ from prefixlab.model import (
 from prefixlab.oracle import (
     augmented_cfg,
     augmented_vpg,
-    fixture_m1,
     kl_divergence,
     prefix_marginal,
     prefix_marginal_sites,
@@ -60,6 +59,7 @@ from prefixlab.tokenizer import (
     synthetic_images,
     upsample,
 )
+from tests.conftest import fixture_m1
 
 SCHEDULE = ScaleSchedule(((1, 1), (1, 1)))
 POPULATION = [(v, c) for v in (2, 3, 5) for c in (1, 2, 3)]

@@ -270,6 +270,15 @@ class TestExitCodes:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_schedule_outside_final_grid_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "shrinking.json"
+        path.write_text(json.dumps({"schedule": [[1, 2], [2, 1]]}))
+        out = tmp_path / "o"
+        code = main(["sample", "--count", "1", "--config", str(path), "--output-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert "bad value for config key 'schedule'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_condition_flag_exits_two(self, tmp_path, capsys):
         code = main(
             ["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),

@@ -135,6 +135,7 @@ class TestParseConfig:
             (parse_config, {"sweep": {"scale_masks": [None, [9]]}}, "scale_masks"),
             (parse_config, {"sweep": {"metric": "toy_frechet", "n_samples": 1}}, "n_samples"),
             (parse_config, {"ablate": {"n_samples": 1}}, "n_samples"),
+            (parse_config, {"schedule": [[1, 2], [2, 1]]}, "schedule"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):

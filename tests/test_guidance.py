@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from prefixlab.corruption import CorruptionVariant, plan_corruption
+from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
 from prefixlab.errors import (
     GuidanceConfigError,
     InvalidInputError,
@@ -17,8 +17,28 @@ from prefixlab.guidance import (
     guided_step,
     vpg_combine,
 )
-from prefixlab.model import TokenMap, context_signature, predict_logits
+from prefixlab.model import (
+    NULL_CONDITION,
+    TokenMap,
+    context_signature,
+    fit_count_model,
+    predict_logits,
+)
 from prefixlab.oracle import softmax
+from prefixlab.tokenizer import Codebook, ScaleSchedule
+from tests.conftest import make_corpus
+
+
+@pytest.fixture(scope="module")
+def deep_count():
+    """A count model on ((1,1),(2,2),(2,2)), its codebook and corpus: a
+    2-scale prefix has a multi-site scale, where every variant can move the
+    embedding."""
+    schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
+    book = Codebook.seeded(3, 3, 2, seed=7)
+    corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
+    model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
+    return model, book, corpus
 
 
 class TestCombiners:
@@ -224,6 +244,39 @@ class TestGuidedStepCount:
         signed = small_count.embed([], small_book)
         with pytest.raises(InvalidInputError, match="count model"):
             guided_step(small_tabular, 0, [], GuidanceConfig(), signed=signed)
+
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    @pytest.mark.parametrize("prefix_scales", [1, 2])
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_corrupted_branch_equals_explicit_computation(
+        self, deep_count, variant, prefix_scales, fraction, gamma
+    ):
+        # An independent plan -> apply -> sign -> predict computation, for a
+        # fixed plan and for the plan guided_step draws from the same seed.
+        model, book, corpus = deep_count
+        prefix = corpus[1][1][:prefix_scales]
+        k = prefix_scales + 1
+        plan = plan_corruption(model.schedule, k, fraction, variant, seed=4, book=book)
+        corrupted = model.sign(apply_corruption(
+            model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
+        ))
+        config = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant)
+        fixed = guided_step(model, 1, prefix, config, book=book, plan=plan)
+        drawn = guided_step(model, 1, prefix, config, book=book, plan_seed=4)
+        assert fixed.plan is plan
+        assert drawn.plan == plan
+
+        def same_bits(got, cond):
+            want = predict_logits(model, cond, prefix, signed=corrupted)
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        for step in (fixed, drawn):
+            assert same_bits(step.branches.cond_corr, 1)
+            if gamma:
+                assert same_bits(step.branches.null_corr, NULL_CONDITION)
+            else:
+                assert step.branches.null_corr is None
 
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]

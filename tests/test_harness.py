@@ -8,23 +8,19 @@ import pytest
 
 from prefixlab.corruption import CorruptionVariant
 from prefixlab.errors import InvalidInputError, SupportViolationError
-from prefixlab.guidance import GuidanceConfig
 from prefixlab.harness import (
     SWEEP_CSV_HEADER,
     ExperimentSpec,
     SweepGrid,
     cell_seed,
     exact_kl,
-    exposure_gap,
     run_sweep,
-    surrogate_gap,
     svg_line_plot,
     toy_frechet,
     write_sweep_csv,
     write_sweep_svg,
 )
 from prefixlab.oracle import Distribution, prefix_marginal_sites
-from prefixlab.sampler import SamplerConfig, rollouts
 
 
 class TestExactKL:
@@ -88,157 +84,6 @@ class TestCountModelMarginal:
         sites = prefix_marginal_sites(small_count, 0, k=1, book=small_book)
         direct = np.exp(predict_logits(small_count, 0, [], book=small_book))
         np.testing.assert_allclose(sites, direct, atol=1e-12)
-
-
-class TestSurrogateGap:
-    def test_rows_cover_grid_and_zero_fraction_matches_clean(
-        self, small_count, small_book
-    ):
-        from prefixlab.model import TokenMap
-
-        prefix = [TokenMap(1, np.asarray([[0]]))]
-        rows = surrogate_gap(
-            small_count, small_book, 0, prefix,
-            variants=(CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
-                      CorruptionVariant.UNIFORM_PREFIX),
-            fractions=(0.0, 1.0), plan_samples=2,
-        )
-        assert len(rows) == 4
-        for row in rows:
-            assert row.mean_kl >= 0
-            if (
-                row.fraction == 0.0
-                and row.variant is not CorruptionVariant.UNIFORM_PREFIX
-            ):
-                assert row.mean_kl == pytest.approx(row.clean_kl, abs=1e-12)
-
-
-    @pytest.mark.parametrize("variant", list(CorruptionVariant))
-    @pytest.mark.parametrize("prefix_scales", [0, 2])
-    def test_rows_equal_explicit_corrupted_branch(self, variant, prefix_scales):
-        # Multi-site prefix scales, so every variant moves some embedding.
-        from prefixlab.corruption import apply_corruption, plan_corruption
-        from prefixlab.model import fit_count_model, predict_logits
-        from prefixlab.oracle import kl_divergence
-        from prefixlab.tokenizer import Codebook, ScaleSchedule
-        from tests.conftest import make_corpus
-
-        schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
-        book = Codebook.seeded(3, 3, 2, seed=7)
-        corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
-        model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
-        prefix = corpus[1][1][:prefix_scales]
-        fractions = (0.0, 0.5, 1.0)
-        rows = surrogate_gap(
-            model, book, 1, prefix, variants=(variant,), fractions=fractions,
-            plan_samples=3, base_seed=4,
-        )
-
-        k = prefix_scales + 1
-        marginal = prefix_marginal_sites(model, 1, k, book=book).reshape(-1)
-        embedding = model.embed(prefix, book).embedding
-        clean = np.exp(predict_logits(model, 1, prefix, book=book))
-        clean_kl = kl_divergence(clean.reshape(-1), marginal)
-        expected = []
-        for fraction in fractions:
-            kls = []
-            for s in range(3):
-                plan = plan_corruption(
-                    schedule, k, fraction, variant, seed=4 + 7919 * s, book=book
-                )
-                corrupted = apply_corruption(embedding, plan, book, schedule, model.params)
-                probs = np.exp(
-                    predict_logits(model, 1, prefix, signed=model.sign(corrupted))
-                )
-                kls.append(kl_divergence(probs.reshape(-1), marginal))
-            expected.append((variant, fraction, float(np.mean(kls)), clean_kl))
-        assert [(r.variant, r.fraction, r.mean_kl, r.clean_kl) for r in rows] == expected
-        if prefix_scales == 0:
-            assert all(r.mean_kl == r.clean_kl for r in rows)
-        else:
-            assert rows[-1].mean_kl != rows[-1].clean_kl
-
-    @pytest.mark.parametrize("prefix_scales, evaluations", [(0, 1), (2, 1 + 5 * 2 * 8)])
-    def test_clean_branch_evaluated_once(self, monkeypatch, prefix_scales, evaluations):
-        # One clean branch per call, then one corrupted branch per plan; an
-        # empty prefix has no corrupted branch.
-        import prefixlab.guidance
-        import prefixlab.harness
-        from prefixlab.model import fit_count_model, predict_logits
-        from prefixlab.tokenizer import Codebook, ScaleSchedule
-        from tests.conftest import make_corpus
-
-        schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
-        book = Codebook.seeded(3, 3, 2, seed=7)
-        corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
-        model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return predict_logits(*args, **kwargs)
-
-        for module in (prefixlab.guidance, prefixlab.harness):
-            monkeypatch.setattr(module, "predict_logits", counted)
-        rows = surrogate_gap(
-            model, book, 1, corpus[1][1][:prefix_scales], variants=list(CorruptionVariant),
-            fractions=(0.5, 1.0), plan_samples=8,
-        )
-        assert len(rows) == 10
-        assert len(calls) == evaluations
-
-    def test_tabular_model_has_no_corrupted_branch(self, m1, m1_book):
-        from prefixlab.errors import GuidanceConfigError
-        from prefixlab.model import TokenMap
-
-        variants = (CorruptionVariant.UNIFORM_PREFIX,)
-        (row,) = surrogate_gap(m1, m1_book, 0, [], variants, fractions=(0.5,))
-        assert row.mean_kl == row.clean_kl
-        with pytest.raises(GuidanceConfigError, match="embedding-consuming"):
-            surrogate_gap(m1, m1_book, 0, [TokenMap(1, np.asarray([[0]]))], variants, (0.5,))
-
-    @pytest.mark.parametrize("plan_samples", [0, -1])
-    def test_no_plan_samples_raises(self, small_count, small_book, plan_samples):
-        variants = (CorruptionVariant.UNIFORM_PREFIX,)
-        with pytest.raises(InvalidInputError, match="plan_samples"):
-            surrogate_gap(small_count, small_book, 0, [], variants, (0.5,),
-                          plan_samples=plan_samples)
-
-
-class TestExposureGap:
-    def test_zero_when_corpus_is_model_rollouts(self, small_count, small_book):
-        sconfig = SamplerConfig(seed=100)
-        corpus = []
-        for i in range(4):
-            result = rollouts(
-                small_count, i % 2, GuidanceConfig(),
-                SamplerConfig(seed=100 + i), small_book, 1,
-            )[0]
-            corpus.append((i % 2, list(result.maps)))
-        gaps = exposure_gap(
-            small_count, corpus, GuidanceConfig(), sconfig, small_book,
-            n_rollouts=4, seed=100,
-        )
-        assert set(gaps) == {1, 2}
-        for value in gaps.values():
-            assert value == pytest.approx(0.0, abs=1e-9)
-
-    def test_empty_corpus_raises(self, small_count, small_book):
-        with pytest.raises(InvalidInputError):
-            exposure_gap(
-                small_count, [], GuidanceConfig(), SamplerConfig(), small_book
-            )
-
-    @pytest.mark.parametrize("n_rollouts", [0, -1])
-    def test_no_rollouts_raises(self, small_count, small_book, n_rollouts):
-        from prefixlab.model import TokenMap
-
-        corpus = [(0, [TokenMap(1, np.zeros((1, 1))), TokenMap(2, np.zeros((2, 2)))])]
-        with pytest.raises(InvalidInputError, match="n_rollouts"):
-            exposure_gap(
-                small_count, corpus, GuidanceConfig(), SamplerConfig(), small_book,
-                n_rollouts=n_rollouts,
-            )
 
 
 class TestSweepGrid:

@@ -65,8 +65,10 @@ class TestRowsFromInput:
 
     @pytest.mark.parametrize(
         "row",
-        [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], [[[0.2, 0.3, 0.5]]], [0.2, 0.3, 0.5]],
-        ids=["negative", "nan", "inf", "grid-of-wrong-vocab", "1d-of-wrong-vocab"],
+        [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], [[[0.2, 0.3, 0.5]]], [0.2, 0.3, 0.5],
+         [0.0, 0.0], [[[0.0, 0.0]]]],
+        ids=["negative", "nan", "inf", "grid-of-wrong-vocab", "1d-of-wrong-vocab",
+             "no-mass", "grid-site-without-mass"],
     )
     def test_malformed_row_raises_naming_its_key(self, m1_schedule, row):
         rows = {

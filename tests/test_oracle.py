@@ -224,11 +224,16 @@ def brute_force_joint(model, condition):
 
 @st.composite
 def small_models(draw):
-    grids = draw(
-        st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
-                 min_size=1, max_size=3)
+    # Up to three scales; every coarser grid fits inside the final one.
+    grids = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    fh, fw = draw(st.sampled_from(grids))
+    coarse = draw(
+        st.lists(st.sampled_from([(h, w) for h, w in grids if h <= fh and w <= fw]),
+                 max_size=2)
     )
-    schedule = ScaleSchedule(tuple(sorted(grids, key=lambda d: d[0] * d[1])))
+    schedule = ScaleSchedule(
+        tuple(sorted(coarse, key=lambda d: d[0] * d[1])) + ((fh, fw),)
+    )
     vocab = draw(st.integers(2, 3))
     total_sites = sum(h * w for h, w in schedule.dims)
     assume(vocab ** total_sites <= 512)

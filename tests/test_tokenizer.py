@@ -62,6 +62,18 @@ class TestScaleSchedule:
         with pytest.raises(InvalidScheduleError):
             ScaleSchedule(((2, 2), (1, 1)))
 
+    @pytest.mark.parametrize(
+        "dims, scale",
+        [(((1, 2), (2, 1)), 1), (((1, 1), (1, 2), (2, 1)), 2), (((3, 1), (2, 2)), 1)],
+    )
+    def test_rejects_grid_outside_final_grid(self, dims, scale):
+        with pytest.raises(InvalidScheduleError, match=f"scale {scale} grid"):
+            ScaleSchedule(dims)
+
+    def test_accepts_grids_that_fit_but_do_not_nest(self):
+        sched = ScaleSchedule(((1, 2), (2, 1), (2, 2)))
+        assert sched.final_dims == (2, 2)
+
     def test_scale_index_out_of_range(self):
         sched = ScaleSchedule(((1, 1),))
         with pytest.raises(InvalidScheduleError):
