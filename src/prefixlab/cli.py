@@ -138,7 +138,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.verify
     combos = [(v, c) for v in spec.vocab_grid for c in spec.condition_grid]
     start = time.perf_counter()
-    worst = 0.0
+    max_kls = []
     checked = 0
     failures = []
     for i in range(spec.models):
@@ -147,7 +147,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         report = verify_identities(
             model, spec.tolerance, spec.gammas, spec.lambdas
         )
-        worst = max(worst, report.max_kl)
+        max_kls.append(report.max_kl)
         checked += len(report.rows)
         if not report.passed:
             for row in report.failures()[:5]:
@@ -157,6 +157,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 report, os.path.join(cfg.output_dir, "identity_report.csv")
             )
     elapsed = time.perf_counter() - start
+    worst = float(np.max(max_kls, initial=0.0))  # NaN if any model's is
     print(
         f"verify: {spec.models} models, max KL {worst:.3e}, "
         f"tolerance {spec.tolerance:.1e}, {elapsed:.2f}s"

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,13 @@ def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
     Computed in exact rational arithmetic so half-integer products round up
     even when the float product lands a hair below (e.g. 0.7 * 5).
     """
-    exact = Fraction(fraction).limit_denominator(10**6) * schedule.prefix_sites(k)
-    return math.floor(exact + Fraction(1, 2))
+    return _round_half_up(schedule.prefix_sites(k), fraction)
+
+
+@lru_cache(maxsize=256)
+def _round_half_up(sites: int, fraction: float) -> int:
+    # Cached: a rollout plans every sample's step with the same few pairs.
+    return math.floor(Fraction(fraction).limit_denominator(10**6) * sites + Fraction(1, 2))
 
 
 def plan_corruption(

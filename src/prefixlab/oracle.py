@@ -148,7 +148,14 @@ def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: f
 
 
 def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float, k: int) -> Distribution:
-    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|prefix))^gamma over maps."""
+    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p_null(r_k|prefix))^gamma over maps.
+
+    p_null is ``step_map_distribution`` of the null condition: a product over
+    sites of each site's uniform mixture of class rows. On a single-site scale
+    that is the uniform mixture of the class laws of the whole map; on a
+    multi-site scale it is not, because a product of per-site mixtures is not
+    a mixture of per-class products.
+    """
     key = prefix_key(prefix)
     base = step_map_distribution(model, condition, key, k)
     ref = step_map_distribution(model, NULL_CONDITION, key, k)
@@ -158,10 +165,15 @@ def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float, 
 
 
 def kl_divergence(observed: np.ndarray, oracle: np.ndarray) -> float:
-    """KL(observed || oracle), natural log; both strictly positive here."""
+    """KL(observed || oracle), natural log.
+
+    Entries where observed is exactly 0 are masked out before the 1-D sum
+    (0 log 0 = 0), as when a guided probability underflows; a NaN stays in
+    and makes the KL NaN.
+    """
     observed = np.asarray(observed, dtype=float)
     oracle = np.asarray(oracle, dtype=float)
-    mask = observed > 0
+    mask = observed != 0
     return float(np.sum(observed[mask] * np.log(observed[mask] / oracle[mask])))
 
 
@@ -190,14 +202,16 @@ class IdentityReport:
 
     @property
     def max_kl(self) -> float:
-        return max((r.kl for r in self.rows), default=0.0)
+        """The largest row KL: NaN if any row's is, 0.0 with no rows."""
+        return float(np.max([r.kl for r in self.rows])) if self.rows else 0.0
 
     @property
     def passed(self) -> bool:
         return all(r.kl <= self.tolerance for r in self.rows)
 
     def failures(self) -> list[IdentityRow]:
-        return [r for r in self.rows if r.kl > self.tolerance]
+        """Rows that do not hold: a NaN KL fails like one above tolerance."""
+        return [r for r in self.rows if not r.kl <= self.tolerance]
 
 
 def verify_identities(
@@ -217,63 +231,103 @@ def verify_identities(
     given the prefix, so every law is checked per site, with per-site prefix
     marginals; on a single-site scale this is the joint-map law of
     ``augmented_cfg`` and ``augmented_vpg``.
+
+    Rows are listed by condition, scale, prefix, then kind and strength.
     """
-    rows = []
-    sched = model.schedule
-    scales = range(1, sched.num_scales + 1)
-    l_nc_by_scale = {
-        k: np.log(prefix_marginal_sites(model, NULL_CONDITION, k)) for k in scales
-    }
-    for c in range(model.num_conditions):
-        for k in scales:
-            marg = prefix_marginal_sites(model, c, k)
-            l_cc = np.log(marg)
-            l_nc = l_nc_by_scale[k]
-            for key in enumerate_prefix_keys(sched, model.vocab, k):
-                cond_row = model.row(c, k, key)
-                null_row = model.row(NULL_CONDITION, k, key)
-                l_cg = np.log(cond_row)
-                l_ng = np.log(null_row)
-                branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
-                for gamma in gammas:
-                    guided = softmax(guidance.cfg_combine(l_cg, l_ng, gamma))
-                    oracle_p = _normalized_power_ratio(cond_row, null_row, gamma)
-                    rows.append(
-                        IdentityRow(
-                            "cfg", c, k, key, gamma, 0.0,
-                            float(np.max(np.abs(guided - oracle_p))),
-                            kl_divergence(guided, oracle_p),
-                        )
-                    )
-                for lam in lams:
-                    guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
-                    oracle_p = _normalized_power_ratio(cond_row, marg, lam)
-                    rows.append(
-                        IdentityRow(
-                            "vpg", c, k, key, 0.0, lam,
-                            float(np.max(np.abs(guided - oracle_p))),
-                            kl_divergence(guided, oracle_p),
-                        )
-                    )
-                # Sequential composition vs. its closed-form expansion, with
-                # the exact marginals standing in for the corrupted branches.
-                for gamma in gammas:
-                    for lam in lams:
-                        sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
-                        closed = (
-                            (1 + lam) * (1 + gamma) * l_cg
-                            - (1 + lam) * gamma * l_ng
-                            - lam * (1 + gamma) * l_cc
-                            + lam * gamma * l_nc
-                        )
-                        rows.append(
-                            IdentityRow(
-                                "composition", c, k, key, gamma, lam,
-                                float(np.max(np.abs(sequential - closed))),
-                                kl_divergence(softmax(sequential), softmax(closed)),
-                            )
-                        )
-    return IdentityReport(tuple(rows), tolerance)
+    checks = (
+        [("cfg", gamma, 0.0) for gamma in gammas]
+        + [("vpg", 0.0, lam) for lam in lams]
+        + [("composition", gamma, lam) for gamma in gammas for lam in lams]
+    )
+    if not checks:
+        return IdentityReport((), tolerance)
+    scales = []
+    for k in range(1, model.schedule.num_scales + 1):
+        keys = enumerate_prefix_keys(model.schedule, model.vocab, k)
+        scales.append((k, keys) + _check_scale(model, k, keys, gammas, lams))
+    rows = tuple(
+        IdentityRow(kind, c, k, key, gamma, lam, diff, kl)
+        for c in range(model.num_conditions)
+        for k, keys, diffs, kls in scales
+        for key, key_diffs, key_kls in zip(keys, diffs[c], kls[c])
+        for (kind, gamma, lam), diff, kl in zip(checks, key_diffs, key_kls)
+    )
+    return IdentityReport(rows, tolerance)
+
+
+def _check_scale(model: TabularModel, k: int, keys, gammas, lams):
+    """Max |difference| and KL of every check at scale k, in one pass per strength.
+
+    The stored rows of every (condition, prefix) are stacked into one
+    (C, P, h_k, w_k, V) array; the null row, computed once per prefix, and the
+    exact marginals broadcast over the axes they do not depend on. Each
+    strength stays a Python scalar, so ``**`` takes the same path as on one
+    row. Returns two (C, P, checks) nested lists, checks in
+    ``verify_identities``' order.
+    """
+    cond = np.stack([[model.row(c, k, key) for key in keys]
+                     for c in range(model.num_conditions)])
+    shape = cond.shape
+    null_rows = np.stack([model.row(NULL_CONDITION, k, key) for key in keys])
+    margs = np.stack([prefix_marginal_sites(model, c, k)
+                      for c in range(model.num_conditions)])[:, None]
+    l_cg = np.log(cond)
+    l_ng = np.broadcast_to(np.log(null_rows), shape)
+    l_cc = np.broadcast_to(np.log(margs), shape)
+    l_nc = np.broadcast_to(np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)
+    branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
+
+    diffs, kls = [], []
+    for gamma in gammas:
+        guided = softmax(guidance.cfg_combine(l_cg, l_ng, gamma))
+        oracle_p = _normalized_power_ratio(cond, null_rows, gamma)
+        diffs.append(_row_max_abs(guided - oracle_p))
+        kls.append(_row_kls(guided, oracle_p))
+    for lam in lams:
+        guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
+        oracle_p = _normalized_power_ratio(cond, margs, lam)
+        diffs.append(_row_max_abs(guided - oracle_p))
+        kls.append(_row_kls(guided, oracle_p))
+    # Sequential composition vs. its closed-form expansion, with the exact
+    # marginals standing in for the corrupted branches.
+    for gamma in gammas:
+        for lam in lams:
+            sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
+            closed = (
+                (1 + lam) * (1 + gamma) * l_cg
+                - (1 + lam) * gamma * l_ng
+                - lam * (1 + gamma) * l_cc
+                + lam * gamma * l_nc
+            )
+            diffs.append(_row_max_abs(sequential - closed))
+            kls.append(_row_kls(softmax(sequential), softmax(closed)))
+    per_row = shape[:2] + (len(diffs),)
+    return (np.stack(diffs, axis=-1).reshape(per_row).tolist(),
+            np.stack(kls, axis=-1).reshape(per_row).tolist())
+
+
+def _row_max_abs(diff: np.ndarray) -> np.ndarray:
+    """max |diff| over each (condition, prefix) row of a stack."""
+    return np.abs(diff).reshape(diff.shape[0] * diff.shape[1], -1).max(axis=1)
+
+
+def _row_kls(observed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """``kl_divergence`` of each (condition, prefix) row of two stacks, bit for bit.
+
+    Summing a row's contiguous trailing axes runs the same pairwise sum as the
+    1-D call. A row with an observed zero keeps ``kl_divergence``'s masked
+    sum, whose terms pair differently once eight or more remain.
+    """
+    obs = observed.reshape(observed.shape[0] * observed.shape[1], -1)
+    ora = oracle.reshape(obs.shape)
+    full = np.all(obs != 0, axis=1)
+    if full.all():
+        return np.sum(obs * np.log(obs / ora), axis=1)
+    kls = np.empty(len(obs))
+    kls[full] = np.sum(obs[full] * np.log(obs[full] / ora[full]), axis=1)
+    for i in np.flatnonzero(~full):
+        kls[i] = kl_divergence(obs[i], ora[i])
+    return kls
 
 
 def write_report_csv(report: IdentityReport, path) -> None:

@@ -1,5 +1,8 @@
 """Corruption plans and their deterministic application to prefix embeddings."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,16 @@ class TestSelectionSize:
 
     def test_scale_one_has_no_prefix(self):
         assert selection_size(SCHEDULE, 1, 1.0) == 0
+
+    @given(st.floats(0.0, 1.0), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_calls_match_exact_rounding(self, fraction, k):
+        # The rounding is cached per (prefix sites, fraction); a repeat call
+        # must give the value computed from scratch.
+        exact = Fraction(fraction).limit_denominator(10**6) * SCHEDULE.prefix_sites(k)
+        expected = math.floor(exact + Fraction(1, 2))
+        assert selection_size(SCHEDULE, k, fraction) == expected
+        assert selection_size(SCHEDULE, k, fraction) == expected
 
 
 class TestPlanning:

@@ -133,6 +133,11 @@ class TestKL:
         expected = 0.5 * np.log(2.0) + 0.5 * np.log(0.5 / 0.75)
         assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-12)
 
+    def test_observed_zero_masked_nan_kept(self):
+        q = np.asarray([0.25, 0.75])
+        assert kl_divergence(np.asarray([0.0, 1.0]), q) == pytest.approx(np.log(1 / 0.75))
+        assert np.isnan(kl_divergence(np.asarray([np.nan, 1.0]), q))
+
     def test_softmax_normalizes(self):
         out = softmax(np.asarray([[1.0, 2.0, 3.0]]))
         assert out.sum() == pytest.approx(1.0, abs=1e-12)

@@ -12,6 +12,10 @@ script runs, each in a fresh ``python -m prefixlab.cli`` child with
 
 - the ``verify`` (18 models), ``exact_kl``, ``ablate`` and ``sample``
   configs of ``bench/workloads.py``, ``sample`` cut to 12 samples;
+- that ``verify`` config on the multi-site schedule ``(1,1),(1,2),(2,2)``
+  with 4 models over V in {2, 3} and C in {2, 3}, so the
+  ``identity_report.csv`` it writes (model 0: V=2, C=2) covers several
+  conditions, prefixes and sites;
 - a count-model ``sample`` of 12 with the corrupted reference, lambda 1,
   n_p 0.5 and the ``uniform_prefix`` variant.
 
@@ -46,6 +50,10 @@ SAMPLES = 12
 # The corrupted-reference guidance of the count-model sample run.
 CORRUPTED = {"lambda": 1.0, "n_p": 0.5, "variant": "uniform_prefix",
              "reference": "corrupted"}
+# The multi-site verify run; its model 0 has V=2 and C=2.
+MULTISITE_VERIFY = {"schedule": [[1, 1], [1, 2], [2, 2]],
+                    "verify": {"models": 4, "vocab_grid": [2, 3],
+                               "condition_grid": [2, 3]}}
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1"}
 
@@ -55,6 +63,8 @@ def runs(seed: int, checkout: Path):
     for name in ("verify", "exact_kl", "ablate", "sample"):
         workload = WORKLOADS[name]
         yield name, workload.command, workload.config(seed, checkout)
+    yield ("verify_multisite", "verify",
+           merge_config(WORKLOADS["verify"].config(seed, checkout), MULTISITE_VERIFY))
     count_sample = merge_config(WORKLOADS["ablate"].config(seed, checkout),
                                 {"guidance": CORRUPTED})
     yield "count_sample_corrupted", "sample", count_sample
