@@ -139,7 +139,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     combos = [(v, c) for v in spec.vocab_grid for c in spec.condition_grid]
     start = time.perf_counter()
     max_kls = []
-    checked = 0
+    checked = failed_rows = failed_models = 0
     failures = []
     for i in range(spec.models):
         vocab, conds = combos[i % len(combos)]
@@ -149,9 +149,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
         max_kls.append(report.max_kl)
         checked += len(report.rows)
-        if not report.passed:
-            for row in report.failures()[:5]:
-                failures.append((i, vocab, conds, row))
+        failed = report.failures()
+        if failed:
+            failed_rows += len(failed)
+            failed_models += 1
+            failures += [(i, vocab, conds, row) for row in failed[:5]]
         if i == 0:
             write_report_csv(
                 report, os.path.join(cfg.output_dir, "identity_report.csv")
@@ -166,6 +168,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         print("verify: FAIL nothing was checked (0 identity rows)")
         return EXIT_IDENTITY
     if failures:
+        print(f"verify: FAIL {failed_rows} identity rows in {failed_models} "
+              f"of {spec.models} models")
         for i, vocab, conds, row in failures[:10]:
             print(
                 f"  FAIL model {i} (V={vocab}, C={conds}): {row.kind} "

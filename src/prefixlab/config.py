@@ -17,13 +17,12 @@ import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-
-import numpy as np
+from itertools import islice
 
 from .errors import ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
-from .model import TokenMap, check_corpus_sequence
+from .model import check_corpus_sequence, prefix_maps
 from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
 
@@ -283,14 +282,10 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
                 raise InvalidInputError(f"{where}: {','.join(row)!r} is not all integers") from None
             if len(tokens) != expected:
                 raise InvalidInputError(f"{where}: row does not match the schedule")
-            maps = []
-            pos = 0
-            for k in range(1, schedule.num_scales + 1):
-                h, w = schedule.grid(k)
-                maps.append(
-                    TokenMap(k, np.asarray(tokens[pos : pos + h * w]).reshape(h, w))
-                )
-                pos += h * w
+            ids = iter(tokens)
+            key = [tuple(islice(ids, schedule.sites(k)))
+                   for k in range(1, schedule.num_scales + 1)]
+            maps = prefix_maps(key, schedule)
             check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where)
             corpus.append((condition, maps))
     return corpus

@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InconsistentPlanError, InvalidFractionError
-from .model import EmbeddingParams, PrefixEmbedding, embed_prefix
-from .tokenizer import Codebook, ScaleSchedule, TokenMap
+from .model import EmbeddingParams, PrefixEmbedding, embed_prefix, prefix_maps
+from .tokenizer import Codebook, ScaleSchedule
 
 
 class CorruptionVariant(Enum):
@@ -132,11 +132,7 @@ def apply_corruption(
         raise InconsistentPlanError("plan selects sites beyond the prefix")
 
     if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-        maps = [
-            TokenMap(j, np.asarray(ids, dtype=np.int64).reshape(schedule.grid(j)))
-            for j, ids in enumerate(plan.uniform_tokens, start=1)
-        ]
-        return embed_prefix(maps, book, schedule, params)
+        return embed_prefix(prefix_maps(plan.uniform_tokens, schedule), book, schedule, params)
 
     grids = [g.copy() for g in embedding.grids]
     proj, pos = params

@@ -22,6 +22,7 @@ import numpy as np
 from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, plan_corruption
 from .errors import (
     GuidanceConfigError,
+    IllDefinedLawError,
     InvalidInputError,
     MissingBranchError,
 )
@@ -143,15 +144,16 @@ def guided_step(
     config: GuidanceConfig,
     *,
     book: Codebook | None = None,
-    plan_seed: int = 0,
+    plan_seed: int | None = None,
     plan: CorruptionPlan | None = None,
     signed: SignedEmbedding | None = None,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
 
-    ``prefix`` is the generated token history (list of TokenMap). A fixed
-    ``plan`` overrides plan sampling, which keeps replay and exact rollout
-    laws deterministic. A count model's clean branches read ``signed``, the
+    ``prefix`` is the generated token history (list of TokenMap). A
+    corrupted branch runs under ``plan`` (replay and exact rollout laws fix
+    it), else under a plan drawn from ``plan_seed``; with neither it raises
+    IllDefinedLawError. A count model's clean branches read ``signed``, the
     prefix's signed embedding, when the caller carries it; otherwise the
     prefix is embedded and signed here.
     """
@@ -200,6 +202,10 @@ def guided_step(
             if not isinstance(model, CountModel):
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
+                )
+            if plan is None and plan_seed is None:
+                raise IllDefinedLawError(
+                    f"the corrupted branch at scale {k} needs a plan or a plan seed"
                 )
             used_plan = plan if plan is not None else plan_corruption(
                 model.schedule, k, config.fraction, config.variant, plan_seed, book=book

@@ -222,10 +222,9 @@ def write_sweep_csv(rows: list[MetricRow], path) -> None:
 
 
 def svg_line_plot(series: dict[str, list[tuple[float, float]]],
-                  title: str, xlabel: str, ylabel: str,
-                  width: int = 640, height: int = 420) -> str:
+                  title: str, xlabel: str, ylabel: str) -> str:
     """Minimal self-contained SVG line plot, one polyline per series."""
-    margin = 60
+    width, height, margin = 640, 420, 60
     points = [p for pts in series.values() for p in pts]
     if not points:
         return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -345,8 +345,11 @@ class CountModel:
         ]
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
-        if condition is NULL_CONDITION and not self.include_null:
-            raise MissingRowError("count model was fitted without null-condition rows")
+        if condition is NULL_CONDITION:
+            if not self.include_null:
+                raise MissingRowError("count model was fitted without null-condition rows")
+        elif condition not in range(self.num_conditions):
+            raise MissingRowError(f"count model has no rows for condition {condition!r}")
         h, w = self.schedule.grid(k)
         counted = self.counts.get((k, condition, signature))
         if counted is None:

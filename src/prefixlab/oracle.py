@@ -83,9 +83,9 @@ def _site_law(model, condition: Condition, book: Codebook | None = None):
     ).reshape(-1, model.vocab)
 
 
-def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey, k: int) -> Distribution:
-    """Joint distribution over whole scale-k token maps given one prefix."""
-    row = model.row(condition, k, key).reshape(-1, model.vocab)
+def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey) -> Distribution:
+    """Joint distribution over the whole token maps of the step after ``key``."""
+    row = model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
     pairs = chain_law(lambda _: row, 1)
     return Distribution(
         tuple(seq[0] for seq, _ in pairs), np.asarray([q for _, q in pairs])
@@ -137,18 +137,20 @@ def _normalized_power_ratio(base: np.ndarray, reference: np.ndarray, strength: f
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: float, k: int) -> Distribution:
-    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|c))^lambda over maps."""
+def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: float) -> Distribution:
+    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|c))^lambda over step k's maps."""
     key = prefix_key(prefix)
-    base = step_map_distribution(model, condition, key, k)
-    marg = prefix_marginal(model, condition, k)
+    base = step_map_distribution(model, condition, key)
+    marg = prefix_marginal(model, condition, len(key) + 1)
     return Distribution(
         base.outcomes, _normalized_power_ratio(base.probs, marg.probs, strength)
     )
 
 
-def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float, k: int) -> Distribution:
+def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float) -> Distribution:
     """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p_null(r_k|prefix))^gamma over maps.
+
+    k is the step after ``prefix``, as in ``augmented_vpg``.
 
     p_null is ``step_map_distribution`` of the null condition: a product over
     sites of each site's uniform mixture of class rows. On a single-site scale
@@ -157,8 +159,8 @@ def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float, 
     a mixture of per-class products.
     """
     key = prefix_key(prefix)
-    base = step_map_distribution(model, condition, key, k)
-    ref = step_map_distribution(model, NULL_CONDITION, key, k)
+    base = step_map_distribution(model, condition, key)
+    ref = step_map_distribution(model, NULL_CONDITION, key)
     return Distribution(
         base.outcomes, _normalized_power_ratio(base.probs, ref.probs, strength)
     )
@@ -177,10 +179,11 @@ def kl_divergence(observed: np.ndarray, oracle: np.ndarray) -> float:
     return float(np.sum(observed[mask] * np.log(observed[mask] / oracle[mask])))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.kl <= self.tolerance for r in self.rows)
+        return not self.failures()
 
     def failures(self) -> list[IdentityRow]:
         """Rows that do not hold: a NaN KL fails like one above tolerance."""
@@ -278,16 +281,16 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lams):
     branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
 
     diffs, kls = [], []
-    for gamma in gammas:
-        guided = softmax(guidance.cfg_combine(l_cg, l_ng, gamma))
-        oracle_p = _normalized_power_ratio(cond, null_rows, gamma)
-        diffs.append(_row_max_abs(guided - oracle_p))
-        kls.append(_row_kls(guided, oracle_p))
-    for lam in lams:
-        guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
-        oracle_p = _normalized_power_ratio(cond, margs, lam)
-        diffs.append(_row_max_abs(guided - oracle_p))
-        kls.append(_row_kls(guided, oracle_p))
+    # In ``verify_identities``' check order: every CFG strength, then every VPG one.
+    for combine, ref, ref_logits, strengths in (
+        (guidance.cfg_combine, null_rows, l_ng, gammas),
+        (guidance.vpg_combine, margs, l_cc, lams),
+    ):
+        for strength in strengths:
+            guided = softmax(combine(l_cg, ref_logits, strength))
+            oracle_p = _normalized_power_ratio(cond, ref, strength)
+            diffs.append(_row_max_abs(guided - oracle_p))
+            kls.append(_row_kls(guided, oracle_p))
     # Sequential composition vs. its closed-form expansion, with the exact
     # marginals standing in for the corrupted branches.
     for gamma in gammas:

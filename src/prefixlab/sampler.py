@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .corruption import CorruptionPlan
-from .errors import DegenerateDistributionError, IllDefinedLawError, InvalidInputError
+from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import EMPTY_EMBEDDING, Condition, CountModel, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
@@ -249,22 +249,14 @@ def rollout_distribution(
     """Exact law over the model's full token-map sequences under the sampler.
 
     The guided law must be deterministic: either the exact-marginal
-    reference, lam = 0, or a fixed corruption plan per guided scale.
+    reference, lam = 0, or a fixed corruption plan per guided scale;
+    ``guided_step`` rejects a guided scale without one as ill-defined.
     """
-    if (
-        gconfig.lam > 0
-        and gconfig.reference == "corrupted"
-        and fixed_plans is None
-    ):
-        raise IllDefinedLawError(
-            "stochastic corruption has no single rollout law; pass fixed_plans"
-        )
 
     def step_law(seq):
-        plan = fixed_plans.get(len(seq) + 1) if fixed_plans else None
         step = guided_step(
             model, condition, prefix_maps(seq, model.schedule), gconfig,
-            book=book, plan=plan,
+            book=book, plan=(fixed_plans or {}).get(len(seq) + 1),
         )
         return truncated_law(step.logits, sconfig).reshape(
             -1, step.logits.shape[-1]

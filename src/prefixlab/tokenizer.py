@@ -210,11 +210,11 @@ def decode_maps(maps: list[TokenMap], schedule: ScaleSchedule, book: Codebook) -
 
 
 def synthetic_images(
-    schedule: ScaleSchedule, latent_dim: int, seed: int, count: int, bumps: int = 3
+    schedule: ScaleSchedule, latent_dim: int, seed: int, count: int
 ) -> list[np.ndarray]:
     """Seeded mixtures of axis-aligned Gaussian bumps on the finest grid.
 
-    Each image sums `bumps` bumps with random centre, per-axis width in
+    Each image sums three bumps with random centre, per-axis width in
     [0.5, 2.0] grid units, and a random d-vector amplitude; bit-for-bit
     reproducible given the seed.
     """
@@ -224,7 +224,7 @@ def synthetic_images(
     images = []
     for _ in range(count):
         img = np.zeros((h, w, latent_dim))
-        for _ in range(bumps):
+        for _ in range(3):
             cy, cx = rng.uniform(0, h), rng.uniform(0, w)
             sy, sx = rng.uniform(0.5, 2.0, size=2)
             amp = rng.normal(size=latent_dim)

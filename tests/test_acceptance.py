@@ -95,7 +95,7 @@ def test_criterion_1_cfg_identity():
                             guided = softmax(
                                 (1 + gamma) * np.log(cond) - gamma * np.log(null)
                             ).reshape(-1)
-                            oracle = augmented_cfg(model, c, key, gamma, k).probs
+                            oracle = augmented_cfg(model, c, key, gamma).probs
                             worst = max(worst, kl_divergence(guided, oracle))
         elapsed = time.perf_counter() - start
         assert worst < 1e-9, f"max KL {worst:.3e}"
@@ -117,7 +117,7 @@ def test_criterion_2_prefix_contrast_identity():
                             guided = softmax(
                                 (1 + lam) * np.log(cond) - lam * np.log(marg)
                             ).reshape(-1)
-                            oracle = augmented_vpg(model, c, key, lam, k).probs
+                            oracle = augmented_vpg(model, c, key, lam).probs
                             worst = max(worst, kl_divergence(guided, oracle))
         elapsed = time.perf_counter() - start
         assert worst < 1e-9, f"max KL {worst:.3e}"
@@ -150,7 +150,7 @@ def test_criterion_4_hand_derived_fixture_values():
         np.testing.assert_allclose(marg.probs, [0.5, 0.5], atol=1e-4)
         post = prefix_posterior(model, 0, outcome=(0,), k=2)
         assert post.prob(((0,),)) == pytest.approx(0.9, abs=1e-4)
-        aug = augmented_vpg(model, 0, [(0,)], strength=1.0, k=2)
+        aug = augmented_vpg(model, 0, [(0,)], strength=1.0)
         np.testing.assert_allclose(aug.probs, [0.6923, 0.3077], atol=1e-4)
 
 
@@ -311,7 +311,8 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
             config = GuidanceConfig(
                 gamma=gamma, lam=lam, fraction=1.0, reference="corrupted"
             )
-            step = guided_step(small_count, 0, tab_prefix, config, book=small_book)
+            step = guided_step(small_count, 0, tab_prefix, config, book=small_book,
+                               plan_seed=0)
             assert step.evaluations == count, (gamma, lam)
 
         masked = GuidanceConfig(lam=1.0, fraction=1.0, scale_mask=(3,))

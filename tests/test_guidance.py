@@ -6,8 +6,10 @@ import pytest
 from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
 from prefixlab.errors import (
     GuidanceConfigError,
+    IllDefinedLawError,
     InvalidInputError,
     MissingBranchError,
+    MissingRowError,
 )
 from prefixlab.guidance import (
     BranchLogits,
@@ -194,10 +196,33 @@ class TestGuidedStepCount:
         clean = predict_logits(small_count, 0, prefix, book=small_book)
         for config, expected, signed in cases:
             signatures.clear()
-            step = guided_step(small_count, 0, prefix, config, book=small_book)
+            step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
             assert step.evaluations == expected
             assert len(signatures) == signed
             assert np.array_equal(step.branches.cond_gen, clean)
+
+    def test_corrupted_branch_needs_a_plan_or_a_seed(self, small_count, small_book):
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(lam=1.0, fraction=1.0)
+        with pytest.raises(IllDefinedLawError, match="scale 2"):
+            guided_step(small_count, 0, prefix, config, book=small_book)
+        plan = plan_corruption(
+            small_count.schedule, 2, 1.0, config.variant, seed=0, book=small_book
+        )
+        seeded = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
+        fixed = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+        assert seeded.plan == plan
+        assert np.array_equal(seeded.logits, fixed.logits)
+
+    @pytest.mark.parametrize("condition", [7, -1])
+    def test_unknown_condition_raises_for_both_model_kinds(
+        self, condition, small_tabular, small_count, small_book
+    ):
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(gamma=1.0)
+        for model in (small_tabular, small_count):
+            with pytest.raises(MissingRowError, match=f"condition {condition}"):
+                guided_step(model, condition, prefix, config, book=small_book)
 
     def test_exact_marginal_rejects_count_model(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]

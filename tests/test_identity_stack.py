@@ -204,7 +204,9 @@ class TestNaNRows:
                      "--output-dir", str(tmp_path / "out")])
         out = capsys.readouterr().out
         assert code == EXIT_IDENTITY
-        assert "max KL nan," in out.splitlines()[0]
+        lines = out.splitlines()
+        assert "max KL nan," in lines[0]
+        assert lines[1] == "verify: FAIL 30 identity rows in 7 of 9 models"
         assert "all identities hold" not in out
-        fails = [line for line in out.splitlines() if line.startswith("  FAIL")]
-        assert fails and all(line.endswith("KL=nan") for line in fails)
+        fails = [line for line in lines if line.startswith("  FAIL")]
+        assert len(fails) == 10 and all(line.endswith("KL=nan") for line in fails)

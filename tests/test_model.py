@@ -312,7 +312,7 @@ class TestSeededTables:
                 gamma=1.0, lam=1.0, fraction=1.0,
                 variant=CorruptionVariant.UNIFORM_PREFIX,
             )
-            guided_step(model, 0, corpus[0][1][:1], config, book=small_book)
+            guided_step(model, 0, corpus[0][1][:1], config, book=small_book, plan_seed=0)
         assert len(builds) == 2
 
     @pytest.mark.parametrize("bins", [1, 2, 5])
@@ -365,6 +365,17 @@ class TestPredictLogits:
     def test_unknown_model_type_raises(self):
         with pytest.raises(InvalidInputError):
             predict_logits(object(), 0, [])
+
+    @pytest.mark.parametrize("condition", [7, -1, 2])
+    def test_unknown_condition_raises_for_both_model_kinds(
+        self, condition, small_tabular, small_count, small_book
+    ):
+        # Both models were built for conditions 0 and 1.
+        maps = [TokenMap(1, np.asarray([[1]]))]
+        for model in (small_tabular, small_count):
+            with pytest.raises(MissingRowError, match=f"condition {condition}"):
+                predict_logits(model, condition, maps, book=small_book)
+        assert not any(key[0] == condition for key in small_count._logits)
 
     def test_count_logits_are_memoized_read_only(self, small_count, small_book):
         maps = [TokenMap(1, np.asarray([[2]]))]

@@ -70,25 +70,25 @@ class TestFixtureM1:
         assert post.prob(((1,),)) == pytest.approx(0.1, abs=1e-12)
 
     def test_augmented_vpg_lambda_one(self, m1):
-        aug = augmented_vpg(m1, 0, [(0,)], strength=1.0, k=2)
+        aug = augmented_vpg(m1, 0, [(0,)], strength=1.0)
         # weights 0.6 * (0.6/0.5), 0.4 * (0.4/0.5) -> [0.72, 0.32] normalized.
         np.testing.assert_allclose(aug.probs, [0.72 / 1.04, 0.32 / 1.04], atol=1e-12)
         np.testing.assert_allclose(aug.probs, [0.6923, 0.3077], atol=1e-4)
 
     def test_augmented_vpg_zero_strength_is_base(self, m1):
-        aug = augmented_vpg(m1, 0, [(1,)], strength=0.0, k=2)
+        aug = augmented_vpg(m1, 0, [(1,)], strength=0.0)
         np.testing.assert_allclose(aug.probs, [0.2, 0.8], atol=1e-12)
 
     def test_single_condition_cfg_is_inert(self, m1):
         # With one class the uniform-prior marginal equals the class law.
         for gamma in (0.0, 1.0, 3.0):
-            aug = augmented_cfg(m1, 0, [(0,)], strength=gamma, k=2)
+            aug = augmented_cfg(m1, 0, [(0,)], strength=gamma)
             np.testing.assert_allclose(aug.probs, [0.6, 0.4], atol=1e-12)
 
 
 class TestEnumeration:
     def test_step_map_distribution_products(self, small_tabular):
-        dist = step_map_distribution(small_tabular, 0, ((1,),), k=2)
+        dist = step_map_distribution(small_tabular, 0, ((1,),))
         row = small_tabular.row(0, 2, ((1,),)).reshape(-1, 3)
         assert len(dist.outcomes) == 3 ** 4
         combo = (0, 2, 1, 0)
@@ -116,7 +116,7 @@ class TestEnumeration:
             rows[(c, 2, ((0,),))] = [0.5, 0.5]
             rows[(c, 2, ((1,),))] = [0.5, 0.5]
         model = tabular_from_rows(m1_schedule, 2, 2, rows)
-        aug = augmented_cfg(model, 0, [], strength=1.0, k=1)
+        aug = augmented_cfg(model, 0, [], strength=1.0)
         # reference = [0.5, 0.5]; weights 0.8 * 1.6, 0.2 * 0.4.
         np.testing.assert_allclose(aug.probs, [1.28 / 1.36, 0.08 / 1.36], atol=1e-12)
         np.testing.assert_allclose(aug.probs, [0.9412, 0.0588], atol=1e-4)

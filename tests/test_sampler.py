@@ -1,12 +1,14 @@
 """Truncation rules, rollouts, trace replay and exact rollout laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prefixlab.corruption import CorruptionVariant
+from prefixlab.corruption import CorruptionVariant, plan_corruption
 from prefixlab.errors import (
     DegenerateDistributionError,
     IllDefinedLawError,
@@ -25,7 +27,9 @@ from prefixlab.sampler import (
     truncated_law,
     truncated_site_law,
 )
-from prefixlab.tokenizer import TokenMap, decode_maps
+from prefixlab.model import SignatureSpec, fit_count_model
+from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, decode_maps
+from tests.conftest import make_corpus
 
 
 class TestSamplerConfig:
@@ -389,6 +393,46 @@ class TestRolloutLaw:
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
         with pytest.raises(IllDefinedLawError):
             rollout_distribution(small_count, 0, gconfig, SamplerConfig(), small_book)
+
+    @pytest.fixture(scope="class")
+    def three_scale_count(self):
+        # V = 2 on (1,1),(1,2),(2,2): seven sites, 128 sequences.
+        schedule = ScaleSchedule(((1, 1), (1, 2), (2, 2)))
+        book = Codebook.seeded(3, 2, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=1, count=12, seed=5)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=2, num_conditions=1,
+            spec=SignatureSpec(bins=2, seed=0),
+        )
+        return model, book
+
+    CORRUPTED = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
+
+    def test_fixed_plans_must_cover_every_guided_scale(self, three_scale_count):
+        model, book = three_scale_count
+        plan = plan_corruption(
+            model.schedule, 2, 0.5, self.CORRUPTED.variant, seed=0, book=book
+        )
+        with pytest.raises(IllDefinedLawError, match="scale 3"):
+            rollout_distribution(
+                model, 0, self.CORRUPTED, SamplerConfig(), book, fixed_plans={2: plan}
+            )
+        with pytest.raises(IllDefinedLawError, match="scale 2"):
+            rollout_distribution(
+                model, 0, self.CORRUPTED, SamplerConfig(), book, fixed_plans={}
+            )
+
+    def test_mask_without_guided_scale_is_the_unguided_law(self, three_scale_count):
+        model, book = three_scale_count
+        masked = rollout_distribution(
+            model, 0, replace(self.CORRUPTED, scale_mask={1}), SamplerConfig(), book
+        )
+        plain = rollout_distribution(
+            model, 0, replace(self.CORRUPTED, lam=0.0), SamplerConfig(), book
+        )
+        assert len(plain.outcomes) == 128
+        assert masked.outcomes == plain.outcomes
+        assert np.array_equal(masked.probs, plain.probs)
 
     def test_fixed_plans_make_corrupted_law_exact(self, m1_book):
         from prefixlab.corruption import CorruptionVariant, plan_corruption

@@ -17,7 +17,10 @@ script runs, each in a fresh ``python -m prefixlab.cli`` child with
   ``identity_report.csv`` it writes (model 0: V=2, C=2) covers several
   conditions, prefixes and sites;
 - a count-model ``sample`` of 12 with the corrupted reference, lambda 1,
-  n_p 0.5 and the ``uniform_prefix`` variant.
+  n_p 0.5 and the ``uniform_prefix`` variant;
+- that run again with the count model fitted on a corpus file
+  (``model.corpus_path``): 60 rows of the ablate model's shape, drawn from
+  ``random.Random(seed)`` and written next to the run's config.
 
 It prints one ``sha256  path`` line per output file, stdout and stderr of
 each run, and one ``exit N  path`` line per run. Before hashing, the output
@@ -35,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -50,6 +54,10 @@ SAMPLES = 12
 # The corrupted-reference guidance of the count-model sample run.
 CORRUPTED = {"lambda": 1.0, "n_p": 0.5, "variant": "uniform_prefix",
              "reference": "corrupted"}
+# The corpus file of the corpus-fitted sample run, relative to its run
+# directory (the working directory of its CLI child), and its row count.
+CORPUS_FILE = "corpus.csv"
+CORPUS_ROWS = 60
 # The multi-site verify run; its model 0 has V=2 and C=2.
 MULTISITE_VERIFY = {"schedule": [[1, 1], [1, 2], [2, 2]],
                     "verify": {"models": 4, "vocab_grid": [2, 3],
@@ -68,6 +76,21 @@ def runs(seed: int, checkout: Path):
     count_sample = merge_config(WORKLOADS["ablate"].config(seed, checkout),
                                 {"guidance": CORRUPTED})
     yield "count_sample_corrupted", "sample", count_sample
+    yield ("count_corpus_sample", "sample",
+           merge_config(count_sample, {"model": {"corpus_path": CORPUS_FILE}}))
+
+
+def write_corpus(path: Path, config: dict, seed: int) -> None:
+    """A corpus CSV for ``config``'s model shape, as ``corpus_to_csv`` lays
+    it out: a condition, then one token id per site in scale order."""
+    rng = random.Random(seed)
+    sites = sum(h * w for h, w in config["schedule"])
+    rows = [
+        [rng.randrange(config["num_conditions"])]
+        + [rng.randrange(config["vocab"]) for _ in range(sites)]
+        for _ in range(CORPUS_ROWS)
+    ]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def normalized(path: Path) -> bytes:
@@ -94,6 +117,8 @@ def digest(src: Path, seed: int, work: Path) -> list[str]:
         run_dir.mkdir(parents=True)
         config_path = run_dir / "config.json"
         config_path.write_text(json.dumps(config))
+        if config["model"].get("corpus_path"):
+            write_corpus(run_dir / config["model"]["corpus_path"], config, seed)
         argv = [command, "--config", str(config_path), "--output-dir", str(out_dir)]
         if command == "sample":
             argv += ["--count", str(SAMPLES)]
