@@ -24,6 +24,7 @@ from .model import (
 )
 from .oracle import (
     Distribution,
+    VerifySpec,
     augmented_cfg,
     augmented_vpg,
     enumerate_prefixes,

@@ -14,7 +14,6 @@ before it is parsed, so they pass the same checks as the file.
 from __future__ import annotations
 
 import argparse
-import importlib.resources
 import json
 import os
 import sys
@@ -49,14 +48,6 @@ EXIT_SWEEP = 4
 SAMPLE_BLOCK = 64
 
 
-def default_config_text() -> str:
-    return (
-        importlib.resources.files("prefixlab.data")
-        .joinpath("default_config.json")
-        .read_text()
-    )
-
-
 def _scale_mask(text: str):
     if text == "all":
         return None
@@ -88,12 +79,12 @@ FLAGS = {
 
 
 def _resolve_config(args) -> RunConfig:
-    """The config file (or the shipped one) with PREFIXLAB_OUTPUT_DIR and then
-    every given flag written over its keys, parsed once."""
+    """The config file (or ``RunConfig()``'s JSON form) with PREFIXLAB_OUTPUT_DIR
+    and then every given flag written over its keys, parsed once."""
     if args.config is not None:
         data = read_config(args.config)
     else:
-        data = json.loads(default_config_text())
+        data = config_to_json(RunConfig())
     if os.environ.get("PREFIXLAB_OUTPUT_DIR"):
         data["output_dir"] = os.environ["PREFIXLAB_OUTPUT_DIR"]
     given = vars(args)
@@ -144,9 +135,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for i in range(spec.models):
         vocab, conds = combos[i % len(combos)]
         model = build_tabular(cfg.schedule, vocab, conds, seed=i)
-        report = verify_identities(
-            model, spec.tolerance, spec.gammas, spec.lambdas
-        )
+        report = verify_identities(model, spec)
         max_kls.append(report.max_kl)
         checked += len(report.rows)
         failed = report.failures()
@@ -225,11 +214,10 @@ def _emit_sweep(cfg: RunConfig, grid: SweepGrid, spec: ExperimentSpec, stem: str
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{stem}_{grid.grid_hash()}.csv")
     write_sweep_csv(rows, csv_path)
-    svg_paths = write_sweep_svg(rows, grid, cfg.output_dir)
+    svg_path = write_sweep_svg(rows, grid, cfg.output_dir)
     ok = [r for r in rows if r.error == ""]
     print(f"{stem}: {len(ok)}/{len(rows)} cells ok -> {csv_path}")
-    for path in svg_paths:
-        print(f"{stem}: plot {path}")
+    print(f"{stem}: plot {svg_path}")
     if not ok:
         return EXIT_SWEEP
     return EXIT_OK
@@ -285,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify", help="run the oracle identity suites"))
     p_sample = sub.add_parser("sample", help="guided rollouts with traces and images")
     common(p_sample)
-    p_sample.add_argument("--count", type=int, default=4, help="number of samples (default 4)")
+    p_sample.add_argument("--count", type=int, default=4, help="number of samples (default %(default)s)")
     common(sub.add_parser("sweep", help="lambda x n_p x variant sweep to CSV/SVG"))
     common(sub.add_parser("ablate", help="all corruption variants at fixed n_p"))
     return parser

@@ -1,10 +1,12 @@
 """Run configuration: a single strict JSON file drives every command.
 
-The frozen dataclasses below are the only schema: ``parse_config`` takes
-each key's type from its field's annotation, its default from ``RunConfig()``
-and its range from ``_BOUNDS``. Unknown keys and malformed or out-of-range
-values are rejected by name, never coerced, so sweeps stay auditable. The
-corpus CSV that ``model.corpus_path`` names is read and written here too.
+Frozen dataclasses are the only schema; a section lives with its reader
+(``VerifySpec`` in oracle, ``SweepGrid`` in harness). ``RunConfig()`` holds
+every default: the CLI runs it when no file is given, and
+``data/default_config.json`` is its written-out copy. ``parse_config`` takes
+each key's type from its field's annotation and its range from ``_BOUNDS``.
+Unknown keys and malformed or out-of-range values are rejected by name, never
+coerced. The corpus CSV that ``model.corpus_path`` names is read and written here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import ConfigError, InvalidInputError, InvalidScheduleError, Prefix
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
 from .model import check_corpus_sequence, prefix_maps
+from .oracle import VerifySpec
 from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
 
@@ -154,16 +157,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class VerifySpec:
-    tolerance: float = 1e-9
-    models: int = 100
-    vocab_grid: tuple[int, ...] = (2, 3, 5)
-    condition_grid: tuple[int, ...] = (1, 2, 3)
-    gammas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 3.0)
-    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0)
-
-
-@dataclass(frozen=True)
 class AblateSpec:
     lambdas: tuple[float, ...] = (0.0, 0.5, 1.0)
     fraction: float = 0.1
@@ -282,7 +275,9 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
                 raise InvalidInputError(f"{where}: {','.join(row)!r} is not all integers") from None
             if len(tokens) != expected:
                 raise InvalidInputError(f"{where}: row does not match the schedule")
-            ids = iter(tokens)
+            # Clamping into -1..vocab keeps each id inside or outside 0..vocab-1
+            # and within int64, so check_corpus_sequence names any bad id.
+            ids = iter(min(max(t, -1), vocab) for t in tokens)
             key = [tuple(islice(ids, schedule.sites(k)))
                    for k in range(1, schedule.num_scales + 1)]
             maps = prefix_maps(key, schedule)

@@ -3,7 +3,7 @@
 Desk-scale quality metrics: exact sequence KL where the rollout law is
 enumerable, and a Fréchet distance between Gaussian fits of rollout latents
 and reference images otherwise. Sweeps emit a fixed-schema CSV and one
-self-contained SVG line plot per metric; every cell's seed is derived from
+self-contained SVG line plot of their metric; every cell's seed is derived from
 (base seed, cell index, replicate) so rows are reproducible bit-for-bit.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -276,25 +277,15 @@ def svg_line_plot(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts)
 
 
-def write_sweep_svg(rows: list[MetricRow], grid: SweepGrid, out_dir) -> list[str]:
-    """One SVG per metric; series keyed by (n_p, variant, mask); x = lambda."""
-    import os
-
-    paths = []
-    metrics = sorted({r.metric for r in rows})
-    for metric in metrics:
-        series: dict[str, list[tuple[float, float]]] = {}
-        for r in rows:
-            if r.metric != metric or r.value is None:
-                continue
+def write_sweep_svg(rows: list[MetricRow], grid: SweepGrid, out_dir) -> str:
+    """The plot of ``grid.metric``, which every row of ``run_sweep`` reports:
+    series keyed by (n_p, variant, mask), x = lambda. Returns its path."""
+    series: dict[str, list[tuple[float, float]]] = {}
+    for r in rows:
+        if r.value is not None:
             label = f"np={r.fraction} {r.variant.value} mask={_mask_label(r.scale_mask)}"
             series.setdefault(label, []).append((r.lam, r.value))
-        svg = svg_line_plot(
-            series, f"{metric} vs lambda", "lambda", metric
-        )
-        name = f"{metric}_{grid.grid_hash()}.svg"
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            fh.write(svg)
-        paths.append(path)
-    return paths
+    path = os.path.join(out_dir, f"{grid.metric}_{grid.grid_hash()}.svg")
+    with open(path, "w") as fh:
+        fh.write(svg_line_plot(series, f"{grid.metric} vs lambda", "lambda", grid.metric))
+    return path

@@ -152,6 +152,12 @@ def embed_prefix(
     return embedding
 
 
+def _floored(rows: np.ndarray) -> np.ndarray:
+    """``rows`` floored at PROB_FLOOR and renormalized along the last axis."""
+    rows = np.maximum(rows, PROB_FLOOR)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class TabularModel:
     """Fully enumerated CPTs p(r_k | r_{<k}, c), one categorical per site."""
@@ -187,10 +193,7 @@ def build_tabular(
         for k in range(1, schedule.num_scales + 1):
             h, w = schedule.grid(k)
             for key in enumerate_prefix_keys(schedule, vocab, k):
-                row = rng.dirichlet(np.ones(vocab), size=(h, w))
-                row = np.maximum(row, PROB_FLOOR)
-                row /= row.sum(axis=-1, keepdims=True)
-                tables[(c, k, key)] = row
+                tables[(c, k, key)] = _floored(rng.dirichlet(np.ones(vocab), size=(h, w)))
     return TabularModel(schedule, vocab, num_conditions, tables)
 
 
@@ -216,11 +219,7 @@ def tabular_from_rows(
             raise InvalidInputError(f"row {(c, k, key)} has a negative or non-finite weight")
         if not np.all(arr.sum(axis=-1) > 0):
             raise InvalidInputError(f"row {(c, k, key)} has a site with no mass")
-        if arr.ndim == 1:
-            arr = np.broadcast_to(arr, (h, w, vocab)).copy()
-        arr = np.maximum(arr, PROB_FLOOR)
-        arr /= arr.sum(axis=-1, keepdims=True)
-        tables[(c, k, key)] = arr
+        tables[(c, k, key)] = _floored(np.broadcast_to(arr, (h, w, vocab)))
     model = TabularModel(schedule, vocab, num_conditions, tables)
     for c in range(num_conditions):
         for k in range(1, schedule.num_scales + 1):
@@ -280,43 +279,30 @@ class SignedEmbedding:
 
 @dataclass(frozen=True)
 class CountModel:
-    """Smoothed count tables keyed by (scale, condition, context signature)."""
+    """Smoothed count tables keyed by (scale, condition, context signature), and
+    the read-only signature ``thresholds`` and embedding ``params`` that sign a
+    prefix, seeded once by ``fit_count_model``."""
 
     schedule: ScaleSchedule
     vocab: int
     num_conditions: int
     alpha: float
-    spec: SignatureSpec
-    embed_seed: int
-    embed_dim: int
-    latent_dim: int  # of the codebook the model was fitted on
+    thresholds: np.ndarray = field(repr=False, compare=False)
+    params: EmbeddingParams = field(repr=False, compare=False)
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool = True
-    # Seeded read-only tables, built once per model: the signature thresholds
-    # and the embedding_params. ``_logits`` holds one read-only (h_k, w_k, V)
-    # grid per (condition, k, signature) that ``predict_logits`` was asked
-    # for: rollouts ask for few distinct keys many times over (97% of the
-    # bench ablate's count-model calls repeat one), so it grows with the
-    # distinct prefix signatures, not the calls.
-    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
-    params: EmbeddingParams = field(init=False, repr=False, compare=False)
+    # One read-only (h_k, w_k, V) grid per (condition, k, signature) that
+    # ``predict_logits`` was asked for: rollouts ask for few distinct keys
+    # many times over (97% of the bench ablate's count-model calls repeat
+    # one), so it grows with the distinct prefix signatures, not the calls.
     _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds",
-            self.spec.thresholds(self.schedule.num_scales, self.embed_dim),
-        )
-        object.__setattr__(
-            self, "params",
-            embedding_params(self.schedule, self.latent_dim, self.embed_dim, self.embed_seed),
-        )
 
     def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> SignedEmbedding:
         """The prefix's signed embedding under this model's tables."""
-        if book.latent_dim != self.latent_dim:
+        fitted = self.params[0].shape[1]
+        if book.latent_dim != fitted:
             raise InvalidInputError(
-                f"codebook latent size {book.latent_dim} is not the fitted {self.latent_dim}"
+                f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
             )
         return self.sign(embed_prefix(prefix, book, self.schedule, self.params))
 
@@ -391,8 +377,10 @@ def fit_count_model(
         raise InvalidInputError("smoothing constant alpha must be > 0")
     counts: dict = {}
     model = CountModel(
-        schedule, vocab, num_conditions, alpha, spec, embed_seed, embed_dim,
-        book.latent_dim, counts, include_null,
+        schedule, vocab, num_conditions, alpha,
+        spec.thresholds(schedule.num_scales, embed_dim),
+        embedding_params(schedule, book.latent_dim, embed_dim, embed_seed),
+        counts, include_null,
     )
     for i, (condition, maps) in enumerate(corpus):
         check_corpus_sequence(

@@ -217,15 +217,23 @@ class IdentityReport:
         return [r for r in self.rows if not r.kl <= self.tolerance]
 
 
-def verify_identities(
-    model: TabularModel,
-    tolerance: float = 1e-9,
-    gammas=(0.0, 0.5, 1.0, 1.5, 3.0),
-    lams=(0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0),
-) -> IdentityReport:
+@dataclass(frozen=True)
+class VerifySpec:
+    """The config's ``verify`` section: ``verify_identities`` reads the row
+    tolerance and strengths, the ``verify`` command the model grid too."""
+
+    tolerance: float = 1e-9
+    models: int = 100
+    vocab_grid: tuple[int, ...] = (2, 3, 5)
+    condition_grid: tuple[int, ...] = (1, 2, 3)
+    gammas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 3.0)
+    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0)
+
+
+def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
     """Check the package's guidance combiners against the exact augmented laws.
 
-    For every (condition, scale, prefix) and every strength on the grid:
+    For every (condition, scale, prefix) and every strength of ``spec``:
     ``guidance.cfg_combine`` with the exact uniform-prior condition marginal
     as the null branch must reproduce the augmented-CFG law,
     ``guidance.vpg_combine`` with the exact prefix marginal as reference must
@@ -237,17 +245,18 @@ def verify_identities(
 
     Rows are listed by condition, scale, prefix, then kind and strength.
     """
+    gammas, lambdas = spec.gammas, spec.lambdas
     checks = (
         [("cfg", gamma, 0.0) for gamma in gammas]
-        + [("vpg", 0.0, lam) for lam in lams]
-        + [("composition", gamma, lam) for gamma in gammas for lam in lams]
+        + [("vpg", 0.0, lam) for lam in lambdas]
+        + [("composition", gamma, lam) for gamma in gammas for lam in lambdas]
     )
     if not checks:
-        return IdentityReport((), tolerance)
+        return IdentityReport((), spec.tolerance)
     scales = []
     for k in range(1, model.schedule.num_scales + 1):
         keys = enumerate_prefix_keys(model.schedule, model.vocab, k)
-        scales.append((k, keys) + _check_scale(model, k, keys, gammas, lams))
+        scales.append((k, keys) + _check_scale(model, k, keys, gammas, lambdas))
     rows = tuple(
         IdentityRow(kind, c, k, key, gamma, lam, diff, kl)
         for c in range(model.num_conditions)
@@ -255,10 +264,10 @@ def verify_identities(
         for key, key_diffs, key_kls in zip(keys, diffs[c], kls[c])
         for (kind, gamma, lam), diff, kl in zip(checks, key_diffs, key_kls)
     )
-    return IdentityReport(rows, tolerance)
+    return IdentityReport(rows, spec.tolerance)
 
 
-def _check_scale(model: TabularModel, k: int, keys, gammas, lams):
+def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
     """Max |difference| and KL of every check at scale k, in one pass per strength.
 
     The stored rows of every (condition, prefix) are stacked into one
@@ -284,7 +293,7 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lams):
     # In ``verify_identities``' check order: every CFG strength, then every VPG one.
     for combine, ref, ref_logits, strengths in (
         (guidance.cfg_combine, null_rows, l_ng, gammas),
-        (guidance.vpg_combine, margs, l_cc, lams),
+        (guidance.vpg_combine, margs, l_cc, lambdas),
     ):
         for strength in strengths:
             guided = softmax(combine(l_cg, ref_logits, strength))
@@ -294,7 +303,7 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lams):
     # Sequential composition vs. its closed-form expansion, with the exact
     # marginals standing in for the corrupted branches.
     for gamma in gammas:
-        for lam in lams:
+        for lam in lambdas:
             sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
             closed = (
                 (1 + lam) * (1 + gamma) * l_cg

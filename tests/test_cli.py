@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from prefixlab.cli import (
     _resolve_config,
     _synthetic_corpus,
     build_parser,
-    default_config_text,
     main,
 )
 from prefixlab.config import corpus_to_csv, parse_config
@@ -287,6 +287,15 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "'condition'" in capsys.readouterr().err
 
+    def test_corpus_id_beyond_int64_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("0,1,99999999999999999999999\n")
+        code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
+                     "--config", count_model_config(
+                         tmp_path, model={"kind": "count", "corpus_path": str(corpus)})])
+        assert code == EXIT_CONFIG
+        assert "error: corpus line 1" in capsys.readouterr().err
+
 
 # Base file for the flag cases: every flag below sets a value that differs
 # from it, so an ignored flag shows.
@@ -346,6 +355,6 @@ class TestFlags:
 
 
 def test_default_config_text_is_valid_json():
-    data = json.loads(default_config_text())
+    data = json.loads(files("prefixlab.data").joinpath("default_config.json").read_text())
     assert data["version"] == 1
     assert data["model"]["kind"] == "tabular"

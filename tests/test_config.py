@@ -25,9 +25,9 @@ class TestParseConfig:
         assert cfg == RunConfig()
 
     def test_shipped_default_parses(self):
-        from prefixlab.cli import default_config_text
+        from importlib.resources import files
 
-        data = json.loads(default_config_text())
+        data = json.loads(files("prefixlab.data").joinpath("default_config.json").read_text())
         assert parse_config(data) == RunConfig()
         # Every schema key is written out, at its RunConfig() value.
         assert data == config_to_json(RunConfig())
@@ -204,7 +204,11 @@ class TestCorpusCsv:
         with pytest.raises(InvalidInputError):
             corpus_from_csv(path, small_schedule, 3, 2)
 
-    @pytest.mark.parametrize("row", ["7,0,1", "0,0,-1", "0,0,9", "x,0,1"])
+    @pytest.mark.parametrize(
+        "row",
+        ["7,0,1", "0,0,-1", "0,0,9", "x,0,1",
+         "0,0,99999999999999999999999", "0,0,-99999999999999999999999"],
+    )
     def test_bad_row_rejected_by_line(self, tmp_path, row):
         from prefixlab.errors import InvalidInputError
 

@@ -157,10 +157,9 @@ class TestRunSweep:
             parsed = list(csv.reader(fh))
         assert parsed[0] == SWEEP_CSV_HEADER
         assert len(parsed) - 1 == 4
-        svg_paths = write_sweep_svg(rows, grid, tmp_path)
-        assert len(svg_paths) == 1
-        assert svg_paths[0].endswith(f"exact_kl_{grid.grid_hash()}.svg")
-        text = Path(svg_paths[0]).read_text()
+        svg_path = write_sweep_svg(rows, grid, tmp_path)
+        assert svg_path.endswith(f"exact_kl_{grid.grid_hash()}.svg")
+        text = Path(svg_path).read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
 

@@ -21,6 +21,7 @@ from prefixlab.model import (
 from prefixlab.oracle import (
     IdentityReport,
     IdentityRow,
+    VerifySpec,
     kl_divergence,
     prefix_marginal_sites,
     softmax,
@@ -40,7 +41,7 @@ def reference_verify_identities(
     model,
     tolerance=1e-9,
     gammas=(0.0, 0.5, 1.0, 1.5, 3.0),
-    lams=(0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0),
+    lambdas=(0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0),
 ):
     """One softmax and one KL per (condition, scale, prefix, kind, strength)."""
     rows = []
@@ -70,7 +71,7 @@ def reference_verify_identities(
                             kl_divergence(guided, oracle_p),
                         )
                     )
-                for lam in lams:
+                for lam in lambdas:
                     guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
                     oracle_p = reference_power_ratio(cond_row, marg, lam)
                     rows.append(
@@ -81,7 +82,7 @@ def reference_verify_identities(
                         )
                     )
                 for gamma in gammas:
-                    for lam in lams:
+                    for lam in lambdas:
                         sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
                         closed = (
                             (1 + lam) * (1 + gamma) * l_cg
@@ -106,7 +107,7 @@ def bits(row):
 
 
 def assert_same_rows(model, **grid):
-    ours = verify_identities(model, **grid)
+    ours = verify_identities(model, VerifySpec(**grid))
     reference = reference_verify_identities(model, **grid)
     assert len(ours.rows) == len(reference.rows)
     assert [bits(r) for r in ours.rows] == [bits(r) for r in reference.rows]
@@ -159,7 +160,7 @@ def test_underflowed_probabilities_keep_the_masked_sum(seed):
     assert 0 < np.count_nonzero(guided == 0) <= guided.size - 8
     # The CFG ratio is at most 2, so 2**400 does not overflow; lambda stays
     # small because the VPG ratio is not bounded.
-    assert_same_rows(model, gammas=(0.0, 1.0, 400.0), lams=(0.0, 1.0, 3.0))
+    assert_same_rows(model, gammas=(0.0, 1.0, 400.0), lambdas=(0.0, 1.0, 3.0))
 
 
 def kl_row(kl):
@@ -187,7 +188,9 @@ class TestNaNRows:
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_overflowing_strength_gives_failing_nan_rows(self):
         model = build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 2, seed=1)
-        report = verify_identities(model, gammas=(0.0, 1000.0), lams=(0.0, 1000.0))
+        report = verify_identities(
+            model, VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
+        )
         nan_rows = [r for r in report.rows if math.isnan(r.kl)]
         assert nan_rows
         assert math.isnan(report.max_kl)

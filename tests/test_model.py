@@ -279,17 +279,16 @@ class TestSeededTables:
                 table[(0,) * table.ndim] = 1.0
 
     def test_tables_equal_freshly_seeded_ones(self, small_count, small_book):
-        assert small_count.latent_dim == small_book.latent_dim
+        # The small_count fixture's recipe.
         proj, pos = small_count.params
         fresh_proj, fresh_pos = embedding_params(
-            small_count.schedule, small_book.latent_dim, small_count.embed_dim,
-            small_count.embed_seed,
+            small_count.schedule, small_book.latent_dim, embed_dim=4, embed_seed=11,
         )
         assert np.array_equal(proj, fresh_proj)
         assert all(np.array_equal(a, b) for a, b in zip(pos, fresh_pos))
         assert np.array_equal(
             small_count.thresholds,
-            small_count.spec.thresholds(small_count.schedule.num_scales, small_count.embed_dim),
+            SignatureSpec(bins=4, seed=0).thresholds(small_count.schedule.num_scales, 4),
         )
 
     def test_built_once_per_model(self, monkeypatch, small_schedule, small_book):
@@ -346,7 +345,7 @@ class TestPredictLogits:
         emb = embed_prefix(
             maps, small_book, small_count.schedule,
             embedding_params(small_count.schedule, small_book.latent_dim,
-                             small_count.embed_dim, small_count.embed_seed),
+                             embed_dim=4, embed_seed=11),
         )
         via_maps = predict_logits(small_count, 0, maps, book=small_book)
         signed = small_count.sign(emb)

@@ -13,6 +13,7 @@ from prefixlab.guidance import GuidanceConfig
 from prefixlab.model import NULL_CONDITION, build_tabular
 from prefixlab.oracle import (
     Distribution,
+    VerifySpec,
     augmented_cfg,
     augmented_vpg,
     enumerate_prefixes,
@@ -149,18 +150,18 @@ class TestIdentityReport:
         sched = ScaleSchedule(((1, 1), (1, 1)))
         for seed in range(3):
             model = build_tabular(sched, 3, 2, seed=seed)
-            report = verify_identities(model, tolerance=1e-9)
+            report = verify_identities(model, VerifySpec(tolerance=1e-9))
             assert report.passed
             assert report.max_kl < 1e-12
 
     def test_identities_hold_on_multisite_scales(self, small_tabular):
         report = verify_identities(
-            small_tabular, gammas=(0.0, 1.5), lams=(0.0, 1.0)
+            small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
         )
         assert report.passed
 
     def test_failures_listed_above_tolerance(self, m1):
-        report = verify_identities(m1)
+        report = verify_identities(m1, VerifySpec())
         strict = type(report)(report.rows, tolerance=-1.0)
         assert not strict.passed
         assert len(strict.failures()) == len(report.rows)
@@ -184,12 +185,14 @@ class TestIdentityReport:
         from prefixlab import guidance
 
         monkeypatch.setattr(guidance, name, broken)
-        report = verify_identities(small_tabular, gammas=(0.0, 1.5), lams=(0.0, 1.0))
+        report = verify_identities(
+            small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
+        )
         assert not report.passed
         assert {r.kind for r in report.failures()} == kinds
 
     def test_report_csv_layout(self, m1, tmp_path):
-        report = verify_identities(m1, gammas=(0.0,), lams=(0.0, 1.0))
+        report = verify_identities(m1, VerifySpec(gammas=(0.0,), lambdas=(0.0, 1.0)))
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         with open(path, newline="") as fh:

@@ -20,7 +20,10 @@ script runs, each in a fresh ``python -m prefixlab.cli`` child with
   n_p 0.5 and the ``uniform_prefix`` variant;
 - that run again with the count model fitted on a corpus file
   (``model.corpus_path``): 60 rows of the ablate model's shape, drawn from
-  ``random.Random(seed)`` and written next to the run's config.
+  ``random.Random(seed)`` and written next to the run's config;
+- ``sample --count 4 --lambda 1.0`` with no ``--config``, which runs the
+  CLI's built-in default (the tabular model with the exact-marginal
+  reference); it is the same at every seed.
 
 It prints one ``sha256  path`` line per output file, stdout and stderr of
 each run, and one ``exit N  path`` line per run. Before hashing, the output
@@ -62,12 +65,15 @@ CORPUS_ROWS = 60
 MULTISITE_VERIFY = {"schedule": [[1, 1], [1, 2], [2, 2]],
                     "verify": {"models": 4, "vocab_grid": [2, 3],
                                "condition_grid": [2, 3]}}
+# The flags of the no-config sample run.
+DEFAULT_SAMPLE = ["--count", "4", "--lambda", "1.0"]
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1"}
 
 
 def runs(seed: int, checkout: Path):
-    """(name, CLI command, config) of every run at ``seed``."""
+    """(name, CLI command, config) of every run at ``seed``; config None is
+    the run with no ``--config``."""
     for name in ("verify", "exact_kl", "ablate", "sample"):
         workload = WORKLOADS[name]
         yield name, workload.command, workload.config(seed, checkout)
@@ -78,6 +84,7 @@ def runs(seed: int, checkout: Path):
     yield "count_sample_corrupted", "sample", count_sample
     yield ("count_corpus_sample", "sample",
            merge_config(count_sample, {"model": {"corpus_path": CORPUS_FILE}}))
+    yield "default_sample", "sample", None
 
 
 def write_corpus(path: Path, config: dict, seed: int) -> None:
@@ -115,13 +122,17 @@ def digest(src: Path, seed: int, work: Path) -> list[str]:
         run_dir = work / f"seed{seed}" / name
         out_dir = run_dir / "out"
         run_dir.mkdir(parents=True)
-        config_path = run_dir / "config.json"
-        config_path.write_text(json.dumps(config))
-        if config["model"].get("corpus_path"):
-            write_corpus(run_dir / config["model"]["corpus_path"], config, seed)
-        argv = [command, "--config", str(config_path), "--output-dir", str(out_dir)]
-        if command == "sample":
-            argv += ["--count", str(SAMPLES)]
+        argv = [command, "--output-dir", str(out_dir)]
+        if config is None:
+            argv += DEFAULT_SAMPLE
+        else:
+            config_path = run_dir / "config.json"
+            config_path.write_text(json.dumps(config))
+            if config["model"].get("corpus_path"):
+                write_corpus(run_dir / config["model"]["corpus_path"], config, seed)
+            argv += ["--config", str(config_path)]
+            if command == "sample":
+                argv += ["--count", str(SAMPLES)]
         proc = subprocess.run(
             [sys.executable, "-m", "prefixlab.cli", *argv],
             cwd=run_dir, env=env, capture_output=True, text=True,
