@@ -134,7 +134,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     failures = []
     for i in range(spec.models):
         vocab, conds = combos[i % len(combos)]
-        model = build_tabular(cfg.schedule, vocab, conds, seed=i)
+        model = build_tabular(cfg.schedule, vocab, conds, seed=cfg.model.seed + i)
         report = verify_identities(model, spec)
         max_kls.append(report.max_kl)
         checked += len(report.rows)

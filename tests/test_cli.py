@@ -59,6 +59,17 @@ class TestVerify:
         assert "max KL" in printed
         assert "all identities hold" in printed
 
+    def test_model_seed_sets_the_checked_models(self, tmp_path):
+        def report(name, seed):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"model": {"seed": seed}, "verify": {"models": 1}}))
+            out_dir = tmp_path / name
+            assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == EXIT_OK
+            return (out_dir / "identity_report.csv").read_bytes()
+
+        assert report("a", 1) == report("again", 1)
+        assert report("a", 1) != report("b", 2)
+
     def test_nothing_checked_fails(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"verify": {"models": 0}}))

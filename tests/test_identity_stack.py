@@ -201,7 +201,8 @@ class TestNaNRows:
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_verify_command_lists_nan_rows_and_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"verify": {
+        # Model seed 0: the verify command seeds model i with model.seed + i.
+        path.write_text(json.dumps({"model": {"seed": 0}, "verify": {
             "models": 9, "gammas": [0.0, 1000.0], "lambdas": [0.0, 1000.0]}}))
         code = main(["verify", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")])
