@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = config_to_json(RunConfig())
 
     def common(p):
-        p.add_argument("--config", help="JSON run config (default: default_config.json)")
+        p.add_argument("--config", help="JSON run config (default: the built-in RunConfig())")
         for flag, (key, kind, text) in FLAGS.items():
             section, _, name = key.rpartition(".")
             default = (defaults[section] if section else defaults)[name]

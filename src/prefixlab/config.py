@@ -43,7 +43,8 @@ _BOUNDS = {
          "scale_mask", "scale_masks", "replicates", "n_samples", "top_k"),
         (lambda v: v >= 1, "at least 1"),
     ),
-    "models": (lambda v: v >= 0, "at least 0"),
+    **dict.fromkeys(("models", "seed", "codebook_seed", "embed_seed", "signature_seed",
+                     "corpus_seed"), (lambda v: v >= 0, "at least 0")),
     **dict.fromkeys(("n_p", "n_ps"), (lambda v: 0 <= v <= 1, "inside [0, 1]")),
     **dict.fromkeys(("tolerance", "gamma", "lambda", "gammas", "lambdas"),
                     (lambda v: 0 <= v < math.inf, "finite and at least 0")),
@@ -177,7 +178,7 @@ class RunConfig:
     condition: int = 0
     output_dir: str = "out"
     model: ModelSpec = ModelSpec()
-    guidance: GuidanceConfig = GuidanceConfig(reference="exact-marginal")
+    guidance: GuidanceConfig = GuidanceConfig()
     sampler: SamplerConfig = SamplerConfig()
     verify: VerifySpec = VerifySpec()
     sweep: SweepGrid = SweepGrid()

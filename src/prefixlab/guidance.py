@@ -53,7 +53,7 @@ class GuidanceConfig:
     fraction: float = 0.0
     variant: CorruptionVariant = CorruptionVariant.SAME_SCALE_FULL_EMBEDDING
     scale_mask: frozenset[int] | None = None
-    reference: str = "corrupted"
+    reference: str = "exact-marginal"
 
     def __post_init__(self):
         for name in ("gamma", "lam"):

@@ -140,7 +140,7 @@ class ExperimentSpec:
     model: object
     book: Codebook
     condition: Condition
-    guidance: GuidanceConfig = GuidanceConfig(reference="exact-marginal")
+    guidance: GuidanceConfig = GuidanceConfig()
     sampler: SamplerConfig = SamplerConfig()
     reference_images: tuple = ()
 

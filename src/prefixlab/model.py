@@ -232,8 +232,8 @@ def tabular_from_rows(
 class SignatureSpec:
     """Quantizes the mean prefix embedding per scale into a seeded bin grid."""
 
-    bins: int = 4
-    seed: int = 0
+    bins: int
+    seed: int
 
     def thresholds(self, num_scales: int, embed_dim: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -364,11 +364,11 @@ def fit_count_model(
     book: Codebook,
     vocab: int,
     num_conditions: int,
-    alpha: float = 1.0,
-    spec: SignatureSpec = SignatureSpec(),
-    embed_seed: int = 0,
-    embed_dim: int = 4,
-    include_null: bool = True,
+    alpha: float,
+    spec: SignatureSpec,
+    embed_seed: int,
+    embed_dim: int,
+    include_null: bool,
 ) -> CountModel:
     """Aggregate per-(scale, condition, signature) token counts over a corpus."""
     if len(corpus) == 0:

@@ -24,7 +24,7 @@ import numpy as np
 from .corruption import CorruptionPlan
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
-from .model import EMPTY_EMBEDDING, Condition, CountModel, TokenMap, prefix_maps
+from .model import Condition, CountModel, TokenMap, prefix_maps
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -155,7 +155,7 @@ def rollouts(
     traces: list[list[GuidedStep]] = [[] for _ in seeds]
     latent = np.zeros((count,) + schedule.final_dims + (book.latent_dim,))
     carries_embedding = isinstance(model, CountModel)
-    signed = [model.sign(EMPTY_EMBEDDING) if carries_embedding else None] * count
+    signed = [model.embed([], book) if carries_embedding else None] * count
     for k in range(1, schedule.num_scales + 1):
         steps = [
             guided_step(

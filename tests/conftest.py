@@ -65,6 +65,7 @@ def small_count(small_schedule, small_book):
     return fit_count_model(
         corpus, small_schedule, small_book, vocab=3, num_conditions=2,
         alpha=1.0, spec=SignatureSpec(bins=4, seed=0), embed_seed=11, embed_dim=4,
+        include_null=True,
     )
 
 
@@ -85,6 +86,7 @@ def multisite_count(multisite_schedule, multisite_book):
     return fit_count_model(
         corpus, multisite_schedule, multisite_book, vocab=4, num_conditions=2,
         alpha=1.0, spec=SignatureSpec(bins=4, seed=0), embed_seed=11, embed_dim=4,
+        include_null=True,
     )
 
 

@@ -281,7 +281,7 @@ def test_criterion_7_sampler_laws(small_count, small_book):
         for ra, rb in zip(a.trace, b.trace):
             assert np.array_equal(ra.logits, rb.logits)
 
-        gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
+        gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
         result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
         for step, logits in zip(
             result.trace, replay_trace(small_count, result, gconfig, small_book)
@@ -315,7 +315,7 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
                                plan_seed=0)
             assert step.evaluations == count, (gamma, lam)
 
-        masked = GuidanceConfig(lam=1.0, fraction=1.0, scale_mask=(3,))
+        masked = GuidanceConfig(lam=1.0, fraction=1.0, scale_mask=(3,), reference="corrupted")
         step = guided_step(small_count, 0, tab_prefix, masked, book=small_book)
         assert step.evaluations == 1
         assert step.branches.cond_corr is None

@@ -356,7 +356,7 @@ class TestFlags:
          ("--variant", "bogus", "variant"), ("--gamma", "nan", "gamma"),
          ("--gamma", "inf", "gamma"), ("--lambda", "nan", "lambda"),
          ("--lambda", "inf", "lambda"), ("--n-p", "nan", "n_p"),
-         ("--scale-mask", "7", "scale_mask")],
+         ("--scale-mask", "7", "scale_mask"), ("--seed", "-1", "seed")],
     )
     def test_bad_flag_value_exits_two_naming_key(self, tmp_path, capsys, flag, text, key):
         code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),

@@ -1,5 +1,6 @@
 """Strict JSON run config, plus the corpus CSV."""
 
+import inspect
 import json
 import math
 
@@ -16,6 +17,7 @@ from prefixlab.config import (
     parse_config,
 )
 from prefixlab.corruption import CorruptionVariant
+from prefixlab.model import SignatureSpec, fit_count_model
 from prefixlab.tokenizer import ScaleSchedule
 
 
@@ -31,6 +33,17 @@ class TestParseConfig:
         assert parse_config(data) == RunConfig()
         # Every schema key is written out, at its RunConfig() value.
         assert data == config_to_json(RunConfig())
+
+    def test_library_defaults_are_the_schemas(self):
+        # A section class's own default is the schema's, and the library
+        # functions that fit a model take every config value from the caller.
+        cfg = RunConfig()
+        for name in ("model", "guidance", "sampler", "verify", "sweep", "ablate"):
+            section = getattr(cfg, name)
+            assert type(section)() == section, name
+        for fn in (fit_count_model, SignatureSpec):
+            params = inspect.signature(fn).parameters.values()
+            assert [p.name for p in params if p.default is not p.empty] == [], fn
 
     def test_json_form_parses_back(self):
         cfg = parse_config(
@@ -136,6 +149,11 @@ class TestParseConfig:
             (parse_config, {"sweep": {"metric": "toy_frechet", "n_samples": 1}}, "n_samples"),
             (parse_config, {"ablate": {"n_samples": 1}}, "n_samples"),
             (parse_config, {"schedule": [[1, 2], [2, 1]]}, "schedule"),
+            (parse_config, {"model": {"seed": -1}}, "seed"),
+            (parse_config, {"codebook_seed": -1}, "codebook_seed"),
+            (parse_config, {"embed_seed": -1}, "embed_seed"),
+            (parse_config, {"model": {"signature_seed": -1}}, "signature_seed"),
+            (parse_config, {"model": {"corpus_seed": -1}}, "corpus_seed"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):

@@ -21,6 +21,7 @@ from prefixlab.guidance import (
 )
 from prefixlab.model import (
     NULL_CONDITION,
+    SignatureSpec,
     TokenMap,
     context_signature,
     fit_count_model,
@@ -39,7 +40,10 @@ def deep_count():
     schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
     book = Codebook.seeded(3, 3, 2, seed=7)
     corpus = make_corpus(schedule, book, num_conditions=2, count=16, seed=5)
-    model = fit_count_model(corpus, schedule, book, vocab=3, num_conditions=2)
+    model = fit_count_model(
+        corpus, schedule, book, vocab=3, num_conditions=2,
+        alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+    )
     return model, book, corpus
 
 
@@ -190,8 +194,8 @@ class TestGuidedStepCount:
         cases = [
             (GuidanceConfig(), 1, 1),
             (GuidanceConfig(gamma=1.0), 2, 1),
-            (GuidanceConfig(lam=0.5, fraction=1.0), 2, 2),
-            (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0), 4, 2),
+            (GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted"), 2, 2),
+            (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0, reference="corrupted"), 4, 2),
         ]
         clean = predict_logits(small_count, 0, prefix, book=small_book)
         for config, expected, signed in cases:
@@ -203,7 +207,7 @@ class TestGuidedStepCount:
 
     def test_corrupted_branch_needs_a_plan_or_a_seed(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]
-        config = GuidanceConfig(lam=1.0, fraction=1.0)
+        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         with pytest.raises(IllDefinedLawError, match="scale 2"):
             guided_step(small_count, 0, prefix, config, book=small_book)
         plan = plan_corruption(
@@ -237,6 +241,7 @@ class TestGuidedStepCount:
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=9)
         model = fit_count_model(
             corpus, small_schedule, small_book, vocab=3, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4,
             include_null=False,
         )
         with pytest.raises(GuidanceConfigError):
@@ -248,7 +253,7 @@ class TestGuidedStepCount:
             small_count.schedule, 2, 1.0,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=77,
         )
-        config = GuidanceConfig(lam=0.5, fraction=1.0)
+        config = GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted")
         a = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
         b = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
         assert a.plan is plan
@@ -286,7 +291,9 @@ class TestGuidedStepCount:
         corrupted = model.sign(apply_corruption(
             model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
         ))
-        config = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant)
+        config = GuidanceConfig(
+            gamma=gamma, lam=1.0, fraction=fraction, variant=variant, reference="corrupted"
+        )
         fixed = guided_step(model, 1, prefix, config, book=book, plan=plan)
         drawn = guided_step(model, 1, prefix, config, book=book, plan_seed=4)
         assert fixed.plan is plan
@@ -305,7 +312,7 @@ class TestGuidedStepCount:
 
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
-        config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0)
+        config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
         step = guided_step(
             small_count, 0, prefix, config, book=small_book, plan_seed=5
         )

@@ -176,7 +176,7 @@ class TestEmbedding:
 class TestSignatures:
     def test_empty_prefix_signature(self, small_book, small_schedule):
         emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
-        assert context_signature(emb, SignatureSpec().thresholds(2, 4)) == ()
+        assert context_signature(emb, SignatureSpec(4, 0).thresholds(2, 4)) == ()
 
     def test_single_bin_collapses_all_prefixes(self, small_book, small_schedule):
         spec = SignatureSpec(bins=1, seed=0)
@@ -201,7 +201,10 @@ class TestCountModel:
         sched = ScaleSchedule(((1, 1),))
         book = Codebook.seeded(1, 3, 2, seed=0)
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])]
-        model = fit_count_model(corpus, sched, book, vocab=3, num_conditions=1)
+        model = fit_count_model(
+            corpus, sched, book, vocab=3, num_conditions=1,
+            alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+        )
         probs = predict_logits(model, 0, [], book=book)
         np.testing.assert_allclose(np.exp(probs[0, 0]), [0.5, 0.25, 0.25])
 
@@ -209,7 +212,10 @@ class TestCountModel:
         sched = ScaleSchedule(((1, 1),))
         book = Codebook.seeded(1, 3, 2, seed=0)
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])] * 2
-        model = fit_count_model(corpus, sched, book, vocab=3, num_conditions=1)
+        model = fit_count_model(
+            corpus, sched, book, vocab=3, num_conditions=1,
+            alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+        )
         probs = np.exp(predict_logits(model, 0, [], book=book)[0, 0])
         np.testing.assert_allclose(probs, [0.6, 0.2, 0.2])
 
@@ -233,6 +239,7 @@ class TestCountModel:
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=9)
         model = fit_count_model(
             corpus, small_schedule, small_book, vocab=3, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4,
             include_null=False,
         )
         with pytest.raises(MissingRowError):
@@ -240,19 +247,28 @@ class TestCountModel:
 
     def test_rejects_empty_corpus(self, small_schedule, small_book):
         with pytest.raises(InvalidInputError):
-            fit_count_model([], small_schedule, small_book, 3, 1)
+            fit_count_model(
+                [], small_schedule, small_book, 3, 1,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
 
     def test_rejects_nonpositive_alpha(self, small_schedule, small_book):
         from tests.conftest import make_corpus
 
         corpus = make_corpus(small_schedule, small_book, 1, 2, seed=0)
         with pytest.raises(InvalidInputError):
-            fit_count_model(corpus, small_schedule, small_book, 3, 1, alpha=0.0)
+            fit_count_model(
+                corpus, small_schedule, small_book, 3, 1, alpha=0.0,
+                spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
 
     def test_rejects_truncated_sequences(self, small_schedule, small_book):
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])]
         with pytest.raises(InvalidInputError):
-            fit_count_model(corpus, small_schedule, small_book, 3, 1)
+            fit_count_model(
+                corpus, small_schedule, small_book, 3, 1,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
 
     @pytest.mark.parametrize(
         "condition, last, problem",
@@ -265,7 +281,10 @@ class TestCountModel:
         good = (0, [TokenMap(1, np.asarray([[1]])), TokenMap(2, np.asarray([[2]]))])
         bad = (condition, [TokenMap(1, np.asarray([[0]])), TokenMap(2, np.asarray([[last]]))])
         with pytest.raises(InvalidInputError, match=f"corpus sequence 1: {problem}"):
-            fit_count_model([good, bad], sched, book, vocab=3, num_conditions=2)
+            fit_count_model(
+                [good, bad], sched, book, vocab=3, num_conditions=2,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
 
 
 class TestSeededTables:
@@ -306,10 +325,13 @@ class TestSeededTables:
         monkeypatch.setattr(model_module, "embedding_params", counting)
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=3)
         for _ in range(2):
-            model = fit_count_model(corpus, small_schedule, small_book, 3, 2)
+            model = fit_count_model(
+                corpus, small_schedule, small_book, 3, 2,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
             config = GuidanceConfig(
                 gamma=1.0, lam=1.0, fraction=1.0,
-                variant=CorruptionVariant.UNIFORM_PREFIX,
+                variant=CorruptionVariant.UNIFORM_PREFIX, reference="corrupted",
             )
             guided_step(model, 0, corpus[0][1][:1], config, book=small_book, plan_seed=0)
         assert len(builds) == 2
@@ -402,7 +424,8 @@ class TestCarriedEmbeddings:
         corpus = make_corpus(sched, book, num_conditions=3, count=30, seed=2)
         model = fit_count_model(
             corpus, sched, book, vocab=4, num_conditions=3,
-            spec=SignatureSpec(bins=3, seed=1), embed_seed=5, embed_dim=3,
+            alpha=1.0, spec=SignatureSpec(bins=3, seed=1), embed_seed=5, embed_dim=3,
+            include_null=True,
         )
         params = embedding_params(sched, book.latent_dim, 3, 5)
         thresholds = SignatureSpec(bins=3, seed=1).thresholds(sched.num_scales, 3)
@@ -476,7 +499,8 @@ class TestCountBranchInputsAgree:
         corpus = make_corpus(sched, book, num_conditions=2, count=count, seed=seed)
         model = fit_count_model(
             corpus, sched, book, vocab, num_conditions=2,
-            spec=SignatureSpec(bins=3, seed=seed), embed_seed=seed, embed_dim=3,
+            alpha=1.0, spec=SignatureSpec(bins=3, seed=seed), embed_seed=seed, embed_dim=3,
+            include_null=True,
         )
         latent = np.zeros((count,) + sched.final_dims + (2,))
         carried = [model.sign(EMPTY_EMBEDDING)] * count

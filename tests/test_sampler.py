@@ -231,7 +231,7 @@ class TestSampling:
         np.testing.assert_array_equal(a.latent, b.latent)
 
     def test_replay_is_bit_exact(self, small_count, small_book):
-        gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5)
+        gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
         result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
         replayed = replay_trace(small_count, result, gconfig, small_book)
         for step, logits in zip(result.trace, replayed):
@@ -320,6 +320,12 @@ class TestRollouts:
         with pytest.raises(InvalidInputError, match="count"):
             rollouts(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book, count)
 
+    def test_count_model_rejects_a_codebook_of_another_latent_size(self, small_count):
+        schedule = small_count.schedule
+        book = Codebook.seeded(schedule.num_scales, small_count.vocab, 3, seed=0)
+        with pytest.raises(InvalidInputError, match="latent size 3 is not the fitted 2"):
+            rollouts(small_count, 0, GuidanceConfig(), SamplerConfig(), book, 1)
+
 
 class TestCarriedRollouts:
     """The latents and signed embeddings that rollouts carry forward scale by
@@ -334,7 +340,8 @@ class TestCarriedRollouts:
         for gamma in (0.0, 1.0):
             for lam in (0.0, 1.0):
                 gconfig = GuidanceConfig(
-                    gamma=gamma, lam=lam, fraction=0.5, variant=variant, scale_mask=mask
+                    gamma=gamma, lam=lam, fraction=0.5, variant=variant, scale_mask=mask,
+                    reference="corrupted",
                 )
                 for result in rollouts(model, 1, gconfig, SamplerConfig(seed=3), book, 4):
                     for idx, step in enumerate(result.trace):
@@ -402,7 +409,8 @@ class TestRolloutLaw:
         corpus = make_corpus(schedule, book, num_conditions=1, count=12, seed=5)
         model = fit_count_model(
             corpus, schedule, book, vocab=2, num_conditions=1,
-            spec=SignatureSpec(bins=2, seed=0),
+            alpha=1.0, spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=4,
+            include_null=True,
         )
         return model, book
 
@@ -446,7 +454,8 @@ class TestRolloutLaw:
         ]
         model = fit_count_model(
             corpus, sched, m1_book, vocab=2, num_conditions=1,
-            spec=SignatureSpec(bins=2, seed=0), embed_seed=11,
+            alpha=1.0, spec=SignatureSpec(bins=2, seed=0), embed_seed=11, embed_dim=4,
+            include_null=True,
         )
         plan = plan_corruption(
             sched, 2, 1.0, CorruptionVariant.UNIFORM_PREFIX, seed=3, book=m1_book

@@ -81,7 +81,9 @@ def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
 def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book):
     schedule = small_count.schedule
     plan = plan_corruption(schedule, 2, 1.0, variant, seed=5, book=small_book)
-    gconfig = GuidanceConfig(gamma=1.0, lam=1.5, fraction=1.0, variant=variant)
+    gconfig = GuidanceConfig(
+        gamma=1.0, lam=1.5, fraction=1.0, variant=variant, reference="corrupted"
+    )
     sconfig = SamplerConfig(top_k=2, top_p=0.9)
     law = rollout_distribution(
         small_count, 0, gconfig, sconfig, small_book, fixed_plans={2: plan}
