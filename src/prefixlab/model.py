@@ -10,6 +10,7 @@ categoricals given the prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -58,16 +59,19 @@ def prefix_state_count(schedule: ScaleSchedule, vocab: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def scale_maps(vocab: int, sites: int) -> tuple[tuple[int, ...], ...]:
+    """Every token map of ``sites`` sites over ``vocab`` ids, as id tuples in
+    lexicographic order: the one map order of every enumeration."""
+    return tuple(product(range(vocab), repeat=sites))
+
+
 def enumerate_prefix_keys(schedule: ScaleSchedule, vocab: int, k: int) -> list[PrefixKey]:
     """All token prefixes for scales 1..k-1, in lexicographic order."""
     keys: list[PrefixKey] = [()]
     for j in range(1, k):
-        sites = schedule.sites(j)
-        keys = [
-            key + (combo,)
-            for key in keys
-            for combo in product(range(vocab), repeat=sites)
-        ]
+        maps = scale_maps(vocab, schedule.sites(j))
+        keys = [key + (ids,) for key in keys for ids in maps]
     return keys
 
 
@@ -166,6 +170,10 @@ class TabularModel:
     vocab: int
     num_conditions: int
     tables: dict  # (c, k, prefix_key) -> np.ndarray (h_k, w_k, V)
+    # One read-only (h_k, w_k, V) exact per-site prefix marginal per
+    # (condition, k), kept by ``oracle.prefix_marginal_sites``: a guided
+    # rollout asks for the same few keys at every step.
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .model import (
     predict_logits,
     prefix_key,
     prefix_maps,
+    scale_maps,
 )
 from .tokenizer import Codebook
 
@@ -65,13 +65,25 @@ def chain_law(step_law, num_scales: int) -> list[tuple[PrefixKey, float]]:
         extended = []
         for seq, p in sequences:
             law = step_law(seq)
-            sites = np.arange(law.shape[0])
-            for combo in product(range(law.shape[1]), repeat=law.shape[0]):
-                q = float(np.prod(law[sites, combo]))
-                if q > 0.0:
-                    extended.append((seq + (combo,), p * q))
+            maps = scale_maps(law.shape[1], law.shape[0])
+            extended.extend(
+                (seq + (ids,), p * q) for ids, q in zip(maps, _joint_law(law)) if q > 0.0
+            )
         sequences = extended
     return sequences
+
+
+def _joint_law(law: np.ndarray) -> list[float]:
+    """Probability of each map of a step, in ``scale_maps`` order, from its
+    per-site (S, V) law.
+
+    The outer product is taken site by site, left to right, which multiplies
+    each map's site probabilities in the order ``np.prod`` does, bit for bit.
+    """
+    joint = law[0]
+    for site in law[1:]:
+        joint = np.multiply.outer(joint, site).ravel()
+    return joint.tolist()
 
 
 def _site_law(model, condition: Condition, book: Codebook | None = None):
@@ -86,10 +98,7 @@ def _site_law(model, condition: Condition, book: Codebook | None = None):
 def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey) -> Distribution:
     """Joint distribution over the whole token maps of the step after ``key``."""
     row = model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
-    pairs = chain_law(lambda _: row, 1)
-    return Distribution(
-        tuple(seq[0] for seq, _ in pairs), np.asarray([q for _, q in pairs])
-    )
+    return Distribution(scale_maps(model.vocab, row.shape[0]), np.asarray(_joint_law(row)))
 
 
 def enumerate_prefixes(model: TabularModel, condition: Condition, k: int) -> list[tuple[PrefixKey, float]]:
@@ -110,13 +119,19 @@ def prefix_marginal_sites(
 ) -> np.ndarray:
     """Per-site p(r_k | c), shape (h_k, w_k, V), under the model's own prefix law.
 
-    Tabular models chain their stored rows; count models chain
-    ``exp(predict_logits)`` and need the codebook.
+    Tabular models chain their stored rows once per (condition, k) and keep
+    the result; count models chain ``exp(predict_logits)`` on every call and
+    need the codebook. The array is read-only.
     """
-    law = _site_law(model, condition, book)
-    total = np.zeros(model.schedule.grid(k) + (model.vocab,))
-    for key, p in chain_law(law, k - 1):
-        total += p * law(key).reshape(total.shape)
+    memo = model._marginals if isinstance(model, TabularModel) else {}
+    total = memo.get((condition, k))
+    if total is None:
+        law = _site_law(model, condition, book)
+        total = np.zeros(model.schedule.grid(k) + (model.vocab,))
+        for key, p in chain_law(law, k - 1):
+            total += p * law(key).reshape(total.shape)
+        total.setflags(write=False)
+        memo[(condition, k)] = total
     return total
 
 
@@ -207,10 +222,6 @@ class IdentityReport:
     def max_kl(self) -> float:
         """The largest row KL: NaN if any row's is, 0.0 with no rows."""
         return float(np.max([r.kl for r in self.rows])) if self.rows else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
 
     def failures(self) -> list[IdentityRow]:
         """Rows that do not hold: a NaN KL fails like one above tolerance."""

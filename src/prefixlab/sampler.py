@@ -2,7 +2,8 @@
 
 Truncation order is fixed and documented: temperature first, then top-k,
 then top-p. Top-p keeps the smallest descending-probability prefix whose
-cumulative mass reaches the threshold (boundary token included); ties are
+cumulative mass reaches the threshold (boundary token included), and
+``top_p = 1`` keeps every top-k token however small its mass; ties are
 broken toward the lower token id throughout.
 
 Every site of a scale, across every sample of a batch, is truncated and
@@ -60,7 +61,8 @@ def truncated_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
     kept = order[:, :keep]
     kept_probs = softmax(np.take_along_axis(scaled, kept, axis=-1))
     cum = np.cumsum(kept_probs, axis=-1)
-    cutoff = np.minimum((cum < config.top_p - 1e-15).sum(axis=-1) + 1, keep)
+    threshold = np.inf if config.top_p >= 1 else config.top_p - 1e-15
+    cutoff = np.minimum((cum < threshold).sum(axis=-1) + 1, keep)
     # Each row's kept mass is summed over exactly its kept prefix, so the
     # pairwise summation order matches a one-site sum of that prefix.
     mass = np.empty(cum.shape[0])
@@ -175,31 +177,6 @@ def rollouts(
         RolloutResult(tuple(sample_maps), latent[i], tuple(trace), condition, seed)
         for i, (seed, sample_maps, trace) in enumerate(zip(seeds, maps, traces))
     ]
-
-
-def replay_trace(
-    model,
-    result: RolloutResult,
-    gconfig: GuidanceConfig,
-    book: Codebook,
-) -> list[np.ndarray]:
-    """Recompute every step's guided logits from the recorded prefixes/plans.
-
-    Returns the recomputed logits per step; bit-identical to the recorded
-    ones for a faithful trace.
-    """
-    logits = []
-    for idx, recorded in enumerate(result.trace):
-        step = guided_step(
-            model,
-            result.condition,
-            list(result.maps[:idx]),
-            gconfig,
-            book=book,
-            plan=recorded.plan,
-        )
-        logits.append(step.logits)
-    return logits
 
 
 def trace_to_csv(result: RolloutResult, path) -> None:

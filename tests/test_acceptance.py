@@ -43,7 +43,6 @@ from prefixlab.oracle import (
 )
 from prefixlab.sampler import (
     SamplerConfig,
-    replay_trace,
     rollouts,
     truncated_site_law,
 )
@@ -283,10 +282,12 @@ def test_criterion_7_sampler_laws(small_count, small_book):
 
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
         result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
-        for step, logits in zip(
-            result.trace, replay_trace(small_count, result, gconfig, small_book)
-        ):
-            assert np.array_equal(step.logits, logits)
+        for idx, recorded in enumerate(result.trace):
+            replayed = guided_step(
+                small_count, result.condition, list(result.maps[:idx]), gconfig,
+                book=small_book, plan=recorded.plan,
+            )
+            assert np.array_equal(recorded.logits, replayed.logits)
 
 
 def test_criterion_8_toy_frechet():

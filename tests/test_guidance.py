@@ -23,11 +23,14 @@ from prefixlab.model import (
     NULL_CONDITION,
     SignatureSpec,
     TokenMap,
+    build_tabular,
     context_signature,
+    enumerate_prefix_keys,
     fit_count_model,
     predict_logits,
+    prefix_maps,
 )
-from prefixlab.oracle import softmax
+from prefixlab.oracle import enumerate_prefixes, softmax
 from prefixlab.tokenizer import Codebook, ScaleSchedule
 from tests.conftest import make_corpus
 
@@ -140,6 +143,33 @@ class TestGuidedStepTabular:
         probs = softmax(step.logits).reshape(-1)
         np.testing.assert_allclose(probs, [0.6923, 0.3077], atol=1e-4)
         assert step.evaluations == 2
+
+    def test_cfg_and_exact_marginal_contrast_match_the_four_term_form(self):
+        # Multi-site scales and three conditions. The two reference branches
+        # are the condition's and the null condition's exact per-site
+        # marginals, summed here over the enumerated prefixes.
+        model = build_tabular(ScaleSchedule(((1, 1), (1, 2), (2, 2))), 2, 3, seed=4)
+        gamma, lam = 1.5, 0.8
+        config = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
+
+        def log_marginal(condition, k):
+            pairs = enumerate_prefixes(model, condition, k)
+            return np.log(sum(p * model.row(condition, k, key) for key, p in pairs))
+
+        for c in range(model.num_conditions):
+            for k in (2, 3):
+                l_cc, l_nc = log_marginal(c, k), log_marginal(NULL_CONDITION, k)
+                for key in enumerate_prefix_keys(model.schedule, model.vocab, k):
+                    l_cg = np.log(model.row(c, k, key))
+                    l_ng = np.log(model.row(NULL_CONDITION, k, key))
+                    closed = (
+                        (1 + lam) * (1 + gamma) * l_cg
+                        - (1 + lam) * gamma * l_ng
+                        - lam * (1 + gamma) * l_cc
+                        + lam * gamma * l_nc
+                    )
+                    step = guided_step(model, c, prefix_maps(key, model.schedule), config)
+                    np.testing.assert_allclose(step.logits, closed, rtol=0, atol=1e-12)
 
     def test_branch_evaluation_counts(self, small_tabular):
         prefix = [TokenMap(1, np.asarray([[1]]))]

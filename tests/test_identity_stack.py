@@ -168,19 +168,20 @@ def kl_row(kl):
 
 
 class TestNaNRows:
-    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0)])
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0)])
     def test_report_fails_nan_rows_in_any_order(self, order):
-        kls = [1e-17, math.nan, 2e-17]
-        report = IdentityReport(tuple(kl_row(kls[i]) for i in order), tolerance=1e-9)
+        # Rows 1 (NaN) and 3 (between the tolerance and ten times it) fail.
+        kls = [1e-17, math.nan, 2e-17, 5e-9]
+        rows = tuple(kl_row(kls[i]) for i in order)
+        report = IdentityReport(rows, tolerance=1e-9)
         assert math.isnan(report.max_kl)
-        assert not report.passed
-        assert [r.kl for r in report.failures()] == [r.kl for r in report.rows
-                                                    if math.isnan(r.kl)]
+        assert report.failures() != []
+        assert report.failures() == [row for row, i in zip(rows, order) if i in (1, 3)]
 
     def test_finite_rows_unchanged(self):
         report = IdentityReport((kl_row(-1e-18), kl_row(3e-17)), tolerance=1e-9)
         assert report.max_kl == 3e-17
-        assert report.passed and report.failures() == []
+        assert report.failures() == []
         assert IdentityReport((), 1e-9).max_kl == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError
 from prefixlab.guidance import GuidanceConfig
-from prefixlab.model import NULL_CONDITION, build_tabular
+from prefixlab.model import NULL_CONDITION, TabularModel, build_tabular
 from prefixlab.oracle import (
     Distribution,
     VerifySpec,
     augmented_cfg,
     augmented_vpg,
+    chain_law,
     enumerate_prefixes,
     kl_divergence,
     prefix_marginal,
@@ -151,19 +152,19 @@ class TestIdentityReport:
         for seed in range(3):
             model = build_tabular(sched, 3, 2, seed=seed)
             report = verify_identities(model, VerifySpec(tolerance=1e-9))
-            assert report.passed
+            assert report.failures() == []
             assert report.max_kl < 1e-12
 
     def test_identities_hold_on_multisite_scales(self, small_tabular):
         report = verify_identities(
             small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
         )
-        assert report.passed
+        assert report.failures() == []
 
     def test_failures_listed_above_tolerance(self, m1):
         report = verify_identities(m1, VerifySpec())
         strict = type(report)(report.rows, tolerance=-1.0)
-        assert not strict.passed
+        assert strict.failures() != []
         assert len(strict.failures()) == len(report.rows)
 
     @pytest.mark.parametrize(
@@ -188,7 +189,7 @@ class TestIdentityReport:
         report = verify_identities(
             small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
         )
-        assert not report.passed
+        assert report.failures() != []
         assert {r.kind for r in report.failures()} == kinds
 
     def test_report_csv_layout(self, m1, tmp_path):
@@ -210,6 +211,64 @@ class TestIdentityReport:
         sites_null = prefix_marginal_sites(small_tabular, NULL_CONDITION, 2)
         assert sites_null.shape == (2, 2, 3)
         np.testing.assert_allclose(sites_null.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def reference_chain_law(step_law, num_scales):
+    """``chain_law`` as one ``np.prod`` per map of each step."""
+    sequences = [((), 1.0)]
+    for _ in range(num_scales):
+        extended = []
+        for seq, p in sequences:
+            law = step_law(seq)
+            sites = np.arange(law.shape[0])
+            for combo in product(range(law.shape[1]), repeat=law.shape[0]):
+                q = float(np.prod(law[sites, combo]))
+                if q > 0.0:
+                    extended.append((seq + (combo,), p * q))
+        sequences = extended
+    return sequences
+
+
+class TestChainLawEngine:
+    @given(
+        st.integers(2, 3),
+        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_per_map_product_bit_for_bit(self, vocab, sites, zeros):
+        assume(vocab ** sum(sites) <= 3**9)
+
+        def step_law(key):
+            # Seeded by the prefix, so every prefix has its own law.
+            rng = np.random.default_rng([len(key)] + [i for ids in key for i in ids])
+            law = rng.dirichlet(np.ones(vocab), size=sites[len(key)])
+            if zeros:
+                law[0, -1] = 0.0
+            return law
+
+        got = chain_law(step_law, len(sites))
+        assert got == reference_chain_law(step_law, len(sites))
+
+    def test_marginal_is_kept_per_condition_and_scale(self, small_tabular, monkeypatch):
+        first = prefix_marginal_sites(small_tabular, 1, 2)
+        calls = []
+        row = TabularModel.row
+        monkeypatch.setattr(
+            TabularModel, "row", lambda self, *args: calls.append(args) or row(self, *args)
+        )
+        again = prefix_marginal_sites(small_tabular, 1, 2)
+        assert calls == []
+        assert again is first and not again.flags.writeable
+        # Another model with the same tables, or another key, is chained anew.
+        np.testing.assert_array_equal(
+            prefix_marginal_sites(build_tabular(small_tabular.schedule, 3, 2, seed=0), 1, 2),
+            first,
+        )
+        assert calls != []
+        calls.clear()
+        prefix_marginal_sites(small_tabular, 0, 2)
+        assert calls != []
 
 
 def brute_force_joint(model, condition):

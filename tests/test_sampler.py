@@ -18,7 +18,6 @@ from prefixlab.guidance import GuidanceConfig, guided_step
 from prefixlab.oracle import softmax
 from prefixlab.sampler import (
     SamplerConfig,
-    replay_trace,
     rollout_distribution,
     rollouts,
     trace_from_csv,
@@ -56,6 +55,12 @@ class TestTruncation:
             logits, SamplerConfig(temperature=1.0, top_k=3, top_p=1.0)
         )
         np.testing.assert_allclose(law, softmax(logits), atol=1e-12)
+
+    def test_full_top_p_keeps_a_token_below_rounding(self):
+        # exp(-35) is below 1e-15: the top-p threshold must not cut it.
+        law = truncated_site_law(np.asarray([0.0, -35.0]), SamplerConfig())
+        assert law[1] > 0
+        np.testing.assert_allclose(law, softmax(np.asarray([0.0, -35.0])), rtol=1e-12)
 
     def test_top_p_fixture(self):
         # Probabilities [0.5, 0.3, 0.2] with top_p = 0.7: the boundary token
@@ -123,8 +128,11 @@ def reference_site_law(logits, config):
     kept = order[:keep]
     probs = np.zeros(vocab)
     kept_probs = softmax(scaled[kept])
-    cum = np.cumsum(kept_probs)
-    cutoff = int(np.searchsorted(cum, config.top_p - 1e-15)) + 1
+    if config.top_p >= 1:
+        cutoff = keep
+    else:
+        cum = np.cumsum(kept_probs)
+        cutoff = int(np.searchsorted(cum, config.top_p - 1e-15)) + 1
     support = kept[:cutoff]
     probs[support] = kept_probs[:cutoff] / kept_probs[:cutoff].sum()
     return probs
@@ -233,9 +241,12 @@ class TestSampling:
     def test_replay_is_bit_exact(self, small_count, small_book):
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
         result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
-        replayed = replay_trace(small_count, result, gconfig, small_book)
-        for step, logits in zip(result.trace, replayed):
-            assert np.array_equal(step.logits, logits)
+        for idx, recorded in enumerate(result.trace):
+            replayed = guided_step(
+                small_count, result.condition, list(result.maps[:idx]), gconfig,
+                book=small_book, plan=recorded.plan,
+            )
+            assert np.array_equal(recorded.logits, replayed.logits)
 
     def test_trace_csv_roundtrip(self, m1, m1_book, small_tabular, small_book, tmp_path):
         # m1 is 1x1 at both scales; small_tabular has a 2x2 second scale.
