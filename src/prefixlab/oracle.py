@@ -278,15 +278,26 @@ def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
     return IdentityReport(rows, spec.tolerance)
 
 
+# Strengths are stacked in blocks of at most this many elements, so a model
+# near ``PREFIX_STATE_CAP`` holds a few strengths' arrays at a time, not every
+# strength's at once.
+_STACK_ELEMENTS = 1 << 16
+
+
 def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
-    """Max |difference| and KL of every check at scale k, in one pass per strength.
+    """Max |difference| and KL of every check at scale k, in one pass per block
+    of strengths.
 
     The stored rows of every (condition, prefix) are stacked into one
     (C, P, h_k, w_k, V) array; the null row, computed once per prefix, and the
-    exact marginals broadcast over the axes they do not depend on. Each
-    strength stays a Python scalar, so ``**`` takes the same path as on one
-    row. Returns two (C, P, checks) nested lists, checks in
-    ``verify_identities``' order.
+    exact marginals broadcast over the axes they do not depend on. The
+    strengths of a block go on a leading axis as an (S, 1, ..., 1) column, so
+    every stack is (S, C, P, h_k, w_k, V), and the combiners, softmax and row
+    reductions run once per block. Two things stay per strength: the oracle
+    law, whose ``**`` takes a scalar exponent as on one row (an exponent
+    column takes NumPy's array ``pow``, which changes bits at 0.5 and 2.0),
+    and ``guidance.compose_cfg_vpg``, the function under test. Returns two
+    (C, P, checks) nested lists, checks in ``verify_identities``' order.
     """
     cond = np.stack([[model.row(c, k, key) for key in keys]
                      for c in range(model.num_conditions)])
@@ -299,6 +310,13 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
     l_cc = np.broadcast_to(np.log(margs), shape)
     l_nc = np.broadcast_to(np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)
     branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
+    per_block = max(1, _STACK_ELEMENTS // cond.size)
+
+    def blocks(items):
+        return [items[i:i + per_block] for i in range(0, len(items), per_block)]
+
+    def column(values):
+        return np.array(values, dtype=float).reshape((-1,) + (1,) * cond.ndim)
 
     diffs, kls = [], []
     # In ``verify_identities``' check order: every CFG strength, then every VPG one.
@@ -306,42 +324,45 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
         (guidance.cfg_combine, null_rows, l_ng, gammas),
         (guidance.vpg_combine, margs, l_cc, lambdas),
     ):
-        for strength in strengths:
-            guided = softmax(combine(l_cg, ref_logits, strength))
-            oracle_p = _normalized_power_ratio(cond, ref, strength)
+        for block in blocks(strengths):
+            guided = softmax(combine(l_cg, ref_logits, column(block)))
+            oracle_p = np.stack([_normalized_power_ratio(cond, ref, s) for s in block])
             diffs.append(_row_max_abs(guided - oracle_p))
             kls.append(_row_kls(guided, oracle_p))
     # Sequential composition vs. its closed-form expansion, with the exact
     # marginals standing in for the corrupted branches.
-    for gamma in gammas:
-        for lam in lambdas:
-            sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
-            closed = (
-                (1 + lam) * (1 + gamma) * l_cg
-                - (1 + lam) * gamma * l_ng
-                - lam * (1 + gamma) * l_cc
-                + lam * gamma * l_nc
-            )
-            diffs.append(_row_max_abs(sequential - closed))
-            kls.append(_row_kls(softmax(sequential), softmax(closed)))
-    per_row = shape[:2] + (len(diffs),)
-    return (np.stack(diffs, axis=-1).reshape(per_row).tolist(),
-            np.stack(kls, axis=-1).reshape(per_row).tolist())
+    for block in blocks([(gamma, lam) for gamma in gammas for lam in lambdas]):
+        sequential = np.stack([guidance.compose_cfg_vpg(branches, gamma, lam)
+                               for gamma, lam in block])
+        gamma, lam = (column(values) for values in zip(*block))
+        closed = (
+            (1 + lam) * (1 + gamma) * l_cg
+            - (1 + lam) * gamma * l_ng
+            - lam * (1 + gamma) * l_cc
+            + lam * gamma * l_nc
+        )
+        diffs.append(_row_max_abs(sequential - closed))
+        kls.append(_row_kls(softmax(sequential), softmax(closed)))
+    per_check = (-1,) + shape[:2]
+    return (np.concatenate(diffs).reshape(per_check).transpose(1, 2, 0).tolist(),
+            np.concatenate(kls).reshape(per_check).transpose(1, 2, 0).tolist())
 
 
 def _row_max_abs(diff: np.ndarray) -> np.ndarray:
-    """max |diff| over each (condition, prefix) row of a stack."""
-    return np.abs(diff).reshape(diff.shape[0] * diff.shape[1], -1).max(axis=1)
+    """max |diff| over each (strength, condition, prefix) row of an
+    (S, C, P, h, w, V) stack, rows flattened in that order."""
+    return np.abs(diff).reshape(int(np.prod(diff.shape[:3])), -1).max(axis=1)
 
 
 def _row_kls(observed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """``kl_divergence`` of each (condition, prefix) row of two stacks, bit for bit.
+    """``kl_divergence`` of each (strength, condition, prefix) row of two
+    (S, C, P, h, w, V) stacks, bit for bit, rows flattened in that order.
 
     Summing a row's contiguous trailing axes runs the same pairwise sum as the
     1-D call. A row with an observed zero keeps ``kl_divergence``'s masked
     sum, whose terms pair differently once eight or more remain.
     """
-    obs = observed.reshape(observed.shape[0] * observed.shape[1], -1)
+    obs = observed.reshape(int(np.prod(observed.shape[:3])), -1)
     ora = oracle.reshape(obs.shape)
     full = np.all(obs != 0, axis=1)
     if full.all():

@@ -144,6 +144,20 @@ class TestApplication:
             for vec in grid.reshape(-1, grid.shape[-1]):
                 assert any(np.array_equal(vec, o) for o in originals)
 
+    def test_full_embedding_variant_copies_each_donor(self):
+        _, emb = embedded_prefix(4)
+        plan = plan_corruption(
+            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
+        )
+        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        moved = 0
+        for (j, u), (_, du) in zip(plan.selected, plan.donors):
+            h, w = SCHEDULE.grid(j)
+            tgt, don = (u // w, u % w), (du // w, du % w)
+            assert np.array_equal(out.grids[j - 1][tgt], emb.grids[j - 1][don])
+            moved += not np.array_equal(emb.grids[j - 1][tgt], emb.grids[j - 1][don])
+        assert moved > 0
+
     def test_single_site_scales_are_noops_for_same_scale_variants(self):
         # On a 1x1 scale the only possible donor is the site itself.
         sched = ScaleSchedule(((1, 1), (1, 1)))

@@ -1,15 +1,17 @@
 """The stacked identity verifier against the per-row loop it replaced, bit for
-bit, and the report's handling of NaN rows."""
+bit, its memory bound, and the report's handling of NaN rows."""
 
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prefixlab import guidance
+from prefixlab import guidance, oracle
 from prefixlab.cli import EXIT_IDENTITY, main
 from prefixlab.model import (
     NULL_CONDITION,
@@ -129,6 +131,63 @@ def test_bench_config_models(seed):
 @settings(max_examples=30, deadline=None)
 def test_multisite_multicondition_models(model):
     assert_same_rows(model)
+
+
+@pytest.mark.parametrize("grid", [
+    {"gammas": ()},
+    {"lambdas": ()},
+    {"gammas": (), "lambdas": ()},
+])
+@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))])
+def test_empty_strength_axis(schedule, grid):
+    model = build_tabular(ScaleSchedule(schedule), 2, 2, seed=4)
+    assert_same_rows(model, **grid)
+
+
+# Strength tuples that always hold 0.5 and 2.0, where NumPy's scalar ``**``
+# takes its sqrt and square fast paths, in any order and with repeats.
+strength_tuples = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+              st.floats(0.0, 4.0, allow_nan=False)),
+    max_size=3,
+).flatmap(lambda extra: st.permutations([0.5, 2.0] + extra)).map(tuple)
+
+
+@given(small_models(), strength_tuples, strength_tuples)
+@settings(max_examples=30, deadline=None)
+def test_strengths_with_power_fast_paths(model, gammas, lambdas):
+    assert_same_rows(model, gammas=gammas, lambdas=lambdas)
+
+
+@pytest.mark.parametrize("strengths_per_block", [1, 2, 3, 6])
+@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))])
+def test_every_block_size_gives_the_same_rows(monkeypatch, schedule, strengths_per_block):
+    # Budget the largest scale's (C, P, h, w, V) stack at this many
+    # strengths; smaller scales fit more in a block.
+    model = build_tabular(ScaleSchedule(schedule), 3, 2, seed=9)
+    k = model.schedule.num_scales
+    per_strength = (model.num_conditions * len(enumerate_prefix_keys(model.schedule, 3, k))
+                    * int(np.prod(model.schedule.grid(k))) * 3)
+    monkeypatch.setattr(oracle, "_STACK_ELEMENTS", strengths_per_block * per_strength)
+    assert_same_rows(model)
+
+
+def test_strength_blocks_bound_memory():
+    # Scale 2 stacks 2 conditions x 16 prefixes x 64 sites x V=16 = 32,768
+    # elements per strength, so its 35 compositions are 17.5 blocks; stacked
+    # whole they peak near 57 MiB, in blocks near 4.4 MiB.
+    model = build_tabular(ScaleSchedule(((1, 1), (8, 8))), 16, 2, seed=1)
+    assert 35 * 2 * 16 * 64 * 16 > 16 * oracle._STACK_ELEMENTS
+    spec = VerifySpec()
+    verify_identities(model, spec)  # fills the model's marginal memo
+    tracemalloc.start()
+    try:
+        verify_identities(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = oracle._STACK_ELEMENTS * np.dtype(float).itemsize
+    assert peak <= 16 * block_bytes
 
 
 def underflowing_model(seed):
