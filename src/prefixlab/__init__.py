@@ -7,10 +7,9 @@ from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, pla
 from .guidance import (
     BranchLogits,
     GuidanceConfig,
-    cfg_combine,
     compose_cfg_vpg,
+    extrapolate,
     guided_step,
-    vpg_combine,
 )
 from .model import (
     CountModel,

@@ -195,7 +195,10 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     return EXIT_OK
 
 
-def _experiment(cfg: RunConfig, grid: SweepGrid, guidance, book, model):
+def _run_grid(cfg: RunConfig, grid: SweepGrid, guidance, stem: str) -> int:
+    """Build the model and reference images, run ``grid``, and write its CSV and SVG."""
+    book = cfg.codebook()
+    model = _build_model(cfg, book)
     reference_images = ()
     if grid.metric == "toy_frechet":
         reference_images = tuple(
@@ -203,13 +206,10 @@ def _experiment(cfg: RunConfig, grid: SweepGrid, guidance, book, model):
                 cfg.schedule, cfg.latent_dim, cfg.model.corpus_seed, grid.n_samples
             )
         )
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         model=model, book=book, condition=cfg.condition, guidance=guidance,
         sampler=cfg.sampler, reference_images=reference_images,
     )
-
-
-def _emit_sweep(cfg: RunConfig, grid: SweepGrid, spec: ExperimentSpec, stem: str) -> int:
     rows = run_sweep(grid, spec)
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{stem}_{grid.grid_hash()}.csv")
@@ -218,23 +218,16 @@ def _emit_sweep(cfg: RunConfig, grid: SweepGrid, spec: ExperimentSpec, stem: str
     ok = [r for r in rows if r.error == ""]
     print(f"{stem}: {len(ok)}/{len(rows)} cells ok -> {csv_path}")
     print(f"{stem}: plot {svg_path}")
-    if not ok:
-        return EXIT_SWEEP
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_SWEEP
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    book = cfg.codebook()
-    model = _build_model(cfg, book)
-    spec = _experiment(cfg, cfg.sweep, cfg.guidance, book, model)
-    return _emit_sweep(cfg, cfg.sweep, spec, "sweep")
+    return _run_grid(cfg, cfg.sweep, cfg.guidance, "sweep")
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
     if cfg.model.kind != "count":
         raise ConfigError("ablate needs a count model (corrupted-prefix reference)")
-    book = cfg.codebook()
-    model = _build_model(cfg, book)
     ab = cfg.ablate
     grid = SweepGrid(
         lambdas=ab.lambdas,
@@ -246,9 +239,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         metric="toy_frechet",
         n_samples=ab.n_samples,
     )
-    guidance = replace(cfg.guidance, reference="corrupted")
-    spec = _experiment(cfg, grid, guidance, book, model)
-    return _emit_sweep(cfg, grid, spec, "ablate")
+    return _run_grid(cfg, grid, replace(cfg.guidance, reference="corrupted"), "ablate")
 
 
 def build_parser() -> argparse.ArgumentParser:

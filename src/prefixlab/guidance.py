@@ -1,8 +1,11 @@
 """Logit-space guidance algebra and per-step branch orchestration.
 
-Both combiners are the same extrapolation, (1+s) * base - s * reference,
-applied elementwise; the sequential CFG-then-prefix composition equals the
-four-term closed form
+CFG and the prefix contrast are one rule, ``extrapolate``: (1+s) * base -
+s * reference, elementwise, with two references. CFG's is the null-condition
+branch, the prefix contrast's the corrupted or exact-marginal (weak-prefix)
+branch. ``compose_cfg_vpg`` applies it per branch pair (condition, null
+condition) and then across the genuine and weak-prefix pairs, which equals
+the four-term closed form
 
     (1+lam)(1+gamma) l(c,gen) - (1+lam) gamma l(null,gen)
     - lam (1+gamma) l(c,corr) + lam gamma l(null,corr).
@@ -85,40 +88,31 @@ class BranchLogits:
     null_corr: np.ndarray | None = None
 
 
-def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise InvalidInputError(f"logit shape mismatch: {a.shape} vs {b.shape}")
+def extrapolate(base: np.ndarray, reference: np.ndarray, strength) -> np.ndarray:
+    """(1+strength) * base - strength * reference."""
+    if base.shape != reference.shape:
+        raise InvalidInputError(f"logit shape mismatch: {base.shape} vs {reference.shape}")
+    return (1 + strength) * base - strength * reference
 
 
-def cfg_combine(cond: np.ndarray, null: np.ndarray, gamma: float) -> np.ndarray:
-    """(1+gamma) * cond - gamma * null."""
-    _check_shapes(cond, null)
-    return (1 + gamma) * cond - gamma * null
-
-
-def vpg_combine(gen: np.ndarray, corr: np.ndarray, lam: float) -> np.ndarray:
-    """(1+lam) * gen - lam * corr."""
-    _check_shapes(gen, corr)
-    return (1 + lam) * gen - lam * corr
+def _cfg(cond: np.ndarray, null: np.ndarray | None, gamma: float, which: str) -> np.ndarray:
+    """CFG on one branch pair; the null branch is read only when gamma > 0."""
+    if gamma == 0:
+        return cond
+    if null is None:
+        raise MissingBranchError(f"gamma > 0 needs the null-condition {which} branch")
+    return extrapolate(cond, null, gamma)
 
 
 def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam: float) -> np.ndarray:
-    """CFG per prefix branch first, then the prefix contrast between them."""
-    if gamma > 0 and branches.null_gen is None:
-        raise MissingBranchError("gamma > 0 needs the null-condition genuine branch")
-    g_gen = branches.cond_gen if gamma == 0 else cfg_combine(
-        branches.cond_gen, branches.null_gen, gamma
-    )
+    """CFG per prefix branch pair first, then the prefix contrast between them."""
+    g_gen = _cfg(branches.cond_gen, branches.null_gen, gamma, "genuine")
     if lam == 0:
         return g_gen
     if branches.cond_corr is None:
         raise MissingBranchError("lam > 0 needs the corrupted-prefix branch")
-    if gamma > 0 and branches.null_corr is None:
-        raise MissingBranchError("gamma > 0 needs the null-condition corrupted branch")
-    g_corr = branches.cond_corr if gamma == 0 else cfg_combine(
-        branches.cond_corr, branches.null_corr, gamma
-    )
-    return vpg_combine(g_gen, g_corr, lam)
+    g_corr = _cfg(branches.cond_corr, branches.null_corr, gamma, "corrupted")
+    return extrapolate(g_gen, g_corr, lam)
 
 
 @dataclass(frozen=True)
@@ -181,13 +175,16 @@ def guided_step(
     elif signed is not None:
         raise InvalidInputError("only a count model reads a signed embedding")
 
-    def branch(cond, branch_signed):
-        return predict_logits(model, cond, maps, book=book, signed=branch_signed)
+    def pair(evaluate):
+        """A branch pair: ``evaluate`` at the condition and, only when
+        gamma > 0, at the null condition."""
+        return evaluate(condition), evaluate(NULL_CONDITION) if needs_cfg else None
 
-    cond_gen = branch(condition, signed)
-    null_gen = branch(NULL_CONDITION, signed) if needs_cfg else None
+    def predicted(branch_signed):
+        return pair(lambda c: predict_logits(model, c, maps, book=book, signed=branch_signed))
 
-    cond_corr = null_corr = None
+    gen = predicted(signed)
+    corr = (None, None)
     used_plan = None
     if needs_vpg:
         if config.reference == "exact-marginal":
@@ -195,9 +192,7 @@ def guided_step(
                 raise GuidanceConfigError(
                     "exact-marginal reference requires an enumerable tabular model"
                 )
-            cond_corr = np.log(prefix_marginal_sites(model, condition, k))
-            if needs_cfg:
-                null_corr = np.log(prefix_marginal_sites(model, NULL_CONDITION, k))
+            corr = pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))
         else:
             if not isinstance(model, CountModel):
                 raise GuidanceConfigError(
@@ -210,14 +205,11 @@ def guided_step(
             used_plan = plan if plan is not None else plan_corruption(
                 model.schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
-            corrupted = model.sign(apply_corruption(
+            corr = predicted(model.sign(apply_corruption(
                 signed.embedding, used_plan, book, model.schedule, model.params
-            ))
-            cond_corr = branch(condition, corrupted)
-            if needs_cfg:
-                null_corr = branch(NULL_CONDITION, corrupted)
+            )))
 
-    branches = BranchLogits(cond_gen, null_gen, cond_corr, null_corr)
+    branches = BranchLogits(*gen, *corr)
     lam = config.lam if needs_vpg else 0.0
     logits = compose_cfg_vpg(branches, config.gamma, lam)
     return GuidedStep(k, logits, branches, used_plan)

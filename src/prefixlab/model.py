@@ -298,7 +298,7 @@ class CountModel:
     thresholds: np.ndarray = field(repr=False, compare=False)
     params: EmbeddingParams = field(repr=False, compare=False)
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
-    include_null: bool = True
+    include_null: bool
     # One read-only (h_k, w_k, V) grid per (condition, k, signature) that
     # ``predict_logits`` was asked for: rollouts ask for few distinct keys
     # many times over (97% of the bench ablate's count-model calls repeat

@@ -242,17 +242,17 @@ class VerifySpec:
 
 
 def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
-    """Check the package's guidance combiners against the exact augmented laws.
+    """Check the package's guidance rule against the exact augmented laws.
 
-    For every (condition, scale, prefix) and every strength of ``spec``:
-    ``guidance.cfg_combine`` with the exact uniform-prior condition marginal
-    as the null branch must reproduce the augmented-CFG law,
-    ``guidance.vpg_combine`` with the exact prefix marginal as reference must
-    reproduce the augmented-VPG law, and ``guidance.compose_cfg_vpg`` must
-    match the four-term closed form written out here. Sites are independent
-    given the prefix, so every law is checked per site, with per-site prefix
-    marginals; on a single-site scale this is the joint-map law of
-    ``augmented_cfg`` and ``augmented_vpg``.
+    For every (condition, scale, prefix) and every strength of ``spec``,
+    ``guidance.extrapolate`` must reproduce the augmented law of each of its
+    two references: the null row (the exact uniform-prior condition marginal)
+    gives the augmented-CFG law, the exact prefix marginal the augmented-VPG
+    law. ``guidance.compose_cfg_vpg``, which applies the rule per branch pair
+    and then across the pairs, must match the four-term closed form written
+    out here. Sites are independent given the prefix, so every law is checked
+    per site, with per-site prefix marginals; on a single-site scale this is
+    the joint-map law of ``augmented_cfg`` and ``augmented_vpg``.
 
     Rows are listed by condition, scale, prefix, then kind and strength.
     """
@@ -292,7 +292,7 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
     (C, P, h_k, w_k, V) array; the null row, computed once per prefix, and the
     exact marginals broadcast over the axes they do not depend on. The
     strengths of a block go on a leading axis as an (S, 1, ..., 1) column, so
-    every stack is (S, C, P, h_k, w_k, V), and the combiners, softmax and row
+    every stack is (S, C, P, h_k, w_k, V), and the rule, softmax and row
     reductions run once per block. Two things stay per strength: the oracle
     law, whose ``**`` takes a scalar exponent as on one row (an exponent
     column takes NumPy's array ``pow``, which changes bits at 0.5 and 2.0),
@@ -319,13 +319,11 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
         return np.array(values, dtype=float).reshape((-1,) + (1,) * cond.ndim)
 
     diffs, kls = [], []
-    # In ``verify_identities``' check order: every CFG strength, then every VPG one.
-    for combine, ref, ref_logits, strengths in (
-        (guidance.cfg_combine, null_rows, l_ng, gammas),
-        (guidance.vpg_combine, margs, l_cc, lambdas),
-    ):
+    # One rule, two references, in ``verify_identities``' check order: the null
+    # rows at every CFG strength, then the exact marginals at every VPG one.
+    for ref, ref_logits, strengths in ((null_rows, l_ng, gammas), (margs, l_cc, lambdas)):
         for block in blocks(strengths):
-            guided = softmax(combine(l_cg, ref_logits, column(block)))
+            guided = softmax(guidance.extrapolate(l_cg, ref_logits, column(block)))
             oracle_p = np.stack([_normalized_power_ratio(cond, ref, s) for s in block])
             diffs.append(_row_max_abs(guided - oracle_p))
             kls.append(_row_kls(guided, oracle_p))

@@ -17,7 +17,7 @@ from prefixlab.config import (
     parse_config,
 )
 from prefixlab.corruption import CorruptionVariant
-from prefixlab.model import SignatureSpec, fit_count_model
+from prefixlab.model import CountModel, SignatureSpec, fit_count_model
 from prefixlab.tokenizer import ScaleSchedule
 
 
@@ -36,12 +36,13 @@ class TestParseConfig:
 
     def test_library_defaults_are_the_schemas(self):
         # A section class's own default is the schema's, and the library
-        # functions that fit a model take every config value from the caller.
+        # functions that fit a model, and the model they build, take every
+        # config value from the caller.
         cfg = RunConfig()
         for name in ("model", "guidance", "sampler", "verify", "sweep", "ablate"):
             section = getattr(cfg, name)
             assert type(section)() == section, name
-        for fn in (fit_count_model, SignatureSpec):
+        for fn in (fit_count_model, SignatureSpec, CountModel):
             params = inspect.signature(fn).parameters.values()
             assert [p.name for p in params if p.default is not p.empty] == [], fn
 

@@ -14,10 +14,9 @@ from prefixlab.errors import (
 from prefixlab.guidance import (
     BranchLogits,
     GuidanceConfig,
-    cfg_combine,
     compose_cfg_vpg,
+    extrapolate,
     guided_step,
-    vpg_combine,
 )
 from prefixlab.model import (
     NULL_CONDITION,
@@ -55,27 +54,26 @@ class TestCombiners:
         cond = np.asarray([1.0, 2.0])
         null = np.asarray([0.5, 0.5])
         np.testing.assert_allclose(
-            cfg_combine(cond, null, 2.0), 3.0 * cond - 2.0 * null
+            extrapolate(cond, null, 2.0), 3.0 * cond - 2.0 * null
         )
 
     def test_vpg_formula(self):
         gen = np.asarray([0.0, 1.0])
         corr = np.asarray([1.0, 0.0])
         np.testing.assert_allclose(
-            vpg_combine(gen, corr, 0.5), 1.5 * gen - 0.5 * corr
+            extrapolate(gen, corr, 0.5), 1.5 * gen - 0.5 * corr
         )
 
     def test_zero_strength_passthrough(self):
         x = np.asarray([3.0, -1.0])
         y = np.asarray([9.0, 9.0])
-        np.testing.assert_allclose(cfg_combine(x, y, 0.0), x)
-        np.testing.assert_allclose(vpg_combine(x, y, 0.0), x)
+        np.testing.assert_allclose(extrapolate(x, y, 0.0), x)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(InvalidInputError):
-            cfg_combine(np.zeros(2), np.zeros(3), 1.0)
+            extrapolate(np.zeros(2), np.zeros(3), 1.0)
         with pytest.raises(InvalidInputError):
-            vpg_combine(np.zeros((1, 2)), np.zeros((2, 1)), 1.0)
+            extrapolate(np.zeros((1, 2)), np.zeros((2, 1)), 1.0)
 
 
 class TestComposition:

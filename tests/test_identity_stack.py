@@ -64,7 +64,7 @@ def reference_verify_identities(
                 l_ng = np.log(null_row)
                 branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
                 for gamma in gammas:
-                    guided = softmax(guidance.cfg_combine(l_cg, l_ng, gamma))
+                    guided = softmax(guidance.extrapolate(l_cg, l_ng, gamma))
                     oracle_p = reference_power_ratio(cond_row, null_row, gamma)
                     rows.append(
                         IdentityRow(
@@ -74,7 +74,7 @@ def reference_verify_identities(
                         )
                     )
                 for lam in lambdas:
-                    guided = softmax(guidance.vpg_combine(l_cg, l_cc, lam))
+                    guided = softmax(guidance.extrapolate(l_cg, l_cc, lam))
                     oracle_p = reference_power_ratio(cond_row, marg, lam)
                     rows.append(
                         IdentityRow(
@@ -215,7 +215,7 @@ def test_underflowed_probabilities_keep_the_masked_sum(seed):
     # entries remain, where the masked sum pairs terms differently.
     l_cg = np.log(model.row(0, 2, key))
     l_ng = np.log(model.row(NULL_CONDITION, 2, key))
-    guided = softmax(guidance.cfg_combine(l_cg, l_ng, 400.0))
+    guided = softmax(guidance.extrapolate(l_cg, l_ng, 400.0))
     assert 0 < np.count_nonzero(guided == 0) <= guided.size - 8
     # The CFG ratio is at most 2, so 2**400 does not overflow; lambda stays
     # small because the VPG ratio is not bounded.

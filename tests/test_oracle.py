@@ -170,19 +170,16 @@ class TestIdentityReport:
     @pytest.mark.parametrize(
         "name, broken, kinds",
         [
-            ("cfg_combine",
-             lambda cond, null, gamma: (1 - gamma) * cond + gamma * null,
-             {"cfg", "composition"}),
-            ("vpg_combine",
-             lambda gen, corr, lam: (1 - lam) * gen + lam * corr,
-             {"vpg", "composition"}),
+            ("extrapolate",
+             lambda base, reference, s: (1 - s) * base + s * reference,
+             {"cfg", "vpg", "composition"}),
             ("compose_cfg_vpg",
              lambda b, gamma, lam: (1 + lam) * b.cond_gen - lam * b.cond_corr,
              {"composition"}),
         ],
     )
     def test_broken_combiner_fails(self, monkeypatch, small_tabular, name, broken, kinds):
-        # The report checks the package's own combiners, not a copy of them.
+        # The report checks the package's own rule, not a copy of it.
         from prefixlab import guidance
 
         monkeypatch.setattr(guidance, name, broken)

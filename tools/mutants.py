@@ -12,8 +12,11 @@ directory, replaces the mutant's ``old`` text with ``new`` in its file (the
 
     python -m pytest -q -x -rfE -p no:cacheprovider --hypothesis-seed=0
 
-in the copy, with ``PYTHONPATH=src`` and no bytecode written. It prints one
-line per mutant: ``killed`` with the first failing test, or ``survived``.
+in the copy, with ``PYTHONPATH=src`` and no bytecode written, leaving out
+``tests/test_mutants.py``: it checks that each ``old`` text occurs once in
+the unmutated checkout, so in a mutated copy it fails for every mutant. It
+prints one line per mutant: ``killed`` with the first failing test, or
+``survived``.
 An equivalent mutant changes no behaviour any input can show; it is expected
 to survive and its line gives the reason. The exit code is 1 when a mutant
 that is not marked equivalent survives, else 0. A run takes 15-40 s per
@@ -34,7 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-          "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+          "-p", "no:cacheprovider", "--hypothesis-seed=0",
+          "--ignore=tests/test_mutants.py"]
 # A mutant that hangs the suite counts as killed after this long.
 TIMEOUT_S = 900
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
@@ -52,18 +56,21 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("cfg_combine_drops_cond_weight", "src/prefixlab/guidance.py",
-           "return (1 + gamma) * cond - gamma * null",
-           "return gamma * cond - gamma * null"),
-    Mutant("vpg_combine_contrasts_gen_with_itself", "src/prefixlab/guidance.py",
-           "return (1 + lam) * gen - lam * corr",
-           "return (1 + lam) * gen - lam * gen"),
+    Mutant("extrapolate_drops_base_weight", "src/prefixlab/guidance.py",
+           "return (1 + strength) * base - strength * reference",
+           "return strength * base - strength * reference"),
+    Mutant("extrapolate_uses_base_as_reference", "src/prefixlab/guidance.py",
+           "return (1 + strength) * base - strength * reference",
+           "return (1 + strength) * base - strength * base"),
     Mutant("composition_skips_cfg_on_corrupted_branch", "src/prefixlab/guidance.py",
-           "return vpg_combine(g_gen, g_corr, lam)",
-           "return vpg_combine(g_gen, branches.cond_corr, lam)"),
-    Mutant("guided_step_null_corr_from_condition", "src/prefixlab/guidance.py",
-           "null_corr = np.log(prefix_marginal_sites(model, NULL_CONDITION, k))",
-           "null_corr = np.log(prefix_marginal_sites(model, condition, k))"),
+           "return extrapolate(g_gen, g_corr, lam)",
+           "return extrapolate(g_gen, branches.cond_corr, lam)"),
+    Mutant("branch_pair_null_at_condition", "src/prefixlab/guidance.py",
+           "evaluate(NULL_CONDITION) if needs_cfg else None",
+           "evaluate(condition) if needs_cfg else None"),
+    Mutant("exact_marginal_pair_at_condition", "src/prefixlab/guidance.py",
+           "pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))",
+           "pair(lambda c: np.log(prefix_marginal_sites(model, condition, k)))"),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
            "np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)",
            "np.log(prefix_marginal_sites(model, 0, k)), shape)"),
