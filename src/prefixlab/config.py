@@ -250,18 +250,11 @@ def load_config(path) -> RunConfig:
     return parse_config(read_config(path))
 
 
-def corpus_to_csv(corpus, path) -> None:
-    """One row per sequence: condition then all token ids in scale order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for condition, maps in corpus:
-            tokens = [t for m in maps for t in m.key()]
-            writer.writerow([condition] + tokens)
-
-
 def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: int):
-    """The corpus ``corpus_to_csv`` wrote for a model of this shape; a row
-    that is not one such sequence is an InvalidInputError naming its line."""
+    """The corpus of a CSV with one sequence per row: its condition, then
+    every token id of every scale's map in scale order, each map row-major.
+    A row that is not one such sequence for a model of this shape is an
+    InvalidInputError naming its line; blank lines are skipped."""
     expected = sum(schedule.sites(k) for k in range(1, schedule.num_scales + 1))
     corpus = []
     with open(path, newline="") as fh:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import guidance
 from .errors import InvalidInputError
 from .model import (
     Condition,
@@ -44,9 +43,6 @@ class Distribution:
         if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
             raise InvalidInputError("probabilities must be non-negative and sum to 1")
         object.__setattr__(self, "probs", p)
-
-    def prob(self, outcome) -> float:
-        return float(self.probs[self.outcomes.index(outcome)])
 
     def as_dict(self) -> dict:
         return dict(zip(self.outcomes, self.probs))
@@ -299,6 +295,14 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
     and ``guidance.compose_cfg_vpg``, the function under test. Returns two
     (C, P, checks) nested lists, checks in ``verify_identities``' order.
     """
+    # The package's one upward import: ``guidance`` imports this module, so
+    # it is imported here, where the code under test runs. Nothing moves
+    # instead: the bench traces ``oracle.verify_identities`` (its 7,332-row
+    # gate) and ``oracle.prefix_marginal_sites`` (its marginal counters) by
+    # qualified name, and putting ``extrapolate`` and ``compose_cfg_vpg``
+    # below this module would add a module.
+    from . import guidance
+
     cond = np.stack([[model.row(c, k, key) for key in keys]
                      for c in range(model.num_conditions)])
     shape = cond.shape

@@ -148,7 +148,7 @@ def test_criterion_4_hand_derived_fixture_values():
         marg = prefix_marginal(model, 0, k=2)
         np.testing.assert_allclose(marg.probs, [0.5, 0.5], atol=1e-4)
         post = prefix_posterior(model, 0, outcome=(0,), k=2)
-        assert post.prob(((0,),)) == pytest.approx(0.9, abs=1e-4)
+        assert post.as_dict()[((0,),)] == pytest.approx(0.9, abs=1e-4)
         aug = augmented_vpg(model, 0, [(0,)], strength=1.0)
         np.testing.assert_allclose(aug.probs, [0.6923, 0.3077], atol=1e-4)
 

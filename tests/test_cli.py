@@ -22,7 +22,7 @@ from prefixlab.cli import (
     build_parser,
     main,
 )
-from prefixlab.config import corpus_to_csv, parse_config
+from prefixlab.config import parse_config
 from prefixlab.model import TabularModel
 
 
@@ -118,6 +118,23 @@ class TestSample:
         assert "sample_0000_trace.csv" in names
         assert "sample_0001.ppm" in names
         assert "tokens=" in capsys.readouterr().out
+
+    def test_wide_latents_written_as_csv(self, tmp_path):
+        # A latent of more than 3 channels has no PPM form: each sample's
+        # image is a CSV with one row per final-grid site.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SHAPE, "latent_dim": 4}))
+        out_dir = tmp_path / "samples"
+        args = ["sample", "--config", str(path), "--count", "2", "--output-dir", str(out_dir)]
+        assert main(args) == EXIT_OK
+        assert sorted(os.listdir(out_dir)) == [
+            "sample_0000.csv", "sample_0000_trace.csv", "sample_0001.csv", "sample_0001_trace.csv",
+        ]
+        for name in ("sample_0000.csv", "sample_0001.csv"):
+            with open(out_dir / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["row", "col", "v0", "v1", "v2", "v3"]
+            assert [row[:2] for row in rows[1:]] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
 
     def test_block_size_changes_no_output(self, tmp_path, capsys, monkeypatch):
         def run(block):
@@ -239,7 +256,11 @@ class TestBuildModel:
         synthetic = parse_config({**SHAPE, "model": {"kind": "count", "corpus_count": 8}})
         book = synthetic.codebook()
         path = tmp_path / "corpus.csv"
-        corpus_to_csv(_synthetic_corpus(synthetic, book, 8, synthetic.model.corpus_seed), path)
+        corpus = _synthetic_corpus(synthetic, book, 8, synthetic.model.corpus_seed)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [condition, *(t for m in maps for t in m.key())] for condition, maps in corpus
+            )
         cfg = parse_config({**SHAPE, "model": {"kind": "count", "corpus_path": str(path)}})
         model = _build_model(cfg, book)
         assert_same_tables(model, _build_model(cfg, book))

@@ -1,5 +1,6 @@
 """Strict JSON run config, plus the corpus CSV."""
 
+import csv
 import inspect
 import json
 import math
@@ -12,7 +13,6 @@ from prefixlab.config import (
     RunConfig,
     config_to_json,
     corpus_from_csv,
-    corpus_to_csv,
     load_config,
     parse_config,
 )
@@ -207,7 +207,10 @@ class TestCorpusCsv:
 
         corpus = make_corpus(small_schedule, small_book, 2, 5, seed=1)
         path = tmp_path / "corpus.csv"
-        corpus_to_csv(corpus, path)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [condition, *(t for m in maps for t in m.key())] for condition, maps in corpus
+            )
         back = corpus_from_csv(path, small_schedule, 3, 2)
         assert len(back) == 5
         for (ca, ma), (cb, mb) in zip(corpus, back):

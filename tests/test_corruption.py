@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixlab.corruption import (
+    CorruptionPlan,
     CorruptionVariant,
     apply_corruption,
     plan_corruption,
@@ -228,5 +229,14 @@ class TestApplication:
             SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
         with pytest.raises(InconsistentPlanError):
+            apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+
+    def test_site_of_its_own_step_raises(self):
+        # plan_corruption draws only prefix sites; a hand-built plan can name
+        # a site of scale 3 for the step at scale 3.
+        _, emb = embedded_prefix(3)
+        plan = CorruptionPlan(3, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 1.0,
+                              selected=((3, 0),), donors=((3, 1),), seed=0)
+        with pytest.raises(InconsistentPlanError, match="beyond the prefix"):
             apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
 

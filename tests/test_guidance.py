@@ -338,6 +338,21 @@ class TestGuidedStepCount:
             else:
                 assert step.branches.null_corr is None
 
+    @pytest.mark.parametrize("variant", [v for v in CorruptionVariant
+                                         if v is not CorruptionVariant.UNIFORM_PREFIX])
+    def test_fraction_rounding_to_no_site_corrupts_nothing(self, small_count, small_book, variant):
+        # The step at scale 2 has one prefix site, and 0.25 * 1 rounds to 0:
+        # a site-selecting variant then has no site to corrupt, and the
+        # corrupted pair is the clean pair.
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.25, variant=variant,
+                                reference="corrupted")
+        step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=3)
+        assert step.plan.selected == ()
+        b = step.branches
+        assert np.array_equal(b.cond_corr, b.cond_gen)
+        assert np.array_equal(b.null_corr, b.null_gen)
+
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")

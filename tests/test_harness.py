@@ -65,6 +65,13 @@ class TestToyFrechet:
         with pytest.raises(InvalidInputError):
             toy_frechet([img], [img, img])
 
+    def test_rejects_nan_statistics(self):
+        # A NaN image, not an inf one: inf - inf in the covariance warns
+        # before the check is reached.
+        img = np.zeros((1, 1, 2))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            toy_frechet([img, np.full_like(img, np.nan)], [img, img])
+
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         a = [rng.normal(size=(2, 2, 1)) for _ in range(4)]

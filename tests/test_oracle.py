@@ -50,7 +50,6 @@ class TestDistribution:
 
     def test_lookup(self):
         d = Distribution(("a", "b"), np.asarray([0.3, 0.7]))
-        assert d.prob("b") == 0.7
         assert d.as_dict() == {"a": 0.3, "b": 0.7}
 
 
@@ -68,8 +67,7 @@ class TestFixtureM1:
     def test_prefix_posterior(self, m1):
         post = prefix_posterior(m1, 0, outcome=(0,), k=2)
         # p(r1=0 | r2=0) = 0.75 * 0.6 / 0.5 = 0.9.
-        assert post.prob(((0,),)) == pytest.approx(0.9, abs=1e-12)
-        assert post.prob(((1,),)) == pytest.approx(0.1, abs=1e-12)
+        assert post.as_dict() == pytest.approx({((0,),): 0.9, ((1,),): 0.1}, abs=1e-12)
 
     def test_augmented_vpg_lambda_one(self, m1):
         aug = augmented_vpg(m1, 0, [(0,)], strength=1.0)
@@ -95,7 +93,7 @@ class TestEnumeration:
         assert len(dist.outcomes) == 3 ** 4
         combo = (0, 2, 1, 0)
         expected = np.prod(row[np.arange(4), combo])
-        assert dist.prob(combo) == pytest.approx(expected, rel=1e-12)
+        assert dist.as_dict()[combo] == pytest.approx(expected, rel=1e-12)
 
     def test_enumerate_prefixes_probabilities_sum_to_one(self, small_tabular):
         pairs = enumerate_prefixes(small_tabular, 1, k=3)

@@ -398,8 +398,7 @@ class TestRolloutLaw:
             ((1,), (0,)): 0.25 * aug1[0],
             ((1,), (1,)): 0.25 * aug1[1],
         }
-        for seq, p in expected.items():
-            assert law.prob(seq) == pytest.approx(p, abs=1e-9)
+        assert law.as_dict() == pytest.approx(expected, abs=1e-9)
 
     def test_truncation_shrinks_support(self, m1, m1_book):
         law = rollout_distribution(

@@ -93,6 +93,13 @@ class TestCodebook:
         with pytest.raises(InvalidInputError):
             Codebook(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vectors(self, value):
+        vectors = np.zeros((2, 3, 2))
+        vectors[1, 2, 0] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            Codebook(vectors)
+
 
 class TestResampling:
     def test_nn_index_map_examples(self):

@@ -71,6 +71,9 @@ MUTANTS = (
     Mutant("exact_marginal_pair_at_condition", "src/prefixlab/guidance.py",
            "pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))",
            "pair(lambda c: np.log(prefix_marginal_sites(model, condition, k)))"),
+    Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
+           "from .errors import InvalidInputError",
+           "from . import guidance\nfrom .errors import InvalidInputError"),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
            "np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)",
            "np.log(prefix_marginal_sites(model, 0, k)), shape)"),

@@ -21,6 +21,8 @@ script runs, each in a fresh ``python -m prefixlab.cli`` child with
 - that run again with the count model fitted on a corpus file
   (``model.corpus_path``): 60 rows of the ablate model's shape, drawn from
   ``random.Random(seed)`` and written next to the run's config;
+- that ``sample`` config with ``latent_dim`` 4, whose images are written
+  as CSV files, not PPM;
 - ``sample --count 4 --lambda 1.0`` with no ``--config``, which runs the
   CLI's built-in default (the tabular model with the exact-marginal
   reference); it is the same at every seed.
@@ -65,6 +67,8 @@ CORPUS_ROWS = 60
 MULTISITE_VERIFY = {"schedule": [[1, 1], [1, 2], [2, 2]],
                     "verify": {"models": 4, "vocab_grid": [2, 3],
                                "condition_grid": [2, 3]}}
+# The wide-latent sample run: more than 3 channels, so no PPM form.
+WIDE_LATENT = {"latent_dim": 4}
 # The flags of the no-config sample run.
 DEFAULT_SAMPLE = ["--count", "4", "--lambda", "1.0"]
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -84,12 +88,15 @@ def runs(seed: int, checkout: Path):
     yield "count_sample_corrupted", "sample", count_sample
     yield ("count_corpus_sample", "sample",
            merge_config(count_sample, {"model": {"corpus_path": CORPUS_FILE}}))
+    yield ("wide_latent_sample", "sample",
+           merge_config(WORKLOADS["sample"].config(seed, checkout), WIDE_LATENT))
     yield "default_sample", "sample", None
 
 
 def write_corpus(path: Path, config: dict, seed: int) -> None:
-    """A corpus CSV for ``config``'s model shape, as ``corpus_to_csv`` lays
-    it out: a condition, then one token id per site in scale order."""
+    """A corpus CSV for ``config``'s model shape, in the layout
+    ``corpus_from_csv`` reads: a condition, then one token id per site in
+    scale order."""
     rng = random.Random(seed)
     sites = sum(h * w for h, w in config["schedule"])
     rows = [
