@@ -183,9 +183,11 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
         sconfig = replace(cfg.sampler, seed=cfg.sampler.seed + start)
         block = min(SAMPLE_BLOCK, count - start)
         results = rollouts(model, cfg.condition, cfg.guidance, sconfig, book, block)
+        # The block's samples share steps; each shared step is formatted once.
+        formatted: dict = {}
         for i, result in enumerate(results, start=start):
             stem = os.path.join(cfg.output_dir, f"sample_{i:04d}")
-            trace_to_csv(result, stem + "_trace.csv")
+            trace_to_csv(result, stem + "_trace.csv", formatted)
             if cfg.latent_dim <= 3:
                 write_ppm(result.latent, stem + ".ppm")
             else:

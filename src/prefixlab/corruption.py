@@ -47,6 +47,14 @@ class CorruptionPlan:
     code_draws: tuple[tuple[int, int], ...] = ()
     uniform_tokens: tuple[tuple[int, ...], ...] = ()
 
+    @property
+    def scales(self) -> frozenset[int]:
+        """The prefix scales that applying the plan can change: every one for
+        the uniform-prefix variant, else those of the selected sites."""
+        if self.variant is CorruptionVariant.UNIFORM_PREFIX:
+            return frozenset(range(1, self.step))
+        return frozenset(j for j, _ in self.selected)
+
 
 def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
     """Round-half-up of fraction * (number of prefix sites).
@@ -63,6 +71,13 @@ def _round_half_up(sites: int, fraction: float) -> int:
     return math.floor(Fraction(fraction).limit_denominator(10**6) * sites + Fraction(1, 2))
 
 
+# Variants whose plans draw from the codebook, with the name their error gives.
+_NEEDS_BOOK = {
+    CorruptionVariant.RANDOM_CODEBOOK: "random-codebook",
+    CorruptionVariant.UNIFORM_PREFIX: "uniform-prefix",
+}
+
+
 def plan_corruption(
     schedule: ScaleSchedule,
     k: int,
@@ -74,16 +89,22 @@ def plan_corruption(
     """Sample sites uniformly without replacement, donors with replacement.
 
     Self-donation is allowed, which keeps 1x1 scales well-defined. The
-    random-codebook variant needs the codebook to know how many tables and
-    codes there are to draw from.
+    random-codebook and uniform-prefix variants need the codebook to know how
+    many tables and codes there are to draw from. A plan that selects no site
+    draws nothing, so no generator is seeded for it, except for the
+    uniform-prefix variant, which always draws whole token grids.
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidFractionError(f"corruption fraction {fraction} outside [0, 1]")
+    if book is None and variant in _NEEDS_BOOK:
+        raise InconsistentPlanError(f"{_NEEDS_BOOK[variant]} plans need the codebook")
+    size = selection_size(schedule, k, fraction)
+    if size == 0 and variant is not CorruptionVariant.UNIFORM_PREFIX:
+        return CorruptionPlan(k, variant, fraction, (), (), seed)
     rng = np.random.default_rng(seed)
     all_sites = [
         (j, u) for j in range(1, k) for u in range(schedule.sites(j))
     ]
-    size = selection_size(schedule, k, fraction)
     chosen_idx = sorted(rng.choice(len(all_sites), size=size, replace=False)) if size else []
     selected = tuple(all_sites[i] for i in chosen_idx)
     donors = tuple(
@@ -92,15 +113,11 @@ def plan_corruption(
     code_draws: tuple[tuple[int, int], ...] = ()
     uniform_tokens: tuple[tuple[int, ...], ...] = ()
     if variant is CorruptionVariant.RANDOM_CODEBOOK:
-        if book is None:
-            raise InconsistentPlanError("random-codebook plans need the codebook")
         code_draws = tuple(
             (int(rng.integers(book.num_scales)) + 1, int(rng.integers(book.vocab)))
             for _ in selected
         )
     elif variant is CorruptionVariant.UNIFORM_PREFIX:
-        if book is None:
-            raise InconsistentPlanError("uniform-prefix plans need the codebook")
         uniform_tokens = tuple(
             tuple(int(x) for x in rng.integers(book.vocab, size=schedule.sites(j)))
             for j in range(1, k)

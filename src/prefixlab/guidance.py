@@ -26,6 +26,7 @@ from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, pla
 from .errors import (
     GuidanceConfigError,
     IllDefinedLawError,
+    InconsistentPlanError,
     InvalidInputError,
     MissingBranchError,
 )
@@ -77,6 +78,15 @@ class GuidanceConfig:
     def masked_in(self, k: int) -> bool:
         return self.scale_mask is None or k in self.scale_mask
 
+    def contrasts(self, k: int) -> bool:
+        """Whether the step at scale k has a weak-prefix branch pair."""
+        return self.lam > 0 and k >= 2 and self.masked_in(k)
+
+    def draws_plan(self, k: int) -> bool:
+        """Whether the step at scale k runs under a corruption plan: then its
+        weak-prefix pair depends on the plan, not only on the prefix."""
+        return self.contrasts(k) and self.reference == "corrupted"
+
 
 @dataclass(frozen=True)
 class BranchLogits:
@@ -115,9 +125,13 @@ def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam: float) -> np.ndar
     return extrapolate(g_gen, g_corr, lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GuidedStep:
-    """Result of one guided prediction, with its audit trail."""
+    """Result of one guided prediction, with its audit trail.
+
+    Its arrays are read-only, so the samples of a rollout whose steps have
+    the same branch inputs can share one step; it hashes by identity.
+    """
 
     k: int
     logits: np.ndarray
@@ -155,7 +169,7 @@ def guided_step(
     k = len(maps) + 1
 
     needs_cfg = config.gamma > 0
-    needs_vpg = config.lam > 0 and k >= 2 and config.masked_in(k)
+    needs_vpg = config.contrasts(k)
 
     if needs_cfg and isinstance(model, CountModel) and not model.include_null:
         raise GuidanceConfigError(
@@ -205,11 +219,24 @@ def guided_step(
             used_plan = plan if plan is not None else plan_corruption(
                 model.schedule, k, config.fraction, config.variant, plan_seed, book=book
             )
-            corr = predicted(model.sign(apply_corruption(
-                signed.embedding, used_plan, book, model.schedule, model.params
-            )))
+            if used_plan.step != k:
+                raise InconsistentPlanError(
+                    f"plan targets step {used_plan.step}, the prefix is for step {k}"
+                )
+            # A plan that can change no scale leaves the clean signed
+            # embedding as it is; otherwise only the scales it changes are
+            # binned again.
+            changed = used_plan.scales
+            corr = predicted(signed if not changed else model.resign(
+                signed,
+                apply_corruption(signed.embedding, used_plan, book, model.schedule, model.params),
+                changed,
+            ))
 
     branches = BranchLogits(*gen, *corr)
     lam = config.lam if needs_vpg else 0.0
     logits = compose_cfg_vpg(branches, config.gamma, lam)
+    for array in (logits, *gen, *corr):
+        if array is not None:
+            array.setflags(write=False)
     return GuidedStep(k, logits, branches, used_plan)

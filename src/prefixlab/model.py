@@ -275,7 +275,8 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
 
 @dataclass(frozen=True)
 class SignedEmbedding:
-    """A prefix embedding and its context signature, built by ``CountModel.sign``.
+    """A prefix embedding and its context signature, built by ``CountModel.sign``
+    (or ``extend`` and ``resign``, which bin only the scales that are new or changed).
 
     Branches evaluated on one embedding share it, so the signature is
     computed once per embedding.
@@ -317,6 +318,20 @@ class CountModel:
     def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
         """``embedding`` together with its signature under this model."""
         return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
+
+    def resign(
+        self, signed: SignedEmbedding, embedding: PrefixEmbedding, scales
+    ) -> SignedEmbedding:
+        """``embedding``, which equals ``signed.embedding`` outside the prefix
+        ``scales``, with its signature: only those scales are binned, and the
+        other scales' bins are carried from ``signed``."""
+        signature = tuple(
+            tuple(scale_bins(grid, self.thresholds[j - 1]).tolist()) if j in scales else bins
+            for j, (grid, bins) in enumerate(
+                zip(embedding.grids, signed.signature, strict=True), start=1
+            )
+        )
+        return SignedEmbedding(embedding, signature)
 
     def extend(
         self, signed: Sequence[SignedEmbedding], latent: np.ndarray

@@ -6,11 +6,12 @@ cumulative mass reaches the threshold (boundary token included), and
 ``top_p = 1`` keeps every top-k token however small its mass; ties are
 broken toward the lower token id throughout.
 
-Every site of a scale, across every sample of a batch, is truncated and
-sampled in one vectorized pass. Each sample has its own generator; a step
-draws one uniform per site from it, in row-major site order, and inverts it
-against the site's cumulative law: the same random stream, token ids and
-generator state as one ``rng.choice(V, p=law)`` call per site.
+Every site of a scale, across every distinct guided step of a batch, is
+truncated in one vectorized pass, and every sample's sites are sampled in
+one more. Each sample has its own generator; a step draws one uniform per
+site from it, in row-major site order, and inverts it against the site's
+cumulative law: the same random stream, token ids and generator state as one
+``rng.choice(V, p=law)`` call per site.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .corruption import CorruptionPlan
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidanceConfig, GuidedStep, guided_step
-from .model import Condition, CountModel, TokenMap, prefix_maps
+from .model import Condition, CountModel, SignedEmbedding, TokenMap, prefix_key, prefix_maps
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -91,31 +92,38 @@ _SUM_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def truncate_and_sample(
-    logits: np.ndarray, config: SamplerConfig, rngs: Sequence[np.random.Generator]
+    logits: np.ndarray,
+    config: SamplerConfig,
+    rngs: Sequence[np.random.Generator],
+    rows: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """One token id per site for each sample on the leading axis of ``logits``.
+    """One token id per site for each sample, shape (len(rngs), ...).
 
-    ``logits`` has shape (len(rngs), ..., V). Sample i draws one uniform per
-    site from ``rngs[i]``, in row-major order, and each uniform is inverted
-    against its site's normalized cumulative law (``searchsorted(side="right")``),
-    as ``rng.choice(V, p=law)`` does. So the ids and every generator's state
+    Sample i reads the logit grid ``logits[rows[i]]`` (``logits[i]`` when
+    ``rows`` is None), so samples that share a guided step share its row and
+    each row's law is truncated once; the law is computed row by row, so
+    sharing changes no bit of it. Sample i draws one uniform per site from
+    ``rngs[i]``, in row-major order, and each uniform is inverted against its
+    site's normalized cumulative law (``searchsorted(side="right")``), as
+    ``rng.choice(V, p=law)`` does. So the ids and every generator's state
     equal per-site ``rng.choice`` calls, sample by sample.
     """
     laws = truncated_law(logits, config)
-    if laws.ndim < 2 or laws.shape[0] != len(rngs):
+    rows = np.arange(len(laws)) if rows is None else np.asarray(rows, dtype=np.intp)
+    if laws.ndim < 2 or rows.shape != (len(rngs),):
         raise InvalidInputError(
-            f"logits of shape {laws.shape} need one generator per leading-axis "
-            f"sample, got {len(rngs)}"
+            f"logits of shape {laws.shape} need one generator per sample and one "
+            f"logit row per sample, got {len(rngs)} generators"
         )
-    flat = laws.reshape(-1, laws.shape[-1])
+    flat = laws.reshape(len(laws), -1, laws.shape[-1])
     if not (np.all(flat >= 0) and np.all(np.abs(flat.sum(axis=-1) - 1.0) <= _SUM_TOL)):
         raise DegenerateDistributionError("a site law is not a probability distribution")
     cdf = np.cumsum(flat, axis=-1)
-    cdf /= cdf[:, -1:]
-    sites = flat.shape[0] // len(rngs)
-    uniforms = np.concatenate([rng.random(sites) for rng in rngs])
-    ids = (cdf <= uniforms[:, None]).sum(axis=-1)
-    return ids.reshape(laws.shape[:-1])
+    cdf /= cdf[..., -1:]
+    sites = flat.shape[1]
+    uniforms = np.stack([rng.random(sites) for rng in rngs])
+    ids = (cdf[rows] <= uniforms[..., None]).sum(axis=-1)
+    return ids.reshape((len(rngs),) + laws.shape[1:-1])
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,15 @@ class RolloutResult:
     trace: tuple[GuidedStep, ...]
     condition: Condition
     seed: int
+
+
+def _branch_input(prefix, signed: SignedEmbedding | None):
+    """What a guided step that draws no corruption plan is a function of: the
+    clean signature of a count model's prefix (``signed``), else the prefix's
+    token ids."""
+    if signed is not None:
+        return signed.signature
+    return prefix_key(prefix)
 
 
 def rollouts(
@@ -143,10 +160,13 @@ def rollouts(
     Sample i is seeded ``sconfig.seed + i`` and has its own generator, which
     draws the step's plan seed and then the step's uniforms, so each sample is
     the same as if it were generated alone. Per scale, ``guided_step`` runs
-    once per sample and all samples' logits are truncated and sampled in one
-    pass. The samples' latents are carried forward one scale at a time, and
-    for a count model so are their signed prefix embeddings, which each
-    sample's ``guided_step`` reads.
+    once per distinct branch input: once per sample when the step draws a
+    corruption plan (each from its sample's seed), else once per group of
+    samples with the same ``_branch_input``, whose members share the
+    step. Each distinct step's law is truncated once and all samples are
+    sampled in one pass. The samples' latents are carried forward one scale
+    at a time, and for a count model so are their signed prefix embeddings,
+    which ``guided_step`` reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -159,41 +179,56 @@ def rollouts(
     carries_embedding = isinstance(model, CountModel)
     signed = [model.embed([], book) if carries_embedding else None] * count
     for k in range(1, schedule.num_scales + 1):
-        steps = [
-            guided_step(
+        # Drawn whether or not the step uses it, so each stream stays the same.
+        plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
+        shared = not gconfig.draws_plan(k)
+        groups: dict = {}
+        for i in range(count):
+            key = _branch_input(maps[i], signed[i]) if shared else i
+            groups.setdefault(key, []).append(i)
+        steps = []
+        rows = np.empty(count, dtype=np.intp)
+        for row, members in enumerate(groups.values()):
+            i = members[0]
+            steps.append(guided_step(
                 model, condition, maps[i], gconfig, book=book,
-                plan_seed=int(rng.integers(2**32)), signed=signed[i],
-            )
-            for i, rng in enumerate(rngs)
-        ]
-        ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs)
+                plan_seed=None if shared else plan_seeds[i], signed=signed[i],
+            ))
+            rows[members] = row
+        ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
         if carries_embedding and k < schedule.num_scales:
             signed = model.extend(signed, latent)
-        for i, step in enumerate(steps):
+        for i, row in enumerate(rows):
             maps[i].append(TokenMap(k, ids[i]))
-            traces[i].append(step)
+            traces[i].append(steps[row])
     return [
         RolloutResult(tuple(sample_maps), latent[i], tuple(trace), condition, seed)
         for i, (seed, sample_maps, trace) in enumerate(zip(seeds, maps, traces))
     ]
 
 
-def trace_to_csv(result: RolloutResult, path) -> None:
+def trace_to_csv(result: RolloutResult, path, formatted: dict | None = None) -> None:
     """One row per (step, site): sampled id plus the guided logits.
 
     The file is formatted in one pass and written at once, in ``csv.writer``'s
     layout: CRLF line ends, ``str`` of ints and ``repr`` of floats (which
-    never need quoting).
+    never need quoting). ``formatted`` keeps each step's formatted logit rows:
+    pass one dict for the traces of one ``rollouts`` batch, and a step its
+    samples share is formatted once.
     """
+    formatted = {} if formatted is None else formatted
     vocab = result.trace[0].logits.shape[-1]
     lines = [",".join(["step", "site", "sampled_id"] + [f"logit_{v}" for v in range(vocab)])]
     for step, tmap in zip(result.trace, result.maps):
-        ids = tmap.ids.ravel().tolist()
-        logits = step.logits.reshape(-1, vocab).tolist()
+        rows = formatted.get(step)
+        if rows is None:
+            rows = formatted[step] = [
+                ",".join(map(repr, row)) for row in step.logits.reshape(-1, vocab).tolist()
+            ]
         lines.extend(
-            f"{step.k},{u},{sampled}," + ",".join(map(repr, row))
-            for u, (sampled, row) in enumerate(zip(ids, logits))
+            f"{step.k},{u},{sampled},{row}"
+            for u, (sampled, row) in enumerate(zip(tmap.ids.ravel().tolist(), rows))
         )
     lines.append("")
     with open(path, "w", newline="") as fh:

@@ -217,21 +217,27 @@ def synthetic_images(
     Each image sums three bumps with random centre, per-axis width in
     [0.5, 2.0] grid units, and a random d-vector amplitude; bit-for-bit
     reproducible given the seed.
+
+    Every parameter is drawn image by image and bump by bump; then each bump
+    layer is evaluated for all images at once and added in bump order, so
+    every image equals one built alone.
     """
     rng = np.random.default_rng(seed)
     h, w = schedule.final_dims
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
-    images = []
-    for _ in range(count):
-        img = np.zeros((h, w, latent_dim))
-        for _ in range(3):
-            cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-            sy, sx = rng.uniform(0.5, 2.0, size=2)
-            amp = rng.normal(size=latent_dim)
-            bump = np.exp(-(((ys - cy) / sy) ** 2 + ((xs - cx) / sx) ** 2) / 2.0)
-            img += bump[..., None] * amp
-        images.append(img)
-    return images
+    # One row per bump layer and image: centre y, x, width y, x, amplitude.
+    params = np.empty((3, count, 4 + latent_dim))
+    for i in range(count):
+        for b in range(3):
+            params[b, i, :2] = rng.uniform(0, h), rng.uniform(0, w)
+            params[b, i, 2:4] = rng.uniform(0.5, 2.0, size=2)
+            params[b, i, 4:] = rng.normal(size=latent_dim)
+    images = np.zeros((count, h, w, latent_dim))
+    for layer in params:
+        cy, cx, sy, sx = (layer[:, c, None, None] for c in range(4))
+        bump = np.exp(-(((ys - cy) / sy) ** 2 + ((xs - cx) / sx) ** 2) / 2.0)
+        images += bump[..., None] * layer[:, None, None, 4:]
+    return list(images)
 
 
 def write_ppm(image: np.ndarray, path) -> None:

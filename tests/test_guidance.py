@@ -7,6 +7,7 @@ from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corru
 from prefixlab.errors import (
     GuidanceConfigError,
     IllDefinedLawError,
+    InconsistentPlanError,
     InvalidInputError,
     MissingBranchError,
     MissingRowError,
@@ -23,11 +24,11 @@ from prefixlab.model import (
     SignatureSpec,
     TokenMap,
     build_tabular,
-    context_signature,
     enumerate_prefix_keys,
     fit_count_model,
     predict_logits,
     prefix_maps,
+    scale_bins,
 )
 from prefixlab.oracle import enumerate_prefixes, softmax
 from prefixlab.tokenizer import Codebook, ScaleSchedule
@@ -210,27 +211,41 @@ class TestGuidedStepCount:
         with pytest.raises(InvalidInputError):
             guided_step(small_count, 0, [], GuidanceConfig())
 
-    def test_corrupted_branch_counts(self, small_count, small_book, monkeypatch):
-        # One signature per embedding (clean, corrupted), however many
-        # branches are evaluated on it.
-        signatures = []
+    def test_corrupted_branch_counts(self, deep_count, monkeypatch):
+        # The clean embedding's two prefix scales are binned once, however
+        # many branches read it. A corrupted branch re-bins only the scales
+        # its plan changes: none for a plan that selects no site (0.05 * 5
+        # prefix sites rounds to 0), one for one selected site, both for
+        # every site or for a uniform prefix.
+        model, book, corpus = deep_count
+        binned = []
         monkeypatch.setattr(
-            "prefixlab.model.context_signature",
-            lambda emb, thresholds: signatures.append(emb) or context_signature(emb, thresholds),
+            "prefixlab.model.scale_bins",
+            lambda grid, thresholds: binned.append(grid.shape) or scale_bins(grid, thresholds),
         )
-        prefix = [TokenMap(1, np.asarray([[1]]))]
+        prefix = corpus[0][1][:2]
+        uniform = CorruptionVariant.UNIFORM_PREFIX
+
+        def corrupted(gamma, fraction, variant=CorruptionVariant.SAME_SCALE_FULL_EMBEDDING):
+            return GuidanceConfig(gamma=gamma, lam=0.5, fraction=fraction, variant=variant,
+                                  reference="corrupted")
+
         cases = [
-            (GuidanceConfig(), 1, 1),
-            (GuidanceConfig(gamma=1.0), 2, 1),
-            (GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted"), 2, 2),
-            (GuidanceConfig(gamma=1.0, lam=0.5, fraction=1.0, reference="corrupted"), 4, 2),
+            (GuidanceConfig(), 1, 0),
+            (GuidanceConfig(gamma=1.0), 2, 0),
+            (corrupted(0.0, 0.2), 2, 1),
+            (corrupted(1.0, 0.2), 4, 1),
+            (corrupted(1.0, 1.0), 4, 2),
+            (corrupted(1.0, 0.05), 4, 0),
+            (corrupted(1.0, 0.05, uniform), 4, 2),
         ]
-        clean = predict_logits(small_count, 0, prefix, book=small_book)
-        for config, expected, signed in cases:
-            signatures.clear()
-            step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
+        clean = predict_logits(model, 0, prefix, book=book)
+        for config, expected, rebinned in cases:
+            binned.clear()
+            step = guided_step(model, 0, prefix, config, book=book, plan_seed=0)
             assert step.evaluations == expected
-            assert len(signatures) == signed
+            assert len(binned) == len(prefix) + rebinned
+            assert step.plan is None or len(step.plan.scales) == rebinned
             assert np.array_equal(step.branches.cond_gen, clean)
 
     def test_corrupted_branch_needs_a_plan_or_a_seed(self, small_count, small_book):
@@ -352,6 +367,16 @@ class TestGuidedStepCount:
         b = step.branches
         assert np.array_equal(b.cond_corr, b.cond_gen)
         assert np.array_equal(b.null_corr, b.null_gen)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_fixed_plan_for_another_step_raises(self, deep_count, fraction):
+        # Whether or not the plan changes a scale, a plan drawn for the step
+        # at scale 3 does not apply to the step at scale 2.
+        model, book, corpus = deep_count
+        config = GuidanceConfig(lam=1.0, fraction=fraction, reference="corrupted")
+        plan = plan_corruption(model.schedule, 3, fraction, config.variant, seed=0, book=book)
+        with pytest.raises(InconsistentPlanError, match="step 3"):
+            guided_step(model, 0, corpus[0][1][:1], config, book=book, plan=plan)
 
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]

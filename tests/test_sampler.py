@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,7 +26,7 @@ from prefixlab.sampler import (
     truncated_law,
     truncated_site_law,
 )
-from prefixlab.model import SignatureSpec, fit_count_model
+from prefixlab.model import SignatureSpec, build_tabular, fit_count_model
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, decode_maps
 from tests.conftest import make_corpus
 
@@ -371,6 +371,130 @@ class TestCarriedRollouts:
                     assert same_bits(result.latent, decoded)
                     if lam > 0 and mask is None:
                         assert result.trace[-1].plan is not None
+
+
+BRANCHES = ("cond_gen", "null_gen", "cond_corr", "null_corr")
+
+
+def assert_same_rollouts(got, expected):
+    """Batched results equal the one-sample loop's, step by step and branch
+    by branch, bit for bit."""
+    assert len(got) == len(expected)
+    for result, (maps, steps, latent, seed) in zip(got, expected):
+        assert result.seed == seed
+        assert [m.k for m in result.maps] == [m.k for m in maps]
+        assert all(same_bits(a.ids, b.ids) for a, b in zip(result.maps, maps))
+        assert same_bits(result.latent, latent)
+        for got_step, step in zip(result.trace, steps, strict=True):
+            assert got_step.k == step.k
+            assert same_bits(got_step.logits, step.logits)
+            assert got_step.plan == step.plan
+            assert got_step.evaluations == step.evaluations
+            for name in BRANCHES:
+                a, b = getattr(got_step.branches, name), getattr(step.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+
+@st.composite
+def multisite_schedules(draw, max_prefix_sites=None):
+    """Two or three scales whose last grid has several sites; the earlier
+    grids fit inside it and are ordered by site count."""
+    fh, fw = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    earlier = draw(st.lists(
+        st.tuples(st.integers(1, fh), st.integers(1, fw)), min_size=1, max_size=2
+    ))
+    dims = sorted(earlier, key=lambda hw: hw[0] * hw[1]) + [(fh, fw)]
+    if max_prefix_sites is not None:
+        assume(sum(h * w for h, w in dims[:-1]) <= max_prefix_sites)
+    return ScaleSchedule(tuple(dims))
+
+
+class TestSharedSteps:
+    """Samples whose step has the same branch input share one guided step;
+    a step that draws a corruption plan runs once per sample. Either way
+    every output equals a one-sample-at-a-time ``guided_step`` loop."""
+
+    @given(
+        multisite_schedules(max_prefix_sites=5),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.5]),
+        st.sampled_from([None, 2]),
+        st.integers(0, 2**16),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tabular_model_equals_one_sample_loop(
+        self, schedule, gamma, lam, top_k, seed, count
+    ):
+        book = Codebook.seeded(schedule.num_scales, 2, 2, seed=7)
+        model = build_tabular(schedule, vocab=2, num_conditions=2, seed=seed)
+        gconfig = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
+        sconfig = SamplerConfig(top_k=top_k, seed=seed)
+        assert_same_rollouts(
+            rollouts(model, 1, gconfig, sconfig, book, count),
+            reference_rollouts(model, 1, gconfig, sconfig, book, count),
+        )
+
+    @given(
+        multisite_schedules(),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(list(CorruptionVariant)),
+        # 0.1 of at most 9 prefix sites selects no site.
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.sampled_from([None, frozenset({2})]),
+        st.integers(0, 2**16),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_model_equals_one_sample_loop(
+        self, schedule, gamma, lam, variant, fraction, mask, seed, count
+    ):
+        book = Codebook.seeded(schedule.num_scales, 3, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=3, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3,
+            include_null=True,
+        )
+        gconfig = GuidanceConfig(gamma=gamma, lam=lam, fraction=fraction, variant=variant,
+                                 scale_mask=mask, reference="corrupted")
+        sconfig = SamplerConfig(seed=seed)
+        assert_same_rollouts(
+            rollouts(model, 1, gconfig, sconfig, book, count),
+            reference_rollouts(model, 1, gconfig, sconfig, book, count),
+        )
+
+    def test_one_guided_step_per_distinct_branch_input(
+        self, multisite_count, multisite_book, small_tabular, small_book, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "prefixlab.sampler.guided_step",
+            lambda *args, **kwargs: calls.append(kwargs["plan_seed"]) or guided_step(
+                *args, **kwargs),
+        )
+        # Tabular: scale 1 has one input; scale 2 one per distinct scale-1 map.
+        results = rollouts(small_tabular, 0, GuidanceConfig(gamma=1.0, lam=1.0),
+                           SamplerConfig(seed=2), small_book, 16)
+        first = {r.maps[0].key() for r in results}
+        assert len(calls) == 1 + len(first) < 2 * 16
+        assert calls == [None] * len(calls)
+        for r in results:
+            assert r.trace[0] is results[0].trace[0]
+            twin = next(o for o in results if o.maps[0].key() == r.maps[0].key())
+            assert r.trace[1] is twin.trace[1]
+            assert not r.trace[1].logits.flags.writeable
+        # Count model: the corrupted steps at scales 2 and 3 draw one plan
+        # each per sample; scale 1 is shared.
+        calls.clear()
+        gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
+        results = rollouts(multisite_count, 0, gconfig, SamplerConfig(seed=2),
+                           multisite_book, 6)
+        assert calls[0] is None and None not in calls[1:]
+        assert len(calls) == 1 + 2 * 6
+        assert len({id(r.trace[2]) for r in results}) == 6
 
 
 class TestRolloutLaw:

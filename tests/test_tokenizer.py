@@ -281,6 +281,25 @@ class TestStackedEncode:
             encode_multiscale(np.zeros((3, 2, 2, 2)), ScaleSchedule(((1, 1),)), book)
 
 
+def reference_synthetic_images(schedule, latent_dim, seed, count):
+    """One image at a time, one bump at a time: the loop that
+    ``synthetic_images`` evaluates layer by layer over all images."""
+    rng = np.random.default_rng(seed)
+    h, w = schedule.final_dims
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    images = []
+    for _ in range(count):
+        img = np.zeros((h, w, latent_dim))
+        for _ in range(3):
+            cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+            sy, sx = rng.uniform(0.5, 2.0, size=2)
+            amp = rng.normal(size=latent_dim)
+            bump = np.exp(-(((ys - cy) / sy) ** 2 + ((xs - cx) / sx) ** 2) / 2.0)
+            img += bump[..., None] * amp
+        images.append(img)
+    return images
+
+
 class TestSyntheticImages:
     def test_reproducible_and_shaped(self):
         sched = ScaleSchedule(((1, 1), (2, 2)))
@@ -298,6 +317,21 @@ class TestSyntheticImages:
         one = synthetic_images(sched, 2, seed=seed, count=1)
         two = synthetic_images(sched, 2, seed=seed, count=2)
         assert np.array_equal(one[0], two[0])
+
+    @given(
+        st.sampled_from([((1, 1),), ((1, 1), (2, 2), (4, 4)), ((1, 2), (3, 5)), ((2, 1), (7, 3))]),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_one_image_at_a_time_bit_for_bit(self, dims, latent_dim, seed, count):
+        schedule = ScaleSchedule(dims)
+        got = synthetic_images(schedule, latent_dim, seed, count)
+        expected = reference_synthetic_images(schedule, latent_dim, seed, count)
+        assert len(got) == count
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestImageDump:
@@ -327,3 +361,4 @@ class TestImageDump:
         for row in rows[1:]:
             back[int(row[0]), int(row[1])] = [float(row[2]), float(row[3])]
         assert np.array_equal(back, image)
+

@@ -92,9 +92,14 @@ MUTANTS = (
     Mutant("top_p_drops_crossing_token", "src/prefixlab/sampler.py",
            "(cum < threshold).sum(axis=-1) + 1", "(cum < threshold).sum(axis=-1)"),
     Mutant("cdf_inversion_strict", "src/prefixlab/sampler.py",
-           "cdf <= uniforms[:, None]", "cdf < uniforms[:, None]",
+           "cdf[rows] <= uniforms[..., None]", "cdf[rows] < uniforms[..., None]",
            equivalent="differs only when a uniform equals a normalized "
                       "cumulative sum exactly, which a double draw does not hit"),
+    Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
+           "return prefix_key(prefix)", "return prefix_key(prefix[:-1])"),
+    Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/corruption.py",
+           "if size == 0 and variant is not CorruptionVariant.UNIFORM_PREFIX:",
+           "if size == 0:"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
            "* sites + Fraction(1, 2))", "* sites)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
