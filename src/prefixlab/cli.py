@@ -137,7 +137,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         model = build_tabular(cfg.schedule, vocab, conds, seed=cfg.model.seed + i)
         report = verify_identities(model, spec)
         max_kls.append(report.max_kl)
-        checked += len(report.rows)
+        checked += report.kl.size
         failed = report.failures()
         if failed:
             failed_rows += len(failed)

@@ -14,6 +14,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,31 +43,63 @@ def exact_kl(rollout_law: Distribution, data_law: Distribution) -> float:
     return max(total, 0.0)
 
 
+def _psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric PSD matrix with its rounding noise about 0
+    set to 0: every one at most the largest times the size times machine
+    epsilon, the cutoff of ``np.linalg.matrix_rank``. A rank-deficient
+    covariance's zero eigenvalues come out as +-1e-17 or so, and their
+    square roots, ~1e-8 each, would move a distance between sets of 24
+    images of 48 values by up to about 4e-8 relative."""
+    cutoff = vals.max(initial=0.0) * len(vals) * np.finfo(float).eps
+    return np.where(vals > cutoff, vals, 0.0)
+
+
 def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root via eigendecomposition, eigenvalues clamped at 0."""
-    sym = (matrix + matrix.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    """Symmetric square root via eigendecomposition."""
+    vals, vecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    return (vecs * np.sqrt(_psd_eigenvalues(vals))) @ vecs.T
+
+
+def _moments(images) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of flattened images."""
+    x = np.stack([np.asarray(img, dtype=float).ravel() for img in images])
+    if x.shape[0] < 2:
+        raise InvalidInputError("each image set needs at least 2 members")
+    cov = np.atleast_2d(np.cov(x, rowvar=False))
+    if not np.all(np.isfinite(cov)):
+        raise InvalidInputError("non-finite image statistics")
+    return x.mean(axis=0), cov
+
+
+@dataclass(frozen=True)
+class GaussianFit:
+    """Mean, covariance and covariance square root of a flattened image set."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def of(cls, images) -> "GaussianFit":
+        mean, cov = _moments(images)
+        return cls(mean, cov, _sqrtm_psd(cov))
 
 
 def toy_frechet(images_a, images_b) -> float:
     """Fréchet distance between Gaussian fits of flattened images; the
-    sweeps pass rollout latents and synthetic latent images."""
-    a = np.stack([np.asarray(img, dtype=float).ravel() for img in images_a])
-    b = np.stack([np.asarray(img, dtype=float).ravel() for img in images_b])
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise InvalidInputError("each image set needs at least 2 members")
-    mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    cov_a = np.atleast_2d(np.cov(a, rowvar=False))
-    cov_b = np.atleast_2d(np.cov(b, rowvar=False))
-    if not (np.all(np.isfinite(cov_a)) and np.all(np.isfinite(cov_b))):
-        raise InvalidInputError("non-finite image statistics")
-    root_a = _sqrtm_psd(cov_a)
-    cross = _sqrtm_psd(root_a @ cov_b @ root_a)
+    sweeps pass rollout latents and the reference images' ``GaussianFit``,
+    which ``images_b`` may be in place of the images.
+
+    The cross term tr sqrt(A^1/2 B A^1/2) equals tr sqrt(B^1/2 A B^1/2), so
+    with B's root fitted once a call takes one ``eigvalsh``.
+    """
+    mu_a, cov_a = _moments(images_a)
+    ref = images_b if isinstance(images_b, GaussianFit) else GaussianFit.of(images_b)
+    inner = ref.root @ cov_a @ ref.root
+    cross = np.sqrt(_psd_eigenvalues(np.linalg.eigvalsh((inner + inner.T) / 2.0)))
     value = float(
-        np.sum((mu_a - mu_b) ** 2)
-        + np.trace(cov_a + cov_b - 2.0 * cross)
+        np.sum((mu_a - ref.mean) ** 2)
+        + np.trace(cov_a) + np.trace(ref.cov) - 2.0 * np.sum(cross)
     )
     return max(value, 0.0)
 
@@ -144,6 +177,12 @@ class ExperimentSpec:
     sampler: SamplerConfig = SamplerConfig()
     reference_images: tuple = ()
 
+    @cached_property
+    def reference_fit(self) -> GaussianFit:
+        """The reference images' Gaussian fit, made on first use and kept: a
+        sweep's cells share it. A failed fit raises again in every cell."""
+        return GaussianFit.of(self.reference_images)
+
 
 @dataclass(frozen=True)
 class MetricRow:
@@ -176,7 +215,7 @@ def _cell_metric(
             spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
             spec.book, grid.n_samples,
         )
-        return toy_frechet([r.latent for r in results], spec.reference_images)
+        return toy_frechet([r.latent for r in results], spec.reference_fit)
     raise InvalidInputError(f"unknown sweep metric {grid.metric!r}")
 
 

@@ -157,9 +157,12 @@ def embed_prefix(
 
 
 def _floored(rows: np.ndarray) -> np.ndarray:
-    """``rows`` floored at PROB_FLOOR and renormalized along the last axis."""
-    rows = np.maximum(rows, PROB_FLOOR)
-    return rows / rows.sum(axis=-1, keepdims=True)
+    """``rows``, an array of the caller's own, floored at PROB_FLOOR and
+    renormalized along the last axis in place; a table's block of rows then
+    needs no second copy."""
+    np.maximum(rows, PROB_FLOOR, out=rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,12 @@ class TabularModel:
 def build_tabular(
     schedule: ScaleSchedule, vocab: int, num_conditions: int, seed: int
 ) -> TabularModel:
-    """Populate every reachable CPT row from a seeded symmetric Dirichlet."""
+    """Populate every reachable CPT row from a seeded symmetric Dirichlet.
+
+    Each (condition, k) block of rows is drawn in one (P, h_k, w_k) call,
+    which takes the generator's stream in the order one draw per prefix
+    would, so every row is the same bit for bit.
+    """
     count = prefix_state_count(schedule, vocab)
     if count * num_conditions > PREFIX_STATE_CAP:
         raise TooLargeError(count * num_conditions, PREFIX_STATE_CAP)
@@ -199,9 +207,10 @@ def build_tabular(
     tables = {}
     for c in range(num_conditions):
         for k in range(1, schedule.num_scales + 1):
-            h, w = schedule.grid(k)
-            for key in enumerate_prefix_keys(schedule, vocab, k):
-                tables[(c, k, key)] = _floored(rng.dirichlet(np.ones(vocab), size=(h, w)))
+            keys = enumerate_prefix_keys(schedule, vocab, k)
+            size = (len(keys),) + schedule.grid(k)
+            block = _floored(rng.dirichlet(np.ones(vocab), size=size))
+            tables.update(((c, k, key), row) for key, row in zip(keys, block))
     return TabularModel(schedule, vocab, num_conditions, tables)
 
 
@@ -227,7 +236,7 @@ def tabular_from_rows(
             raise InvalidInputError(f"row {(c, k, key)} has a negative or non-finite weight")
         if not np.all(arr.sum(axis=-1) > 0):
             raise InvalidInputError(f"row {(c, k, key)} has a site with no mass")
-        tables[(c, k, key)] = _floored(np.broadcast_to(arr, (h, w, vocab)))
+        tables[(c, k, key)] = _floored(np.broadcast_to(arr, (h, w, vocab)).copy())
     model = TabularModel(schedule, vocab, num_conditions, tables)
     for c in range(num_conditions):
         for k in range(1, schedule.num_scales + 1):

@@ -10,7 +10,8 @@ supposed to reproduce.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -209,19 +210,38 @@ class IdentityRow:
     kl: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdentityReport:
-    rows: tuple[IdentityRow, ...]
+    """Every identity row's max |difference| and KL, as float arrays in row
+    order. ``row_at(i)`` builds row i; the report builds each row once, and
+    only when ``rows`` or ``failures()`` reads it."""
+
+    max_abs_diff: np.ndarray
+    kl: np.ndarray
     tolerance: float
+    row_at: Callable[[int], IdentityRow] = field(repr=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _row(self, i: int) -> IdentityRow:
+        row = self._built.get(i)
+        if row is None:
+            row = self._built[i] = self.row_at(i)
+        return row
+
+    @property
+    def rows(self) -> tuple[IdentityRow, ...]:
+        """Every row, in order, each the same object on every read."""
+        return tuple(map(self._row, range(self.kl.size)))
 
     @property
     def max_kl(self) -> float:
         """The largest row KL: NaN if any row's is, 0.0 with no rows."""
-        return float(np.max([r.kl for r in self.rows])) if self.rows else 0.0
+        return float(np.max(self.kl)) if self.kl.size else 0.0
 
     def failures(self) -> list[IdentityRow]:
         """Rows that do not hold: a NaN KL fails like one above tolerance."""
-        return [r for r in self.rows if not r.kl <= self.tolerance]
+        failing = np.flatnonzero(~(self.kl <= self.tolerance))
+        return [self._row(i) for i in failing.tolist()]
 
 
 @dataclass(frozen=True)
@@ -250,7 +270,10 @@ def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
     per site, with per-site prefix marginals; on a single-site scale this is
     the joint-map law of ``augmented_cfg`` and ``augmented_vpg``.
 
-    Rows are listed by condition, scale, prefix, then kind and strength.
+    Scales with the same grid are checked in one ``_check_grid`` pass, so a
+    schedule whose grids repeat makes one pass per distinct grid. Rows are
+    listed by condition, scale, prefix, then kind and strength; the report
+    keeps their values as columns and builds a row only when it is read.
     """
     gammas, lambdas = spec.gammas, spec.lambdas
     checks = (
@@ -259,19 +282,37 @@ def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
         + [("composition", gamma, lam) for gamma in gammas for lam in lambdas]
     )
     if not checks:
-        return IdentityReport((), spec.tolerance)
-    scales = []
-    for k in range(1, model.schedule.num_scales + 1):
+        return IdentityReport(np.empty(0), np.empty(0), spec.tolerance, ().__getitem__)
+    groups: dict = {}  # grid -> [(k, prefix keys), ...]
+    for k, grid in enumerate(model.schedule.dims, start=1):
         keys = enumerate_prefix_keys(model.schedule, model.vocab, k)
-        scales.append((k, keys) + _check_scale(model, k, keys, gammas, lambdas))
-    rows = tuple(
-        IdentityRow(kind, c, k, key, gamma, lam, diff, kl)
-        for c in range(model.num_conditions)
-        for k, keys, diffs, kls in scales
-        for key, key_diffs, key_kls in zip(keys, diffs[c], kls[c])
-        for (kind, gamma, lam), diff, kl in zip(checks, key_diffs, key_kls)
-    )
-    return IdentityReport(rows, spec.tolerance)
+        groups.setdefault(grid, []).append((k, keys))
+    # k -> (keys, max |diff|, KL), the last two (C, P_k, checks) arrays.
+    checked = {}
+    for group in groups.values():
+        diffs, kls = _check_grid(model, group, gammas, lambdas)
+        start = 0
+        for k, keys in group:
+            stop = start + len(keys)
+            checked[k] = (keys, diffs[:, start:stop], kls[:, start:stop])
+            start = stop
+    scales = [checked[k] for k in sorted(checked)]
+    max_abs_diff = np.concatenate([diffs for _, diffs, _ in scales], axis=1).ravel()
+    kl = np.concatenate([kls for _, _, kls in scales], axis=1).ravel()
+    per_condition = len(max_abs_diff) // model.num_conditions
+
+    def row_at(i: int) -> IdentityRow:
+        c, j = divmod(i, per_condition)
+        for k, (keys, _, _) in enumerate(scales, start=1):
+            if j < len(keys) * len(checks):
+                break
+            j -= len(keys) * len(checks)
+        p, check = divmod(j, len(checks))
+        kind, gamma, lam = checks[check]
+        return IdentityRow(kind, c, k, keys[p], gamma, lam,
+                           float(max_abs_diff[i]), float(kl[i]))
+
+    return IdentityReport(max_abs_diff, kl, spec.tolerance, row_at)
 
 
 # Strengths are stacked in blocks of at most this many elements, so a model
@@ -280,20 +321,23 @@ def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
 _STACK_ELEMENTS = 1 << 16
 
 
-def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
-    """Max |difference| and KL of every check at scale k, in one pass per block
-    of strengths.
+def _check_grid(model: TabularModel, scales, gammas, lambdas):
+    """Max |difference| and KL of every check on ``scales``, a list of
+    (k, prefix keys) whose scales share one grid, in one pass per block of
+    strengths.
 
-    The stored rows of every (condition, prefix) are stacked into one
-    (C, P, h_k, w_k, V) array; the null row, computed once per prefix, and the
-    exact marginals broadcast over the axes they do not depend on. The
-    strengths of a block go on a leading axis as an (S, 1, ..., 1) column, so
-    every stack is (S, C, P, h_k, w_k, V), and the rule, softmax and row
-    reductions run once per block. Two things stay per strength: the oracle
-    law, whose ``**`` takes a scalar exponent as on one row (an exponent
-    column takes NumPy's array ``pow``, which changes bits at 0.5 and 2.0),
-    and ``guidance.compose_cfg_vpg``, the function under test. Returns two
-    (C, P, checks) nested lists, checks in ``verify_identities``' order.
+    The stored rows of every (condition, scale, prefix) are stacked into one
+    (C, P, h, w, V) array, the prefixes of every scale on the P axis in the
+    order given. The null row is computed once per prefix, and each scale's
+    exact marginals once per condition and repeated over that scale's
+    prefixes; the null condition's marginal broadcasts over C. The strengths
+    of a block go on a leading axis as an (S, 1, ..., 1) column, so every
+    stack is (S, C, P, h, w, V), and the rule, softmax and row reductions run
+    once per block. Two things stay per strength: the oracle law, whose
+    ``**`` takes a scalar exponent as on one row (an exponent column takes
+    NumPy's array ``pow``, which changes bits at 0.5 and 2.0), and
+    ``guidance.compose_cfg_vpg``, the function under test. Returns two
+    (C, P, checks) arrays, checks in ``verify_identities``' order.
     """
     # The package's one upward import: ``guidance`` imports this module, so
     # it is imported here, where the code under test runs. Nothing moves
@@ -303,16 +347,26 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
     # below this module would add a module.
     from . import guidance
 
-    cond = np.stack([[model.row(c, k, key) for key in keys]
-                     for c in range(model.num_conditions)])
+    conditions = range(model.num_conditions)
+    cond = np.stack([[model.row(c, k, key) for k, keys in scales for key in keys]
+                     for c in conditions])
     shape = cond.shape
-    null_rows = np.stack([model.row(NULL_CONDITION, k, key) for key in keys])
-    margs = np.stack([prefix_marginal_sites(model, c, k)
-                      for c in range(model.num_conditions)])[:, None]
+
+    def marginals(condition):
+        """The condition's exact marginal at each prefix's scale, (P, h, w, V)."""
+        return np.concatenate([
+            np.broadcast_to(prefix_marginal_sites(model, condition, k),
+                            (len(keys),) + shape[2:])
+            for k, keys in scales
+        ])
+
+    null_rows = np.stack([model.row(NULL_CONDITION, k, key)
+                          for k, keys in scales for key in keys])
+    margs = np.stack([marginals(c) for c in conditions])
     l_cg = np.log(cond)
     l_ng = np.broadcast_to(np.log(null_rows), shape)
-    l_cc = np.broadcast_to(np.log(margs), shape)
-    l_nc = np.broadcast_to(np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)
+    l_cc = np.log(margs)
+    l_nc = np.broadcast_to(np.log(marginals(NULL_CONDITION)), shape)
     branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
     per_block = max(1, _STACK_ELEMENTS // cond.size)
 
@@ -346,8 +400,8 @@ def _check_scale(model: TabularModel, k: int, keys, gammas, lambdas):
         diffs.append(_row_max_abs(sequential - closed))
         kls.append(_row_kls(softmax(sequential), softmax(closed)))
     per_check = (-1,) + shape[:2]
-    return (np.concatenate(diffs).reshape(per_check).transpose(1, 2, 0).tolist(),
-            np.concatenate(kls).reshape(per_check).transpose(1, 2, 0).tolist())
+    return (np.concatenate(diffs).reshape(per_check).transpose(1, 2, 0),
+            np.concatenate(kls).reshape(per_check).transpose(1, 2, 0))
 
 
 def _row_max_abs(diff: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from prefixlab.errors import InvalidInputError, SupportViolationError
 from prefixlab.harness import (
     SWEEP_CSV_HEADER,
     ExperimentSpec,
+    GaussianFit,
     SweepGrid,
     cell_seed,
     exact_kl,
@@ -77,6 +78,57 @@ class TestToyFrechet:
         a = [rng.normal(size=(2, 2, 1)) for _ in range(4)]
         b = [rng.normal(size=(2, 2, 1)) for _ in range(4)]
         assert toy_frechet(a, b) == pytest.approx(toy_frechet(b, a), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_two_root_formula(self, seed):
+        # 24 images of 48 values, as the ablate sweeps score: both
+        # covariances are rank-deficient (rank 23).
+        rng = np.random.default_rng(seed)
+        a = list(rng.normal(size=(24, 4, 4, 3)) * rng.uniform(0.1, 3.0))
+        b = list(rng.normal(size=(24, 4, 4, 3)) + rng.uniform(-1.0, 1.0))
+        assert toy_frechet(a, b) == pytest.approx(two_root_frechet(a, b), rel=1e-7)
+        # Rounding noise at the zero eigenvalues is cut, so the value agrees
+        # with a form that has no null space, and the two orders, which root
+        # different covariances, agree far closer than that noise (up to
+        # about 2e-8 relative in the two-root form) would allow.
+        assert toy_frechet(a, b) == pytest.approx(nuclear_norm_frechet(a, b), rel=1e-12)
+        assert toy_frechet(a, b) == pytest.approx(toy_frechet(b, a), rel=1e-12)
+
+    def test_reference_fit_gives_the_same_bits_as_its_images(self):
+        rng = np.random.default_rng(3)
+        a = list(rng.normal(size=(6, 2, 2, 2)))
+        b = list(rng.normal(size=(5, 2, 2, 2)))
+        assert toy_frechet(a, GaussianFit.of(b)) == toy_frechet(a, b)
+
+
+def two_root_frechet(images_a, images_b):
+    """The Frechet distance from A's root and the root of A^1/2 B A^1/2, two
+    ``eigh`` calls, as it was computed before ``GaussianFit``."""
+    def sqrtm(matrix):
+        vals, vecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+    a = np.stack([np.ravel(img) for img in images_a])
+    b = np.stack([np.ravel(img) for img in images_b])
+    cov_a, cov_b = np.cov(a, rowvar=False), np.cov(b, rowvar=False)
+    root_a = sqrtm(cov_a)
+    cross = sqrtm(root_a @ cov_b @ root_a)
+    return float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2)
+                 + np.trace(cov_a + cov_b - 2.0 * cross))
+
+
+def nuclear_norm_frechet(images_a, images_b):
+    """The Frechet distance with tr sqrt(A^1/2 B A^1/2) as the nuclear norm
+    of Xa Xb^T / (n - 1), Xa and Xb the centred (n, d) image sets: the
+    squared singular values of that n x n matrix are the nonzero
+    eigenvalues of A B, so no covariance's null space enters."""
+    a = np.stack([np.ravel(img) for img in images_a])
+    b = np.stack([np.ravel(img) for img in images_b])
+    xa, xb = a - a.mean(axis=0), b - b.mean(axis=0)
+    cross = np.linalg.svd(xa @ xb.T, compute_uv=False).sum() / (len(a) - 1)
+    return float(np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2)
+                 + np.trace(np.cov(a, rowvar=False)) + np.trace(np.cov(b, rowvar=False))
+                 - 2.0 * cross)
 
 
 class TestCountModelMarginal:
@@ -169,6 +221,19 @@ class TestRunSweep:
         text = Path(svg_path).read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+    def test_reference_fit_made_once_per_spec(self, m1, m1_book):
+        rng = np.random.default_rng(0)
+        spec = self.make_spec(m1, m1_book,
+                              reference_images=tuple(rng.normal(size=(3, 2, 2))))
+        assert spec.reference_fit is spec.reference_fit
+
+    def test_too_small_reference_is_recorded_in_every_cell(self, m1, m1_book):
+        grid = SweepGrid(lambdas=(0.0, 1.0), metric="toy_frechet", n_samples=2)
+        spec = self.make_spec(m1, m1_book, reference_images=(np.zeros((1, 1, 2)),))
+        rows = run_sweep(grid, spec)
+        assert [r.value for r in rows] == [None, None]
+        assert all("at least 2 members" in r.error for r in rows)
 
     def test_replicates_of_exact_metric_agree(self, m1, m1_book):
         grid = SweepGrid(lambdas=(0.5,), replicates=3)

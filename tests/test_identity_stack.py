@@ -1,5 +1,6 @@
 """The stacked identity verifier against the per-row loop it replaced, bit for
-bit, its memory bound, and the report's handling of NaN rows."""
+bit, its one pass per grid shape, its memory bound, the rows its columnar
+report builds, and the report's handling of NaN rows."""
 
 import json
 import math
@@ -99,7 +100,7 @@ def reference_verify_identities(
                                 kl_divergence(softmax(sequential), softmax(closed)),
                             )
                         )
-    return IdentityReport(tuple(rows), tolerance)
+    return tuple(rows)
 
 
 def bits(row):
@@ -111,8 +112,8 @@ def bits(row):
 def assert_same_rows(model, **grid):
     ours = verify_identities(model, VerifySpec(**grid))
     reference = reference_verify_identities(model, **grid)
-    assert len(ours.rows) == len(reference.rows)
-    assert [bits(r) for r in ours.rows] == [bits(r) for r in reference.rows]
+    assert len(ours.rows) == len(reference)
+    assert [bits(r) for r in ours.rows] == [bits(r) for r in reference]
 
 
 # The (vocabulary, conditions) pairs of the shipped verify config, in the
@@ -133,12 +134,18 @@ def test_multisite_multicondition_models(model):
     assert_same_rows(model)
 
 
+# Schedules whose grids repeat, so that one pass checks several scales: next
+# to each other in the first, apart in the second (scales 1 and 3 share (1, 2)).
+REPEATED_GRIDS = [((1, 1), (1, 1), (2, 2), (2, 2)), ((1, 2), (2, 1), (1, 2), (2, 2))]
+
+
 @pytest.mark.parametrize("grid", [
     {"gammas": ()},
     {"lambdas": ()},
     {"gammas": (), "lambdas": ()},
 ])
-@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))])
+@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))]
+                         + REPEATED_GRIDS)
 def test_empty_strength_axis(schedule, grid):
     model = build_tabular(ScaleSchedule(schedule), 2, 2, seed=4)
     assert_same_rows(model, **grid)
@@ -160,14 +167,18 @@ def test_strengths_with_power_fast_paths(model, gammas, lambdas):
 
 
 @pytest.mark.parametrize("strengths_per_block", [1, 2, 3, 6])
-@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))])
+@pytest.mark.parametrize("schedule", [((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2))]
+                         + REPEATED_GRIDS)
 def test_every_block_size_gives_the_same_rows(monkeypatch, schedule, strengths_per_block):
     # Budget the largest scale's (C, P, h, w, V) stack at this many
-    # strengths; smaller scales fit more in a block.
-    model = build_tabular(ScaleSchedule(schedule), 3, 2, seed=9)
+    # strengths; a pass over smaller scales fits more in a block, a pass over
+    # several scales fewer. Four scales at V=3 would be 729 last-scale
+    # prefixes, too many for the per-row reference, so they run at V=2.
+    vocab = 3 if len(schedule) < 4 else 2
+    model = build_tabular(ScaleSchedule(schedule), vocab, 2, seed=9)
     k = model.schedule.num_scales
-    per_strength = (model.num_conditions * len(enumerate_prefix_keys(model.schedule, 3, k))
-                    * int(np.prod(model.schedule.grid(k))) * 3)
+    per_strength = (model.num_conditions * len(enumerate_prefix_keys(model.schedule, vocab, k))
+                    * int(np.prod(model.schedule.grid(k))) * vocab)
     monkeypatch.setattr(oracle, "_STACK_ELEMENTS", strengths_per_block * per_strength)
     assert_same_rows(model)
 
@@ -188,6 +199,49 @@ def test_strength_blocks_bound_memory():
         tracemalloc.stop()
     block_bytes = oracle._STACK_ELEMENTS * np.dtype(float).itemsize
     assert peak <= 16 * block_bytes
+
+
+@pytest.mark.parametrize("schedule, passes", [
+    (((1, 1), (1, 1)), 1),
+    (((1, 1), (1, 2), (2, 2)), 3),
+] + list(zip(REPEATED_GRIDS, [2, 3])))
+def test_one_pass_per_grid_shape(monkeypatch, schedule, passes):
+    calls = []
+    check_grid = oracle._check_grid
+
+    def counted(model, scales, *args):
+        calls.append([k for k, _ in scales])
+        return check_grid(model, scales, *args)
+
+    monkeypatch.setattr(oracle, "_check_grid", counted)
+    model = build_tabular(ScaleSchedule(schedule), 2, 2, seed=3)
+    verify_identities(model, VerifySpec(gammas=(1.0,), lambdas=(1.0,)))
+    assert len(calls) == passes
+    assert sorted(k for scales in calls for k in scales) == list(range(1, len(schedule) + 1))
+
+
+def count_built_rows(monkeypatch):
+    """Record every ``IdentityRow`` the oracle builds from here on."""
+    built = []
+
+    def row(*fields):
+        built.append(fields)
+        return IdentityRow(*fields)
+
+    monkeypatch.setattr(oracle, "IdentityRow", row)
+    return built
+
+
+def test_passing_report_builds_no_rows(monkeypatch):
+    built = count_built_rows(monkeypatch)
+    model = build_tabular(ScaleSchedule(((1, 1), (1, 2), (2, 2))), 2, 2, seed=5)
+    report = verify_identities(model, VerifySpec())
+    assert report.max_kl < 1e-12
+    assert report.failures() == []
+    assert built == []
+    # Reading the rows builds each one once.
+    assert len(report.rows) == report.kl.size == len(built)
+    assert report.rows == report.rows and len(built) == report.kl.size
 
 
 def underflowing_model(seed):
@@ -226,22 +280,42 @@ def kl_row(kl):
     return IdentityRow("cfg", 0, 1, (), 0.0, 0.0, 0.0, kl)
 
 
+def report_of(rows, tolerance):
+    """A report over hand-made rows, its columns read from them."""
+    return IdentityReport(np.array([r.max_abs_diff for r in rows], dtype=float),
+                          np.array([r.kl for r in rows], dtype=float),
+                          tolerance, rows.__getitem__)
+
+
 class TestNaNRows:
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2), (3, 2, 1, 0)])
     def test_report_fails_nan_rows_in_any_order(self, order):
         # Rows 1 (NaN) and 3 (between the tolerance and ten times it) fail.
         kls = [1e-17, math.nan, 2e-17, 5e-9]
         rows = tuple(kl_row(kls[i]) for i in order)
-        report = IdentityReport(rows, tolerance=1e-9)
+        report = report_of(rows, 1e-9)
         assert math.isnan(report.max_kl)
         assert report.failures() != []
         assert report.failures() == [row for row, i in zip(rows, order) if i in (1, 3)]
 
     def test_finite_rows_unchanged(self):
-        report = IdentityReport((kl_row(-1e-18), kl_row(3e-17)), tolerance=1e-9)
+        report = report_of((kl_row(-1e-18), kl_row(3e-17)), 1e-9)
         assert report.max_kl == 3e-17
         assert report.failures() == []
-        assert IdentityReport((), 1e-9).max_kl == 0.0
+        assert report_of((), 1e-9).max_kl == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_failures_build_only_the_failing_rows(self, monkeypatch):
+        built = count_built_rows(monkeypatch)
+        model = build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 2, seed=1)
+        report = verify_identities(
+            model, VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
+        )
+        failed = report.failures()
+        assert failed and all(math.isnan(r.kl) for r in failed)
+        assert len(built) == len(failed) < report.kl.size
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -274,3 +348,17 @@ class TestNaNRows:
         assert "all identities hold" not in out
         fails = [line for line in lines if line.startswith("  FAIL")]
         assert len(fails) == 10 and all(line.endswith("KL=nan") for line in fails)
+
+
+def test_verify_command_builds_only_the_written_rows(monkeypatch, tmp_path, capsys):
+    # Only model 0's rows are written; every other model is counted from
+    # its KL column.
+    built = count_built_rows(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"verify": {"models": 6}}))
+    assert main(["verify", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "identity_report.csv") as fh:
+        written = len(fh.readlines()) - 1
+    assert 0 < written == len(built)
+    assert "all identities hold" in capsys.readouterr().out

@@ -104,6 +104,29 @@ class TestTabular:
         for key in a.tables:
             assert np.array_equal(a.tables[key], b.tables[key])
 
+    @given(
+        st.sampled_from([((1, 1),), ((1, 1), (1, 1)), ((1, 1), (1, 2), (2, 2)),
+                         ((1, 2), (2, 1), (2, 2)), ((2, 2), (2, 2))]),
+        st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_block_draws_match_one_draw_per_prefix(self, dims, vocab, conditions, seed):
+        # The per-prefix loop that build_tabular replaced, as the reference.
+        schedule = ScaleSchedule(dims)
+        rng = np.random.default_rng(seed)
+        reference = {}
+        for c in range(conditions):
+            for k in range(1, schedule.num_scales + 1):
+                for key in enumerate_prefix_keys(schedule, vocab, k):
+                    rows = rng.dirichlet(np.ones(vocab), size=schedule.grid(k))
+                    rows = np.maximum(rows, PROB_FLOOR)
+                    reference[(c, k, key)] = rows / rows.sum(axis=-1, keepdims=True)
+        model = build_tabular(schedule, vocab, conditions, seed)
+        assert list(model.tables) == list(reference)
+        for key, row in reference.items():
+            assert model.tables[key].shape == row.shape
+            assert model.tables[key].tobytes() == row.tobytes()
+
     def test_null_condition_mixes_classes_uniformly(self, small_tabular):
         key = ((0,),)
         mixed = small_tabular.row(NULL_CONDITION, 2, key)

@@ -1,6 +1,7 @@
 """Brute-force marginalization oracles and the identity report."""
 
 import csv
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -161,7 +162,7 @@ class TestIdentityReport:
 
     def test_failures_listed_above_tolerance(self, m1):
         report = verify_identities(m1, VerifySpec())
-        strict = type(report)(report.rows, tolerance=-1.0)
+        strict = dataclasses.replace(report, tolerance=-1.0)
         assert strict.failures() != []
         assert len(strict.failures()) == len(report.rows)
 

@@ -75,8 +75,11 @@ MUTANTS = (
            "from .errors import InvalidInputError",
            "from . import guidance\nfrom .errors import InvalidInputError"),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
-           "np.log(prefix_marginal_sites(model, NULL_CONDITION, k)), shape)",
-           "np.log(prefix_marginal_sites(model, 0, k)), shape)"),
+           "np.log(marginals(NULL_CONDITION)), shape)",
+           "np.log(marginals(0)), shape)"),
+    Mutant("grouped_pass_reads_first_scale_marginals", "src/prefixlab/oracle.py",
+           "prefix_marginal_sites(model, condition, k),",
+           "prefix_marginal_sites(model, condition, scales[0][0]),"),
     Mutant("verifier_one_array_power_per_block", "src/prefixlab/oracle.py",
            "np.stack([_normalized_power_ratio(cond, ref, s) for s in block])",
            "_normalized_power_ratio(cond, ref, column(block))"),
@@ -86,7 +89,9 @@ MUTANTS = (
     Mutant("chain_law_keeps_zero_mass", "src/prefixlab/oracle.py",
            "if q > 0.0", "if q >= 0.0"),
     Mutant("identity_tolerance_ten_times", "src/prefixlab/oracle.py",
-           "not r.kl <= self.tolerance", "not r.kl <= 10 * self.tolerance"),
+           "~(self.kl <= self.tolerance)", "~(self.kl <= 10 * self.tolerance)"),
+    Mutant("failures_drop_nan_rows", "src/prefixlab/oracle.py",
+           "~(self.kl <= self.tolerance)", "self.kl > self.tolerance"),
     Mutant("truncation_unstable_sort", "src/prefixlab/sampler.py",
            'kind="stable"', 'kind="quicksort"'),
     Mutant("top_p_drops_crossing_token", "src/prefixlab/sampler.py",
