@@ -1,8 +1,9 @@
 """Brute-force ground truth on enumerable models.
 
-Everything here is exact: one engine, ``chain_law``, chains per-site step
-laws (CPT rows, or a count model's own predictions) into sequence laws;
-marginals are sums over the full prefix space, and the augmented
+Everything here is exact: one engine, ``chain_law``, walks the prefix space
+one scale at a time, chaining the per-site step laws of every live prefix
+of a scale at once (CPT rows, or a count model's own predictions). The
+enumerators and marginals read its last level, and the augmented
 distributions are the normalized ratio forms the guidance algebra is
 supposed to reproduce.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -49,84 +51,84 @@ class Distribution:
         return dict(zip(self.outcomes, self.probs))
 
 
-def chain_law(step_law, num_scales: int) -> list[tuple[PrefixKey, float]]:
-    """Every token sequence of ``num_scales`` maps with its probability.
+def chain_law(step_laws, num_scales: int) -> tuple[list[PrefixKey], np.ndarray]:
+    """Every sequence of ``num_scales`` token maps with positive probability,
+    walked one scale at a time, as (keys, probs) in lexicographic order.
 
-    ``step_law(key)`` is the per-site law, shape (h*w, V), of the map that
-    follows the prefix ``key``; sites are independent given the prefix.
-    Sequences are extended in lexicographic order and zero-mass extensions
-    are dropped, so the pairs list the support of the chained law.
-    """
-    sequences = [((), 1.0)]
+    ``step_laws(keys)`` returns the per-site laws, (P, h*w, V), of the map
+    after each of a level's P live prefix keys; sites are independent given
+    the prefix."""
+    keys, probs = [()], np.ones(1)
     for _ in range(num_scales):
-        extended = []
-        for seq, p in sequences:
-            law = step_law(seq)
-            maps = scale_maps(law.shape[1], law.shape[0])
-            extended.extend(
-                (seq + (ids,), p * q) for ids, q in zip(maps, _joint_law(law)) if q > 0.0
-            )
-        sequences = extended
-    return sequences
+        laws = step_laws(keys)
+        maps = scale_maps(laws.shape[2], laws.shape[1])
+        joint = probs[:, None] * _joint_law(laws)
+        rows, cols = np.nonzero(joint > 0.0)
+        keys = [keys[i] + (maps[j],) for i, j in zip(rows.tolist(), cols.tolist())]
+        probs = joint[rows, cols]
+    return keys, probs
 
 
-def _joint_law(law: np.ndarray) -> list[float]:
-    """Probability of each map of a step, in ``scale_maps`` order, from its
-    per-site (S, V) law.
-
-    The outer product is taken site by site, left to right, which multiplies
-    each map's site probabilities in the order ``np.prod`` does, bit for bit.
-    """
-    joint = law[0]
-    for site in law[1:]:
-        joint = np.multiply.outer(joint, site).ravel()
-    return joint.tolist()
+def _joint_law(laws: np.ndarray) -> np.ndarray:
+    """Probability of each map of a step, (P, V**S) in ``scale_maps`` order,
+    from P prefixes' per-site (P, S, V) laws: an outer product site by site,
+    left to right, which multiplies in ``np.prod``'s order, bit for bit."""
+    joint = np.ones((len(laws), 1))
+    for site in np.moveaxis(laws, 1, 0):
+        joint = (joint[:, :, None] * site[:, None]).reshape(len(laws), -1)
+    return joint
 
 
-def _site_law(model, condition: Condition, book: Codebook | None = None):
-    """Per-site step law of a tabular or count model, as ``chain_law`` takes it."""
-    if isinstance(model, TabularModel):
-        return lambda key: model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
-    return lambda key: np.exp(
-        predict_logits(model, condition, prefix_maps(key, model.schedule), book=book)
-    ).reshape(-1, model.vocab)
+def _site_laws(model, condition: Condition, book: Codebook | None = None):
+    """Per-site step laws of a tabular or count model, as ``chain_law`` takes them."""
+    def law(key):
+        if isinstance(model, TabularModel):
+            return model.row(condition, len(key) + 1, key)
+        return np.exp(predict_logits(model, condition, prefix_maps(key, model.schedule), book=book))
+    return lambda keys: np.stack([law(key) for key in keys]).reshape(len(keys), -1, model.vocab)
 
 
 def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey) -> Distribution:
     """Joint distribution over the whole token maps of the step after ``key``."""
-    row = model.row(condition, len(key) + 1, key).reshape(-1, model.vocab)
-    return Distribution(scale_maps(model.vocab, row.shape[0]), np.asarray(_joint_law(row)))
+    laws = _site_laws(model, condition)([key])
+    return Distribution(scale_maps(model.vocab, laws.shape[1]), _joint_law(laws)[0])
 
 
 def enumerate_prefixes(model: TabularModel, condition: Condition, k: int) -> list[tuple[PrefixKey, float]]:
     """All (prefix, p(prefix | c)) pairs for the step at scale k."""
-    return chain_law(_site_law(model, condition), k - 1)
+    keys, probs = chain_law(_site_laws(model, condition), k - 1)
+    return list(zip(keys, probs.tolist()))
+
+
+def _step_joint(model: TabularModel, condition: Condition, k: int):
+    """Scale k's prefixes, its maps, and p(prefix, r_k | c) over both, (P, V**S)."""
+    laws = _site_laws(model, condition)
+    keys, probs = chain_law(laws, k - 1)
+    maps = scale_maps(model.vocab, model.schedule.sites(k))
+    return keys, maps, probs[:, None] * _joint_law(laws(keys))
 
 
 def prefix_marginal(model: TabularModel, condition: Condition, k: int) -> Distribution:
-    """p(r_k | c) over whole token maps, summed over the prefix space."""
-    total: dict = {}
-    for seq, p in chain_law(_site_law(model, condition), k):
-        total[seq[-1]] = total.get(seq[-1], 0.0) + p
-    return Distribution(tuple(total), np.asarray(list(total.values())))
+    """p(r_k | c) over the maps with positive mass, in ``scale_maps`` order."""
+    _, maps, joint = _step_joint(model, condition, k)
+    total = joint.sum(axis=0)
+    return Distribution(tuple(compress(maps, total > 0.0)), total[total > 0.0])
 
 
 def prefix_marginal_sites(
     model, condition: Condition, k: int, *, book: Codebook | None = None
 ) -> np.ndarray:
-    """Per-site p(r_k | c), shape (h_k, w_k, V), under the model's own prefix law.
-
-    Tabular models chain their stored rows once per (condition, k) and keep
-    the result; count models chain ``exp(predict_logits)`` on every call and
-    need the codebook. The array is read-only.
-    """
+    """Per-site p(r_k | c), shape (h_k, w_k, V), read-only, under the model's
+    own prefix law walked to k - 1; step k's joint is never formed. Tabular
+    models keep it per (condition, k); count models walk ``exp(predict_logits)``
+    on every call and need the codebook."""
     memo = model._marginals if isinstance(model, TabularModel) else {}
     total = memo.get((condition, k))
     if total is None:
-        law = _site_law(model, condition, book)
-        total = np.zeros(model.schedule.grid(k) + (model.vocab,))
-        for key, p in chain_law(law, k - 1):
-            total += p * law(key).reshape(total.shape)
+        laws = _site_laws(model, condition, book)
+        keys, probs = chain_law(laws, k - 1)
+        total = (probs[:, None, None] * laws(keys)).sum(axis=0)
+        total = total.reshape(model.schedule.grid(k) + (model.vocab,))
         total.setflags(write=False)
         memo[(condition, k)] = total
     return total
@@ -135,13 +137,12 @@ def prefix_marginal_sites(
 def prefix_posterior(model: TabularModel, condition: Condition, outcome, k: int) -> Distribution:
     """p(r_{<k} | r_k, c) by Bayes over the enumerated prefix space."""
     outcome = tuple(outcome)
-    pairs = [
-        (seq[:-1], p)
-        for seq, p in chain_law(_site_law(model, condition), k)
-        if seq[-1] == outcome
-    ]
-    weights = np.asarray([p for _, p in pairs])
-    return Distribution(tuple(key for key, _ in pairs), weights / weights.sum())
+    keys, maps, joint = _step_joint(model, condition, k)
+    if outcome not in maps:
+        raise InvalidInputError(f"outcome {outcome!r} is not a token map of scale {k}")
+    weights = joint[:, maps.index(outcome)]
+    support = weights > 0.0
+    return Distribution(tuple(compress(keys, support)), weights[support] / weights[support].sum())
 
 
 def _normalized_power_ratio(base: np.ndarray, reference: np.ndarray, strength: float) -> np.ndarray:

@@ -262,19 +262,16 @@ def rollout_distribution(
 
     The guided law must be deterministic: either the exact-marginal
     reference, lam = 0, or a fixed corruption plan per guided scale;
-    ``guided_step`` rejects a guided scale without one as ill-defined.
+    ``guided_step`` rejects a guided scale without one as ill-defined. A
+    scale's logits, stacked over its live prefixes, take one ``truncated_law``.
     """
 
-    def step_law(seq):
-        step = guided_step(
-            model, condition, prefix_maps(seq, model.schedule), gconfig,
-            book=book, plan=(fixed_plans or {}).get(len(seq) + 1),
-        )
-        return truncated_law(step.logits, sconfig).reshape(
-            -1, step.logits.shape[-1]
-        )
+    def step_laws(keys):
+        logits = np.stack([guided_step(
+            model, condition, prefix_maps(key, model.schedule), gconfig,
+            book=book, plan=(fixed_plans or {}).get(len(key) + 1),
+        ).logits for key in keys])
+        return truncated_law(logits, sconfig).reshape(len(keys), -1, logits.shape[-1])
 
-    sequences = chain_law(step_law, model.schedule.num_scales)
-    outcomes = tuple(seq for seq, _ in sequences)
-    probs = np.asarray([p for _, p in sequences])
-    return Distribution(outcomes, probs / probs.sum())
+    keys, probs = chain_law(step_laws, model.schedule.num_scales)
+    return Distribution(tuple(keys), probs / probs.sum())

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError
 from prefixlab.guidance import GuidanceConfig
-from prefixlab.model import NULL_CONDITION, TabularModel, build_tabular
+from prefixlab.model import (
+    NULL_CONDITION,
+    TabularModel,
+    build_tabular,
+    predict_logits,
+    prefix_maps,
+)
 from prefixlab.oracle import (
     Distribution,
     VerifySpec,
@@ -210,7 +217,8 @@ class TestIdentityReport:
 
 
 def reference_chain_law(step_law, num_scales):
-    """``chain_law`` as one ``np.prod`` per map of each step."""
+    """``chain_law`` walked one prefix at a time, as one ``np.prod`` per map
+    of each step: ``step_law(key)`` is the (S, V) law after one prefix."""
     sequences = [((), 1.0)]
     for _ in range(num_scales):
         extended = []
@@ -223,6 +231,19 @@ def reference_chain_law(step_law, num_scales):
                     extended.append((seq + (combo,), p * q))
         sequences = extended
     return sequences
+
+
+def stacked(step_law):
+    """A per-prefix step law as the stacked ``step_laws`` of ``chain_law``."""
+    return lambda keys: np.stack([step_law(key) for key in keys])
+
+
+def per_prefix_marginal_sites(step_law, shape, k):
+    """Per-site p(r_k) as one ``total += p * law`` per prefix of scale k."""
+    total = np.zeros(shape)
+    for key, p in reference_chain_law(step_law, k - 1):
+        total += p * step_law(key).reshape(shape)
+    return total
 
 
 class TestChainLawEngine:
@@ -243,8 +264,42 @@ class TestChainLawEngine:
                 law[0, -1] = 0.0
             return law
 
-        got = chain_law(step_law, len(sites))
-        assert got == reference_chain_law(step_law, len(sites))
+        keys, probs = chain_law(stacked(step_law), len(sites))
+        assert list(zip(keys, probs.tolist())) == reference_chain_law(step_law, len(sites))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tabular_marginal_sites_equal_the_per_prefix_sum_bit_for_bit(self, k):
+        model = build_tabular(ScaleSchedule(((1, 1), (1, 2), (2, 2))), 3, 2, seed=4)
+        for c in (0, 1, NULL_CONDITION):
+            law = lambda key: model.row(c, len(key) + 1, key).reshape(-1, 3)  # noqa: E731
+            expected = per_prefix_marginal_sites(law, model.schedule.grid(k) + (3,), k)
+            got = prefix_marginal_sites(model, c, k)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_count_marginal_sites_equal_the_per_prefix_sum_bit_for_bit(
+        self, multisite_count, multisite_book
+    ):
+        model = multisite_count
+        for c in (0, NULL_CONDITION):
+            for k in (2, 3):
+                def law(key):
+                    maps = prefix_maps(key, model.schedule)
+                    logits = predict_logits(model, c, maps, book=multisite_book)
+                    return np.exp(logits).reshape(-1, model.vocab)
+
+                shape = model.schedule.grid(k) + (model.vocab,)
+                expected = per_prefix_marginal_sites(law, shape, k)
+                got = prefix_marginal_sites(model, c, k, book=multisite_book)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("outcome", [(0, 1, 2), (0, 1, 2, 0, 1), (0, 3, 1, 2), (-1, 0, 0, 0)])
+    def test_posterior_rejects_an_outcome_that_is_no_map_of_the_scale(
+        self, small_tabular, outcome
+    ):
+        # Scale 2 of ``small_tabular`` has 4 sites over V = 3.
+        message = rf"outcome {re.escape(repr(outcome))} .* scale 2"
+        with pytest.raises(InvalidInputError, match=message):
+            prefix_posterior(small_tabular, 0, list(outcome), k=2)
 
     def test_marginal_is_kept_per_condition_and_scale(self, small_tabular, monkeypatch):
         first = prefix_marginal_sites(small_tabular, 1, 2)

@@ -26,9 +26,10 @@ from prefixlab.sampler import (
     truncated_law,
     truncated_site_law,
 )
-from prefixlab.model import SignatureSpec, build_tabular, fit_count_model
+from prefixlab.model import SignatureSpec, build_tabular, fit_count_model, prefix_maps
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, decode_maps
 from tests.conftest import make_corpus
+from tests.test_oracle import reference_chain_law
 
 
 class TestSamplerConfig:
@@ -498,6 +499,36 @@ class TestSharedSteps:
 
 
 class TestRolloutLaw:
+    @given(
+        st.sampled_from([((1, 1), (1, 2)), ((1, 2), (2, 2)), ((1, 1), (1, 2), (2, 2)),
+                         ((1, 1), (2, 1), (2, 2))]),
+        st.integers(2, 3),
+        st.integers(0, 2**16),
+        st.sampled_from([0.5, 1.5]),
+        st.sampled_from([0.8, 2.0]),
+        st.sampled_from([SamplerConfig(), SamplerConfig(top_k=2, top_p=0.9, temperature=0.8),
+                         SamplerConfig(top_p=0.7)]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_law_equals_a_per_prefix_chain_bit_for_bit(
+        self, dims, vocab, seed, gamma, lam, sconfig
+    ):
+        schedule = ScaleSchedule(dims)
+        assume(vocab ** sum(h * w for h, w in dims) <= 243)
+        model = build_tabular(schedule, vocab, 2, seed=seed)
+        book = Codebook.seeded(len(dims), vocab, 2, seed=0)
+        gconfig = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
+
+        def step_law(key):
+            step = guided_step(model, 1, prefix_maps(key, schedule), gconfig, book=book)
+            return truncated_law(step.logits, sconfig).reshape(-1, vocab)
+
+        pairs = reference_chain_law(step_law, len(dims))
+        probs = np.asarray([p for _, p in pairs])
+        law = rollout_distribution(model, 1, gconfig, sconfig, book)
+        assert law.outcomes == tuple(key for key, _ in pairs)
+        assert np.array_equal(law.probs.view(np.int64), (probs / probs.sum()).view(np.int64))
+
     def test_unguided_law_matches_model_joint(self, m1, m1_book):
         law = rollout_distribution(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book)
         expected = {

@@ -84,10 +84,13 @@ MUTANTS = (
            "np.stack([_normalized_power_ratio(cond, ref, s) for s in block])",
            "_normalized_power_ratio(cond, ref, column(block))"),
     Mutant("marginal_ignores_prefix_weights", "src/prefixlab/oracle.py",
-           "total += p * law(key).reshape(total.shape)",
-           "total += law(key).reshape(total.shape)"),
+           "(probs[:, None, None] * laws(keys)).sum(axis=0)",
+           "laws(keys).sum(axis=0)"),
     Mutant("chain_law_keeps_zero_mass", "src/prefixlab/oracle.py",
-           "if q > 0.0", "if q >= 0.0"),
+           "np.nonzero(joint > 0.0)", "np.nonzero(joint >= 0.0)"),
+    Mutant("joint_law_reversed_site_order", "src/prefixlab/oracle.py",
+           "for site in np.moveaxis(laws, 1, 0):",
+           "for site in np.moveaxis(laws, 1, 0)[::-1]:"),
     Mutant("identity_tolerance_ten_times", "src/prefixlab/oracle.py",
            "~(self.kl <= self.tolerance)", "~(self.kl <= 10 * self.tolerance)"),
     Mutant("failures_drop_nan_rows", "src/prefixlab/oracle.py",
