@@ -282,9 +282,7 @@ def main(argv=None) -> int:
             return cmd_sample(cfg, args.count)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        return cmd_ablate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,8 +60,11 @@ def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
     """Round-half-up of fraction * (number of prefix sites).
 
     Computed in exact rational arithmetic so half-integer products round up
-    even when the float product lands a hair below (e.g. 0.7 * 5).
+    even when the float product lands a hair below (e.g. 0.7 * 5). A fraction
+    outside [0, 1] raises InvalidFractionError.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidFractionError(f"corruption fraction {fraction} outside [0, 1]")
     return _round_half_up(schedule.prefix_sites(k), fraction)
 
 
@@ -91,16 +94,13 @@ def plan_corruption(
     Self-donation is allowed, which keeps 1x1 scales well-defined. The
     random-codebook and uniform-prefix variants need the codebook to know how
     many tables and codes there are to draw from. A plan that selects no site
-    draws nothing, so no generator is seeded for it, except for the
-    uniform-prefix variant, which always draws whole token grids.
+    has no site, donor or code draw; a guided step never draws one for a
+    site-selecting variant (``GuidanceConfig.draws_plan``), and the
+    uniform-prefix variant ignores the selection and draws whole token grids.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidFractionError(f"corruption fraction {fraction} outside [0, 1]")
+    size = selection_size(schedule, k, fraction)
     if book is None and variant in _NEEDS_BOOK:
         raise InconsistentPlanError(f"{_NEEDS_BOOK[variant]} plans need the codebook")
-    size = selection_size(schedule, k, fraction)
-    if size == 0 and variant is not CorruptionVariant.UNIFORM_PREFIX:
-        return CorruptionPlan(k, variant, fraction, (), (), seed)
     rng = np.random.default_rng(seed)
     all_sites = [
         (j, u) for j in range(1, k) for u in range(schedule.sites(j))

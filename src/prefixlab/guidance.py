@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, plan_corruption
+from .corruption import (CorruptionPlan, CorruptionVariant, apply_corruption,
+                         plan_corruption, selection_size)
 from .errors import (
     GuidanceConfigError,
     IllDefinedLawError,
-    InconsistentPlanError,
     InvalidInputError,
     MissingBranchError,
 )
@@ -39,7 +39,7 @@ from .model import (
     predict_logits,
 )
 from .oracle import prefix_marginal_sites
-from .tokenizer import Codebook
+from .tokenizer import Codebook, ScaleSchedule
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,16 @@ class GuidanceConfig:
         """Whether the step at scale k has a weak-prefix branch pair."""
         return self.lam > 0 and k >= 2 and self.masked_in(k)
 
-    def draws_plan(self, k: int) -> bool:
-        """Whether the step at scale k runs under a corruption plan: then its
-        weak-prefix pair depends on the plan, not only on the prefix."""
-        return self.contrasts(k) and self.reference == "corrupted"
+    def draws_plan(self, k: int, schedule: ScaleSchedule) -> bool:
+        """Whether the step at scale k on ``schedule`` runs under a corruption
+        plan: then its weak-prefix pair depends on the plan, not only on the
+        prefix. A site-selecting variant whose n_p × (prefix sites of k)
+        rounds to zero selects no site, so its step draws no plan and its
+        corrupted pair is the clean pair; ``uniform_prefix`` always draws."""
+        return self.contrasts(k) and self.reference == "corrupted" and (
+            self.variant is CorruptionVariant.UNIFORM_PREFIX
+            or selection_size(schedule, k, self.fraction) > 0
+        )
 
 
 @dataclass(frozen=True)
@@ -160,21 +166,18 @@ def guided_step(
 
     ``prefix`` is the generated token history (list of TokenMap). A
     corrupted branch runs under ``plan`` (replay and exact rollout laws fix
-    it), else under a plan drawn from ``plan_seed``; with neither it raises
-    IllDefinedLawError. A count model's clean branches read ``signed``, the
-    prefix's signed embedding, when the caller carries it; otherwise the
-    prefix is embedded and signed here.
+    it), else, where ``config.draws_plan`` holds, under a plan drawn from
+    ``plan_seed``; with neither it raises IllDefinedLawError. Where the step
+    draws no plan (its variant selects no site), the corrupted pair is the
+    clean pair and the step is deterministic. A count model's clean branches
+    read ``signed``, the prefix's signed embedding, when the caller carries
+    it; otherwise the prefix is embedded and signed here.
     """
     maps = list(prefix)
     k = len(maps) + 1
 
     needs_cfg = config.gamma > 0
     needs_vpg = config.contrasts(k)
-
-    if needs_cfg and isinstance(model, CountModel) and not model.include_null:
-        raise GuidanceConfigError(
-            "gamma > 0 but the count model was fitted without null-condition rows"
-        )
 
     if isinstance(model, CountModel):
         if book is None:
@@ -212,25 +215,20 @@ def guided_step(
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
-            if plan is None and plan_seed is None:
-                raise IllDefinedLawError(
-                    f"the corrupted branch at scale {k} needs a plan or a plan seed"
+            used_plan = plan
+            if plan is None and config.draws_plan(k, model.schedule):
+                if plan_seed is None:
+                    raise IllDefinedLawError(
+                        f"the corrupted branch at scale {k} needs a plan or a plan seed"
+                    )
+                used_plan = plan_corruption(
+                    model.schedule, k, config.fraction, config.variant, plan_seed, book=book
                 )
-            used_plan = plan if plan is not None else plan_corruption(
-                model.schedule, k, config.fraction, config.variant, plan_seed, book=book
-            )
-            if used_plan.step != k:
-                raise InconsistentPlanError(
-                    f"plan targets step {used_plan.step}, the prefix is for step {k}"
-                )
-            # A plan that can change no scale leaves the clean signed
-            # embedding as it is; otherwise only the scales it changes are
-            # binned again.
-            changed = used_plan.scales
-            corr = predicted(signed if not changed else model.resign(
+            # Only the scales the plan changes are binned again.
+            corr = gen if used_plan is None else predicted(model.resign(
                 signed,
                 apply_corruption(signed.embedding, used_plan, book, model.schedule, model.params),
-                changed,
+                used_plan.scales,
             ))
 
     branches = BranchLogits(*gen, *corr)

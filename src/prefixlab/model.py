@@ -365,7 +365,7 @@ class CountModel:
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION:
             if not self.include_null:
-                raise MissingRowError("count model was fitted without null-condition rows")
+                raise MissingRowError("gamma > 0 reads null rows; the count model has none")
         elif condition not in range(self.num_conditions):
             raise MissingRowError(f"count model has no rows for condition {condition!r}")
         h, w = self.schedule.grid(k)

@@ -161,12 +161,13 @@ def rollouts(
     draws the step's plan seed and then the step's uniforms, so each sample is
     the same as if it were generated alone. Per scale, ``guided_step`` runs
     once per distinct branch input: once per sample when the step draws a
-    corruption plan (each from its sample's seed), else once per group of
-    samples with the same ``_branch_input``, whose members share the
-    step. Each distinct step's law is truncated once and all samples are
-    sampled in one pass. The samples' latents are carried forward one scale
-    at a time, and for a count model so are their signed prefix embeddings,
-    which ``guided_step`` reads.
+    corruption plan (each from its sample's seed), else, as where the
+    variant can select no site, once per group of samples with the same
+    ``_branch_input``, whose members share the step. Each distinct step's
+    law is truncated once and all samples are sampled in one pass. The
+    samples' latents are carried forward one scale at a time, and for a
+    count model so are their signed prefix embeddings, which ``guided_step``
+    reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -181,7 +182,7 @@ def rollouts(
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
-        shared = not gconfig.draws_plan(k)
+        shared = not gconfig.draws_plan(k, schedule)
         groups: dict = {}
         for i in range(count):
             key = _branch_input(maps[i], signed[i]) if shared else i
@@ -260,10 +261,12 @@ def rollout_distribution(
 ) -> Distribution:
     """Exact law over the model's full token-map sequences under the sampler.
 
-    The guided law must be deterministic: either the exact-marginal
-    reference, lam = 0, or a fixed corruption plan per guided scale;
-    ``guided_step`` rejects a guided scale without one as ill-defined. A
-    scale's logits, stacked over its live prefixes, take one ``truncated_law``.
+    The guided law must be deterministic at each scale: the exact-marginal
+    reference, lam = 0, a fixed corruption plan, or a scale whose variant can
+    select no site (``GuidanceConfig.draws_plan`` is false, so the corrupted
+    pair is the clean pair); ``guided_step`` rejects any other guided scale
+    as ill-defined. A scale's logits, stacked over its live prefixes, take
+    one ``truncated_law``.
     """
 
     def step_laws(keys):

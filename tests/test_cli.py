@@ -199,6 +199,30 @@ class TestSweep:
         code = main(["sweep", "--config", cfg, "--output-dir", str(out_dir)])
         assert code == EXIT_OK
 
+    def test_count_model_exact_kl_where_no_site_is_selected(self, tmp_path):
+        # On (1,1),(2,2) the one guided step has one prefix site, and
+        # 0.25 * 1 rounds to 0: a site-selecting variant draws no plan there,
+        # so its law is exact; only uniform_prefix needs a plan at random.
+        variants = ["random_codebook", "same_scale_token", "same_scale_position",
+                    "same_scale_full_embedding", "uniform_prefix"]
+        cfg = count_model_config(
+            tmp_path, schedule=[[1, 1], [2, 2]],
+            guidance={"reference": "corrupted", "gamma": 1.0},
+            sweep={"lambdas": [0.0, 1.0], "n_ps": [0.25], "variants": variants,
+                   "metric": "exact_kl"},
+        )
+        out_dir = tmp_path / "nosite"
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out_dir)]) == EXIT_OK
+        (name,) = [n for n in os.listdir(out_dir) if n.endswith(".csv")]
+        with open(out_dir / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10
+        for row in rows:
+            if row["variant"] == "uniform_prefix" and float(row["lambda"]) > 0:
+                assert row["error"].startswith("IllDefinedLawError")
+            else:
+                assert row["error"] == "" and float(row["value"]) >= 0
+
 
 class TestAblate:
     def test_runs_all_variants(self, tmp_path, capsys):

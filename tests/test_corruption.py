@@ -66,6 +66,8 @@ class TestPlanning:
         for bad in (-0.1, 1.5):
             with pytest.raises(InvalidFractionError):
                 plan_corruption(SCHEDULE, 3, bad, CorruptionVariant.SAME_SCALE_TOKEN, 0)
+            with pytest.raises(InvalidFractionError):
+                selection_size(SCHEDULE, 2, bad)
 
     def test_selection_without_replacement_donors_same_scale(self):
         plan = plan_corruption(
@@ -102,27 +104,6 @@ class TestPlanning:
         )
         assert [len(ids) for ids in plan.uniform_tokens] == [1, 4]
         assert all(0 <= x < BOOK.vocab for ids in plan.uniform_tokens for x in ids)
-
-    @pytest.mark.parametrize("variant", list(CorruptionVariant))
-    def test_plan_that_selects_no_site_seeds_no_generator(self, variant, monkeypatch):
-        # Step 2 has one prefix site and 0.25 * 1 rounds to 0. Only the
-        # uniform-prefix variant, which draws whole grids, seeds a generator;
-        # the other plans have the fields a seeded draw of nothing gives.
-        seeded = []
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
-        )
-        plan = plan_corruption(SCHEDULE, 2, 0.25, variant, seed=9, book=BOOK)
-        assert (plan.selected, plan.donors, plan.code_draws) == ((), (), ())
-        if variant is CorruptionVariant.UNIFORM_PREFIX:
-            assert seeded == [9]
-            assert [len(ids) for ids in plan.uniform_tokens] == [1]
-            assert plan.scales == {1}
-        else:
-            assert seeded == []
-            assert plan == CorruptionPlan(2, variant, 0.25, (), (), 9)
-            assert plan.scales == frozenset()
 
     def test_plan_scales_are_the_selected_scales(self):
         plan = plan_corruption(SCHEDULE, 4, 0.1, CorruptionVariant.SAME_SCALE_TOKEN, 3)

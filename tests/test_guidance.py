@@ -8,6 +8,7 @@ from prefixlab.errors import (
     GuidanceConfigError,
     IllDefinedLawError,
     InconsistentPlanError,
+    InvalidFractionError,
     InvalidInputError,
     MissingBranchError,
     MissingRowError,
@@ -287,7 +288,7 @@ class TestGuidedStepCount:
             alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4,
             include_null=False,
         )
-        with pytest.raises(GuidanceConfigError):
+        with pytest.raises(MissingRowError, match="gamma > 0"):
             guided_step(model, 0, [], GuidanceConfig(gamma=1.0), book=small_book)
 
     def test_fixed_plan_overrides_sampling(self, small_count, small_book):
@@ -357,16 +358,70 @@ class TestGuidedStepCount:
                                          if v is not CorruptionVariant.UNIFORM_PREFIX])
     def test_fraction_rounding_to_no_site_corrupts_nothing(self, small_count, small_book, variant):
         # The step at scale 2 has one prefix site, and 0.25 * 1 rounds to 0:
-        # a site-selecting variant then has no site to corrupt, and the
-        # corrupted pair is the clean pair.
+        # a site-selecting variant then has no site to corrupt, the step
+        # draws no plan, and the corrupted pair is the clean pair.
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.25, variant=variant,
                                 reference="corrupted")
-        step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=3)
-        assert step.plan.selected == ()
-        b = step.branches
-        assert np.array_equal(b.cond_corr, b.cond_gen)
-        assert np.array_equal(b.null_corr, b.null_gen)
+        assert not config.draws_plan(2, small_count.schedule)
+        for plan_seed in (3, None):
+            step = guided_step(small_count, 0, prefix, config, book=small_book,
+                               plan_seed=plan_seed)
+            assert step.plan is None
+            b = step.branches
+            assert np.array_equal(b.cond_corr, b.cond_gen)
+            assert np.array_equal(b.null_corr, b.null_gen)
+            assert step.evaluations == 4
+
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_fraction_outside_unit_interval_raises(self, small_count, small_book, variant):
+        # -0.1 * 1 prefix site rounds to 0 sites, but the fraction is still
+        # rejected rather than read as "no site".
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        for bad in (-0.1, 1.5):
+            config = GuidanceConfig(lam=1.0, fraction=bad, variant=variant,
+                                    reference="corrupted")
+            with pytest.raises(InvalidFractionError):
+                guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
+
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_step_that_selects_no_site_seeds_no_generator(
+        self, small_count, small_book, variant, monkeypatch
+    ):
+        # 0.25 * 1 prefix site rounds to 0. Only the uniform-prefix variant,
+        # which draws whole grids, draws a plan and seeds its generator.
+        seeded = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
+        )
+        config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=9)
+        if variant is CorruptionVariant.UNIFORM_PREFIX:
+            assert seeded == [9]
+            assert step.plan.selected == () and step.plan.scales == {1}
+            assert [len(ids) for ids in step.plan.uniform_tokens] == [1]
+        else:
+            assert seeded == []
+            assert step.plan is None
+
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_explicit_plan_applies_where_no_plan_is_drawn(self, deep_count, variant):
+        # A fixed plan is applied even where the config's fraction selects
+        # no site; at fraction 0.25 the step at scale 2 of deep_count draws
+        # none.
+        model, book, corpus = deep_count
+        prefix = corpus[0][1][:1]
+        config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
+        plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, book=book)
+        step = guided_step(model, 0, prefix, config, book=book, plan=plan)
+        corrupted = model.sign(apply_corruption(
+            model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
+        ))
+        assert step.plan is plan
+        assert np.array_equal(step.branches.cond_corr,
+                              predict_logits(model, 0, prefix, signed=corrupted))
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_fixed_plan_for_another_step_raises(self, deep_count, fraction):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prefixlab.corruption import CorruptionVariant, plan_corruption
+from prefixlab.corruption import CorruptionVariant, plan_corruption, selection_size
 from prefixlab.errors import (
     DegenerateDistributionError,
     IllDefinedLawError,
@@ -289,6 +289,43 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+BRANCHES = ("cond_gen", "null_gen", "cond_corr", "null_corr")
+
+
+def assert_same_rollouts(got, expected):
+    """Batched results equal the one-sample loop's, step by step and branch
+    by branch, bit for bit."""
+    assert len(got) == len(expected)
+    for result, (maps, steps, latent, seed) in zip(got, expected):
+        assert result.seed == seed
+        assert [m.k for m in result.maps] == [m.k for m in maps]
+        assert all(same_bits(a.ids, b.ids) for a, b in zip(result.maps, maps))
+        assert same_bits(result.latent, latent)
+        for got_step, step in zip(result.trace, steps, strict=True):
+            assert got_step.k == step.k
+            assert same_bits(got_step.logits, step.logits)
+            assert got_step.plan == step.plan
+            assert got_step.evaluations == step.evaluations
+            for name in BRANCHES:
+                a, b = getattr(got_step.branches, name), getattr(step.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+
+@st.composite
+def multisite_schedules(draw, max_prefix_sites=None):
+    """Two or three scales whose last grid has several sites; the earlier
+    grids fit inside it and are ordered by site count."""
+    fh, fw = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    earlier = draw(st.lists(
+        st.tuples(st.integers(1, fh), st.integers(1, fw)), min_size=1, max_size=2
+    ))
+    dims = sorted(earlier, key=lambda hw: hw[0] * hw[1]) + [(fh, fw)]
+    if max_prefix_sites is not None:
+        assume(sum(h * w for h, w in dims[:-1]) <= max_prefix_sites)
+    return ScaleSchedule(tuple(dims))
+
+
 ROLLOUT_CASES = {
     # Tabular model, CFG and prefix contrast against the exact marginal.
     "tabular_exact_marginal": (
@@ -326,6 +363,50 @@ class TestRollouts:
             assert same_bits(result.latent, latent)
         if fixture == "small_count":
             assert any(r.trace[-1].plan is not None for r in got)
+
+    @given(
+        multisite_schedules(),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(list(CorruptionVariant)),
+        st.integers(0, 2**16),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_no_site_scale_shares_its_step(self, schedule, gamma, variant, seed, count):
+        # n_p selects no site at scale 2 and, on three scales, one site at
+        # scale 3: 1 / (2 * prefix sites) rounds half up to one there, and
+        # scale 2 has fewer prefix sites.
+        last = schedule.prefix_sites(schedule.num_scales)
+        fraction = 1 / (2 * last + (schedule.num_scales == 2))
+        assert selection_size(schedule, 2, fraction) == 0
+        if schedule.num_scales == 3:
+            assert selection_size(schedule, 3, fraction) == 1
+        book = Codebook.seeded(schedule.num_scales, 3, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=3, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3,
+            include_null=True,
+        )
+        gconfig = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant,
+                                 reference="corrupted")
+        sconfig = SamplerConfig(seed=seed)
+        scales = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("prefixlab.sampler.guided_step",
+                       lambda model, c, prefix, *args, **kwargs: scales.append(len(prefix) + 1)
+                       or guided_step(model, c, prefix, *args, **kwargs))
+            got = rollouts(model, 1, gconfig, sconfig, book, count)
+        assert_same_rollouts(got, reference_rollouts(model, 1, gconfig, sconfig, book, count))
+        clean = {model.embed(r.maps[:1], book).signature for r in got}
+        draws = variant is CorruptionVariant.UNIFORM_PREFIX
+        assert scales.count(1) == 1
+        assert scales.count(2) == (count if draws else len(clean))
+        assert scales.count(3) == (count if schedule.num_scales == 3 else 0)
+        for r in got:
+            assert (r.trace[1].plan is not None) == draws
+            if schedule.num_scales == 3:
+                assert len(r.trace[2].plan.selected) == 1
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_raises(self, count, m1, m1_book):
@@ -372,43 +453,6 @@ class TestCarriedRollouts:
                     assert same_bits(result.latent, decoded)
                     if lam > 0 and mask is None:
                         assert result.trace[-1].plan is not None
-
-
-BRANCHES = ("cond_gen", "null_gen", "cond_corr", "null_corr")
-
-
-def assert_same_rollouts(got, expected):
-    """Batched results equal the one-sample loop's, step by step and branch
-    by branch, bit for bit."""
-    assert len(got) == len(expected)
-    for result, (maps, steps, latent, seed) in zip(got, expected):
-        assert result.seed == seed
-        assert [m.k for m in result.maps] == [m.k for m in maps]
-        assert all(same_bits(a.ids, b.ids) for a, b in zip(result.maps, maps))
-        assert same_bits(result.latent, latent)
-        for got_step, step in zip(result.trace, steps, strict=True):
-            assert got_step.k == step.k
-            assert same_bits(got_step.logits, step.logits)
-            assert got_step.plan == step.plan
-            assert got_step.evaluations == step.evaluations
-            for name in BRANCHES:
-                a, b = getattr(got_step.branches, name), getattr(step.branches, name)
-                assert (a is None) == (b is None)
-                assert a is None or same_bits(a, b)
-
-
-@st.composite
-def multisite_schedules(draw, max_prefix_sites=None):
-    """Two or three scales whose last grid has several sites; the earlier
-    grids fit inside it and are ordered by site count."""
-    fh, fw = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
-    earlier = draw(st.lists(
-        st.tuples(st.integers(1, fh), st.integers(1, fw)), min_size=1, max_size=2
-    ))
-    dims = sorted(earlier, key=lambda hw: hw[0] * hw[1]) + [(fh, fw)]
-    if max_prefix_sites is not None:
-        assume(sum(h * w for h, w in dims[:-1]) <= max_prefix_sites)
-    return ScaleSchedule(tuple(dims))
 
 
 class TestSharedSteps:
@@ -560,6 +604,39 @@ class TestRolloutLaw:
             m1, 0, GuidanceConfig(), SamplerConfig(top_k=1), m1_book
         )
         assert law.as_dict() == {((0,), (0,)): 1.0}
+
+    @pytest.fixture(scope="class")
+    def no_site_count(self):
+        # V = 2, C = 2 on (1,1),(2,2): the one guided step has one prefix
+        # site, and n_p = 0.25 selects none of it.
+        schedule = ScaleSchedule(((1, 1), (2, 2)))
+        book = Codebook.seeded(2, 2, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=5)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=2, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=4,
+            include_null=True,
+        )
+        return model, book
+
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_scale_that_selects_no_site_has_an_exact_law(self, no_site_count, variant):
+        model, book = no_site_count
+        gconfig = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.25, variant=variant,
+                                 reference="corrupted")
+        if variant is CorruptionVariant.UNIFORM_PREFIX:
+            # It draws whole token grids whatever the selection.
+            with pytest.raises(IllDefinedLawError, match="scale 2"):
+                rollout_distribution(model, 1, gconfig, SamplerConfig(), book)
+            return
+        empty = plan_corruption(model.schedule, 2, 0.25, variant, seed=0, book=book)
+        assert empty.selected == ()
+        law = rollout_distribution(model, 1, gconfig, SamplerConfig(), book)
+        fixed = rollout_distribution(model, 1, gconfig, SamplerConfig(), book,
+                                     fixed_plans={2: empty})
+        assert len(law.outcomes) == 2 ** 5
+        assert law.outcomes == fixed.outcomes
+        assert np.array_equal(law.probs.view(np.int64), fixed.probs.view(np.int64))
 
     def test_stochastic_corruption_has_no_law(self, small_count, small_book):
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")

@@ -105,9 +105,12 @@ MUTANTS = (
                       "cumulative sum exactly, which a double draw does not hit"),
     Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
            "return prefix_key(prefix)", "return prefix_key(prefix[:-1])"),
-    Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/corruption.py",
-           "if size == 0 and variant is not CorruptionVariant.UNIFORM_PREFIX:",
-           "if size == 0:"),
+    Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/guidance.py",
+           "self.variant is CorruptionVariant.UNIFORM_PREFIX", "False"),
+    Mutant("no_site_step_draws_plan", "src/prefixlab/guidance.py",
+           "or selection_size(schedule, k, self.fraction) > 0", "or True"),
+    Mutant("apply_corruption_skips_step_check", "src/prefixlab/corruption.py",
+           "if plan.step != embedding.step:", "if False:"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
            "* sites + Fraction(1, 2))", "* sites)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
@@ -119,6 +122,8 @@ MUTANTS = (
     Mutant("position_variant_keeps_target_position", "src/prefixlab/corruption.py",
            "embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]",
            "embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][tgt]"),
+    Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
+           "if not self.include_null:", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
            "return np.mean(rows, axis=0)", "return rows[0]"),
     Mutant("count_smoothing_unnormalized", "src/prefixlab/model.py",
