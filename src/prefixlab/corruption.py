@@ -47,14 +47,6 @@ class CorruptionPlan:
     code_draws: tuple[tuple[int, int], ...] = ()
     uniform_tokens: tuple[tuple[int, ...], ...] = ()
 
-    @property
-    def scales(self) -> frozenset[int]:
-        """The prefix scales that applying the plan can change: every one for
-        the uniform-prefix variant, else those of the selected sites."""
-        if self.variant is CorruptionVariant.UNIFORM_PREFIX:
-            return frozenset(range(1, self.step))
-        return frozenset(j for j, _ in self.selected)
-
 
 def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
     """Round-half-up of fraction * (number of prefix sites).
@@ -94,7 +86,7 @@ def plan_corruption(
     Self-donation is allowed, which keeps 1x1 scales well-defined. The
     random-codebook and uniform-prefix variants need the codebook to know how
     many tables and codes there are to draw from. A plan that selects no site
-    has no site, donor or code draw; a guided step never draws one for a
+    has no site, donor or code draw; ``rollouts`` never draws one for a
     site-selecting variant (``GuidanceConfig.draws_plan``), and the
     uniform-prefix variant ignores the selection and draws whole token grids.
     """

@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer test."""
+
+from numbers import Integral
+
+
+def integral(value) -> bool:
+    """An int or NumPy integer, not a bool; a boundary coerces no other value."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class PrefixLabError(Exception):

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corruption import (CorruptionPlan, CorruptionVariant, apply_corruption,
-                         plan_corruption, selection_size)
+from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, selection_size
 from .errors import (
     GuidanceConfigError,
     IllDefinedLawError,
     InvalidInputError,
     MissingBranchError,
+    integral,
 )
 from .model import (
     Condition,
@@ -73,6 +73,8 @@ class GuidanceConfig:
         if self.reference not in ("corrupted", "exact-marginal"):
             raise GuidanceConfigError(f"unknown reference mode {self.reference!r}")
         if self.scale_mask is not None:
+            if not all(map(integral, self.scale_mask)):
+                raise GuidanceConfigError(f"scale_mask must be integers, got {self.scale_mask!r}")
             object.__setattr__(self, "scale_mask", frozenset(int(k) for k in self.scale_mask))
 
     def masked_in(self, k: int) -> bool:
@@ -86,7 +88,7 @@ class GuidanceConfig:
         """Whether the step at scale k on ``schedule`` runs under a corruption
         plan: then its weak-prefix pair depends on the plan, not only on the
         prefix. A site-selecting variant whose n_p × (prefix sites of k)
-        rounds to zero selects no site, so its step draws no plan and its
+        rounds to zero selects no site, so its step needs no plan and its
         corrupted pair is the clean pair; ``uniform_prefix`` always draws."""
         return self.contrasts(k) and self.reference == "corrupted" and (
             self.variant is CorruptionVariant.UNIFORM_PREFIX
@@ -158,20 +160,19 @@ def guided_step(
     config: GuidanceConfig,
     *,
     book: Codebook | None = None,
-    plan_seed: int | None = None,
     plan: CorruptionPlan | None = None,
     signed: SignedEmbedding | None = None,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
 
     ``prefix`` is the generated token history (list of TokenMap). A
-    corrupted branch runs under ``plan`` (replay and exact rollout laws fix
-    it), else, where ``config.draws_plan`` holds, under a plan drawn from
-    ``plan_seed``; with neither it raises IllDefinedLawError. Where the step
-    draws no plan (its variant selects no site), the corrupted pair is the
-    clean pair and the step is deterministic. A count model's clean branches
-    read ``signed``, the prefix's signed embedding, when the caller carries
-    it; otherwise the prefix is embedded and signed here.
+    corrupted branch runs on the prefix corrupted under ``plan``, signed in
+    full; the step draws nothing at random, so where ``config.draws_plan``
+    holds and no plan is given it raises IllDefinedLawError. Without a plan
+    (as where the variant selects no site) the corrupted pair is the clean
+    pair. A count model's clean branches read ``signed``, the prefix's signed
+    embedding, when the caller carries it; otherwise the prefix is embedded
+    and signed here.
     """
     maps = list(prefix)
     k = len(maps) + 1
@@ -217,19 +218,9 @@ def guided_step(
                 )
             used_plan = plan
             if plan is None and config.draws_plan(k, model.schedule):
-                if plan_seed is None:
-                    raise IllDefinedLawError(
-                        f"the corrupted branch at scale {k} needs a plan or a plan seed"
-                    )
-                used_plan = plan_corruption(
-                    model.schedule, k, config.fraction, config.variant, plan_seed, book=book
-                )
-            # Only the scales the plan changes are binned again.
-            corr = gen if used_plan is None else predicted(model.resign(
-                signed,
-                apply_corruption(signed.embedding, used_plan, book, model.schedule, model.params),
-                used_plan.scales,
-            ))
+                raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
+            corr = gen if plan is None else predicted(model.sign(apply_corruption(
+                signed.embedding, plan, book, model.schedule, model.params)))
 
     branches = BranchLogits(*gen, *corr)
     lam = config.lam if needs_vpg else 0.0

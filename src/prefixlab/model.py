@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, MissingRowError, TooLargeError
+from .errors import InvalidInputError, MissingRowError, TooLargeError, integral
 from .tokenizer import Codebook, ScaleSchedule, TokenMap, accumulate_latent, pool
 
 # The null condition is the reserved value contrasted against class ids.
@@ -35,8 +35,10 @@ def prefix_key(prefix) -> PrefixKey:
     for part in prefix:
         if isinstance(part, TokenMap):
             out.append(part.key())
-        else:
+        elif all(map(integral, part)):
             out.append(tuple(int(x) for x in part))
+        else:
+            raise InvalidInputError(f"prefix ids must be integers, got {part!r}")
     return tuple(out)
 
 
@@ -285,7 +287,7 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
 @dataclass(frozen=True)
 class SignedEmbedding:
     """A prefix embedding and its context signature, built by ``CountModel.sign``
-    (or ``extend`` and ``resign``, which bin only the scales that are new or changed).
+    (or ``extend``, which bins only the new scale).
 
     Branches evaluated on one embedding share it, so the signature is
     computed once per embedding.
@@ -327,20 +329,6 @@ class CountModel:
     def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
         """``embedding`` together with its signature under this model."""
         return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
-
-    def resign(
-        self, signed: SignedEmbedding, embedding: PrefixEmbedding, scales
-    ) -> SignedEmbedding:
-        """``embedding``, which equals ``signed.embedding`` outside the prefix
-        ``scales``, with its signature: only those scales are binned, and the
-        other scales' bins are carried from ``signed``."""
-        signature = tuple(
-            tuple(scale_bins(grid, self.thresholds[j - 1]).tolist()) if j in scales else bins
-            for j, (grid, bins) in enumerate(
-                zip(embedding.grids, signed.signature, strict=True), start=1
-            )
-        )
-        return SignedEmbedding(embedding, signature)
 
     def extend(
         self, signed: Sequence[SignedEmbedding], latent: np.ndarray

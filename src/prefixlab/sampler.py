@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corruption import CorruptionPlan
-from .errors import DegenerateDistributionError, InvalidInputError
+from .corruption import CorruptionPlan, plan_corruption
+from .errors import DegenerateDistributionError, InvalidInputError, integral
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import Condition, CountModel, SignedEmbedding, TokenMap, prefix_key, prefix_maps
 from .oracle import Distribution, chain_law, softmax
@@ -43,8 +43,10 @@ class SamplerConfig:
             raise InvalidInputError(
                 f"temperature must be finite and > 0, got {self.temperature!r}"
             )
-        if self.top_k is not None and self.top_k < 1:
-            raise InvalidInputError("top_k must be >= 1")
+        if self.top_k is not None and not (integral(self.top_k) and self.top_k >= 1):
+            raise InvalidInputError(f"top_k must be an integer >= 1, got {self.top_k!r}")
+        if not (integral(self.seed) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0 < self.top_p <= 1:
             raise InvalidInputError("top_p must lie in (0, 1]")
 
@@ -159,10 +161,10 @@ def rollouts(
 
     Sample i is seeded ``sconfig.seed + i`` and has its own generator, which
     draws the step's plan seed and then the step's uniforms, so each sample is
-    the same as if it were generated alone. Per scale, ``guided_step`` runs
-    once per distinct branch input: once per sample when the step draws a
-    corruption plan (each from its sample's seed), else, as where the
-    variant can select no site, once per group of samples with the same
+    the same as if it were generated alone. Where ``gconfig.draws_plan`` holds,
+    each sample's corruption plan is drawn here from its plan seed and
+    ``guided_step`` runs once per sample; else, as where the variant can
+    select no site, once per group of samples with the same
     ``_branch_input``, whose members share the step. Each distinct step's
     law is truncated once and all samples are sampled in one pass. The
     samples' latents are carried forward one scale at a time, and for a
@@ -182,18 +184,19 @@ def rollouts(
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
-        shared = not gconfig.draws_plan(k, schedule)
+        draws = gconfig.draws_plan(k, schedule)
         groups: dict = {}
         for i in range(count):
-            key = _branch_input(maps[i], signed[i]) if shared else i
+            key = i if draws else _branch_input(maps[i], signed[i])
             groups.setdefault(key, []).append(i)
         steps = []
         rows = np.empty(count, dtype=np.intp)
         for row, members in enumerate(groups.values()):
             i = members[0]
+            plan = plan_corruption(schedule, k, gconfig.fraction, gconfig.variant,
+                                   plan_seeds[i], book=book) if draws else None
             steps.append(guided_step(
-                model, condition, maps[i], gconfig, book=book,
-                plan_seed=None if shared else plan_seeds[i], signed=signed[i],
+                model, condition, maps[i], gconfig, book=book, plan=plan, signed=signed[i]
             ))
             rows[members] = row
         ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs, rows)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidScheduleError, InvalidTokenError
+from .errors import InvalidInputError, InvalidScheduleError, InvalidTokenError, integral
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,8 @@ class ScaleSchedule:
     dims: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not all(integral(h) and integral(w) for h, w in self.dims):
+            raise InvalidScheduleError(f"grid dimensions must be integers, got {self.dims!r}")
         dims = tuple((int(h), int(w)) for h, w in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
@@ -86,6 +88,8 @@ class Codebook:
         return self.vectors.shape[2]
 
     def table(self, k: int) -> np.ndarray:
+        if not 1 <= k <= self.num_scales:
+            raise InvalidScheduleError(f"scale {k} outside 1..{self.num_scales}")
         return self.vectors[k - 1]
 
     @classmethod
@@ -105,7 +109,11 @@ class TokenMap:
     ids: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
+        # A list's ids are checked one by one: NumPy would read its bools as ints.
+        ids = self.ids if isinstance(self.ids, np.ndarray) else np.asarray(self.ids, dtype=object)
+        if not (all(map(integral, ids.flat)) if ids.dtype == object else ids.dtype.kind in "iu"):
+            raise InvalidInputError(f"token ids must be integers, got {self.ids!r}")
+        ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2:
             raise InvalidInputError("token map must be a 2-d id grid")
         object.__setattr__(self, "ids", ids)

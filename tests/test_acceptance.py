@@ -312,8 +312,9 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
             config = GuidanceConfig(
                 gamma=gamma, lam=lam, fraction=1.0, reference="corrupted"
             )
+            plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0)
             step = guided_step(small_count, 0, tab_prefix, config, book=small_book,
-                               plan_seed=0)
+                               plan=plan)
             assert step.evaluations == count, (gamma, lam)
 
         masked = GuidanceConfig(lam=1.0, fraction=1.0, scale_mask=(3,), reference="corrupted")

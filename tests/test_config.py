@@ -115,6 +115,12 @@ class TestParseConfig:
             (parse_config, {"vocab": 0}, "vocab"),
             (parse_config, {"num_conditions": True}, "num_conditions"),
             (parse_config, {"sampler": {"top_k": 2.5}}, "top_k"),
+            (parse_config, {"sampler": {"top_k": True}}, "top_k"),
+            (parse_config, {"sampler": {"seed": -1}}, "seed"),
+            (parse_config, {"sampler": {"seed": 1.5}}, "seed"),
+            (parse_config, {"sampler": {"seed": True}}, "seed"),
+            (parse_config, {"guidance": {"scale_mask": [1.5]}}, "scale_mask"),
+            (parse_config, {"guidance": {"scale_mask": [True]}}, "scale_mask"),
             (parse_config, {"verify": {"vocab_grid": ["a"]}}, "vocab_grid"),
             (parse_config, {"verify": {"condition_grid": []}}, "condition_grid"),
             (parse_config, {"num_conditions": 2, "condition": 2}, "condition"),

@@ -105,11 +105,6 @@ class TestPlanning:
         assert [len(ids) for ids in plan.uniform_tokens] == [1, 4]
         assert all(0 <= x < BOOK.vocab for ids in plan.uniform_tokens for x in ids)
 
-    def test_plan_scales_are_the_selected_scales(self):
-        plan = plan_corruption(SCHEDULE, 4, 0.1, CorruptionVariant.SAME_SCALE_TOKEN, 3)
-        assert len(plan.selected) == 2
-        assert plan.scales == {j for j, _ in plan.selected}
-
     @given(st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_selected_sites_always_in_prefix(self, seed):

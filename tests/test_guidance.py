@@ -32,6 +32,7 @@ from prefixlab.model import (
     scale_bins,
 )
 from prefixlab.oracle import enumerate_prefixes, softmax
+from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
 from tests.conftest import make_corpus
 
@@ -135,6 +136,14 @@ class TestGuidanceConfig:
         assert cfg.masked_in(2)
         assert GuidanceConfig().masked_in(7)
 
+    @pytest.mark.parametrize("mask", [{1.5, 2.7}, {2.0}, {True}, (2, np.float64(3))])
+    def test_scale_mask_rejects_non_integers(self, mask):
+        with pytest.raises(GuidanceConfigError, match="scale_mask"):
+            GuidanceConfig(scale_mask=mask)
+
+    def test_scale_mask_accepts_numpy_integers(self):
+        assert GuidanceConfig(scale_mask={np.int64(2), np.uint8(3)}).scale_mask == {2, 3}
+
 
 class TestGuidedStepTabular:
     def test_exact_marginal_matches_augmented_law(self, m1):
@@ -214,10 +223,10 @@ class TestGuidedStepCount:
 
     def test_corrupted_branch_counts(self, deep_count, monkeypatch):
         # The clean embedding's two prefix scales are binned once, however
-        # many branches read it. A corrupted branch re-bins only the scales
-        # its plan changes: none for a plan that selects no site (0.05 * 5
-        # prefix sites rounds to 0), one for one selected site, both for
-        # every site or for a uniform prefix.
+        # many branches read it. A corrupted branch signs its corrupted
+        # prefix in full, so a drawn plan re-bins both scales, however many
+        # sites it selects; a step that draws no plan (0.05 * 5 prefix sites
+        # rounds to 0) re-bins none.
         model, book, corpus = deep_count
         binned = []
         monkeypatch.setattr(
@@ -234,33 +243,39 @@ class TestGuidedStepCount:
         cases = [
             (GuidanceConfig(), 1, 0),
             (GuidanceConfig(gamma=1.0), 2, 0),
-            (corrupted(0.0, 0.2), 2, 1),
-            (corrupted(1.0, 0.2), 4, 1),
+            (corrupted(0.0, 0.2), 2, 2),
+            (corrupted(1.0, 0.2), 4, 2),
             (corrupted(1.0, 1.0), 4, 2),
             (corrupted(1.0, 0.05), 4, 0),
             (corrupted(1.0, 0.05, uniform), 4, 2),
         ]
         clean = predict_logits(model, 0, prefix, book=book)
         for config, expected, rebinned in cases:
+            plan = plan_corruption(
+                model.schedule, 3, config.fraction, config.variant, 0, book=book
+            ) if config.draws_plan(3, model.schedule) else None
             binned.clear()
-            step = guided_step(model, 0, prefix, config, book=book, plan_seed=0)
+            step = guided_step(model, 0, prefix, config, book=book, plan=plan)
             assert step.evaluations == expected
             assert len(binned) == len(prefix) + rebinned
-            assert step.plan is None or len(step.plan.scales) == rebinned
+            assert step.plan is plan
             assert np.array_equal(step.branches.cond_gen, clean)
 
-    def test_corrupted_branch_needs_a_plan_or_a_seed(self, small_count, small_book):
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_corrupted_branch_needs_a_plan_and_draws_nothing(
+        self, small_count, small_book, variant, monkeypatch
+    ):
+        # The step draws no plan of its own: without one it raises, and with
+        # one it seeds no generator.
         prefix = [TokenMap(1, np.asarray([[1]]))]
-        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
-        with pytest.raises(IllDefinedLawError, match="scale 2"):
+        config = GuidanceConfig(lam=1.0, fraction=1.0, variant=variant, reference="corrupted")
+        plan = plan_corruption(small_count.schedule, 2, 1.0, variant, seed=0, book=small_book)
+        seeded = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed))
+        with pytest.raises(IllDefinedLawError, match="scale 2 needs a plan"):
             guided_step(small_count, 0, prefix, config, book=small_book)
-        plan = plan_corruption(
-            small_count.schedule, 2, 1.0, config.variant, seed=0, book=small_book
-        )
-        seeded = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
-        fixed = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
-        assert seeded.plan == plan
-        assert np.array_equal(seeded.logits, fixed.logits)
+        assert guided_step(small_count, 0, prefix, config, book=small_book, plan=plan).plan is plan
+        assert seeded == []
 
     @pytest.mark.parametrize("condition", [7, -1])
     def test_unknown_condition_raises_for_both_model_kinds(
@@ -327,7 +342,7 @@ class TestGuidedStepCount:
         self, deep_count, variant, prefix_scales, fraction, gamma
     ):
         # An independent plan -> apply -> sign -> predict computation, for a
-        # fixed plan and for the plan guided_step draws from the same seed.
+        # plan and for another drawn from the same seed.
         model, book, corpus = deep_count
         prefix = corpus[1][1][:prefix_scales]
         k = prefix_scales + 1
@@ -339,7 +354,9 @@ class TestGuidedStepCount:
             gamma=gamma, lam=1.0, fraction=fraction, variant=variant, reference="corrupted"
         )
         fixed = guided_step(model, 1, prefix, config, book=book, plan=plan)
-        drawn = guided_step(model, 1, prefix, config, book=book, plan_seed=4)
+        drawn = guided_step(model, 1, prefix, config, book=book, plan=plan_corruption(
+            model.schedule, k, fraction, variant, seed=4, book=book
+        ))
         assert fixed.plan is plan
         assert drawn.plan == plan
 
@@ -359,51 +376,48 @@ class TestGuidedStepCount:
     def test_fraction_rounding_to_no_site_corrupts_nothing(self, small_count, small_book, variant):
         # The step at scale 2 has one prefix site, and 0.25 * 1 rounds to 0:
         # a site-selecting variant then has no site to corrupt, the step
-        # draws no plan, and the corrupted pair is the clean pair.
+        # needs no plan, and the corrupted pair is the clean pair.
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.25, variant=variant,
                                 reference="corrupted")
         assert not config.draws_plan(2, small_count.schedule)
-        for plan_seed in (3, None):
-            step = guided_step(small_count, 0, prefix, config, book=small_book,
-                               plan_seed=plan_seed)
-            assert step.plan is None
-            b = step.branches
-            assert np.array_equal(b.cond_corr, b.cond_gen)
-            assert np.array_equal(b.null_corr, b.null_gen)
-            assert step.evaluations == 4
+        step = guided_step(small_count, 0, prefix, config, book=small_book)
+        assert step.plan is None
+        b = step.branches
+        assert np.array_equal(b.cond_corr, b.cond_gen)
+        assert np.array_equal(b.null_corr, b.null_gen)
+        assert step.evaluations == 4
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     def test_fraction_outside_unit_interval_raises(self, small_count, small_book, variant):
         # -0.1 * 1 prefix site rounds to 0 sites, but the fraction is still
         # rejected rather than read as "no site".
-        prefix = [TokenMap(1, np.asarray([[1]]))]
         for bad in (-0.1, 1.5):
             config = GuidanceConfig(lam=1.0, fraction=bad, variant=variant,
                                     reference="corrupted")
             with pytest.raises(InvalidFractionError):
-                guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=0)
+                rollouts(small_count, 0, config, SamplerConfig(), small_book, 1)
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     def test_step_that_selects_no_site_seeds_no_generator(
         self, small_count, small_book, variant, monkeypatch
     ):
-        # 0.25 * 1 prefix site rounds to 0. Only the uniform-prefix variant,
-        # which draws whole grids, draws a plan and seeds its generator.
+        # 0.25 * 1 prefix site rounds to 0. Besides the sample's own
+        # generator, only the uniform-prefix variant, which draws whole
+        # grids, draws a plan and seeds its generator.
         seeded = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(
             np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
         )
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
-        prefix = [TokenMap(1, np.asarray([[1]]))]
-        step = guided_step(small_count, 0, prefix, config, book=small_book, plan_seed=9)
+        step = rollouts(small_count, 0, config, SamplerConfig(seed=9), small_book, 1)[0].trace[1]
         if variant is CorruptionVariant.UNIFORM_PREFIX:
-            assert seeded == [9]
-            assert step.plan.selected == () and step.plan.scales == {1}
+            assert seeded == [9, step.plan.seed]
+            assert step.plan.selected == ()
             assert [len(ids) for ids in step.plan.uniform_tokens] == [1]
         else:
-            assert seeded == []
+            assert seeded == [9]
             assert step.plan is None
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
@@ -436,8 +450,12 @@ class TestGuidedStepCount:
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
-        step = guided_step(
-            small_count, 0, prefix, config, book=small_book, plan_seed=5
-        )
-        assert step.plan is not None
-        assert step.plan.seed == 5
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, book=small_book)
+        step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+        corrupted = small_count.sign(apply_corruption(
+            small_count.embed(prefix, small_book).embedding, plan, small_book,
+            small_count.schedule, small_count.params,
+        ))
+        assert step.plan is plan
+        for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
+            assert np.array_equal(got, predict_logits(small_count, cond, prefix, signed=corrupted))

@@ -335,7 +335,7 @@ class TestSeededTables:
 
     def test_built_once_per_model(self, monkeypatch, small_schedule, small_book):
         from prefixlab import model as model_module
-        from prefixlab.corruption import CorruptionVariant
+        from prefixlab.corruption import CorruptionVariant, plan_corruption
         from prefixlab.guidance import GuidanceConfig, guided_step
         from tests.conftest import make_corpus
 
@@ -356,7 +356,8 @@ class TestSeededTables:
                 gamma=1.0, lam=1.0, fraction=1.0,
                 variant=CorruptionVariant.UNIFORM_PREFIX, reference="corrupted",
             )
-            guided_step(model, 0, corpus[0][1][:1], config, book=small_book, plan_seed=0)
+            plan = plan_corruption(small_schedule, 2, 1.0, config.variant, 0, book=small_book)
+            guided_step(model, 0, corpus[0][1][:1], config, book=small_book, plan=plan)
         assert len(builds) == 2
 
     @pytest.mark.parametrize("bins", [1, 2, 5])

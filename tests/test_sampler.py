@@ -43,6 +43,17 @@ class TestSamplerConfig:
         with pytest.raises(InvalidInputError):
             SamplerConfig(top_p=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("top_k", 1.5), ("top_k", True),
+    ])
+    def test_rejects_non_integer_fields_by_name(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            SamplerConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = SamplerConfig(top_k=np.int64(2), seed=np.uint32(3))
+        assert (config.top_k, config.seed) == (2, 3)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_temperature(self, value):
         with pytest.raises(InvalidInputError, match="temperature"):
@@ -268,14 +279,18 @@ class TestSampling:
 
 
 def reference_rollouts(model, condition, gconfig, sconfig, book, count):
-    """One sample at a time: the loop the batched rollouts must reproduce."""
+    """One sample at a time: the loop the batched rollouts must reproduce. A
+    step that draws a corruption plan draws it from the sample's stream."""
     out = []
     for i in range(count):
         rng = np.random.default_rng(sconfig.seed + i)
         maps, steps = [], []
         for k in range(1, model.schedule.num_scales + 1):
             plan_seed = int(rng.integers(2**32))
-            step = guided_step(model, condition, maps, gconfig, book=book, plan_seed=plan_seed)
+            plan = plan_corruption(
+                model.schedule, k, gconfig.fraction, gconfig.variant, plan_seed, book=book
+            ) if gconfig.draws_plan(k, model.schedule) else None
+            step = guided_step(model, condition, maps, gconfig, book=book, plan=plan)
             ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]
             maps.append(TokenMap(k, ids))
             steps.append(step)
@@ -517,7 +532,7 @@ class TestSharedSteps:
         calls = []
         monkeypatch.setattr(
             "prefixlab.sampler.guided_step",
-            lambda *args, **kwargs: calls.append(kwargs["plan_seed"]) or guided_step(
+            lambda *args, **kwargs: calls.append(kwargs["plan"]) or guided_step(
                 *args, **kwargs),
         )
         # Tabular: scale 1 has one input; scale 2 one per distinct scale-1 map.
@@ -531,8 +546,9 @@ class TestSharedSteps:
             twin = next(o for o in results if o.maps[0].key() == r.maps[0].key())
             assert r.trace[1] is twin.trace[1]
             assert not r.trace[1].logits.flags.writeable
-        # Count model: the corrupted steps at scales 2 and 3 draw one plan
-        # each per sample; scale 1 is shared.
+        # Count model: the corrupted steps at scales 2 and 3 run under one
+        # plan each per sample, each from its sample's stream; scale 1 is
+        # shared.
         calls.clear()
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
         results = rollouts(multisite_count, 0, gconfig, SamplerConfig(seed=2),
@@ -540,6 +556,7 @@ class TestSharedSteps:
         assert calls[0] is None and None not in calls[1:]
         assert len(calls) == 1 + 2 * 6
         assert len({id(r.trace[2]) for r in results}) == 6
+        assert len({r.trace[2].plan.seed for r in results}) == 6
 
 
 class TestRolloutLaw:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError, InvalidScheduleError, InvalidTokenError
+from prefixlab.model import prefix_key
 from prefixlab.tokenizer import (
     Codebook,
     ScaleSchedule,
@@ -99,6 +100,44 @@ class TestCodebook:
         vectors[1, 2, 0] = value
         with pytest.raises(InvalidInputError, match="finite"):
             Codebook(vectors)
+
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_table_outside_the_scales_raises(self, k):
+        schedule = ScaleSchedule(((1, 1), (1, 1)))
+        book = Codebook.seeded(2, 3, 2, seed=0)
+        ids = np.zeros((1, 1), dtype=np.int64)
+        for decode in (lambda: book.table(k), lambda: dequantize(k, ids, book),
+                       lambda: decode_maps([TokenMap(k, ids)], schedule, book)):
+            with pytest.raises(InvalidScheduleError, match=f"scale {k} outside 1..2"):
+                decode()
+
+
+# Each entry point rejects float and bool values where it needs integers.
+NON_INTEGER_VALUES = {
+    "token_map_floats": (lambda: TokenMap(1, [[0.7, 1.9]]), InvalidInputError),
+    "token_map_float_array": (lambda: TokenMap(1, np.zeros((1, 2))), InvalidInputError),
+    "token_map_bools": (lambda: TokenMap(1, [[True, False]]), InvalidInputError),
+    "token_map_bool_among_ints": (lambda: TokenMap(1, [[True, 1]]), InvalidInputError),
+    "token_map_bool_array": (lambda: TokenMap(1, np.ones((1, 2), bool)), InvalidInputError),
+    "prefix_key_floats": (lambda: prefix_key([(0, 1), (0.7, 1.9)]), InvalidInputError),
+    "prefix_key_float_array": (lambda: prefix_key([np.asarray([1.0])]), InvalidInputError),
+    "prefix_key_bools": (lambda: prefix_key([(True,)]), InvalidInputError),
+    "schedule_floats": (lambda: ScaleSchedule(((1.5, 1), (2.9, 2))), InvalidScheduleError),
+    "schedule_bools": (lambda: ScaleSchedule(((True, True),)), InvalidScheduleError),
+}
+
+
+@pytest.mark.parametrize("build, error", NON_INTEGER_VALUES.values(), ids=NON_INTEGER_VALUES)
+def test_non_integer_values_rejected(build, error):
+    with pytest.raises(error, match="integers"):
+        build()
+
+
+def test_numpy_integers_accepted():
+    assert TokenMap(1, [[np.int64(1), np.uint8(2)]]).key() == (1, 2)
+    assert TokenMap(1, np.ones((1, 2), np.int32)).ids.dtype == np.int64
+    assert prefix_key([np.asarray([1, 2], np.int32)]) == ((1, 2),)
+    assert ScaleSchedule(((np.int64(1), np.int32(2)),)).dims == ((1, 2),)
 
 
 class TestResampling:

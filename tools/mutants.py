@@ -105,6 +105,10 @@ MUTANTS = (
                       "cumulative sum exactly, which a double draw does not hit"),
     Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
            "return prefix_key(prefix)", "return prefix_key(prefix[:-1])"),
+    Mutant("rollouts_plan_from_first_sample", "src/prefixlab/sampler.py",
+           "plan_seeds[i]", "plan_seeds[0]"),
+    Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
+           "plan is None and config.draws_plan(k, model.schedule)", "False"),
     Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/guidance.py",
            "self.variant is CorruptionVariant.UNIFORM_PREFIX", "False"),
     Mutant("no_site_step_draws_plan", "src/prefixlab/guidance.py",
