@@ -4,9 +4,10 @@ Frozen dataclasses are the only schema; a section lives with its reader
 (``VerifySpec`` in oracle, ``SweepGrid`` in harness). ``RunConfig()`` holds
 every default: the CLI runs it when no file is given, and
 ``data/default_config.json`` is its written-out copy. ``parse_config`` takes
-each key's type from its field's annotation and its range from ``_BOUNDS``.
-Unknown keys and malformed or out-of-range values are rejected by name, never
-coerced. The corpus CSV that ``model.corpus_path`` names is read and written here.
+each key's type from its field's annotation; its range is declared on the
+field (``errors.bounded``) and checked whenever the dataclass is built. Unknown
+keys and malformed or out-of-range values are rejected by name, never coerced.
+The corpus CSV that ``model.corpus_path`` names is read and written here.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import types
 import typing
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from itertools import islice
 
-from .errors import ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError
+from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT_INTERVAL,
+                     ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError, bounded,
+                     check_fields, one_of)
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
 from .model import check_corpus_sequence, prefix_maps
@@ -31,29 +33,6 @@ from .tokenizer import Codebook, ScaleSchedule
 
 CONFIG_VERSION = 1
 
-# JSON keys that differ from their dataclass field names.
-_JSON_KEYS = {"lam": "lambda", "fraction": "n_p", "fractions": "n_ps"}
-
-# The values a key may take beyond its type, by JSON key. A list-valued key
-# is checked element by element.
-_BOUNDS = {
-    **dict.fromkeys(
-        ("schedule", "vocab", "num_conditions", "latent_dim", "embed_dim",
-         "signature_bins", "corpus_count", "vocab_grid", "condition_grid",
-         "scale_mask", "scale_masks", "replicates", "n_samples", "top_k"),
-        (lambda v: v >= 1, "at least 1"),
-    ),
-    **dict.fromkeys(("models", "seed", "codebook_seed", "embed_seed", "signature_seed",
-                     "corpus_seed"), (lambda v: v >= 0, "at least 0")),
-    **dict.fromkeys(("n_p", "n_ps"), (lambda v: 0 <= v <= 1, "inside [0, 1]")),
-    **dict.fromkeys(("tolerance", "gamma", "lambda", "gammas", "lambdas"),
-                    (lambda v: 0 <= v < math.inf, "finite and at least 0")),
-    "alpha": (lambda v: v > 0, "above 0"),
-    "kind": (lambda v: v in ("tabular", "count"), "'tabular' or 'count'"),
-    "metric": (lambda v: v in ("exact_kl", "toy_frechet"), "'exact_kl' or 'toy_frechet'"),
-}
-
-
 def _checked(key: str, value, kind: type):
     """``value`` as a JSON value of ``kind``, or a ConfigError naming ``key``.
 
@@ -62,9 +41,8 @@ def _checked(key: str, value, kind: type):
     """
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(
-            f"bad value for config key '{key}': expected {kind.__name__}, got {value!r}"
-        )
+        raise ConfigError(f"bad value for config key '{key}': "
+                          f"expected {kind.__name__}, got {value!r}")
     return kind(value)
 
 
@@ -74,8 +52,8 @@ def _reject_unknown(section: dict, where: str) -> None:
 
 
 def _value(key: str, hint, raw, default=None):
-    """The JSON value ``raw`` as a value of the annotated type ``hint``, inside
-    the bounds of ``key``; ``default`` is the section a dataclass starts from."""
+    """The JSON value ``raw`` as a value of the annotated type ``hint``;
+    ``default`` is the section a dataclass starts from."""
     if hint is ScaleSchedule:
         try:
             return ScaleSchedule(_value(key, tuple[tuple[int, ...], ...], raw))
@@ -99,10 +77,7 @@ def _value(key: str, hint, raw, default=None):
             raise ConfigError(
                 f"bad value for config key '{key}': unknown {hint.__name__} {raw!r}"
             ) from None
-    value = _checked(key, raw, hint)
-    if key in _BOUNDS and not _BOUNDS[key][0](value):
-        raise ConfigError(f"bad value for config key '{key}': {value!r} is not {_BOUNDS[key][1]}")
-    return value
+    return _checked(key, raw, hint)
 
 
 @functools.cache
@@ -110,31 +85,30 @@ def _type_hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+def _json_key(f) -> str:
+    return f.metadata.get("json") or f.name
+
+
 def _parse_section(cls, raw: dict, default, where: str):
     """``default`` with each field that ``raw`` sets replaced by its parsed value."""
     hints = _type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        key = _JSON_KEYS.get(f.name, f.name)
-        if key in raw:
-            values[f.name] = _value(key, hints[f.name], raw.pop(key), getattr(default, f.name))
+    keys = {f.name: _json_key(f) for f in fields(cls)}
+    values = {name: _value(key, hints[name], raw.pop(key), getattr(default, name))
+              for name, key in keys.items() if key in raw}
     _reject_unknown(raw, where)
     try:
         return replace(default, **values)
-    except ConfigError:
-        raise
     except PrefixLabError as exc:
-        raise ConfigError(f"bad {where} section: {exc}") from exc
+        if not hasattr(exc, "field"):
+            raise
+        raise ConfigError(f"bad value for config key '{keys[exc.field]}': {exc}") from exc
 
 
 def _json_form(value):
     if isinstance(value, ScaleSchedule):
         return [list(d) for d in value.dims]
     if is_dataclass(value):
-        return {
-            _JSON_KEYS.get(f.name, f.name): _json_form(getattr(value, f.name))
-            for f in fields(value)
-        }
+        return {_json_key(f): _json_form(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, frozenset):
@@ -146,35 +120,41 @@ def _json_form(value):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str = "tabular"
-    seed: int = 3
-    alpha: float = 1.0
-    signature_bins: int = 4
-    signature_seed: int = 0
+    kind: str = bounded("tabular", one_of("tabular", "count"))
+    seed: int = bounded(3, NONNEGATIVE_INT)
+    alpha: float = bounded(1.0, POSITIVE)
+    signature_bins: int = bounded(4, POSITIVE_INT)
+    signature_seed: int = bounded(0, NONNEGATIVE_INT)
     include_null: bool = True
     corpus_path: str | None = None
-    corpus_count: int = 40
-    corpus_seed: int = 5
+    corpus_count: int = bounded(40, POSITIVE_INT)
+    corpus_seed: int = bounded(5, NONNEGATIVE_INT)
+
+    def __post_init__(self):
+        check_fields(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class AblateSpec:
-    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0)
-    fraction: float = 0.1
-    replicates: int = 1
-    seed: int = 0
-    n_samples: int = 16
+    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0), NONNEGATIVE)
+    fraction: float = bounded(0.1, UNIT_INTERVAL, "n_p")
+    replicates: int = bounded(1, POSITIVE_INT)
+    seed: int = bounded(0, NONNEGATIVE_INT)
+    n_samples: int = bounded(16, POSITIVE_INT)
+
+    def __post_init__(self):
+        check_fields(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     schedule: ScaleSchedule = ScaleSchedule(((1, 1), (1, 1)))
-    vocab: int = 2
-    num_conditions: int = 1
-    latent_dim: int = 2
-    codebook_seed: int = 7
-    embed_dim: int = 4
-    embed_seed: int = 11
+    vocab: int = bounded(2, POSITIVE_INT)
+    num_conditions: int = bounded(1, POSITIVE_INT)
+    latent_dim: int = bounded(2, POSITIVE_INT)
+    codebook_seed: int = bounded(7, NONNEGATIVE_INT)
+    embed_dim: int = bounded(4, POSITIVE_INT)
+    embed_seed: int = bounded(11, NONNEGATIVE_INT)
     condition: int = 0
     output_dir: str = "out"
     model: ModelSpec = ModelSpec()
@@ -185,11 +165,11 @@ class RunConfig:
     ablate: AblateSpec = AblateSpec()
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if not 0 <= self.condition < self.num_conditions:
-            raise ConfigError(
-                f"bad value for config key 'condition': {self.condition} is outside "
-                f"0..{self.num_conditions - 1} for num_conditions {self.num_conditions}"
-            )
+            raise ConfigError(f"bad value for config key 'condition': {self.condition} is "
+                              f"outside 0..{self.num_conditions - 1} for num_conditions "
+                              f"{self.num_conditions}")
         # A mask naming no scale of the schedule would silently turn the
         # prefix contrast off.
         scales = self.schedule.num_scales
@@ -209,16 +189,12 @@ class RunConfig:
             frechet_samples.append(self.sweep.n_samples)
         for n_samples in frechet_samples:
             if n_samples < 2:
-                raise ConfigError(
-                    f"bad value for config key 'n_samples': {n_samples} is not at "
-                    f"least 2 for the toy_frechet metric"
-                )
+                raise ConfigError(f"bad value for config key 'n_samples': {n_samples} is not at "
+                                  "least 2 for the toy_frechet metric")
 
     def codebook(self) -> Codebook:
-        return Codebook.seeded(
-            self.schedule.num_scales, self.vocab, self.latent_dim,
-            self.codebook_seed,
-        )
+        return Codebook.seeded(self.schedule.num_scales, self.vocab, self.latent_dim,
+                               self.codebook_seed)
 
 
 def parse_config(data: dict) -> RunConfig:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InconsistentPlanError, InvalidFractionError
+from .errors import UNIT_INTERVAL, InconsistentPlanError, InvalidFractionError
 from .model import EmbeddingParams, PrefixEmbedding, embed_prefix, prefix_maps
 from .tokenizer import Codebook, ScaleSchedule
 
@@ -55,8 +55,8 @@ def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
     even when the float product lands a hair below (e.g. 0.7 * 5). A fraction
     outside [0, 1] raises InvalidFractionError.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise InvalidFractionError(f"corruption fraction {fraction} outside [0, 1]")
+    if not UNIT_INTERVAL.holds(fraction):
+        raise InvalidFractionError(f"corruption fraction {fraction!r} is not {UNIT_INTERVAL.text}")
     return _round_half_up(schedule.prefix_sites(k), fraction)
 
 

@@ -1,11 +1,63 @@
-"""Exception hierarchy shared across the package, and its integer test."""
+"""Exception hierarchy shared across the package, its integer and number
+tests, and the field bounds that every schema dataclass checks when built."""
 
-from numbers import Integral
+import math
+from dataclasses import field, fields
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 
 def integral(value) -> bool:
     """An int or NumPy integer, not a bool; a boundary coerces no other value."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def real(value) -> bool:
+    """An int, float or NumPy number, not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+class Bound(NamedTuple):
+    """The values a schema field may take: ``holds`` tests one, ``text`` names them."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+
+INTEGER = Bound("an integer", integral)
+NONNEGATIVE_INT = Bound("an integer at least 0", lambda v: integral(v) and v >= 0)
+POSITIVE_INT = Bound("an integer at least 1", lambda v: integral(v) and v >= 1)
+NONNEGATIVE = Bound("a finite number at least 0", lambda v: real(v) and 0 <= v < math.inf)
+POSITIVE = Bound("a finite number above 0", lambda v: real(v) and 0 < v < math.inf)
+UNIT_INTERVAL = Bound("a number inside [0, 1]", lambda v: real(v) and 0 <= v <= 1)
+
+
+def one_of(*choices: str) -> Bound:
+    return Bound(" or ".join(map(repr, choices)), lambda v: v in choices)
+
+
+def bounded(default, bound: Bound, json: str | None = None):
+    """A schema field of ``default`` held to ``bound``, under config key ``json`` if given."""
+    return field(default=default, metadata={"bound": bound, "json": json})
+
+
+def _members(value) -> list:
+    """``value``'s scalars: itself, or the members of a tuple or set, recursively."""
+    if not isinstance(value, (tuple, list, set, frozenset)):
+        return [value]
+    return [m for v in value for m in _members(v)]
+
+
+def check_fields(obj, error: type) -> None:
+    """Raise ``error``, with ``field`` set, naming the first field of the dataclass ``obj``
+    whose value or tuple or set member breaks its bound (None passes where annotated)."""
+    for f in fields(obj):
+        bound = f.metadata.get("bound")
+        for value in _members(getattr(obj, f.name)) if bound else ():
+            if not (bound.holds(value) or value is None and "None" in str(f.type)):
+                exc = error(f"{f.name} value {value!r} is not {bound.text}")
+                exc.field = f.name
+                raise exc
 
 
 class PrefixLabError(Exception):
@@ -67,3 +119,4 @@ class SupportViolationError(PrefixLabError):
 
 class ConfigError(PrefixLabError):
     """A run configuration file is malformed."""
+

@@ -17,19 +17,13 @@ implemented.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, selection_size
-from .errors import (
-    GuidanceConfigError,
-    IllDefinedLawError,
-    InvalidInputError,
-    MissingBranchError,
-    integral,
-)
+from .errors import (INTEGER, NONNEGATIVE, UNIT_INTERVAL, GuidanceConfigError, IllDefinedLawError,
+                     InvalidInputError, MissingBranchError, bounded, check_fields, one_of)
 from .model import (
     Condition,
     CountModel,
@@ -52,29 +46,16 @@ class GuidanceConfig:
     the brute-force per-site prefix marginal (enumerable models only).
     """
 
-    gamma: float = 0.0
-    lam: float = 0.0
-    fraction: float = 0.0
+    gamma: float = bounded(0.0, NONNEGATIVE)
+    lam: float = bounded(0.0, NONNEGATIVE, "lambda")
+    fraction: float = bounded(0.0, UNIT_INTERVAL, "n_p")
     variant: CorruptionVariant = CorruptionVariant.SAME_SCALE_FULL_EMBEDDING
-    scale_mask: frozenset[int] | None = None
-    reference: str = "exact-marginal"
+    scale_mask: frozenset[int] | None = bounded(None, INTEGER)
+    reference: str = bounded("exact-marginal", one_of("corrupted", "exact-marginal"))
 
     def __post_init__(self):
-        for name in ("gamma", "lam"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise GuidanceConfigError(
-                    f"guidance strength {name} must be finite and >= 0, "
-                    f"got {getattr(self, name)!r}"
-                )
-        if not math.isfinite(self.fraction):
-            raise GuidanceConfigError(
-                f"corruption fraction must be finite, got {self.fraction!r}"
-            )
-        if self.reference not in ("corrupted", "exact-marginal"):
-            raise GuidanceConfigError(f"unknown reference mode {self.reference!r}")
+        check_fields(self, GuidanceConfigError)
         if self.scale_mask is not None:
-            if not all(map(integral, self.scale_mask)):
-                raise GuidanceConfigError(f"scale_mask must be integers, got {self.scale_mask!r}")
             object.__setattr__(self, "scale_mask", frozenset(int(k) for k in self.scale_mask))
 
     def masked_in(self, k: int) -> bool:

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, SupportViolationError
+from .errors import (INTEGER, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE_INT, UNIT_INTERVAL,
+                     InvalidInputError, SupportViolationError, bounded, check_fields, one_of)
 from .corruption import CorruptionVariant
 from .guidance import GuidanceConfig
 from .model import Condition
@@ -121,22 +122,19 @@ class SweepGrid:
     between ``n_samples`` guided rollout latents and the reference images.
     """
 
-    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    fractions: tuple[float, ...] = (0.0,)
-    variants: tuple[CorruptionVariant, ...] = (
-        CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
-    )
-    scale_masks: tuple[frozenset[int] | None, ...] = (None,)
-    replicates: int = 1
-    seed: int = 0
-    metric: str = "exact_kl"
-    n_samples: int = 16
+    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 2.0), NONNEGATIVE)
+    fractions: tuple[float, ...] = bounded((0.0,), UNIT_INTERVAL, "n_ps")
+    variants: tuple[CorruptionVariant, ...] = (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,)
+    scale_masks: tuple[frozenset[int] | None, ...] = bounded((None,), INTEGER)
+    replicates: int = bounded(1, POSITIVE_INT)
+    seed: int = bounded(0, NONNEGATIVE_INT)
+    metric: str = bounded("exact_kl", one_of("exact_kl", "toy_frechet"))
+    n_samples: int = bounded(16, POSITIVE_INT)
 
     def __post_init__(self):
         if not (self.lambdas and self.fractions and self.variants and self.scale_masks):
             raise InvalidInputError("sweep grid axes must be non-empty")
-        if self.replicates < 1:
-            raise InvalidInputError("replicate count must be >= 1")
+        check_fields(self, InvalidInputError)
 
     def cells(self):
         idx = 0
@@ -203,20 +201,13 @@ def _cell_metric(
     grid: SweepGrid, spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int
 ) -> float:
     if grid.metric == "exact_kl":
-        guided = rollout_distribution(
-            spec.model, spec.condition, gconfig, spec.sampler, spec.book
-        )
-        baseline = rollout_distribution(
-            spec.model, spec.condition, GuidanceConfig(), SamplerConfig(), spec.book
-        )
+        guided = rollout_distribution(spec.model, spec.condition, gconfig, spec.sampler, spec.book)
+        baseline = rollout_distribution(spec.model, spec.condition, GuidanceConfig(),
+                                        SamplerConfig(), spec.book)
         return exact_kl(guided, baseline)
-    if grid.metric == "toy_frechet":
-        results = rollouts(
-            spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
-            spec.book, grid.n_samples,
-        )
-        return toy_frechet([r.latent for r in results], spec.reference_fit)
-    raise InvalidInputError(f"unknown sweep metric {grid.metric!r}")
+    results = rollouts(spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
+                       spec.book, grid.n_samples)
+    return toy_frechet([r.latent for r in results], spec.reference_fit)
 
 
 def run_sweep(grid: SweepGrid, spec: ExperimentSpec) -> list[MetricRow]:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, MissingRowError, TooLargeError, integral
+from .errors import POSITIVE, InvalidInputError, MissingRowError, TooLargeError, integral
 from .tokenizer import Codebook, ScaleSchedule, TokenMap, accumulate_latent, pool
 
 # The null condition is the reserved value contrasted against class ids.
@@ -393,8 +393,8 @@ def fit_count_model(
     """Aggregate per-(scale, condition, signature) token counts over a corpus."""
     if len(corpus) == 0:
         raise InvalidInputError("count-model corpus must be non-empty")
-    if alpha <= 0:
-        raise InvalidInputError("smoothing constant alpha must be > 0")
+    if not POSITIVE.holds(alpha):
+        raise InvalidInputError(f"smoothing constant alpha {alpha!r} is not {POSITIVE.text}")
     counts: dict = {}
     model = CountModel(
         schedule, vocab, num_conditions, alpha,

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE_INT, InvalidInputError, bounded,
+                     check_fields)
 from .model import (
     Condition,
     NULL_CONDITION,
@@ -250,12 +251,15 @@ class VerifySpec:
     """The config's ``verify`` section: ``verify_identities`` reads the row
     tolerance and strengths, the ``verify`` command the model grid too."""
 
-    tolerance: float = 1e-9
-    models: int = 100
-    vocab_grid: tuple[int, ...] = (2, 3, 5)
-    condition_grid: tuple[int, ...] = (1, 2, 3)
-    gammas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 3.0)
-    lambdas: tuple[float, ...] = (0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0)
+    tolerance: float = bounded(1e-9, NONNEGATIVE)
+    models: int = bounded(100, NONNEGATIVE_INT)
+    vocab_grid: tuple[int, ...] = bounded((2, 3, 5), POSITIVE_INT)
+    condition_grid: tuple[int, ...] = bounded((1, 2, 3), POSITIVE_INT)
+    gammas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.5, 3.0), NONNEGATIVE)
+    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0), NONNEGATIVE)
+
+    def __post_init__(self):
+        check_fields(self, InvalidInputError)
 
 
 def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:

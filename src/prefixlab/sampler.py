@@ -17,14 +17,14 @@ cumulative law: the same random stream, token ids and generator state as one
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corruption import CorruptionPlan, plan_corruption
-from .errors import DegenerateDistributionError, InvalidInputError, integral
+from .errors import (NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Bound, DegenerateDistributionError,
+                     InvalidInputError, bounded, check_fields, real)
 from .guidance import GuidanceConfig, GuidedStep, guided_step
 from .model import Condition, CountModel, SignedEmbedding, TokenMap, prefix_key, prefix_maps
 from .oracle import Distribution, chain_law, softmax
@@ -33,28 +33,21 @@ from .tokenizer import Codebook, accumulate_latent
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    temperature: float = 1.0
-    top_k: int | None = None
-    top_p: float = 1.0
-    seed: int = 0
+    temperature: float = bounded(1.0, POSITIVE)
+    top_k: int | None = bounded(None, POSITIVE_INT)
+    top_p: float = bounded(1.0, Bound("a number inside (0, 1]", lambda v: real(v) and 0 < v <= 1))
+    seed: int = bounded(0, NONNEGATIVE_INT)
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise InvalidInputError(
-                f"temperature must be finite and > 0, got {self.temperature!r}"
-            )
-        if self.top_k is not None and not (integral(self.top_k) and self.top_k >= 1):
-            raise InvalidInputError(f"top_k must be an integer >= 1, got {self.top_k!r}")
-        if not (integral(self.seed) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 < self.top_p <= 1:
-            raise InvalidInputError("top_p must lie in (0, 1]")
+        check_fields(self, InvalidInputError)
 
 
 def truncated_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
     """Per-site truncated distributions for a (..., V) logit grid, one pass."""
     logits = np.asarray(logits, dtype=float)
     vocab = logits.shape[-1]
+    if np.isnan(logits).any():
+        raise DegenerateDistributionError("logits hold NaN")
     if not np.all(np.any(logits > -np.inf, axis=-1)):
         raise DegenerateDistributionError("all logits are -inf")
     scaled = logits.reshape(-1, vocab) / config.temperature

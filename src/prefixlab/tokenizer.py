@@ -88,8 +88,8 @@ class Codebook:
         return self.vectors.shape[2]
 
     def table(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.num_scales:
-            raise InvalidScheduleError(f"scale {k} outside 1..{self.num_scales}")
+        if not (integral(k) and 1 <= k <= self.num_scales):
+            raise InvalidScheduleError(f"scale {k!r} outside 1..{self.num_scales}")
         return self.vectors[k - 1]
 
     @classmethod
@@ -109,6 +109,8 @@ class TokenMap:
     ids: np.ndarray
 
     def __post_init__(self):
+        if not integral(self.k):
+            raise InvalidInputError(f"scale {self.k!r} is not an integer")
         # A list's ids are checked one by one: NumPy would read its bools as ints.
         ids = self.ids if isinstance(self.ids, np.ndarray) else np.asarray(self.ids, dtype=object)
         if not (all(map(integral, ids.flat)) if ids.dtype == object else ids.dtype.kind in "iu"):

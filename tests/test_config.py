@@ -4,12 +4,15 @@ import csv
 import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from prefixlab.config import (
+    AblateSpec,
     ConfigError,
+    ModelSpec,
     RunConfig,
     config_to_json,
     corpus_from_csv,
@@ -17,8 +20,18 @@ from prefixlab.config import (
     parse_config,
 )
 from prefixlab.corruption import CorruptionVariant
+from prefixlab.errors import PrefixLabError
+from prefixlab.guidance import GuidanceConfig
+from prefixlab.harness import SweepGrid
 from prefixlab.model import CountModel, SignatureSpec, fit_count_model
+from prefixlab.oracle import VerifySpec
+from prefixlab.sampler import SamplerConfig
 from prefixlab.tokenizer import ScaleSchedule
+
+
+def _as_json(value):
+    """``value`` as the config reads it: a tuple or set is a list."""
+    return [_as_json(v) for v in value] if isinstance(value, (tuple, frozenset)) else value
 
 
 class TestParseConfig:
@@ -161,23 +174,72 @@ class TestParseConfig:
             (parse_config, {"embed_seed": -1}, "embed_seed"),
             (parse_config, {"model": {"signature_seed": -1}}, "signature_seed"),
             (parse_config, {"model": {"corpus_seed": -1}}, "corpus_seed"),
+            (parse_config, {"model": {"alpha": math.inf}}, "alpha"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load(data)
 
+    @pytest.mark.parametrize(
+        "cls, field, value, key",
+        [
+            (RunConfig, "vocab", 0, "vocab"),
+            (RunConfig, "latent_dim", -1, "latent_dim"),
+            (RunConfig, "embed_seed", -1, "embed_seed"),
+            (ModelSpec, "kind", "bogus", "kind"),
+            (ModelSpec, "alpha", -1.0, "alpha"),
+            (ModelSpec, "alpha", math.inf, "alpha"),
+            (ModelSpec, "corpus_count", 0, "corpus_count"),
+            (AblateSpec, "fraction", 7.0, "n_p"),
+            (AblateSpec, "n_samples", 0, "n_samples"),
+            (AblateSpec, "lambdas", (0.0, -1.0), "lambdas"),
+            (VerifySpec, "tolerance", -1.0, "tolerance"),
+            (VerifySpec, "models", -1, "models"),
+            (VerifySpec, "gammas", (0.0, math.inf), "gammas"),
+            (VerifySpec, "vocab_grid", (2, 0), "vocab_grid"),
+            (GuidanceConfig, "gamma", True, "gamma"),
+            (GuidanceConfig, "lam", True, "lambda"),
+            (GuidanceConfig, "fraction", True, "n_p"),
+            (GuidanceConfig, "fraction", 1.5, "n_p"),
+            (GuidanceConfig, "lam", math.nan, "lambda"),
+            (GuidanceConfig, "reference", "weird", "reference"),
+            (GuidanceConfig, "scale_mask", frozenset({1.5}), "scale_mask"),
+            (SamplerConfig, "temperature", True, "temperature"),
+            (SamplerConfig, "top_p", True, "top_p"),
+            (SamplerConfig, "top_p", 0.0, "top_p"),
+            (SamplerConfig, "top_k", 0, "top_k"),
+            (SamplerConfig, "seed", -1, "seed"),
+            (SweepGrid, "fractions", (2.0,), "n_ps"),
+            (SweepGrid, "metric", "bogus", "metric"),
+            (SweepGrid, "seed", -3, "seed"),
+            (SweepGrid, "replicates", 0, "replicates"),
+            (SweepGrid, "scale_masks", (None, frozenset({True})), "scale_masks"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+    )
+    def test_construction_and_config_reject_the_same_value(self, cls, field, value, key):
+        # A field's bound has one owner, its schema class: building the class
+        # directly names the field, and the config names its JSON key.
+        with pytest.raises(PrefixLabError, match=rf"\b{field}\b"):
+            cls(**{field: value})
+        section = {type(getattr(RunConfig(), f.name)): f.name for f in fields(RunConfig)}
+        raw = _as_json(value)
+        data = {key: raw} if cls is RunConfig else {section[cls]: {key: raw}}
+        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+            parse_config(data)
+
     def test_exact_kl_sweep_accepts_one_sample(self):
         # exact_kl computes laws and never reads n_samples.
         assert parse_config({"sweep": {"n_samples": 1}}).sweep.n_samples == 1
 
     def test_invalid_sampler_values_rejected(self):
-        with pytest.raises(ConfigError, match="sampler"):
+        with pytest.raises(ConfigError, match="config key 'temperature'"):
             parse_config({"sampler": {"temperature": -1.0}})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_temperature_rejected(self, value):
-        with pytest.raises(ConfigError, match="sampler section: temperature"):
+        with pytest.raises(ConfigError, match="config key 'temperature'"):
             parse_config({"sampler": {"temperature": value}})
 
     def test_codebook_derived_from_config(self):

@@ -8,7 +8,6 @@ from prefixlab.errors import (
     GuidanceConfigError,
     IllDefinedLawError,
     InconsistentPlanError,
-    InvalidFractionError,
     InvalidInputError,
     MissingBranchError,
     MissingRowError,
@@ -125,6 +124,12 @@ class TestGuidanceConfig:
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(GuidanceConfigError, match=field):
             GuidanceConfig(**{field: value})
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_rejects_fraction_outside_unit_interval(self, fraction):
+        # Rejected when built, not first at a scale whose step draws a plan.
+        with pytest.raises(GuidanceConfigError, match="fraction"):
+            GuidanceConfig(lam=1.0, fraction=fraction, reference="corrupted")
 
     def test_rejects_unknown_reference(self):
         with pytest.raises(GuidanceConfigError):
@@ -387,16 +392,6 @@ class TestGuidedStepCount:
         assert np.array_equal(b.cond_corr, b.cond_gen)
         assert np.array_equal(b.null_corr, b.null_gen)
         assert step.evaluations == 4
-
-    @pytest.mark.parametrize("variant", list(CorruptionVariant))
-    def test_fraction_outside_unit_interval_raises(self, small_count, small_book, variant):
-        # -0.1 * 1 prefix site rounds to 0 sites, but the fraction is still
-        # rejected rather than read as "no site".
-        for bad in (-0.1, 1.5):
-            config = GuidanceConfig(lam=1.0, fraction=bad, variant=variant,
-                                    reference="corrupted")
-            with pytest.raises(InvalidFractionError):
-                rollouts(small_count, 0, config, SamplerConfig(), small_book, 1)
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     def test_step_that_selects_no_site_seeds_no_generator(

@@ -166,6 +166,11 @@ class TestSweepGrid:
         with pytest.raises(InvalidInputError):
             SweepGrid(lambdas=(0.0,), replicates=0)
 
+    def test_rejects_unknown_metric(self):
+        # Rejected when built, not recorded as an error in every cell.
+        with pytest.raises(InvalidInputError, match="metric"):
+            SweepGrid(lambdas=(0.0,), metric="bogus")
+
     def test_cell_seed_deterministic_and_distinct(self):
         assert cell_seed(0, 1, 2) == cell_seed(0, 1, 2)
         seeds = {cell_seed(0, i, r) for i in range(10) for r in range(3)}
@@ -199,12 +204,6 @@ class TestRunSweep:
         values = [r.value for r in rows]
         assert all(r.error == "" for r in rows)
         assert values == sorted(values)
-
-    def test_errors_recorded_not_raised(self, m1, m1_book):
-        spec = self.make_spec(m1, m1_book)
-        rows = run_sweep(SweepGrid(lambdas=(0.0,), metric="bogus"), spec)
-        assert rows[0].value is None
-        assert "InvalidInputError" in rows[0].error
 
     def test_csv_schema_and_svg_output(self, m1, m1_book, tmp_path):
         grid = SweepGrid(lambdas=(0.0, 1.0), replicates=2)

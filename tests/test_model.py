@@ -1,5 +1,6 @@
 """Predictors: tabular CPTs, prefix embeddings and smoothed count tables."""
 
+import math
 import re
 
 import numpy as np
@@ -279,11 +280,13 @@ class TestCountModel:
         from tests.conftest import make_corpus
 
         corpus = make_corpus(small_schedule, small_book, 1, 2, seed=0)
-        with pytest.raises(InvalidInputError):
-            fit_count_model(
-                corpus, small_schedule, small_book, 3, 1, alpha=0.0,
-                spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
-            )
+        # An infinite alpha would make every site law NaN.
+        for alpha in (0.0, math.inf):
+            with pytest.raises(InvalidInputError, match="alpha"):
+                fit_count_model(
+                    corpus, small_schedule, small_book, 3, 1, alpha=alpha,
+                    spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+                )
 
     def test_rejects_truncated_sequences(self, small_schedule, small_book):
         corpus = [(0, [TokenMap(1, np.asarray([[0]]))])]

@@ -107,6 +107,17 @@ class TestTruncation:
         with pytest.raises(DegenerateDistributionError):
             truncated_site_law(np.full(3, -np.inf), SamplerConfig())
 
+    def test_nan_logit_rejected_by_name(self):
+        with pytest.raises(DegenerateDistributionError, match="NaN"):
+            truncated_law(np.asarray([np.nan, 0.0]), SamplerConfig())
+
+    def test_overflowing_guidance_rejected_by_name(self, small_tabular):
+        # gamma 1e308 overflows the guided logits, and inf - inf is NaN.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DegenerateDistributionError, match="NaN"):
+            rollout_distribution(small_tabular, 0, GuidanceConfig(gamma=1e308),
+                                 SamplerConfig(), None)
+
     def test_grid_law_shape(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(2, 2, 4))

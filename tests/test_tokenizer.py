@@ -133,8 +133,19 @@ def test_non_integer_values_rejected(build, error):
         build()
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True])
+def test_scale_index_must_be_an_integer(k):
+    with pytest.raises(InvalidInputError, match=f"scale {k!r} is not an integer"):
+        TokenMap(k, [[0]])
+    with pytest.raises(InvalidScheduleError, match=f"scale {k!r} outside"):
+        Codebook.seeded(2, 3, 2, seed=0).table(k)
+
+
 def test_numpy_integers_accepted():
     assert TokenMap(1, [[np.int64(1), np.uint8(2)]]).key() == (1, 2)
+    assert TokenMap(np.int64(2), [[0]]).k == 2
+    book = Codebook.seeded(2, 3, 2, seed=0)
+    assert np.array_equal(book.table(np.int32(2)), book.vectors[1])
     assert TokenMap(1, np.ones((1, 2), np.int32)).ids.dtype == np.int64
     assert prefix_key([np.asarray([1, 2], np.int32)]) == ((1, 2),)
     assert ScaleSchedule(((np.int64(1), np.int32(2)),)).dims == ((1, 2),)

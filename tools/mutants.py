@@ -72,8 +72,8 @@ MUTANTS = (
            "pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))",
            "pair(lambda c: np.log(prefix_marginal_sites(model, condition, k)))"),
     Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
-           "from .errors import InvalidInputError",
-           "from . import guidance\nfrom .errors import InvalidInputError"),
+           "from .errors import (",
+           "from . import guidance\nfrom .errors import ("),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
            "np.log(marginals(NULL_CONDITION)), shape)",
            "np.log(marginals(0)), shape)"),
@@ -134,6 +134,11 @@ MUTANTS = (
            "(totals + self.alpha * self.vocab)", "(totals + self.alpha)"),
     Mutant("null_counts_keep_first_condition", "src/prefixlab/model.py",
            "null += table", "null[...] = table"),
+    Mutant("guidance_fraction_bound_finite_only", "src/prefixlab/guidance.py",
+           'fraction: float = bounded(0.0, UNIT_INTERVAL, "n_p")',
+           'fraction: float = bounded(0.0, UNIT_INTERVAL._replace(holds=np.isfinite), "n_p")'),
+    Mutant("bound_check_skips_tuple_members", "src/prefixlab/errors.py",
+           "return [m for v in value for m in _members(v)]", "return []"),
     Mutant("exact_kl_abs_of_total", "src/prefixlab/harness.py",
            "max(total, 0.0)", "abs(total)",
            equivalent="differs only when rounding makes a KL of equal laws "
