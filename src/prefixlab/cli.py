@@ -51,11 +51,19 @@ SAMPLE_BLOCK = 64
 def _scale_mask(text: str):
     if text == "all":
         return None
-    return [int(k) if k.strip().isdigit() else k for k in text.split(",")]
+    try:
+        return [int(k) if k.strip().isdigit() else k for k in text.split(",")]
+    except ValueError:  # a digit int() does not read, such as '²'
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated scale numbers or 'all', got {text!r}") from None
 
 
 def _top_k(text: str):
-    return int(text) or None
+    try:
+        return int(text) or None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, 0 for no truncation, got {text!r}") from None
 
 
 # Flag -> (the config key it overrides, its text as a JSON value, help).

@@ -90,18 +90,26 @@ def _json_key(f) -> str:
 
 
 def _parse_section(cls, raw: dict, default, where: str):
-    """``default`` with each field that ``raw`` sets replaced by its parsed value."""
+    """``default`` with each field that ``raw`` sets replaced by its parsed value.
+
+    ``where`` is the section's own key, "" at the top level; errors name a
+    field's key qualified by it, as in 'sweep.seed'.
+    """
     hints = _type_hints(cls)
     keys = {f.name: _json_key(f) for f in fields(cls)}
-    values = {name: _value(key, hints[name], raw.pop(key), getattr(default, name))
+
+    def named(key: str) -> str:
+        return f"{where}.{key}" if where else key
+
+    values = {name: _value(named(key), hints[name], raw.pop(key), getattr(default, name))
               for name, key in keys.items() if key in raw}
-    _reject_unknown(raw, where)
+    _reject_unknown(raw, where or "top level")
     try:
         return replace(default, **values)
     except PrefixLabError as exc:
         if not hasattr(exc, "field"):
             raise
-        raise ConfigError(f"bad value for config key '{keys[exc.field]}': {exc}") from exc
+        raise ConfigError(f"bad value for config key '{named(keys[exc.field])}': {exc}") from exc
 
 
 def _json_form(value):
@@ -173,8 +181,8 @@ class RunConfig:
         # A mask naming no scale of the schedule would silently turn the
         # prefix contrast off.
         scales = self.schedule.num_scales
-        for key, masks in (("scale_mask", (self.guidance.scale_mask,)),
-                           ("scale_masks", self.sweep.scale_masks)):
+        for key, masks in (("guidance.scale_mask", (self.guidance.scale_mask,)),
+                           ("sweep.scale_masks", self.sweep.scale_masks)):
             for mask in masks:
                 outside = sorted(k for k in mask or () if not 1 <= k <= scales)
                 if outside:
@@ -184,13 +192,13 @@ class RunConfig:
                     )
         # toy_frechet fits a covariance, which needs two rollouts; ablate
         # always scores with it, a sweep only when its metric is toy_frechet.
-        frechet_samples = [self.ablate.n_samples]
+        frechet_samples = {"ablate": self.ablate.n_samples}
         if self.sweep.metric == "toy_frechet":
-            frechet_samples.append(self.sweep.n_samples)
-        for n_samples in frechet_samples:
+            frechet_samples["sweep"] = self.sweep.n_samples
+        for section, n_samples in frechet_samples.items():
             if n_samples < 2:
-                raise ConfigError(f"bad value for config key 'n_samples': {n_samples} is not at "
-                                  "least 2 for the toy_frechet metric")
+                raise ConfigError(f"bad value for config key '{section}.n_samples': {n_samples} "
+                                  "is not at least 2 for the toy_frechet metric")
 
     def codebook(self) -> Codebook:
         return Codebook.seeded(self.schedule.num_scales, self.vocab, self.latent_dim,
@@ -202,7 +210,7 @@ def parse_config(data: dict) -> RunConfig:
     version = _checked("version", data.pop("version", CONFIG_VERSION), int)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version}")
-    return _parse_section(RunConfig, data, RunConfig(), "top level")
+    return _parse_section(RunConfig, data, RunConfig(), "")
 
 
 def config_to_json(cfg: RunConfig) -> dict:

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UNIT_INTERVAL, InconsistentPlanError, InvalidFractionError
-from .model import EmbeddingParams, PrefixEmbedding, embed_prefix, prefix_maps
+from .model import EmbeddingParams, PrefixEmbedding, embed_prefix
 from .tokenizer import Codebook, ScaleSchedule
 
 
@@ -120,7 +121,7 @@ def plan_corruption(
 
 def apply_corruption(
     embedding: PrefixEmbedding,
-    plan: CorruptionPlan,
+    plan: CorruptionPlan | Sequence[CorruptionPlan],
     book: Codebook,
     schedule: ScaleSchedule,
     params: EmbeddingParams,
@@ -132,33 +133,61 @@ def apply_corruption(
     embedding from the plan's i.i.d. uniform token grids. ``params`` are the
     ``embedding_params`` the embedding was built with, as a fitted count
     model carries them.
+
+    A stacked embedding (``PrefixEmbedding.stack``) takes a sequence of one
+    plan per row, all of one variant, and row i is corrupted under plan i;
+    every scale is rewritten for the whole stack at once. A content vector
+    is projected as a one-row matrix, as one vector's ``x @ proj.T`` is, so a
+    row of the stack equals its one-embedding corruption bit for bit.
     """
-    if plan.step != embedding.step:
+    stacked, step = embedding.stacked, embedding.step
+    plans = tuple(plan) if stacked else (plan,)
+    stack = embedding if stacked else PrefixEmbedding.stack([embedding])
+    if stacked and len(plans) != len(embedding.grids[0]):
         raise InconsistentPlanError(
-            f"plan targets step {plan.step}, embedding is for step {embedding.step}"
+            f"{len(plans)} plans for a stack of {len(embedding.grids[0])} embeddings"
         )
-    if any(j >= embedding.step for j, _ in plan.selected):
-        raise InconsistentPlanError("plan selects sites beyond the prefix")
+    for p in plans:
+        if p.step != step:
+            raise InconsistentPlanError(
+                f"plan targets step {p.step}, embedding is for step {step}"
+            )
+        if any(j >= step for j, _ in p.selected):
+            raise InconsistentPlanError("plan selects sites beyond the prefix")
+    variant = plans[0].variant
+    if any(p.variant is not variant for p in plans):
+        raise InconsistentPlanError("the plans of a stack must share one variant")
 
-    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-        return embed_prefix(prefix_maps(plan.uniform_tokens, schedule), book, schedule, params)
-
-    grids = [g.copy() for g in embedding.grids]
-    proj, pos = params
-    for idx, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
-        grid = grids[j - 1]
-        h, w = schedule.grid(j)
-        tgt = (u // w, u % w)
-        don = (du // w, du % w)
-        if plan.variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
-            grid[tgt] = embedding.grids[j - 1][don]
-        elif plan.variant is CorruptionVariant.SAME_SCALE_TOKEN:
-            grid[tgt] = embedding.pooled[j - 1][don] @ proj.T + pos[j - 1][tgt]
-        elif plan.variant is CorruptionVariant.SAME_SCALE_POSITION:
-            grid[tgt] = embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]
-        elif plan.variant is CorruptionVariant.RANDOM_CODEBOOK:
-            scale_table, code_id = plan.code_draws[idx]
-            vector = book.table(scale_table)[code_id]
-            grid[tgt] = vector @ proj.T + pos[j - 1][tgt]
-    return PrefixEmbedding(tuple(grids), embedding.pooled)
-
+    if variant is CorruptionVariant.UNIFORM_PREFIX:
+        out = embed_prefix([
+            np.array([p.uniform_tokens[j - 1] for p in plans]).reshape((-1,) + schedule.grid(j))
+            for j in range(1, step)
+        ], book, schedule, params)
+    else:
+        grids = [g.copy() for g in stack.grids]
+        proj, pos = params
+        for j in range(1, step):
+            # Row, target site, donor site and selection index of every site
+            # of scale j that a plan of the stack selects.
+            picks = [(i, u, du, n) for i, p in enumerate(plans)
+                     for n, ((sj, u), (_, du)) in enumerate(zip(p.selected, p.donors))
+                     if sj == j]
+            if not picks:
+                continue
+            i, u, du, n = np.array(picks).T
+            w = schedule.grid(j)[1]
+            tgt, don = (i, u // w, u % w), (i, du // w, du % w)
+            if variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
+                grids[j - 1][tgt] = stack.grids[j - 1][don]
+                continue
+            if variant is CorruptionVariant.SAME_SCALE_TOKEN:
+                content, at = stack.pooled[j - 1][don], tgt
+            elif variant is CorruptionVariant.SAME_SCALE_POSITION:
+                content, at = stack.pooled[j - 1][tgt], don
+            else:  # RANDOM_CODEBOOK
+                draws = (plans[r].code_draws[m] for r, m in zip(i, n))
+                content = np.array([book.table(scale)[code] for scale, code in draws])
+                at = tgt
+            grids[j - 1][tgt] = (content[:, None] @ proj.T)[:, 0] + pos[j - 1][at[1:]]
+        out = PrefixEmbedding(tuple(grids), stack.pooled)
+    return out if stacked else out.row(0)

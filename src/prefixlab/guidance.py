@@ -17,7 +17,7 @@ implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +28,12 @@ from .model import (
     Condition,
     CountModel,
     NULL_CONDITION,
+    PrefixEmbedding,
     SignedEmbedding,
     TabularModel,
     predict_logits,
+    prefix_key,
+    prefix_maps,
 )
 from .oracle import prefix_marginal_sites
 from .tokenizer import Codebook, ScaleSchedule
@@ -86,6 +89,9 @@ class BranchLogits:
     cond_corr: np.ndarray | None = None
     null_corr: np.ndarray | None = None
 
+    def __iter__(self):
+        return iter((self.cond_gen, self.null_gen, self.cond_corr, self.null_corr))
+
 
 def extrapolate(base: np.ndarray, reference: np.ndarray, strength) -> np.ndarray:
     """(1+strength) * base - strength * reference."""
@@ -116,22 +122,46 @@ def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam: float) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class GuidedStep:
-    """Result of one guided prediction, with its audit trail.
+    """Result of one guided prediction for P prefixes of one scale, with its
+    audit trail.
 
-    Its arrays are read-only, so the samples of a rollout whose steps have
-    the same branch inputs can share one step; it hashes by identity.
+    ``logits`` and the branch arrays of a stacked step have a leading P
+    axis, and ``plans`` holds each row's corruption plan (None where the row
+    has none). ``row(i)`` is row i as a one-prefix step: its arrays are
+    (h, w, V), and ``plan`` is its plan. The arrays are read-only, so the
+    samples of a rollout whose steps have the same branch inputs can share
+    one step; it hashes by identity.
     """
 
     k: int
     logits: np.ndarray
     branches: BranchLogits
-    plan: CorruptionPlan | None = None
+    plans: tuple[CorruptionPlan | None, ...]
+    # Each row's record, built once: the samples that share a row share it.
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def plan(self) -> CorruptionPlan | None:
+        """The corruption plan of a one-prefix step."""
+        if len(self.plans) != 1:
+            raise InvalidInputError(f"a stack of {len(self.plans)} rows has a plan per row")
+        return self.plans[0]
 
     @property
     def evaluations(self) -> int:
-        """Branches evaluated; an injected exact marginal counts as one."""
-        b = self.branches
-        return sum(x is not None for x in (b.cond_gen, b.null_gen, b.cond_corr, b.null_corr))
+        """Branches evaluated, summed over the rows; an injected exact
+        marginal counts as one per row."""
+        return len(self.plans) * sum(x is not None for x in self.branches)
+
+    def row(self, i: int) -> "GuidedStep":
+        """Row i of a stacked step, as the one-prefix step of its prefix."""
+        record = self._rows.get(i)
+        if record is None:
+            record = self._rows[i] = GuidedStep(
+                self.k, self.logits[i],
+                BranchLogits(*(x if x is None else x[i] for x in self.branches)),
+                (self.plans[i],))
+        return record
 
 
 def guided_step(
@@ -143,70 +173,113 @@ def guided_step(
     book: Codebook | None = None,
     plan: CorruptionPlan | None = None,
     signed: SignedEmbedding | None = None,
+    stack: bool = False,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
 
-    ``prefix`` is the generated token history (list of TokenMap). A
-    corrupted branch runs on the prefix corrupted under ``plan``, signed in
-    full; the step draws nothing at random, so where ``config.draws_plan``
-    holds and no plan is given it raises IllDefinedLawError. Without a plan
-    (as where the variant selects no site) the corrupted pair is the clean
-    pair. A count model's clean branches read ``signed``, the prefix's signed
-    embedding, when the caller carries it; otherwise the prefix is embedded
-    and signed here.
+    ``prefix`` is the generated token history (list of TokenMap, or a prefix
+    key). A corrupted branch runs on the prefix corrupted under ``plan``,
+    signed in full; the step draws nothing at random, so where
+    ``config.draws_plan`` holds and no plan is given it raises
+    IllDefinedLawError. Without a plan (as where the variant selects no
+    site) the corrupted pair is the clean pair. A count model's clean
+    branches read ``signed``, the prefix's signed embedding, when the caller
+    carries it; otherwise the prefix is embedded and signed here.
+
+    With ``stack``, ``prefix`` is a stack of P prefixes of one scale, and
+    ``plan`` and ``signed``, where given, hold one entry per prefix (a
+    row's plan may be None). The step is then evaluated for the whole stack
+    at once: a tabular model's rows are gathered, a count model's logits are
+    read once per distinct signature, and the corrupted rows are corrupted
+    and signed together. Its arrays have a leading P axis. The one-prefix
+    call is the P = 1 case and returns that row.
     """
-    maps = list(prefix)
-    k = len(maps) + 1
+    if stack:
+        prefixes = [list(p) for p in prefix]
+        plans = [None] * len(prefixes) if plan is None else list(plan)
+        signs = None if signed is None else list(signed)
+    else:
+        prefixes, plans, signs = [list(prefix)], [plan], None if signed is None else [signed]
+    if not prefixes or len(plans) != len(prefixes) or (
+            signs is not None and len(signs) != len(prefixes)):
+        raise InvalidInputError("a stack takes one plan and one signed embedding per prefix")
+    k = len(prefixes[0]) + 1
+    if any(len(p) != k - 1 for p in prefixes):
+        raise InvalidInputError("the prefixes of a stack are for one step")
 
     needs_cfg = config.gamma > 0
     needs_vpg = config.contrasts(k)
-
-    if isinstance(model, CountModel):
-        if book is None:
-            raise InvalidInputError("count-model guidance needs the codebook")
-        if signed is None:
-            signed = model.embed(maps, book)
-        elif signed.embedding.step != k:
-            raise InvalidInputError(
-                f"signed embedding is for step {signed.embedding.step}, "
-                f"the prefix is for step {k}"
-            )
-    elif signed is not None:
-        raise InvalidInputError("only a count model reads a signed embedding")
 
     def pair(evaluate):
         """A branch pair: ``evaluate`` at the condition and, only when
         gamma > 0, at the null condition."""
         return evaluate(condition), evaluate(NULL_CONDITION) if needs_cfg else None
 
-    def predicted(branch_signed):
-        return pair(lambda c: predict_logits(model, c, maps, book=book, signed=branch_signed))
+    if isinstance(model, CountModel):
+        if book is None:
+            raise InvalidInputError("count-model guidance needs the codebook")
+        if signs is None:
+            signs = [model.embed(prefix_maps(prefix_key(p), model.schedule), book)
+                     for p in prefixes]
+        for s in signs:
+            if s.embedding.step != k:
+                raise InvalidInputError(
+                    f"signed embedding is for step {s.embedding.step}, "
+                    f"the prefix is for step {k}"
+                )
+        inputs = signs
 
-    gen = predicted(signed)
+        def predicted(rows):
+            """The pair on signed embeddings, read once per distinct signature."""
+            def evaluate(c):
+                by_signature = {s.signature: s for s in rows}
+                logits = {sig: predict_logits(model, c, (), signed=s)
+                          for sig, s in by_signature.items()}
+                return np.stack([logits[s.signature] for s in rows])
+            return pair(evaluate)
+    elif signs is not None:
+        raise InvalidInputError("only a count model reads a signed embedding")
+    elif isinstance(model, TabularModel):
+        inputs = [prefix_key(p) for p in prefixes]
+
+        def predicted(keys):
+            """The pair on prefix keys, their table rows gathered."""
+            return pair(lambda c: np.log(np.stack([model.row(c, k, key) for key in keys])))
+    else:
+        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
+
+    gen = predicted(inputs)
     corr = (None, None)
-    used_plan = None
     if needs_vpg:
         if config.reference == "exact-marginal":
             if not isinstance(model, TabularModel):
                 raise GuidanceConfigError(
                     "exact-marginal reference requires an enumerable tabular model"
                 )
-            corr = pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))
+            corr = pair(lambda c: np.broadcast_to(
+                np.log(prefix_marginal_sites(model, c, k)), gen[0].shape))
         else:
             if not isinstance(model, CountModel):
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
-            used_plan = plan
-            if plan is None and config.draws_plan(k, model.schedule):
+            if any(p is None for p in plans) and config.draws_plan(k, model.schedule):
                 raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
-            corr = gen if plan is None else predicted(model.sign(apply_corruption(
-                signed.embedding, plan, book, model.schedule, model.params)))
+            planned = [i for i, p in enumerate(plans) if p is not None]
+            corr = gen
+            if planned:
+                # Rows without a plan keep their clean embedding.
+                corrupted = dict(zip(planned, model.sign(apply_corruption(
+                    PrefixEmbedding.stack([signs[i].embedding for i in planned]),
+                    [plans[i] for i in planned], book, model.schedule, model.params))))
+                corr = predicted([corrupted.get(i, s) for i, s in enumerate(signs)])
 
     branches = BranchLogits(*gen, *corr)
     lam = config.lam if needs_vpg else 0.0
     logits = compose_cfg_vpg(branches, config.gamma, lam)
-    for array in (logits, *gen, *corr):
+    for array in (logits, *branches):
         if array is not None:
             array.setflags(write=False)
-    return GuidedStep(k, logits, branches, used_plan)
+    used = tuple(plans) if needs_vpg and config.reference == "corrupted" else (None,) * len(plans)
+    step = GuidedStep(k, logits, branches, used)
+    return step if stack else step.row(0)

@@ -93,6 +93,23 @@ class PrefixEmbedding:
     def step(self) -> int:
         return len(self.grids) + 1
 
+    @property
+    def stacked(self) -> bool:
+        """Whether the grids carry a leading axis of prefixes, one row each."""
+        return bool(self.grids) and self.grids[0].ndim == 4
+
+    @staticmethod
+    def stack(embeddings: Sequence["PrefixEmbedding"]) -> "PrefixEmbedding":
+        """Embeddings for one step stacked on a leading axis, one row each."""
+        return PrefixEmbedding(
+            tuple(np.stack(grids) for grids in zip(*(e.grids for e in embeddings))),
+            tuple(np.stack(pooled) for pooled in zip(*(e.pooled for e in embeddings))),
+        )
+
+    def row(self, i: int) -> "PrefixEmbedding":
+        """Row i of a stacked embedding."""
+        return PrefixEmbedding(tuple(g[i] for g in self.grids), tuple(p[i] for p in self.pooled))
+
     def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
         """This embedding with one more scale: the embedding for the next step."""
         return PrefixEmbedding(self.grids + (grid,), self.pooled + (pooled,))
@@ -139,21 +156,24 @@ def embed_scale(
 
 
 def embed_prefix(
-    prefix: Sequence[TokenMap],
+    prefix: Sequence[TokenMap | np.ndarray],
     book: Codebook,
     schedule: ScaleSchedule,
     params: EmbeddingParams,
 ) -> PrefixEmbedding:
     """The prefix's maps folded in one scale at a time by :func:`embed_scale`.
 
+    ``prefix`` is one prefix's token maps, or for each scale j the stacked
+    (n, h_j, w_j) ids of n prefixes, which gives their stacked embedding.
     ``params`` are the ``embedding_params`` of ``schedule`` and the codebook's
     latent size, as a fitted count model carries them.
     """
-    fh, fw = schedule.final_dims
-    latent = np.zeros((fh, fw, book.latent_dim))
+    ids = [m.ids if isinstance(m, TokenMap) else m for m in prefix]
+    rows = ids[0].shape[:-2] if ids else ()
+    latent = np.zeros(rows + schedule.final_dims + (book.latent_dim,))
     embedding = EMPTY_EMBEDDING
-    for j, tmap in enumerate(prefix, start=1):
-        latent = accumulate_latent(latent, tmap.k, tmap.ids, book)
+    for j, scale_ids in enumerate(ids, start=1):
+        latent = accumulate_latent(latent, j, scale_ids, book)
         embedding = embedding.extended(*embed_scale(latent, j, schedule, params))
     return embedding
 
@@ -276,12 +296,13 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
     """Per-scale bin tuple of the mean embedding vector; () for empty prefixes.
 
     ``thresholds`` is ``SignatureSpec.thresholds(num_scales, m)``, as a
-    fitted count model carries it.
+    fitted count model carries it. A stacked embedding gives the list of its
+    rows' signatures, each scale binned once for the whole stack.
     """
-    return tuple(
-        tuple(scale_bins(grid, thresholds[j]).tolist())
-        for j, grid in enumerate(embedding.grids)
-    )
+    bins = [scale_bins(grid, thresholds[j]).tolist() for j, grid in enumerate(embedding.grids)]
+    if embedding.stacked:
+        return [tuple(map(tuple, row)) for row in zip(*bins)]
+    return tuple(map(tuple, bins))
 
 
 @dataclass(frozen=True)
@@ -326,9 +347,13 @@ class CountModel:
             )
         return self.sign(embed_prefix(prefix, book, self.schedule, self.params))
 
-    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
-        """``embedding`` together with its signature under this model."""
-        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
+    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding | list[SignedEmbedding]:
+        """``embedding`` together with its signature under this model; a
+        stacked embedding gives each of its rows, in a list."""
+        signature = context_signature(embedding, self.thresholds)
+        if embedding.stacked:
+            return [SignedEmbedding(embedding.row(i), sig) for i, sig in enumerate(signature)]
+        return SignedEmbedding(embedding, signature)
 
     def extend(
         self, signed: Sequence[SignedEmbedding], latent: np.ndarray

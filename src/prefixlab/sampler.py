@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .corruption import CorruptionPlan, plan_corruption
 from .errors import (NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Bound, DegenerateDistributionError,
                      InvalidInputError, bounded, check_fields, real)
 from .guidance import GuidanceConfig, GuidedStep, guided_step
-from .model import Condition, CountModel, SignedEmbedding, TokenMap, prefix_key, prefix_maps
+from .model import Condition, CountModel, SignedEmbedding, TokenMap
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -124,22 +125,34 @@ def truncate_and_sample(
 @dataclass(frozen=True)
 class RolloutResult:
     """One generation: ``trace[k-1]`` is the guided step that ``maps[k-1]``
-    was sampled from, and ``latent`` is the maps decoded to the finest grid."""
+    was sampled from, and ``latent`` is the maps decoded to the finest grid.
 
-    maps: tuple[TokenMap, ...]
+    ``ids[k-1]`` holds the ids sampled at scale k, and ``steps[k-1]`` that
+    scale's stacked guided step with the sample's row in it. ``maps`` and
+    ``trace`` are built from them when first read, so a caller that reads
+    only ``latent`` builds neither.
+    """
+
+    ids: tuple[np.ndarray, ...]
     latent: np.ndarray
-    trace: tuple[GuidedStep, ...]
+    steps: tuple[tuple[GuidedStep, int], ...]
     condition: Condition
     seed: int
 
+    @cached_property
+    def maps(self) -> tuple[TokenMap, ...]:
+        return tuple(TokenMap(k, ids) for k, ids in enumerate(self.ids, start=1))
 
-def _branch_input(prefix, signed: SignedEmbedding | None):
+    @cached_property
+    def trace(self) -> tuple[GuidedStep, ...]:
+        return tuple(step.row(row) for step, row in self.steps)
+
+
+def _branch_input(key, signed: SignedEmbedding | None):
     """What a guided step that draws no corruption plan is a function of: the
     clean signature of a count model's prefix (``signed``), else the prefix's
-    token ids."""
-    if signed is not None:
-        return signed.signature
-    return prefix_key(prefix)
+    token ids (``key``, its prefix key)."""
+    return key if signed is None else signed.signature
 
 
 def rollouts(
@@ -154,23 +167,23 @@ def rollouts(
 
     Sample i is seeded ``sconfig.seed + i`` and has its own generator, which
     draws the step's plan seed and then the step's uniforms, so each sample is
-    the same as if it were generated alone. Where ``gconfig.draws_plan`` holds,
-    each sample's corruption plan is drawn here from its plan seed and
-    ``guided_step`` runs once per sample; else, as where the variant can
-    select no site, once per group of samples with the same
-    ``_branch_input``, whose members share the step. Each distinct step's
-    law is truncated once and all samples are sampled in one pass. The
-    samples' latents are carried forward one scale at a time, and for a
-    count model so are their signed prefix embeddings, which ``guided_step``
-    reads.
+    the same as if it were generated alone. Each scale takes one stacked
+    ``guided_step``. Where ``gconfig.draws_plan`` holds, each sample's
+    corruption plan is drawn here from its plan seed and the stack has one
+    row per sample; else, as where the variant can select no site, one row
+    per group of samples with the same ``_branch_input``, whose members
+    share the row. Each row's law is truncated once and all samples are
+    sampled in one pass. The samples' prefix keys and latents are carried
+    forward one scale at a time, and for a count model so are their signed
+    prefix embeddings, which ``guided_step`` reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
     schedule = model.schedule
     seeds = [sconfig.seed + i for i in range(count)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    maps: list[list[TokenMap]] = [[] for _ in seeds]
-    traces: list[list[GuidedStep]] = [[] for _ in seeds]
+    keys = [()] * count
+    scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((count,) + schedule.final_dims + (book.latent_dim,))
     carries_embedding = isinstance(model, CountModel)
     signed = [model.embed([], book) if carries_embedding else None] * count
@@ -180,29 +193,29 @@ def rollouts(
         draws = gconfig.draws_plan(k, schedule)
         groups: dict = {}
         for i in range(count):
-            key = i if draws else _branch_input(maps[i], signed[i])
+            key = i if draws else _branch_input(keys[i], signed[i])
             groups.setdefault(key, []).append(i)
-        steps = []
+        firsts = [members[0] for members in groups.values()]
+        step = guided_step(
+            model, condition, [keys[i] for i in firsts], gconfig, book=book, stack=True,
+            plan=[plan_corruption(schedule, k, gconfig.fraction, gconfig.variant,
+                                  plan_seeds[i], book=book) for i in firsts] if draws else None,
+            signed=[signed[i] for i in firsts] if carries_embedding else None,
+        )
         rows = np.empty(count, dtype=np.intp)
         for row, members in enumerate(groups.values()):
-            i = members[0]
-            plan = plan_corruption(schedule, k, gconfig.fraction, gconfig.variant,
-                                   plan_seeds[i], book=book) if draws else None
-            steps.append(guided_step(
-                model, condition, maps[i], gconfig, book=book, plan=plan, signed=signed[i]
-            ))
             rows[members] = row
-        ids = truncate_and_sample(np.stack([s.logits for s in steps]), sconfig, rngs, rows)
+        ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
         if carries_embedding and k < schedule.num_scales:
             signed = model.extend(signed, latent)
-        for i, row in enumerate(rows):
-            maps[i].append(TokenMap(k, ids[i]))
-            traces[i].append(steps[row])
-    return [
-        RolloutResult(tuple(sample_maps), latent[i], tuple(trace), condition, seed)
-        for i, (seed, sample_maps, trace) in enumerate(zip(seeds, maps, traces))
-    ]
+        keys = [key + (tuple(part),) for key, part in zip(keys, ids.reshape(count, -1).tolist())]
+        scales.append((ids, [(step, row) for row in rows.tolist()]))
+    # Per sample: its ids at every scale, and its (step, row) at every scale.
+    samples = zip(seeds, latent, zip(*(ids for ids, _ in scales)),
+                  zip(*(steps for _, steps in scales)))
+    return [RolloutResult(ids, sample_latent, steps, condition, seed)
+            for seed, sample_latent, ids, steps in samples]
 
 
 def trace_to_csv(result: RolloutResult, path, formatted: dict | None = None) -> None:
@@ -261,15 +274,14 @@ def rollout_distribution(
     reference, lam = 0, a fixed corruption plan, or a scale whose variant can
     select no site (``GuidanceConfig.draws_plan`` is false, so the corrupted
     pair is the clean pair); ``guided_step`` rejects any other guided scale
-    as ill-defined. A scale's logits, stacked over its live prefixes, take
-    one ``truncated_law``.
+    as ill-defined. A scale's live prefixes take one stacked ``guided_step``
+    and one ``truncated_law``.
     """
 
     def step_laws(keys):
-        logits = np.stack([guided_step(
-            model, condition, prefix_maps(key, model.schedule), gconfig,
-            book=book, plan=(fixed_plans or {}).get(len(key) + 1),
-        ).logits for key in keys])
+        plan = (fixed_plans or {}).get(len(keys[0]) + 1)
+        logits = guided_step(model, condition, keys, gconfig, book=book, stack=True,
+                             plan=None if plan is None else [plan] * len(keys)).logits
         return truncated_law(logits, sconfig).reshape(len(keys), -1, logits.shape[-1])
 
     keys, probs = chain_law(step_laws, model.schedule.num_scales)

@@ -87,7 +87,7 @@ class TestVerify:
         code = main(["verify", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert "'tolerance'" in capsys.readouterr().err
+        assert "'verify.tolerance'" in capsys.readouterr().err
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "envout"
@@ -396,18 +396,33 @@ class TestFlags:
 
     @pytest.mark.parametrize(
         "flag, text, key",
-        [("--scale-mask", "a", "scale_mask"), ("--scale-mask", "0", "scale_mask"),
-         ("--top-k", "-3", "top_k"), ("--n-p", "1.5", "n_p"),
-         ("--variant", "bogus", "variant"), ("--gamma", "nan", "gamma"),
-         ("--gamma", "inf", "gamma"), ("--lambda", "nan", "lambda"),
-         ("--lambda", "inf", "lambda"), ("--n-p", "nan", "n_p"),
-         ("--scale-mask", "7", "scale_mask"), ("--seed", "-1", "seed")],
+        [("--scale-mask", "a", "guidance.scale_mask"),
+         ("--scale-mask", "0", "guidance.scale_mask"),
+         ("--top-k", "-3", "sampler.top_k"), ("--n-p", "1.5", "guidance.n_p"),
+         ("--variant", "bogus", "guidance.variant"), ("--gamma", "nan", "guidance.gamma"),
+         ("--gamma", "inf", "guidance.gamma"), ("--lambda", "nan", "guidance.lambda"),
+         ("--lambda", "inf", "guidance.lambda"), ("--n-p", "nan", "guidance.n_p"),
+         ("--scale-mask", "7", "guidance.scale_mask"), ("--seed", "-1", "sampler.seed")],
     )
     def test_bad_flag_value_exits_two_naming_key(self, tmp_path, capsys, flag, text, key):
         code = main(["sample", "--count", "1", "--output-dir", str(tmp_path / "o"),
                      flag, text])
         assert code == EXIT_CONFIG
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, text, accepted",
+        [("--top-k", "abc", "expected an integer, 0 for no truncation, got 'abc'"),
+         ("--scale-mask", "1,\u00b2",
+          "expected comma-separated scale numbers or 'all', got '1,\u00b2'")],
+    )
+    def test_unreadable_flag_text_names_the_accepted_form(self, capsys, flag, text, accepted):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sample", flag, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {accepted}" in err
+        assert "invalid" not in err
 
 
 def test_default_config_text_is_valid_json():

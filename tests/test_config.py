@@ -123,58 +123,58 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "load, data, key",
         [
-            (parse_config, {"model": {"include_null": "false"}}, "include_null"),
+            (parse_config, {"model": {"include_null": "false"}}, "model.include_null"),
             (parse_config, {"vocab": 2.7}, "vocab"),
             (parse_config, {"vocab": 0}, "vocab"),
             (parse_config, {"num_conditions": True}, "num_conditions"),
-            (parse_config, {"sampler": {"top_k": 2.5}}, "top_k"),
-            (parse_config, {"sampler": {"top_k": True}}, "top_k"),
-            (parse_config, {"sampler": {"seed": -1}}, "seed"),
-            (parse_config, {"sampler": {"seed": 1.5}}, "seed"),
-            (parse_config, {"sampler": {"seed": True}}, "seed"),
-            (parse_config, {"guidance": {"scale_mask": [1.5]}}, "scale_mask"),
-            (parse_config, {"guidance": {"scale_mask": [True]}}, "scale_mask"),
-            (parse_config, {"verify": {"vocab_grid": ["a"]}}, "vocab_grid"),
-            (parse_config, {"verify": {"condition_grid": []}}, "condition_grid"),
+            (parse_config, {"sampler": {"top_k": 2.5}}, "sampler.top_k"),
+            (parse_config, {"sampler": {"top_k": True}}, "sampler.top_k"),
+            (parse_config, {"sampler": {"seed": -1}}, "sampler.seed"),
+            (parse_config, {"sampler": {"seed": 1.5}}, "sampler.seed"),
+            (parse_config, {"sampler": {"seed": True}}, "sampler.seed"),
+            (parse_config, {"guidance": {"scale_mask": [1.5]}}, "guidance.scale_mask"),
+            (parse_config, {"guidance": {"scale_mask": [True]}}, "guidance.scale_mask"),
+            (parse_config, {"verify": {"vocab_grid": ["a"]}}, "verify.vocab_grid"),
+            (parse_config, {"verify": {"condition_grid": []}}, "verify.condition_grid"),
             (parse_config, {"num_conditions": 2, "condition": 2}, "condition"),
             (parse_config, {"condition": -1}, "condition"),
             (parse_config, {"schedule": [[1.5, 1], [1, 1]]}, "schedule"),
-            (parse_config, {"sweep": {"scale_masks": [5]}}, "scale_masks"),
-            (parse_config, {"verify": {"tolerance": math.inf}}, "tolerance"),
-            (parse_config, {"verify": {"tolerance": math.nan}}, "tolerance"),
-            (parse_config, {"model": {"seed": False}}, "seed"),
-            (parse_config, {"guidance": {"n_p": 1.5}}, "n_p"),
-            (parse_config, {"guidance": {"n_p": -0.1}}, "n_p"),
-            (parse_config, {"sweep": {"n_ps": [0.5, 2.0]}}, "n_ps"),
-            (parse_config, {"ablate": {"n_p": 7}}, "n_p"),
-            (parse_config, {"sweep": {"replicates": 0}}, "replicates"),
-            (parse_config, {"sweep": {"n_samples": 0}}, "n_samples"),
-            (parse_config, {"ablate": {"replicates": 0}}, "replicates"),
-            (parse_config, {"ablate": {"n_samples": -2}}, "n_samples"),
-            (parse_config, {"model": {"corpus_count": 0}}, "corpus_count"),
-            (parse_config, {"model": {"signature_bins": 0}}, "signature_bins"),
-            (parse_config, {"model": {"alpha": 0.0}}, "alpha"),
-            (parse_config, {"model": {"alpha": -1.0}}, "alpha"),
-            (parse_config, {"verify": {"tolerance": -1e-9}}, "tolerance"),
-            (parse_config, {"sweep": {"metric": "bogus"}}, "metric"),
-            (parse_config, {"guidance": {"gamma": math.nan}}, "gamma"),
-            (parse_config, {"guidance": {"lambda": math.inf}}, "lambda"),
-            (parse_config, {"guidance": {"n_p": math.nan}}, "n_p"),
-            (parse_config, {"verify": {"gammas": [0.0, math.inf]}}, "gammas"),
-            (parse_config, {"sweep": {"lambdas": [math.nan]}}, "lambdas"),
-            (parse_config, {"ablate": {"lambdas": [-1.0]}}, "lambdas"),
-            (parse_config, {"guidance": {"scale_mask": [7]}}, "scale_mask"),
-            (parse_config, {"guidance": {"scale_mask": [1, 3]}}, "scale_mask"),
-            (parse_config, {"sweep": {"scale_masks": [None, [9]]}}, "scale_masks"),
-            (parse_config, {"sweep": {"metric": "toy_frechet", "n_samples": 1}}, "n_samples"),
-            (parse_config, {"ablate": {"n_samples": 1}}, "n_samples"),
+            (parse_config, {"sweep": {"scale_masks": [5]}}, "sweep.scale_masks"),
+            (parse_config, {"verify": {"tolerance": math.inf}}, "verify.tolerance"),
+            (parse_config, {"verify": {"tolerance": math.nan}}, "verify.tolerance"),
+            (parse_config, {"model": {"seed": False}}, "model.seed"),
+            (parse_config, {"guidance": {"n_p": 1.5}}, "guidance.n_p"),
+            (parse_config, {"guidance": {"n_p": -0.1}}, "guidance.n_p"),
+            (parse_config, {"sweep": {"n_ps": [0.5, 2.0]}}, "sweep.n_ps"),
+            (parse_config, {"ablate": {"n_p": 7}}, "ablate.n_p"),
+            (parse_config, {"sweep": {"replicates": 0}}, "sweep.replicates"),
+            (parse_config, {"sweep": {"n_samples": 0}}, "sweep.n_samples"),
+            (parse_config, {"ablate": {"replicates": 0}}, "ablate.replicates"),
+            (parse_config, {"ablate": {"n_samples": -2}}, "ablate.n_samples"),
+            (parse_config, {"model": {"corpus_count": 0}}, "model.corpus_count"),
+            (parse_config, {"model": {"signature_bins": 0}}, "model.signature_bins"),
+            (parse_config, {"model": {"alpha": 0.0}}, "model.alpha"),
+            (parse_config, {"model": {"alpha": -1.0}}, "model.alpha"),
+            (parse_config, {"verify": {"tolerance": -1e-9}}, "verify.tolerance"),
+            (parse_config, {"sweep": {"metric": "bogus"}}, "sweep.metric"),
+            (parse_config, {"guidance": {"gamma": math.nan}}, "guidance.gamma"),
+            (parse_config, {"guidance": {"lambda": math.inf}}, "guidance.lambda"),
+            (parse_config, {"guidance": {"n_p": math.nan}}, "guidance.n_p"),
+            (parse_config, {"verify": {"gammas": [0.0, math.inf]}}, "verify.gammas"),
+            (parse_config, {"sweep": {"lambdas": [math.nan]}}, "sweep.lambdas"),
+            (parse_config, {"ablate": {"lambdas": [-1.0]}}, "ablate.lambdas"),
+            (parse_config, {"guidance": {"scale_mask": [7]}}, "guidance.scale_mask"),
+            (parse_config, {"guidance": {"scale_mask": [1, 3]}}, "guidance.scale_mask"),
+            (parse_config, {"sweep": {"scale_masks": [None, [9]]}}, "sweep.scale_masks"),
+            (parse_config, {"sweep": {"metric": "toy_frechet", "n_samples": 1}}, "sweep.n_samples"),
+            (parse_config, {"ablate": {"n_samples": 1}}, "ablate.n_samples"),
             (parse_config, {"schedule": [[1, 2], [2, 1]]}, "schedule"),
-            (parse_config, {"model": {"seed": -1}}, "seed"),
+            (parse_config, {"model": {"seed": -1}}, "model.seed"),
             (parse_config, {"codebook_seed": -1}, "codebook_seed"),
             (parse_config, {"embed_seed": -1}, "embed_seed"),
-            (parse_config, {"model": {"signature_seed": -1}}, "signature_seed"),
-            (parse_config, {"model": {"corpus_seed": -1}}, "corpus_seed"),
-            (parse_config, {"model": {"alpha": math.inf}}, "alpha"),
+            (parse_config, {"model": {"signature_seed": -1}}, "model.signature_seed"),
+            (parse_config, {"model": {"corpus_seed": -1}}, "model.corpus_seed"),
+            (parse_config, {"model": {"alpha": math.inf}}, "model.alpha"),
         ],
     )
     def test_malformed_scalar_rejected_by_name(self, load, data, key):
@@ -226,20 +226,30 @@ class TestParseConfig:
         section = {type(getattr(RunConfig(), f.name)): f.name for f in fields(RunConfig)}
         raw = _as_json(value)
         data = {key: raw} if cls is RunConfig else {section[cls]: {key: raw}}
-        with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        named = key if cls is RunConfig else f"{section[cls]}.{key}"
+        with pytest.raises(ConfigError, match=f"config key '{named}'"):
             parse_config(data)
+
+    @pytest.mark.parametrize("value, problem", [(-3, "not an integer at least 0"),
+                                                (1.5, "expected int, got 1.5")])
+    def test_errors_name_the_section_of_their_key(self, value, problem):
+        # Two sections with a field of one name: the error says which one.
+        for section in ("sweep", "ablate"):
+            with pytest.raises(ConfigError,
+                               match=rf"config key '{section}\.seed': .*{problem}"):
+                parse_config({section: {"seed": value}})
 
     def test_exact_kl_sweep_accepts_one_sample(self):
         # exact_kl computes laws and never reads n_samples.
         assert parse_config({"sweep": {"n_samples": 1}}).sweep.n_samples == 1
 
     def test_invalid_sampler_values_rejected(self):
-        with pytest.raises(ConfigError, match="config key 'temperature'"):
+        with pytest.raises(ConfigError, match="config key 'sampler.temperature'"):
             parse_config({"sampler": {"temperature": -1.0}})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_temperature_rejected(self, value):
-        with pytest.raises(ConfigError, match="config key 'temperature'"):
+        with pytest.raises(ConfigError, match="config key 'sampler.temperature'"):
             parse_config({"sampler": {"temperature": value}})
 
     def test_codebook_derived_from_config(self):

@@ -16,7 +16,7 @@ from prefixlab.corruption import (
     selection_size,
 )
 from prefixlab.errors import InconsistentPlanError, InvalidFractionError
-from prefixlab.model import embed_prefix, embedding_params
+from prefixlab.model import PrefixEmbedding, embed_prefix, embedding_params, prefix_maps
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
 
 from tests.conftest import uniform_maps
@@ -242,3 +242,66 @@ class TestApplication:
         with pytest.raises(InconsistentPlanError, match="beyond the prefix"):
             apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
 
+
+
+def corrupted_site_by_site(embedding, plan, book, schedule, params):
+    """The corruption of one embedding, one selected site at a time, each
+    content vector projected alone: the reference a stack must equal."""
+    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
+        return embed_prefix(prefix_maps(plan.uniform_tokens, schedule), book, schedule, params)
+    grids = [g.copy() for g in embedding.grids]
+    proj, pos = params
+    for idx, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
+        w = schedule.grid(j)[1]
+        tgt, don = (u // w, u % w), (du // w, du % w)
+        if plan.variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
+            grids[j - 1][tgt] = embedding.grids[j - 1][don]
+        elif plan.variant is CorruptionVariant.SAME_SCALE_TOKEN:
+            grids[j - 1][tgt] = embedding.pooled[j - 1][don] @ proj.T + pos[j - 1][tgt]
+        elif plan.variant is CorruptionVariant.SAME_SCALE_POSITION:
+            grids[j - 1][tgt] = embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]
+        else:
+            scale, code = plan.code_draws[idx]
+            grids[j - 1][tgt] = book.table(scale)[code] @ proj.T + pos[j - 1][tgt]
+    return PrefixEmbedding(tuple(grids), embedding.pooled)
+
+
+def assert_same_embedding(got, want):
+    assert len(got.grids) == len(want.grids) and len(got.pooled) == len(want.pooled)
+    for a, b in zip(got.grids + got.pooled, want.grids + want.pooled):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedApplication:
+    @given(
+        st.sampled_from(list(CorruptionVariant)),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_each_plan_applied_alone(self, variant, fraction, k, rows, seed):
+        # Bit for bit: the stack projects each content vector as a one-row
+        # matrix, which is what one vector's ``x @ proj.T`` computes.
+        embeddings = [embedded_prefix(k, seed + i)[1] for i in range(rows)]
+        plans = [plan_corruption(SCHEDULE, k, fraction, variant, seed + i, book=BOOK)
+                 for i in range(rows)]
+        stacked = apply_corruption(PrefixEmbedding.stack(embeddings), plans, BOOK, SCHEDULE,
+                                   PARAMS)
+        assert stacked.stacked and len(stacked.grids[0]) == rows
+        for i, (embedding, plan) in enumerate(zip(embeddings, plans)):
+            want = corrupted_site_by_site(embedding, plan, BOOK, SCHEDULE, PARAMS)
+            assert_same_embedding(stacked.row(i), want)
+            assert_same_embedding(apply_corruption(embedding, plan, BOOK, SCHEDULE, PARAMS), want)
+
+    def test_stack_takes_one_plan_per_row_of_one_variant(self):
+        embeddings = [embedded_prefix(3, seed)[1] for seed in range(2)]
+        stack = PrefixEmbedding.stack(embeddings)
+        full, token = (plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
+                       for variant in (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
+                                       CorruptionVariant.SAME_SCALE_TOKEN))
+        with pytest.raises(InconsistentPlanError, match="1 plans for a stack of 2"):
+            apply_corruption(stack, [full], BOOK, SCHEDULE, PARAMS)
+        with pytest.raises(InconsistentPlanError, match="one variant"):
+            apply_corruption(stack, [full, token], BOOK, SCHEDULE, PARAMS)

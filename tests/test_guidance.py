@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
 from prefixlab.errors import (
@@ -34,6 +36,7 @@ from prefixlab.oracle import enumerate_prefixes, softmax
 from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
 from tests.conftest import make_corpus
+from tests.test_sampler import BRANCHES, multisite_schedules, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -454,3 +457,86 @@ class TestGuidedStepCount:
         assert step.plan is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
             assert np.array_equal(got, predict_logits(small_count, cond, prefix, signed=corrupted))
+
+
+class TestStackedStep:
+    """A stack of prefixes takes one guided step whose rows equal one-prefix
+    steps bit for bit."""
+
+    @given(
+        st.data(),
+        st.sampled_from(["tabular", "count"]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(list(CorruptionVariant)),
+        # 0.1 of at most 5 prefix sites selects no site.
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(0, 2**16),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_prefix_steps(
+        self, data, kind, gamma, lam, variant, fraction, seed, rows
+    ):
+        schedule = data.draw(multisite_schedules(max_prefix_sites=5))
+        k = data.draw(st.integers(1, schedule.num_scales))
+        vocab = 2 if kind == "tabular" else 3
+        book = Codebook.seeded(schedule.num_scales, vocab, 2, seed=7)
+        if kind == "tabular":
+            model = build_tabular(schedule, vocab=vocab, num_conditions=2, seed=seed)
+            config = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
+        else:
+            corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+            model = fit_count_model(
+                corpus, schedule, book, vocab=vocab, num_conditions=2, alpha=1.0,
+                spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3,
+                include_null=True,
+            )
+            config = GuidanceConfig(gamma=gamma, lam=lam, fraction=fraction, variant=variant,
+                                    reference="corrupted")
+        # Rows drawn from a few prefixes, so some share their branch input.
+        rng = np.random.default_rng(seed)
+        pool = [[TokenMap(j, rng.integers(0, vocab, schedule.grid(j))) for j in range(1, k)]
+                for _ in range(3)]
+        prefixes = [pool[i] for i in rng.integers(0, len(pool), rows)]
+        # Where no plan is drawn, every other row is given one anyway.
+        draws = config.draws_plan(k, schedule)
+        plans = [
+            plan_corruption(schedule, k, fraction, variant, seed + i, book=book)
+            if kind == "count" and (draws or i % 2) else None
+            for i in range(rows)
+        ]
+        signed = [model.embed(p, book) for p in prefixes] if kind == "count" else None
+        step = guided_step(model, 1, prefixes, config, book=book, plan=plans, signed=signed,
+                           stack=True)
+        assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
+        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+                 for prefix, plan in zip(prefixes, plans)]
+        assert step.evaluations == sum(a.evaluations for a in alone)
+        for i, want in enumerate(alone):
+            got = step.row(i)
+            assert got.k == want.k == k and got.plan is want.plan
+            assert same_bits(got.logits, want.logits)
+            assert not got.logits.flags.writeable
+            for name in BRANCHES:
+                a, b = getattr(got.branches, name), getattr(want.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+    def test_stack_is_one_step_with_one_entry_per_prefix(self, small_count, small_book):
+        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]
+        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
+        with pytest.raises(InvalidInputError, match="one plan and one signed embedding"):
+            guided_step(small_count, 0, prefixes, config, book=small_book, plan=[plan],
+                        stack=True)
+        with pytest.raises(InvalidInputError, match="one step"):
+            guided_step(small_count, 0, [[], prefixes[0]], config, book=small_book, stack=True)
+        with pytest.raises(IllDefinedLawError, match="needs a plan"):
+            guided_step(small_count, 0, prefixes, config, book=small_book,
+                        plan=[plan, None, plan], stack=True)
+        step = guided_step(small_count, 0, prefixes, config, book=small_book,
+                           plan=[plan] * 3, stack=True)
+        assert step.plans == (plan,) * 3 and step.row(1).plan is plan
+        with pytest.raises(InvalidInputError, match="a plan per row"):
+            step.plan

@@ -417,15 +417,18 @@ class TestRollouts:
         gconfig = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant,
                                  reference="corrupted")
         sconfig = SamplerConfig(seed=seed)
-        scales = []
+        stacks = []  # the scale of each row of each stacked step
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("prefixlab.sampler.guided_step",
-                       lambda model, c, prefix, *args, **kwargs: scales.append(len(prefix) + 1)
-                       or guided_step(model, c, prefix, *args, **kwargs))
+                       lambda model, c, prefixes, *args, **kwargs:
+                       stacks.append([len(p) + 1 for p in prefixes])
+                       or guided_step(model, c, prefixes, *args, **kwargs))
             got = rollouts(model, 1, gconfig, sconfig, book, count)
         assert_same_rollouts(got, reference_rollouts(model, 1, gconfig, sconfig, book, count))
         clean = {model.embed(r.maps[:1], book).signature for r in got}
         draws = variant is CorruptionVariant.UNIFORM_PREFIX
+        assert [set(rows) for rows in stacks] == [{k} for k in range(1, schedule.num_scales + 1)]
+        scales = [k for rows in stacks for k in rows]
         assert scales.count(1) == 1
         assert scales.count(2) == (count if draws else len(clean))
         assert scales.count(3) == (count if schedule.num_scales == 3 else 0)
@@ -540,16 +543,19 @@ class TestSharedSteps:
     def test_one_guided_step_per_distinct_branch_input(
         self, multisite_count, multisite_book, small_tabular, small_book, monkeypatch
     ):
-        calls = []
-        monkeypatch.setattr(
-            "prefixlab.sampler.guided_step",
-            lambda *args, **kwargs: calls.append(kwargs["plan"]) or guided_step(
-                *args, **kwargs),
-        )
+        stacks = []  # the plans of the rows of each stacked step
+
+        def counted(model, c, prefixes, *args, **kwargs):
+            stacks.append(kwargs["plan"] or [None] * len(prefixes))
+            return guided_step(model, c, prefixes, *args, **kwargs)
+
+        monkeypatch.setattr("prefixlab.sampler.guided_step", counted)
         # Tabular: scale 1 has one input; scale 2 one per distinct scale-1 map.
         results = rollouts(small_tabular, 0, GuidanceConfig(gamma=1.0, lam=1.0),
                            SamplerConfig(seed=2), small_book, 16)
         first = {r.maps[0].key() for r in results}
+        calls = [plan for plans in stacks for plan in plans]
+        assert len(stacks) == small_tabular.schedule.num_scales
         assert len(calls) == 1 + len(first) < 2 * 16
         assert calls == [None] * len(calls)
         for r in results:
@@ -560,10 +566,12 @@ class TestSharedSteps:
         # Count model: the corrupted steps at scales 2 and 3 run under one
         # plan each per sample, each from its sample's stream; scale 1 is
         # shared.
-        calls.clear()
+        stacks.clear()
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
         results = rollouts(multisite_count, 0, gconfig, SamplerConfig(seed=2),
                            multisite_book, 6)
+        calls = [plan for plans in stacks for plan in plans]
+        assert len(stacks) == multisite_count.schedule.num_scales
         assert calls[0] is None and None not in calls[1:]
         assert len(calls) == 1 + 2 * 6
         assert len({id(r.trace[2]) for r in results}) == 6

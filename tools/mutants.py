@@ -69,8 +69,8 @@ MUTANTS = (
            "evaluate(NULL_CONDITION) if needs_cfg else None",
            "evaluate(condition) if needs_cfg else None"),
     Mutant("exact_marginal_pair_at_condition", "src/prefixlab/guidance.py",
-           "pair(lambda c: np.log(prefix_marginal_sites(model, c, k)))",
-           "pair(lambda c: np.log(prefix_marginal_sites(model, condition, k)))"),
+           "np.log(prefix_marginal_sites(model, c, k))",
+           "np.log(prefix_marginal_sites(model, condition, k))"),
     Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
            "from .errors import (",
            "from . import guidance\nfrom .errors import ("),
@@ -104,28 +104,33 @@ MUTANTS = (
            equivalent="differs only when a uniform equals a normalized "
                       "cumulative sum exactly, which a double draw does not hit"),
     Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
-           "return prefix_key(prefix)", "return prefix_key(prefix[:-1])"),
+           "return key if signed is None", "return key[:-1] if signed is None"),
     Mutant("rollouts_plan_from_first_sample", "src/prefixlab/sampler.py",
            "plan_seeds[i]", "plan_seeds[0]"),
+    Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
+           "signed=[signed[i] for i in firsts]", "signed=signed[:len(firsts)]"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
-           "plan is None and config.draws_plan(k, model.schedule)", "False"),
+           "any(p is None for p in plans) and config.draws_plan(k, model.schedule)", "False"),
     Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/guidance.py",
            "self.variant is CorruptionVariant.UNIFORM_PREFIX", "False"),
     Mutant("no_site_step_draws_plan", "src/prefixlab/guidance.py",
            "or selection_size(schedule, k, self.fraction) > 0", "or True"),
     Mutant("apply_corruption_skips_step_check", "src/prefixlab/corruption.py",
-           "if plan.step != embedding.step:", "if False:"),
+           "if p.step != step:", "if False:"),
+    Mutant("stacked_corruption_reads_row_0_plan", "src/prefixlab/corruption.py",
+           "plans = tuple(plan) if stacked else (plan,)",
+           "plans = (tuple(plan)[0],) * len(plan) if stacked else (plan,)"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
            "* sites + Fraction(1, 2))", "* sites)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
-           "grid[tgt] = embedding.grids[j - 1][don]",
-           "grid[tgt] = embedding.grids[j - 1][tgt]"),
+           "grids[j - 1][tgt] = stack.grids[j - 1][don]",
+           "grids[j - 1][tgt] = stack.grids[j - 1][tgt]"),
     Mutant("token_variant_keeps_target_token", "src/prefixlab/corruption.py",
-           "embedding.pooled[j - 1][don] @ proj.T + pos[j - 1][tgt]",
-           "embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][tgt]"),
+           "content, at = stack.pooled[j - 1][don], tgt",
+           "content, at = stack.pooled[j - 1][tgt], tgt"),
     Mutant("position_variant_keeps_target_position", "src/prefixlab/corruption.py",
-           "embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]",
-           "embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][tgt]"),
+           "content, at = stack.pooled[j - 1][tgt], don",
+           "content, at = stack.pooled[j - 1][tgt], tgt"),
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
            "if not self.include_null:", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
