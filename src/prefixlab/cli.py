@@ -140,21 +140,27 @@ def cmd_verify(cfg: RunConfig) -> int:
     max_kls = []
     checked = failed_rows = failed_models = 0
     failures = []
-    for i in range(spec.models):
-        vocab, conds = combos[i % len(combos)]
-        model = build_tabular(cfg.schedule, vocab, conds, seed=cfg.model.seed + i)
-        report = verify_identities(model, spec)
-        max_kls.append(report.max_kl)
-        checked += report.kl.size
-        failed = report.failures()
-        if failed:
-            failed_rows += len(failed)
-            failed_models += 1
-            failures += [(i, vocab, conds, row) for row in failed[:5]]
-        if i == 0:
-            write_report_csv(
-                report, os.path.join(cfg.output_dir, "identity_report.csv")
-            )
+    # The models of one cycle of the condition grid share a vocabulary, so
+    # each cycle is checked in one call; only its models are built at a time.
+    width = len(spec.condition_grid)
+    for first in range(0, spec.models, width):
+        run = [(i,) + combos[i % len(combos)]
+               for i in range(first, min(first + width, spec.models))]
+        reports = verify_identities(
+            [build_tabular(cfg.schedule, vocab, conds, seed=cfg.model.seed + i)
+             for i, vocab, conds in run], spec).split()
+        for (i, vocab, conds), report in zip(run, reports):
+            max_kls.append(report.max_kl)
+            checked += report.kl.size
+            failed = report.failures()
+            if failed:
+                failed_rows += len(failed)
+                failed_models += 1
+                failures += [(i, vocab, conds, row) for row in failed[:5]]
+            if i == 0:
+                write_report_csv(
+                    report, os.path.join(cfg.output_dir, "identity_report.csv")
+                )
     elapsed = time.perf_counter() - start
     worst = float(np.max(max_kls, initial=0.0))  # NaN if any model's is
     print(
@@ -260,23 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = config_to_json(RunConfig())
+    # The flags every subcommand shares, declared once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON run config (default: the built-in RunConfig())")
+    for flag, (key, kind, text) in FLAGS.items():
+        section, _, name = key.rpartition(".")
+        default = (defaults[section] if section else defaults)[name]
+        common.add_argument(
+            flag, dest=key, metavar=name.upper(), type=kind, default=argparse.SUPPRESS,
+            help=f"{text} (config key {key}, default {json.dumps(default)})",
+        )
 
-    def common(p):
-        p.add_argument("--config", help="JSON run config (default: the built-in RunConfig())")
-        for flag, (key, kind, text) in FLAGS.items():
-            section, _, name = key.rpartition(".")
-            default = (defaults[section] if section else defaults)[name]
-            p.add_argument(
-                flag, dest=key, metavar=name.upper(), type=kind, default=argparse.SUPPRESS,
-                help=f"{text} (config key {key}, default {json.dumps(default)})",
-            )
-
-    common(sub.add_parser("verify", help="run the oracle identity suites"))
-    p_sample = sub.add_parser("sample", help="guided rollouts with traces and images")
-    common(p_sample)
+    sub.add_parser("verify", parents=[common], help="run the oracle identity suites")
+    p_sample = sub.add_parser("sample", parents=[common],
+                              help="guided rollouts with traces and images")
     p_sample.add_argument("--count", type=int, default=4, help="number of samples (default %(default)s)")
-    common(sub.add_parser("sweep", help="lambda x n_p x variant sweep to CSV/SVG"))
-    common(sub.add_parser("ablate", help="all corruption variants at fixed n_p"))
+    sub.add_parser("sweep", parents=[common], help="lambda x n_p x variant sweep to CSV/SVG")
+    sub.add_parser("ablate", parents=[common], help="all corruption variants at fixed n_p")
     return parser
 
 

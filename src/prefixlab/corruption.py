@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -64,6 +63,9 @@ def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
 @lru_cache(maxsize=256)
 def _round_half_up(sites: int, fraction: float) -> int:
     # Cached: a rollout plans every sample's step with the same few pairs.
+    # Not imported at load: ``fractions`` loads ``decimal``, and only plans need it.
+    from fractions import Fraction
+
     return math.floor(Fraction(fraction).limit_denominator(10**6) * sites + Fraction(1, 2))
 
 

@@ -244,7 +244,7 @@ def guided_step(
 
         def predicted(keys):
             """The pair on prefix keys, their table rows gathered."""
-            return pair(lambda c: np.log(np.stack([model.row(c, k, key) for key in keys])))
+            return pair(lambda c: np.log(model.rows(c, k, keys)))
     else:
         raise InvalidInputError(f"unknown predictor type {type(model)!r}")
 

@@ -10,7 +10,6 @@ self-contained SVG line plot of their metric; every cell's seed is derived from
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
@@ -152,10 +151,14 @@ class SweepGrid:
              tuple(sorted(m) if m is not None else None for m in self.scale_masks),
              self.replicates, self.seed)
         )
+        import hashlib  # not at load: only sweeps hash
+
         return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
 
 
 def cell_seed(base_seed: int, cell_index: int, replicate: int) -> int:
+    import hashlib  # not at load: only sweeps hash
+
     digest = hashlib.blake2s(
         f"{base_seed}:{cell_index}:{replicate}".encode(), digest_size=8
     ).digest()

@@ -200,11 +200,18 @@ class TabularModel:
     # rollout asks for the same few keys at every step.
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def rows(self, condition: Condition, k: int, keys: Sequence[PrefixKey]) -> np.ndarray:
+        """Probability tables of a stack of scale-k prefix keys, (P, h_k, w_k, V).
+        The null condition mixes the classes uniformly: one mean over the
+        stacked class rows, the same bits as a mean per key."""
+        if condition is NULL_CONDITION:
+            return np.mean([self.rows(c, k, keys) for c in range(self.num_conditions)], axis=0)
+        return np.stack([self.row(condition, k, key) for key in keys])
+
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""
         if condition is NULL_CONDITION:
-            rows = [self.row(c, k, key) for c in range(self.num_conditions)]
-            return np.mean(rows, axis=0)
+            return self.rows(condition, k, [key])[0]
         try:
             return self.tables[(condition, k, key)]
         except KeyError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,11 +82,12 @@ def _joint_law(laws: np.ndarray) -> np.ndarray:
 
 def _site_laws(model, condition: Condition, book: Codebook | None = None):
     """Per-site step laws of a tabular or count model, as ``chain_law`` takes them."""
-    def law(key):
+    def laws(keys):
         if isinstance(model, TabularModel):
-            return model.row(condition, len(key) + 1, key)
-        return np.exp(predict_logits(model, condition, prefix_maps(key, model.schedule), book=book))
-    return lambda keys: np.stack([law(key) for key in keys]).reshape(len(keys), -1, model.vocab)
+            return model.rows(condition, len(keys[0]) + 1, keys)
+        return np.stack([np.exp(predict_logits(model, condition, prefix_maps(key, model.schedule),
+                                               book=book)) for key in keys])
+    return lambda keys: laws(keys).reshape(len(keys), -1, model.vocab)
 
 
 def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey) -> Distribution:
@@ -216,12 +217,14 @@ class IdentityRow:
 class IdentityReport:
     """Every identity row's max |difference| and KL, as float arrays in row
     order. ``row_at(i)`` builds row i; the report builds each row once, and
-    only when ``rows`` or ``failures()`` reads it."""
+    only when ``rows`` or ``failures()`` reads it. ``sizes`` counts the rows
+    of each model checked, in order; None is one model."""
 
     max_abs_diff: np.ndarray
     kl: np.ndarray
     tolerance: float
     row_at: Callable[[int], IdentityRow] = field(repr=False)
+    sizes: tuple[int, ...] | None = None
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def _row(self, i: int) -> IdentityRow:
@@ -245,6 +248,18 @@ class IdentityReport:
         failing = np.flatnonzero(~(self.kl <= self.tolerance))
         return [self._row(i) for i in failing.tolist()]
 
+    def split(self) -> list["IdentityReport"]:
+        """One report per model, in order, over views of this report's
+        columns; a row read through either report is the same object."""
+        reports, start = [], 0
+        for size in (self.kl.size,) if self.sizes is None else self.sizes:
+            stop = start + size
+            reports.append(IdentityReport(
+                self.max_abs_diff[start:stop], self.kl[start:stop], self.tolerance,
+                lambda i, start=start: self._row(start + i)))
+            start = stop
+        return reports
+
 
 @dataclass(frozen=True)
 class VerifySpec:
@@ -262,40 +277,52 @@ class VerifySpec:
         check_fields(self, InvalidInputError)
 
 
-def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
+def verify_identities(models: Sequence[TabularModel], spec: VerifySpec) -> IdentityReport:
     """Check the package's guidance rule against the exact augmented laws.
 
-    For every (condition, scale, prefix) and every strength of ``spec``,
-    ``guidance.extrapolate`` must reproduce the augmented law of each of its
-    two references: the null row (the exact uniform-prior condition marginal)
-    gives the augmented-CFG law, the exact prefix marginal the augmented-VPG
-    law. ``guidance.compose_cfg_vpg``, which applies the rule per branch pair
-    and then across the pairs, must match the four-term closed form written
-    out here. Sites are independent given the prefix, so every law is checked
-    per site, with per-site prefix marginals; on a single-site scale this is
-    the joint-map law of ``augmented_cfg`` and ``augmented_vpg``.
+    For every model of ``models``, (condition, scale, prefix) and strength of
+    ``spec``, ``guidance.extrapolate`` must reproduce the augmented law of
+    each of its two references: the null row (the exact uniform-prior
+    condition marginal) gives the augmented-CFG law, the exact prefix
+    marginal the augmented-VPG law. ``guidance.compose_cfg_vpg``, which
+    applies the rule per branch pair and then across the pairs, must match
+    the four-term closed form written out here. Sites are independent given
+    the prefix, so every law is checked per site, with per-site prefix
+    marginals; on a single-site scale this is the joint-map law of
+    ``augmented_cfg`` and ``augmented_vpg``.
 
-    Scales with the same grid are checked in one ``_check_grid`` pass, so a
-    schedule whose grids repeat makes one pass per distinct grid. Rows are
-    listed by condition, scale, prefix, then kind and strength; the report
-    keeps their values as columns and builds a row only when it is read.
+    The models share one schedule and vocabulary, so they have the same
+    prefixes. Scales with the same grid are checked together, so a schedule
+    whose grids repeat makes one pass per distinct grid; each pass stacks
+    the (model, condition) pairs of consecutive models whose condition rows
+    fit in ``_STACK_ELEMENTS`` elements (a larger model alone). Rows are
+    listed model by model, then by condition, scale, prefix, kind and
+    strength; the report keeps their values as columns, builds a row only
+    when it is read, and ``split()`` gives one report per model.
     """
+    models = list(models)
+    if any(m.schedule != models[0].schedule or m.vocab != models[0].vocab for m in models):
+        raise InvalidInputError("the models checked together share a schedule and vocabulary")
     gammas, lambdas = spec.gammas, spec.lambdas
     checks = (
         [("cfg", gamma, 0.0) for gamma in gammas]
         + [("vpg", 0.0, lam) for lam in lambdas]
         + [("composition", gamma, lam) for gamma in gammas for lam in lambdas]
     )
-    if not checks:
-        return IdentityReport(np.empty(0), np.empty(0), spec.tolerance, ().__getitem__)
+    if not models or not checks:
+        return IdentityReport(np.empty(0), np.empty(0), spec.tolerance, ().__getitem__,
+                              (0,) * len(models))
+    schedule, vocab = models[0].schedule, models[0].vocab
     groups: dict = {}  # grid -> [(k, prefix keys), ...]
-    for k, grid in enumerate(model.schedule.dims, start=1):
-        keys = enumerate_prefix_keys(model.schedule, model.vocab, k)
-        groups.setdefault(grid, []).append((k, keys))
-    # k -> (keys, max |diff|, KL), the last two (C, P_k, checks) arrays.
+    for k, grid in enumerate(schedule.dims, start=1):
+        groups.setdefault(grid, []).append((k, enumerate_prefix_keys(schedule, vocab, k)))
+    # k -> (keys, max |diff|, KL), the last two (G, P_k, checks) arrays over
+    # the G (model, condition) pairs.
     checked = {}
-    for group in groups.values():
-        diffs, kls = _check_grid(model, group, gammas, lambdas)
+    for grid, group in groups.items():
+        elements = sum(len(keys) for _, keys in group) * int(np.prod(grid)) * vocab
+        diffs, kls = map(np.concatenate, zip(*[
+            _check_grid(run, group, gammas, lambdas) for run in _passes(models, elements)]))
         start = 0
         for k, keys in group:
             stop = start + len(keys)
@@ -304,45 +331,97 @@ def verify_identities(model: TabularModel, spec: VerifySpec) -> IdentityReport:
     scales = [checked[k] for k in sorted(checked)]
     max_abs_diff = np.concatenate([diffs for _, diffs, _ in scales], axis=1).ravel()
     kl = np.concatenate([kls for _, _, kls in scales], axis=1).ravel()
-    per_condition = len(max_abs_diff) // model.num_conditions
+    conditions = [c for m in models for c in range(m.num_conditions)]
+    per_condition = len(max_abs_diff) // len(conditions)
 
     def row_at(i: int) -> IdentityRow:
-        c, j = divmod(i, per_condition)
+        pair, j = divmod(i, per_condition)
         for k, (keys, _, _) in enumerate(scales, start=1):
             if j < len(keys) * len(checks):
                 break
             j -= len(keys) * len(checks)
         p, check = divmod(j, len(checks))
         kind, gamma, lam = checks[check]
-        return IdentityRow(kind, c, k, keys[p], gamma, lam,
+        return IdentityRow(kind, conditions[pair], k, keys[p], gamma, lam,
                            float(max_abs_diff[i]), float(kl[i]))
 
-    return IdentityReport(max_abs_diff, kl, spec.tolerance, row_at)
+    sizes = tuple(m.num_conditions * per_condition for m in models)
+    return IdentityReport(max_abs_diff, kl, spec.tolerance, row_at, sizes)
 
 
-# Strengths are stacked in blocks of at most this many elements, so a model
-# near ``PREFIX_STATE_CAP`` holds a few strengths' arrays at a time, not every
-# strength's at once.
+# A pass stacks at most this many condition-row elements (unless one model
+# alone has more), and its strengths in blocks of at most this many
+# elements, so a model near ``PREFIX_STATE_CAP`` holds a few strengths'
+# arrays at a time, not every strength's at once.
 _STACK_ELEMENTS = 1 << 16
 
 
-def _check_grid(model: TabularModel, scales, gammas, lambdas):
-    """Max |difference| and KL of every check on ``scales``, a list of
-    (k, prefix keys) whose scales share one grid, in one pass per block of
-    strengths.
+def _passes(models: list[TabularModel], elements: int) -> list[list[TabularModel]]:
+    """``models`` cut into passes of consecutive models whose condition rows,
+    ``elements`` per condition, fit in ``_STACK_ELEMENTS`` together; a model
+    larger than that is a pass of its own."""
+    passes, size = [], 0
+    for model in models:
+        rows = model.num_conditions * elements
+        if passes and size + rows <= _STACK_ELEMENTS:
+            passes[-1].append(model)
+            size += rows
+        else:
+            passes.append([model])
+            size = rows
+    return passes
 
-    The stored rows of every (condition, scale, prefix) are stacked into one
-    (C, P, h, w, V) array, the prefixes of every scale on the P axis in the
-    order given. The null row is computed once per prefix, and each scale's
-    exact marginals once per condition and repeated over that scale's
-    prefixes; the null condition's marginal broadcasts over C. The strengths
-    of a block go on a leading axis as an (S, 1, ..., 1) column, so every
-    stack is (S, C, P, h, w, V), and the rule, softmax and row reductions run
-    once per block. Two things stay per strength: the oracle law, whose
-    ``**`` takes a scalar exponent as on one row (an exponent column takes
-    NumPy's array ``pow``, which changes bits at 0.5 and 2.0), and
-    ``guidance.compose_cfg_vpg``, the function under test. Returns two
-    (C, P, checks) arrays, checks in ``verify_identities``' order.
+
+def _branch_stacks(models: list[TabularModel], scales):
+    """The four branch laws of a pass, each a (G, P, h, w, V) stack over the
+    G (model, condition) pairs of ``models`` in order and the P prefixes of
+    ``scales`` in order: the condition rows, the null rows, the condition's
+    exact marginals and the null condition's. A model's null rows are taken
+    once per prefix and its null marginals once per scale, and both are
+    repeated over that model's conditions only; each scale's marginals are
+    repeated over that scale's prefixes."""
+    sites = models[0].schedule.grid(scales[0][0]) + (models[0].vocab,)
+    prefixes = sum(len(keys) for _, keys in scales)
+
+    def rows(model, condition):
+        """The condition's rows of every prefix, (P, h, w, V)."""
+        return np.concatenate([model.rows(condition, k, keys) for k, keys in scales])
+
+    def marginals(model, condition):
+        """The condition's exact marginal at each prefix's scale, (P, h, w, V)."""
+        return np.concatenate([
+            np.broadcast_to(prefix_marginal_sites(model, condition, k),
+                            (len(keys),) + sites)
+            for k, keys in scales
+        ])
+
+    def per_pair(read):
+        return np.stack([read(m, c) for m in models for c in range(m.num_conditions)])
+
+    def per_model(read):
+        """``read`` at each model's null condition, over that model's conditions."""
+        return np.concatenate([
+            np.broadcast_to(read(m, NULL_CONDITION), (m.num_conditions, prefixes) + sites)
+            for m in models
+        ])
+
+    return per_pair(rows), per_model(rows), per_pair(marginals), per_model(marginals)
+
+
+def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
+    """Max |difference| and KL of every check on ``scales``, a list of
+    (k, prefix keys) whose scales share one grid, for every (model,
+    condition) pair of ``models``, in one pass per block of strengths.
+
+    The four branch laws are ``_branch_stacks``' (G, P, h, w, V) arrays,
+    the prefixes of every scale on the P axis in the order given. The
+    strengths of a block go on a leading axis as an (S, 1, ..., 1) column,
+    so every stack is (S, G, P, h, w, V), and the rule, softmax and row
+    reductions run once per block. Two things stay per strength: the oracle
+    law, whose ``**`` takes a scalar exponent as on one row (an exponent
+    column takes NumPy's array ``pow``, which changes bits at 0.5 and 2.0),
+    and ``guidance.compose_cfg_vpg``, the function under test. Returns two
+    (G, P, checks) arrays, checks in ``verify_identities``' order.
     """
     # The package's one upward import: ``guidance`` imports this module, so
     # it is imported here, where the code under test runs. Nothing moves
@@ -352,26 +431,9 @@ def _check_grid(model: TabularModel, scales, gammas, lambdas):
     # below this module would add a module.
     from . import guidance
 
-    conditions = range(model.num_conditions)
-    cond = np.stack([[model.row(c, k, key) for k, keys in scales for key in keys]
-                     for c in conditions])
+    cond, null_rows, margs, null_margs = _branch_stacks(models, scales)
     shape = cond.shape
-
-    def marginals(condition):
-        """The condition's exact marginal at each prefix's scale, (P, h, w, V)."""
-        return np.concatenate([
-            np.broadcast_to(prefix_marginal_sites(model, condition, k),
-                            (len(keys),) + shape[2:])
-            for k, keys in scales
-        ])
-
-    null_rows = np.stack([model.row(NULL_CONDITION, k, key)
-                          for k, keys in scales for key in keys])
-    margs = np.stack([marginals(c) for c in conditions])
-    l_cg = np.log(cond)
-    l_ng = np.broadcast_to(np.log(null_rows), shape)
-    l_cc = np.log(margs)
-    l_nc = np.broadcast_to(np.log(marginals(NULL_CONDITION)), shape)
+    l_cg, l_ng, l_cc, l_nc = (np.log(law) for law in (cond, null_rows, margs, null_margs))
     branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
     per_block = max(1, _STACK_ELEMENTS // cond.size)
 

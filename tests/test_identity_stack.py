@@ -1,6 +1,7 @@
 """The stacked identity verifier against the per-row loop it replaced, bit for
 bit, its one pass per grid shape, its memory bound, the rows its columnar
-report builds, and the report's handling of NaN rows."""
+report builds, the report's handling of NaN rows, and several models
+stacked in one call against their one-model reports."""
 
 import json
 import math
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixlab import guidance, oracle
+from prefixlab import cli, guidance, oracle
 from prefixlab.cli import EXIT_IDENTITY, main
+from prefixlab.errors import InvalidInputError
 from prefixlab.model import (
     NULL_CONDITION,
     PROB_FLOOR,
@@ -110,7 +112,7 @@ def bits(row):
 
 
 def assert_same_rows(model, **grid):
-    ours = verify_identities(model, VerifySpec(**grid))
+    ours = verify_identities([model], VerifySpec(**grid))
     reference = reference_verify_identities(model, **grid)
     assert len(ours.rows) == len(reference)
     assert [bits(r) for r in ours.rows] == [bits(r) for r in reference]
@@ -190,10 +192,10 @@ def test_strength_blocks_bound_memory():
     model = build_tabular(ScaleSchedule(((1, 1), (8, 8))), 16, 2, seed=1)
     assert 35 * 2 * 16 * 64 * 16 > 16 * oracle._STACK_ELEMENTS
     spec = VerifySpec()
-    verify_identities(model, spec)  # fills the model's marginal memo
+    verify_identities([model], spec)  # fills the model's marginal memo
     tracemalloc.start()
     try:
-        verify_identities(model, spec)
+        verify_identities([model], spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,7 +217,7 @@ def test_one_pass_per_grid_shape(monkeypatch, schedule, passes):
 
     monkeypatch.setattr(oracle, "_check_grid", counted)
     model = build_tabular(ScaleSchedule(schedule), 2, 2, seed=3)
-    verify_identities(model, VerifySpec(gammas=(1.0,), lambdas=(1.0,)))
+    verify_identities([model], VerifySpec(gammas=(1.0,), lambdas=(1.0,)))
     assert len(calls) == passes
     assert sorted(k for scales in calls for k in scales) == list(range(1, len(schedule) + 1))
 
@@ -235,7 +237,7 @@ def count_built_rows(monkeypatch):
 def test_passing_report_builds_no_rows(monkeypatch):
     built = count_built_rows(monkeypatch)
     model = build_tabular(ScaleSchedule(((1, 1), (1, 2), (2, 2))), 2, 2, seed=5)
-    report = verify_identities(model, VerifySpec())
+    report = verify_identities([model], VerifySpec())
     assert report.max_kl < 1e-12
     assert report.failures() == []
     assert built == []
@@ -311,7 +313,7 @@ class TestNaNRows:
         built = count_built_rows(monkeypatch)
         model = build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 2, seed=1)
         report = verify_identities(
-            model, VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
+            [model], VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
         )
         failed = report.failures()
         assert failed and all(math.isnan(r.kl) for r in failed)
@@ -323,7 +325,7 @@ class TestNaNRows:
     def test_overflowing_strength_gives_failing_nan_rows(self):
         model = build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 2, seed=1)
         report = verify_identities(
-            model, VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
+            [model], VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
         )
         nan_rows = [r for r in report.rows if math.isnan(r.kl)]
         assert nan_rows
@@ -362,3 +364,139 @@ def test_verify_command_builds_only_the_written_rows(monkeypatch, tmp_path, caps
         written = len(fh.readlines()) - 1
     assert 0 < written == len(built)
     assert "all identities hold" in capsys.readouterr().out
+
+
+@st.composite
+def model_runs(draw):
+    """One to four models of one multi-site schedule and vocabulary, with
+    mixed condition counts, as ``verify`` stacks them."""
+    first = draw(small_models())
+    rest = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2**16)), max_size=3))
+    return [first] + [build_tabular(first.schedule, first.vocab, c, seed) for c, seed in rest]
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_split_matches_one_model_reports(models, spec):
+    """The stacked report, split per model, equals each model's own report
+    bit for bit: columns, rows, failures and max KL."""
+    stacked = verify_identities(models, spec)
+    parts = stacked.split()
+    assert len(parts) == len(models)
+    for model, part in zip(models, parts):
+        alone = verify_identities([model], spec)
+        assert part.max_abs_diff.tobytes() == alone.max_abs_diff.tobytes()
+        assert part.kl.tobytes() == alone.kl.tobytes()
+        assert np.shares_memory(part.kl, stacked.kl)
+        assert [bits(r) for r in part.rows] == [bits(r) for r in alone.rows]
+        assert [bits(r) for r in part.failures()] == [bits(r) for r in alone.failures()]
+        assert float_bits(part.max_kl) == float_bits(alone.max_kl)
+    # Model by model: the stacked rows are the split reports' rows in order.
+    assert [bits(r) for r in stacked.rows] == [bits(r) for p in parts for r in p.rows]
+
+
+@given(model_runs(), st.sampled_from([1e-9, 0.0]), st.sampled_from([None, 1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_models_split_into_their_own_reports(models, tolerance, budget):
+    # A budget of ``budget`` largest-grid conditions splits the run across
+    # passes (1: every pass one model, each larger than the budget alone);
+    # None keeps the shipped budget, one pass per grid.
+    spec = VerifySpec(tolerance=tolerance)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            model = models[0]
+            k = model.schedule.num_scales
+            per_condition = (len(enumerate_prefix_keys(model.schedule, model.vocab, k))
+                             * int(np.prod(model.schedule.grid(k))) * model.vocab)
+            patch.setattr(oracle, "_STACK_ELEMENTS", budget * per_condition)
+        assert_split_matches_one_model_reports(models, spec)
+
+
+def test_each_model_reads_its_own_null_rows():
+    # A one-condition model's null rows are its condition rows; stacked
+    # after a two-condition model, its CFG rows must not read that model's.
+    schedule = ScaleSchedule(((1, 1), (1, 2)))
+    models = [build_tabular(schedule, 2, c, seed) for c, seed in ((2, 0), (1, 1), (3, 2))]
+    assert_split_matches_one_model_reports(models, VerifySpec())
+
+
+@pytest.mark.parametrize("budget_conditions, passes", [(None, [[2, 1, 3]]),
+                                                       (3, [[2, 1], [3]]),
+                                                       (1, [[2], [1], [3]])])
+def test_passes_stack_consecutive_models_within_the_budget(monkeypatch, budget_conditions,
+                                                           passes):
+    schedule = ScaleSchedule(((1, 1), (1, 1)))
+    models = [build_tabular(schedule, 3, c, seed) for seed, c in enumerate((2, 1, 3))]
+    per_condition = 4 * 3  # one grid: 1 + 3 prefixes of one site, V = 3
+    if budget_conditions is not None:
+        monkeypatch.setattr(oracle, "_STACK_ELEMENTS", budget_conditions * per_condition)
+    calls = []
+    check_grid = oracle._check_grid
+
+    def counted(run, scales, *args):
+        calls.append([m.num_conditions for m in run])
+        return check_grid(run, scales, *args)
+
+    monkeypatch.setattr(oracle, "_check_grid", counted)
+    verify_identities(models, VerifySpec())
+    assert calls == passes
+
+
+def test_models_checked_together_share_schedule_and_vocabulary():
+    a = build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 1, seed=0)
+    for other in (build_tabular(ScaleSchedule(((1, 1), (1, 2))), 2, 1, seed=0),
+                  build_tabular(ScaleSchedule(((1, 1), (1, 1))), 3, 1, seed=0)):
+        with pytest.raises(InvalidInputError, match="share a schedule and vocabulary"):
+            verify_identities([a, other], VerifySpec())
+
+
+@pytest.mark.parametrize("models, grid", [(0, {}), (2, {"gammas": (), "lambdas": ()})])
+def test_nothing_to_check_splits_into_empty_reports(models, grid):
+    run = [build_tabular(ScaleSchedule(((1, 1), (1, 1))), 2, 2, seed) for seed in range(models)]
+    report = verify_identities(run, VerifySpec(**grid))
+    assert report.kl.size == 0
+    assert [r.kl.size for r in report.split()] == [0] * models
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_verify_command_lists_failures_in_model_order(monkeypatch, tmp_path, capsys):
+    # Runs of two models (V=2 then V=3, C in {1, 2}); models 1, 3, 4, 5, 6
+    # and 7 fail, so the FAIL lines span every run.
+    verify = {"models": 8, "vocab_grid": [2, 3], "condition_grid": [1, 2],
+              "gammas": [0.0, 1000.0], "lambdas": [0.0, 1000.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"seed": 0}, "verify": verify}))
+    runs = []
+    stacked = cli.verify_identities
+
+    def counted(models, spec):
+        runs.append([(m.vocab, m.num_conditions) for m in models])
+        return stacked(models, spec)
+
+    monkeypatch.setattr(cli, "verify_identities", counted)
+    assert main(["verify", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == EXIT_IDENTITY
+    assert runs == [[(2, 1), (2, 2)], [(3, 1), (3, 2)]] * 2
+    # The lines the one-model reports give, model by model.
+    spec = VerifySpec(gammas=(0.0, 1000.0), lambdas=(0.0, 1000.0))
+    combos = [(2, 1), (2, 2), (3, 1), (3, 2)]
+    expected, failed_rows, failed_models = [], 0, 0
+    for i in range(8):
+        vocab, conds = combos[i % 4]
+        failed = verify_identities([build_tabular(ScaleSchedule(((1, 1), (1, 1))), vocab,
+                                                  conds, seed=i)], spec).failures()
+        failed_rows += len(failed)
+        failed_models += bool(failed)
+        expected += [
+            f"  FAIL model {i} (V={vocab}, C={conds}): {row.kind} c={row.condition} "
+            f"k={row.scale} prefix={row.prefix} gamma={row.gamma} lambda={row.lam} "
+            f"KL={row.kl:.3e}" for row in failed[:5]]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"verify: FAIL {failed_rows} identity rows in {failed_models} of 8 models"
+    assert lines[2:] == expected[:10]
+    shown = [int(line.split()[2]) for line in lines[2:]]
+    assert shown == sorted(shown) and {i // 2 for i in shown} == {0, 1, 2, 3}

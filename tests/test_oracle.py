@@ -157,18 +157,18 @@ class TestIdentityReport:
         sched = ScaleSchedule(((1, 1), (1, 1)))
         for seed in range(3):
             model = build_tabular(sched, 3, 2, seed=seed)
-            report = verify_identities(model, VerifySpec(tolerance=1e-9))
+            report = verify_identities([model], VerifySpec(tolerance=1e-9))
             assert report.failures() == []
             assert report.max_kl < 1e-12
 
     def test_identities_hold_on_multisite_scales(self, small_tabular):
         report = verify_identities(
-            small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
+            [small_tabular], VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
         )
         assert report.failures() == []
 
     def test_failures_listed_above_tolerance(self, m1):
-        report = verify_identities(m1, VerifySpec())
+        report = verify_identities([m1], VerifySpec())
         strict = dataclasses.replace(report, tolerance=-1.0)
         assert strict.failures() != []
         assert len(strict.failures()) == len(report.rows)
@@ -190,13 +190,13 @@ class TestIdentityReport:
 
         monkeypatch.setattr(guidance, name, broken)
         report = verify_identities(
-            small_tabular, VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
+            [small_tabular], VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
         )
         assert report.failures() != []
         assert {r.kind for r in report.failures()} == kinds
 
     def test_report_csv_layout(self, m1, tmp_path):
-        report = verify_identities(m1, VerifySpec(gammas=(0.0,), lambdas=(0.0, 1.0)))
+        report = verify_identities([m1], VerifySpec(gammas=(0.0,), lambdas=(0.0, 1.0)))
         path = tmp_path / "report.csv"
         write_report_csv(report, path)
         with open(path, newline="") as fh:

@@ -75,8 +75,9 @@ MUTANTS = (
            "from .errors import (",
            "from . import guidance\nfrom .errors import ("),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
-           "np.log(marginals(NULL_CONDITION)), shape)",
-           "np.log(marginals(0)), shape)"),
+           "per_model(marginals)", "per_model(lambda m, c: marginals(m, 0))"),
+    Mutant("stacked_pass_reads_first_model_null_rows", "src/prefixlab/oracle.py",
+           "per_model(rows)", "per_model(lambda m, c: rows(models[0], c))"),
     Mutant("grouped_pass_reads_first_scale_marginals", "src/prefixlab/oracle.py",
            "prefix_marginal_sites(model, condition, k),",
            "prefix_marginal_sites(model, condition, scales[0][0]),"),
@@ -134,7 +135,8 @@ MUTANTS = (
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
            "if not self.include_null:", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
-           "return np.mean(rows, axis=0)", "return rows[0]"),
+           "np.mean([self.rows(c, k, keys) for c in range(self.num_conditions)], axis=0)",
+           "self.rows(0, k, keys)"),
     Mutant("count_smoothing_unnormalized", "src/prefixlab/model.py",
            "(totals + self.alpha * self.vocab)", "(totals + self.alpha)"),
     Mutant("null_counts_keep_first_condition", "src/prefixlab/model.py",
