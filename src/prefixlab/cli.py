@@ -196,7 +196,7 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
     for start in range(0, count, SAMPLE_BLOCK):
         sconfig = replace(cfg.sampler, seed=cfg.sampler.seed + start)
         block = min(SAMPLE_BLOCK, count - start)
-        results = rollouts(model, cfg.condition, cfg.guidance, sconfig, book, block)
+        results = rollouts(model, cfg.condition, [(cfg.guidance, sconfig)], book, block)[0]
         # The block's samples share steps; each shared step is formatted once.
         formatted: dict = {}
         for i, result in enumerate(results, start=start):

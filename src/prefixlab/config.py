@@ -26,7 +26,7 @@ from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT_
                      check_fields, one_of)
 from .guidance import GuidanceConfig
 from .harness import SweepGrid
-from .model import check_corpus_sequence, prefix_maps
+from .model import CheckedCorpus, check_corpus_sequence, prefix_maps
 from .oracle import VerifySpec
 from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
@@ -238,7 +238,8 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
     """The corpus of a CSV with one sequence per row: its condition, then
     every token id of every scale's map in scale order, each map row-major.
     A row that is not one such sequence for a model of this shape is an
-    InvalidInputError naming its line; blank lines are skipped."""
+    InvalidInputError naming its line; blank lines are skipped. The corpus
+    is a ``CheckedCorpus``, which ``fit_count_model`` does not check again."""
     expected = sum(schedule.sites(k) for k in range(1, schedule.num_scales + 1))
     corpus = []
     with open(path, newline="") as fh:
@@ -261,5 +262,5 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
             maps = prefix_maps(key, schedule)
             check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where)
             corpus.append((condition, maps))
-    return corpus
+    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))
 

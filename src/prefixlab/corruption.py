@@ -7,7 +7,6 @@ same plan can be shared across all branches of one guided step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,11 +61,23 @@ def selection_size(schedule: ScaleSchedule, k: int, fraction: float) -> int:
 
 @lru_cache(maxsize=256)
 def _round_half_up(sites: int, fraction: float) -> int:
+    """floor(p/q * sites + 1/2) for p/q the fraction's closest rational of
+    denominator at most 10**6, in integers. p/q is what
+    ``fractions.Fraction(fraction).limit_denominator(10**6)`` gives (its
+    continued-fraction walk, ties to the last convergent), without
+    importing ``fractions``, which loads ``decimal``."""
     # Cached: a rollout plans every sample's step with the same few pairs.
-    # Not imported at load: ``fractions`` loads ``decimal``, and only plans need it.
-    from fractions import Fraction
-
-    return math.floor(Fraction(fraction).limit_denominator(10**6) * sites + Fraction(1, 2))
+    n, d = fraction.as_integer_ratio()
+    p, q = n, d
+    if d > 10**6:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while q0 + (n // d) * q1 <= 10**6:
+            a = n // d
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        j = (10**6 - q0) // q1
+        p, q = (p1, q1) if 2 * d * (q0 + j * q1) <= q else (p0 + j * p1, q0 + j * q1)
+    return (2 * p * sites + q) // (2 * q)
 
 
 # Variants whose plans draw from the codebook, with the name their error gives.
@@ -97,14 +108,11 @@ def plan_corruption(
     if book is None and variant in _NEEDS_BOOK:
         raise InconsistentPlanError(f"{_NEEDS_BOOK[variant]} plans need the codebook")
     rng = np.random.default_rng(seed)
-    all_sites = [
-        (j, u) for j in range(1, k) for u in range(schedule.sites(j))
-    ]
-    chosen_idx = sorted(rng.choice(len(all_sites), size=size, replace=False)) if size else []
-    selected = tuple(all_sites[i] for i in chosen_idx)
-    donors = tuple(
-        (j, int(rng.integers(schedule.sites(j)))) for j, _ in selected
-    )
+    sites = [schedule.sites(j) for j in range(1, k)]
+    all_sites = [(j, u) for j, n in enumerate(sites, start=1) for u in range(n)]
+    chosen = rng.choice(len(all_sites), size=size, replace=False).tolist() if size else []
+    selected = tuple(all_sites[i] for i in sorted(chosen))
+    donors = tuple((j, int(rng.integers(sites[j - 1]))) for j, _ in selected)
     code_draws: tuple[tuple[int, int], ...] = ()
     uniform_tokens: tuple[tuple[int, ...], ...] = ()
     if variant is CorruptionVariant.RANDOM_CODEBOOK:
@@ -113,10 +121,7 @@ def plan_corruption(
             for _ in selected
         )
     elif variant is CorruptionVariant.UNIFORM_PREFIX:
-        uniform_tokens = tuple(
-            tuple(int(x) for x in rng.integers(book.vocab, size=schedule.sites(j)))
-            for j in range(1, k)
-        )
+        uniform_tokens = tuple(tuple(rng.integers(book.vocab, size=n).tolist()) for n in sites)
     return CorruptionPlan(k, variant, fraction, selected, donors, seed,
                           code_draws, uniform_tokens)
 

@@ -18,6 +18,7 @@ implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .model import (
     PrefixEmbedding,
     SignedEmbedding,
     TabularModel,
-    predict_logits,
+    context_signature,
     prefix_key,
     prefix_maps,
 )
@@ -109,15 +110,23 @@ def _cfg(cond: np.ndarray, null: np.ndarray | None, gamma: float, which: str) ->
     return extrapolate(cond, null, gamma)
 
 
-def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam: float) -> np.ndarray:
-    """CFG per prefix branch pair first, then the prefix contrast between them."""
+def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam) -> np.ndarray:
+    """CFG per prefix branch pair first, then the prefix contrast between them.
+
+    ``lam`` is one strength, or a column of one strength per row of a
+    stack, shape (P, 1, ..., 1). A column takes the same IEEE operations,
+    element by element, as each row's own strength would, and a row whose
+    strength is 0 takes its CFG'd genuine pair exactly (``np.where``), not
+    the value its zero strength extrapolates to.
+    """
     g_gen = _cfg(branches.cond_gen, branches.null_gen, gamma, "genuine")
-    if lam == 0:
+    if not np.any(lam):
         return g_gen
     if branches.cond_corr is None:
         raise MissingBranchError("lam > 0 needs the corrupted-prefix branch")
     g_corr = _cfg(branches.cond_corr, branches.null_corr, gamma, "corrupted")
-    return extrapolate(g_gen, g_corr, lam)
+    mixed = extrapolate(g_gen, g_corr, lam)
+    return mixed if np.ndim(lam) == 0 else np.where(lam > 0, mixed, g_gen)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +135,12 @@ class GuidedStep:
     audit trail.
 
     ``logits`` and the branch arrays of a stacked step have a leading P
-    axis, and ``plans`` holds each row's corruption plan (None where the row
-    has none). ``row(i)`` is row i as a one-prefix step: its arrays are
-    (h, w, V), and ``plan`` is its plan. The arrays are read-only, so the
+    axis, ``plans`` holds each row's corruption plan (None where the row
+    has none), and ``contrasted`` whether each row has a weak-prefix branch
+    pair: a row without one takes nothing from the corrupted branch
+    arrays. ``row(i)`` is row i as a one-prefix step: its arrays are
+    (h, w, V), ``plan`` is its plan, and it has corrupted branches only if
+    it contrasts. The arrays are read-only, so the
     samples of a rollout whose steps have the same branch inputs can share
     one step; it hashes by identity.
     """
@@ -137,6 +149,7 @@ class GuidedStep:
     logits: np.ndarray
     branches: BranchLogits
     plans: tuple[CorruptionPlan | None, ...]
+    contrasted: tuple[bool, ...]
     # Each row's record, built once: the samples that share a row share it.
     _rows: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -149,18 +162,22 @@ class GuidedStep:
 
     @property
     def evaluations(self) -> int:
-        """Branches evaluated, summed over the rows; an injected exact
-        marginal counts as one per row."""
-        return len(self.plans) * sum(x is not None for x in self.branches)
+        """Branches evaluated, summed row by row over the branches each row
+        used; an injected exact marginal counts as one per row."""
+        cond_gen, null_gen, cond_corr, null_corr = (x is not None for x in self.branches)
+        return (len(self.plans) * (cond_gen + null_gen)
+                + sum(self.contrasted) * (cond_corr + null_corr))
 
     def row(self, i: int) -> "GuidedStep":
         """Row i of a stacked step, as the one-prefix step of its prefix."""
         record = self._rows.get(i)
         if record is None:
+            flag = self.contrasted[i]
+            branches = [x if x is None else x[i] for x in self.branches]
+            if not flag:
+                branches[2:] = None, None
             record = self._rows[i] = GuidedStep(
-                self.k, self.logits[i],
-                BranchLogits(*(x if x is None else x[i] for x in self.branches)),
-                (self.plans[i],))
+                self.k, self.logits[i], BranchLogits(*branches), (self.plans[i],), (flag,))
         return record
 
 
@@ -168,7 +185,7 @@ def guided_step(
     model,
     condition: Condition,
     prefix,
-    config: GuidanceConfig,
+    config: GuidanceConfig | Sequence[GuidanceConfig],
     *,
     book: Codebook | None = None,
     plan: CorruptionPlan | None = None,
@@ -188,9 +205,12 @@ def guided_step(
 
     With ``stack``, ``prefix`` is a stack of P prefixes of one scale, and
     ``plan`` and ``signed``, where given, hold one entry per prefix (a
-    row's plan may be None). The step is then evaluated for the whole stack
-    at once: a tabular model's rows are gathered, a count model's logits are
-    read once per distinct signature, and the corrupted rows are corrupted
+    row's plan may be None). ``config`` is one config for every row, or a
+    sequence of one per row; the rows' configs share gamma and reference,
+    and each row contrasts, with its own lambda, where its own config does.
+    The step is then evaluated for the whole stack at once: a tabular
+    model's rows are gathered, a count model's logits are read once per
+    distinct signature, and the corrupted rows of each variant are corrupted
     and signed together. Its arrays have a leading P axis. The one-prefix
     call is the P = 1 case and returns that row.
     """
@@ -200,15 +220,25 @@ def guided_step(
         signs = None if signed is None else list(signed)
     else:
         prefixes, plans, signs = [list(prefix)], [plan], None if signed is None else [signed]
-    if not prefixes or len(plans) != len(prefixes) or (
+    configs = ([config] * len(prefixes) if isinstance(config, GuidanceConfig)
+               else list(config) if stack else [])
+    if not prefixes or len(plans) != len(prefixes) or len(configs) != len(prefixes) or (
             signs is not None and len(signs) != len(prefixes)):
-        raise InvalidInputError("a stack takes one plan and one signed embedding per prefix")
+        raise InvalidInputError(
+            "a stack takes one plan and one signed embedding per prefix, and one config "
+            "or one per prefix")
     k = len(prefixes[0]) + 1
     if any(len(p) != k - 1 for p in prefixes):
         raise InvalidInputError("the prefixes of a stack are for one step")
+    # Each distinct config is asked once; many rows share one.
+    by_id = {id(c): c for c in configs}
+    gamma, reference = configs[0].gamma, configs[0].reference
+    if any(c.gamma != gamma or c.reference != reference for c in by_id.values()):
+        raise InvalidInputError("the rows of a stack share gamma and reference")
 
-    needs_cfg = config.gamma > 0
-    needs_vpg = config.contrasts(k)
+    needs_cfg = gamma > 0
+    contrasts = {i: c.contrasts(k) for i, c in by_id.items()}
+    contrasted = tuple(contrasts[id(c)] for c in configs)
 
     def pair(evaluate):
         """A branch pair: ``evaluate`` at the condition and, only when
@@ -227,16 +257,14 @@ def guided_step(
                     f"signed embedding is for step {s.embedding.step}, "
                     f"the prefix is for step {k}"
                 )
-        inputs = signs
+        inputs = [s.signature for s in signs]
 
-        def predicted(rows):
-            """The pair on signed embeddings, read once per distinct signature."""
-            def evaluate(c):
-                by_signature = {s.signature: s for s in rows}
-                logits = {sig: predict_logits(model, c, (), signed=s)
-                          for sig, s in by_signature.items()}
-                return np.stack([logits[s.signature] for s in rows])
-            return pair(evaluate)
+        def predicted(signatures):
+            """The pair of the rows' signatures, read once per distinct one
+            and gathered row by row."""
+            distinct: dict = {}
+            index = [distinct.setdefault(sig, len(distinct)) for sig in signatures]
+            return pair(lambda c: np.stack([model.logits(c, k, sig) for sig in distinct])[index])
     elif signs is not None:
         raise InvalidInputError("only a count model reads a signed embedding")
     elif isinstance(model, TabularModel):
@@ -250,8 +278,8 @@ def guided_step(
 
     gen = predicted(inputs)
     corr = (None, None)
-    if needs_vpg:
-        if config.reference == "exact-marginal":
+    if any(contrasted):
+        if reference == "exact-marginal":
             if not isinstance(model, TabularModel):
                 raise GuidanceConfigError(
                     "exact-marginal reference requires an enumerable tabular model"
@@ -263,23 +291,32 @@ def guided_step(
                 raise GuidanceConfigError(
                     "corrupted-prefix reference requires an embedding-consuming model"
                 )
-            if any(p is None for p in plans) and config.draws_plan(k, model.schedule):
+            draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
+            if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
                 raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
-            planned = [i for i, p in enumerate(plans) if p is not None]
-            corr = gen
-            if planned:
-                # Rows without a plan keep their clean embedding.
-                corrupted = dict(zip(planned, model.sign(apply_corruption(
-                    PrefixEmbedding.stack([signs[i].embedding for i in planned]),
-                    [plans[i] for i in planned], book, model.schedule, model.params))))
-                corr = predicted([corrupted.get(i, s) for i, s in enumerate(signs)])
+            # The planned rows that contrast, by variant: each variant's
+            # rows are corrupted in one call.
+            by_variant: dict = {}
+            for i, (p, flag) in enumerate(zip(plans, contrasted)):
+                if p is not None and flag:
+                    by_variant.setdefault(p.variant, []).append(i)
+            corrupted: dict = {}
+            for rows in by_variant.values():
+                corrupted.update(zip(rows, context_signature(apply_corruption(
+                    PrefixEmbedding.stack([signs[i].embedding for i in rows]),
+                    [plans[i] for i in rows], book, model.schedule, model.params),
+                    model.thresholds)))
+            # Rows without a plan keep their clean signature.
+            corr = predicted([corrupted.get(i, sig) for i, sig in enumerate(inputs)]) \
+                if corrupted else gen
 
     branches = BranchLogits(*gen, *corr)
-    lam = config.lam if needs_vpg else 0.0
-    logits = compose_cfg_vpg(branches, config.gamma, lam)
+    lam = np.array([c.lam if flag else 0.0 for c, flag in zip(configs, contrasted)])
+    logits = compose_cfg_vpg(branches, gamma, lam[:, None, None, None])
     for array in (logits, *branches):
         if array is not None:
             array.setflags(write=False)
-    used = tuple(plans) if needs_vpg and config.reference == "corrupted" else (None,) * len(plans)
-    step = GuidedStep(k, logits, branches, used)
+    used = tuple(p if flag and reference == "corrupted" else None
+                 for p, flag in zip(plans, contrasted))
+    step = GuidedStep(k, logits, branches, used, contrasted)
     return step if stack else step.row(0)

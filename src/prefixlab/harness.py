@@ -200,42 +200,75 @@ class MetricRow:
     error: str = ""
 
 
-def _cell_metric(
-    grid: SweepGrid, spec: ExperimentSpec, gconfig: GuidanceConfig, seed: int
-) -> float:
-    if grid.metric == "exact_kl":
-        guided = rollout_distribution(spec.model, spec.condition, gconfig, spec.sampler, spec.book)
-        baseline = rollout_distribution(spec.model, spec.condition, GuidanceConfig(),
-                                        SamplerConfig(), spec.book)
-        return exact_kl(guided, baseline)
-    results = rollouts(spec.model, spec.condition, gconfig, replace(spec.sampler, seed=seed),
-                       spec.book, grid.n_samples)
-    return toy_frechet([r.latent for r in results], spec.reference_fit)
+# A sweep rolls its toy_frechet (cell, replicate) lanes out together, in one
+# ``rollouts`` call per run of consecutive lanes of at most this many
+# samples in all (a lane of more samples is a call of its own).
+PACK_SAMPLES = 1024
+
+
+def _timed(metric) -> tuple[float | None, str, float]:
+    """``metric()``'s value, its error ("" if none) and its wall time in ms."""
+    start = time.perf_counter()
+    try:
+        value, error = metric(), ""
+    except Exception as exc:  # recorded, sweep continues
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return value, error, (time.perf_counter() - start) * 1000.0
+
+
+def _exact_kl_cell(spec: ExperimentSpec, gconfig: GuidanceConfig) -> float:
+    guided = rollout_distribution(spec.model, spec.condition, gconfig, spec.sampler, spec.book)
+    baseline = rollout_distribution(spec.model, spec.condition, GuidanceConfig(),
+                                    SamplerConfig(), spec.book)
+    return exact_kl(guided, baseline)
+
+
+def _frechet_cells(spec: ExperimentSpec, lanes, n_samples: int):
+    """(value, error, runtime_ms) of each toy_frechet lane of ``lanes``,
+    (gconfig, seed) pairs rolled out in one ``rollouts`` call. If the call
+    raises, each lane is run again alone."""
+    rolled, error, call_ms = _timed(lambda: rollouts(
+        spec.model, spec.condition,
+        [(gconfig, replace(spec.sampler, seed=seed)) for gconfig, seed in lanes],
+        spec.book, n_samples))
+    if error:
+        if len(lanes) == 1:
+            return [(None, error, call_ms)]
+        return [cell for lane in lanes for cell in _frechet_cells(spec, [lane], n_samples)]
+    cells = []
+    for results in rolled:
+        value, error, metric_ms = _timed(
+            lambda: toy_frechet([r.latent for r in results], spec.reference_fit))
+        cells.append((value, error, call_ms / len(lanes) + metric_ms))
+    return cells
 
 
 def run_sweep(grid: SweepGrid, spec: ExperimentSpec) -> list[MetricRow]:
-    """One row per (cell, replicate); failures land in the error column."""
-    rows = []
+    """One row per (cell, replicate); failures land in the error column.
+
+    An exact_kl cell is run and timed on its own. The toy_frechet lanes are
+    rolled out together, up to ``PACK_SAMPLES`` samples per ``rollouts``
+    call, and a cell's ``runtime_ms`` is its call's wall time over the
+    call's lanes plus its own metric time. If a call raises, each of its
+    lanes is run again alone, so every cell keeps its own value or error.
+    """
+    lanes = []  # (lam, fraction, variant, mask, replicate, seed, gconfig) per row
     for idx, lam, fraction, variant, mask in grid.cells():
-        for rep in range(grid.replicates):
-            seed = cell_seed(grid.seed, idx, rep)
-            gconfig = replace(
-                spec.guidance, lam=lam, fraction=fraction, variant=variant,
-                scale_mask=mask,
-            )
-            start = time.perf_counter()
-            try:
-                value = _cell_metric(grid, spec, gconfig, seed)
-                error = ""
-            except Exception as exc:  # recorded, sweep continues
-                value = None
-                error = f"{type(exc).__name__}: {exc}"
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                MetricRow(lam, fraction, variant, mask, spec.guidance.gamma,
-                          grid.metric, value, rep, seed, runtime_ms, error)
-            )
-    return rows
+        gconfig = replace(spec.guidance, lam=lam, fraction=fraction, variant=variant,
+                          scale_mask=mask)
+        lanes += [(lam, fraction, variant, mask, rep, cell_seed(grid.seed, idx, rep), gconfig)
+                  for rep in range(grid.replicates)]
+    if grid.metric == "exact_kl":
+        cells = [_timed(lambda: _exact_kl_cell(spec, lane[-1])) for lane in lanes]
+    else:
+        per_call = max(1, PACK_SAMPLES // grid.n_samples)
+        packs = [[(gconfig, seed) for *_, seed, gconfig in lanes[start:start + per_call]]
+                 for start in range(0, len(lanes), per_call)]
+        cells = [cell for pack in packs for cell in _frechet_cells(spec, pack, grid.n_samples)]
+    return [MetricRow(lam, fraction, variant, mask, spec.guidance.gamma, grid.metric,
+                      value, rep, seed, runtime_ms, error)
+            for (lam, fraction, variant, mask, rep, seed, _), (value, error, runtime_ms)
+            in zip(lanes, cells)]
 
 
 def _mask_label(mask: frozenset[int] | None) -> str:

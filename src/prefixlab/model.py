@@ -340,7 +340,7 @@ class CountModel:
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool
     # One read-only (h_k, w_k, V) grid per (condition, k, signature) that
-    # ``predict_logits`` was asked for: rollouts ask for few distinct keys
+    # ``logits`` was asked for: rollouts ask for few distinct keys
     # many times over (97% of the bench ablate's count-model calls repeat
     # one), so it grows with the distinct prefix signatures, not the calls.
     _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -354,13 +354,9 @@ class CountModel:
             )
         return self.sign(embed_prefix(prefix, book, self.schedule, self.params))
 
-    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding | list[SignedEmbedding]:
-        """``embedding`` together with its signature under this model; a
-        stacked embedding gives each of its rows, in a list."""
-        signature = context_signature(embedding, self.thresholds)
-        if embedding.stacked:
-            return [SignedEmbedding(embedding.row(i), sig) for i, sig in enumerate(signature)]
-        return SignedEmbedding(embedding, signature)
+    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
+        """``embedding`` together with its signature under this model."""
+        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
 
     def extend(
         self, signed: Sequence[SignedEmbedding], latent: np.ndarray
@@ -381,6 +377,15 @@ class CountModel:
             SignedEmbedding(s.embedding.extended(grid[i], pooled[i]), s.signature + (tuple(b),))
             for i, (s, b) in enumerate(zip(signed, bins))
         ]
+
+    def logits(self, condition: Condition, k: int, signature) -> np.ndarray:
+        """The read-only scale-k logits of a prefix with this signature, kept
+        per (condition, k, signature)."""
+        key = (condition, k, signature)
+        logits = self._logits.get(key)
+        if logits is None:
+            logits = self._logits[key] = _read_only(np.log(self.site_probs(*key)))
+        return logits
 
     def site_probs(self, condition: Condition, k: int, signature) -> np.ndarray:
         if condition is NULL_CONDITION:
@@ -410,6 +415,46 @@ def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, wher
     raise InvalidInputError(f"{where}: {problem}")
 
 
+class CheckedCorpus(tuple):
+    """(condition, maps) sequences that have each passed
+    ``check_corpus_sequence`` for ``checked_for``, a (schedule, vocab,
+    num_conditions) triple, as ``config.corpus_from_csv`` returns them."""
+
+    def __new__(cls, sequences, checked_for):
+        corpus = super().__new__(cls, sequences)
+        corpus.checked_for = checked_for
+        return corpus
+
+
+def _corpus_ids(corpus, schedule, vocab, num_conditions) -> list[np.ndarray]:
+    """Each scale's ids stacked over the corpus, (n, h_k, w_k), once every
+    sequence passes ``check_corpus_sequence`` (a ``CheckedCorpus`` for this
+    shape has). The checks run on the stacks; only where one fails is each
+    sequence checked in turn, so the error names the first bad sequence and
+    its first problem, as a loop over the sequences does."""
+    def stacks():
+        return [np.stack([maps[k - 1].ids for _, maps in corpus])
+                for k in range(1, schedule.num_scales + 1)]
+
+    if getattr(corpus, "checked_for", None) == (schedule, vocab, num_conditions):
+        return stacks()
+    try:
+        ids = stacks() if all(len(maps) == schedule.num_scales for _, maps in corpus) else None
+    except ValueError:  # maps of unlike shapes, which np.stack names below
+        ids = None
+    conditions = [condition for condition, _ in corpus]
+    if ids is None or not (
+        all(isinstance(c, (int, np.integer)) for c in conditions)
+        and 0 <= min(conditions) and max(conditions) < num_conditions
+        and all(grid.min() >= 0 and grid.max() < vocab for grid in ids)
+    ):
+        for i, (condition, maps) in enumerate(corpus):
+            check_corpus_sequence(
+                condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
+            )
+    return stacks() if ids is None else ids
+
+
 def fit_count_model(
     corpus: Sequence[tuple[int, Sequence[TokenMap]]],
     schedule: ScaleSchedule,
@@ -422,7 +467,8 @@ def fit_count_model(
     embed_dim: int,
     include_null: bool,
 ) -> CountModel:
-    """Aggregate per-(scale, condition, signature) token counts over a corpus."""
+    """Aggregate per-(scale, condition, signature) token counts over a corpus,
+    whose every sequence must pass ``check_corpus_sequence``."""
     if len(corpus) == 0:
         raise InvalidInputError("count-model corpus must be non-empty")
     if not POSITIVE.holds(alpha):
@@ -434,16 +480,12 @@ def fit_count_model(
         embedding_params(schedule, book.latent_dim, embed_dim, embed_seed),
         counts, include_null,
     )
-    for i, (condition, maps) in enumerate(corpus):
-        check_corpus_sequence(
-            condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
-        )
+    scale_ids = _corpus_ids(corpus, schedule, vocab, num_conditions)
     # Every sequence advances one scale at a time: its step-k signature
     # counts its scale-k ids, then its embedding is extended by that scale.
     latent = np.zeros((len(corpus),) + schedule.final_dims + (book.latent_dim,))
     signed = [model.sign(EMPTY_EMBEDDING)] * len(corpus)
-    for k in range(1, schedule.num_scales + 1):
-        ids = np.stack([maps[k - 1].ids for _, maps in corpus])
+    for k, ids in enumerate(scale_ids, start=1):
         # Site u's id v is bin u * vocab + v of a sequence's histogram.
         flat = ids.reshape(len(corpus), -1) + np.arange(schedule.sites(k)) * vocab
         members: dict = {}
@@ -489,9 +531,5 @@ def predict_logits(
             if not all(isinstance(m, TokenMap) for m in prefix):
                 raise InvalidInputError("a count model embeds token maps, not prefix keys")
             signed = model.embed(prefix, book)
-        key = (condition, signed.embedding.step, signed.signature)
-        logits = model._logits.get(key)
-        if logits is None:
-            logits = model._logits[key] = _read_only(np.log(model.site_probs(*key)))
-        return logits
+        return model.logits(condition, signed.embedding.step, signed.signature)
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

@@ -58,15 +58,19 @@ def chain_law(step_laws, num_scales: int) -> tuple[list[PrefixKey], np.ndarray]:
 
     ``step_laws(keys)`` returns the per-site laws, (P, h*w, V), of the map
     after each of a level's P live prefix keys; sites are independent given
-    the prefix."""
+    the prefix. Laws of a stack of G walks over one prefix space, (G, P,
+    h*w, V), are walked together: ``probs`` is then (G, P), and a key is
+    kept where any of the G gives it mass (the others carry it at 0)."""
     keys, probs = [()], np.ones(1)
     for _ in range(num_scales):
         laws = step_laws(keys)
-        maps = scale_maps(laws.shape[2], laws.shape[1])
-        joint = probs[:, None] * _joint_law(laws)
-        rows, cols = np.nonzero(joint > 0.0)
+        maps = scale_maps(laws.shape[-1], laws.shape[-2])
+        flat = laws.reshape((-1,) + laws.shape[-2:])
+        joint = probs[..., None] * _joint_law(flat).reshape(laws.shape[:-2] + (-1,))
+        live = (joint > 0.0).reshape((-1,) + joint.shape[-2:]).any(axis=0)
+        rows, cols = np.nonzero(live)
         keys = [keys[i] + (maps[j],) for i, j in zip(rows.tolist(), cols.tolist())]
-        probs = joint[rows, cols]
+        probs = joint[..., rows, cols]
     return keys, probs
 
 
@@ -122,17 +126,41 @@ def prefix_marginal_sites(
 ) -> np.ndarray:
     """Per-site p(r_k | c), shape (h_k, w_k, V), read-only, under the model's
     own prefix law walked to k - 1; step k's joint is never formed. Tabular
-    models keep it per (condition, k); count models walk ``exp(predict_logits)``
-    on every call and need the codebook."""
-    memo = model._marginals if isinstance(model, TabularModel) else {}
-    total = memo.get((condition, k))
-    if total is None:
-        laws = _site_laws(model, condition, book)
-        keys, probs = chain_law(laws, k - 1)
-        total = (probs[:, None, None] * laws(keys)).sum(axis=0)
-        total = total.reshape(model.schedule.grid(k) + (model.vocab,))
-        total.setflags(write=False)
-        memo[(condition, k)] = total
+    models keep it per (condition, k), and the first call at a scale keeps
+    every condition's and the null condition's, from one stacked walk; the
+    marginals are the same bits as one walk each. Count models walk
+    ``exp(predict_logits)`` on every call and need the codebook."""
+    if isinstance(model, TabularModel):
+        memo = model._marginals
+        conditions = [*range(model.num_conditions), NULL_CONDITION]
+        if (condition, k) not in memo and condition in conditions:
+            for c, total in zip(conditions, _marginal_sites(model, k, _class_laws(model))):
+                memo[(c, k)] = total
+        if (condition, k) in memo:
+            return memo[(condition, k)]
+    return _marginal_sites(model, k, _site_laws(model, condition, book))
+
+
+def _class_laws(model: TabularModel):
+    """The per-site step laws of every condition of a tabular model and then
+    of the null condition, stacked for ``chain_law`` as (C + 1, P, h*w, V).
+    The null rows are the mean of the stacked class rows, the same bits as
+    ``TabularModel.rows`` gives them."""
+    def laws(keys):
+        k = len(keys[0]) + 1
+        rows = np.stack([model.rows(c, k, keys) for c in range(model.num_conditions)])
+        stacked = np.concatenate([rows, rows.mean(axis=0)[None]])
+        return stacked.reshape(len(stacked), len(keys), -1, model.vocab)
+    return laws
+
+
+def _marginal_sites(model, k: int, laws) -> np.ndarray:
+    """Per-site p(r_k), (..., h_k, w_k, V), read-only, weighting the scale-k
+    laws of ``laws`` (one walk's or a stack's) by the prefix law to k - 1."""
+    keys, probs = chain_law(laws, k - 1)
+    total = (probs[..., None, None] * laws(keys)).sum(axis=-3)
+    total = total.reshape(total.shape[:-2] + model.schedule.grid(k) + (model.vocab,))
+    total.setflags(write=False)
     return total
 
 

@@ -117,7 +117,9 @@ def truncate_and_sample(
     cdf = np.cumsum(flat, axis=-1)
     cdf /= cdf[..., -1:]
     sites = flat.shape[1]
-    uniforms = np.stack([rng.random(sites) for rng in rngs])
+    uniforms = np.empty((len(rngs), sites))
+    for rng, out in zip(rngs, uniforms):
+        rng.random(out=out)
     ids = (cdf[rows] <= uniforms[..., None]).sum(axis=-1)
     return ids.reshape((len(rngs),) + laws.shape[1:-1])
 
@@ -158,64 +160,86 @@ def _branch_input(key, signed: SignedEmbedding | None):
 def rollouts(
     model,
     condition: Condition,
-    gconfig: GuidanceConfig,
-    sconfig: SamplerConfig,
+    lanes: Sequence[tuple[GuidanceConfig, SamplerConfig]],
     book: Codebook,
     count: int,
-) -> list[RolloutResult]:
-    """``count`` guided generations over ``model.schedule``, advanced together.
+) -> list[list[RolloutResult]]:
+    """``count`` guided generations over ``model.schedule`` per lane, all
+    advanced together; one list of ``count`` results per lane.
 
-    Sample i is seeded ``sconfig.seed + i`` and has its own generator, which
-    draws the step's plan seed and then the step's uniforms, so each sample is
-    the same as if it were generated alone. Each scale takes one stacked
-    ``guided_step``. Where ``gconfig.draws_plan`` holds, each sample's
-    corruption plan is drawn here from its plan seed and the stack has one
-    row per sample; else, as where the variant can select no site, one row
-    per group of samples with the same ``_branch_input``, whose members
-    share the row. Each row's law is truncated once and all samples are
-    sampled in one pass. The samples' prefix keys and latents are carried
-    forward one scale at a time, and for a count model so are their signed
-    prefix embeddings, which ``guided_step`` reads.
+    A lane is a ``(GuidanceConfig, SamplerConfig)`` pair. The lanes share
+    the sampler's temperature, top-k and top-p and the guidance's gamma and
+    reference; each has its own seed and its own strength, fraction,
+    variant and scale mask. Sample i of a lane is seeded ``sconfig.seed +
+    i`` and has its own generator, which draws the step's plan seed and then
+    the step's uniforms, so each sample is the same as if it were generated
+    alone. Each scale takes one stacked ``guided_step`` over every lane,
+    with each row's lane config. Where a lane's ``draws_plan`` holds, each of
+    its samples' corruption plans is drawn here from its plan seed and the
+    stack has one row per sample; else, as where the variant can select no
+    site, one row per group of the lane's samples with the same
+    ``_branch_input``, whose members share the row. So each lane has the
+    rows it would have alone. Each row's law is truncated once and all
+    samples are sampled in one pass. The samples' prefix keys and latents
+    are carried forward one scale at a time, and for a count model so are
+    their signed prefix embeddings, which ``guided_step`` reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
-    schedule = model.schedule
-    seeds = [sconfig.seed + i for i in range(count)]
+    lanes = list(lanes)
+    if not lanes:
+        raise InvalidInputError("rollouts need at least one lane")
+    (gshared, sconfig), schedule = lanes[0], model.schedule
+
+    def shared(g, s):
+        return (s.temperature, s.top_k, s.top_p, g.gamma, g.reference)
+
+    if any(shared(*lane) != shared(gshared, sconfig) for lane in lanes):
+        raise InvalidInputError(
+            "the lanes of a rollout share temperature, top_k, top_p, gamma and reference")
+    # Sample i belongs to lane i // count.
+    total = len(lanes) * count
+    seeds = [s.seed + i for _, s in lanes for i in range(count)]
+    configs = [g for g, _ in lanes for _ in range(count)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    keys = [()] * count
+    keys = [()] * total
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
-    latent = np.zeros((count,) + schedule.final_dims + (book.latent_dim,))
+    latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
     carries_embedding = isinstance(model, CountModel)
-    signed = [model.embed([], book) if carries_embedding else None] * count
+    signed = [model.embed([], book) if carries_embedding else None] * total
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
-        draws = gconfig.draws_plan(k, schedule)
+        draws = [g.draws_plan(k, schedule) for g, _ in lanes]
         groups: dict = {}
-        for i in range(count):
-            key = i if draws else _branch_input(keys[i], signed[i])
+        for i in range(total):
+            lane = i // count
+            key = i if draws[lane] else (lane, _branch_input(keys[i], signed[i]))
             groups.setdefault(key, []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
-            model, condition, [keys[i] for i in firsts], gconfig, book=book, stack=True,
-            plan=[plan_corruption(schedule, k, gconfig.fraction, gconfig.variant,
-                                  plan_seeds[i], book=book) for i in firsts] if draws else None,
+            model, condition, [keys[i] for i in firsts], [configs[i] for i in firsts],
+            book=book, stack=True,
+            plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
+                                  plan_seeds[i], book=book) if draws[i // count] else None
+                  for i in firsts] if any(draws) else None,
             signed=[signed[i] for i in firsts] if carries_embedding else None,
         )
-        rows = np.empty(count, dtype=np.intp)
+        rows = np.empty(total, dtype=np.intp)
         for row, members in enumerate(groups.values()):
             rows[members] = row
         ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
         if carries_embedding and k < schedule.num_scales:
             signed = model.extend(signed, latent)
-        keys = [key + (tuple(part),) for key, part in zip(keys, ids.reshape(count, -1).tolist())]
+        keys = [key + (tuple(part),) for key, part in zip(keys, ids.reshape(total, -1).tolist())]
         scales.append((ids, [(step, row) for row in rows.tolist()]))
     # Per sample: its ids at every scale, and its (step, row) at every scale.
     samples = zip(seeds, latent, zip(*(ids for ids, _ in scales)),
                   zip(*(steps for _, steps in scales)))
-    return [RolloutResult(ids, sample_latent, steps, condition, seed)
-            for seed, sample_latent, ids, steps in samples]
+    results = [RolloutResult(ids, sample_latent, steps, condition, seed)
+               for seed, sample_latent, ids, steps in samples]
+    return [results[start:start + count] for start in range(0, total, count)]
 
 
 def trace_to_csv(result: RolloutResult, path, formatted: dict | None = None) -> None:

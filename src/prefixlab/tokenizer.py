@@ -230,7 +230,9 @@ def synthetic_images(
 
     Every parameter is drawn image by image and bump by bump; then each bump
     layer is evaluated for all images at once and added in bump order, so
-    every image equals one built alone.
+    every image equals one built alone. A bump's centre and widths take one
+    draw of four uniforms u, scaled afterwards as ``rng.uniform(lo, hi)``
+    scales its own draw, lo + (hi - lo) * u: the same stream and bits.
     """
     rng = np.random.default_rng(seed)
     h, w = schedule.final_dims
@@ -239,9 +241,9 @@ def synthetic_images(
     params = np.empty((3, count, 4 + latent_dim))
     for i in range(count):
         for b in range(3):
-            params[b, i, :2] = rng.uniform(0, h), rng.uniform(0, w)
-            params[b, i, 2:4] = rng.uniform(0.5, 2.0, size=2)
+            params[b, i, :4] = rng.random(4)
             params[b, i, 4:] = rng.normal(size=latent_dim)
+    params[..., :4] = np.array([0.0, 0.0, 0.5, 0.5]) + np.array([h, w, 1.5, 1.5]) * params[..., :4]
     images = np.zeros((count, h, w, latent_dim))
     for layer in params:
         cy, cx, sy, sx = (layer[:, c, None, None] for c in range(4))

@@ -274,14 +274,14 @@ def test_criterion_7_sampler_laws(small_count, small_book):
 
         model = fixture_m1()
         book = Codebook.seeded(2, 2, 2, seed=7)
-        a = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, 1)[0]
-        b = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=5), book, 1)[0]
+        a = rollouts(model, 0, [(GuidanceConfig(), SamplerConfig(seed=5))], book, 1)[0][0]
+        b = rollouts(model, 0, [(GuidanceConfig(), SamplerConfig(seed=5))], book, 1)[0][0]
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         for ra, rb in zip(a.trace, b.trace):
             assert np.array_equal(ra.logits, rb.logits)
 
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
-        result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
+        result = rollouts(small_count, 1, [(gconfig, SamplerConfig(seed=9))], small_book, 1)[0][0]
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,

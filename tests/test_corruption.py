@@ -61,6 +61,19 @@ class TestSelectionSize:
         assert selection_size(SCHEDULE, k, fraction) == expected
 
 
+    @given(st.integers(1, 3 * 10**6), st.data(), st.sampled_from([-1, 0, 1]),
+           st.integers(1, 10**5))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_rounding_equals_limit_denominator(self, q, data, step, sites):
+        # Floats p/q with denominators about the 10**6 limit, and their
+        # neighbours, snap and round as Fraction.limit_denominator does.
+        fraction = data.draw(st.integers(0, q)) / q
+        fraction = min(max(float(np.nextafter(fraction, fraction + step)), 0.0), 1.0)
+        exact = Fraction(fraction).limit_denominator(10**6) * sites
+        schedule = ScaleSchedule(((1, sites), (1, sites)))
+        assert selection_size(schedule, 2, fraction) == math.floor(exact + Fraction(1, 2))
+
+
 class TestPlanning:
     def test_fraction_outside_unit_interval_raises(self):
         for bad in (-0.1, 1.5):

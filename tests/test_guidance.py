@@ -1,5 +1,7 @@
 """Guidance algebra and per-step branch orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,7 +411,8 @@ class TestGuidedStepCount:
             np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed)
         )
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
-        step = rollouts(small_count, 0, config, SamplerConfig(seed=9), small_book, 1)[0].trace[1]
+        lane = (config, SamplerConfig(seed=9))
+        step = rollouts(small_count, 0, [lane], small_book, 1)[0][0].trace[1]
         if variant is CorruptionVariant.UNIFORM_PREFIX:
             assert seeded == [9, step.plan.seed]
             assert step.plan.selected == ()
@@ -522,6 +525,77 @@ class TestStackedStep:
                 a, b = getattr(got.branches, name), getattr(want.branches, name)
                 assert (a is None) == (b is None)
                 assert a is None or same_bits(a, b)
+
+    @given(
+        st.data(),
+        st.sampled_from(["tabular", "count"]),
+        st.sampled_from([0.0, 1.0]),
+        st.integers(0, 2**16),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_with_their_own_configs_equal_one_config_steps(
+        self, data, kind, gamma, seed, rows
+    ):
+        schedule = data.draw(multisite_schedules(max_prefix_sites=5))
+        k = data.draw(st.integers(1, schedule.num_scales))
+        vocab = 2 if kind == "tabular" else 3
+        book = Codebook.seeded(schedule.num_scales, vocab, 2, seed=7)
+        if kind == "tabular":
+            model = build_tabular(schedule, vocab=vocab, num_conditions=2, seed=seed)
+        else:
+            corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+            model = fit_count_model(
+                corpus, schedule, book, vocab=vocab, num_conditions=2, alpha=1.0,
+                spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3,
+                include_null=True,
+            )
+        # Each row its own strength, mask, fraction and variant.
+        configs = [GuidanceConfig(
+            gamma=gamma,
+            lam=data.draw(st.sampled_from([0.0, 0.5, 1.5])),
+            fraction=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+            variant=data.draw(st.sampled_from(list(CorruptionVariant))),
+            scale_mask=data.draw(st.sampled_from([None, frozenset({k}), frozenset({k + 1})])),
+            reference="exact-marginal" if kind == "tabular" else "corrupted",
+        ) for _ in range(rows)]
+        rng = np.random.default_rng(seed)
+        prefixes = [[TokenMap(j, rng.integers(0, vocab, schedule.grid(j))) for j in range(1, k)]
+                    for _ in range(rows)]
+        # Where a row draws no plan, every other row is given one anyway.
+        plans = [
+            plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book=book)
+            if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
+            for i, c in enumerate(configs)
+        ]
+        signed = [model.embed(p, book) for p in prefixes] if kind == "count" else None
+        step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, signed=signed,
+                           stack=True)
+        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+                 for prefix, config, plan in zip(prefixes, configs, plans)]
+        assert step.evaluations == sum(a.evaluations for a in alone)
+        for i, want in enumerate(alone):
+            got = step.row(i)
+            assert got.k == want.k == k and got.plan is want.plan
+            assert got.evaluations == want.evaluations
+            assert same_bits(got.logits, want.logits)
+            for name in BRANCHES:
+                a, b = getattr(got.branches, name), getattr(want.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+    def test_rows_of_a_stack_share_gamma_and_reference(self, small_tabular):
+        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
+        config = GuidanceConfig(gamma=1.0, lam=1.0)
+        step = guided_step(small_tabular, 0, prefixes, [config, replace(config, lam=0.0)],
+                           stack=True)
+        assert step.contrasted == (True, False)
+        assert step.row(1).branches.cond_corr is None and step.evaluations == 4 + 2
+        for other in (replace(config, gamma=0.5), replace(config, reference="corrupted")):
+            with pytest.raises(InvalidInputError, match="share gamma and reference"):
+                guided_step(small_tabular, 0, prefixes, [config, other], stack=True)
+        with pytest.raises(InvalidInputError, match="one config or one per prefix"):
+            guided_step(small_tabular, 0, prefixes, [config], stack=True)
 
     def test_stack_is_one_step_with_one_entry_per_prefix(self, small_count, small_book):
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]

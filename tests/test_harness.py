@@ -1,6 +1,7 @@
 """Metrics, sweep grids, CSV schema and SVG plots."""
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from prefixlab.corruption import CorruptionVariant
 from prefixlab.errors import InvalidInputError, SupportViolationError
+from prefixlab.guidance import GuidanceConfig
 from prefixlab.harness import (
     SWEEP_CSV_HEADER,
     ExperimentSpec,
@@ -22,6 +24,8 @@ from prefixlab.harness import (
     write_sweep_svg,
 )
 from prefixlab.oracle import Distribution, prefix_marginal_sites
+from prefixlab.sampler import rollouts
+from prefixlab.tokenizer import synthetic_images
 
 
 class TestExactKL:
@@ -238,6 +242,66 @@ class TestRunSweep:
         grid = SweepGrid(lambdas=(0.5,), replicates=3)
         rows = run_sweep(grid, self.make_spec(m1, m1_book))
         assert len({r.value for r in rows}) == 1
+
+
+class TestPackedSweep:
+    """toy_frechet lanes are rolled out together; each cell keeps the value
+    or error it would have alone."""
+
+    def lone_cell(self, spec, row, n_samples):
+        """The value or error of ``row``'s cell rolled out alone."""
+        gconfig = replace(spec.guidance, lam=row.lam, fraction=row.fraction,
+                          variant=row.variant, scale_mask=row.scale_mask)
+        try:
+            results = rollouts(spec.model, spec.condition,
+                               [(gconfig, replace(spec.sampler, seed=row.seed))],
+                               spec.book, n_samples)[0]
+        except Exception as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+        return toy_frechet([r.latent for r in results], spec.reference_fit), ""
+
+    @pytest.fixture
+    def spec(self, multisite_count, multisite_book):
+        images = synthetic_images(multisite_count.schedule, multisite_book.latent_dim, 3, 6)
+        return ExperimentSpec(
+            model=multisite_count, book=multisite_book, condition=0,
+            guidance=GuidanceConfig(fraction=0.5, reference="corrupted"),
+            reference_images=tuple(images))
+
+    def calls(self, monkeypatch):
+        """The lane count of each ``rollouts`` call the sweep makes."""
+        calls = []
+
+        def counted(model, condition, lanes, *args):
+            calls.append(len(lanes))
+            return rollouts(model, condition, lanes, *args)
+
+        monkeypatch.setattr("prefixlab.harness.rollouts", counted)
+        return calls
+
+    def test_one_overflowing_lambda_fails_only_its_cell(self, spec, monkeypatch):
+        # 1.7e308 times a log-probability below -1 overflows in the prefix
+        # contrast: that cell's rollouts raise, and the packed call with them.
+        grid = SweepGrid(lambdas=(0.0, 1.7e308, 1.0), variants=tuple(CorruptionVariant),
+                         metric="toy_frechet", n_samples=4, replicates=2)
+        calls = self.calls(monkeypatch)
+        rows = run_sweep(grid, spec)
+        assert len(rows) == 30 and calls == [30] + [1] * 30
+        for row in rows:
+            assert (row.value, row.error) == self.lone_cell(spec, row, grid.n_samples)
+            assert (row.value is None) == (row.lam == 1.7e308)
+            assert row.runtime_ms > 0
+
+    def test_lanes_are_packed_up_to_the_sample_bound(self, spec, monkeypatch):
+        grid = SweepGrid(lambdas=(0.0, 0.5, 1.0), variants=tuple(CorruptionVariant)[:2],
+                         metric="toy_frechet", n_samples=4)
+        monkeypatch.setattr("prefixlab.harness.PACK_SAMPLES", 10)
+        calls = self.calls(monkeypatch)
+        rows = run_sweep(grid, spec)
+        assert calls == [2, 2, 2]
+        for row in rows:
+            assert row.error == ""
+            assert row.value == self.lone_cell(spec, row, grid.n_samples)[0]
 
 
 class TestSvgPlot:

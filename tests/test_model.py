@@ -13,9 +13,11 @@ from prefixlab.model import (
     EMPTY_EMBEDDING,
     NULL_CONDITION,
     PROB_FLOOR,
+    CheckedCorpus,
     CountModel,
     SignatureSpec,
     build_tabular,
+    check_corpus_sequence,
     context_signature,
     embed_prefix,
     embedding_params,
@@ -311,6 +313,69 @@ class TestCountModel:
                 [good, bad], sched, book, vocab=3, num_conditions=2,
                 alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
             )
+
+
+    @given(st.lists(st.sampled_from(["good", "short", "long", "condition", "bool", "float",
+                                     "id_low", "id_high", "shape"]),
+                    min_size=1, max_size=8),
+           st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_names_the_first_bad_sequence_as_a_loop_does(self, kinds, seed):
+        # The checks on the stacked ids raise what checking each sequence in
+        # turn raises: the first bad sequence, and its first problem in the
+        # order length, condition, ids.
+        sched = ScaleSchedule(((1, 1), (2, 2)))
+        book = Codebook.seeded(2, 3, 2, seed=0)
+        rng = np.random.default_rng(seed)
+
+        def sequence(kind):
+            ids = [rng.integers(0, 3, sched.grid(k)) for k in (1, 2)]
+            condition = {"condition": int(rng.choice([-1, 2])), "bool": True,
+                         "float": 1.0}.get(kind, int(rng.integers(0, 2)))
+            if kind in ("id_low", "id_high"):
+                k = int(rng.integers(0, 2))
+                ids[k].flat[int(rng.integers(ids[k].size))] = -1 if kind == "id_low" else 3
+            maps = [TokenMap(k, grid) for k, grid in enumerate(ids, start=1)]
+            if kind == "shape":
+                maps[1] = TokenMap(2, np.zeros((1, 4), dtype=int))
+            return condition, {"short": maps[:1], "long": maps + maps[:1]}.get(kind, maps)
+
+        corpus = [sequence(kind) for kind in kinds]
+
+        def outcome(fit):
+            try:
+                fit()
+            except (InvalidInputError, ValueError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def looped():
+            for i, (condition, maps) in enumerate(corpus):
+                check_corpus_sequence(condition, maps, sched, 3, 2, f"corpus sequence {i}")
+            # Maps of unlike shapes that pass every check fail to stack.
+            for k in (1, 2):
+                np.stack([maps[k - 1].ids for _, maps in corpus])
+
+        fitted = outcome(lambda: fit_count_model(
+            corpus, sched, book, vocab=3, num_conditions=2,
+            alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+        ))
+        assert fitted == outcome(looped)
+
+    def test_a_checked_corpus_is_checked_only_for_its_own_shape(self):
+        sched = ScaleSchedule(((1, 1), (1, 1)))
+        book = Codebook.seeded(2, 3, 2, seed=0)
+        maps = [TokenMap(1, np.asarray([[0]])), TokenMap(2, np.asarray([[2]]))]
+
+        def fit(corpus, vocab):
+            return fit_count_model(
+                corpus, sched, book, vocab=vocab, num_conditions=2,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
+            )
+
+        fit(CheckedCorpus([(0, maps), (1, maps)], (sched, 3, 2)), 3)
+        with pytest.raises(InvalidInputError, match="corpus sequence 0: a token id"):
+            fit(CheckedCorpus([(0, maps), (1, maps)], (sched, 3, 2)), 2)
 
 
 class TestSeededTables:

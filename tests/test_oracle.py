@@ -317,9 +317,38 @@ class TestChainLawEngine:
             first,
         )
         assert calls != []
+        # The first call at a scale kept every condition's and the null's.
         calls.clear()
-        prefix_marginal_sites(small_tabular, 0, 2)
+        for c in (0, NULL_CONDITION):
+            assert not prefix_marginal_sites(small_tabular, c, 2).flags.writeable
+        assert calls == []
+        prefix_marginal_sites(small_tabular, 0, 1)
         assert calls != []
+
+    @given(
+        st.sampled_from([((1, 1), (1, 2), (2, 2)), ((1, 2), (2, 1), (2, 2)), ((1, 1), (2, 2))]),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_one_walk_per_scale_keeps_every_condition_bit_for_bit(
+        self, dims, vocab, conditions, seed
+    ):
+        schedule = ScaleSchedule(dims)
+        assume(vocab ** sum(h * w for h, w in dims[:-1]) <= 243)
+        model = build_tabular(schedule, vocab, conditions, seed=seed)
+        walks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("prefixlab.oracle.chain_law",
+                       lambda *args: walks.append(args[1]) or chain_law(*args))
+            for k in range(1, schedule.num_scales + 1):
+                for c in [NULL_CONDITION, *range(conditions)]:
+                    law = lambda key: model.row(c, len(key) + 1, key).reshape(-1, vocab)  # noqa: E731
+                    expected = per_prefix_marginal_sites(law, schedule.grid(k) + (vocab,), k)
+                    got = prefix_marginal_sites(model, c, k)
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert walks == list(range(schedule.num_scales))
 
 
 def brute_force_joint(model, condition):

@@ -251,19 +251,19 @@ class TestSampling:
 
     def test_greedy_rollout_on_m1(self, m1, m1_book):
         config = SamplerConfig(top_k=1)
-        result = rollouts(m1, 0, GuidanceConfig(), config, m1_book, 1)[0]
+        result = rollouts(m1, 0, [(GuidanceConfig(), config)], m1_book, 1)[0][0]
         # Argmax path: r1 = 0 (0.75), then r2 = 0 (0.6).
         assert [m.key() for m in result.maps] == [(0,), (0,)]
 
     def test_rollout_seed_determinism(self, m1, m1_book):
-        a = rollouts(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, 1)[0]
-        b = rollouts(m1, 0, GuidanceConfig(), SamplerConfig(seed=3), m1_book, 1)[0]
+        a = rollouts(m1, 0, [(GuidanceConfig(), SamplerConfig(seed=3))], m1_book, 1)[0][0]
+        b = rollouts(m1, 0, [(GuidanceConfig(), SamplerConfig(seed=3))], m1_book, 1)[0][0]
         assert [m.key() for m in a.maps] == [m.key() for m in b.maps]
         np.testing.assert_array_equal(a.latent, b.latent)
 
     def test_replay_is_bit_exact(self, small_count, small_book):
         gconfig = GuidanceConfig(gamma=0.5, lam=1.0, fraction=0.5, reference="corrupted")
-        result = rollouts(small_count, 1, gconfig, SamplerConfig(seed=9), small_book, 1)[0]
+        result = rollouts(small_count, 1, [(gconfig, SamplerConfig(seed=9))], small_book, 1)[0][0]
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,
@@ -274,7 +274,7 @@ class TestSampling:
     def test_trace_csv_roundtrip(self, m1, m1_book, small_tabular, small_book, tmp_path):
         # m1 is 1x1 at both scales; small_tabular has a 2x2 second scale.
         for model, book in ((m1, m1_book), (small_tabular, small_book)):
-            result = rollouts(model, 0, GuidanceConfig(), SamplerConfig(seed=2), book, 1)[0]
+            result = rollouts(model, 0, [(GuidanceConfig(), SamplerConfig(seed=2))], book, 1)[0][0]
             path = tmp_path / "trace.csv"
             trace_to_csv(result, path)
             back = trace_from_csv(path)
@@ -374,7 +374,7 @@ class TestRollouts:
     def test_batch_equals_one_sample_at_a_time(self, case, count, request, small_book):
         fixture, gconfig, sconfig = ROLLOUT_CASES[case]
         model = request.getfixturevalue(fixture)
-        got = rollouts(model, 1, gconfig, sconfig, small_book, count)
+        got = rollouts(model, 1, [(gconfig, sconfig)], small_book, count)[0]
         expected = reference_rollouts(model, 1, gconfig, sconfig, small_book, count)
         assert len(got) == count
         for result, (maps, steps, latent, seed) in zip(got, expected):
@@ -423,7 +423,7 @@ class TestRollouts:
                        lambda model, c, prefixes, *args, **kwargs:
                        stacks.append([len(p) + 1 for p in prefixes])
                        or guided_step(model, c, prefixes, *args, **kwargs))
-            got = rollouts(model, 1, gconfig, sconfig, book, count)
+            got = rollouts(model, 1, [(gconfig, sconfig)], book, count)[0]
         assert_same_rollouts(got, reference_rollouts(model, 1, gconfig, sconfig, book, count))
         clean = {model.embed(r.maps[:1], book).signature for r in got}
         draws = variant is CorruptionVariant.UNIFORM_PREFIX
@@ -440,13 +440,13 @@ class TestRollouts:
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_raises(self, count, m1, m1_book):
         with pytest.raises(InvalidInputError, match="count"):
-            rollouts(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book, count)
+            rollouts(m1, 0, [(GuidanceConfig(), SamplerConfig())], m1_book, count)[0]
 
     def test_count_model_rejects_a_codebook_of_another_latent_size(self, small_count):
         schedule = small_count.schedule
         book = Codebook.seeded(schedule.num_scales, small_count.vocab, 3, seed=0)
         with pytest.raises(InvalidInputError, match="latent size 3 is not the fitted 2"):
-            rollouts(small_count, 0, GuidanceConfig(), SamplerConfig(), book, 1)
+            rollouts(small_count, 0, [(GuidanceConfig(), SamplerConfig())], book, 1)[0]
 
 
 class TestCarriedRollouts:
@@ -465,7 +465,7 @@ class TestCarriedRollouts:
                     gamma=gamma, lam=lam, fraction=0.5, variant=variant, scale_mask=mask,
                     reference="corrupted",
                 )
-                for result in rollouts(model, 1, gconfig, SamplerConfig(seed=3), book, 4):
+                for result in rollouts(model, 1, [(gconfig, SamplerConfig(seed=3))], book, 4)[0]:
                     for idx, step in enumerate(result.trace):
                         fresh = guided_step(
                             model, 1, list(result.maps[:idx]), gconfig, book=book,
@@ -506,7 +506,7 @@ class TestSharedSteps:
         gconfig = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
         sconfig = SamplerConfig(top_k=top_k, seed=seed)
         assert_same_rollouts(
-            rollouts(model, 1, gconfig, sconfig, book, count),
+            rollouts(model, 1, [(gconfig, sconfig)], book, count)[0],
             reference_rollouts(model, 1, gconfig, sconfig, book, count),
         )
 
@@ -536,7 +536,7 @@ class TestSharedSteps:
                                  scale_mask=mask, reference="corrupted")
         sconfig = SamplerConfig(seed=seed)
         assert_same_rollouts(
-            rollouts(model, 1, gconfig, sconfig, book, count),
+            rollouts(model, 1, [(gconfig, sconfig)], book, count)[0],
             reference_rollouts(model, 1, gconfig, sconfig, book, count),
         )
 
@@ -551,8 +551,8 @@ class TestSharedSteps:
 
         monkeypatch.setattr("prefixlab.sampler.guided_step", counted)
         # Tabular: scale 1 has one input; scale 2 one per distinct scale-1 map.
-        results = rollouts(small_tabular, 0, GuidanceConfig(gamma=1.0, lam=1.0),
-                           SamplerConfig(seed=2), small_book, 16)
+        lane = (GuidanceConfig(gamma=1.0, lam=1.0), SamplerConfig(seed=2))
+        results = rollouts(small_tabular, 0, [lane], small_book, 16)[0]
         first = {r.maps[0].key() for r in results}
         calls = [plan for plans in stacks for plan in plans]
         assert len(stacks) == small_tabular.schedule.num_scales
@@ -568,14 +568,97 @@ class TestSharedSteps:
         # shared.
         stacks.clear()
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
-        results = rollouts(multisite_count, 0, gconfig, SamplerConfig(seed=2),
-                           multisite_book, 6)
+        results = rollouts(multisite_count, 0, [(gconfig, SamplerConfig(seed=2))],
+                           multisite_book, 6)[0]
         calls = [plan for plans in stacks for plan in plans]
         assert len(stacks) == multisite_count.schedule.num_scales
         assert calls[0] is None and None not in calls[1:]
         assert len(calls) == 1 + 2 * 6
         assert len({id(r.trace[2]) for r in results}) == 6
         assert len({r.trace[2].plan.seed for r in results}) == 6
+
+
+class TestLanes:
+    """Lanes rolled out together, one guidance config per lane, equal each
+    lane rolled out alone, bit for bit."""
+
+    @given(
+        st.sampled_from(["tabular", "count"]),
+        multisite_schedules(max_prefix_sites=5),
+        st.sampled_from([0.0, 1.0]),
+        st.lists(st.tuples(
+            st.sampled_from([0.0, 0.5, 1.5]),
+            st.sampled_from(list(CorruptionVariant)),
+            # 0.1 of at most 5 prefix sites selects no site.
+            st.sampled_from([0.1, 0.5, 1.0]),
+            st.sampled_from([None, frozenset({2}), frozenset({3})]),
+            st.integers(0, 2**16),
+        ), min_size=1, max_size=4),
+        st.integers(0, 2**16),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_equal_each_lane_alone(self, kind, schedule, gamma, lanes, seed, count):
+        vocab = 2 if kind == "tabular" else 3
+        book = Codebook.seeded(schedule.num_scales, vocab, 2, seed=7)
+        if kind == "tabular":
+            model = build_tabular(schedule, vocab=vocab, num_conditions=2, seed=seed)
+            reference, sconfig = "exact-marginal", SamplerConfig(top_k=2, top_p=0.9)
+        else:
+            corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+            model = fit_count_model(
+                corpus, schedule, book, vocab=vocab, num_conditions=2, alpha=1.0,
+                spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3,
+                include_null=True,
+            )
+            reference, sconfig = "corrupted", SamplerConfig(temperature=0.8)
+        pairs = [
+            (GuidanceConfig(gamma=gamma, lam=lam, fraction=fraction, variant=variant,
+                            scale_mask=mask, reference=reference),
+             replace(sconfig, seed=lane_seed))
+            for lam, variant, fraction, mask, lane_seed in lanes
+        ]
+        got = rollouts(model, 1, pairs, book, count)
+        assert len(got) == len(pairs)
+        for results, (gconfig, lane_sconfig) in zip(got, pairs):
+            assert_same_rollouts(
+                results, reference_rollouts(model, 1, gconfig, lane_sconfig, book, count))
+
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
+    def test_lanes_keep_their_own_strength_and_seed(
+        self, kind, small_tabular, small_book, multisite_count, multisite_book
+    ):
+        # Every lane contrasts at every scale after the first, each with its
+        # own strength, and each is seeded from its own sampler config.
+        if kind == "tabular":
+            model, book, reference = small_tabular, small_book, "exact-marginal"
+        else:
+            model, book, reference = multisite_count, multisite_book, "corrupted"
+        pairs = [(GuidanceConfig(gamma=1.0, lam=lam, fraction=0.5, reference=reference),
+                  SamplerConfig(seed=seed)) for lam, seed in ((0.5, 3), (1.5, 40), (0.0, 7))]
+        got = rollouts(model, 0, pairs, book, 3)
+        for results, (gconfig, sconfig) in zip(got, pairs):
+            assert_same_rollouts(
+                results, reference_rollouts(model, 0, gconfig, sconfig, book, 3))
+        assert [r.seed for results in got for r in results] == [3, 4, 5, 40, 41, 42, 7, 8, 9]
+
+    @pytest.mark.parametrize("gchange, schange", [
+        ({"gamma": 1.0}, {}),
+        ({"reference": "corrupted"}, {}),
+        ({}, {"temperature": 0.5}),
+        ({}, {"top_k": 1}),
+        ({}, {"top_p": 0.5}),
+    ])
+    def test_mismatched_lanes_are_rejected(self, gchange, schange, m1, m1_book):
+        lane = (GuidanceConfig(lam=1.0), SamplerConfig(seed=1))
+        other = (replace(lane[0], lam=0.5, **gchange), replace(lane[1], seed=9, **schange))
+        rollouts(m1, 0, [lane, (replace(lane[0], lam=0.5), SamplerConfig(seed=9))], m1_book, 2)
+        with pytest.raises(InvalidInputError, match="lanes of a rollout share"):
+            rollouts(m1, 0, [lane, other], m1_book, 2)
+
+    def test_no_lane_is_rejected(self, m1, m1_book):
+        with pytest.raises(InvalidInputError, match="at least one lane"):
+            rollouts(m1, 0, [], m1_book, 2)
 
 
 class TestRolloutLaw:

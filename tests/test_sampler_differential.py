@@ -69,8 +69,8 @@ def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
     samples = [
         tuple(m.key() for m in result.maps)
         for result in rollouts(
-            small_tabular, 1, gconfig, replace(sconfig, seed=0), small_book, DRAWS
-        )
+            small_tabular, 1, [(gconfig, replace(sconfig, seed=0))], small_book, DRAWS
+        )[0]
     ]
     assert_close_in_tv(law, samples)
 

@@ -65,8 +65,8 @@ AWKWARD = [math.log(1e-9), 1e-300, -0.5, -0.0, 0.1 + 0.2, 123456789.125, -2.5e-1
 def test_trace_csv(tmp_path, small_tabular, small_book):
     gconfig = GuidanceConfig(gamma=1.0, lam=1.0, reference="exact-marginal")
     result = rollouts(
-        small_tabular, 0, gconfig, SamplerConfig(top_k=2, seed=3), small_book, 1
-    )[0]
+        small_tabular, 0, [(gconfig, SamplerConfig(top_k=2, seed=3))], small_book, 1
+    )[0][0]
     assert_same_bytes(tmp_path, trace_to_csv, reference_trace_csv, result)
     # The same sample with its logits swapped for awkward values.
     step = result.trace[1]

@@ -63,8 +63,8 @@ MUTANTS = (
            "return (1 + strength) * base - strength * reference",
            "return (1 + strength) * base - strength * base"),
     Mutant("composition_skips_cfg_on_corrupted_branch", "src/prefixlab/guidance.py",
-           "return extrapolate(g_gen, g_corr, lam)",
-           "return extrapolate(g_gen, branches.cond_corr, lam)"),
+           "mixed = extrapolate(g_gen, g_corr, lam)",
+           "mixed = extrapolate(g_gen, branches.cond_corr, lam)"),
     Mutant("branch_pair_null_at_condition", "src/prefixlab/guidance.py",
            "evaluate(NULL_CONDITION) if needs_cfg else None",
            "evaluate(condition) if needs_cfg else None"),
@@ -85,10 +85,10 @@ MUTANTS = (
            "np.stack([_normalized_power_ratio(cond, ref, s) for s in block])",
            "_normalized_power_ratio(cond, ref, column(block))"),
     Mutant("marginal_ignores_prefix_weights", "src/prefixlab/oracle.py",
-           "(probs[:, None, None] * laws(keys)).sum(axis=0)",
-           "laws(keys).sum(axis=0)"),
+           "(probs[..., None, None] * laws(keys)).sum(axis=-3)",
+           "laws(keys).sum(axis=-3)"),
     Mutant("chain_law_keeps_zero_mass", "src/prefixlab/oracle.py",
-           "np.nonzero(joint > 0.0)", "np.nonzero(joint >= 0.0)"),
+           "(joint > 0.0)", "(joint >= 0.0)"),
     Mutant("joint_law_reversed_site_order", "src/prefixlab/oracle.py",
            "for site in np.moveaxis(laws, 1, 0):",
            "for site in np.moveaxis(laws, 1, 0)[::-1]:"),
@@ -108,10 +108,14 @@ MUTANTS = (
            "return key if signed is None", "return key[:-1] if signed is None"),
     Mutant("rollouts_plan_from_first_sample", "src/prefixlab/sampler.py",
            "plan_seeds[i]", "plan_seeds[0]"),
+    Mutant("lanes_seeded_from_first_lane", "src/prefixlab/sampler.py",
+           "seeds = [s.seed + i for _, s in lanes", "seeds = [sconfig.seed + i for _, s in lanes"),
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
            "signed=[signed[i] for i in firsts]", "signed=signed[:len(firsts)]"),
+    Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
+           "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
-           "any(p is None for p in plans) and config.draws_plan(k, model.schedule)", "False"),
+           "p is None and draws[id(c)]", "False"),
     Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/guidance.py",
            "self.variant is CorruptionVariant.UNIFORM_PREFIX", "False"),
     Mutant("no_site_step_draws_plan", "src/prefixlab/guidance.py",
@@ -122,7 +126,7 @@ MUTANTS = (
            "plans = tuple(plan) if stacked else (plan,)",
            "plans = (tuple(plan)[0],) * len(plan) if stacked else (plan,)"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
-           "* sites + Fraction(1, 2))", "* sites)"),
+           "(2 * p * sites + q) // (2 * q)", "(2 * p * sites) // (2 * q)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
            "grids[j - 1][tgt] = stack.grids[j - 1][don]",
            "grids[j - 1][tgt] = stack.grids[j - 1][tgt]"),
