@@ -25,6 +25,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    SweepGrid,
     config_to_json,
     corpus_from_csv,
     parse_config,
@@ -32,11 +33,12 @@ from .config import (
 )
 from .corruption import CorruptionVariant
 from .errors import PrefixLabError
-from .harness import ExperimentSpec, SweepGrid, run_sweep, write_sweep_csv, write_sweep_svg
 from .model import build_tabular, fit_count_model, SignatureSpec
 from .oracle import verify_identities, write_report_csv
-from .sampler import rollouts, trace_to_csv
 from .tokenizer import encode_multiscale, synthetic_images, write_image_csv, write_ppm
+
+# ``sampler`` and ``harness`` are imported by the commands that run them
+# (``cmd_sample``, ``_run_grid``), so ``verify`` loads neither.
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -185,6 +187,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig, count: int) -> int:
+    from .sampler import rollouts, trace_to_csv
+
     if count < 1:
         raise ConfigError(f"bad value for --count: {count} is not at least 1")
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -213,6 +217,8 @@ def cmd_sample(cfg: RunConfig, count: int) -> int:
 
 def _run_grid(cfg: RunConfig, grid: SweepGrid, guidance, stem: str) -> int:
     """Build the model and reference images, run ``grid``, and write its CSV and SVG."""
+    from .harness import ExperimentSpec, run_sweep, write_sweep_csv, write_sweep_svg
+
     book = cfg.codebook()
     model = _build_model(cfg, book)
     reference_images = ()

@@ -1,9 +1,11 @@
 """Run configuration: a single strict JSON file drives every command.
 
-Frozen dataclasses are the only schema; a section lives with its reader
-(``VerifySpec`` in oracle, ``SweepGrid`` in harness). ``RunConfig()`` holds
-every default: the CLI runs it when no file is given, and
-``data/default_config.json`` is its written-out copy. ``parse_config`` takes
+Frozen dataclasses are the only schema, and every section lives here, below
+the layers that read it (``GuidanceConfig`` for guidance, ``VerifySpec`` for
+oracle, ``SamplerConfig`` for sampler, ``SweepGrid`` for harness): loading the
+schema loads no layer, and each layer imports its section from here.
+``RunConfig()`` holds every default: the CLI runs it when no file is given,
+and ``data/default_config.json`` is its written-out copy. ``parse_config`` takes
 each key's type from its field's annotation; its range is declared on the
 field (``errors.bounded``) and checked whenever the dataclass is built. Unknown
 keys and malformed or out-of-range values are rejected by name, never coerced.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import types
 import typing
@@ -21,14 +24,11 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from itertools import islice
 
-from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT_INTERVAL,
-                     ConfigError, InvalidInputError, InvalidScheduleError, PrefixLabError, bounded,
-                     check_fields, one_of)
-from .guidance import GuidanceConfig
-from .harness import SweepGrid
+from .corruption import CorruptionVariant, selection_size
+from .errors import (INTEGER, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT_INTERVAL,
+                     Bound, ConfigError, GuidanceConfigError, InvalidInputError,
+                     InvalidScheduleError, PrefixLabError, bounded, check_fields, one_of, real)
 from .model import CheckedCorpus, check_corpus_sequence, prefix_maps
-from .oracle import VerifySpec
-from .sampler import SamplerConfig
 from .tokenizer import Codebook, ScaleSchedule
 
 CONFIG_VERSION = 1
@@ -140,6 +140,118 @@ class ModelSpec:
 
     def __post_init__(self):
         check_fields(self, ConfigError)
+
+
+@dataclass(frozen=True)
+class GuidanceConfig:
+    """One record drives a whole rollout.
+
+    ``scale_mask`` limits where the prefix contrast applies (None = every
+    scale). ``reference`` selects the weak-prefix branch: "corrupted" runs
+    the predictor on a corrupted prefix embedding, "exact-marginal" injects
+    the brute-force per-site prefix marginal (enumerable models only).
+    """
+
+    gamma: float = bounded(0.0, NONNEGATIVE)
+    lam: float = bounded(0.0, NONNEGATIVE, "lambda")
+    fraction: float = bounded(0.0, UNIT_INTERVAL, "n_p")
+    variant: CorruptionVariant = CorruptionVariant.SAME_SCALE_FULL_EMBEDDING
+    scale_mask: frozenset[int] | None = bounded(None, INTEGER)
+    reference: str = bounded("exact-marginal", one_of("corrupted", "exact-marginal"))
+
+    def __post_init__(self):
+        check_fields(self, GuidanceConfigError)
+        if self.scale_mask is not None:
+            object.__setattr__(self, "scale_mask", frozenset(int(k) for k in self.scale_mask))
+
+    def masked_in(self, k: int) -> bool:
+        return self.scale_mask is None or k in self.scale_mask
+
+    def contrasts(self, k: int) -> bool:
+        """Whether the step at scale k has a weak-prefix branch pair."""
+        return self.lam > 0 and k >= 2 and self.masked_in(k)
+
+    def draws_plan(self, k: int, schedule: ScaleSchedule) -> bool:
+        """Whether the step at scale k on ``schedule`` runs under a corruption
+        plan: then its weak-prefix pair depends on the plan, not only on the
+        prefix. A site-selecting variant whose n_p × (prefix sites of k)
+        rounds to zero selects no site, so its step needs no plan and its
+        corrupted pair is the clean pair; ``uniform_prefix`` always draws."""
+        return self.contrasts(k) and self.reference == "corrupted" and (
+            self.variant is CorruptionVariant.UNIFORM_PREFIX
+            or selection_size(schedule, k, self.fraction) > 0
+        )
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    temperature: float = bounded(1.0, POSITIVE)
+    top_k: int | None = bounded(None, POSITIVE_INT)
+    top_p: float = bounded(1.0, Bound("a number inside (0, 1]", lambda v: real(v) and 0 < v <= 1))
+    seed: int = bounded(0, NONNEGATIVE_INT)
+
+    def __post_init__(self):
+        check_fields(self, InvalidInputError)
+
+
+@dataclass(frozen=True)
+class VerifySpec:
+    """The config's ``verify`` section: ``verify_identities`` reads the row
+    tolerance and strengths, the ``verify`` command the model grid too."""
+
+    tolerance: float = bounded(1e-9, NONNEGATIVE)
+    models: int = bounded(100, NONNEGATIVE_INT)
+    vocab_grid: tuple[int, ...] = bounded((2, 3, 5), POSITIVE_INT)
+    condition_grid: tuple[int, ...] = bounded((1, 2, 3), POSITIVE_INT)
+    gammas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.5, 3.0), NONNEGATIVE)
+    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0), NONNEGATIVE)
+
+    def __post_init__(self):
+        check_fields(self, InvalidInputError)
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """The cells a sweep runs and the metric it reports, as the config's
+    ``sweep`` section. ``grid_hash`` covers the six grid axes and seeds only.
+
+    metric "exact_kl": exact KL between the guided rollout law and the
+    model's own unguided, untruncated joint (tabular models with the
+    exact-marginal reference). metric "toy_frechet": Fréchet distance
+    between ``n_samples`` guided rollout latents and the reference images.
+    """
+
+    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 2.0), NONNEGATIVE)
+    fractions: tuple[float, ...] = bounded((0.0,), UNIT_INTERVAL, "n_ps")
+    variants: tuple[CorruptionVariant, ...] = (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,)
+    scale_masks: tuple[frozenset[int] | None, ...] = bounded((None,), INTEGER)
+    replicates: int = bounded(1, POSITIVE_INT)
+    seed: int = bounded(0, NONNEGATIVE_INT)
+    metric: str = bounded("exact_kl", one_of("exact_kl", "toy_frechet"))
+    n_samples: int = bounded(16, POSITIVE_INT)
+
+    def __post_init__(self):
+        if not (self.lambdas and self.fractions and self.variants and self.scale_masks):
+            raise InvalidInputError("sweep grid axes must be non-empty")
+        check_fields(self, InvalidInputError)
+
+    def cells(self):
+        idx = 0
+        for lam in self.lambdas:
+            for fraction in self.fractions:
+                for variant in self.variants:
+                    for mask in self.scale_masks:
+                        yield idx, lam, fraction, variant, mask
+                        idx += 1
+
+    def grid_hash(self) -> str:
+        text = repr(
+            (self.lambdas, self.fractions,
+             tuple(v.value for v in self.variants),
+             tuple(sorted(m) if m is not None else None for m in self.scale_masks),
+             self.replicates, self.seed)
+        )
+        return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
 
 
 @dataclass(frozen=True)

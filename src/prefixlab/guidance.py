@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corruption import CorruptionPlan, CorruptionVariant, apply_corruption, selection_size
-from .errors import (INTEGER, NONNEGATIVE, UNIT_INTERVAL, GuidanceConfigError, IllDefinedLawError,
-                     InvalidInputError, MissingBranchError, bounded, check_fields, one_of)
+from .config import GuidanceConfig
+from .corruption import CorruptionPlan, apply_corruption
+from .errors import GuidanceConfigError, IllDefinedLawError, InvalidInputError, MissingBranchError
 from .model import (
     Condition,
     CountModel,
@@ -37,48 +37,7 @@ from .model import (
     prefix_maps,
 )
 from .oracle import prefix_marginal_sites
-from .tokenizer import Codebook, ScaleSchedule
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """One record drives a whole rollout.
-
-    ``scale_mask`` limits where the prefix contrast applies (None = every
-    scale). ``reference`` selects the weak-prefix branch: "corrupted" runs
-    the predictor on a corrupted prefix embedding, "exact-marginal" injects
-    the brute-force per-site prefix marginal (enumerable models only).
-    """
-
-    gamma: float = bounded(0.0, NONNEGATIVE)
-    lam: float = bounded(0.0, NONNEGATIVE, "lambda")
-    fraction: float = bounded(0.0, UNIT_INTERVAL, "n_p")
-    variant: CorruptionVariant = CorruptionVariant.SAME_SCALE_FULL_EMBEDDING
-    scale_mask: frozenset[int] | None = bounded(None, INTEGER)
-    reference: str = bounded("exact-marginal", one_of("corrupted", "exact-marginal"))
-
-    def __post_init__(self):
-        check_fields(self, GuidanceConfigError)
-        if self.scale_mask is not None:
-            object.__setattr__(self, "scale_mask", frozenset(int(k) for k in self.scale_mask))
-
-    def masked_in(self, k: int) -> bool:
-        return self.scale_mask is None or k in self.scale_mask
-
-    def contrasts(self, k: int) -> bool:
-        """Whether the step at scale k has a weak-prefix branch pair."""
-        return self.lam > 0 and k >= 2 and self.masked_in(k)
-
-    def draws_plan(self, k: int, schedule: ScaleSchedule) -> bool:
-        """Whether the step at scale k on ``schedule`` runs under a corruption
-        plan: then its weak-prefix pair depends on the plan, not only on the
-        prefix. A site-selecting variant whose n_p × (prefix sites of k)
-        rounds to zero selects no site, so its step needs no plan and its
-        corrupted pair is the clean pair; ``uniform_prefix`` always draws."""
-        return self.contrasts(k) and self.reference == "corrupted" and (
-            self.variant is CorruptionVariant.UNIFORM_PREFIX
-            or selection_size(schedule, k, self.fraction) > 0
-        )
+from .tokenizer import Codebook
 
 
 @dataclass(frozen=True)

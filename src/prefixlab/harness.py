@@ -10,6 +10,7 @@ self-contained SVG line plot of their metric; every cell's seed is derived from
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
@@ -17,13 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (INTEGER, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE_INT, UNIT_INTERVAL,
-                     InvalidInputError, SupportViolationError, bounded, check_fields, one_of)
+from .config import GuidanceConfig, SamplerConfig, SweepGrid
 from .corruption import CorruptionVariant
-from .guidance import GuidanceConfig
+from .errors import InvalidInputError, SupportViolationError
 from .model import Condition
 from .oracle import Distribution
-from .sampler import SamplerConfig, rollout_distribution, rollouts
+from .sampler import rollout_distribution, rollouts
 from .tokenizer import Codebook
 
 
@@ -110,55 +110,7 @@ SWEEP_CSV_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """The cells a sweep runs and the metric it reports, as the config's
-    ``sweep`` section. ``grid_hash`` covers the six grid axes and seeds only.
-
-    metric "exact_kl": exact KL between the guided rollout law and the
-    model's own unguided, untruncated joint (tabular models with the
-    exact-marginal reference). metric "toy_frechet": Fréchet distance
-    between ``n_samples`` guided rollout latents and the reference images.
-    """
-
-    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 2.0), NONNEGATIVE)
-    fractions: tuple[float, ...] = bounded((0.0,), UNIT_INTERVAL, "n_ps")
-    variants: tuple[CorruptionVariant, ...] = (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,)
-    scale_masks: tuple[frozenset[int] | None, ...] = bounded((None,), INTEGER)
-    replicates: int = bounded(1, POSITIVE_INT)
-    seed: int = bounded(0, NONNEGATIVE_INT)
-    metric: str = bounded("exact_kl", one_of("exact_kl", "toy_frechet"))
-    n_samples: int = bounded(16, POSITIVE_INT)
-
-    def __post_init__(self):
-        if not (self.lambdas and self.fractions and self.variants and self.scale_masks):
-            raise InvalidInputError("sweep grid axes must be non-empty")
-        check_fields(self, InvalidInputError)
-
-    def cells(self):
-        idx = 0
-        for lam in self.lambdas:
-            for fraction in self.fractions:
-                for variant in self.variants:
-                    for mask in self.scale_masks:
-                        yield idx, lam, fraction, variant, mask
-                        idx += 1
-
-    def grid_hash(self) -> str:
-        text = repr(
-            (self.lambdas, self.fractions,
-             tuple(v.value for v in self.variants),
-             tuple(sorted(m) if m is not None else None for m in self.scale_masks),
-             self.replicates, self.seed)
-        )
-        import hashlib  # not at load: only sweeps hash
-
-        return hashlib.blake2s(text.encode(), digest_size=6).hexdigest()
-
-
 def cell_seed(base_seed: int, cell_index: int, replicate: int) -> int:
-    import hashlib  # not at load: only sweeps hash
-
     digest = hashlib.blake2s(
         f"{base_seed}:{cell_index}:{replicate}".encode(), digest_size=8
     ).digest()

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE_INT, InvalidInputError, bounded,
-                     check_fields)
+from .config import VerifySpec
+from .errors import InvalidInputError
 from .model import (
     Condition,
     NULL_CONDITION,
@@ -287,22 +287,6 @@ class IdentityReport:
                 lambda i, start=start: self._row(start + i)))
             start = stop
         return reports
-
-
-@dataclass(frozen=True)
-class VerifySpec:
-    """The config's ``verify`` section: ``verify_identities`` reads the row
-    tolerance and strengths, the ``verify`` command the model grid too."""
-
-    tolerance: float = bounded(1e-9, NONNEGATIVE)
-    models: int = bounded(100, NONNEGATIVE_INT)
-    vocab_grid: tuple[int, ...] = bounded((2, 3, 5), POSITIVE_INT)
-    condition_grid: tuple[int, ...] = bounded((1, 2, 3), POSITIVE_INT)
-    gammas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.5, 3.0), NONNEGATIVE)
-    lambdas: tuple[float, ...] = bounded((0.0, 0.5, 1.0, 1.3, 1.8, 2.4, 3.0), NONNEGATIVE)
-
-    def __post_init__(self):
-        check_fields(self, InvalidInputError)
 
 
 def verify_identities(models: Sequence[TabularModel], spec: VerifySpec) -> IdentityReport:

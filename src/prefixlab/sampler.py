@@ -23,24 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import GuidanceConfig, SamplerConfig
 from .corruption import CorruptionPlan, plan_corruption
-from .errors import (NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, Bound, DegenerateDistributionError,
-                     InvalidInputError, bounded, check_fields, real)
-from .guidance import GuidanceConfig, GuidedStep, guided_step
+from .errors import DegenerateDistributionError, InvalidInputError
+from .guidance import GuidedStep, guided_step
 from .model import Condition, CountModel, SignedEmbedding, TokenMap
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    temperature: float = bounded(1.0, POSITIVE)
-    top_k: int | None = bounded(None, POSITIVE_INT)
-    top_p: float = bounded(1.0, Bound("a number inside (0, 1]", lambda v: real(v) and 0 < v <= 1))
-    seed: int = bounded(0, NONNEGATIVE_INT)
-
-    def __post_init__(self):
-        check_fields(self, InvalidInputError)
 
 
 def truncated_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:

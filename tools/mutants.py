@@ -72,8 +72,13 @@ MUTANTS = (
            "np.log(prefix_marginal_sites(model, c, k))",
            "np.log(prefix_marginal_sites(model, condition, k))"),
     Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
-           "from .errors import (",
-           "from . import guidance\nfrom .errors import ("),
+           "from .errors import InvalidInputError",
+           "from . import guidance\nfrom .errors import InvalidInputError"),
+    # At the end of the module, where it loads without a cycle error.
+    Mutant("config_imports_oracle_at_load", "src/prefixlab/config.py",
+           "    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))\n",
+           "    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))\n\n\n"
+           "from .oracle import VerifySpec\n"),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
            "per_model(marginals)", "per_model(lambda m, c: marginals(m, 0))"),
     Mutant("stacked_pass_reads_first_model_null_rows", "src/prefixlab/oracle.py",
@@ -116,9 +121,9 @@ MUTANTS = (
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
            "p is None and draws[id(c)]", "False"),
-    Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/guidance.py",
+    Mutant("empty_plan_shortcut_for_uniform_prefix", "src/prefixlab/config.py",
            "self.variant is CorruptionVariant.UNIFORM_PREFIX", "False"),
-    Mutant("no_site_step_draws_plan", "src/prefixlab/guidance.py",
+    Mutant("no_site_step_draws_plan", "src/prefixlab/config.py",
            "or selection_size(schedule, k, self.fraction) > 0", "or True"),
     Mutant("apply_corruption_skips_step_check", "src/prefixlab/corruption.py",
            "if p.step != step:", "if False:"),
@@ -145,9 +150,9 @@ MUTANTS = (
            "(totals + self.alpha * self.vocab)", "(totals + self.alpha)"),
     Mutant("null_counts_keep_first_condition", "src/prefixlab/model.py",
            "null += table", "null[...] = table"),
-    Mutant("guidance_fraction_bound_finite_only", "src/prefixlab/guidance.py",
+    Mutant("guidance_fraction_bound_finite_only", "src/prefixlab/config.py",
            'fraction: float = bounded(0.0, UNIT_INTERVAL, "n_p")',
-           'fraction: float = bounded(0.0, UNIT_INTERVAL._replace(holds=np.isfinite), "n_p")'),
+           'fraction: float = bounded(0.0, UNIT_INTERVAL._replace(holds=lambda v: v == v), "n_p")'),
     Mutant("bound_check_skips_tuple_members", "src/prefixlab/errors.py",
            "return [m for v in value for m in _members(v)]", "return []"),
     Mutant("exact_kl_abs_of_total", "src/prefixlab/harness.py",
