@@ -28,7 +28,7 @@ from .corruption import CorruptionVariant, selection_size
 from .errors import (INTEGER, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT_INTERVAL,
                      Bound, ConfigError, GuidanceConfigError, InvalidInputError,
                      InvalidScheduleError, PrefixLabError, bounded, check_fields, one_of, real)
-from .model import CheckedCorpus, check_corpus_sequence, prefix_maps
+from .model import check_corpus_sequence, prefix_maps
 from .tokenizer import Codebook, ScaleSchedule
 
 CONFIG_VERSION = 1
@@ -350,8 +350,7 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
     """The corpus of a CSV with one sequence per row: its condition, then
     every token id of every scale's map in scale order, each map row-major.
     A row that is not one such sequence for a model of this shape is an
-    InvalidInputError naming its line; blank lines are skipped. The corpus
-    is a ``CheckedCorpus``, which ``fit_count_model`` does not check again."""
+    InvalidInputError naming its line; blank lines are skipped."""
     expected = sum(schedule.sites(k) for k in range(1, schedule.num_scales + 1))
     corpus = []
     with open(path, newline="") as fh:
@@ -374,5 +373,5 @@ def corpus_from_csv(path, schedule: ScaleSchedule, vocab: int, num_conditions: i
             maps = prefix_maps(key, schedule)
             check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where)
             corpus.append((condition, maps))
-    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))
+    return corpus
 

@@ -128,32 +128,28 @@ def plan_corruption(
 
 def apply_corruption(
     embedding: PrefixEmbedding,
-    plan: CorruptionPlan | Sequence[CorruptionPlan],
+    plans: Sequence[CorruptionPlan],
     book: Codebook,
     schedule: ScaleSchedule,
     params: EmbeddingParams,
 ) -> PrefixEmbedding:
-    """Replace embeddings at selected sites per the plan's variant.
+    """Replace embeddings at selected sites per the plans' variant.
 
+    ``embedding`` stacks embeddings of one step on a leading axis, and
+    ``plans`` holds one plan per row, all of one variant: row i is corrupted
+    under plan i, and every scale is rewritten for the whole stack at once.
     Input untouched; sites outside the selection are copied verbatim. The
     uniform-prefix variant ignores the site selection and rebuilds the whole
     embedding from the plan's i.i.d. uniform token grids. ``params`` are the
     ``embedding_params`` the embedding was built with, as a fitted count
-    model carries them.
-
-    A stacked embedding (``PrefixEmbedding.stack``) takes a sequence of one
-    plan per row, all of one variant, and row i is corrupted under plan i;
-    every scale is rewritten for the whole stack at once. A content vector
-    is projected as a one-row matrix, as one vector's ``x @ proj.T`` is, so a
-    row of the stack equals its one-embedding corruption bit for bit.
+    model carries them. A content vector is projected as a one-row matrix,
+    as one vector's ``x @ proj.T`` is, so a row equals its corruption alone
+    bit for bit.
     """
-    stacked, step = embedding.stacked, embedding.step
-    plans = tuple(plan) if stacked else (plan,)
-    stack = embedding if stacked else PrefixEmbedding.stack([embedding])
-    if stacked and len(plans) != len(embedding.grids[0]):
-        raise InconsistentPlanError(
-            f"{len(plans)} plans for a stack of {len(embedding.grids[0])} embeddings"
-        )
+    step = embedding.step
+    rows = len(embedding.grids[0]) if embedding.stacked else 0
+    if len(plans) != rows:
+        raise InconsistentPlanError(f"{len(plans)} plans for a stack of {rows} embeddings")
     for p in plans:
         if p.step != step:
             raise InconsistentPlanError(
@@ -166,35 +162,33 @@ def apply_corruption(
         raise InconsistentPlanError("the plans of a stack must share one variant")
 
     if variant is CorruptionVariant.UNIFORM_PREFIX:
-        out = embed_prefix([
+        return embed_prefix([
             np.array([p.uniform_tokens[j - 1] for p in plans]).reshape((-1,) + schedule.grid(j))
             for j in range(1, step)
         ], book, schedule, params)
-    else:
-        grids = [g.copy() for g in stack.grids]
-        proj, pos = params
-        for j in range(1, step):
-            # Row, target site, donor site and selection index of every site
-            # of scale j that a plan of the stack selects.
-            picks = [(i, u, du, n) for i, p in enumerate(plans)
-                     for n, ((sj, u), (_, du)) in enumerate(zip(p.selected, p.donors))
-                     if sj == j]
-            if not picks:
-                continue
-            i, u, du, n = np.array(picks).T
-            w = schedule.grid(j)[1]
-            tgt, don = (i, u // w, u % w), (i, du // w, du % w)
-            if variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
-                grids[j - 1][tgt] = stack.grids[j - 1][don]
-                continue
-            if variant is CorruptionVariant.SAME_SCALE_TOKEN:
-                content, at = stack.pooled[j - 1][don], tgt
-            elif variant is CorruptionVariant.SAME_SCALE_POSITION:
-                content, at = stack.pooled[j - 1][tgt], don
-            else:  # RANDOM_CODEBOOK
-                draws = (plans[r].code_draws[m] for r, m in zip(i, n))
-                content = np.array([book.table(scale)[code] for scale, code in draws])
-                at = tgt
-            grids[j - 1][tgt] = (content[:, None] @ proj.T)[:, 0] + pos[j - 1][at[1:]]
-        out = PrefixEmbedding(tuple(grids), stack.pooled)
-    return out if stacked else out.row(0)
+    grids = [g.copy() for g in embedding.grids]
+    proj, pos = params
+    for j in range(1, step):
+        # Row, target site, donor site and selection index of every site
+        # of scale j that a plan of the stack selects.
+        picks = [(i, u, du, n) for i, p in enumerate(plans)
+                 for n, ((sj, u), (_, du)) in enumerate(zip(p.selected, p.donors))
+                 if sj == j]
+        if not picks:
+            continue
+        i, u, du, n = np.array(picks).T
+        w = schedule.grid(j)[1]
+        tgt, don = (i, u // w, u % w), (i, du // w, du % w)
+        if variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
+            grids[j - 1][tgt] = embedding.grids[j - 1][don]
+            continue
+        if variant is CorruptionVariant.SAME_SCALE_TOKEN:
+            content, at = embedding.pooled[j - 1][don], tgt
+        elif variant is CorruptionVariant.SAME_SCALE_POSITION:
+            content, at = embedding.pooled[j - 1][tgt], don
+        else:  # RANDOM_CODEBOOK
+            draws = (plans[r].code_draws[m] for r, m in zip(i, n))
+            content = np.array([book.table(scale)[code] for scale, code in draws])
+            at = tgt
+        grids[j - 1][tgt] = (content[:, None] @ proj.T)[:, 0] + pos[j - 1][at[1:]]
+    return PrefixEmbedding(tuple(grids), embedding.pooled)

@@ -29,12 +29,10 @@ from .model import (
     Condition,
     CountModel,
     NULL_CONDITION,
-    PrefixEmbedding,
     SignedEmbedding,
     TabularModel,
     context_signature,
     prefix_key,
-    prefix_maps,
 )
 from .oracle import prefix_marginal_sites
 from .tokenizer import Codebook
@@ -98,8 +96,8 @@ class GuidedStep:
     has none), and ``contrasted`` whether each row has a weak-prefix branch
     pair: a row without one takes nothing from the corrupted branch
     arrays. ``row(i)`` is row i as a one-prefix step: its arrays are
-    (h, w, V), ``plan`` is its plan, and it has corrupted branches only if
-    it contrasts. The arrays are read-only, so the
+    (h, w, V), ``plans`` holds its plan alone, and it has corrupted branches
+    only if it contrasts. The arrays are read-only, so the
     samples of a rollout whose steps have the same branch inputs can share
     one step; it hashes by identity.
     """
@@ -111,13 +109,6 @@ class GuidedStep:
     contrasted: tuple[bool, ...]
     # Each row's record, built once: the samples that share a row share it.
     _rows: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def plan(self) -> CorruptionPlan | None:
-        """The corruption plan of a one-prefix step."""
-        if len(self.plans) != 1:
-            raise InvalidInputError(f"a stack of {len(self.plans)} rows has a plan per row")
-        return self.plans[0]
 
     @property
     def evaluations(self) -> int:
@@ -147,7 +138,7 @@ def guided_step(
     config: GuidanceConfig | Sequence[GuidanceConfig],
     *,
     book: Codebook | None = None,
-    plan: CorruptionPlan | None = None,
+    plan: CorruptionPlan | Sequence[CorruptionPlan | None] | None = None,
     signed: SignedEmbedding | None = None,
     stack: bool = False,
 ) -> GuidedStep:
@@ -158,31 +149,32 @@ def guided_step(
     signed in full; the step draws nothing at random, so where
     ``config.draws_plan`` holds and no plan is given it raises
     IllDefinedLawError. Without a plan (as where the variant selects no
-    site) the corrupted pair is the clean pair. A count model's clean
-    branches read ``signed``, the prefix's signed embedding, when the caller
-    carries it; otherwise the prefix is embedded and signed here.
+    site) the corrupted pair is the clean pair.
 
     With ``stack``, ``prefix`` is a stack of P prefixes of one scale, and
-    ``plan`` and ``signed``, where given, hold one entry per prefix (a
-    row's plan may be None). ``config`` is one config for every row, or a
-    sequence of one per row; the rows' configs share gamma and reference,
-    and each row contrasts, with its own lambda, where its own config does.
-    The step is then evaluated for the whole stack at once: a tabular
-    model's rows are gathered, a count model's logits are read once per
-    distinct signature, and the corrupted rows of each variant are corrupted
-    and signed together. Its arrays have a leading P axis. The one-prefix
-    call is the P = 1 case and returns that row.
+    ``plan``, where given, holds one plan per prefix (a row's plan may be
+    None). ``config`` is one config for every row, or a sequence of one per
+    row; the rows' configs share gamma and reference, and each row
+    contrasts, with its own lambda, where its own config does. A count
+    model reads ``signed``, the prefixes' signed stack, when the caller
+    carries it; otherwise the prefixes are embedded and signed here in one
+    stacked call. The step is then evaluated for the whole stack at once: a
+    tabular model's rows are gathered, a count model's logits are read once
+    per distinct signature, and the corrupted rows of each variant are
+    taken from the signed stack, corrupted and signed together. Its arrays
+    have a leading P axis. The one-prefix call is the P = 1 case and returns
+    that row.
     """
-    if stack:
-        prefixes = [list(p) for p in prefix]
-        plans = [None] * len(prefixes) if plan is None else list(plan)
-        signs = None if signed is None else list(signed)
-    else:
-        prefixes, plans, signs = [list(prefix)], [plan], None if signed is None else [signed]
+    if not stack:
+        if signed is not None:
+            raise InvalidInputError("a one-prefix step embeds its own prefix")
+        prefix, plan = [prefix], None if plan is None else [plan]
+    prefixes = [list(p) for p in prefix]
+    plans = [None] * len(prefixes) if plan is None else list(plan)
     configs = ([config] * len(prefixes) if isinstance(config, GuidanceConfig)
                else list(config) if stack else [])
     if not prefixes or len(plans) != len(prefixes) or len(configs) != len(prefixes) or (
-            signs is not None and len(signs) != len(prefixes)):
+            signed is not None and len(signed.signature) != len(prefixes)):
         raise InvalidInputError(
             "a stack takes one plan and one signed embedding per prefix, and one config "
             "or one per prefix")
@@ -207,16 +199,14 @@ def guided_step(
     if isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
-        if signs is None:
-            signs = [model.embed(prefix_maps(prefix_key(p), model.schedule), book)
-                     for p in prefixes]
-        for s in signs:
-            if s.embedding.step != k:
-                raise InvalidInputError(
-                    f"signed embedding is for step {s.embedding.step}, "
-                    f"the prefix is for step {k}"
-                )
-        inputs = [s.signature for s in signs]
+        if signed is None:
+            signed = model.embed_keys([prefix_key(p) for p in prefixes], book)
+        if signed.embedding.step != k:
+            raise InvalidInputError(
+                f"signed embedding is for step {signed.embedding.step}, "
+                f"the prefixes are for step {k}"
+            )
+        inputs = signed.signature
 
         def predicted(signatures):
             """The pair of the rows' signatures, read once per distinct one
@@ -224,7 +214,7 @@ def guided_step(
             distinct: dict = {}
             index = [distinct.setdefault(sig, len(distinct)) for sig in signatures]
             return pair(lambda c: np.stack([model.logits(c, k, sig) for sig in distinct])[index])
-    elif signs is not None:
+    elif signed is not None:
         raise InvalidInputError("only a count model reads a signed embedding")
     elif isinstance(model, TabularModel):
         inputs = [prefix_key(p) for p in prefixes]
@@ -262,9 +252,8 @@ def guided_step(
             corrupted: dict = {}
             for rows in by_variant.values():
                 corrupted.update(zip(rows, context_signature(apply_corruption(
-                    PrefixEmbedding.stack([signs[i].embedding for i in rows]),
-                    [plans[i] for i in rows], book, model.schedule, model.params),
-                    model.thresholds)))
+                    signed.take(rows).embedding, [plans[i] for i in rows],
+                    book, model.schedule, model.params), model.thresholds)))
             # Rows without a plan keep their clean signature.
             corr = predicted([corrupted.get(i, sig) for i, sig in enumerate(inputs)]) \
                 if corrupted else gen

@@ -98,18 +98,6 @@ class PrefixEmbedding:
         """Whether the grids carry a leading axis of prefixes, one row each."""
         return bool(self.grids) and self.grids[0].ndim == 4
 
-    @staticmethod
-    def stack(embeddings: Sequence["PrefixEmbedding"]) -> "PrefixEmbedding":
-        """Embeddings for one step stacked on a leading axis, one row each."""
-        return PrefixEmbedding(
-            tuple(np.stack(grids) for grids in zip(*(e.grids for e in embeddings))),
-            tuple(np.stack(pooled) for pooled in zip(*(e.pooled for e in embeddings))),
-        )
-
-    def row(self, i: int) -> "PrefixEmbedding":
-        """Row i of a stacked embedding."""
-        return PrefixEmbedding(tuple(g[i] for g in self.grids), tuple(p[i] for p in self.pooled))
-
     def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
         """This embedding with one more scale: the embedding for the next step."""
         return PrefixEmbedding(self.grids + (grid,), self.pooled + (pooled,))
@@ -314,15 +302,25 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
 
 @dataclass(frozen=True)
 class SignedEmbedding:
-    """A prefix embedding and its context signature, built by ``CountModel.sign``
-    (or ``extend``, which bins only the new scale).
+    """A prefix embedding and its context signature, built by ``CountModel.sign``.
 
     Branches evaluated on one embedding share it, so the signature is
-    computed once per embedding.
+    computed once per embedding. A batch of prefixes of one step is one
+    signed stack: a stacked embedding and the list of its rows' signatures.
+    The stack of step 1 is ``EMPTY_EMBEDDING`` with one () signature per
+    row, so the list carries the row count.
     """
 
     embedding: PrefixEmbedding
-    signature: tuple
+    signature: tuple | list
+
+    def take(self, rows: Sequence[int]) -> "SignedEmbedding":
+        """The signed stack of ``rows`` of this stack, in that order."""
+        e = self.embedding
+        return SignedEmbedding(
+            PrefixEmbedding(tuple(g[rows] for g in e.grids), tuple(p[rows] for p in e.pooled)),
+            [self.signature[i] for i in rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -345,9 +343,12 @@ class CountModel:
     # one), so it grows with the distinct prefix signatures, not the calls.
     _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def embed(self, prefix: Sequence[TokenMap], book: Codebook) -> SignedEmbedding:
-        """The prefix's signed embedding under this model's tables."""
+    def embed(self, prefix: Sequence[TokenMap | np.ndarray], book: Codebook) -> SignedEmbedding:
+        """The prefix's signed embedding under this model's tables; stacked
+        ids, as ``embed_prefix`` takes them, give the signed stack."""
         fitted = self.params[0].shape[1]
+        if book is None:
+            raise InvalidInputError("a count model embeds a prefix with the codebook")
         if book.latent_dim != fitted:
             raise InvalidInputError(
                 f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
@@ -358,25 +359,28 @@ class CountModel:
         """``embedding`` together with its signature under this model."""
         return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
 
-    def extend(
-        self, signed: Sequence[SignedEmbedding], latent: np.ndarray
-    ) -> list[SignedEmbedding]:
-        """Each signed embedding of a batch extended by one scale.
+    def embed_keys(self, keys: Sequence[PrefixKey], book: Codebook) -> SignedEmbedding:
+        """The signed stack of prefix keys of one step, embedded in one
+        stacked ``embed_prefix`` call."""
+        ids = [np.array([key[j - 1] for key in keys], dtype=np.int64)
+               .reshape((len(keys),) + self.schedule.grid(j)) for j in range(1, len(keys[0]) + 1)]
+        signed = self.embed(ids, book)
+        return signed if ids else SignedEmbedding(EMPTY_EMBEDDING, [()] * len(keys))
 
-        ``signed`` are embeddings for one step k, and ``latent`` stacks the
-        prefixes' cumulative latents after scale k, shape (n, fh, fw, d).
-        The new scale is embedded for the whole batch at once, and only it
-        is binned: the signature of the rest is carried over.
+    def extend(self, signed: SignedEmbedding, latent: np.ndarray) -> SignedEmbedding:
+        """A signed stack of step k extended by one scale.
+
+        ``latent`` stacks the rows' cumulative latents after scale k, shape
+        (n, fh, fw, d). The new scale is embedded and binned for the whole
+        stack at once; each row's signature of the rest is carried over.
         """
-        k = signed[0].embedding.step
-        if any(s.embedding.step != k for s in signed) or len(signed) != len(latent):
-            raise InvalidInputError("a batch extends one latent per embedding, all for one step")
+        k = signed.embedding.step
+        if len(signed.signature) != len(latent):
+            raise InvalidInputError("a stack extends one latent per row")
         grid, pooled = embed_scale(latent, k, self.schedule, self.params)
         bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
-        return [
-            SignedEmbedding(s.embedding.extended(grid[i], pooled[i]), s.signature + (tuple(b),))
-            for i, (s, b) in enumerate(zip(signed, bins))
-        ]
+        return SignedEmbedding(signed.embedding.extended(grid, pooled),
+                               [s + (tuple(b),) for s, b in zip(signed.signature, bins)])
 
     def logits(self, condition: Condition, k: int, signature) -> np.ndarray:
         """The read-only scale-k logits of a prefix with this signature, kept
@@ -406,7 +410,9 @@ def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, wher
     map per scale with ids in 0..vocab-1 and ``condition`` is in 0..num_conditions-1."""
     if len(maps) != schedule.num_scales:
         problem = "sequence does not match the schedule"
-    elif not (isinstance(condition, (int, np.integer)) and 0 <= condition < num_conditions):
+    elif not integral(condition):
+        problem = f"condition {condition!r} is not an integer"
+    elif not 0 <= condition < num_conditions:
         problem = f"condition {condition!r} is outside 0..{num_conditions - 1}"
     elif any(m.ids.min() < 0 or m.ids.max() >= vocab for m in maps):
         problem = f"a token id is outside 0..{vocab - 1}"
@@ -415,36 +421,23 @@ def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, wher
     raise InvalidInputError(f"{where}: {problem}")
 
 
-class CheckedCorpus(tuple):
-    """(condition, maps) sequences that have each passed
-    ``check_corpus_sequence`` for ``checked_for``, a (schedule, vocab,
-    num_conditions) triple, as ``config.corpus_from_csv`` returns them."""
-
-    def __new__(cls, sequences, checked_for):
-        corpus = super().__new__(cls, sequences)
-        corpus.checked_for = checked_for
-        return corpus
-
-
 def _corpus_ids(corpus, schedule, vocab, num_conditions) -> list[np.ndarray]:
     """Each scale's ids stacked over the corpus, (n, h_k, w_k), once every
-    sequence passes ``check_corpus_sequence`` (a ``CheckedCorpus`` for this
-    shape has). The checks run on the stacks; only where one fails is each
-    sequence checked in turn, so the error names the first bad sequence and
-    its first problem, as a loop over the sequences does."""
+    sequence passes ``check_corpus_sequence``. The checks run on the stacks;
+    only where one fails is each sequence checked in turn, so the error
+    names the first bad sequence and its first problem, as a loop over the
+    sequences does."""
     def stacks():
         return [np.stack([maps[k - 1].ids for _, maps in corpus])
                 for k in range(1, schedule.num_scales + 1)]
 
-    if getattr(corpus, "checked_for", None) == (schedule, vocab, num_conditions):
-        return stacks()
     try:
         ids = stacks() if all(len(maps) == schedule.num_scales for _, maps in corpus) else None
     except ValueError:  # maps of unlike shapes, which np.stack names below
         ids = None
     conditions = [condition for condition, _ in corpus]
     if ids is None or not (
-        all(isinstance(c, (int, np.integer)) for c in conditions)
+        all(map(integral, conditions))
         and 0 <= min(conditions) and max(conditions) < num_conditions
         and all(grid.min() >= 0 and grid.max() < vocab for grid in ids)
     ):
@@ -484,13 +477,13 @@ def fit_count_model(
     # Every sequence advances one scale at a time: its step-k signature
     # counts its scale-k ids, then its embedding is extended by that scale.
     latent = np.zeros((len(corpus),) + schedule.final_dims + (book.latent_dim,))
-    signed = [model.sign(EMPTY_EMBEDDING)] * len(corpus)
+    signed = SignedEmbedding(EMPTY_EMBEDDING, [()] * len(corpus))
     for k, ids in enumerate(scale_ids, start=1):
         # Site u's id v is bin u * vocab + v of a sequence's histogram.
         flat = ids.reshape(len(corpus), -1) + np.arange(schedule.sites(k)) * vocab
         members: dict = {}
-        for i, ((condition, _), s) in enumerate(zip(corpus, signed)):
-            members.setdefault((condition, s.signature), []).append(i)
+        for i, ((condition, _), sig) in enumerate(zip(corpus, signed.signature)):
+            members.setdefault((condition, sig), []).append(i)
         for (condition, sig), rows in members.items():
             hist = np.bincount(flat[rows].ravel(), minlength=flat.shape[1] * vocab)
             table = hist.reshape(schedule.grid(k) + (vocab,)).astype(float)

@@ -25,9 +25,7 @@ from .model import (
     PrefixKey,
     TabularModel,
     enumerate_prefix_keys,
-    predict_logits,
     prefix_key,
-    prefix_maps,
     scale_maps,
 )
 from .tokenizer import Codebook
@@ -87,10 +85,11 @@ def _joint_law(laws: np.ndarray) -> np.ndarray:
 def _site_laws(model, condition: Condition, book: Codebook | None = None):
     """Per-site step laws of a tabular or count model, as ``chain_law`` takes them."""
     def laws(keys):
+        k = len(keys[0]) + 1
         if isinstance(model, TabularModel):
-            return model.rows(condition, len(keys[0]) + 1, keys)
-        return np.stack([np.exp(predict_logits(model, condition, prefix_maps(key, model.schedule),
-                                               book=book)) for key in keys])
+            return model.rows(condition, k, keys)
+        signatures = model.embed_keys(keys, book).signature
+        return np.exp(np.stack([model.logits(condition, k, sig) for sig in signatures]))
     return lambda keys: laws(keys).reshape(len(keys), -1, model.vocab)
 
 
@@ -128,8 +127,9 @@ def prefix_marginal_sites(
     own prefix law walked to k - 1; step k's joint is never formed. Tabular
     models keep it per (condition, k), and the first call at a scale keeps
     every condition's and the null condition's, from one stacked walk; the
-    marginals are the same bits as one walk each. Count models walk
-    ``exp(predict_logits)`` on every call and need the codebook."""
+    marginals are the same bits as one walk each. Count models walk the
+    exp of their logits on every call, each level's prefixes embedded as one
+    signed stack, and need the codebook."""
     if isinstance(model, TabularModel):
         memo = model._marginals
         conditions = [*range(model.num_conditions), NULL_CONDITION]

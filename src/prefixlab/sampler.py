@@ -27,7 +27,7 @@ from .config import GuidanceConfig, SamplerConfig
 from .corruption import CorruptionPlan, plan_corruption
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidedStep, guided_step
-from .model import Condition, CountModel, SignedEmbedding, TokenMap
+from .model import Condition, CountModel, TokenMap
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -139,13 +139,6 @@ class RolloutResult:
         return tuple(step.row(row) for step, row in self.steps)
 
 
-def _branch_input(key, signed: SignedEmbedding | None):
-    """What a guided step that draws no corruption plan is a function of: the
-    clean signature of a count model's prefix (``signed``), else the prefix's
-    token ids (``key``, its prefix key)."""
-    return key if signed is None else signed.signature
-
-
 def rollouts(
     model,
     condition: Condition,
@@ -166,12 +159,13 @@ def rollouts(
     with each row's lane config. Where a lane's ``draws_plan`` holds, each of
     its samples' corruption plans is drawn here from its plan seed and the
     stack has one row per sample; else, as where the variant can select no
-    site, one row per group of the lane's samples with the same
-    ``_branch_input``, whose members share the row. So each lane has the
-    rows it would have alone. Each row's law is truncated once and all
-    samples are sampled in one pass. The samples' prefix keys and latents
-    are carried forward one scale at a time, and for a count model so are
-    their signed prefix embeddings, which ``guided_step`` reads.
+    site, one row per group of the lane's samples whose step reads the same
+    input (a count model's clean signature, a tabular model's prefix key),
+    whose members share the row. So each lane has the rows it would have
+    alone. Each row's law is truncated once and all samples are sampled in
+    one pass. The samples' prefix keys and latents are carried forward one
+    scale at a time, and for a count model so is their signed stack, whose
+    rows ``guided_step`` reads.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -194,17 +188,16 @@ def rollouts(
     keys = [()] * total
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
-    carries_embedding = isinstance(model, CountModel)
-    signed = [model.embed([], book) if carries_embedding else None] * total
+    signed = model.embed_keys(keys, book) if isinstance(model, CountModel) else None
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
         draws = [g.draws_plan(k, schedule) for g, _ in lanes]
+        inputs = keys if signed is None else signed.signature
         groups: dict = {}
         for i in range(total):
             lane = i // count
-            key = i if draws[lane] else (lane, _branch_input(keys[i], signed[i]))
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(i if draws[lane] else (lane, inputs[i]), []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
             model, condition, [keys[i] for i in firsts], [configs[i] for i in firsts],
@@ -212,14 +205,14 @@ def rollouts(
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
                                   plan_seeds[i], book=book) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
-            signed=[signed[i] for i in firsts] if carries_embedding else None,
+            signed=None if signed is None else signed.take(firsts),
         )
         rows = np.empty(total, dtype=np.intp)
         for row, members in enumerate(groups.values()):
             rows[members] = row
         ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
-        if carries_embedding and k < schedule.num_scales:
+        if signed is not None and k < schedule.num_scales:
             signed = model.extend(signed, latent)
         keys = [key + (tuple(part),) for key, part in zip(keys, ids.reshape(total, -1).tolist())]
         scales.append((ids, [(step, row) for row in rows.tolist()]))

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from prefixlab.model import SignatureSpec, build_tabular, fit_count_model, tabular_from_rows
+from prefixlab.corruption import apply_corruption
+from prefixlab.model import (
+    PrefixEmbedding,
+    SignatureSpec,
+    SignedEmbedding,
+    build_tabular,
+    fit_count_model,
+    tabular_from_rows,
+)
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, synthetic_images
 
 
@@ -97,3 +105,28 @@ def uniform_maps(schedule, vocab, seed):
         TokenMap(k, rng.integers(0, vocab, schedule.grid(k)))
         for k in range(1, schedule.num_scales + 1)
     ]
+
+
+def stack_row(stack, i):
+    """Row i of a stacked embedding, as one embedding."""
+    return PrefixEmbedding(tuple(g[i] for g in stack.grids), tuple(p[i] for p in stack.pooled))
+
+
+def corrupt_one(embedding, plan, book, schedule, params):
+    """One embedding corrupted under ``plan``, through a stack of one row."""
+    return stack_row(apply_corruption(stack_of([embedding]), [plan], book, schedule, params), 0)
+
+
+def signed_stack(model, prefixes, book):
+    """The signed stack of ``prefixes``, built from each prefix's own
+    ``model.embed``: the reference a carried or stacked embedding must equal."""
+    signed = [model.embed(p, book) for p in prefixes]
+    return SignedEmbedding(stack_of([s.embedding for s in signed]),
+                           [s.signature for s in signed])
+
+
+def stack_of(embeddings):
+    """Embeddings of one step stacked on a leading axis, one row each; the
+    stack of step 1 is ``EMPTY_EMBEDDING``."""
+    return PrefixEmbedding(tuple(map(np.stack, zip(*(e.grids for e in embeddings)))),
+                           tuple(map(np.stack, zip(*(e.pooled for e in embeddings)))))

@@ -19,7 +19,6 @@ import pytest
 import prefixlab
 from prefixlab.corruption import (
     CorruptionVariant,
-    apply_corruption,
     plan_corruption,
     selection_size,
 )
@@ -58,7 +57,7 @@ from prefixlab.tokenizer import (
     synthetic_images,
     upsample,
 )
-from tests.conftest import fixture_m1
+from tests.conftest import corrupt_one, fixture_m1
 
 SCHEDULE = ScaleSchedule(((1, 1), (1, 1)))
 POPULATION = [(v, c) for v in (2, 3, 5) for c in (1, 2, 3)]
@@ -184,7 +183,7 @@ def test_criterion_5_corruption_invariants():
         plan = plan_corruption(
             sched, 3, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=1
         )
-        out = apply_corruption(emb, plan, book, sched, params)
+        out = corrupt_one(emb, plan, book, sched, params)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, grid.shape[-1])
             for vec in grid.reshape(-1, grid.shape[-1]):
@@ -198,7 +197,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 3, 0.0, variant, seed=2, book=book)
-            out = apply_corruption(emb, plan, book, sched, params)
+            out = corrupt_one(emb, plan, book, sched, params)
             for a, b in zip(out.grids, emb.grids):
                 assert np.array_equal(a, b)
 
@@ -216,7 +215,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(scalar_sched, 2, 1.0, variant, seed=3)
-            out = apply_corruption(scalar_emb, plan, scalar_book, scalar_sched, scalar_params)
+            out = corrupt_one(scalar_emb, plan, scalar_book, scalar_sched, scalar_params)
             np.testing.assert_allclose(
                 out.grids[0], scalar_emb.grids[0], atol=1e-12
             )
@@ -285,7 +284,7 @@ def test_criterion_7_sampler_laws(small_count, small_book):
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,
-                book=small_book, plan=recorded.plan,
+                book=small_book, plan=recorded.plans[0],
             )
             assert np.array_equal(recorded.logits, replayed.logits)
 
@@ -321,7 +320,7 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
         step = guided_step(small_count, 0, tab_prefix, masked, book=small_book)
         assert step.evaluations == 1
         assert step.branches.cond_corr is None
-        assert step.plan is None
+        assert step.plans[0] is None
 
 
 def test_criterion_10_end_to_end_verify(tmp_path):

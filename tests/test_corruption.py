@@ -19,7 +19,7 @@ from prefixlab.errors import InconsistentPlanError, InvalidFractionError
 from prefixlab.model import PrefixEmbedding, embed_prefix, embedding_params, prefix_maps
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
 
-from tests.conftest import uniform_maps
+from tests.conftest import corrupt_one, stack_of, stack_row, uniform_maps
 
 SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (4, 4)))
 BOOK = Codebook.seeded(4, 3, 2, seed=7)
@@ -135,7 +135,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 0.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, emb.grids):
             assert np.array_equal(a, b)
 
@@ -145,7 +145,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 3
         )
-        apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for a, b in zip(emb.grids, before):
             assert np.array_equal(a, b)
 
@@ -154,7 +154,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, grid.shape[-1])
             for vec in grid.reshape(-1, grid.shape[-1]):
@@ -165,7 +165,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         moved = 0
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
@@ -187,14 +187,14 @@ class TestApplication:
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 2, 1.0, variant, seed=4)
-            out = apply_corruption(emb, plan, book, sched, params)
+            out = corrupt_one(emb, plan, book, sched, params)
             np.testing.assert_allclose(out.grids[0], emb.grids[0], atol=1e-12)
 
     def test_token_and_position_variants_match_hand_formula(self):
         _, emb = embedded_prefix(3)
         proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
         plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9)
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
@@ -203,7 +203,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_POSITION, 9
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
@@ -216,7 +216,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, book=BOOK
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         for idx, (j, u) in enumerate(plan.selected):
             h, w = SCHEDULE.grid(j)
             tgt = (u // w, u % w)
@@ -229,7 +229,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, book=BOOK
         )
-        out = apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
         maps = [
             TokenMap(j, np.asarray(ids).reshape(SCHEDULE.grid(j)))
             for j, ids in enumerate(plan.uniform_tokens, start=1)
@@ -244,7 +244,7 @@ class TestApplication:
             SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
         with pytest.raises(InconsistentPlanError):
-            apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+            corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
 
     def test_site_of_its_own_step_raises(self):
         # plan_corruption draws only prefix sites; a hand-built plan can name
@@ -253,7 +253,7 @@ class TestApplication:
         plan = CorruptionPlan(3, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 1.0,
                               selected=((3, 0),), donors=((3, 1),), seed=0)
         with pytest.raises(InconsistentPlanError, match="beyond the prefix"):
-            apply_corruption(emb, plan, BOOK, SCHEDULE, PARAMS)
+            corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
 
 
 
@@ -300,17 +300,16 @@ class TestStackedApplication:
         embeddings = [embedded_prefix(k, seed + i)[1] for i in range(rows)]
         plans = [plan_corruption(SCHEDULE, k, fraction, variant, seed + i, book=BOOK)
                  for i in range(rows)]
-        stacked = apply_corruption(PrefixEmbedding.stack(embeddings), plans, BOOK, SCHEDULE,
-                                   PARAMS)
+        stacked = apply_corruption(stack_of(embeddings), plans, BOOK, SCHEDULE, PARAMS)
         assert stacked.stacked and len(stacked.grids[0]) == rows
         for i, (embedding, plan) in enumerate(zip(embeddings, plans)):
             want = corrupted_site_by_site(embedding, plan, BOOK, SCHEDULE, PARAMS)
-            assert_same_embedding(stacked.row(i), want)
-            assert_same_embedding(apply_corruption(embedding, plan, BOOK, SCHEDULE, PARAMS), want)
+            assert_same_embedding(stack_row(stacked, i), want)
+            assert_same_embedding(corrupt_one(embedding, plan, BOOK, SCHEDULE, PARAMS), want)
 
     def test_stack_takes_one_plan_per_row_of_one_variant(self):
         embeddings = [embedded_prefix(3, seed)[1] for seed in range(2)]
-        stack = PrefixEmbedding.stack(embeddings)
+        stack = stack_of(embeddings)
         full, token = (plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
                        for variant in (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
                                        CorruptionVariant.SAME_SCALE_TOKEN))
@@ -318,3 +317,6 @@ class TestStackedApplication:
             apply_corruption(stack, [full], BOOK, SCHEDULE, PARAMS)
         with pytest.raises(InconsistentPlanError, match="one variant"):
             apply_corruption(stack, [full, token], BOOK, SCHEDULE, PARAMS)
+        # One embedding is no stack: it has no row for a plan.
+        with pytest.raises(InconsistentPlanError, match="1 plans for a stack of 0"):
+            apply_corruption(embeddings[0], [full], BOOK, SCHEDULE, PARAMS)

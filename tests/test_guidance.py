@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
+from prefixlab.corruption import CorruptionVariant, plan_corruption
 from prefixlab.errors import (
     GuidanceConfigError,
     IllDefinedLawError,
@@ -37,7 +37,7 @@ from prefixlab.model import (
 from prefixlab.oracle import enumerate_prefixes, softmax
 from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
-from tests.conftest import make_corpus
+from tests.conftest import corrupt_one, make_corpus, signed_stack
 from tests.test_sampler import BRANCHES, multisite_schedules, same_bits
 
 
@@ -268,7 +268,7 @@ class TestGuidedStepCount:
             step = guided_step(model, 0, prefix, config, book=book, plan=plan)
             assert step.evaluations == expected
             assert len(binned) == len(prefix) + rebinned
-            assert step.plan is plan
+            assert step.plans[0] is plan
             assert np.array_equal(step.branches.cond_gen, clean)
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
@@ -284,7 +284,8 @@ class TestGuidedStepCount:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed))
         with pytest.raises(IllDefinedLawError, match="scale 2 needs a plan"):
             guided_step(small_count, 0, prefix, config, book=small_book)
-        assert guided_step(small_count, 0, prefix, config, book=small_book, plan=plan).plan is plan
+        step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+        assert step.plans == (plan,)
         assert seeded == []
 
     @pytest.mark.parametrize("condition", [7, -1])
@@ -305,7 +306,7 @@ class TestGuidedStepCount:
 
     def test_cfg_without_null_rows_rejected(self, small_schedule, small_book):
         from prefixlab.model import fit_count_model
-        from tests.conftest import make_corpus
+        from tests.conftest import corrupt_one, make_corpus, signed_stack
 
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=9)
         model = fit_count_model(
@@ -325,24 +326,30 @@ class TestGuidedStepCount:
         config = GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted")
         a = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
         b = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
-        assert a.plan is plan
+        assert a.plans[0] is plan
         assert np.array_equal(a.logits, b.logits)
 
-    def test_signed_embedding_for_wrong_step_raises(self, small_count, small_book):
-        prefix = [TokenMap(1, np.asarray([[1]]))]
+    def test_signed_stack_for_wrong_step_raises(self, small_count, small_book):
+        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0)
-        for_step_1 = small_count.embed([], small_book)
+        for_step_1 = small_count.embed_keys([()] * 2, small_book)
         with pytest.raises(InvalidInputError, match="step 1"):
-            guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_1)
-        for_step_2 = small_count.embed(prefix, small_book)
-        carried = guided_step(small_count, 0, prefix, config, book=small_book, signed=for_step_2)
-        fresh = guided_step(small_count, 0, prefix, config, book=small_book)
+            guided_step(small_count, 0, prefixes, config, book=small_book, signed=for_step_1,
+                        stack=True)
+        carried = guided_step(small_count, 0, prefixes, config, book=small_book,
+                              signed=signed_stack(small_count, prefixes, small_book), stack=True)
+        fresh = guided_step(small_count, 0, prefixes, config, book=small_book, stack=True)
         assert np.array_equal(carried.logits, fresh.logits)
 
-    def test_signed_embedding_rejected_for_tabular_model(self, small_tabular, small_count, small_book):
-        signed = small_count.embed([], small_book)
+    def test_signed_stack_rejected_for_tabular_model_and_one_prefix(
+        self, small_tabular, small_count, small_book
+    ):
+        signed = small_count.embed_keys([()], small_book)
         with pytest.raises(InvalidInputError, match="count model"):
-            guided_step(small_tabular, 0, [], GuidanceConfig(), signed=signed)
+            guided_step(small_tabular, 0, [[]], GuidanceConfig(), signed=signed, stack=True)
+        # A one-prefix step embeds its own prefix.
+        with pytest.raises(InvalidInputError, match="its own prefix"):
+            guided_step(small_count, 0, [], GuidanceConfig(), book=small_book, signed=signed)
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     @pytest.mark.parametrize("prefix_scales", [1, 2])
@@ -357,7 +364,7 @@ class TestGuidedStepCount:
         prefix = corpus[1][1][:prefix_scales]
         k = prefix_scales + 1
         plan = plan_corruption(model.schedule, k, fraction, variant, seed=4, book=book)
-        corrupted = model.sign(apply_corruption(
+        corrupted = model.sign(corrupt_one(
             model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
         ))
         config = GuidanceConfig(
@@ -367,8 +374,8 @@ class TestGuidedStepCount:
         drawn = guided_step(model, 1, prefix, config, book=book, plan=plan_corruption(
             model.schedule, k, fraction, variant, seed=4, book=book
         ))
-        assert fixed.plan is plan
-        assert drawn.plan == plan
+        assert fixed.plans[0] is plan
+        assert drawn.plans[0] == plan
 
         def same_bits(got, cond):
             want = predict_logits(model, cond, prefix, signed=corrupted)
@@ -392,7 +399,7 @@ class TestGuidedStepCount:
                                 reference="corrupted")
         assert not config.draws_plan(2, small_count.schedule)
         step = guided_step(small_count, 0, prefix, config, book=small_book)
-        assert step.plan is None
+        assert step.plans[0] is None
         b = step.branches
         assert np.array_equal(b.cond_corr, b.cond_gen)
         assert np.array_equal(b.null_corr, b.null_gen)
@@ -414,12 +421,12 @@ class TestGuidedStepCount:
         lane = (config, SamplerConfig(seed=9))
         step = rollouts(small_count, 0, [lane], small_book, 1)[0][0].trace[1]
         if variant is CorruptionVariant.UNIFORM_PREFIX:
-            assert seeded == [9, step.plan.seed]
-            assert step.plan.selected == ()
-            assert [len(ids) for ids in step.plan.uniform_tokens] == [1]
+            assert seeded == [9, step.plans[0].seed]
+            assert step.plans[0].selected == ()
+            assert [len(ids) for ids in step.plans[0].uniform_tokens] == [1]
         else:
             assert seeded == [9]
-            assert step.plan is None
+            assert step.plans[0] is None
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     def test_explicit_plan_applies_where_no_plan_is_drawn(self, deep_count, variant):
@@ -431,10 +438,10 @@ class TestGuidedStepCount:
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
         plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, book=book)
         step = guided_step(model, 0, prefix, config, book=book, plan=plan)
-        corrupted = model.sign(apply_corruption(
+        corrupted = model.sign(corrupt_one(
             model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
         ))
-        assert step.plan is plan
+        assert step.plans[0] is plan
         assert np.array_equal(step.branches.cond_corr,
                               predict_logits(model, 0, prefix, signed=corrupted))
 
@@ -453,11 +460,11 @@ class TestGuidedStepCount:
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, book=small_book)
         step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
-        corrupted = small_count.sign(apply_corruption(
+        corrupted = small_count.sign(corrupt_one(
             small_count.embed(prefix, small_book).embedding, plan, small_book,
             small_count.schedule, small_count.params,
         ))
-        assert step.plan is plan
+        assert step.plans[0] is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
             assert np.array_equal(got, predict_logits(small_count, cond, prefix, signed=corrupted))
 
@@ -509,7 +516,7 @@ class TestStackedStep:
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
-        signed = [model.embed(p, book) for p in prefixes] if kind == "count" else None
+        signed = signed_stack(model, prefixes, book) if kind == "count" else None
         step = guided_step(model, 1, prefixes, config, book=book, plan=plans, signed=signed,
                            stack=True)
         assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
@@ -518,7 +525,7 @@ class TestStackedStep:
         assert step.evaluations == sum(a.evaluations for a in alone)
         for i, want in enumerate(alone):
             got = step.row(i)
-            assert got.k == want.k == k and got.plan is want.plan
+            assert got.k == want.k == k and got.plans == want.plans
             assert same_bits(got.logits, want.logits)
             assert not got.logits.flags.writeable
             for name in BRANCHES:
@@ -568,7 +575,7 @@ class TestStackedStep:
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
-        signed = [model.embed(p, book) for p in prefixes] if kind == "count" else None
+        signed = signed_stack(model, prefixes, book) if kind == "count" else None
         step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, signed=signed,
                            stack=True)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
@@ -576,8 +583,54 @@ class TestStackedStep:
         assert step.evaluations == sum(a.evaluations for a in alone)
         for i, want in enumerate(alone):
             got = step.row(i)
-            assert got.k == want.k == k and got.plan is want.plan
+            assert got.k == want.k == k and got.plans == want.plans
             assert got.evaluations == want.evaluations
+            assert same_bits(got.logits, want.logits)
+            for name in BRANCHES:
+                a, b = getattr(got.branches, name), getattr(want.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+    @given(st.data(), st.sampled_from([0.0, 1.0]), st.integers(0, 2**16), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_count_stack_embedded_in_one_call_equals_one_prefix_steps(
+        self, data, gamma, seed, rows
+    ):
+        # No signed stack given: the prefixes are embedded in one stacked
+        # call, at every step including the first (the empty stack), and
+        # the planned rows, of several variants, are taken from that stack.
+        import prefixlab.model
+
+        schedule = data.draw(multisite_schedules(max_prefix_sites=5))
+        k = data.draw(st.integers(1, schedule.num_scales))
+        book = Codebook.seeded(schedule.num_scales, 3, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=3, num_conditions=2, alpha=1.0,
+            spec=SignatureSpec(bins=2, seed=0), embed_seed=0, embed_dim=3, include_null=True,
+        )
+        configs = [GuidanceConfig(
+            gamma=gamma, lam=data.draw(st.sampled_from([0.0, 1.0])),
+            fraction=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+            variant=data.draw(st.sampled_from(list(CorruptionVariant))), reference="corrupted",
+        ) for _ in range(rows)]
+        rng = np.random.default_rng(seed)
+        prefixes = [[TokenMap(j, rng.integers(0, 3, schedule.grid(j))) for j in range(1, k)]
+                    for _ in range(rows)]
+        plans = [plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book=book)
+                 if c.draws_plan(k, schedule) else None for i, c in enumerate(configs)]
+        embed_prefix, embedded = prefixlab.model.embed_prefix, []
+        prefixlab.model.embed_prefix = lambda *a: embedded.append(a) or embed_prefix(*a)
+        try:
+            step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, stack=True)
+        finally:
+            prefixlab.model.embed_prefix = embed_prefix
+        assert len(embedded) == 1
+        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+                 for prefix, config, plan in zip(prefixes, configs, plans)]
+        for i, want in enumerate(alone):
+            got = step.row(i)
+            assert got.plans == want.plans and got.evaluations == want.evaluations
             assert same_bits(got.logits, want.logits)
             for name in BRANCHES:
                 a, b = getattr(got.branches, name), getattr(want.branches, name)
@@ -611,6 +664,4 @@ class TestStackedStep:
                         plan=[plan, None, plan], stack=True)
         step = guided_step(small_count, 0, prefixes, config, book=small_book,
                            plan=[plan] * 3, stack=True)
-        assert step.plans == (plan,) * 3 and step.row(1).plan is plan
-        with pytest.raises(InvalidInputError, match="a plan per row"):
-            step.plan
+        assert step.plans == (plan,) * 3 and step.row(1).plans == (plan,)

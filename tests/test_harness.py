@@ -149,6 +149,21 @@ class TestCountModelMarginal:
         np.testing.assert_allclose(sites, direct, atol=1e-12)
 
 
+    def test_sites_weigh_each_prefix_prediction_by_its_law(self, small_count, small_book):
+        # Each level's prefixes are embedded as one signed stack; the walk
+        # equals weighing each prefix's own prediction.
+        from prefixlab.model import predict_logits, prefix_maps
+
+        first = np.exp(predict_logits(small_count, 0, [], book=small_book)).reshape(-1)
+        want = sum(p * np.exp(predict_logits(
+            small_count, 0, prefix_maps(((v,),), small_count.schedule), book=small_book))
+            for v, p in enumerate(first))
+        sites = prefix_marginal_sites(small_count, 0, k=2, book=small_book)
+        np.testing.assert_allclose(sites, want, rtol=0, atol=1e-15)
+        with pytest.raises(InvalidInputError, match="codebook"):
+            prefix_marginal_sites(small_count, 0, k=2)
+
+
 class TestSweepGrid:
     def test_cells_enumerate_product_in_order(self):
         grid = SweepGrid(

@@ -13,9 +13,9 @@ from prefixlab.model import (
     EMPTY_EMBEDDING,
     NULL_CONDITION,
     PROB_FLOOR,
-    CheckedCorpus,
     CountModel,
     SignatureSpec,
+    SignedEmbedding,
     build_tabular,
     check_corpus_sequence,
     context_signature,
@@ -362,20 +362,29 @@ class TestCountModel:
         ))
         assert fitted == outcome(looped)
 
-    def test_a_checked_corpus_is_checked_only_for_its_own_shape(self):
+    @pytest.mark.parametrize("condition, problem", [
+        (True, "condition True is not an integer"),
+        (1.0, "condition 1.0 is not an integer"),
+        (np.int64(1), None),
+    ])
+    def test_a_condition_is_an_integer_not_a_bool_or_float(self, condition, problem):
+        # True would alias condition 1 in the count keys, and 1.0 is inside
+        # 0..1 but no integer; a NumPy integer is accepted.
         sched = ScaleSchedule(((1, 1), (1, 1)))
         book = Codebook.seeded(2, 3, 2, seed=0)
         maps = [TokenMap(1, np.asarray([[0]])), TokenMap(2, np.asarray([[2]]))]
 
-        def fit(corpus, vocab):
+        def fit():
             return fit_count_model(
-                corpus, sched, book, vocab=vocab, num_conditions=2,
+                [(0, maps), (condition, maps)], sched, book, vocab=3, num_conditions=2,
                 alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
             )
 
-        fit(CheckedCorpus([(0, maps), (1, maps)], (sched, 3, 2)), 3)
-        with pytest.raises(InvalidInputError, match="corpus sequence 0: a token id"):
-            fit(CheckedCorpus([(0, maps), (1, maps)], (sched, 3, 2)), 2)
+        if problem is None:
+            assert {key[1] for key in fit().counts} == {0, 1, NULL_CONDITION}
+        else:
+            with pytest.raises(InvalidInputError, match=f"corpus sequence 1: {problem}"):
+                fit()
 
 
 class TestSeededTables:
@@ -542,25 +551,47 @@ class TestCarriedEmbeddings:
         model, book, sched = multisite_count, multisite_book, multisite_count.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(5)]
         latent = np.zeros((5,) + sched.final_dims + (3,))
-        signed = [model.sign(EMPTY_EMBEDDING)] * 5
+        signed = SignedEmbedding(EMPTY_EMBEDDING, [()] * 5)
         for k in range(1, sched.num_scales):
             stacked = np.stack([p[k - 1].ids for p in prefixes])
             latent = accumulate_latent(latent, k, stacked, book)
             signed = model.extend(signed, latent)
-            for s, maps in zip(signed, prefixes):
+            assert signed.embedding.step == k + 1 and len(signed.signature) == 5
+            for i, maps in enumerate(prefixes):
                 fresh = model.embed(maps[:k], book)
-                assert s.embedding.step == fresh.embedding.step == k + 1
-                assert s.signature == fresh.signature
-                fresh = fresh.embedding
-                for a, b in zip(s.embedding.grids + s.embedding.pooled, fresh.grids + fresh.pooled):
-                    assert a.tobytes() == b.tobytes()
+                assert signed.signature[i] == fresh.signature
+                assert_row_equals(signed.embedding, i, fresh.embedding)
 
-    def test_extend_rejects_mixed_steps(self, multisite_count, multisite_book):
-        model, book = multisite_count, multisite_book
-        one = model.embed([TokenMap(1, np.asarray([[0]]))], book)
-        latent = np.zeros((2,) + model.schedule.final_dims + (3,))
-        with pytest.raises(InvalidInputError, match="one step"):
-            model.extend([model.sign(EMPTY_EMBEDDING), one], latent)
+    def test_extend_takes_one_latent_per_row(self, multisite_count):
+        latent = np.zeros((2,) + multisite_count.schedule.final_dims + (3,))
+        with pytest.raises(InvalidInputError, match="one latent per row"):
+            multisite_count.extend(SignedEmbedding(EMPTY_EMBEDDING, [()] * 3), latent)
+
+    def test_keys_embed_as_one_signed_stack(self, multisite_count, multisite_book):
+        from tests.conftest import uniform_maps
+
+        model, book, sched = multisite_count, multisite_book, multisite_count.schedule
+        prefixes = [uniform_maps(sched, 4, seed) for seed in range(4)]
+        empty = model.embed_keys([()] * 4, book)
+        assert empty.embedding is EMPTY_EMBEDDING and empty.signature == [()] * 4
+        for k in range(2, sched.num_scales + 1):
+            signed = model.embed_keys([prefix_key(p[: k - 1]) for p in prefixes], book)
+            for i, maps in enumerate(prefixes):
+                fresh = model.embed(maps[: k - 1], book)
+                assert signed.signature[i] == fresh.signature
+                assert_row_equals(signed.embedding, i, fresh.embedding)
+            taken = signed.take([2, 0])
+            assert taken.signature == [signed.signature[2], signed.signature[0]]
+            for row, i in enumerate([2, 0]):
+                assert_row_equals(taken.embedding, row, model.embed(prefixes[i][: k - 1], book)
+                                  .embedding)
+
+
+def assert_row_equals(stack, i, embedding):
+    """Row i of a stacked embedding is ``embedding``, bit for bit."""
+    assert len(stack.grids) == len(embedding.grids)
+    for a, b in zip(stack.grids + stack.pooled, embedding.grids + embedding.pooled):
+        assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes()
 
 
 # Schedules of 2-3 scales whose heights and widths do not decrease (so each
@@ -595,18 +626,17 @@ class TestCountBranchInputsAgree:
             include_null=True,
         )
         latent = np.zeros((count,) + sched.final_dims + (2,))
-        carried = [model.sign(EMPTY_EMBEDDING)] * count
+        carried = SignedEmbedding(EMPTY_EMBEDDING, [()] * count)
         for k in range(1, sched.num_scales + 1):
-            for (condition, maps), signed in zip(corpus, carried):
+            for i, (condition, maps) in enumerate(corpus):
                 prefix = maps[: k - 1]
                 fresh = model.embed(prefix, book)
-                assert signed.signature == fresh.signature
-                for a, b in zip(signed.embedding.grids, fresh.embedding.grids):
-                    assert a.tobytes() == b.tobytes()
+                assert carried.signature[i] == fresh.signature
+                assert_row_equals(carried.embedding, i, fresh.embedding)
                 for c in (condition, NULL_CONDITION):
                     via_maps = predict_logits(model, c, prefix, book=book)
                     via_signed = predict_logits(model, c, prefix, signed=fresh)
-                    via_carried = predict_logits(model, c, prefix, signed=signed)
+                    via_carried = model.logits(c, k, carried.signature[i])
                     assert via_maps.shape == sched.grid(k) + (vocab,)
                     assert via_maps.tobytes() == via_signed.tobytes() == via_carried.tobytes()
             if k < sched.num_scales:

@@ -267,7 +267,7 @@ class TestSampling:
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,
-                book=small_book, plan=recorded.plan,
+                book=small_book, plan=recorded.plans[0],
             )
             assert np.array_equal(recorded.logits, replayed.logits)
 
@@ -330,7 +330,7 @@ def assert_same_rollouts(got, expected):
         for got_step, step in zip(result.trace, steps, strict=True):
             assert got_step.k == step.k
             assert same_bits(got_step.logits, step.logits)
-            assert got_step.plan == step.plan
+            assert got_step.plans == step.plans
             assert got_step.evaluations == step.evaluations
             for name in BRANCHES:
                 a, b = getattr(got_step.branches, name), getattr(step.branches, name)
@@ -384,11 +384,11 @@ class TestRollouts:
             for got_step, step in zip(result.trace, steps, strict=True):
                 assert got_step.k == step.k
                 assert same_bits(got_step.logits, step.logits)
-                assert got_step.plan == step.plan
+                assert got_step.plans == step.plans
                 assert got_step.evaluations == step.evaluations
             assert same_bits(result.latent, latent)
         if fixture == "small_count":
-            assert any(r.trace[-1].plan is not None for r in got)
+            assert any(r.trace[-1].plans[0] is not None for r in got)
 
     @given(
         multisite_schedules(),
@@ -433,9 +433,9 @@ class TestRollouts:
         assert scales.count(2) == (count if draws else len(clean))
         assert scales.count(3) == (count if schedule.num_scales == 3 else 0)
         for r in got:
-            assert (r.trace[1].plan is not None) == draws
+            assert (r.trace[1].plans[0] is not None) == draws
             if schedule.num_scales == 3:
-                assert len(r.trace[2].plan.selected) == 1
+                assert len(r.trace[2].plans[0].selected) == 1
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_raises(self, count, m1, m1_book):
@@ -469,9 +469,9 @@ class TestCarriedRollouts:
                     for idx, step in enumerate(result.trace):
                         fresh = guided_step(
                             model, 1, list(result.maps[:idx]), gconfig, book=book,
-                            plan=step.plan,
+                            plan=step.plans[0],
                         )
-                        assert fresh.k == step.k and fresh.plan == step.plan
+                        assert fresh.k == step.k and fresh.plans == step.plans
                         assert same_bits(fresh.logits, step.logits)
                         for name in ("cond_gen", "null_gen", "cond_corr", "null_corr"):
                             a = getattr(fresh.branches, name)
@@ -481,7 +481,35 @@ class TestCarriedRollouts:
                     decoded = decode_maps(list(result.maps), model.schedule, book)
                     assert same_bits(result.latent, decoded)
                     if lam > 0 and mask is None:
-                        assert result.trace[-1].plan is not None
+                        assert result.trace[-1].plans[0] is not None
+
+
+    def test_carried_stack_equals_each_sample_embedded_afresh(
+        self, multisite_count, multisite_book, monkeypatch
+    ):
+        # The one signed stack rollouts carry holds, at every scale, each
+        # sample's own prefix embedding and signature in its row.
+        from prefixlab.model import CountModel
+
+        model, book = multisite_count, multisite_book
+        stacks = []
+        for name in ("embed_keys", "extend"):
+            method = getattr(CountModel, name)
+            monkeypatch.setattr(CountModel, name, lambda self, *a, method=method:
+                                stacks.append(method(self, *a)) or stacks[-1])
+        gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
+        lanes = [(gconfig, SamplerConfig(seed=3)),
+                 (replace(gconfig, lam=0.0), SamplerConfig(seed=8))]
+        results = [r for lane in rollouts(model, 1, lanes, book, 3) for r in lane]
+        assert len(stacks) == model.schedule.num_scales
+        for k, signed in enumerate(stacks, start=1):
+            assert signed.embedding.step == k and len(signed.signature) == len(results)
+            for i, result in enumerate(results):
+                fresh = model.embed(list(result.maps[: k - 1]), book)
+                assert signed.signature[i] == fresh.signature
+                for a, b in zip(signed.embedding.grids + signed.embedding.pooled,
+                                fresh.embedding.grids + fresh.embedding.pooled):
+                    assert same_bits(a[i], b)
 
 
 class TestSharedSteps:
@@ -575,7 +603,7 @@ class TestSharedSteps:
         assert calls[0] is None and None not in calls[1:]
         assert len(calls) == 1 + 2 * 6
         assert len({id(r.trace[2]) for r in results}) == 6
-        assert len({r.trace[2].plan.seed for r in results}) == 6
+        assert len({r.trace[2].plans[0].seed for r in results}) == 6
 
 
 class TestLanes:

@@ -76,8 +76,8 @@ MUTANTS = (
            "from . import guidance\nfrom .errors import InvalidInputError"),
     # At the end of the module, where it loads without a cycle error.
     Mutant("config_imports_oracle_at_load", "src/prefixlab/config.py",
-           "    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))\n",
-           "    return CheckedCorpus(corpus, (schedule, vocab, num_conditions))\n\n\n"
+           "            corpus.append((condition, maps))\n    return corpus\n",
+           "            corpus.append((condition, maps))\n    return corpus\n\n\n"
            "from .oracle import VerifySpec\n"),
     Mutant("verifier_null_marginal_from_condition_0", "src/prefixlab/oracle.py",
            "per_model(marginals)", "per_model(lambda m, c: marginals(m, 0))"),
@@ -110,13 +110,14 @@ MUTANTS = (
            equivalent="differs only when a uniform equals a normalized "
                       "cumulative sum exactly, which a double draw does not hit"),
     Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
-           "return key if signed is None", "return key[:-1] if signed is None"),
+           "inputs = keys if signed is None",
+           "inputs = [key[:-1] for key in keys] if signed is None"),
     Mutant("rollouts_plan_from_first_sample", "src/prefixlab/sampler.py",
            "plan_seeds[i]", "plan_seeds[0]"),
     Mutant("lanes_seeded_from_first_lane", "src/prefixlab/sampler.py",
            "seeds = [s.seed + i for _, s in lanes", "seeds = [sconfig.seed + i for _, s in lanes"),
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
-           "signed=[signed[i] for i in firsts]", "signed=signed[:len(firsts)]"),
+           "signed.take(firsts)", "signed.take(range(len(firsts)))"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
@@ -128,19 +129,21 @@ MUTANTS = (
     Mutant("apply_corruption_skips_step_check", "src/prefixlab/corruption.py",
            "if p.step != step:", "if False:"),
     Mutant("stacked_corruption_reads_row_0_plan", "src/prefixlab/corruption.py",
-           "plans = tuple(plan) if stacked else (plan,)",
-           "plans = (tuple(plan)[0],) * len(plan) if stacked else (plan,)"),
+           "for i, p in enumerate(plans)", "for i, p in enumerate([plans[0]] * len(plans))"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
            "(2 * p * sites + q) // (2 * q)", "(2 * p * sites) // (2 * q)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
-           "grids[j - 1][tgt] = stack.grids[j - 1][don]",
-           "grids[j - 1][tgt] = stack.grids[j - 1][tgt]"),
+           "grids[j - 1][tgt] = embedding.grids[j - 1][don]",
+           "grids[j - 1][tgt] = embedding.grids[j - 1][tgt]"),
     Mutant("token_variant_keeps_target_token", "src/prefixlab/corruption.py",
-           "content, at = stack.pooled[j - 1][don], tgt",
-           "content, at = stack.pooled[j - 1][tgt], tgt"),
+           "content, at = embedding.pooled[j - 1][don], tgt",
+           "content, at = embedding.pooled[j - 1][tgt], tgt"),
     Mutant("position_variant_keeps_target_position", "src/prefixlab/corruption.py",
-           "content, at = stack.pooled[j - 1][tgt], don",
-           "content, at = stack.pooled[j - 1][tgt], tgt"),
+           "content, at = embedding.pooled[j - 1][tgt], don",
+           "content, at = embedding.pooled[j - 1][tgt], tgt"),
+    Mutant("extend_carries_row_0_signature", "src/prefixlab/model.py",
+           "[s + (tuple(b),) for s, b in zip(signed.signature, bins)]",
+           "[signed.signature[0] + (tuple(b),) for b in bins]"),
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
            "if not self.include_null:", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
