@@ -58,32 +58,55 @@ def extrapolate(base: np.ndarray, reference: np.ndarray, strength) -> np.ndarray
     return (1 + strength) * base - strength * reference
 
 
-def _cfg(cond: np.ndarray, null: np.ndarray | None, gamma: float, which: str) -> np.ndarray:
-    """CFG on one branch pair; the null branch is read only when gamma > 0."""
-    if gamma == 0:
-        return cond
+def _cfg(cond: np.ndarray, null: np.ndarray | None, gamma, which: str) -> np.ndarray:
+    """CFG on one branch pair; the null branch is read only when a gamma is
+    > 0, and all-zero strengths give ``cond`` broadcast over their axes."""
+    if not np.any(gamma):
+        return np.broadcast_to(cond, np.broadcast_shapes(np.shape(gamma), cond.shape))
     if null is None:
         raise MissingBranchError(f"gamma > 0 needs the null-condition {which} branch")
-    return extrapolate(cond, null, gamma)
+    return np.where(gamma > 0, extrapolate(cond, null, gamma), cond)
 
 
-def compose_cfg_vpg(branches: BranchLogits, gamma: float, lam) -> np.ndarray:
+def compose_cfg_vpg(branches: BranchLogits, gamma, lam) -> np.ndarray:
     """CFG per prefix branch pair first, then the prefix contrast between them.
 
-    ``lam`` is one strength, or a column of one strength per row of a
-    stack, shape (P, 1, ..., 1). A column takes the same IEEE operations,
-    element by element, as each row's own strength would, and a row whose
-    strength is 0 takes its CFG'd genuine pair exactly (``np.where``), not
-    the value its zero strength extrapolates to.
+    ``gamma`` and ``lam`` are each one strength, or a column of one strength
+    per row of a stack, shape (S, 1, ..., 1); the result has the columns'
+    axes, also where every strength is 0. A column takes the same IEEE
+    operations, element by element, as each row's own strength would, and a
+    row whose strength is 0 takes the branch that strength would
+    extrapolate exactly (``np.where``), not the value its zero extrapolates
+    to. ``guided_step`` passes one gamma and a lam column,
+    ``oracle.verify_identities`` a column of each.
     """
     g_gen = _cfg(branches.cond_gen, branches.null_gen, gamma, "genuine")
     if not np.any(lam):
-        return g_gen
+        return np.broadcast_to(g_gen, np.broadcast_shapes(np.shape(lam), g_gen.shape))
     if branches.cond_corr is None:
         raise MissingBranchError("lam > 0 needs the corrupted-prefix branch")
     g_corr = _cfg(branches.cond_corr, branches.null_corr, gamma, "corrupted")
-    mixed = extrapolate(g_gen, g_corr, lam)
-    return mixed if np.ndim(lam) == 0 else np.where(lam > 0, mixed, g_gen)
+    return np.where(lam > 0, extrapolate(g_gen, g_corr, lam), g_gen)
+
+
+def _pair(evaluate, condition: Condition, needs_cfg: bool) -> tuple:
+    """A branch pair: ``evaluate`` at ``condition`` and, only when gamma > 0
+    (``needs_cfg``), at the null condition."""
+    return evaluate(condition), evaluate(NULL_CONDITION) if needs_cfg else None
+
+
+def tabular_branches(model: TabularModel, condition: Condition, k: int, keys: Sequence,
+                     needs_cfg: bool, contrasts: bool) -> BranchLogits:
+    """The branches of a tabular step at scale k on the prefix ``keys``: the
+    log table rows at ``condition`` and, when ``needs_cfg``, at the null
+    condition; when the step ``contrasts``, the log exact per-site marginals
+    at both too, broadcast over the keys. ``guided_step`` composes these, and
+    ``oracle.verify_identities`` judges their composition against its own
+    reads of the same rows and marginals."""
+    gen = _pair(lambda c: np.log(model.rows(c, k, keys)), condition, needs_cfg)
+    corr = () if not contrasts else _pair(lambda c: np.broadcast_to(
+        np.log(prefix_marginal_sites(model, c, k)), gen[0].shape), condition, needs_cfg)
+    return BranchLogits(*gen, *corr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +187,12 @@ def guided_step(
     taken from the signed stack, corrupted and signed together. Its arrays
     have a leading P axis. The one-prefix call is the P = 1 case and returns
     that row.
+
+    A tabular step composes the branches of ``tabular_branches``, the
+    gather that ``oracle.verify_identities`` composes and judges at every
+    strength it checks. What ``verify`` does not see is how this function
+    turns configs into strengths (a contrast only from k >= 2, the scale
+    mask, one lambda per row); unit tests cover that.
     """
     if not stack:
         if signed is not None:
@@ -187,16 +216,18 @@ def guided_step(
     if any(c.gamma != gamma or c.reference != reference for c in by_id.values()):
         raise InvalidInputError("the rows of a stack share gamma and reference")
 
-    needs_cfg = gamma > 0
     contrasts = {i: c.contrasts(k) for i, c in by_id.items()}
     contrasted = tuple(contrasts[id(c)] for c in configs)
 
-    def pair(evaluate):
-        """A branch pair: ``evaluate`` at the condition and, only when
-        gamma > 0, at the null condition."""
-        return evaluate(condition), evaluate(NULL_CONDITION) if needs_cfg else None
-
-    if isinstance(model, CountModel):
+    if isinstance(model, TabularModel):
+        if signed is not None:
+            raise InvalidInputError("only a count model reads a signed embedding")
+        if any(contrasted) and reference != "exact-marginal":
+            raise GuidanceConfigError(
+                "corrupted-prefix reference requires an embedding-consuming model")
+        branches = tabular_branches(model, condition, k, [prefix_key(p) for p in prefixes],
+                                    gamma > 0, any(contrasted))
+    elif isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
         if signed is None:
@@ -206,40 +237,20 @@ def guided_step(
                 f"signed embedding is for step {signed.embedding.step}, "
                 f"the prefixes are for step {k}"
             )
-        inputs = signed.signature
+        if any(contrasted) and reference == "exact-marginal":
+            raise GuidanceConfigError(
+                "exact-marginal reference requires an enumerable tabular model")
 
         def predicted(signatures):
             """The pair of the rows' signatures, read once per distinct one
             and gathered row by row."""
             distinct: dict = {}
             index = [distinct.setdefault(sig, len(distinct)) for sig in signatures]
-            return pair(lambda c: np.stack([model.logits(c, k, sig) for sig in distinct])[index])
-    elif signed is not None:
-        raise InvalidInputError("only a count model reads a signed embedding")
-    elif isinstance(model, TabularModel):
-        inputs = [prefix_key(p) for p in prefixes]
+            return _pair(lambda c: np.stack([model.logits(c, k, sig) for sig in distinct])[index],
+                         condition, gamma > 0)
 
-        def predicted(keys):
-            """The pair on prefix keys, their table rows gathered."""
-            return pair(lambda c: np.log(model.rows(c, k, keys)))
-    else:
-        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
-
-    gen = predicted(inputs)
-    corr = (None, None)
-    if any(contrasted):
-        if reference == "exact-marginal":
-            if not isinstance(model, TabularModel):
-                raise GuidanceConfigError(
-                    "exact-marginal reference requires an enumerable tabular model"
-                )
-            corr = pair(lambda c: np.broadcast_to(
-                np.log(prefix_marginal_sites(model, c, k)), gen[0].shape))
-        else:
-            if not isinstance(model, CountModel):
-                raise GuidanceConfigError(
-                    "corrupted-prefix reference requires an embedding-consuming model"
-                )
+        gen = corr = predicted(signed.signature)
+        if any(contrasted):
             draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
             if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
                 raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
@@ -255,10 +266,12 @@ def guided_step(
                     signed.take(rows).embedding, [plans[i] for i in rows],
                     book, model.schedule, model.params), model.thresholds)))
             # Rows without a plan keep their clean signature.
-            corr = predicted([corrupted.get(i, sig) for i, sig in enumerate(inputs)]) \
-                if corrupted else gen
+            if corrupted:
+                corr = predicted([corrupted.get(i, sig) for i, sig in enumerate(signed.signature)])
+        branches = BranchLogits(*gen, *corr) if any(contrasted) else BranchLogits(*gen)
+    else:
+        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
 
-    branches = BranchLogits(*gen, *corr)
     lam = np.array([c.lam if flag else 0.0 for c, flag in zip(configs, contrasted)])
     logits = compose_cfg_vpg(branches, gamma, lam[:, None, None, None])
     for array in (logits, *branches):

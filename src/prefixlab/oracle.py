@@ -290,18 +290,25 @@ class IdentityReport:
 
 
 def verify_identities(models: Sequence[TabularModel], spec: VerifySpec) -> IdentityReport:
-    """Check the package's guidance rule against the exact augmented laws.
+    """Check the tabular guided step's composition against the exact
+    augmented laws.
 
     For every model of ``models``, (condition, scale, prefix) and strength of
-    ``spec``, ``guidance.extrapolate`` must reproduce the augmented law of
-    each of its two references: the null row (the exact uniform-prior
-    condition marginal) gives the augmented-CFG law, the exact prefix
-    marginal the augmented-VPG law. ``guidance.compose_cfg_vpg``, which
-    applies the rule per branch pair and then across the pairs, must match
-    the four-term closed form written out here. Sites are independent given
-    the prefix, so every law is checked per site, with per-site prefix
-    marginals; on a single-site scale this is the joint-map law of
-    ``augmented_cfg`` and ``augmented_vpg``.
+    ``spec``, the guided logits are ``guidance.compose_cfg_vpg`` of the
+    branches ``guidance.tabular_branches`` gathers, the ones a tabular
+    ``guided_step`` composes. At (gamma, 0) they must reproduce the
+    augmented-CFG law of the null row (the exact uniform-prior condition
+    marginal), at (0, lambda) the augmented-VPG law of the exact prefix
+    marginal, and at (gamma, lambda) the four-term closed form written out
+    here. The exact side reads the rows and marginals itself, so a fault in
+    the step's rule or in which branch pairs it gathers fails rows. Not
+    judged here: how ``guided_step`` turns a config into strengths (a
+    contrast only from k >= 2, the scale mask, one lambda per row), which
+    unit tests cover, and the null row itself, which both sides read as the
+    mean of the class rows. Sites are independent given the prefix, so
+    every law is checked per site, with per-site prefix marginals; on a
+    single-site scale this is the joint-map law of ``augmented_cfg`` and
+    ``augmented_vpg``.
 
     The models share one schedule and vocabulary, so they have the same
     prefixes. Scales with the same grid are checked together, so a schedule
@@ -425,28 +432,40 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
     (k, prefix keys) whose scales share one grid, for every (model,
     condition) pair of ``models``, in one pass per block of strengths.
 
-    The four branch laws are ``_branch_stacks``' (G, P, h, w, V) arrays,
-    the prefixes of every scale on the P axis in the order given. The
-    strengths of a block go on a leading axis as an (S, 1, ..., 1) column,
-    so every stack is (S, G, P, h, w, V), and the rule, softmax and row
-    reductions run once per block. Two things stay per strength: the oracle
-    law, whose ``**`` takes a scalar exponent as on one row (an exponent
-    column takes NumPy's array ``pow``, which changes bits at 0.5 and 2.0),
-    and ``guidance.compose_cfg_vpg``, the function under test. Returns two
-    (G, P, checks) arrays, checks in ``verify_identities``' order.
+    Both sides are (G, P, h, w, V) stacks, the prefixes of every scale on
+    the P axis in the order given. The guided side is
+    ``guidance.tabular_branches``, the branches ``guided_step`` gathers for
+    a tabular step, composed by ``guidance.compose_cfg_vpg``: a block's
+    strengths go on a leading axis as (S, 1, ..., 1) gamma and lambda
+    columns, so one composition, softmax and row reduction run per block,
+    and each stack is (S, G, P, h, w, V). The exact side is
+    ``_branch_stacks``, this module's own reads of the rows and marginals,
+    so a fault in the step's branch wiring shows on one side only. Its
+    oracle law stays per strength, whose ``**`` takes a scalar exponent as
+    on one row (an exponent column takes NumPy's array ``pow``, which
+    changes bits at 0.5 and 2.0). Returns two (G, P, checks) arrays, checks
+    in ``verify_identities``' order.
     """
     # The package's one upward import: ``guidance`` imports this module, so
     # it is imported here, where the code under test runs. Nothing moves
     # instead: the bench traces ``oracle.verify_identities`` (its 7,332-row
     # gate) and ``oracle.prefix_marginal_sites`` (its marginal counters) by
-    # qualified name, and putting ``extrapolate`` and ``compose_cfg_vpg``
+    # qualified name, and putting ``tabular_branches`` and ``compose_cfg_vpg``
     # below this module would add a module.
     from . import guidance
 
     cond, null_rows, margs, null_margs = _branch_stacks(models, scales)
-    shape = cond.shape
     l_cg, l_ng, l_cc, l_nc = (np.log(law) for law in (cond, null_rows, margs, null_margs))
-    branches = guidance.BranchLogits(l_cg, l_ng, l_cc, l_nc)
+
+    def gathered(model, condition):
+        """The four branches a tabular ``guided_step`` gathers at ``condition``,
+        for every prefix of ``scales``, (P, h, w, V) each."""
+        return map(np.concatenate, zip(*[
+            guidance.tabular_branches(model, condition, k, keys, needs_cfg=True, contrasts=True)
+            for k, keys in scales]))
+
+    branches = guidance.BranchLogits(*map(np.stack, zip(*[
+        gathered(m, c) for m in models for c in range(m.num_conditions)])))
     per_block = max(1, _STACK_ELEMENTS // cond.size)
 
     def blocks(items):
@@ -456,20 +475,21 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
         return np.array(values, dtype=float).reshape((-1,) + (1,) * cond.ndim)
 
     diffs, kls = [], []
-    # One rule, two references, in ``verify_identities``' check order: the null
-    # rows at every CFG strength, then the exact marginals at every VPG one.
-    for ref, ref_logits, strengths in ((null_rows, l_ng, gammas), (margs, l_cc, lambdas)):
+    # In ``verify_identities``' check order: CFG alone at every (gamma, 0)
+    # against the null rows' law, then the prefix contrast alone at every
+    # (0, lambda) against the exact marginals' law.
+    for ref, strengths, at in ((null_rows, gammas, lambda s: (s, 0.0)),
+                               (margs, lambdas, lambda s: (0.0, s))):
         for block in blocks(strengths):
-            guided = softmax(guidance.extrapolate(l_cg, ref_logits, column(block)))
+            guided = softmax(guidance.compose_cfg_vpg(branches, *at(column(block))))
             oracle_p = np.stack([_normalized_power_ratio(cond, ref, s) for s in block])
             diffs.append(_row_max_abs(guided - oracle_p))
             kls.append(_row_kls(guided, oracle_p))
     # Sequential composition vs. its closed-form expansion, with the exact
     # marginals standing in for the corrupted branches.
     for block in blocks([(gamma, lam) for gamma in gammas for lam in lambdas]):
-        sequential = np.stack([guidance.compose_cfg_vpg(branches, gamma, lam)
-                               for gamma, lam in block])
         gamma, lam = (column(values) for values in zip(*block))
+        sequential = guidance.compose_cfg_vpg(branches, gamma, lam)
         closed = (
             (1 + lam) * (1 + gamma) * l_cg
             - (1 + lam) * gamma * l_ng
@@ -478,7 +498,7 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
         )
         diffs.append(_row_max_abs(sequential - closed))
         kls.append(_row_kls(softmax(sequential), softmax(closed)))
-    per_check = (-1,) + shape[:2]
+    per_check = (-1,) + cond.shape[:2]
     return (np.concatenate(diffs).reshape(per_check).transpose(1, 2, 0),
             np.concatenate(kls).reshape(per_check).transpose(1, 2, 0))
 

@@ -112,6 +112,27 @@ class TestComposition:
         with pytest.raises(MissingBranchError):
             compose_cfg_vpg(no_null_corr, gamma=1.0, lam=1.0)
 
+    @pytest.mark.parametrize("gammas", [(0.0,), (0.0, 0.0, 0.0), (0.0, 1.5, 0.0, 0.5),
+                                        (2.0, 0.5, 3.0)])
+    @pytest.mark.parametrize("lams", ["zero", "one", "column"])
+    def test_gamma_column_is_one_scalar_call_per_row(self, gammas, lams):
+        # A gamma column gives each row the bits of that row's own scalar
+        # call, and keeps its strength axis where every gamma (and lam) is 0.
+        rng = np.random.default_rng(3)
+        b = BranchLogits(*(rng.normal(size=(2, 3, 1, 2, 4)) for _ in range(4)))
+        rows = [(g, {"zero": 0.0, "one": 1.3, "column": (0.0, 0.7)[i % 2]}[lams])
+                for i, g in enumerate(gammas)]
+
+        def column(values):
+            return np.array(values).reshape((-1,) + (1,) * 5)
+
+        gamma = column([g for g, _ in rows])
+        lam = column([s for _, s in rows]) if lams == "column" else rows[0][1]
+        stacked = compose_cfg_vpg(b, gamma, lam)
+        expected = np.stack([compose_cfg_vpg(b, g, s) for g, s in rows])
+        assert stacked.shape == expected.shape == (len(rows), 2, 3, 1, 2, 4)
+        assert stacked.tobytes() == expected.tobytes()
+
     def test_unguided_passthrough(self):
         b = BranchLogits(np.asarray([[[1.0, 2.0]]]))
         np.testing.assert_allclose(compose_cfg_vpg(b, 0.0, 0.0), b.cond_gen)

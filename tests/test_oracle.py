@@ -179,9 +179,12 @@ class TestIdentityReport:
             ("extrapolate",
              lambda base, reference, s: (1 - s) * base + s * reference,
              {"cfg", "vpg", "composition"}),
+            # Every guided law of the report is a composition, so a broken
+            # composition fails the cfg and vpg rows too.
             ("compose_cfg_vpg",
-             lambda b, gamma, lam: (1 + lam) * b.cond_gen - lam * b.cond_corr,
-             {"composition"}),
+             lambda b, gamma, lam: (b.cond_gen - gamma * (b.cond_gen - b.null_gen)
+                                    - lam * (b.cond_gen - b.cond_corr)),
+             {"cfg", "vpg", "composition"}),
         ],
     )
     def test_broken_combiner_fails(self, monkeypatch, small_tabular, name, broken, kinds):
@@ -194,6 +197,30 @@ class TestIdentityReport:
         )
         assert report.failures() != []
         assert {r.kind for r in report.failures()} == kinds
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            # The null branch of each pair read at the condition.
+            ("_pair",
+             lambda pair: lambda evaluate, condition, needs_cfg: (
+                 evaluate(condition), evaluate(condition) if needs_cfg else None)),
+            # The null condition's exact marginal read at the condition.
+            ("tabular_branches",
+             lambda gather: lambda *args, **kwargs: dataclasses.replace(
+                 gather(*args, **kwargs), null_corr=gather(*args, **kwargs).cond_corr)),
+        ],
+    )
+    def test_broken_branch_wiring_fails(self, monkeypatch, small_tabular, name, mutant):
+        # The report composes the branches a tabular guided_step gathers, so
+        # a fault in the step's wiring fails rows, not only a broken rule.
+        from prefixlab import guidance
+
+        monkeypatch.setattr(guidance, name, mutant(getattr(guidance, name)))
+        report = verify_identities(
+            [small_tabular], VerifySpec(gammas=(0.0, 1.5), lambdas=(0.0, 1.0))
+        )
+        assert {r.kind for r in report.failures()} >= {"composition"}
 
     def test_report_csv_layout(self, m1, tmp_path):
         report = verify_identities([m1], VerifySpec(gammas=(0.0,), lambdas=(0.0, 1.0)))

@@ -63,8 +63,8 @@ MUTANTS = (
            "return (1 + strength) * base - strength * reference",
            "return (1 + strength) * base - strength * base"),
     Mutant("composition_skips_cfg_on_corrupted_branch", "src/prefixlab/guidance.py",
-           "mixed = extrapolate(g_gen, g_corr, lam)",
-           "mixed = extrapolate(g_gen, branches.cond_corr, lam)"),
+           "extrapolate(g_gen, g_corr, lam)",
+           "extrapolate(g_gen, branches.cond_corr, lam)"),
     Mutant("branch_pair_null_at_condition", "src/prefixlab/guidance.py",
            "evaluate(NULL_CONDITION) if needs_cfg else None",
            "evaluate(condition) if needs_cfg else None"),
@@ -86,6 +86,9 @@ MUTANTS = (
     Mutant("grouped_pass_reads_first_scale_marginals", "src/prefixlab/oracle.py",
            "prefix_marginal_sites(model, condition, k),",
            "prefix_marginal_sites(model, condition, scales[0][0]),"),
+    Mutant("verifier_gamma_column_from_lambdas", "src/prefixlab/oracle.py",
+           "guidance.compose_cfg_vpg(branches, gamma, lam)",
+           "guidance.compose_cfg_vpg(branches, lam, lam)"),
     Mutant("verifier_one_array_power_per_block", "src/prefixlab/oracle.py",
            "np.stack([_normalized_power_ratio(cond, ref, s) for s in block])",
            "_normalized_power_ratio(cond, ref, column(block))"),
