@@ -162,7 +162,6 @@ def guided_step(
     *,
     book: Codebook | None = None,
     plan: CorruptionPlan | Sequence[CorruptionPlan | None] | None = None,
-    signed: SignedEmbedding | None = None,
     stack: bool = False,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
@@ -179,9 +178,12 @@ def guided_step(
     None). ``config`` is one config for every row, or a sequence of one per
     row; the rows' configs share gamma and reference, and each row
     contrasts, with its own lambda, where its own config does. A count
-    model reads ``signed``, the prefixes' signed stack, when the caller
-    carries it; otherwise the prefixes are embedded and signed here in one
-    stacked call. The step is then evaluated for the whole stack at once: a
+    model's stack is what it reads: its ``SignedEmbedding``, whose
+    ``embedding.step`` is k and whose signature list has one entry per row.
+    A list of prefixes is embedded and signed here in one stacked call. A
+    signed stack is rejected on a tabular model and in a one-prefix call,
+    and so is one prefix's signed embedding as a stack.
+    The step is then evaluated for the whole stack at once: a
     tabular model's rows are gathered, a count model's logits are read once
     per distinct signature, and the corrupted rows of each variant are
     taken from the signed stack, corrupted and signed together. Its arrays
@@ -194,21 +196,23 @@ def guided_step(
     turns configs into strengths (a contrast only from k >= 2, the scale
     mask, one lambda per row); unit tests cover that.
     """
+    # A signed stack's signature is a list, one entry per row.
+    if isinstance(prefix, SignedEmbedding) and not (
+            stack and isinstance(model, CountModel) and isinstance(prefix.signature, list)):
+        raise InvalidInputError("only a stacked count-model step takes a signed stack")
     if not stack:
-        if signed is not None:
-            raise InvalidInputError("a one-prefix step embeds its own prefix")
         prefix, plan = [prefix], None if plan is None else [plan]
-    prefixes = [list(p) for p in prefix]
-    plans = [None] * len(prefixes) if plan is None else list(plan)
-    configs = ([config] * len(prefixes) if isinstance(config, GuidanceConfig)
+    signed = prefix if isinstance(prefix, SignedEmbedding) else None
+    keys = [prefix_key(p) for p in prefix] if signed is None else None
+    size = len(keys) if signed is None else len(signed.signature)
+    plans = [None] * size if plan is None else list(plan)
+    configs = ([config] * size if isinstance(config, GuidanceConfig)
                else list(config) if stack else [])
-    if not prefixes or len(plans) != len(prefixes) or len(configs) != len(prefixes) or (
-            signed is not None and len(signed.signature) != len(prefixes)):
+    if not size or len(plans) != size or len(configs) != size:
         raise InvalidInputError(
-            "a stack takes one plan and one signed embedding per prefix, and one config "
-            "or one per prefix")
-    k = len(prefixes[0]) + 1
-    if any(len(p) != k - 1 for p in prefixes):
+            "a stack takes one plan per prefix, and one config or one per prefix")
+    k = len(keys[0]) + 1 if signed is None else signed.embedding.step
+    if keys is not None and any(len(key) != k - 1 for key in keys):
         raise InvalidInputError("the prefixes of a stack are for one step")
     # Each distinct config is asked once; many rows share one.
     by_id = {id(c): c for c in configs}
@@ -220,23 +224,15 @@ def guided_step(
     contrasted = tuple(contrasts[id(c)] for c in configs)
 
     if isinstance(model, TabularModel):
-        if signed is not None:
-            raise InvalidInputError("only a count model reads a signed embedding")
         if any(contrasted) and reference != "exact-marginal":
             raise GuidanceConfigError(
                 "corrupted-prefix reference requires an embedding-consuming model")
-        branches = tabular_branches(model, condition, k, [prefix_key(p) for p in prefixes],
-                                    gamma > 0, any(contrasted))
+        branches = tabular_branches(model, condition, k, keys, gamma > 0, any(contrasted))
     elif isinstance(model, CountModel):
         if book is None:
             raise InvalidInputError("count-model guidance needs the codebook")
         if signed is None:
-            signed = model.embed_keys([prefix_key(p) for p in prefixes], book)
-        if signed.embedding.step != k:
-            raise InvalidInputError(
-                f"signed embedding is for step {signed.embedding.step}, "
-                f"the prefixes are for step {k}"
-            )
+            signed = model.embed_keys(keys, book)
         if any(contrasted) and reference == "exact-marginal":
             raise GuidanceConfigError(
                 "exact-marginal reference requires an enumerable tabular model")

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .config import GuidanceConfig, SamplerConfig, SweepGrid
-from .corruption import CorruptionVariant
 from .errors import InvalidInputError, SupportViolationError
 from .model import Condition
 from .oracle import Distribution
@@ -139,11 +138,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class MetricRow:
-    lam: float
-    fraction: float
-    variant: CorruptionVariant
-    scale_mask: frozenset[int] | None
-    gamma: float
+    """One (cell, replicate) of a sweep: ``guidance`` is the config the cell
+    ran, whose lambda, n_p, variant, scale mask and gamma are its columns."""
+
+    guidance: GuidanceConfig
     metric: str
     value: float | None
     replicate: int
@@ -204,23 +202,20 @@ def run_sweep(grid: SweepGrid, spec: ExperimentSpec) -> list[MetricRow]:
     call's lanes plus its own metric time. If a call raises, each of its
     lanes is run again alone, so every cell keeps its own value or error.
     """
-    lanes = []  # (lam, fraction, variant, mask, replicate, seed, gconfig) per row
+    lanes = []  # (gconfig, replicate, seed) per row
     for idx, lam, fraction, variant, mask in grid.cells():
         gconfig = replace(spec.guidance, lam=lam, fraction=fraction, variant=variant,
                           scale_mask=mask)
-        lanes += [(lam, fraction, variant, mask, rep, cell_seed(grid.seed, idx, rep), gconfig)
-                  for rep in range(grid.replicates)]
+        lanes += [(gconfig, rep, cell_seed(grid.seed, idx, rep)) for rep in range(grid.replicates)]
     if grid.metric == "exact_kl":
-        cells = [_timed(lambda: _exact_kl_cell(spec, lane[-1])) for lane in lanes]
+        cells = [_timed(lambda: _exact_kl_cell(spec, lane[0])) for lane in lanes]
     else:
         per_call = max(1, PACK_SAMPLES // grid.n_samples)
-        packs = [[(gconfig, seed) for *_, seed, gconfig in lanes[start:start + per_call]]
+        packs = [[(gconfig, seed) for gconfig, _, seed in lanes[start:start + per_call]]
                  for start in range(0, len(lanes), per_call)]
         cells = [cell for pack in packs for cell in _frechet_cells(spec, pack, grid.n_samples)]
-    return [MetricRow(lam, fraction, variant, mask, spec.guidance.gamma, grid.metric,
-                      value, rep, seed, runtime_ms, error)
-            for (lam, fraction, variant, mask, rep, seed, _), (value, error, runtime_ms)
-            in zip(lanes, cells)]
+    return [MetricRow(gconfig, grid.metric, value, rep, seed, runtime_ms, error)
+            for (gconfig, rep, seed), (value, error, runtime_ms) in zip(lanes, cells)]
 
 
 def _mask_label(mask: frozenset[int] | None) -> str:
@@ -232,9 +227,10 @@ def write_sweep_csv(rows: list[MetricRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
         for r in rows:
+            g = r.guidance
             writer.writerow(
-                [r.lam, r.fraction, r.variant.value, _mask_label(r.scale_mask),
-                 r.gamma, r.metric,
+                [g.lam, g.fraction, g.variant.value, _mask_label(g.scale_mask),
+                 g.gamma, r.metric,
                  "" if r.value is None else repr(r.value),
                  r.replicate, r.seed, f"{r.runtime_ms:.3f}", r.error]
             )
@@ -301,8 +297,9 @@ def write_sweep_svg(rows: list[MetricRow], grid: SweepGrid, out_dir) -> str:
     series: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
         if r.value is not None:
-            label = f"np={r.fraction} {r.variant.value} mask={_mask_label(r.scale_mask)}"
-            series.setdefault(label, []).append((r.lam, r.value))
+            g = r.guidance
+            label = f"np={g.fraction} {g.variant.value} mask={_mask_label(g.scale_mask)}"
+            series.setdefault(label, []).append((g.lam, r.value))
     path = os.path.join(out_dir, f"{grid.metric}_{grid.grid_hash()}.svg")
     with open(path, "w") as fh:
         fh.write(svg_line_plot(series, f"{grid.metric} vs lambda", "lambda", grid.metric))

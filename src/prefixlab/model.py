@@ -175,9 +175,10 @@ def _floored(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularModel:
-    """Fully enumerated CPTs p(r_k | r_{<k}, c), one categorical per site."""
+    """Fully enumerated CPTs p(r_k | r_{<k}, c), one categorical per site;
+    compared and hashed by identity, as its tables are arrays."""
 
     schedule: ScaleSchedule
     vocab: int
@@ -186,7 +187,7 @@ class TabularModel:
     # One read-only (h_k, w_k, V) exact per-site prefix marginal per
     # (condition, k), kept by ``oracle.prefix_marginal_sites``: a guided
     # rollout asks for the same few keys at every step.
-    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
     def rows(self, condition: Condition, k: int, keys: Sequence[PrefixKey]) -> np.ndarray:
         """Probability tables of a stack of scale-k prefix keys, (P, h_k, w_k, V).
@@ -323,25 +324,26 @@ class SignedEmbedding:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountModel:
     """Smoothed count tables keyed by (scale, condition, context signature), and
     the read-only signature ``thresholds`` and embedding ``params`` that sign a
-    prefix, seeded once by ``fit_count_model``."""
+    prefix, seeded once by ``fit_count_model``; compared and hashed by
+    identity, as its tables are arrays."""
 
     schedule: ScaleSchedule
     vocab: int
     num_conditions: int
     alpha: float
-    thresholds: np.ndarray = field(repr=False, compare=False)
-    params: EmbeddingParams = field(repr=False, compare=False)
+    thresholds: np.ndarray = field(repr=False)
+    params: EmbeddingParams = field(repr=False)
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool
     # One read-only (h_k, w_k, V) grid per (condition, k, signature) that
     # ``logits`` was asked for: rollouts ask for few distinct keys
     # many times over (97% of the bench ablate's count-model calls repeat
     # one), so it grows with the distinct prefix signatures, not the calls.
-    _logits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _logits: dict = field(default_factory=dict, init=False, repr=False)
 
     def embed(self, prefix: Sequence[TokenMap | np.ndarray], book: Codebook) -> SignedEmbedding:
         """The prefix's signed embedding under this model's tables; stacked
@@ -503,26 +505,25 @@ def predict_logits(
     prefix,
     *,
     book: Codebook | None = None,
-    signed: SignedEmbedding | None = None,
 ) -> np.ndarray:
     """Scale-k logits, shape (h_k, w_k, V), for the step following ``prefix``.
 
     Tabular models take token prefixes (list of TokenMap or a prefix key).
-    Count models read ``signed``, the prefix's signed embedding, when the
-    caller has it (several branches on one embedding share its signature);
-    otherwise they embed the token maps ``prefix`` with ``book``. A count
-    model's grid is kept per (condition, k, signature) and returned again on
-    a repeat call; it is read-only.
+    A count model's prefix is its token maps, which it embeds with ``book``,
+    or its signed embedding, which it reads as given (several branches on
+    one embedding share its signature). A count model's grid is kept per
+    (condition, k, signature) and returned again on a repeat call; it is
+    read-only.
     """
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
         return np.log(model.row(condition, len(key) + 1, key))
     if isinstance(model, CountModel):
-        if signed is None:
+        if not isinstance(prefix, SignedEmbedding):
             if book is None:
                 raise InvalidInputError("count-model prediction needs a codebook")
             if not all(isinstance(m, TokenMap) for m in prefix):
                 raise InvalidInputError("a count model embeds token maps, not prefix keys")
-            signed = model.embed(prefix, book)
-        return model.logits(condition, signed.embedding.step, signed.signature)
+            prefix = model.embed(prefix, book)
+        return model.logits(condition, prefix.embedding.step, prefix.signature)
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

@@ -33,14 +33,18 @@ from .tokenizer import Codebook, accumulate_latent
 
 
 def truncated_law(logits: np.ndarray, config: SamplerConfig) -> np.ndarray:
-    """Per-site truncated distributions for a (..., V) logit grid, one pass."""
+    """Per-site truncated distributions for a (..., V) logit grid, one pass.
+
+    A site whose logits, divided by the temperature, hold NaN or +inf, or
+    are all -inf, has no law: it raises DegenerateDistributionError.
+    """
     logits = np.asarray(logits, dtype=float)
     vocab = logits.shape[-1]
-    if np.isnan(logits).any():
-        raise DegenerateDistributionError("logits hold NaN")
-    if not np.all(np.any(logits > -np.inf, axis=-1)):
-        raise DegenerateDistributionError("all logits are -inf")
     scaled = logits.reshape(-1, vocab) / config.temperature
+    if not np.all(scaled < np.inf):
+        raise DegenerateDistributionError("logits hold NaN or +inf at this temperature")
+    if not np.all(np.any(scaled > -np.inf, axis=-1)):
+        raise DegenerateDistributionError("all logits are -inf at this temperature")
     # Descending probability with ties broken toward the lower token id.
     order = np.argsort(-scaled, axis=-1, kind="stable")
     keep = vocab if config.top_k is None else min(config.top_k, vocab)
@@ -150,9 +154,10 @@ def rollouts(
     advanced together; one list of ``count`` results per lane.
 
     A lane is a ``(GuidanceConfig, SamplerConfig)`` pair. The lanes share
-    the sampler's temperature, top-k and top-p and the guidance's gamma and
-    reference; each has its own seed and its own strength, fraction,
-    variant and scale mask. Sample i of a lane is seeded ``sconfig.seed +
+    the sampler's temperature, top-k and top-p, checked here, and the
+    guidance's gamma and reference, which ``guided_step`` checks of every
+    stack; each has its own seed and its own strength, fraction, variant and
+    scale mask. Sample i of a lane is seeded ``sconfig.seed +
     i`` and has its own generator, which draws the step's plan seed and then
     the step's uniforms, so each sample is the same as if it were generated
     alone. Each scale takes one stacked ``guided_step`` over every lane,
@@ -163,32 +168,33 @@ def rollouts(
     input (a count model's clean signature, a tabular model's prefix key),
     whose members share the row. So each lane has the rows it would have
     alone. Each row's law is truncated once and all samples are sampled in
-    one pass. The samples' prefix keys and latents are carried forward one
-    scale at a time, and for a count model so is their signed stack, whose
-    rows ``guided_step`` reads.
+    one pass. The samples' latents are carried forward one scale at a time,
+    and so is the prefix each step reads: a count model's signed stack,
+    whose rows ``guided_step`` takes as its prefix, or a tabular model's
+    prefix keys. Nothing is carried past the last scale.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
     lanes = list(lanes)
     if not lanes:
         raise InvalidInputError("rollouts need at least one lane")
-    (gshared, sconfig), schedule = lanes[0], model.schedule
+    sconfig, schedule = lanes[0][1], model.schedule
 
-    def shared(g, s):
-        return (s.temperature, s.top_k, s.top_p, g.gamma, g.reference)
+    def shared(s):
+        return (s.temperature, s.top_k, s.top_p)
 
-    if any(shared(*lane) != shared(gshared, sconfig) for lane in lanes):
-        raise InvalidInputError(
-            "the lanes of a rollout share temperature, top_k, top_p, gamma and reference")
+    if any(shared(s) != shared(sconfig) for _, s in lanes):
+        raise InvalidInputError("the lanes of a rollout share temperature, top_k and top_p")
     # Sample i belongs to lane i // count.
     total = len(lanes) * count
     seeds = [s.seed + i for _, s in lanes for i in range(count)]
     configs = [g for g, _ in lanes for _ in range(count)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    keys = [()] * total
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
-    signed = model.embed_keys(keys, book) if isinstance(model, CountModel) else None
+    # The prefix each step reads: a count model's signed stack, else the keys.
+    signed = model.embed_keys([()] * total, book) if isinstance(model, CountModel) else None
+    keys = [()] * total if signed is None else None
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
@@ -200,21 +206,22 @@ def rollouts(
             groups.setdefault(i if draws[lane] else (lane, inputs[i]), []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
-            model, condition, [keys[i] for i in firsts], [configs[i] for i in firsts],
-            book=book, stack=True,
+            model, condition,
+            [keys[i] for i in firsts] if signed is None else signed.take(firsts),
+            [configs[i] for i in firsts], book=book, stack=True,
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
                                   plan_seeds[i], book=book) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
-            signed=None if signed is None else signed.take(firsts),
         )
         rows = np.empty(total, dtype=np.intp)
         for row, members in enumerate(groups.values()):
             rows[members] = row
         ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
-        if signed is not None and k < schedule.num_scales:
+        if k < schedule.num_scales and signed is None:
+            keys = [key + (tuple(p),) for key, p in zip(keys, ids.reshape(total, -1).tolist())]
+        elif k < schedule.num_scales:
             signed = model.extend(signed, latent)
-        keys = [key + (tuple(part),) for key, part in zip(keys, ids.reshape(total, -1).tolist())]
         scales.append((ids, [(step, row) for row in rows.tolist()]))
     # Per sample: its ids at every scale, and its (step, row) at every scale.
     samples = zip(seeds, latent, zip(*(ids for ids, _ in scales)),

@@ -61,9 +61,10 @@ class ScaleSchedule:
         return sum(self.sites(j) for j in range(1, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Per-scale tables of code vectors, shape (K, V, d)."""
+    """Per-scale tables of code vectors, shape (K, V, d); compared and hashed
+    by identity, as its vectors are an array."""
 
     vectors: np.ndarray
 

@@ -350,27 +350,67 @@ class TestGuidedStepCount:
         assert a.plans[0] is plan
         assert np.array_equal(a.logits, b.logits)
 
-    def test_signed_stack_for_wrong_step_raises(self, small_count, small_book):
+    def test_signed_stack_is_the_prefix(self, small_count, small_book):
+        # The stack's step is read from its embedding and its row count from
+        # its signature list: the empty stack of two rows is a step at scale 1.
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0)
-        for_step_1 = small_count.embed_keys([()] * 2, small_book)
-        with pytest.raises(InvalidInputError, match="step 1"):
-            guided_step(small_count, 0, prefixes, config, book=small_book, signed=for_step_1,
-                        stack=True)
-        carried = guided_step(small_count, 0, prefixes, config, book=small_book,
-                              signed=signed_stack(small_count, prefixes, small_book), stack=True)
+        first = guided_step(small_count, 0, small_count.embed_keys([()] * 2, small_book), config,
+                            book=small_book, stack=True)
+        assert first.k == 1 and first.logits.shape == (2, 1, 1, 3)
+        carried = guided_step(small_count, 0, signed_stack(small_count, prefixes, small_book),
+                              config, book=small_book, stack=True)
         fresh = guided_step(small_count, 0, prefixes, config, book=small_book, stack=True)
+        assert carried.k == fresh.k == 2
         assert np.array_equal(carried.logits, fresh.logits)
 
     def test_signed_stack_rejected_for_tabular_model_and_one_prefix(
         self, small_tabular, small_count, small_book
     ):
         signed = small_count.embed_keys([()], small_book)
-        with pytest.raises(InvalidInputError, match="count model"):
-            guided_step(small_tabular, 0, [[]], GuidanceConfig(), signed=signed, stack=True)
+        with pytest.raises(InvalidInputError, match="count-model step takes a signed stack"):
+            guided_step(small_tabular, 0, signed, GuidanceConfig(), stack=True)
         # A one-prefix step embeds its own prefix.
-        with pytest.raises(InvalidInputError, match="its own prefix"):
-            guided_step(small_count, 0, [], GuidanceConfig(), book=small_book, signed=signed)
+        with pytest.raises(InvalidInputError, match="stacked count-model step"):
+            guided_step(small_count, 0, signed, GuidanceConfig(), book=small_book)
+        # One prefix's signed embedding is not a stack of its scales.
+        one = small_count.embed([TokenMap(1, np.asarray([[1]]))], small_book)
+        with pytest.raises(InvalidInputError, match="stacked count-model step"):
+            guided_step(small_count, 0, one, GuidanceConfig(), book=small_book, stack=True)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    @pytest.mark.parametrize("variant", list(CorruptionVariant))
+    def test_signed_stack_equals_keys_stack_at_every_scale(
+        self, multisite_count, multisite_book, gamma, variant
+    ):
+        # A stack given as its signed stack and the same stack given as
+        # prefix keys take the same step bit for bit, at every k of a
+        # schedule whose scales after the first have several sites, with
+        # rows of their own strength and plan, some without a plan.
+        model, book = multisite_count, multisite_book
+        schedule = model.schedule
+        rng = np.random.default_rng(3)
+        configs = [GuidanceConfig(gamma=gamma, lam=lam, fraction=0.5, variant=variant,
+                                  reference="corrupted") for lam in (0.0, 0.5, 1.0, 1.5)]
+        keys = [()] * len(configs)
+        for k in range(1, schedule.num_scales + 1):
+            # Every row that draws a plan has one, and so has every odd row.
+            plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book=book)
+                     if i % 2 or c.draws_plan(k, schedule) else None
+                     for i, c in enumerate(configs)]
+            by_signed = guided_step(model, 1, model.embed_keys(keys, book), configs,
+                                    book=book, plan=plans, stack=True)
+            by_keys = guided_step(model, 1, keys, configs, book=book, plan=plans, stack=True)
+            assert by_signed.k == by_keys.k == k
+            assert by_signed.plans == by_keys.plans
+            assert by_signed.contrasted == by_keys.contrasted
+            assert same_bits(by_signed.logits, by_keys.logits)
+            for name in BRANCHES:
+                a, b = getattr(by_signed.branches, name), getattr(by_keys.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+            keys = [key + (tuple(rng.integers(0, 4, schedule.sites(k)).tolist()),)
+                    for key in keys]
 
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
     @pytest.mark.parametrize("prefix_scales", [1, 2])
@@ -399,7 +439,7 @@ class TestGuidedStepCount:
         assert drawn.plans[0] == plan
 
         def same_bits(got, cond):
-            want = predict_logits(model, cond, prefix, signed=corrupted)
+            want = predict_logits(model, cond, corrupted)
             return got.shape == want.shape and got.tobytes() == want.tobytes()
 
         for step in (fixed, drawn):
@@ -464,7 +504,7 @@ class TestGuidedStepCount:
         ))
         assert step.plans[0] is plan
         assert np.array_equal(step.branches.cond_corr,
-                              predict_logits(model, 0, prefix, signed=corrupted))
+                              predict_logits(model, 0, corrupted))
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_fixed_plan_for_another_step_raises(self, deep_count, fraction):
@@ -487,7 +527,7 @@ class TestGuidedStepCount:
         ))
         assert step.plans[0] is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
-            assert np.array_equal(got, predict_logits(small_count, cond, prefix, signed=corrupted))
+            assert np.array_equal(got, predict_logits(small_count, cond, corrupted))
 
 
 class TestStackedStep:
@@ -537,9 +577,8 @@ class TestStackedStep:
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
-        signed = signed_stack(model, prefixes, book) if kind == "count" else None
-        step = guided_step(model, 1, prefixes, config, book=book, plan=plans, signed=signed,
-                           stack=True)
+        stacked = signed_stack(model, prefixes, book) if kind == "count" else prefixes
+        step = guided_step(model, 1, stacked, config, book=book, plan=plans, stack=True)
         assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, plan in zip(prefixes, plans)]
@@ -596,9 +635,8 @@ class TestStackedStep:
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
-        signed = signed_stack(model, prefixes, book) if kind == "count" else None
-        step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, signed=signed,
-                           stack=True)
+        stacked = signed_stack(model, prefixes, book) if kind == "count" else prefixes
+        step = guided_step(model, 1, stacked, configs, book=book, plan=plans, stack=True)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
         assert step.evaluations == sum(a.evaluations for a in alone)
@@ -675,7 +713,7 @@ class TestStackedStep:
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
-        with pytest.raises(InvalidInputError, match="one plan and one signed embedding"):
+        with pytest.raises(InvalidInputError, match="one plan per prefix"):
             guided_step(small_count, 0, prefixes, config, book=small_book, plan=[plan],
                         stack=True)
         with pytest.raises(InvalidInputError, match="one step"):

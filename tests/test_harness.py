@@ -208,6 +208,12 @@ class TestRunSweep:
     def make_spec(self, m1, m1_book, **kw):
         return ExperimentSpec(model=m1, book=m1_book, condition=0, **kw)
 
+    def test_spec_hashes_with_its_model_and_book(self, m1, m1_book):
+        # The model and codebook hash by identity, so a spec of them hashes.
+        spec = self.make_spec(m1, m1_book)
+        assert spec == self.make_spec(m1, m1_book)
+        assert hash(spec) == hash(self.make_spec(m1, m1_book))
+
     def test_exact_kl_zero_at_lambda_zero(self, m1, m1_book):
         grid = SweepGrid(lambdas=(0.0,))
         spec = self.make_spec(m1, m1_book)
@@ -265,11 +271,9 @@ class TestPackedSweep:
 
     def lone_cell(self, spec, row, n_samples):
         """The value or error of ``row``'s cell rolled out alone."""
-        gconfig = replace(spec.guidance, lam=row.lam, fraction=row.fraction,
-                          variant=row.variant, scale_mask=row.scale_mask)
         try:
             results = rollouts(spec.model, spec.condition,
-                               [(gconfig, replace(spec.sampler, seed=row.seed))],
+                               [(row.guidance, replace(spec.sampler, seed=row.seed))],
                                spec.book, n_samples)[0]
         except Exception as exc:
             return None, f"{type(exc).__name__}: {exc}"
@@ -284,11 +288,12 @@ class TestPackedSweep:
             reference_images=tuple(images))
 
     def calls(self, monkeypatch):
-        """The lane count of each ``rollouts`` call the sweep makes."""
+        """The guidance configs of each ``rollouts`` call the sweep makes,
+        one per lane."""
         calls = []
 
         def counted(model, condition, lanes, *args):
-            calls.append(len(lanes))
+            calls.append([gconfig for gconfig, _ in lanes])
             return rollouts(model, condition, lanes, *args)
 
         monkeypatch.setattr("prefixlab.harness.rollouts", counted)
@@ -301,10 +306,10 @@ class TestPackedSweep:
                          metric="toy_frechet", n_samples=4, replicates=2)
         calls = self.calls(monkeypatch)
         rows = run_sweep(grid, spec)
-        assert len(rows) == 30 and calls == [30] + [1] * 30
+        assert len(rows) == 30 and [len(lanes) for lanes in calls] == [30] + [1] * 30
         for row in rows:
             assert (row.value, row.error) == self.lone_cell(spec, row, grid.n_samples)
-            assert (row.value is None) == (row.lam == 1.7e308)
+            assert (row.value is None) == (row.guidance.lam == 1.7e308)
             assert row.runtime_ms > 0
 
     def test_lanes_are_packed_up_to_the_sample_bound(self, spec, monkeypatch):
@@ -313,7 +318,14 @@ class TestPackedSweep:
         monkeypatch.setattr("prefixlab.harness.PACK_SAMPLES", 10)
         calls = self.calls(monkeypatch)
         rows = run_sweep(grid, spec)
-        assert calls == [2, 2, 2]
+        assert [len(lanes) for lanes in calls] == [2, 2, 2]
+        # Each row holds the config its cell rolled out, and that config is
+        # the base guidance with the cell's grid values.
+        rolled = [gconfig for lanes in calls for gconfig in lanes]
+        assert all(row.guidance is gconfig for row, gconfig in zip(rows, rolled, strict=True))
+        assert [row.guidance for row in rows] == [
+            replace(spec.guidance, lam=lam, fraction=fraction, variant=variant, scale_mask=mask)
+            for _, lam, fraction, variant, mask in grid.cells()]
         for row in rows:
             assert row.error == ""
             assert row.value == self.lone_cell(spec, row, grid.n_samples)[0]

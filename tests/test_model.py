@@ -91,6 +91,15 @@ class TestRowsFromInput:
         np.testing.assert_allclose(rebuilt.row(0, 2, ((1,),)).sum(axis=-1), 1.0)
 
 
+def test_models_compare_and_hash_by_identity(small_tabular, small_count, small_schedule):
+    # Their tables are arrays, so comparing two models by value would be
+    # ambiguous; two models are equal only when they are one object.
+    twin = build_tabular(small_schedule, vocab=3, num_conditions=2, seed=0)
+    assert small_tabular == small_tabular and small_tabular != twin
+    assert small_count == small_count and small_count != small_tabular
+    assert len({small_tabular, twin, small_count, small_count}) == 3
+
+
 class TestTabular:
     def test_rows_normalized_and_floored(self, small_tabular, small_schedule):
         for k in (1, 2):
@@ -474,7 +483,7 @@ class TestPredictLogits:
         signed = small_count.sign(emb)
         assert signed.signature == context_signature(emb, small_count.thresholds)
         assert signed.signature == small_count.embed(maps, small_book).signature
-        via_signed = predict_logits(small_count, 0, maps, signed=signed)
+        via_signed = predict_logits(small_count, 0, signed)
         assert np.array_equal(via_maps, via_signed)
 
     def test_count_model_rejects_prefix_keys_and_other_codebooks(self, small_count, small_book):
@@ -635,7 +644,7 @@ class TestCountBranchInputsAgree:
                 assert_row_equals(carried.embedding, i, fresh.embedding)
                 for c in (condition, NULL_CONDITION):
                     via_maps = predict_logits(model, c, prefix, book=book)
-                    via_signed = predict_logits(model, c, prefix, signed=fresh)
+                    via_signed = predict_logits(model, c, fresh)
                     via_carried = model.logits(c, k, carried.signature[i])
                     assert via_maps.shape == sched.grid(k) + (vocab,)
                     assert via_maps.tobytes() == via_signed.tobytes() == via_carried.tobytes()

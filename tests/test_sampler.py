@@ -26,7 +26,13 @@ from prefixlab.sampler import (
     truncated_law,
     truncated_site_law,
 )
-from prefixlab.model import SignatureSpec, build_tabular, fit_count_model, prefix_maps
+from prefixlab.model import (
+    SignatureSpec,
+    build_tabular,
+    fit_count_model,
+    prefix_maps,
+    tabular_from_rows,
+)
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, decode_maps
 from tests.conftest import make_corpus
 from tests.test_oracle import reference_chain_law
@@ -117,6 +123,33 @@ class TestTruncation:
                 pytest.raises(DegenerateDistributionError, match="NaN"):
             rollout_distribution(small_tabular, 0, GuidanceConfig(gamma=1e308),
                                  SamplerConfig(), None)
+
+    @pytest.mark.parametrize("logits, temperature", [
+        ([np.inf, 0.0], 1.0), ([1e308, 0.0], 0.1), ([-1e308, -np.inf], 0.1)])
+    def test_site_without_a_law_rejected(self, logits, temperature):
+        # +inf, also where dividing by the temperature overflows, and a site
+        # whose every scaled logit is -inf.
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDistributionError):
+            truncated_law(np.asarray(logits), SamplerConfig(temperature=temperature))
+
+    def test_overflow_to_plus_inf_drops_no_mass_from_the_law(self):
+        # gamma 1.7e308 overflows a guided logit of condition 0 at prefix
+        # (0,) to +inf, and none to NaN. The exact law and the sampler both
+        # reject the step instead of dropping that prefix's mass.
+        schedule = ScaleSchedule(((1, 1), (1, 1)))
+        rows = {(c, 1, ()): [0.5, 0.5] for c in (0, 1)}
+        rows.update({(0, 2, ((0,),)): [0.6, 0.4], (1, 2, ((0,),)): [0.05, 0.95],
+                     (0, 2, ((1,),)): [0.3, 0.7], (1, 2, ((1,),)): [0.4, 0.6]})
+        model = tabular_from_rows(schedule, 2, 2, rows)
+        book = Codebook.seeded(2, 2, 2, seed=7)
+        config = GuidanceConfig(gamma=1.7e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = guided_step(model, 0, ((0,),), config).logits
+            assert np.isposinf(logits).any() and not np.isnan(logits).any()
+            with pytest.raises(DegenerateDistributionError, match=r"\+inf"):
+                rollout_distribution(model, 0, config, SamplerConfig(), book)
+            with pytest.raises(DegenerateDistributionError, match=r"\+inf"):
+                rollouts(model, 0, [(config, SamplerConfig())], book, 4)
 
     def test_grid_law_shape(self):
         rng = np.random.default_rng(0)
@@ -420,9 +453,9 @@ class TestRollouts:
         stacks = []  # the scale of each row of each stacked step
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("prefixlab.sampler.guided_step",
-                       lambda model, c, prefixes, *args, **kwargs:
-                       stacks.append([len(p) + 1 for p in prefixes])
-                       or guided_step(model, c, prefixes, *args, **kwargs))
+                       lambda model, c, signed, *args, **kwargs:
+                       stacks.append([signed.embedding.step] * len(signed.signature))
+                       or guided_step(model, c, signed, *args, **kwargs))
             got = rollouts(model, 1, [(gconfig, sconfig)], book, count)[0]
         assert_same_rollouts(got, reference_rollouts(model, 1, gconfig, sconfig, book, count))
         clean = {model.embed(r.maps[:1], book).signature for r in got}
@@ -511,6 +544,33 @@ class TestCarriedRollouts:
                                 fresh.embedding.grids + fresh.embedding.pooled):
                     assert same_bits(a[i], b)
 
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
+    def test_each_step_takes_the_carried_prefix(
+        self, kind, multisite_count, multisite_book, monkeypatch
+    ):
+        # A count model's steps take the signed stack as their prefix at
+        # every scale, and a tabular model's take prefix keys.
+        import prefixlab.sampler
+        from prefixlab.model import SignedEmbedding
+
+        book = multisite_book
+        model = multisite_count if kind == "count" else build_tabular(
+            ScaleSchedule(((1, 1), (1, 2), (2, 2))), vocab=2, num_conditions=2, seed=0)
+        reference = "corrupted" if kind == "count" else "exact-marginal"
+        gconfig = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.5, reference=reference)
+        prefixes = []
+        step = prefixlab.sampler.guided_step
+        monkeypatch.setattr(prefixlab.sampler, "guided_step",
+                            lambda m, c, prefix, *a, **kw: prefixes.append(prefix)
+                            or step(m, c, prefix, *a, **kw))
+        rollouts(model, 1, [(gconfig, SamplerConfig(seed=3))], book, 4)
+        assert len(prefixes) == model.schedule.num_scales
+        for k, prefix in enumerate(prefixes, start=1):
+            if kind == "count":
+                assert isinstance(prefix, SignedEmbedding) and prefix.embedding.step == k
+            else:
+                assert all(isinstance(key, tuple) and len(key) == k - 1 for key in prefix)
+
 
 class TestSharedSteps:
     """Samples whose step has the same branch input share one guided step;
@@ -573,9 +633,9 @@ class TestSharedSteps:
     ):
         stacks = []  # the plans of the rows of each stacked step
 
-        def counted(model, c, prefixes, *args, **kwargs):
-            stacks.append(kwargs["plan"] or [None] * len(prefixes))
-            return guided_step(model, c, prefixes, *args, **kwargs)
+        def counted(model, c, prefixes, configs, **kwargs):
+            stacks.append(kwargs["plan"] or [None] * len(configs))
+            return guided_step(model, c, prefixes, configs, **kwargs)
 
         monkeypatch.setattr("prefixlab.sampler.guided_step", counted)
         # Tabular: scale 1 has one input; scale 2 one per distinct scale-1 map.
@@ -670,18 +730,19 @@ class TestLanes:
                 results, reference_rollouts(model, 0, gconfig, sconfig, book, 3))
         assert [r.seed for results in got for r in results] == [3, 4, 5, 40, 41, 42, 7, 8, 9]
 
-    @pytest.mark.parametrize("gchange, schange", [
-        ({"gamma": 1.0}, {}),
-        ({"reference": "corrupted"}, {}),
-        ({}, {"temperature": 0.5}),
-        ({}, {"top_k": 1}),
-        ({}, {"top_p": 0.5}),
+    @pytest.mark.parametrize("gchange, schange, message", [
+        # The guidance's shared fields are checked by the stacked step.
+        ({"gamma": 1.0}, {}, "rows of a stack share gamma and reference"),
+        ({"reference": "corrupted"}, {}, "rows of a stack share gamma and reference"),
+        ({}, {"temperature": 0.5}, "lanes of a rollout share"),
+        ({}, {"top_k": 1}, "lanes of a rollout share"),
+        ({}, {"top_p": 0.5}, "lanes of a rollout share"),
     ])
-    def test_mismatched_lanes_are_rejected(self, gchange, schange, m1, m1_book):
+    def test_mismatched_lanes_are_rejected(self, gchange, schange, message, m1, m1_book):
         lane = (GuidanceConfig(lam=1.0), SamplerConfig(seed=1))
         other = (replace(lane[0], lam=0.5, **gchange), replace(lane[1], seed=9, **schange))
         rollouts(m1, 0, [lane, (replace(lane[0], lam=0.5), SamplerConfig(seed=9))], m1_book, 2)
-        with pytest.raises(InvalidInputError, match="lanes of a rollout share"):
+        with pytest.raises(InvalidInputError, match=message):
             rollouts(m1, 0, [lane, other], m1_book, 2)
 
     def test_no_lane_is_rejected(self, m1, m1_book):

@@ -121,6 +121,8 @@ MUTANTS = (
            "seeds = [s.seed + i for _, s in lanes", "seeds = [sconfig.seed + i for _, s in lanes"),
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
            "signed.take(firsts)", "signed.take(range(len(firsts)))"),
+    Mutant("signed_stack_step_off_by_one", "src/prefixlab/guidance.py",
+           "else signed.embedding.step", "else len(signed.embedding.grids)"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
