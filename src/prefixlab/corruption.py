@@ -147,7 +147,7 @@ def apply_corruption(
     bit for bit.
     """
     step = embedding.step
-    rows = len(embedding.grids[0]) if embedding.stacked else 0
+    rows = len(embedding.grids[0]) if embedding.grids else 0
     if len(plans) != rows:
         raise InconsistentPlanError(f"{len(plans)} plans for a stack of {rows} embeddings")
     for p in plans:

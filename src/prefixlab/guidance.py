@@ -180,9 +180,10 @@ def guided_step(
     contrasts, with its own lambda, where its own config does. A count
     model's stack is what it reads: its ``SignedEmbedding``, whose
     ``embedding.step`` is k and whose signature list has one entry per row.
-    A list of prefixes is embedded and signed here in one stacked call. A
-    signed stack is rejected on a tabular model and in a one-prefix call,
-    and so is one prefix's signed embedding as a stack.
+    A count model's prefixes given as a list, and the one prefix of a
+    one-prefix call, are handed as given to ``CountModel.embed``, which
+    checks and signs them in one stacked call. A signed stack is rejected
+    on a tabular model and in a one-prefix call.
     The step is then evaluated for the whole stack at once: a
     tabular model's rows are gathered, a count model's logits are read once
     per distinct signature, and the corrupted rows of each variant are
@@ -196,23 +197,25 @@ def guided_step(
     turns configs into strengths (a contrast only from k >= 2, the scale
     mask, one lambda per row); unit tests cover that.
     """
-    # A signed stack's signature is a list, one entry per row.
-    if isinstance(prefix, SignedEmbedding) and not (
-            stack and isinstance(model, CountModel) and isinstance(prefix.signature, list)):
+    count = isinstance(model, CountModel)
+    if isinstance(prefix, SignedEmbedding) and not (stack and count):
         raise InvalidInputError("only a stacked count-model step takes a signed stack")
     if not stack:
         prefix, plan = [prefix], None if plan is None else [plan]
-    signed = prefix if isinstance(prefix, SignedEmbedding) else None
-    keys = [prefix_key(p) for p in prefix] if signed is None else None
-    size = len(keys) if signed is None else len(signed.signature)
+    if count and book is None:
+        raise InvalidInputError("count-model guidance needs the codebook")
+    if count and not isinstance(prefix, SignedEmbedding):
+        prefix = model.embed(prefix, book)
+    signed, keys = (prefix, None) if count else (None, [prefix_key(p) for p in prefix])
+    size = len(signed.signature) if count else len(keys)
     plans = [None] * size if plan is None else list(plan)
     configs = ([config] * size if isinstance(config, GuidanceConfig)
                else list(config) if stack else [])
     if not size or len(plans) != size or len(configs) != size:
         raise InvalidInputError(
             "a stack takes one plan per prefix, and one config or one per prefix")
-    k = len(keys[0]) + 1 if signed is None else signed.embedding.step
-    if keys is not None and any(len(key) != k - 1 for key in keys):
+    k = signed.embedding.step if count else len(keys[0]) + 1
+    if not count and any(len(key) != k - 1 for key in keys):
         raise InvalidInputError("the prefixes of a stack are for one step")
     # Each distinct config is asked once; many rows share one.
     by_id = {id(c): c for c in configs}
@@ -228,11 +231,7 @@ def guided_step(
             raise GuidanceConfigError(
                 "corrupted-prefix reference requires an embedding-consuming model")
         branches = tabular_branches(model, condition, k, keys, gamma > 0, any(contrasted))
-    elif isinstance(model, CountModel):
-        if book is None:
-            raise InvalidInputError("count-model guidance needs the codebook")
-        if signed is None:
-            signed = model.embed_keys(keys, book)
+    elif count:
         if any(contrasted) and reference == "exact-marginal":
             raise GuidanceConfigError(
                 "exact-marginal reference requires an enumerable tabular model")

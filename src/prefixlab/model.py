@@ -5,6 +5,11 @@ tabular model keyed by token prefixes (used for brute-force oracle checks) and
 a smoothed count model that consumes prefix embeddings (used for corruption
 and exposure-bias experiments). Sites within one scale are independent
 categoricals given the prefix.
+
+A count model's prefix embedding has one form, the signed stack: prefixes of
+one step stacked on a leading axis with the list of their rows' signatures,
+so one prefix is a stack of one row. ``CountModel.embed`` is the one entry
+from prefixes (token maps or prefix keys) to a signed stack.
 """
 
 from __future__ import annotations
@@ -40,6 +45,23 @@ def prefix_key(prefix) -> PrefixKey:
         else:
             raise InvalidInputError(f"prefix ids must be integers, got {part!r}")
     return tuple(out)
+
+
+def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
+    """What keeps ``prefix`` from holding scales 1..``scales``, naming the
+    first scale at fault, or None. It has ``scales`` parts; the map at
+    position j has ``k == j`` and ids of shape ``schedule.grid(j)``, and a
+    key's part j has ``schedule.sites(j)`` integer ids."""
+    if len(prefix) != scales:
+        return f"it holds {len(prefix)} scales, not {scales}"
+    for j, part in enumerate(prefix, start=1):
+        if isinstance(part, TokenMap):
+            if (part.k, part.ids.shape) != (j, schedule.grid(j)):
+                return (f"the map at scale {j} has k={part.k} and shape {part.ids.shape}, "
+                        f"not k={j} and shape {schedule.grid(j)}")
+        elif len(part) != schedule.sites(j) or not all(map(integral, part)):
+            return f"the key's part at scale {j} is not {schedule.sites(j)} integer ids"
+    return None
 
 
 def prefix_maps(key: PrefixKey, schedule: ScaleSchedule) -> list[TokenMap]:
@@ -79,11 +101,12 @@ def enumerate_prefix_keys(schedule: ScaleSchedule, vocab: int, k: int) -> list[P
 
 @dataclass(frozen=True)
 class PrefixEmbedding:
-    """Embedded prefix for the step at scale ``step``.
+    """Embedded prefixes of n rows for the step at scale ``step``.
 
-    ``grids[j-1]`` holds e_{j,u} of shape (h_j, w_j, m). ``pooled[j-1]``
-    keeps the pooled cumulative features the content terms were computed
-    from, so corruption variants can rebuild individual components.
+    ``grids[j-1]`` holds each row's e_{j,u}, shape (n, h_j, w_j, m).
+    ``pooled[j-1]`` keeps the pooled cumulative features the content terms
+    were computed from, so corruption variants can rebuild individual
+    components.
     """
 
     grids: tuple[np.ndarray, ...]
@@ -92,11 +115,6 @@ class PrefixEmbedding:
     @property
     def step(self) -> int:
         return len(self.grids) + 1
-
-    @property
-    def stacked(self) -> bool:
-        """Whether the grids carry a leading axis of prefixes, one row each."""
-        return bool(self.grids) and self.grids[0].ndim == 4
 
     def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
         """This embedding with one more scale: the embedding for the next step."""
@@ -135,7 +153,7 @@ def embed_scale(
     """Scale j's embedding grid e_{j,u} = proj(F_j[u]) + pos(j,u) and its pooled
     features F_j, from the cumulative latent after scale j.
 
-    ``latent`` is (fh, fw, d), or (n, fh, fw, d) for a stack of n prefixes,
+    ``latent`` stacks the cumulative latents of n prefixes, (n, fh, fw, d),
     which gives grids with the same leading axis.
     """
     proj, pos = params
@@ -144,19 +162,19 @@ def embed_scale(
 
 
 def embed_prefix(
-    prefix: Sequence[TokenMap | np.ndarray],
+    ids: Sequence[np.ndarray],
     book: Codebook,
     schedule: ScaleSchedule,
     params: EmbeddingParams,
 ) -> PrefixEmbedding:
-    """The prefix's maps folded in one scale at a time by :func:`embed_scale`.
+    """The stacked embedding of n prefixes, their maps folded in one scale at
+    a time by :func:`embed_scale`.
 
-    ``prefix`` is one prefix's token maps, or for each scale j the stacked
-    (n, h_j, w_j) ids of n prefixes, which gives their stacked embedding.
-    ``params`` are the ``embedding_params`` of ``schedule`` and the codebook's
-    latent size, as a fitted count model carries them.
+    ``ids`` holds for each scale j the stacked (n, h_j, w_j) ids of the n
+    prefixes; with no scale it gives ``EMPTY_EMBEDDING``. ``params`` are
+    the ``embedding_params`` of ``schedule`` and the codebook's latent size,
+    as a fitted count model carries them.
     """
-    ids = [m.ids if isinstance(m, TokenMap) else m for m in prefix]
     rows = ids[0].shape[:-2] if ids else ()
     latent = np.zeros(rows + schedule.final_dims + (book.latent_dim,))
     embedding = EMPTY_EMBEDDING
@@ -279,49 +297,47 @@ class SignatureSpec:
 def scale_bins(grid: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Per-dimension bin of the mean embedding vector of one scale's grid.
 
-    ``grid`` is (h, w, m), or (n, h, w, m) for a stack, and ``thresholds``
-    is that scale's (m, bins - 1) slice of the signature thresholds. A
-    dimension's bin counts the thresholds strictly below its mean, which is
-    searchsorted's left insertion point in the sorted thresholds.
+    ``grid`` is a stack's (n, h, w, m), which gives (n, m) bins, and
+    ``thresholds`` is that scale's (m, bins - 1) slice of the signature
+    thresholds. A dimension's bin counts the thresholds strictly below its
+    mean, which is searchsorted's left insertion point in the sorted
+    thresholds.
     """
     means = grid.reshape(grid.shape[:-3] + (-1, grid.shape[-1])).mean(axis=-2)
     return (thresholds < means[..., None]).sum(axis=-1)
 
 
-def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray):
-    """Per-scale bin tuple of the mean embedding vector; () for empty prefixes.
+def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray) -> list:
+    """The list of a stacked embedding's rows' signatures: a row's is the
+    bin tuple of its mean embedding vector per scale, each scale binned once
+    for the whole stack.
 
     ``thresholds`` is ``SignatureSpec.thresholds(num_scales, m)``, as a
-    fitted count model carries it. A stacked embedding gives the list of its
-    rows' signatures, each scale binned once for the whole stack.
+    fitted count model carries it. ``EMPTY_EMBEDDING`` has no row to bin;
+    ``CountModel.embed`` gives each row of step 1 the signature ().
     """
     bins = [scale_bins(grid, thresholds[j]).tolist() for j, grid in enumerate(embedding.grids)]
-    if embedding.stacked:
-        return [tuple(map(tuple, row)) for row in zip(*bins)]
-    return tuple(map(tuple, bins))
+    return [tuple(map(tuple, row)) for row in zip(*bins)]
 
 
 @dataclass(frozen=True)
 class SignedEmbedding:
-    """A prefix embedding and its context signature, built by ``CountModel.sign``.
+    """A signed stack, built by ``CountModel.embed``: the stacked embedding
+    of prefixes of one step and the list of its rows' signatures.
 
-    Branches evaluated on one embedding share it, so the signature is
-    computed once per embedding. A batch of prefixes of one step is one
-    signed stack: a stacked embedding and the list of its rows' signatures.
-    The stack of step 1 is ``EMPTY_EMBEDDING`` with one () signature per
-    row, so the list carries the row count.
+    Branches evaluated on one stack share it, so each signature is computed
+    once. The stack of step 1 is ``EMPTY_EMBEDDING`` with one () signature
+    per row, so the list carries the row count.
     """
 
     embedding: PrefixEmbedding
-    signature: tuple | list
+    signature: list
 
     def take(self, rows: Sequence[int]) -> "SignedEmbedding":
         """The signed stack of ``rows`` of this stack, in that order."""
         e = self.embedding
-        return SignedEmbedding(
-            PrefixEmbedding(tuple(g[rows] for g in e.grids), tuple(p[rows] for p in e.pooled)),
-            [self.signature[i] for i in rows],
-        )
+        grids, pooled = (tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled))
+        return SignedEmbedding(PrefixEmbedding(grids, pooled), [self.signature[i] for i in rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +361,12 @@ class CountModel:
     # one), so it grows with the distinct prefix signatures, not the calls.
     _logits: dict = field(default_factory=dict, init=False, repr=False)
 
-    def embed(self, prefix: Sequence[TokenMap | np.ndarray], book: Codebook) -> SignedEmbedding:
-        """The prefix's signed embedding under this model's tables; stacked
-        ids, as ``embed_prefix`` takes them, give the signed stack."""
+    def embed(self, prefixes: Sequence, book: Codebook) -> SignedEmbedding:
+        """The signed stack of ``prefixes``, prefixes of one step each given
+        as its token maps or its prefix key, embedded in one stacked
+        ``embed_prefix`` call. A prefix that does not hold the first
+        prefix's scales, each as ``prefix_problem`` requires, raises
+        InvalidInputError naming it and the scale at fault."""
         fitted = self.params[0].shape[1]
         if book is None:
             raise InvalidInputError("a count model embeds a prefix with the codebook")
@@ -355,19 +374,16 @@ class CountModel:
             raise InvalidInputError(
                 f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
             )
-        return self.sign(embed_prefix(prefix, book, self.schedule, self.params))
-
-    def sign(self, embedding: PrefixEmbedding) -> SignedEmbedding:
-        """``embedding`` together with its signature under this model."""
-        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds))
-
-    def embed_keys(self, keys: Sequence[PrefixKey], book: Codebook) -> SignedEmbedding:
-        """The signed stack of prefix keys of one step, embedded in one
-        stacked ``embed_prefix`` call."""
-        ids = [np.array([key[j - 1] for key in keys], dtype=np.int64)
-               .reshape((len(keys),) + self.schedule.grid(j)) for j in range(1, len(keys[0]) + 1)]
-        signed = self.embed(ids, book)
-        return signed if ids else SignedEmbedding(EMPTY_EMBEDDING, [()] * len(keys))
+        for i, prefix in enumerate(prefixes):
+            problem = prefix_problem(prefix, self.schedule, len(prefixes[0]))
+            if problem:
+                raise InvalidInputError(f"prefix {i}: {problem}")
+        ids = [np.array([p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
+                        dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j))
+               for j, parts in enumerate(zip(*prefixes), start=1)]
+        embedding = embed_prefix(ids, book, self.schedule, self.params)
+        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds)
+                               if ids else [()] * len(prefixes))
 
     def extend(self, signed: SignedEmbedding, latent: np.ndarray) -> SignedEmbedding:
         """A signed stack of step k extended by one scale.
@@ -409,9 +425,10 @@ class CountModel:
 
 def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, where):
     """Raise InvalidInputError, prefixed by ``where``, unless ``maps`` holds one
-    map per scale with ids in 0..vocab-1 and ``condition`` is in 0..num_conditions-1."""
-    if len(maps) != schedule.num_scales:
-        problem = "sequence does not match the schedule"
+    map per scale, as ``prefix_problem`` requires, with ids in 0..vocab-1, and
+    ``condition`` is in 0..num_conditions-1."""
+    if problem := prefix_problem(maps, schedule, schedule.num_scales):
+        pass
     elif not integral(condition):
         problem = f"condition {condition!r} is not an integer"
     elif not 0 <= condition < num_conditions:
@@ -425,18 +442,14 @@ def check_corpus_sequence(condition, maps, schedule, vocab, num_conditions, wher
 
 def _corpus_ids(corpus, schedule, vocab, num_conditions) -> list[np.ndarray]:
     """Each scale's ids stacked over the corpus, (n, h_k, w_k), once every
-    sequence passes ``check_corpus_sequence``. The checks run on the stacks;
-    only where one fails is each sequence checked in turn, so the error
-    names the first bad sequence and its first problem, as a loop over the
-    sequences does."""
-    def stacks():
-        return [np.stack([maps[k - 1].ids for _, maps in corpus])
-                for k in range(1, schedule.num_scales + 1)]
-
-    try:
-        ids = stacks() if all(len(maps) == schedule.num_scales for _, maps in corpus) else None
-    except ValueError:  # maps of unlike shapes, which np.stack names below
-        ids = None
+    sequence passes ``check_corpus_sequence``. Once every sequence has its
+    scales' maps (``prefix_problem``), the other checks run on the stacks; only
+    where one fails is each sequence checked in turn, so the error names the
+    first bad sequence and its first problem, as a loop over the sequences
+    does."""
+    fits = all(prefix_problem(maps, schedule, schedule.num_scales) is None for _, maps in corpus)
+    ids = [np.stack([maps[k - 1].ids for _, maps in corpus])
+           for k in range(1, schedule.num_scales + 1)] if fits else None
     conditions = [condition for condition, _ in corpus]
     if ids is None or not (
         all(map(integral, conditions))
@@ -447,7 +460,7 @@ def _corpus_ids(corpus, schedule, vocab, num_conditions) -> list[np.ndarray]:
             check_corpus_sequence(
                 condition, maps, schedule, vocab, num_conditions, f"corpus sequence {i}"
             )
-    return stacks() if ids is None else ids
+    return ids
 
 
 def fit_count_model(
@@ -509,21 +522,22 @@ def predict_logits(
     """Scale-k logits, shape (h_k, w_k, V), for the step following ``prefix``.
 
     Tabular models take token prefixes (list of TokenMap or a prefix key).
-    A count model's prefix is its token maps, which it embeds with ``book``,
-    or its signed embedding, which it reads as given (several branches on
-    one embedding share its signature). A count model's grid is kept per
+    A count model's prefix is its token maps, which it embeds on its own,
+    as a stack of one row, with ``book``: the per-prefix reference that a
+    row of a stacked, carried or corrupted signed stack equals bit for bit.
+    A caller holding a signed stack reads a row's logits with
+    ``CountModel.logits(condition, k, signature[i])``; a ``SignedEmbedding``
+    given here raises InvalidInputError. A count model's grid is kept per
     (condition, k, signature) and returned again on a repeat call; it is
     read-only.
     """
+    if isinstance(prefix, SignedEmbedding):
+        raise InvalidInputError("predict_logits takes one prefix, not a signed stack")
     if isinstance(model, TabularModel):
         key = prefix_key(prefix)
         return np.log(model.row(condition, len(key) + 1, key))
     if isinstance(model, CountModel):
-        if not isinstance(prefix, SignedEmbedding):
-            if book is None:
-                raise InvalidInputError("count-model prediction needs a codebook")
-            if not all(isinstance(m, TokenMap) for m in prefix):
-                raise InvalidInputError("a count model embeds token maps, not prefix keys")
-            prefix = model.embed(prefix, book)
-        return model.logits(condition, prefix.embedding.step, prefix.signature)
+        if not all(isinstance(m, TokenMap) for m in prefix):
+            raise InvalidInputError("a count model embeds token maps, not prefix keys")
+        return model.logits(condition, len(prefix) + 1, model.embed([prefix], book).signature[0])
     raise InvalidInputError(f"unknown predictor type {type(model)!r}")

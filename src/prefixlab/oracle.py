@@ -88,7 +88,7 @@ def _site_laws(model, condition: Condition, book: Codebook | None = None):
         k = len(keys[0]) + 1
         if isinstance(model, TabularModel):
             return model.rows(condition, k, keys)
-        signatures = model.embed_keys(keys, book).signature
+        signatures = model.embed(keys, book).signature
         return np.exp(np.stack([model.logits(condition, k, sig) for sig in signatures]))
     return lambda keys: laws(keys).reshape(len(keys), -1, model.vocab)
 

@@ -193,7 +193,7 @@ def rollouts(
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
     # The prefix each step reads: a count model's signed stack, else the keys.
-    signed = model.embed_keys([()] * total, book) if isinstance(model, CountModel) else None
+    signed = model.embed([()] * total, book) if isinstance(model, CountModel) else None
     keys = [()] * total if signed is None else None
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from prefixlab.corruption import apply_corruption
 from prefixlab.model import (
-    PrefixEmbedding,
     SignatureSpec,
-    SignedEmbedding,
     build_tabular,
     fit_count_model,
     tabular_from_rows,
@@ -107,26 +104,7 @@ def uniform_maps(schedule, vocab, seed):
     ]
 
 
-def stack_row(stack, i):
-    """Row i of a stacked embedding, as one embedding."""
-    return PrefixEmbedding(tuple(g[i] for g in stack.grids), tuple(p[i] for p in stack.pooled))
-
-
-def corrupt_one(embedding, plan, book, schedule, params):
-    """One embedding corrupted under ``plan``, through a stack of one row."""
-    return stack_row(apply_corruption(stack_of([embedding]), [plan], book, schedule, params), 0)
-
-
-def signed_stack(model, prefixes, book):
-    """The signed stack of ``prefixes``, built from each prefix's own
-    ``model.embed``: the reference a carried or stacked embedding must equal."""
-    signed = [model.embed(p, book) for p in prefixes]
-    return SignedEmbedding(stack_of([s.embedding for s in signed]),
-                           [s.signature for s in signed])
-
-
-def stack_of(embeddings):
-    """Embeddings of one step stacked on a leading axis, one row each; the
-    stack of step 1 is ``EMPTY_EMBEDDING``."""
-    return PrefixEmbedding(tuple(map(np.stack, zip(*(e.grids for e in embeddings)))),
-                           tuple(map(np.stack, zip(*(e.pooled for e in embeddings)))))
+def stacked_ids(prefixes):
+    """Each scale's ids stacked over token-map ``prefixes`` of one step,
+    (n, h_j, w_j), as ``embed_prefix`` takes them."""
+    return [np.stack([m.ids for m in maps]) for maps in zip(*prefixes)]

@@ -19,6 +19,7 @@ import pytest
 import prefixlab
 from prefixlab.corruption import (
     CorruptionVariant,
+    apply_corruption,
     plan_corruption,
     selection_size,
 )
@@ -57,7 +58,7 @@ from prefixlab.tokenizer import (
     synthetic_images,
     upsample,
 )
-from tests.conftest import corrupt_one, fixture_m1
+from tests.conftest import fixture_m1, stacked_ids
 
 SCHEDULE = ScaleSchedule(((1, 1), (1, 1)))
 POPULATION = [(v, c) for v in (2, 3, 5) for c in (1, 2, 3)]
@@ -177,13 +178,13 @@ def test_criterion_5_corruption_invariants():
         rng = np.random.default_rng(0)
         maps = [TokenMap(k, rng.integers(0, 3, sched.grid(k))) for k in (1, 2)]
         params = embedding_params(sched, book.latent_dim, 4, 11)
-        emb = embed_prefix(maps, book, sched, params)
+        emb = embed_prefix(stacked_ids([maps]), book, sched, params)
 
         # Full-embedding outputs stay inside the same-scale embedding set.
         plan = plan_corruption(
             sched, 3, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=1
         )
-        out = corrupt_one(emb, plan, book, sched, params)
+        out = apply_corruption(emb, [plan], book, sched, params)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, grid.shape[-1])
             for vec in grid.reshape(-1, grid.shape[-1]):
@@ -197,7 +198,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 3, 0.0, variant, seed=2, book=book)
-            out = corrupt_one(emb, plan, book, sched, params)
+            out = apply_corruption(emb, [plan], book, sched, params)
             for a, b in zip(out.grids, emb.grids):
                 assert np.array_equal(a, b)
 
@@ -206,16 +207,14 @@ def test_criterion_5_corruption_invariants():
         scalar_sched = ScaleSchedule(((1, 1), (1, 1)))
         scalar_book = Codebook.seeded(2, 3, 2, seed=7)
         scalar_params = embedding_params(scalar_sched, scalar_book.latent_dim, 4, 11)
-        scalar_emb = embed_prefix(
-            [TokenMap(1, np.asarray([[1]]))], scalar_book, scalar_sched, scalar_params
-        )
+        scalar_emb = embed_prefix([np.asarray([[[1]]])], scalar_book, scalar_sched, scalar_params)
         for variant in (
             CorruptionVariant.SAME_SCALE_TOKEN,
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(scalar_sched, 2, 1.0, variant, seed=3)
-            out = corrupt_one(scalar_emb, plan, scalar_book, scalar_sched, scalar_params)
+            out = apply_corruption(scalar_emb, [plan], scalar_book, scalar_sched, scalar_params)
             np.testing.assert_allclose(
                 out.grids[0], scalar_emb.grids[0], atol=1e-12
             )

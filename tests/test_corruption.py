@@ -19,7 +19,7 @@ from prefixlab.errors import InconsistentPlanError, InvalidFractionError
 from prefixlab.model import PrefixEmbedding, embed_prefix, embedding_params, prefix_maps
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
 
-from tests.conftest import corrupt_one, stack_of, stack_row, uniform_maps
+from tests.conftest import stacked_ids, uniform_maps
 
 SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (4, 4)))
 BOOK = Codebook.seeded(4, 3, 2, seed=7)
@@ -28,8 +28,9 @@ PARAMS = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
 
 
 def embedded_prefix(k, seed=0):
+    """A random prefix for the step at scale k and its stack of one row."""
     maps = uniform_maps(SCHEDULE, BOOK.vocab, seed)[: k - 1]
-    return maps, embed_prefix(maps, BOOK, SCHEDULE, PARAMS)
+    return maps, embed_prefix(stacked_ids([maps]), BOOK, SCHEDULE, PARAMS)
 
 
 class TestSelectionSize:
@@ -135,7 +136,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 0.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, emb.grids):
             assert np.array_equal(a, b)
 
@@ -145,7 +146,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 3
         )
-        corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for a, b in zip(emb.grids, before):
             assert np.array_equal(a, b)
 
@@ -154,7 +155,7 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for j, grid in enumerate(out.grids):
             originals = emb.grids[j].reshape(-1, grid.shape[-1])
             for vec in grid.reshape(-1, grid.shape[-1]):
@@ -165,13 +166,13 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         moved = 0
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
-            assert np.array_equal(out.grids[j - 1][tgt], emb.grids[j - 1][don])
-            moved += not np.array_equal(emb.grids[j - 1][tgt], emb.grids[j - 1][don])
+            assert np.array_equal(out.grids[j - 1][0][tgt], emb.grids[j - 1][0][don])
+            moved += not np.array_equal(emb.grids[j - 1][0][tgt], emb.grids[j - 1][0][don])
         assert moved > 0
 
     def test_single_site_scales_are_noops_for_same_scale_variants(self):
@@ -180,35 +181,35 @@ class TestApplication:
         book = Codebook.seeded(2, 3, 2, seed=7)
         maps = uniform_maps(sched, 3, seed=0)[:1]
         params = embedding_params(sched, book.latent_dim, 4, EMBED_SEED)
-        emb = embed_prefix(maps, book, sched, params)
+        emb = embed_prefix(stacked_ids([maps]), book, sched, params)
         for variant in (
             CorruptionVariant.SAME_SCALE_TOKEN,
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
             plan = plan_corruption(sched, 2, 1.0, variant, seed=4)
-            out = corrupt_one(emb, plan, book, sched, params)
+            out = apply_corruption(emb, [plan], book, sched, params)
             np.testing.assert_allclose(out.grids[0], emb.grids[0], atol=1e-12)
 
     def test_token_and_position_variants_match_hand_formula(self):
         _, emb = embedded_prefix(3)
         proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
         plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9)
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
-            expected = emb.pooled[j - 1][don] @ proj.T + pos[j - 1][tgt]
-            np.testing.assert_allclose(out.grids[j - 1][tgt], expected)
+            expected = emb.pooled[j - 1][0][don] @ proj.T + pos[j - 1][tgt]
+            np.testing.assert_allclose(out.grids[j - 1][0][tgt], expected)
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_POSITION, 9
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
             tgt, don = (u // w, u % w), (du // w, du % w)
-            expected = emb.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]
-            np.testing.assert_allclose(out.grids[j - 1][tgt], expected)
+            expected = emb.pooled[j - 1][0][tgt] @ proj.T + pos[j - 1][don]
+            np.testing.assert_allclose(out.grids[j - 1][0][tgt], expected)
 
     def test_random_codebook_uses_drawn_vectors(self):
         _, emb = embedded_prefix(3)
@@ -216,25 +217,25 @@ class TestApplication:
         plan = plan_corruption(
             SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, book=BOOK
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for idx, (j, u) in enumerate(plan.selected):
             h, w = SCHEDULE.grid(j)
             tgt = (u // w, u % w)
             scale, code = plan.code_draws[idx]
             expected = BOOK.table(scale)[code] @ proj.T + pos[j - 1][tgt]
-            np.testing.assert_allclose(out.grids[j - 1][tgt], expected)
+            np.testing.assert_allclose(out.grids[j - 1][0][tgt], expected)
 
     def test_uniform_prefix_rebuilds_whole_embedding(self):
         _, emb = embedded_prefix(3)
         plan = plan_corruption(
             SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, book=BOOK
         )
-        out = corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         maps = [
             TokenMap(j, np.asarray(ids).reshape(SCHEDULE.grid(j)))
             for j, ids in enumerate(plan.uniform_tokens, start=1)
         ]
-        expected = embed_prefix(maps, BOOK, SCHEDULE, PARAMS)
+        expected = embed_prefix(stacked_ids([maps]), BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, expected.grids):
             assert np.array_equal(a, b)
 
@@ -244,7 +245,7 @@ class TestApplication:
             SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
         )
         with pytest.raises(InconsistentPlanError):
-            corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+            apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
 
     def test_site_of_its_own_step_raises(self):
         # plan_corruption draws only prefix sites; a hand-built plan can name
@@ -253,36 +254,38 @@ class TestApplication:
         plan = CorruptionPlan(3, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 1.0,
                               selected=((3, 0),), donors=((3, 1),), seed=0)
         with pytest.raises(InconsistentPlanError, match="beyond the prefix"):
-            corrupt_one(emb, plan, BOOK, SCHEDULE, PARAMS)
+            apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
 
 
 
 def corrupted_site_by_site(embedding, plan, book, schedule, params):
-    """The corruption of one embedding, one selected site at a time, each
-    content vector projected alone: the reference a stack must equal."""
+    """The corruption of a stack of one row, one selected site at a time,
+    each content vector projected alone: the reference a stack must equal."""
     if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-        return embed_prefix(prefix_maps(plan.uniform_tokens, schedule), book, schedule, params)
+        maps = prefix_maps(plan.uniform_tokens, schedule)
+        return embed_prefix(stacked_ids([maps]), book, schedule, params)
     grids = [g.copy() for g in embedding.grids]
     proj, pos = params
     for idx, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
         w = schedule.grid(j)[1]
         tgt, don = (u // w, u % w), (du // w, du % w)
         if plan.variant is CorruptionVariant.SAME_SCALE_FULL_EMBEDDING:
-            grids[j - 1][tgt] = embedding.grids[j - 1][don]
+            grids[j - 1][0][tgt] = embedding.grids[j - 1][0][don]
         elif plan.variant is CorruptionVariant.SAME_SCALE_TOKEN:
-            grids[j - 1][tgt] = embedding.pooled[j - 1][don] @ proj.T + pos[j - 1][tgt]
+            grids[j - 1][0][tgt] = embedding.pooled[j - 1][0][don] @ proj.T + pos[j - 1][tgt]
         elif plan.variant is CorruptionVariant.SAME_SCALE_POSITION:
-            grids[j - 1][tgt] = embedding.pooled[j - 1][tgt] @ proj.T + pos[j - 1][don]
+            grids[j - 1][0][tgt] = embedding.pooled[j - 1][0][tgt] @ proj.T + pos[j - 1][don]
         else:
             scale, code = plan.code_draws[idx]
-            grids[j - 1][tgt] = book.table(scale)[code] @ proj.T + pos[j - 1][tgt]
+            grids[j - 1][0][tgt] = book.table(scale)[code] @ proj.T + pos[j - 1][tgt]
     return PrefixEmbedding(tuple(grids), embedding.pooled)
 
 
-def assert_same_embedding(got, want):
+def assert_same_row(got, i, want):
+    """Row i of the stack ``got`` is the stack of one row ``want``, bit for bit."""
     assert len(got.grids) == len(want.grids) and len(got.pooled) == len(want.pooled)
     for a, b in zip(got.grids + got.pooled, want.grids + want.pooled):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a[i:i + 1].shape == b.shape and a[i:i + 1].tobytes() == b.tobytes()
 
 
 class TestStackedApplication:
@@ -297,19 +300,20 @@ class TestStackedApplication:
     def test_stack_equals_each_plan_applied_alone(self, variant, fraction, k, rows, seed):
         # Bit for bit: the stack projects each content vector as a one-row
         # matrix, which is what one vector's ``x @ proj.T`` computes.
-        embeddings = [embedded_prefix(k, seed + i)[1] for i in range(rows)]
+        prefixes, embeddings = zip(*(embedded_prefix(k, seed + i) for i in range(rows)))
         plans = [plan_corruption(SCHEDULE, k, fraction, variant, seed + i, book=BOOK)
                  for i in range(rows)]
-        stacked = apply_corruption(stack_of(embeddings), plans, BOOK, SCHEDULE, PARAMS)
-        assert stacked.stacked and len(stacked.grids[0]) == rows
+        stack = embed_prefix(stacked_ids(prefixes), BOOK, SCHEDULE, PARAMS)
+        stacked = apply_corruption(stack, plans, BOOK, SCHEDULE, PARAMS)
+        assert len(stacked.grids[0]) == rows
         for i, (embedding, plan) in enumerate(zip(embeddings, plans)):
             want = corrupted_site_by_site(embedding, plan, BOOK, SCHEDULE, PARAMS)
-            assert_same_embedding(stack_row(stacked, i), want)
-            assert_same_embedding(corrupt_one(embedding, plan, BOOK, SCHEDULE, PARAMS), want)
+            assert_same_row(stacked, i, want)
+            assert_same_row(apply_corruption(embedding, [plan], BOOK, SCHEDULE, PARAMS), 0, want)
 
     def test_stack_takes_one_plan_per_row_of_one_variant(self):
-        embeddings = [embedded_prefix(3, seed)[1] for seed in range(2)]
-        stack = stack_of(embeddings)
+        prefixes = [embedded_prefix(3, seed)[0] for seed in range(2)]
+        stack = embed_prefix(stacked_ids(prefixes), BOOK, SCHEDULE, PARAMS)
         full, token = (plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
                        for variant in (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
                                        CorruptionVariant.SAME_SCALE_TOKEN))
@@ -317,6 +321,3 @@ class TestStackedApplication:
             apply_corruption(stack, [full], BOOK, SCHEDULE, PARAMS)
         with pytest.raises(InconsistentPlanError, match="one variant"):
             apply_corruption(stack, [full, token], BOOK, SCHEDULE, PARAMS)
-        # One embedding is no stack: it has no row for a plan.
-        with pytest.raises(InconsistentPlanError, match="1 plans for a stack of 0"):
-            apply_corruption(embeddings[0], [full], BOOK, SCHEDULE, PARAMS)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefixlab.corruption import CorruptionVariant, plan_corruption
+from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
 from prefixlab.errors import (
     GuidanceConfigError,
     IllDefinedLawError,
@@ -28,6 +28,7 @@ from prefixlab.model import (
     SignatureSpec,
     TokenMap,
     build_tabular,
+    context_signature,
     enumerate_prefix_keys,
     fit_count_model,
     predict_logits,
@@ -37,8 +38,17 @@ from prefixlab.model import (
 from prefixlab.oracle import enumerate_prefixes, softmax
 from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
-from tests.conftest import corrupt_one, make_corpus, signed_stack
+from tests.conftest import make_corpus
 from tests.test_sampler import BRANCHES, multisite_schedules, same_bits
+
+
+def corrupted_logits(model, condition, prefix, plan, book):
+    """The scale-k logits of ``prefix`` corrupted under ``plan``, computed
+    apart from ``guided_step``: embed, apply, sign, then read the row."""
+    embedding = model.embed([prefix], book).embedding
+    corrupted = apply_corruption(embedding, [plan], book, model.schedule, model.params)
+    signature = context_signature(corrupted, model.thresholds)[0]
+    return model.logits(condition, embedding.step, signature)
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +337,7 @@ class TestGuidedStepCount:
 
     def test_cfg_without_null_rows_rejected(self, small_schedule, small_book):
         from prefixlab.model import fit_count_model
-        from tests.conftest import corrupt_one, make_corpus, signed_stack
+        from tests.conftest import make_corpus
 
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=9)
         model = fit_count_model(
@@ -355,10 +365,10 @@ class TestGuidedStepCount:
         # its signature list: the empty stack of two rows is a step at scale 1.
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0)
-        first = guided_step(small_count, 0, small_count.embed_keys([()] * 2, small_book), config,
+        first = guided_step(small_count, 0, small_count.embed([()] * 2, small_book), config,
                             book=small_book, stack=True)
         assert first.k == 1 and first.logits.shape == (2, 1, 1, 3)
-        carried = guided_step(small_count, 0, signed_stack(small_count, prefixes, small_book),
+        carried = guided_step(small_count, 0, small_count.embed(prefixes, small_book),
                               config, book=small_book, stack=True)
         fresh = guided_step(small_count, 0, prefixes, config, book=small_book, stack=True)
         assert carried.k == fresh.k == 2
@@ -367,16 +377,16 @@ class TestGuidedStepCount:
     def test_signed_stack_rejected_for_tabular_model_and_one_prefix(
         self, small_tabular, small_count, small_book
     ):
-        signed = small_count.embed_keys([()], small_book)
+        signed = small_count.embed([()], small_book)
         with pytest.raises(InvalidInputError, match="count-model step takes a signed stack"):
             guided_step(small_tabular, 0, signed, GuidanceConfig(), stack=True)
         # A one-prefix step embeds its own prefix.
         with pytest.raises(InvalidInputError, match="stacked count-model step"):
             guided_step(small_count, 0, signed, GuidanceConfig(), book=small_book)
-        # One prefix's signed embedding is not a stack of its scales.
-        one = small_count.embed([TokenMap(1, np.asarray([[1]]))], small_book)
-        with pytest.raises(InvalidInputError, match="stacked count-model step"):
-            guided_step(small_count, 0, one, GuidanceConfig(), book=small_book, stack=True)
+        # One prefix's signed embedding is a stack of one row.
+        one = small_count.embed([[TokenMap(1, np.asarray([[1]]))]], small_book)
+        step = guided_step(small_count, 0, one, GuidanceConfig(), book=small_book, stack=True)
+        assert step.k == 2 and step.logits.shape == (1, 2, 2, 3)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
@@ -398,7 +408,7 @@ class TestGuidedStepCount:
             plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book=book)
                      if i % 2 or c.draws_plan(k, schedule) else None
                      for i, c in enumerate(configs)]
-            by_signed = guided_step(model, 1, model.embed_keys(keys, book), configs,
+            by_signed = guided_step(model, 1, model.embed(keys, book), configs,
                                     book=book, plan=plans, stack=True)
             by_keys = guided_step(model, 1, keys, configs, book=book, plan=plans, stack=True)
             assert by_signed.k == by_keys.k == k
@@ -425,9 +435,6 @@ class TestGuidedStepCount:
         prefix = corpus[1][1][:prefix_scales]
         k = prefix_scales + 1
         plan = plan_corruption(model.schedule, k, fraction, variant, seed=4, book=book)
-        corrupted = model.sign(corrupt_one(
-            model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
-        ))
         config = GuidanceConfig(
             gamma=gamma, lam=1.0, fraction=fraction, variant=variant, reference="corrupted"
         )
@@ -439,7 +446,7 @@ class TestGuidedStepCount:
         assert drawn.plans[0] == plan
 
         def same_bits(got, cond):
-            want = predict_logits(model, cond, corrupted)
+            want = corrupted_logits(model, cond, prefix, plan, book)
             return got.shape == want.shape and got.tobytes() == want.tobytes()
 
         for step in (fixed, drawn):
@@ -499,12 +506,9 @@ class TestGuidedStepCount:
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
         plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, book=book)
         step = guided_step(model, 0, prefix, config, book=book, plan=plan)
-        corrupted = model.sign(corrupt_one(
-            model.embed(prefix, book).embedding, plan, book, model.schedule, model.params
-        ))
         assert step.plans[0] is plan
         assert np.array_equal(step.branches.cond_corr,
-                              predict_logits(model, 0, corrupted))
+                              corrupted_logits(model, 0, prefix, plan, book))
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_fixed_plan_for_another_step_raises(self, deep_count, fraction):
@@ -521,13 +525,10 @@ class TestGuidedStepCount:
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, book=small_book)
         step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
-        corrupted = small_count.sign(corrupt_one(
-            small_count.embed(prefix, small_book).embedding, plan, small_book,
-            small_count.schedule, small_count.params,
-        ))
         assert step.plans[0] is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
-            assert np.array_equal(got, predict_logits(small_count, cond, corrupted))
+            want = corrupted_logits(small_count, cond, prefix, plan, small_book)
+            assert np.array_equal(got, want)
 
 
 class TestStackedStep:
@@ -577,7 +578,7 @@ class TestStackedStep:
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
-        stacked = signed_stack(model, prefixes, book) if kind == "count" else prefixes
+        stacked = model.embed(prefixes, book) if kind == "count" else prefixes
         step = guided_step(model, 1, stacked, config, book=book, plan=plans, stack=True)
         assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
@@ -635,7 +636,7 @@ class TestStackedStep:
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
-        stacked = signed_stack(model, prefixes, book) if kind == "count" else prefixes
+        stacked = model.embed(prefixes, book) if kind == "count" else prefixes
         step = guided_step(model, 1, stacked, configs, book=book, plan=plans, stack=True)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
@@ -716,7 +717,7 @@ class TestStackedStep:
         with pytest.raises(InvalidInputError, match="one plan per prefix"):
             guided_step(small_count, 0, prefixes, config, book=small_book, plan=[plan],
                         stack=True)
-        with pytest.raises(InvalidInputError, match="one step"):
+        with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
             guided_step(small_count, 0, [[], prefixes[0]], config, book=small_book, stack=True)
         with pytest.raises(IllDefinedLawError, match="needs a plan"):
             guided_step(small_count, 0, prefixes, config, book=small_book,

@@ -30,6 +30,7 @@ from prefixlab.model import (
     tabular_from_rows,
 )
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
+from tests.conftest import stacked_ids
 
 
 class TestPrefixKeys:
@@ -187,13 +188,13 @@ class TestEmbedding:
     def test_embedding_matches_hand_formula(self, small_book, small_schedule):
         from prefixlab.tokenizer import accumulate_latent, pool
 
-        maps = [TokenMap(1, np.asarray([[2]]))]
+        ids = np.asarray([[2]])
         proj, pos = embedding_params(small_schedule, 2, 4, embed_seed=11)
-        emb = embed_prefix(maps, small_book, small_schedule, (proj, pos))
-        latent = accumulate_latent(np.zeros((2, 2, 2)), 1, maps[0].ids, small_book)
+        emb = embed_prefix([ids[None]], small_book, small_schedule, (proj, pos))
+        latent = accumulate_latent(np.zeros((2, 2, 2)), 1, ids, small_book)
         pooled = pool(latent, (1, 1))
-        np.testing.assert_allclose(emb.grids[0], pooled @ proj.T + pos[0])
-        np.testing.assert_allclose(emb.pooled[0], pooled)
+        np.testing.assert_allclose(emb.grids[0][0], pooled @ proj.T + pos[0])
+        np.testing.assert_allclose(emb.pooled[0][0], pooled)
 
     def test_embedding_depends_only_on_latents(self, small_schedule):
         # Two token ids mapping to identical code vectors must embed alike.
@@ -203,25 +204,29 @@ class TestEmbedding:
         vectors[:, 2] = [0.0, 1.0]
         book = Codebook(vectors)
         params = embedding_params(small_schedule, book.latent_dim, 4, 3)
-        emb_a = embed_prefix([TokenMap(1, np.asarray([[0]]))], book, small_schedule, params)
-        emb_b = embed_prefix([TokenMap(1, np.asarray([[1]]))], book, small_schedule, params)
+        emb_a = embed_prefix([np.asarray([[[0]]])], book, small_schedule, params)
+        emb_b = embed_prefix([np.asarray([[[1]]])], book, small_schedule, params)
         np.testing.assert_allclose(emb_a.grids[0], emb_b.grids[0])
 
 
 class TestSignatures:
-    def test_empty_prefix_signature(self, small_book, small_schedule):
+    def test_empty_prefix_signature(self, small_count, small_book, small_schedule):
+        # The empty embedding has no row to bin; a count model gives each row
+        # of a step-1 stack the signature ().
         emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
-        assert context_signature(emb, SignatureSpec(4, 0).thresholds(2, 4)) == ()
+        assert context_signature(emb, SignatureSpec(4, 0).thresholds(2, 4)) == []
+        signed = small_count.embed([[], ()], small_book)
+        assert signed.embedding is EMPTY_EMBEDDING and signed.signature == [(), ()]
 
     def test_single_bin_collapses_all_prefixes(self, small_book, small_schedule):
         spec = SignatureSpec(bins=1, seed=0)
         sigs = set()
         for token in range(3):
             emb = embed_prefix(
-                [TokenMap(1, np.asarray([[token]]))], small_book, small_schedule,
+                [np.asarray([[[token]]])], small_book, small_schedule,
                 embedding_params(small_schedule, 2, 4, 11),
             )
-            sigs.add(context_signature(emb, spec.thresholds(2, 4)))
+            sigs.update(context_signature(emb, spec.thresholds(2, 4)))
         assert sigs == {((0, 0, 0, 0),)}
 
     def test_thresholds_sorted(self):
@@ -332,7 +337,7 @@ class TestCountModel:
     def test_names_the_first_bad_sequence_as_a_loop_does(self, kinds, seed):
         # The checks on the stacked ids raise what checking each sequence in
         # turn raises: the first bad sequence, and its first problem in the
-        # order length, condition, ids.
+        # order length and map shape, condition, ids.
         sched = ScaleSchedule(((1, 1), (2, 2)))
         book = Codebook.seeded(2, 3, 2, seed=0)
         rng = np.random.default_rng(seed)
@@ -354,16 +359,13 @@ class TestCountModel:
         def outcome(fit):
             try:
                 fit()
-            except (InvalidInputError, ValueError) as exc:
-                return type(exc), str(exc)
+            except InvalidInputError as exc:
+                return str(exc)
             return None
 
         def looped():
             for i, (condition, maps) in enumerate(corpus):
                 check_corpus_sequence(condition, maps, sched, 3, 2, f"corpus sequence {i}")
-            # Maps of unlike shapes that pass every check fail to stack.
-            for k in (1, 2):
-                np.stack([maps[k - 1].ids for _, maps in corpus])
 
         fitted = outcome(lambda: fit_count_model(
             corpus, sched, book, vocab=3, num_conditions=2,
@@ -452,12 +454,12 @@ class TestSeededTables:
         thresholds = spec.thresholds(2, 4)
         for token in range(3):
             emb = embed_prefix(
-                [TokenMap(1, np.asarray([[token]]))], small_book, small_schedule,
+                [np.asarray([[[token]]])], small_book, small_schedule,
                 embedding_params(small_schedule, 2, 4, 11),
             )
             mean = emb.grids[0].reshape(-1, 4).mean(axis=0)
             expected = (tuple(int(np.searchsorted(thresholds[0, i], mean[i])) for i in range(4)),)
-            assert context_signature(emb, thresholds) == expected
+            assert context_signature(emb, thresholds) == [expected]
 
 
 class TestPredictLogits:
@@ -468,23 +470,23 @@ class TestPredictLogits:
         )
         assert grid.shape == (1, 1, 3)
 
-    def test_count_model_needs_codebook_or_embedding(self, small_count):
-        with pytest.raises(InvalidInputError):
+    def test_count_model_needs_codebook(self, small_count):
+        with pytest.raises(InvalidInputError, match="codebook"):
             predict_logits(small_count, 0, [])
 
-    def test_count_model_accepts_signed_embedding(self, small_count, small_book):
-        maps = [TokenMap(1, np.asarray([[1]]))]
-        emb = embed_prefix(
-            maps, small_book, small_count.schedule,
-            embedding_params(small_count.schedule, small_book.latent_dim,
-                             embed_dim=4, embed_seed=11),
-        )
-        via_maps = predict_logits(small_count, 0, maps, book=small_book)
-        signed = small_count.sign(emb)
-        assert signed.signature == context_signature(emb, small_count.thresholds)
-        assert signed.signature == small_count.embed(maps, small_book).signature
-        via_signed = predict_logits(small_count, 0, signed)
-        assert np.array_equal(via_maps, via_signed)
+    def test_signed_stack_rejected_by_name_on_both_model_kinds(
+        self, small_tabular, small_count, small_book
+    ):
+        # A signed stack's rows are read with CountModel.logits; as a prefix
+        # it names the form instead of failing in prefix_key.
+        from prefixlab.tokenizer import accumulate_latent
+
+        first = SignedEmbedding(EMPTY_EMBEDDING, [()])
+        latent = accumulate_latent(np.zeros((1, 2, 2, 2)), 1, np.asarray([[[1]]]), small_book)
+        for signed in (first, small_count.extend(first, latent)):
+            for model in (small_tabular, small_count):
+                with pytest.raises(InvalidInputError, match="signed stack"):
+                    predict_logits(model, 0, signed, book=small_book)
 
     def test_count_model_rejects_prefix_keys_and_other_codebooks(self, small_count, small_book):
         with pytest.raises(InvalidInputError, match="token maps"):
@@ -510,7 +512,7 @@ class TestPredictLogits:
 
     def test_count_logits_are_memoized_read_only(self, small_count, small_book):
         maps = [TokenMap(1, np.asarray([[2]]))]
-        signature = small_count.embed(maps, small_book).signature
+        signature = small_count.embed([maps], small_book).signature[0]
         first = predict_logits(small_count, 1, maps, book=small_book)
         assert not first.flags.writeable
         with pytest.raises(ValueError):
@@ -542,7 +544,8 @@ class TestCarriedEmbeddings:
         expected = {}
         for condition, maps in corpus:
             for k in range(1, sched.num_scales + 1):
-                sig = context_signature(embed_prefix(maps[: k - 1], book, sched, params), thresholds)
+                embedding = embed_prefix(stacked_ids([maps[: k - 1]]), book, sched, params)
+                sig = context_signature(embedding, thresholds)[0] if k > 1 else ()
                 ids = maps[k - 1].ids
                 for key in ((k, condition, sig), (k, NULL_CONDITION, sig)):
                     table = expected.setdefault(key, np.zeros(sched.grid(k) + (4,)))
@@ -567,8 +570,8 @@ class TestCarriedEmbeddings:
             signed = model.extend(signed, latent)
             assert signed.embedding.step == k + 1 and len(signed.signature) == 5
             for i, maps in enumerate(prefixes):
-                fresh = model.embed(maps[:k], book)
-                assert signed.signature[i] == fresh.signature
+                fresh = model.embed([maps[:k]], book)
+                assert signed.signature[i] == fresh.signature[0]
                 assert_row_equals(signed.embedding, i, fresh.embedding)
 
     def test_extend_takes_one_latent_per_row(self, multisite_count):
@@ -576,31 +579,40 @@ class TestCarriedEmbeddings:
         with pytest.raises(InvalidInputError, match="one latent per row"):
             multisite_count.extend(SignedEmbedding(EMPTY_EMBEDDING, [()] * 3), latent)
 
-    def test_keys_embed_as_one_signed_stack(self, multisite_count, multisite_book):
+    def test_maps_and_keys_embed_as_one_signed_stack(self, multisite_count, multisite_book):
+        # Prefixes given as token maps, as prefix keys or as a mix of both
+        # embed to one signed stack whose rows are each prefix's stack of
+        # one row, bit for bit.
         from tests.conftest import uniform_maps
 
         model, book, sched = multisite_count, multisite_book, multisite_count.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(4)]
-        empty = model.embed_keys([()] * 4, book)
+        empty = model.embed([()] * 4, book)
         assert empty.embedding is EMPTY_EMBEDDING and empty.signature == [()] * 4
         for k in range(2, sched.num_scales + 1):
-            signed = model.embed_keys([prefix_key(p[: k - 1]) for p in prefixes], book)
-            for i, maps in enumerate(prefixes):
-                fresh = model.embed(maps[: k - 1], book)
-                assert signed.signature[i] == fresh.signature
+            maps = [p[: k - 1] for p in prefixes]
+            keys = [prefix_key(p) for p in maps]
+            signed = model.embed(keys, book)
+            assert len(signed.signature) == 4
+            for other in (model.embed(maps, book), model.embed(maps[:2] + keys[2:], book)):
+                assert other.signature == signed.signature
+                for i in range(4):
+                    assert_row_equals(signed.embedding, i, other.embedding, i)
+            for i, prefix in enumerate(maps):
+                fresh = model.embed([prefix], book)
+                assert signed.signature[i] == fresh.signature[0]
                 assert_row_equals(signed.embedding, i, fresh.embedding)
             taken = signed.take([2, 0])
             assert taken.signature == [signed.signature[2], signed.signature[0]]
             for row, i in enumerate([2, 0]):
-                assert_row_equals(taken.embedding, row, model.embed(prefixes[i][: k - 1], book)
-                                  .embedding)
+                assert_row_equals(taken.embedding, row, model.embed([maps[i]], book).embedding)
 
 
-def assert_row_equals(stack, i, embedding):
-    """Row i of a stacked embedding is ``embedding``, bit for bit."""
-    assert len(stack.grids) == len(embedding.grids)
-    for a, b in zip(stack.grids + stack.pooled, embedding.grids + embedding.pooled):
-        assert a[i].shape == b.shape and a[i].tobytes() == b.tobytes()
+def assert_row_equals(stack, i, other, j=0):
+    """Row i of a stacked embedding is row j of ``other``, bit for bit."""
+    assert len(stack.grids) == len(other.grids)
+    for a, b in zip(stack.grids + stack.pooled, other.grids + other.pooled):
+        assert a[i].shape == b[j].shape and a[i].tobytes() == b[j].tobytes()
 
 
 # Schedules of 2-3 scales whose heights and widths do not decrease (so each
@@ -613,8 +625,10 @@ multisite_schedules = st.integers(2, 3).flatmap(
 
 
 class TestCountBranchInputsAgree:
-    """Both count-model inputs of ``predict_logits``, and the embeddings that
-    ``extend`` carries, give one branch for every corpus prefix."""
+    """The three count-model step inputs give one branch for every corpus
+    prefix: ``predict_logits`` on its token maps, its row of a stacked
+    ``guided_step`` on the prefixes, and ``CountModel.logits`` of its row of
+    the stack that ``extend`` carries."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -623,7 +637,8 @@ class TestCountBranchInputsAgree:
         count=st.integers(3, 8),
         seed=st.integers(0, 2**16),
     )
-    def test_maps_signed_and_carried_agree(self, sched, vocab, count, seed):
+    def test_maps_stacked_and_carried_agree(self, sched, vocab, count, seed):
+        from prefixlab.guidance import GuidanceConfig, guided_step
         from prefixlab.tokenizer import accumulate_latent
         from tests.conftest import make_corpus
 
@@ -634,21 +649,123 @@ class TestCountBranchInputsAgree:
             alpha=1.0, spec=SignatureSpec(bins=3, seed=seed), embed_seed=seed, embed_dim=3,
             include_null=True,
         )
+        embed, stacks = CountModel.embed, []  # (rows given, stack returned) per call
+
+        def recording(self, prefixes, book):
+            stacks.append((len(prefixes), embed(self, prefixes, book)))
+            return stacks[-1][1]
+
         latent = np.zeros((count,) + sched.final_dims + (2,))
-        carried = SignedEmbedding(EMPTY_EMBEDDING, [()] * count)
-        for k in range(1, sched.num_scales + 1):
-            for i, (condition, maps) in enumerate(corpus):
-                prefix = maps[: k - 1]
-                fresh = model.embed(prefix, book)
-                assert carried.signature[i] == fresh.signature
-                assert_row_equals(carried.embedding, i, fresh.embedding)
-                for c in (condition, NULL_CONDITION):
-                    via_maps = predict_logits(model, c, prefix, book=book)
-                    via_signed = predict_logits(model, c, fresh)
-                    via_carried = model.logits(c, k, carried.signature[i])
-                    assert via_maps.shape == sched.grid(k) + (vocab,)
-                    assert via_maps.tobytes() == via_signed.tobytes() == via_carried.tobytes()
-            if k < sched.num_scales:
-                ids = np.stack([maps[k - 1].ids for _, maps in corpus])
-                latent = accumulate_latent(latent, k, ids, book)
-                carried = model.extend(carried, latent)
+        config = GuidanceConfig()  # gamma = lam = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CountModel, "embed", recording)
+            carried = model.embed([()] * count, book)
+            for k in range(1, sched.num_scales + 1):
+                prefixes = [maps[: k - 1] for _, maps in corpus]
+                for c in (0, 1, NULL_CONDITION):
+                    stacked = guided_step(model, c, prefixes, config, book=book, stack=True)
+                    assert stacked.k == k
+                    for i, prefix in enumerate(prefixes):
+                        via_maps = predict_logits(model, c, prefix, book=book)
+                        via_carried = model.logits(c, k, carried.signature[i])
+                        assert via_maps.shape == sched.grid(k) + (vocab,)
+                        assert (via_maps.tobytes() == stacked.logits[i].tobytes()
+                                == via_carried.tobytes())
+                if k < sched.num_scales:
+                    ids = np.stack([maps[k - 1].ids for _, maps in corpus])
+                    latent = accumulate_latent(latent, k, ids, book)
+                    carried = model.extend(carried, latent)
+                    assert len(carried.signature) == count
+        # Every stack embed returned, at every step, has one signature per row.
+        assert len(stacks) > sched.num_scales
+        assert all(len(signed.signature) == rows for rows, signed in stacks)
+
+
+class TestMapRule:
+    """The map at position j of a prefix has k == j and ids of shape
+    ``schedule.grid(j)``, and a key's part j has ``schedule.sites(j)`` ids;
+    a count model and a corpus name the scale of any other part."""
+
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 3)])
+    def test_predict_logits_and_guided_step_name_a_misshapen_map(
+        self, shape, multisite_count, multisite_book
+    ):
+        from prefixlab.guidance import GuidanceConfig, guided_step
+
+        prefix = [TokenMap(1, np.asarray([[1]])), TokenMap(2, np.zeros(shape, dtype=int))]
+        problem = re.escape(f"the map at scale 2 has k=2 and shape {shape}")
+        with pytest.raises(InvalidInputError, match=problem):
+            predict_logits(multisite_count, 0, prefix, book=multisite_book)
+        with pytest.raises(InvalidInputError, match="prefix 0: the map at scale 2"):
+            guided_step(multisite_count, 0, prefix, GuidanceConfig(), book=multisite_book)
+
+    def test_a_map_is_for_its_own_scale(self, multisite_count, multisite_book):
+        # A (2, 2) map labelled scale 1 is not scale 2's map.
+        prefix = [TokenMap(1, np.asarray([[1]])), TokenMap(1, np.zeros((2, 2), dtype=int))]
+        with pytest.raises(InvalidInputError, match="scale 2 has k=1"):
+            predict_logits(multisite_count, 0, prefix, book=multisite_book)
+
+    @pytest.mark.parametrize("part", [(0, 1, 2), (0, 1, 2, 3.0)])
+    def test_stacked_step_names_a_short_or_non_integer_key_part(
+        self, part, multisite_count, multisite_book
+    ):
+        from prefixlab.guidance import GuidanceConfig, guided_step
+
+        keys = [((1,), (0, 1, 2, 3)), ((1,), part)]
+        with pytest.raises(InvalidInputError,
+                           match="prefix 1: the key's part at scale 2 is not 4 integer ids"):
+            guided_step(multisite_count, 0, keys, GuidanceConfig(), book=multisite_book,
+                        stack=True)
+
+    @pytest.mark.parametrize("shapes, bad", [
+        ([(1, 4)] * 3, 0),
+        ([(2, 2), (1, 4), (2, 2)], 1),
+        ([(2, 2), (2, 2), (1, 4)], 2),
+        ([(3, 3)] * 3, 0),
+    ])
+    def test_corpus_names_the_first_misshapen_sequence(
+        self, shapes, bad, multisite_schedule, multisite_book
+    ):
+        from tests.conftest import make_corpus
+
+        corpus = make_corpus(multisite_schedule, multisite_book, 2, len(shapes), seed=1)
+        for (_, maps), shape in zip(corpus, shapes):
+            maps[1] = TokenMap(2, np.zeros(shape, dtype=int))
+        with pytest.raises(InvalidInputError,
+                           match=f"corpus sequence {bad}: the map at scale 2"):
+            fit_count_model(
+                corpus, multisite_schedule, multisite_book, vocab=4, num_conditions=2,
+                alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4,
+                include_null=True,
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(sched=multisite_schedules, data=st.data())
+    def test_any_misshapen_map_is_named_by_its_scale(self, sched, data):
+        from prefixlab.guidance import GuidanceConfig, guided_step
+        from tests.conftest import make_corpus
+
+        j = data.draw(st.integers(1, sched.num_scales))
+        shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4))
+                          .filter(lambda hw: hw != sched.grid(j)))
+        book = Codebook.seeded(sched.num_scales, 2, 2, seed=0)
+        corpus = make_corpus(sched, book, num_conditions=1, count=3, seed=0)
+        model = fit_count_model(
+            corpus, sched, book, vocab=2, num_conditions=1,
+            alpha=1.0, spec=SignatureSpec(2, 0), embed_seed=0, embed_dim=3, include_null=True,
+        )
+        maps = list(corpus[1][1])
+        maps[j - 1] = TokenMap(j, np.zeros(shape, dtype=int))
+        problem = f"the map at scale {j} has k={j} and shape {shape}"
+        with pytest.raises(InvalidInputError, match=re.escape(f"corpus sequence 1: {problem}")):
+            fit_count_model(
+                [corpus[0], (0, maps)], sched, book, vocab=2, num_conditions=1,
+                alpha=1.0, spec=SignatureSpec(2, 0), embed_seed=0, embed_dim=3,
+                include_null=True,
+            )
+        if j < sched.num_scales:
+            with pytest.raises(InvalidInputError, match=re.escape(problem)):
+                predict_logits(model, 0, maps[:j], book=book)
+            with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
+                guided_step(model, 0, [corpus[0][1][:j], maps[:j]], GuidanceConfig(),
+                            book=book, stack=True)

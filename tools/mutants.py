@@ -122,7 +122,7 @@ MUTANTS = (
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
            "signed.take(firsts)", "signed.take(range(len(firsts)))"),
     Mutant("signed_stack_step_off_by_one", "src/prefixlab/guidance.py",
-           "else signed.embedding.step", "else len(signed.embedding.grids)"),
+           "k = signed.embedding.step if count", "k = len(signed.embedding.grids) if count"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
@@ -149,6 +149,8 @@ MUTANTS = (
     Mutant("extend_carries_row_0_signature", "src/prefixlab/model.py",
            "[s + (tuple(b),) for s, b in zip(signed.signature, bins)]",
            "[signed.signature[0] + (tuple(b),) for b in bins]"),
+    Mutant("map_rule_skips_grid_shape", "src/prefixlab/model.py",
+           "if (part.k, part.ids.shape) != (j, schedule.grid(j)):", "if part.k != j:"),
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
            "if not self.include_null:", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
