@@ -32,7 +32,6 @@ from .model import (
     SignedEmbedding,
     TabularModel,
     context_signature,
-    prefix_key,
 )
 from .oracle import prefix_marginal_sites
 from .tokenizer import Codebook
@@ -95,16 +94,18 @@ def _pair(evaluate, condition: Condition, needs_cfg: bool) -> tuple:
     return evaluate(condition), evaluate(NULL_CONDITION) if needs_cfg else None
 
 
-def tabular_branches(model: TabularModel, condition: Condition, k: int, keys: Sequence,
-                     needs_cfg: bool, contrasts: bool) -> BranchLogits:
-    """The branches of a tabular step at scale k on the prefix ``keys``: the
-    log table rows at ``condition`` and, when ``needs_cfg``, at the null
-    condition; when the step ``contrasts``, the log exact per-site marginals
-    at both too, broadcast over the keys. ``guided_step`` composes these, and
-    ``oracle.verify_identities`` judges their composition against its own
-    reads of the same rows and marginals."""
-    gen = _pair(lambda c: np.log(model.rows(c, k, keys)), condition, needs_cfg)
-    corr = () if not contrasts else _pair(lambda c: np.broadcast_to(
+def gather_branches(model, condition: Condition, k: int, signatures: Sequence,
+                    needs_cfg: bool, marginal: bool) -> BranchLogits:
+    """The branches of a step at scale k on a stack's ``signatures``, read by
+    either model kind's ``branch_logits``: at ``condition`` and, when
+    ``needs_cfg``, at the null condition; when the step contrasts against
+    the exact marginal (``marginal``), the log exact per-site marginals at
+    both too, broadcast over the rows. ``guided_step`` takes its clean and
+    exact-marginal pairs from here, and ``oracle.verify_identities`` judges
+    their composition on a tabular model's enumerated prefix keys against
+    its own reads of the same rows and marginals."""
+    gen = _pair(lambda c: model.branch_logits(c, k, signatures), condition, needs_cfg)
+    corr = () if not marginal else _pair(lambda c: np.broadcast_to(
         np.log(prefix_marginal_sites(model, c, k)), gen[0].shape), condition, needs_cfg)
     return BranchLogits(*gen, *corr)
 
@@ -177,46 +178,42 @@ def guided_step(
     ``plan``, where given, holds one plan per prefix (a row's plan may be
     None). ``config`` is one config for every row, or a sequence of one per
     row; the rows' configs share gamma and reference, and each row
-    contrasts, with its own lambda, where its own config does. A count
-    model's stack is what it reads: its ``SignedEmbedding``, whose
-    ``embedding.step`` is k and whose signature list has one entry per row.
-    A count model's prefixes given as a list, and the one prefix of a
-    one-prefix call, are handed as given to ``CountModel.embed``, which
-    checks and signs them in one stacked call. A signed stack is rejected
-    on a tabular model and in a one-prefix call.
-    The step is then evaluated for the whole stack at once: a
-    tabular model's rows are gathered, a count model's logits are read once
-    per distinct signature, and the corrupted rows of each variant are
-    taken from the signed stack, corrupted and signed together. Its arrays
-    have a leading P axis. The one-prefix call is the P = 1 case and returns
-    that row.
+    contrasts, with its own lambda, where its own config does. The stack is
+    the model's signed stack, whose ``step`` is k and whose signature list
+    has one entry per row, or a list of prefixes, which the model's
+    ``embed`` checks and signs in one call (the one prefix of a one-prefix
+    call as a list of one). A signed stack is taken only by a stacked step
+    of the model kind that signed it. The step is then evaluated for the
+    whole stack at once: the clean pair (and the exact-marginal pair) of
+    either kind comes from ``gather_branches``, and a count model's
+    corrupted rows of each variant are taken from the signed stack,
+    corrupted and signed together; a contrasting step under the corrupted
+    reference needs the codebook. Its arrays have a leading P axis. The
+    one-prefix call is the P = 1 case and returns that row.
 
-    A tabular step composes the branches of ``tabular_branches``, the
-    gather that ``oracle.verify_identities`` composes and judges at every
-    strength it checks. What ``verify`` does not see is how this function
-    turns configs into strengths (a contrast only from k >= 2, the scale
-    mask, one lambda per row); unit tests cover that.
+    ``gather_branches`` is also the gather that ``oracle.verify_identities``
+    composes and judges on a tabular model at every strength it checks. What
+    ``verify`` does not see is how this function turns configs into
+    strengths (a contrast only from k >= 2, the scale mask, one lambda per
+    row); unit tests cover that.
     """
-    count = isinstance(model, CountModel)
-    if isinstance(prefix, SignedEmbedding) and not (stack and count):
-        raise InvalidInputError("only a stacked count-model step takes a signed stack")
+    if not isinstance(model, (TabularModel, CountModel)):
+        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
+    tabular = isinstance(model, TabularModel)
+    if isinstance(prefix, SignedEmbedding) and not (
+            stack and (prefix.embedding is None) == tabular):
+        raise InvalidInputError("a signed stack is taken only by a stacked step of its model kind")
     if not stack:
         prefix, plan = [prefix], None if plan is None else [plan]
-    if count and book is None:
-        raise InvalidInputError("count-model guidance needs the codebook")
-    if count and not isinstance(prefix, SignedEmbedding):
-        prefix = model.embed(prefix, book)
-    signed, keys = (prefix, None) if count else (None, [prefix_key(p) for p in prefix])
-    size = len(signed.signature) if count else len(keys)
+    signed = prefix if isinstance(prefix, SignedEmbedding) else model.embed(prefix, book)
+    size = len(signed.signature)
     plans = [None] * size if plan is None else list(plan)
     configs = ([config] * size if isinstance(config, GuidanceConfig)
                else list(config) if stack else [])
     if not size or len(plans) != size or len(configs) != size:
         raise InvalidInputError(
             "a stack takes one plan per prefix, and one config or one per prefix")
-    k = signed.embedding.step if count else len(keys[0]) + 1
-    if not count and any(len(key) != k - 1 for key in keys):
-        raise InvalidInputError("the prefixes of a stack are for one step")
+    k = signed.step
     # Each distinct config is asked once; many rows share one.
     by_id = {id(c): c for c in configs}
     gamma, reference = configs[0].gamma, configs[0].reference
@@ -225,47 +222,36 @@ def guided_step(
 
     contrasts = {i: c.contrasts(k) for i, c in by_id.items()}
     contrasted = tuple(contrasts[id(c)] for c in configs)
-
-    if isinstance(model, TabularModel):
-        if any(contrasted) and reference != "exact-marginal":
-            raise GuidanceConfigError(
-                "corrupted-prefix reference requires an embedding-consuming model")
-        branches = tabular_branches(model, condition, k, keys, gamma > 0, any(contrasted))
-    elif count:
-        if any(contrasted) and reference == "exact-marginal":
-            raise GuidanceConfigError(
-                "exact-marginal reference requires an enumerable tabular model")
-
-        def predicted(signatures):
-            """The pair of the rows' signatures, read once per distinct one
-            and gathered row by row."""
-            distinct: dict = {}
-            index = [distinct.setdefault(sig, len(distinct)) for sig in signatures]
-            return _pair(lambda c: np.stack([model.logits(c, k, sig) for sig in distinct])[index],
-                         condition, gamma > 0)
-
-        gen = corr = predicted(signed.signature)
-        if any(contrasted):
-            draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
-            if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
-                raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
-            # The planned rows that contrast, by variant: each variant's
-            # rows are corrupted in one call.
-            by_variant: dict = {}
-            for i, (p, flag) in enumerate(zip(plans, contrasted)):
-                if p is not None and flag:
-                    by_variant.setdefault(p.variant, []).append(i)
-            corrupted: dict = {}
-            for rows in by_variant.values():
-                corrupted.update(zip(rows, context_signature(apply_corruption(
-                    signed.take(rows).embedding, [plans[i] for i in rows],
-                    book, model.schedule, model.params), model.thresholds)))
-            # Rows without a plan keep their clean signature.
-            if corrupted:
-                corr = predicted([corrupted.get(i, sig) for i, sig in enumerate(signed.signature)])
-        branches = BranchLogits(*gen, *corr) if any(contrasted) else BranchLogits(*gen)
-    else:
-        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
+    exact = reference == "exact-marginal"
+    if any(contrasted) and exact != tabular:
+        raise GuidanceConfigError(
+            "exact-marginal reference requires an enumerable tabular model" if exact else
+            "corrupted-prefix reference requires an embedding-consuming model")
+    branches = gather_branches(model, condition, k, signed.signature, gamma > 0,
+                               any(contrasted) and exact)
+    if any(contrasted) and not exact:
+        if book is None:
+            raise InvalidInputError("count-model guidance needs the codebook")
+        draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
+        if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
+            raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
+        # The planned rows that contrast, by variant: each variant's
+        # rows are corrupted in one call.
+        by_variant: dict = {}
+        for i, (p, flag) in enumerate(zip(plans, contrasted)):
+            if p is not None and flag:
+                by_variant.setdefault(p.variant, []).append(i)
+        corrupted: dict = {}
+        for rows in by_variant.values():
+            corrupted.update(zip(rows, context_signature(apply_corruption(
+                signed.take(rows).embedding, [plans[i] for i in rows],
+                book, model.schedule, model.params), model.thresholds)))
+        # Rows without a plan keep their clean signature.
+        clean = branches.cond_gen, branches.null_gen
+        signatures = [corrupted.get(i, sig) for i, sig in enumerate(signed.signature)]
+        corr = (_pair(lambda c: model.branch_logits(c, k, signatures), condition, gamma > 0)
+                if corrupted else clean)
+        branches = BranchLogits(*clean, *corr)
 
     lam = np.array([c.lam if flag else 0.0 for c, flag in zip(configs, contrasted)])
     logits = compose_cfg_vpg(branches, gamma, lam[:, None, None, None])

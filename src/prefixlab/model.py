@@ -6,10 +6,15 @@ a smoothed count model that consumes prefix embeddings (used for corruption
 and exposure-bias experiments). Sites within one scale are independent
 categoricals given the prefix.
 
-A count model's prefix embedding has one form, the signed stack: prefixes of
-one step stacked on a leading axis with the list of their rows' signatures,
-so one prefix is a stack of one row. ``CountModel.embed`` is the one entry
-from prefixes (token maps or prefix keys) to a signed stack.
+Both kinds carry prefixes in one form, the signed stack: prefixes of one
+step with the list of their rows' signatures, the keys the model reads them
+by, so one prefix is a stack of one row. Each kind owns three operations on
+it: ``embed`` turns prefixes (token maps or prefix keys), checked by
+``prefix_problem``, into a stack; ``extend`` adds the scale just sampled;
+``branch_logits`` reads a stack's logits, (P, h, w, V). A tabular stack's
+signatures are its rows' prefix keys and it has no embedding; a count
+stack's embedding stacks its rows' prefix embeddings, which its signatures
+bin.
 """
 
 from __future__ import annotations
@@ -62,6 +67,15 @@ def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
         elif len(part) != schedule.sites(j) or not all(map(integral, part)):
             return f"the key's part at scale {j} is not {schedule.sites(j)} integer ids"
     return None
+
+
+def _check_prefixes(prefixes: Sequence, schedule: ScaleSchedule) -> None:
+    """Raise InvalidInputError naming the first of ``prefixes`` that does not
+    hold the first prefix's scales, each as ``prefix_problem`` requires, and
+    the scale at fault."""
+    for i, prefix in enumerate(prefixes):
+        if problem := prefix_problem(prefix, schedule, len(prefixes[0])):
+            raise InvalidInputError(f"prefix {i}: {problem}")
 
 
 def prefix_maps(key: PrefixKey, schedule: ScaleSchedule) -> list[TokenMap]:
@@ -207,6 +221,25 @@ class TabularModel:
     # rollout asks for the same few keys at every step.
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
+    def embed(self, prefixes: Sequence, book: Codebook | None = None) -> SignedEmbedding:
+        """The stack of ``prefixes``, prefixes of one step each given as its
+        token maps or its prefix key, checked as ``CountModel.embed`` checks
+        them; its signatures are their prefix keys. ``book`` is not read."""
+        _check_prefixes(prefixes, self.schedule)
+        return SignedEmbedding(None, [
+            tuple(p.key() if isinstance(p, TokenMap) else tuple(map(int, p)) for p in prefix)
+            for prefix in prefixes])
+
+    def extend(self, signed: SignedEmbedding, ids: np.ndarray, latent) -> SignedEmbedding:
+        """A stack of step k extended by the rows' scale-k ``ids``, (n, h_k,
+        w_k): each row's key gains its ids. ``latent`` is not read."""
+        parts = ids.reshape(len(ids), -1).tolist()
+        return SignedEmbedding(None, [s + (tuple(p),) for s, p in zip(signed.signature, parts)])
+
+    def branch_logits(self, condition: Condition, k: int, signatures: Sequence) -> np.ndarray:
+        """The log table rows of a stack's signatures at scale k, (P, h_k, w_k, V)."""
+        return np.log(self.rows(condition, k, signatures))
+
     def rows(self, condition: Condition, k: int, keys: Sequence[PrefixKey]) -> np.ndarray:
         """Probability tables of a stack of scale-k prefix keys, (P, h_k, w_k, V).
         The null condition mixes the classes uniformly: one mean over the
@@ -322,22 +355,31 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray) -> lis
 
 @dataclass(frozen=True)
 class SignedEmbedding:
-    """A signed stack, built by ``CountModel.embed``: the stacked embedding
-    of prefixes of one step and the list of its rows' signatures.
+    """A signed stack, built by a model's ``embed``: prefixes of one step
+    and the list of its rows' signatures, the keys the model reads them by.
 
-    Branches evaluated on one stack share it, so each signature is computed
-    once. The stack of step 1 is ``EMPTY_EMBEDDING`` with one () signature
-    per row, so the list carries the row count.
+    A tabular stack's signatures are its rows' prefix keys and its
+    ``embedding`` is None. A count stack's embedding stacks its rows'
+    prefix embeddings and its signatures bin them, so branches evaluated on
+    one stack share each signature. A signature has one part per scale of
+    the prefix, and the stack of step 1 has one () per row, so the list
+    carries the row count and the step.
     """
 
-    embedding: PrefixEmbedding
+    embedding: PrefixEmbedding | None
     signature: list
+
+    @property
+    def step(self) -> int:
+        """The step the rows' prefixes are for: one past their scales."""
+        return len(self.signature[0]) + 1
 
     def take(self, rows: Sequence[int]) -> "SignedEmbedding":
         """The signed stack of ``rows`` of this stack, in that order."""
         e = self.embedding
-        grids, pooled = (tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled))
-        return SignedEmbedding(PrefixEmbedding(grids, pooled), [self.signature[i] for i in rows])
+        taken = None if e is None else PrefixEmbedding(
+            *(tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled)))
+        return SignedEmbedding(taken, [self.signature[i] for i in rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,10 +416,7 @@ class CountModel:
             raise InvalidInputError(
                 f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
             )
-        for i, prefix in enumerate(prefixes):
-            problem = prefix_problem(prefix, self.schedule, len(prefixes[0]))
-            if problem:
-                raise InvalidInputError(f"prefix {i}: {problem}")
+        _check_prefixes(prefixes, self.schedule)
         ids = [np.array([p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
                         dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j))
                for j, parts in enumerate(zip(*prefixes), start=1)]
@@ -385,20 +424,28 @@ class CountModel:
         return SignedEmbedding(embedding, context_signature(embedding, self.thresholds)
                                if ids else [()] * len(prefixes))
 
-    def extend(self, signed: SignedEmbedding, latent: np.ndarray) -> SignedEmbedding:
+    def extend(self, signed: SignedEmbedding, ids, latent: np.ndarray) -> SignedEmbedding:
         """A signed stack of step k extended by one scale.
 
         ``latent`` stacks the rows' cumulative latents after scale k, shape
-        (n, fh, fw, d). The new scale is embedded and binned for the whole
-        stack at once; each row's signature of the rest is carried over.
+        (n, fh, fw, d), which already hold the scale-k ``ids`` (not read).
+        The new scale is embedded and binned for the whole stack at once;
+        each row's signature of the rest is carried over.
         """
-        k = signed.embedding.step
+        k = signed.step
         if len(signed.signature) != len(latent):
             raise InvalidInputError("a stack extends one latent per row")
         grid, pooled = embed_scale(latent, k, self.schedule, self.params)
         bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
         return SignedEmbedding(signed.embedding.extended(grid, pooled),
                                [s + (tuple(b),) for s, b in zip(signed.signature, bins)])
+
+    def branch_logits(self, condition: Condition, k: int, signatures: Sequence) -> np.ndarray:
+        """The scale-k logits of a stack's signatures, (P, h_k, w_k, V): each
+        distinct signature's ``logits`` read once and gathered row by row."""
+        distinct: dict = {}
+        index = [distinct.setdefault(sig, len(distinct)) for sig in signatures]
+        return np.stack([self.logits(condition, k, sig) for sig in distinct])[index]
 
     def logits(self, condition: Condition, k: int, signature) -> np.ndarray:
         """The read-only scale-k logits of a prefix with this signature, kept
@@ -508,7 +555,7 @@ def fit_count_model(
                 null += table
         if k < schedule.num_scales:
             latent = accumulate_latent(latent, k, ids, book)
-            signed = model.extend(signed, latent)
+            signed = model.extend(signed, ids, latent)
     return model
 
 
@@ -521,23 +568,17 @@ def predict_logits(
 ) -> np.ndarray:
     """Scale-k logits, shape (h_k, w_k, V), for the step following ``prefix``.
 
-    Tabular models take token prefixes (list of TokenMap or a prefix key).
-    A count model's prefix is its token maps, which it embeds on its own,
-    as a stack of one row, with ``book``: the per-prefix reference that a
-    row of a stacked, carried or corrupted signed stack equals bit for bit.
-    A caller holding a signed stack reads a row's logits with
-    ``CountModel.logits(condition, k, signature[i])``; a ``SignedEmbedding``
-    given here raises InvalidInputError. A count model's grid is kept per
-    (condition, k, signature) and returned again on a repeat call; it is
-    read-only.
+    ``prefix`` is one prefix, its token maps or its prefix key, embedded on
+    its own by the model's ``embed`` as a stack of one row (a count model's
+    with ``book``), whose row 0 of ``branch_logits`` is returned: the
+    per-prefix reference that a row of a stacked, carried or corrupted
+    signed stack equals bit for bit. A caller holding a signed stack reads
+    its rows with ``branch_logits``; a ``SignedEmbedding`` given here raises
+    InvalidInputError.
     """
     if isinstance(prefix, SignedEmbedding):
         raise InvalidInputError("predict_logits takes one prefix, not a signed stack")
-    if isinstance(model, TabularModel):
-        key = prefix_key(prefix)
-        return np.log(model.row(condition, len(key) + 1, key))
-    if isinstance(model, CountModel):
-        if not all(isinstance(m, TokenMap) for m in prefix):
-            raise InvalidInputError("a count model embeds token maps, not prefix keys")
-        return model.logits(condition, len(prefix) + 1, model.embed([prefix], book).signature[0])
-    raise InvalidInputError(f"unknown predictor type {type(model)!r}")
+    if not isinstance(model, (TabularModel, CountModel)):
+        raise InvalidInputError(f"unknown predictor type {type(model)!r}")
+    signed = model.embed([prefix], book)
+    return model.branch_logits(condition, signed.step, signed.signature)[0]

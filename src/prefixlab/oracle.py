@@ -295,11 +295,12 @@ def verify_identities(models: Sequence[TabularModel], spec: VerifySpec) -> Ident
 
     For every model of ``models``, (condition, scale, prefix) and strength of
     ``spec``, the guided logits are ``guidance.compose_cfg_vpg`` of the
-    branches ``guidance.tabular_branches`` gathers, the ones a tabular
-    ``guided_step`` composes. At (gamma, 0) they must reproduce the
-    augmented-CFG law of the null row (the exact uniform-prior condition
-    marginal), at (0, lambda) the augmented-VPG law of the exact prefix
-    marginal, and at (gamma, lambda) the four-term closed form written out
+    branches ``guidance.gather_branches`` gathers on the enumerated prefix
+    keys, the ones a tabular ``guided_step`` composes. At (gamma, 0) they
+    must reproduce the augmented-CFG law of the null row (the exact
+    uniform-prior condition marginal), at (0, lambda) the augmented-VPG law
+    of the exact prefix marginal, and at (gamma, lambda) the four-term
+    closed form written out
     here. The exact side reads the rows and marginals itself, so a fault in
     the step's rule or in which branch pairs it gathers fails rows. Not
     judged here: how ``guided_step`` turns a config into strengths (a
@@ -434,9 +435,10 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
 
     Both sides are (G, P, h, w, V) stacks, the prefixes of every scale on
     the P axis in the order given. The guided side is
-    ``guidance.tabular_branches``, the branches ``guided_step`` gathers for
-    a tabular step, composed by ``guidance.compose_cfg_vpg``: a block's
-    strengths go on a leading axis as (S, 1, ..., 1) gamma and lambda
+    ``guidance.gather_branches`` on the prefix keys, the branches
+    ``guided_step`` gathers for a tabular step, composed by
+    ``guidance.compose_cfg_vpg``: a block's strengths go on a leading axis
+    as (S, 1, ..., 1) gamma and lambda
     columns, so one composition, softmax and row reduction run per block,
     and each stack is (S, G, P, h, w, V). The exact side is
     ``_branch_stacks``, this module's own reads of the rows and marginals,
@@ -450,7 +452,7 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
     # it is imported here, where the code under test runs. Nothing moves
     # instead: the bench traces ``oracle.verify_identities`` (its 7,332-row
     # gate) and ``oracle.prefix_marginal_sites`` (its marginal counters) by
-    # qualified name, and putting ``tabular_branches`` and ``compose_cfg_vpg``
+    # qualified name, and putting ``gather_branches`` and ``compose_cfg_vpg``
     # below this module would add a module.
     from . import guidance
 
@@ -461,7 +463,7 @@ def _check_grid(models: list[TabularModel], scales, gammas, lambdas):
         """The four branches a tabular ``guided_step`` gathers at ``condition``,
         for every prefix of ``scales``, (P, h, w, V) each."""
         return map(np.concatenate, zip(*[
-            guidance.tabular_branches(model, condition, k, keys, needs_cfg=True, contrasts=True)
+            guidance.gather_branches(model, condition, k, keys, needs_cfg=True, marginal=True)
             for k, keys in scales]))
 
     branches = guidance.BranchLogits(*map(np.stack, zip(*[

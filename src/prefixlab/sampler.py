@@ -27,7 +27,7 @@ from .config import GuidanceConfig, SamplerConfig
 from .corruption import CorruptionPlan, plan_corruption
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidedStep, guided_step
-from .model import Condition, CountModel, TokenMap
+from .model import Condition, TokenMap
 from .oracle import Distribution, chain_law, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -169,9 +169,10 @@ def rollouts(
     whose members share the row. So each lane has the rows it would have
     alone. Each row's law is truncated once and all samples are sampled in
     one pass. The samples' latents are carried forward one scale at a time,
-    and so is the prefix each step reads: a count model's signed stack,
-    whose rows ``guided_step`` takes as its prefix, or a tabular model's
-    prefix keys. Nothing is carried past the last scale.
+    and so is the prefix each step reads: the model's signed stack, built
+    by its ``embed`` and grown by its ``extend``, whose rows
+    ``guided_step`` takes as its prefix. Nothing is carried past the last
+    scale.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -192,23 +193,19 @@ def rollouts(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
-    # The prefix each step reads: a count model's signed stack, else the keys.
-    signed = model.embed([()] * total, book) if isinstance(model, CountModel) else None
-    keys = [()] * total if signed is None else None
+    signed = model.embed([()] * total, book)
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
         draws = [g.draws_plan(k, schedule) for g, _ in lanes]
-        inputs = keys if signed is None else signed.signature
         groups: dict = {}
         for i in range(total):
             lane = i // count
-            groups.setdefault(i if draws[lane] else (lane, inputs[i]), []).append(i)
+            groups.setdefault(i if draws[lane] else (lane, signed.signature[i]), []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
-            model, condition,
-            [keys[i] for i in firsts] if signed is None else signed.take(firsts),
-            [configs[i] for i in firsts], book=book, stack=True,
+            model, condition, signed.take(firsts), [configs[i] for i in firsts],
+            book=book, stack=True,
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
                                   plan_seeds[i], book=book) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
@@ -218,10 +215,8 @@ def rollouts(
             rows[members] = row
         ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
-        if k < schedule.num_scales and signed is None:
-            keys = [key + (tuple(p),) for key, p in zip(keys, ids.reshape(total, -1).tolist())]
-        elif k < schedule.num_scales:
-            signed = model.extend(signed, latent)
+        if k < schedule.num_scales:
+            signed = model.extend(signed, ids, latent)
         scales.append((ids, [(step, row) for row in rows.tolist()]))
     # Per sample: its ids at every scale, and its (step, row) at every scale.
     samples = zip(seeds, latent, zip(*(ids for ids, _ in scales)),

@@ -95,6 +95,12 @@ def multisite_count(multisite_schedule, multisite_book):
     )
 
 
+@pytest.fixture
+def multisite_tabular(multisite_schedule):
+    """A tabular model on the multi-site schedule, with the count model's vocabulary."""
+    return build_tabular(multisite_schedule, vocab=4, num_conditions=2, seed=5)
+
+
 def uniform_maps(schedule, vocab, seed):
     """One random TokenMap per scale, for prefix-construction helpers."""
     rng = np.random.default_rng(seed)

@@ -262,6 +262,18 @@ class TestGuidedStepCount:
         with pytest.raises(InvalidInputError):
             guided_step(small_count, 0, [], GuidanceConfig())
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_corrupted_reference_needs_codebook(self, small_count, small_book, signed):
+        # A stack given as its prefixes or as its signed stack: either way
+        # the corrupted branch is not built without the codebook.
+        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
+        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
+        plans = [plan_corruption(small_count.schedule, 2, 1.0, config.variant, seed,
+                                 book=small_book) for seed in range(2)]
+        stack = small_count.embed(prefixes, small_book) if signed else prefixes
+        with pytest.raises(InvalidInputError, match="codebook"):
+            guided_step(small_count, 0, stack, config, plan=plans, stack=True)
+
     def test_corrupted_branch_counts(self, deep_count, monkeypatch):
         # The clean embedding's two prefix scales are binned once, however
         # many branches read it. A corrupted branch signs its corrupted
@@ -374,19 +386,34 @@ class TestGuidedStepCount:
         assert carried.k == fresh.k == 2
         assert np.array_equal(carried.logits, fresh.logits)
 
-    def test_signed_stack_rejected_for_tabular_model_and_one_prefix(
+    def test_signed_stack_rejected_for_other_kind_and_one_prefix(
         self, small_tabular, small_count, small_book
     ):
-        signed = small_count.embed([()], small_book)
-        with pytest.raises(InvalidInputError, match="count-model step takes a signed stack"):
-            guided_step(small_tabular, 0, signed, GuidanceConfig(), stack=True)
-        # A one-prefix step embeds its own prefix.
-        with pytest.raises(InvalidInputError, match="stacked count-model step"):
-            guided_step(small_count, 0, signed, GuidanceConfig(), book=small_book)
-        # One prefix's signed embedding is a stack of one row.
-        one = small_count.embed([[TokenMap(1, np.asarray([[1]]))]], small_book)
-        step = guided_step(small_count, 0, one, GuidanceConfig(), book=small_book, stack=True)
-        assert step.k == 2 and step.logits.shape == (1, 2, 2, 3)
+        # A signed stack is taken only by a stacked step of the model kind
+        # that signed it: a count stack by a count model, a tabular stack
+        # by a tabular model. A one-prefix step embeds its own prefix.
+        rule = "a signed stack is taken only by a stacked step of its model kind"
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        for signer, reader in ((small_count, small_tabular), (small_tabular, small_count)):
+            for rows in ([()], [prefix]):
+                signed = signer.embed(rows, small_book)
+                with pytest.raises(InvalidInputError, match=rule):
+                    guided_step(reader, 0, signed, GuidanceConfig(), book=small_book, stack=True)
+                with pytest.raises(InvalidInputError, match=rule):
+                    guided_step(signer, 0, signed, GuidanceConfig(), book=small_book)
+            # One prefix's signed stack is a stack of one row.
+            step = guided_step(signer, 0, signed, GuidanceConfig(), book=small_book, stack=True)
+            assert step.k == 2 and step.logits.shape == (1, 2, 2, 3)
+            fresh = guided_step(signer, 0, prefix, GuidanceConfig(), book=small_book)
+            assert step.logits[0].tobytes() == fresh.logits.tobytes()
+
+    def test_stack_prefixes_hold_one_step_on_both_kinds(
+        self, small_tabular, small_count, small_book
+    ):
+        for model in (small_tabular, small_count):
+            with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
+                guided_step(model, 0, [(), ((1,),)], GuidanceConfig(), book=small_book,
+                            stack=True)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("variant", list(CorruptionVariant))

@@ -15,7 +15,7 @@ from prefixlab.model import (
     PROB_FLOOR,
     CountModel,
     SignatureSpec,
-    SignedEmbedding,
+    TabularModel,
     build_tabular,
     check_corpus_sequence,
     context_signature,
@@ -477,20 +477,31 @@ class TestPredictLogits:
     def test_signed_stack_rejected_by_name_on_both_model_kinds(
         self, small_tabular, small_count, small_book
     ):
-        # A signed stack's rows are read with CountModel.logits; as a prefix
-        # it names the form instead of failing in prefix_key.
+        # A signed stack of either kind is read with branch_logits; as a
+        # prefix it names the form instead of failing in the map rule.
         from prefixlab.tokenizer import accumulate_latent
 
-        first = SignedEmbedding(EMPTY_EMBEDDING, [()])
-        latent = accumulate_latent(np.zeros((1, 2, 2, 2)), 1, np.asarray([[[1]]]), small_book)
-        for signed in (first, small_count.extend(first, latent)):
+        ids = np.asarray([[[1]]])
+        latent = accumulate_latent(np.zeros((1, 2, 2, 2)), 1, ids, small_book)
+        stacks = []
+        for model in (small_tabular, small_count):
+            first = model.embed([()], small_book)
+            stacks += [first, model.extend(first, ids, latent)]
+        for signed in stacks:
             for model in (small_tabular, small_count):
                 with pytest.raises(InvalidInputError, match="signed stack"):
                     predict_logits(model, 0, signed, book=small_book)
 
-    def test_count_model_rejects_prefix_keys_and_other_codebooks(self, small_count, small_book):
-        with pytest.raises(InvalidInputError, match="token maps"):
-            predict_logits(small_count, 0, ((1,),), book=small_book)
+    def test_count_model_reads_prefix_keys_and_rejects_other_codebooks(
+        self, small_count, small_book
+    ):
+        # A prefix key and its token maps give the same logits bit for bit.
+        for v in range(3):
+            maps = [TokenMap(1, np.asarray([[v]]))]
+            for condition in (0, 1, NULL_CONDITION):
+                by_key = predict_logits(small_count, condition, ((v,),), book=small_book)
+                by_maps = predict_logits(small_count, condition, maps, book=small_book)
+                assert by_key.shape == (2, 2, 3) and by_key.tobytes() == by_maps.tobytes()
         wider = Codebook.seeded(2, 3, small_book.latent_dim + 1, seed=7)
         with pytest.raises(InvalidInputError, match="latent size"):
             predict_logits(small_count, 0, [], book=wider)
@@ -513,16 +524,21 @@ class TestPredictLogits:
     def test_count_logits_are_memoized_read_only(self, small_count, small_book):
         maps = [TokenMap(1, np.asarray([[2]]))]
         signature = small_count.embed([maps], small_book).signature[0]
-        first = predict_logits(small_count, 1, maps, book=small_book)
+        first = small_count.logits(1, 2, signature)
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0, 0] = 0.0
-        # Each condition keeps its own grid, and a repeat call returns it.
+        # Each condition keeps its own grid, and a repeat call returns it;
+        # predict_logits returns the same bits, as row 0 of a stacked read.
+        kept = {}
         for _ in range(2):
             for condition in (1, 0, NULL_CONDITION):
-                grid = predict_logits(small_count, condition, maps, book=small_book)
+                grid = small_count.logits(condition, 2, signature)
+                assert kept.setdefault(condition, grid) is grid
                 expected = np.log(small_count.site_probs(condition, 2, signature))
                 assert grid.shape == (2, 2, 3) and np.array_equal(grid, expected)
+                read = predict_logits(small_count, condition, maps, book=small_book)
+                assert read.tobytes() == grid.tobytes()
 
 
 class TestCarriedEmbeddings:
@@ -556,28 +572,37 @@ class TestCarriedEmbeddings:
         # Some scale splits its sequences over several signatures.
         assert len({key[2] for key in expected if key[0] == 3}) > 1
 
-    def test_extend_equals_fresh_embedding(self, multisite_count, multisite_book):
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
+    def test_extend_equals_fresh_embedding(self, kind, request, multisite_book):
+        # A tabular stack's rows are each prefix's key; a count stack's are
+        # each prefix's signature and embedding, bit for bit.
         from prefixlab.tokenizer import accumulate_latent
         from tests.conftest import uniform_maps
 
-        model, book, sched = multisite_count, multisite_book, multisite_count.schedule
+        model, book = request.getfixturevalue(f"multisite_{kind}"), multisite_book
+        sched = model.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(5)]
         latent = np.zeros((5,) + sched.final_dims + (3,))
-        signed = SignedEmbedding(EMPTY_EMBEDDING, [()] * 5)
+        signed = model.embed([()] * 5, book)
         for k in range(1, sched.num_scales):
             stacked = np.stack([p[k - 1].ids for p in prefixes])
             latent = accumulate_latent(latent, k, stacked, book)
-            signed = model.extend(signed, latent)
-            assert signed.embedding.step == k + 1 and len(signed.signature) == 5
+            signed = model.extend(signed, stacked, latent)
+            assert signed.step == k + 1 and len(signed.signature) == 5
             for i, maps in enumerate(prefixes):
                 fresh = model.embed([maps[:k]], book)
                 assert signed.signature[i] == fresh.signature[0]
-                assert_row_equals(signed.embedding, i, fresh.embedding)
+                if kind == "tabular":
+                    assert signed.embedding is fresh.embedding is None
+                    assert signed.signature[i] == prefix_key(maps[:k])
+                else:
+                    assert_row_equals(signed.embedding, i, fresh.embedding)
 
-    def test_extend_takes_one_latent_per_row(self, multisite_count):
+    def test_extend_takes_one_latent_per_row(self, multisite_count, multisite_book):
+        ids = np.zeros((2, 1, 1), dtype=int)
         latent = np.zeros((2,) + multisite_count.schedule.final_dims + (3,))
         with pytest.raises(InvalidInputError, match="one latent per row"):
-            multisite_count.extend(SignedEmbedding(EMPTY_EMBEDDING, [()] * 3), latent)
+            multisite_count.extend(multisite_count.embed([()] * 3, multisite_book), ids, latent)
 
     def test_maps_and_keys_embed_as_one_signed_stack(self, multisite_count, multisite_book):
         # Prefixes given as token maps, as prefix keys or as a mix of both
@@ -674,7 +699,7 @@ class TestCountBranchInputsAgree:
                 if k < sched.num_scales:
                     ids = np.stack([maps[k - 1].ids for _, maps in corpus])
                     latent = accumulate_latent(latent, k, ids, book)
-                    carried = model.extend(carried, latent)
+                    carried = model.extend(carried, ids, latent)
                     assert len(carried.signature) == count
         # Every stack embed returned, at every step, has one signature per row.
         assert len(stacks) > sched.num_scales
@@ -698,6 +723,28 @@ class TestMapRule:
             predict_logits(multisite_count, 0, prefix, book=multisite_book)
         with pytest.raises(InvalidInputError, match="prefix 0: the map at scale 2"):
             guided_step(multisite_count, 0, prefix, GuidanceConfig(), book=multisite_book)
+
+    @pytest.mark.parametrize("prefix, problem", [
+        ([TokenMap(1, np.asarray([[1]])), TokenMap(2, np.zeros((2, 1), dtype=int))],
+         "the map at scale 2 has k=2 and shape (2, 1), not k=2 and shape (1, 2)"),
+        ([TokenMap(3, np.asarray([[1]]))], "the map at scale 1 has k=3"),
+    ])
+    def test_tabular_path_names_a_misshapen_or_mislabelled_map(self, prefix, problem):
+        # The tabular table is keyed by flattened ids, so only the map rule
+        # tells a (2, 1) map from the (1, 2) scale's, or scale 3's from 1's.
+        from prefixlab.guidance import GuidanceConfig, guided_step
+
+        sched = ScaleSchedule(((1, 1), (1, 2), (2, 2)))
+        model = build_tabular(sched, 2, 2, 0)
+        good = prefix_maps(((1,), (0, 1))[: len(prefix)], sched)
+        with pytest.raises(InvalidInputError, match=re.escape(problem)):
+            predict_logits(model, 0, prefix)
+        with pytest.raises(InvalidInputError, match=re.escape(f"prefix 0: {problem}")):
+            guided_step(model, 0, prefix, GuidanceConfig())
+        with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
+            guided_step(model, 0, [good, prefix], GuidanceConfig(), stack=True)
+        # The well-formed prefix of the same scales is read.
+        assert predict_logits(model, 0, good).shape == sched.grid(len(good) + 1) + (2,)
 
     def test_a_map_is_for_its_own_scale(self, multisite_count, multisite_book):
         # A (2, 2) map labelled scale 1 is not scale 2's map.
@@ -764,8 +811,10 @@ class TestMapRule:
                 include_null=True,
             )
         if j < sched.num_scales:
-            with pytest.raises(InvalidInputError, match=re.escape(problem)):
-                predict_logits(model, 0, maps[:j], book=book)
-            with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
-                guided_step(model, 0, [corpus[0][1][:j], maps[:j]], GuidanceConfig(),
-                            book=book, stack=True)
+            # A tabular model checks the prefix before it reads a table.
+            for kind in (model, TabularModel(sched, 2, 1, {})):
+                with pytest.raises(InvalidInputError, match=re.escape(problem)):
+                    predict_logits(kind, 0, maps[:j], book=book)
+                with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
+                    guided_step(kind, 0, [corpus[0][1][:j], maps[:j]], GuidanceConfig(),
+                                book=book, stack=True)

@@ -206,7 +206,7 @@ class TestIdentityReport:
              lambda pair: lambda evaluate, condition, needs_cfg: (
                  evaluate(condition), evaluate(condition) if needs_cfg else None)),
             # The null condition's exact marginal read at the condition.
-            ("tabular_branches",
+            ("gather_branches",
              lambda gather: lambda *args, **kwargs: dataclasses.replace(
                  gather(*args, **kwargs), null_corr=gather(*args, **kwargs).cond_corr)),
         ],

@@ -517,30 +517,34 @@ class TestCarriedRollouts:
                         assert result.trace[-1].plans[0] is not None
 
 
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
     def test_carried_stack_equals_each_sample_embedded_afresh(
-        self, multisite_count, multisite_book, monkeypatch
+        self, kind, request, multisite_book, monkeypatch
     ):
         # The one signed stack rollouts carry holds, at every scale, each
-        # sample's own prefix embedding and signature in its row.
-        from prefixlab.model import CountModel
-
-        model, book = multisite_count, multisite_book
+        # sample's own signature in its row (a tabular model's prefix key),
+        # and a count model's prefix embedding too.
+        model, book = request.getfixturevalue(f"multisite_{kind}"), multisite_book
         stacks = []
         for name in ("embed", "extend"):
-            method = getattr(CountModel, name)
-            monkeypatch.setattr(CountModel, name, lambda self, *a, method=method:
+            method = getattr(type(model), name)
+            monkeypatch.setattr(type(model), name, lambda self, *a, method=method:
                                 stacks.append(method(self, *a)) or stacks[-1])
-        gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
+        reference = "corrupted" if kind == "count" else "exact-marginal"
+        gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference=reference)
         lanes = [(gconfig, SamplerConfig(seed=3)),
                  (replace(gconfig, lam=0.0), SamplerConfig(seed=8))]
         results = [r for lane in rollouts(model, 1, lanes, book, 3) for r in lane]
         monkeypatch.undo()
         assert len(stacks) == model.schedule.num_scales
         for k, signed in enumerate(stacks, start=1):
-            assert signed.embedding.step == k and len(signed.signature) == len(results)
+            assert signed.step == k and len(signed.signature) == len(results)
             for i, result in enumerate(results):
                 fresh = model.embed([result.maps[: k - 1]], book)
                 assert signed.signature[i] == fresh.signature[0]
+                if kind == "tabular":
+                    assert signed.embedding is fresh.embedding is None
+                    continue
                 for a, b in zip(signed.embedding.grids + signed.embedding.pooled,
                                 fresh.embedding.grids + fresh.embedding.pooled):
                     assert same_bits(a[i], b[0])
@@ -549,8 +553,8 @@ class TestCarriedRollouts:
     def test_each_step_takes_the_carried_prefix(
         self, kind, multisite_count, multisite_book, monkeypatch
     ):
-        # A count model's steps take the signed stack as their prefix at
-        # every scale, and a tabular model's take prefix keys.
+        # The steps of either model kind take its signed stack as their
+        # prefix at every scale: a tabular stack's signatures are its keys.
         import prefixlab.sampler
         from prefixlab.model import SignedEmbedding
 
@@ -567,10 +571,13 @@ class TestCarriedRollouts:
         rollouts(model, 1, [(gconfig, SamplerConfig(seed=3))], book, 4)
         assert len(prefixes) == model.schedule.num_scales
         for k, prefix in enumerate(prefixes, start=1):
+            assert isinstance(prefix, SignedEmbedding) and prefix.step == k
             if kind == "count":
-                assert isinstance(prefix, SignedEmbedding) and prefix.embedding.step == k
+                assert prefix.embedding.step == k
             else:
-                assert all(isinstance(key, tuple) and len(key) == k - 1 for key in prefix)
+                assert prefix.embedding is None
+                assert all(isinstance(key, tuple) and len(key) == k - 1
+                           for key in prefix.signature)
 
 
 class TestSharedSteps:

@@ -113,16 +113,15 @@ MUTANTS = (
            equivalent="differs only when a uniform equals a normalized "
                       "cumulative sum exactly, which a double draw does not hit"),
     Mutant("group_key_drops_newest_map", "src/prefixlab/sampler.py",
-           "inputs = keys if signed is None",
-           "inputs = [key[:-1] for key in keys] if signed is None"),
+           "(lane, signed.signature[i])", "(lane, signed.signature[i][:-1])"),
     Mutant("rollouts_plan_from_first_sample", "src/prefixlab/sampler.py",
            "plan_seeds[i]", "plan_seeds[0]"),
     Mutant("lanes_seeded_from_first_lane", "src/prefixlab/sampler.py",
            "seeds = [s.seed + i for _, s in lanes", "seeds = [sconfig.seed + i for _, s in lanes"),
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
            "signed.take(firsts)", "signed.take(range(len(firsts)))"),
-    Mutant("signed_stack_step_off_by_one", "src/prefixlab/guidance.py",
-           "k = signed.embedding.step if count", "k = len(signed.embedding.grids) if count"),
+    Mutant("signed_stack_step_off_by_one", "src/prefixlab/model.py",
+           "return len(self.signature[0]) + 1", "return len(self.signature[0])"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
@@ -149,6 +148,9 @@ MUTANTS = (
     Mutant("extend_carries_row_0_signature", "src/prefixlab/model.py",
            "[s + (tuple(b),) for s, b in zip(signed.signature, bins)]",
            "[signed.signature[0] + (tuple(b),) for b in bins]"),
+    Mutant("tabular_extend_carries_row_0_key", "src/prefixlab/model.py",
+           "[s + (tuple(p),) for s, p in zip(signed.signature, parts)]",
+           "[signed.signature[0] + (tuple(p),) for p in parts]"),
     Mutant("map_rule_skips_grid_shape", "src/prefixlab/model.py",
            "if (part.k, part.ids.shape) != (j, schedule.grid(j)):", "if part.k != j:"),
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
