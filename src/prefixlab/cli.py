@@ -249,7 +249,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     if cfg.model.kind != "count":
-        raise ConfigError("ablate needs a count model (corrupted-prefix reference)")
+        raise ConfigError("ablate needs a count model: two of its variants corrupt embeddings")
     ab = cfg.ablate
     grid = SweepGrid(
         lambdas=ab.lambdas,

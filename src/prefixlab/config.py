@@ -147,9 +147,12 @@ class GuidanceConfig:
     """One record drives a whole rollout.
 
     ``scale_mask`` limits where the prefix contrast applies (None = every
-    scale). ``reference`` selects the weak-prefix branch: "corrupted" runs
-    the predictor on a corrupted prefix embedding, "exact-marginal" injects
-    the brute-force per-site prefix marginal (enumerable models only).
+    scale). ``reference`` selects the weak-prefix branch, on either model
+    kind: "corrupted" runs the predictor on the prefix corrupted under
+    ``variant`` (``same_scale_position`` and ``same_scale_full_embedding``
+    rewrite embeddings, so only a count model has them), "exact-marginal"
+    injects the brute-force per-site prefix marginal, walked over the
+    model's own prefix law while that space is under ``PREFIX_STATE_CAP``.
     """
 
     gamma: float = bounded(0.0, NONNEGATIVE)
@@ -216,8 +219,10 @@ class SweepGrid:
     ``sweep`` section. ``grid_hash`` covers the six grid axes and seeds only.
 
     metric "exact_kl": exact KL between the guided rollout law and the
-    model's own unguided, untruncated joint (tabular models with the
-    exact-marginal reference). metric "toy_frechet": Fréchet distance
+    model's own unguided, untruncated joint, on an enumerable prefix space,
+    for either model kind wherever each guided scale's law is
+    deterministic (the exact-marginal reference, or a corrupted one whose
+    variant selects no site there). metric "toy_frechet": Fréchet distance
     between ``n_samples`` guided rollout latents and the reference images.
     """
 

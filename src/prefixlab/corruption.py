@@ -3,6 +3,10 @@
 A plan fixes the selected prefix sites, their same-scale donors and every
 variant-specific random draw, so applying it is fully deterministic and the
 same plan can be shared across all branches of one guided step.
+
+A plan has two readings. ``apply_corruption`` reads it on prefix
+embeddings, ``corrupt_key`` on a prefix key; ``corrupted_signatures`` is the
+one entry that signs a model's stack corrupted under either.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UNIT_INTERVAL, InconsistentPlanError, InvalidFractionError
-from .model import EmbeddingParams, PrefixEmbedding, embed_prefix
+from .errors import (UNIT_INTERVAL, GuidanceConfigError, InconsistentPlanError,
+                     InvalidFractionError, InvalidInputError)
+from .model import EmbeddingParams, PrefixEmbedding, PrefixKey, SignedEmbedding, context_signature
 from .tokenizer import Codebook, ScaleSchedule
 
 
@@ -126,6 +131,88 @@ def plan_corruption(
                           code_draws, uniform_tokens)
 
 
+# Variants that act on prefix embeddings only: a prefix key has no reading of them.
+EMBEDDING_ONLY = frozenset({CorruptionVariant.SAME_SCALE_POSITION,
+                            CorruptionVariant.SAME_SCALE_FULL_EMBEDDING})
+
+
+def check_corruptible(signed: SignedEmbedding, variants, book: Codebook | None) -> None:
+    """Raise unless the signed stack ``signed`` can be corrupted under each
+    of ``variants``: a stack with no embedding (a tabular stack) has no
+    reading of an ``EMBEDDING_ONLY`` variant, which raises
+    GuidanceConfigError naming it, and an embedded (count) stack is
+    corrupted with the codebook."""
+    named = sorted(v.value for v in EMBEDDING_ONLY.intersection(variants))
+    if signed.embedding is None and named:
+        raise GuidanceConfigError(f"the {named[0]} variant corrupts embeddings; the stack has none")
+    if signed.embedding is not None and book is None:
+        raise InvalidInputError("count-model guidance needs the codebook")
+
+
+def _check_plans(plans: Sequence[CorruptionPlan], step: int, rows: int) -> CorruptionVariant:
+    """The variant of ``plans``, one plan per row of a stack of ``rows``
+    prefixes of ``step``, all of one variant, each selecting prefix sites
+    only; else InconsistentPlanError."""
+    if len(plans) != rows:
+        raise InconsistentPlanError(f"{len(plans)} plans for a stack of {rows} embeddings")
+    for p in plans:
+        if p.step != step:
+            raise InconsistentPlanError(f"plan targets step {p.step}, prefix is for step {step}")
+        if any(j >= step for j, _ in p.selected):
+            raise InconsistentPlanError("plan selects sites beyond the prefix")
+    variant = plans[0].variant
+    if any(p.variant is not variant for p in plans):
+        raise InconsistentPlanError("the plans of a stack must share one variant")
+    return variant
+
+
+def corrupt_key(key: PrefixKey, plan: CorruptionPlan) -> PrefixKey:
+    """The token reading of ``plan`` on the prefix key ``key`` of its step,
+    read from the uncorrupted key: under same_scale_token a target site
+    takes its donor's id, under random_codebook its drawn code id, and under
+    uniform_prefix the key is the plan's token grids. An ``EMBEDDING_ONLY``
+    plan has no token reading and raises InconsistentPlanError."""
+    _check_plans([plan], len(key) + 1, 1)
+    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
+        return plan.uniform_tokens
+    if plan.variant in EMBEDDING_ONLY:
+        raise InconsistentPlanError(f"a {plan.variant.value} plan has no token reading")
+    token = plan.variant is CorruptionVariant.SAME_SCALE_TOKEN
+    parts = [list(ids) for ids in key]
+    for n, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
+        parts[j - 1][u] = key[j - 1][du] if token else plan.code_draws[n][1]
+    return tuple(map(tuple, parts))
+
+
+def corrupted_signatures(model, signed: SignedEmbedding, plans: Sequence[CorruptionPlan | None],
+                         book: Codebook | None) -> list:
+    """The signatures of ``model``'s signed stack ``signed``, each row with
+    a plan of ``plans`` (one per row, None for a row kept clean) corrupted
+    under it and signed in full.
+
+    The planned rows of each variant are corrupted together. On a stack
+    with no embedding (a tabular stack, whose signatures are its prefix
+    keys) the rows' keys are read by ``corrupt_key`` and signed by the
+    model's ``embed``, and so are a count stack's under uniform_prefix,
+    whose reading takes only a signature's length from the row. A count
+    stack's rows under any other variant are read by ``apply_corruption``
+    and binned by the model's thresholds.
+    """
+    signatures = list(signed.signature)
+    for variant in dict.fromkeys(p.variant for p in plans if p is not None):
+        rows = [i for i, p in enumerate(plans) if p is not None and p.variant is variant]
+        taken, planned = signed.take(rows), [plans[i] for i in rows]
+        if taken.embedding is None or variant is CorruptionVariant.UNIFORM_PREFIX:
+            corrupted = model.embed(
+                [corrupt_key(key, p) for key, p in zip(taken.signature, planned)], book).signature
+        else:
+            corrupted = context_signature(apply_corruption(
+                taken.embedding, planned, book, model.schedule, model.params), model.thresholds)
+        for i, signature in zip(rows, corrupted):
+            signatures[i] = signature
+    return signatures
+
+
 def apply_corruption(
     embedding: PrefixEmbedding,
     plans: Sequence[CorruptionPlan],
@@ -138,34 +225,18 @@ def apply_corruption(
     ``embedding`` stacks embeddings of one step on a leading axis, and
     ``plans`` holds one plan per row, all of one variant: row i is corrupted
     under plan i, and every scale is rewritten for the whole stack at once.
-    Input untouched; sites outside the selection are copied verbatim. The
-    uniform-prefix variant ignores the site selection and rebuilds the whole
-    embedding from the plan's i.i.d. uniform token grids. ``params`` are the
-    ``embedding_params`` the embedding was built with, as a fitted count
-    model carries them. A content vector is projected as a one-row matrix,
-    as one vector's ``x @ proj.T`` is, so a row equals its corruption alone
-    bit for bit.
+    Input untouched; sites outside the selection are copied verbatim. A
+    uniform-prefix plan replaces the prefix's tokens, not its embedding, so
+    it is read on prefix keys (``corrupt_key``) and raises
+    InconsistentPlanError here. ``params`` are the ``embedding_params`` the
+    embedding was built with, as a fitted count model carries them. A
+    content vector is projected as a one-row matrix, as one vector's
+    ``x @ proj.T`` is, so a row equals its corruption alone bit for bit.
     """
     step = embedding.step
-    rows = len(embedding.grids[0]) if embedding.grids else 0
-    if len(plans) != rows:
-        raise InconsistentPlanError(f"{len(plans)} plans for a stack of {rows} embeddings")
-    for p in plans:
-        if p.step != step:
-            raise InconsistentPlanError(
-                f"plan targets step {p.step}, embedding is for step {step}"
-            )
-        if any(j >= step for j, _ in p.selected):
-            raise InconsistentPlanError("plan selects sites beyond the prefix")
-    variant = plans[0].variant
-    if any(p.variant is not variant for p in plans):
-        raise InconsistentPlanError("the plans of a stack must share one variant")
-
+    variant = _check_plans(plans, step, len(embedding.grids[0]) if embedding.grids else 0)
     if variant is CorruptionVariant.UNIFORM_PREFIX:
-        return embed_prefix([
-            np.array([p.uniform_tokens[j - 1] for p in plans]).reshape((-1,) + schedule.grid(j))
-            for j in range(1, step)
-        ], book, schedule, params)
+        raise InconsistentPlanError("a uniform_prefix plan is read on prefix keys, not embeddings")
     grids = [g.copy() for g in embedding.grids]
     proj, pos = params
     for j in range(1, step):

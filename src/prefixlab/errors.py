@@ -94,7 +94,7 @@ class TooLargeError(PrefixLabError):
 
 
 class InconsistentPlanError(PrefixLabError):
-    """A corruption plan does not match the embedding it is applied to."""
+    """A corruption plan does not match the prefix, embedding or key, it is read on."""
 
 
 class MissingBranchError(PrefixLabError):

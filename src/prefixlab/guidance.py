@@ -23,16 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import GuidanceConfig
-from .corruption import CorruptionPlan, apply_corruption
-from .errors import GuidanceConfigError, IllDefinedLawError, InvalidInputError, MissingBranchError
-from .model import (
-    Condition,
-    CountModel,
-    NULL_CONDITION,
-    SignedEmbedding,
-    TabularModel,
-    context_signature,
-)
+from .corruption import CorruptionPlan, check_corruptible, corrupted_signatures
+from .errors import IllDefinedLawError, InvalidInputError, MissingBranchError
+from .model import Condition, CountModel, NULL_CONDITION, SignedEmbedding, TabularModel
 from .oracle import prefix_marginal_sites
 from .tokenizer import Codebook
 
@@ -95,7 +88,7 @@ def _pair(evaluate, condition: Condition, needs_cfg: bool) -> tuple:
 
 
 def gather_branches(model, condition: Condition, k: int, signatures: Sequence,
-                    needs_cfg: bool, marginal: bool) -> BranchLogits:
+                    needs_cfg: bool, marginal: bool, book: Codebook | None = None) -> BranchLogits:
     """The branches of a step at scale k on a stack's ``signatures``, read by
     either model kind's ``branch_logits``: at ``condition`` and, when
     ``needs_cfg``, at the null condition; when the step contrasts against
@@ -106,7 +99,7 @@ def gather_branches(model, condition: Condition, k: int, signatures: Sequence,
     its own reads of the same rows and marginals."""
     gen = _pair(lambda c: model.branch_logits(c, k, signatures), condition, needs_cfg)
     corr = () if not marginal else _pair(lambda c: np.broadcast_to(
-        np.log(prefix_marginal_sites(model, c, k)), gen[0].shape), condition, needs_cfg)
+        np.log(prefix_marginal_sites(model, c, k, book=book)), gen[0].shape), condition, needs_cfg)
     return BranchLogits(*gen, *corr)
 
 
@@ -184,12 +177,15 @@ def guided_step(
     ``embed`` checks and signs in one call (the one prefix of a one-prefix
     call as a list of one). A signed stack is taken only by a stacked step
     of the model kind that signed it. The step is then evaluated for the
-    whole stack at once: the clean pair (and the exact-marginal pair) of
-    either kind comes from ``gather_branches``, and a count model's
-    corrupted rows of each variant are taken from the signed stack,
-    corrupted and signed together; a contrasting step under the corrupted
-    reference needs the codebook. Its arrays have a leading P axis. The
-    one-prefix call is the P = 1 case and returns that row.
+    whole stack at once, the same way for either model kind: the clean pair
+    (and the exact-marginal pair, walked by ``prefix_marginal_sites`` with
+    ``book``) comes from ``gather_branches``, and the corrupted pair is
+    ``branch_logits`` of ``corruption.corrupted_signatures``, the planned
+    rows corrupted and signed together. Under the corrupted reference a
+    contrasting step on a stack with no embedding (a tabular stack) raises
+    GuidanceConfigError for a variant that corrupts embeddings only, and one
+    on a count stack needs the codebook. Its arrays have a leading P axis.
+    The one-prefix call is the P = 1 case and returns that row.
 
     ``gather_branches`` is also the gather that ``oracle.verify_identities``
     composes and judges on a tabular model at every strength it checks. What
@@ -199,9 +195,8 @@ def guided_step(
     """
     if not isinstance(model, (TabularModel, CountModel)):
         raise InvalidInputError(f"unknown predictor type {type(model)!r}")
-    tabular = isinstance(model, TabularModel)
     if isinstance(prefix, SignedEmbedding) and not (
-            stack and (prefix.embedding is None) == tabular):
+            stack and (prefix.embedding is None) == isinstance(model, TabularModel)):
         raise InvalidInputError("a signed stack is taken only by a stacked step of its model kind")
     if not stack:
         prefix, plan = [prefix], None if plan is None else [plan]
@@ -223,42 +218,27 @@ def guided_step(
     contrasts = {i: c.contrasts(k) for i, c in by_id.items()}
     contrasted = tuple(contrasts[id(c)] for c in configs)
     exact = reference == "exact-marginal"
-    if any(contrasted) and exact != tabular:
-        raise GuidanceConfigError(
-            "exact-marginal reference requires an enumerable tabular model" if exact else
-            "corrupted-prefix reference requires an embedding-consuming model")
+    # The plan of each row that contrasts against a corrupted prefix.
+    used = tuple(p if flag and not exact else None for p, flag in zip(plans, contrasted))
     branches = gather_branches(model, condition, k, signed.signature, gamma > 0,
-                               any(contrasted) and exact)
+                               any(contrasted) and exact, book)
     if any(contrasted) and not exact:
-        if book is None:
-            raise InvalidInputError("count-model guidance needs the codebook")
+        check_corruptible(signed, {c.variant for c, flag in zip(configs, contrasted) if flag}, book)
         draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
         if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
             raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
-        # The planned rows that contrast, by variant: each variant's
-        # rows are corrupted in one call.
-        by_variant: dict = {}
-        for i, (p, flag) in enumerate(zip(plans, contrasted)):
-            if p is not None and flag:
-                by_variant.setdefault(p.variant, []).append(i)
-        corrupted: dict = {}
-        for rows in by_variant.values():
-            corrupted.update(zip(rows, context_signature(apply_corruption(
-                signed.take(rows).embedding, [plans[i] for i in rows],
-                book, model.schedule, model.params), model.thresholds)))
-        # Rows without a plan keep their clean signature.
-        clean = branches.cond_gen, branches.null_gen
-        signatures = [corrupted.get(i, sig) for i, sig in enumerate(signed.signature)]
-        corr = (_pair(lambda c: model.branch_logits(c, k, signatures), condition, gamma > 0)
-                if corrupted else clean)
-        branches = BranchLogits(*clean, *corr)
+        # A row without a plan keeps its clean signature, and without any
+        # the corrupted pair is the clean pair.
+        gen = corr = branches.cond_gen, branches.null_gen
+        if any(p is not None for p in used):
+            signatures = corrupted_signatures(model, signed, used, book)
+            corr = _pair(lambda c: model.branch_logits(c, k, signatures), condition, gamma > 0)
+        branches = BranchLogits(*gen, *corr)
 
     lam = np.array([c.lam if flag else 0.0 for c, flag in zip(configs, contrasted)])
     logits = compose_cfg_vpg(branches, gamma, lam[:, None, None, None])
     for array in (logits, *branches):
         if array is not None:
             array.setflags(write=False)
-    used = tuple(p if flag and reference == "corrupted" else None
-                 for p, flag in zip(plans, contrasted))
     step = GuidedStep(k, logits, branches, used, contrasted)
     return step if stack else step.row(0)

@@ -39,19 +39,6 @@ PROB_FLOOR = 1e-9
 PrefixKey = tuple[tuple[int, ...], ...]
 
 
-def prefix_key(prefix) -> PrefixKey:
-    """Canonical hashable form of a prefix: one id-tuple per scale."""
-    out = []
-    for part in prefix:
-        if isinstance(part, TokenMap):
-            out.append(part.key())
-        elif all(map(integral, part)):
-            out.append(tuple(int(x) for x in part))
-        else:
-            raise InvalidInputError(f"prefix ids must be integers, got {part!r}")
-    return tuple(out)
-
-
 def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
     """What keeps ``prefix`` from holding scales 1..``scales``, naming the
     first scale at fault, or None. It has ``scales`` parts; the map at
@@ -79,7 +66,8 @@ def _check_prefixes(prefixes: Sequence, schedule: ScaleSchedule) -> None:
 
 
 def prefix_maps(key: PrefixKey, schedule: ScaleSchedule) -> list[TokenMap]:
-    """Inverse of :func:`prefix_key` for scales 1..len(key)."""
+    """The token maps of a prefix key, scales 1..len(key): the inverse of
+    ``TokenMap.key()`` scale by scale."""
     maps = []
     for j, ids in enumerate(key, start=1):
         h, w = schedule.grid(j)
@@ -215,7 +203,7 @@ class TabularModel:
     schedule: ScaleSchedule
     vocab: int
     num_conditions: int
-    tables: dict  # (c, k, prefix_key) -> np.ndarray (h_k, w_k, V)
+    tables: dict  # (c, k, prefix key) -> np.ndarray (h_k, w_k, V)
     # One read-only (h_k, w_k, V) exact per-site prefix marginal per
     # (condition, k), kept by ``oracle.prefix_marginal_sites``: a guided
     # rollout asks for the same few keys at every step.
@@ -286,7 +274,7 @@ def build_tabular(
 def tabular_from_rows(
     schedule: ScaleSchedule, vocab: int, num_conditions: int, rows: dict
 ) -> TabularModel:
-    """Build a model from explicit rows keyed by (c, k, prefix_key).
+    """Build a model from explicit rows keyed by (c, k, prefix key).
 
     Row values may be (V,) arrays, shared by every site of the scale, or
     (h_k, w_k, V) arrays of finite non-negative weights with some mass at

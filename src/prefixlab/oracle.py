@@ -18,14 +18,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import VerifySpec
-from .errors import InvalidInputError
+from .errors import InvalidInputError, TooLargeError
 from .model import (
     Condition,
     NULL_CONDITION,
+    PREFIX_STATE_CAP,
     PrefixKey,
     TabularModel,
     enumerate_prefix_keys,
-    prefix_key,
     scale_maps,
 )
 from .tokenizer import Codebook
@@ -129,7 +129,8 @@ def prefix_marginal_sites(
     every condition's and the null condition's, from one stacked walk; the
     marginals are the same bits as one walk each. Count models walk the
     exp of their logits on every call, each level's prefixes embedded as one
-    signed stack, and need the codebook."""
+    signed stack, and need the codebook; a walk of more than
+    ``PREFIX_STATE_CAP`` prefixes raises TooLargeError."""
     if isinstance(model, TabularModel):
         memo = model._marginals
         conditions = [*range(model.num_conditions), NULL_CONDITION]
@@ -138,6 +139,8 @@ def prefix_marginal_sites(
                 memo[(c, k)] = total
         if (condition, k) in memo:
             return memo[(condition, k)]
+    elif (states := model.vocab ** model.schedule.prefix_sites(k)) > PREFIX_STATE_CAP:
+        raise TooLargeError(states, PREFIX_STATE_CAP)
     return _marginal_sites(model, k, _site_laws(model, condition, book))
 
 
@@ -181,8 +184,11 @@ def _normalized_power_ratio(base: np.ndarray, reference: np.ndarray, strength: f
 
 
 def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: float) -> Distribution:
-    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|c))^lambda over step k's maps."""
-    key = prefix_key(prefix)
+    """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p(r_k|c))^lambda over step k's maps.
+
+    ``prefix`` is its token maps or its prefix key, checked by the model's
+    ``embed``."""
+    key = model.embed([prefix]).signature[0]
     base = step_map_distribution(model, condition, key)
     marg = prefix_marginal(model, condition, len(key) + 1)
     return Distribution(
@@ -193,7 +199,7 @@ def augmented_vpg(model: TabularModel, condition: Condition, prefix, strength: f
 def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float) -> Distribution:
     """Normalized p(r_k|prefix,c) (p(r_k|prefix,c) / p_null(r_k|prefix))^gamma over maps.
 
-    k is the step after ``prefix``, as in ``augmented_vpg``.
+    k is the step after ``prefix``, given and checked as in ``augmented_vpg``.
 
     p_null is ``step_map_distribution`` of the null condition: a product over
     sites of each site's uniform mixture of class rows. On a single-site scale
@@ -201,7 +207,7 @@ def augmented_cfg(model: TabularModel, condition: int, prefix, strength: float) 
     multi-site scale it is not, because a product of per-site mixtures is not
     a mixture of per-class products.
     """
-    key = prefix_key(prefix)
+    key = model.embed([prefix]).signature[0]
     base = step_map_distribution(model, condition, key)
     ref = step_map_distribution(model, NULL_CONDITION, key)
     return Distribution(

@@ -119,6 +119,26 @@ class TestSample:
         assert "sample_0001.ppm" in names
         assert "tokens=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, reference, variant", [
+        ("tabular", "corrupted", "same_scale_token"),
+        ("tabular", "corrupted", "random_codebook"),
+        ("tabular", "corrupted", "uniform_prefix"),
+        ("count", "exact-marginal", "same_scale_full_embedding"),
+    ])
+    def test_either_reference_on_either_kind(self, tmp_path, kind, reference, variant):
+        # A tabular model takes the corrupted reference under a variant
+        # with a token reading, and a count model the exact-marginal one.
+        cfg = count_model_config(
+            tmp_path, schedule=[[1, 1], [1, 2], [2, 2]],
+            model={"kind": kind, "corpus_count": 8, "corpus_seed": 5},
+            guidance={"reference": reference, "gamma": 1.0, "lambda": 1.0, "n_p": 0.5,
+                      "variant": variant},
+        )
+        out_dir = tmp_path / "either"
+        assert main(["sample", "--config", cfg, "--count", "3",
+                     "--output-dir", str(out_dir)]) == EXIT_OK
+        assert "sample_0002_trace.csv" in os.listdir(out_dir)
+
     def test_wide_latents_written_as_csv(self, tmp_path):
         # A latent of more than 3 channels has no PPM form: each sample's
         # image is a CSV with one row per final-grid site.
@@ -178,8 +198,10 @@ class TestSweep:
         assert "cells ok" in capsys.readouterr().out
 
     def test_all_cells_failing_exits_four(self, tmp_path):
-        # The corrupted reference on a tabular model fails every cell with
-        # an active contrast, so an all-positive lambda grid exits 4.
+        # The corrupted reference under the default variant,
+        # same_scale_full_embedding, corrupts embeddings only, which a
+        # tabular stack has none of: every cell with an active contrast
+        # fails, also at n_p 0, so an all-positive lambda grid exits 4.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(

@@ -1,4 +1,5 @@
-"""Corruption plans and their deterministic application to prefix embeddings."""
+"""Corruption plans and their two deterministic readings: on prefix
+embeddings and on prefix keys."""
 
 import math
 from fractions import Fraction
@@ -12,19 +13,37 @@ from prefixlab.corruption import (
     CorruptionPlan,
     CorruptionVariant,
     apply_corruption,
+    corrupt_key,
+    corrupted_signatures,
     plan_corruption,
     selection_size,
 )
 from prefixlab.errors import InconsistentPlanError, InvalidFractionError
-from prefixlab.model import PrefixEmbedding, embed_prefix, embedding_params, prefix_maps
-from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
+from prefixlab.model import (
+    PrefixEmbedding,
+    SignatureSpec,
+    TabularModel,
+    context_signature,
+    embed_prefix,
+    embedding_params,
+    fit_count_model,
+)
+from prefixlab.tokenizer import Codebook, ScaleSchedule
 
-from tests.conftest import stacked_ids, uniform_maps
+from tests.conftest import make_corpus, stacked_ids, uniform_maps
 
 SCHEDULE = ScaleSchedule(((1, 1), (2, 2), (4, 4), (4, 4)))
 BOOK = Codebook.seeded(4, 3, 2, seed=7)
 EMBED_SEED = 11
 PARAMS = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
+# A count model on SCHEDULE, and a tabular model that signs its prefixes
+# (``embed`` reads no table row).
+COUNT = fit_count_model(
+    make_corpus(SCHEDULE, BOOK, num_conditions=2, count=8, seed=3), SCHEDULE, BOOK, vocab=3,
+    num_conditions=2, alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=EMBED_SEED,
+    embed_dim=4, include_null=True,
+)
+KEYED = TabularModel(SCHEDULE, BOOK.vocab, 1, {})
 
 
 def embedded_prefix(k, seed=0):
@@ -225,19 +244,17 @@ class TestApplication:
             expected = BOOK.table(scale)[code] @ proj.T + pos[j - 1][tgt]
             np.testing.assert_allclose(out.grids[j - 1][0][tgt], expected)
 
-    def test_uniform_prefix_rebuilds_whole_embedding(self):
-        _, emb = embedded_prefix(3)
+    def test_uniform_prefix_is_read_on_keys_only(self):
+        # A uniform-prefix plan replaces the prefix's tokens: its reading is
+        # the plan's token grids as the key, and the embedding reading
+        # rejects it by name.
+        maps, emb = embedded_prefix(3)
         plan = plan_corruption(
             SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, book=BOOK
         )
-        out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
-        maps = [
-            TokenMap(j, np.asarray(ids).reshape(SCHEDULE.grid(j)))
-            for j, ids in enumerate(plan.uniform_tokens, start=1)
-        ]
-        expected = embed_prefix(stacked_ids([maps]), BOOK, SCHEDULE, PARAMS)
-        for a, b in zip(out.grids, expected.grids):
-            assert np.array_equal(a, b)
+        assert corrupt_key(tuple(m.key() for m in maps), plan) == plan.uniform_tokens
+        with pytest.raises(InconsistentPlanError, match="uniform_prefix"):
+            apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
 
     def test_step_mismatch_raises(self):
         _, emb = embedded_prefix(3)
@@ -258,12 +275,15 @@ class TestApplication:
 
 
 
+# The variants with an embedding reading, and those with a token reading.
+EMBEDDING_READ = [v for v in CorruptionVariant if v is not CorruptionVariant.UNIFORM_PREFIX]
+TOKEN_READ = [CorruptionVariant.SAME_SCALE_TOKEN, CorruptionVariant.RANDOM_CODEBOOK,
+              CorruptionVariant.UNIFORM_PREFIX]
+
+
 def corrupted_site_by_site(embedding, plan, book, schedule, params):
     """The corruption of a stack of one row, one selected site at a time,
     each content vector projected alone: the reference a stack must equal."""
-    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-        maps = prefix_maps(plan.uniform_tokens, schedule)
-        return embed_prefix(stacked_ids([maps]), book, schedule, params)
     grids = [g.copy() for g in embedding.grids]
     proj, pos = params
     for idx, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
@@ -290,7 +310,7 @@ def assert_same_row(got, i, want):
 
 class TestStackedApplication:
     @given(
-        st.sampled_from(list(CorruptionVariant)),
+        st.sampled_from(EMBEDDING_READ),
         st.sampled_from([0.1, 0.5, 1.0]),
         st.integers(2, 4),
         st.integers(1, 6),
@@ -321,3 +341,70 @@ class TestStackedApplication:
             apply_corruption(stack, [full], BOOK, SCHEDULE, PARAMS)
         with pytest.raises(InconsistentPlanError, match="one variant"):
             apply_corruption(stack, [full, token], BOOK, SCHEDULE, PARAMS)
+
+
+class TestTokenReading:
+    """``corrupt_key`` reads a plan on a prefix key, and
+    ``corrupted_signatures`` signs a model's stack corrupted under either
+    reading."""
+
+    @given(st.sampled_from(TOKEN_READ[:2]), st.sampled_from([0.1, 0.5, 1.0]),
+           st.integers(2, 4), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_target_takes_its_donors_id_or_its_drawn_code(self, variant, fraction, k, seed):
+        maps, _ = embedded_prefix(k, seed)
+        key = tuple(m.key() for m in maps)
+        plan = plan_corruption(SCHEDULE, k, fraction, variant, seed, book=BOOK)
+        got = corrupt_key(key, plan)
+        assert [len(part) for part in got] == [len(part) for part in key]
+        targets = {}
+        for n, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
+            token = variant is CorruptionVariant.SAME_SCALE_TOKEN
+            targets[(j, u)] = key[j - 1][du] if token else plan.code_draws[n][1]
+        for j, part in enumerate(got, start=1):
+            for u, v in enumerate(part):
+                assert type(v) is int and v == targets.get((j, u), key[j - 1][u])
+
+    @pytest.mark.parametrize("variant", [CorruptionVariant.SAME_SCALE_POSITION,
+                                         CorruptionVariant.SAME_SCALE_FULL_EMBEDDING])
+    def test_embedding_only_plan_has_no_token_reading(self, variant):
+        maps, _ = embedded_prefix(3)
+        plan = plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
+        with pytest.raises(InconsistentPlanError, match=variant.value):
+            corrupt_key(tuple(m.key() for m in maps), plan)
+
+    def test_key_reading_checks_the_plans_step(self):
+        maps, _ = embedded_prefix(3)
+        plan = plan_corruption(SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, 0)
+        with pytest.raises(InconsistentPlanError, match="step 4"):
+            corrupt_key(tuple(m.key() for m in maps), plan)
+
+    @given(st.lists(st.sampled_from([None] + list(CorruptionVariant)), min_size=1, max_size=6),
+           st.integers(2, 4), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_signed_stack_equals_each_row_read_alone(self, variants, k, seed):
+        # Rows of several variants, and rows kept clean, in one call: a
+        # count row under uniform_prefix is its plan's grids embedded and
+        # signed, any other its embedding corrupted and binned; a tabular
+        # row is its corrupted key. The embedding-only variants have no
+        # tabular reading.
+        prefixes = [embedded_prefix(k, seed + i)[0] for i in range(len(variants))]
+        plans = [None if v is None else plan_corruption(SCHEDULE, k, 0.5, v, seed + i, book=BOOK)
+                 for i, v in enumerate(variants)]
+        count = COUNT.embed(prefixes, BOOK)
+        got = corrupted_signatures(COUNT, count, plans, BOOK)
+        for i, (prefix, plan) in enumerate(zip(prefixes, plans)):
+            alone = COUNT.embed([prefix], BOOK)
+            if plan is None:
+                want = alone.signature[0]
+            elif plan.variant is CorruptionVariant.UNIFORM_PREFIX:
+                want = COUNT.embed([plan.uniform_tokens], BOOK).signature[0]
+            else:
+                want = context_signature(apply_corruption(
+                    alone.embedding, [plan], BOOK, SCHEDULE, COUNT.params), COUNT.thresholds)[0]
+            assert got[i] == want
+        token = [p if p is None or p.variant in TOKEN_READ else None for p in plans]
+        keys = [tuple(m.key() for m in prefix) for prefix in prefixes]
+        got = corrupted_signatures(KEYED, KEYED.embed(prefixes), token, BOOK)
+        assert got == [key if p is None else corrupt_key(key, p) for key, p in zip(keys, token)]
+

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prefixlab.corruption import CorruptionVariant, apply_corruption, plan_corruption
@@ -15,6 +15,7 @@ from prefixlab.errors import (
     InvalidInputError,
     MissingBranchError,
     MissingRowError,
+    TooLargeError,
 )
 from prefixlab.guidance import (
     BranchLogits,
@@ -25,6 +26,7 @@ from prefixlab.guidance import (
 )
 from prefixlab.model import (
     NULL_CONDITION,
+    PREFIX_STATE_CAP,
     SignatureSpec,
     TokenMap,
     build_tabular,
@@ -35,20 +37,47 @@ from prefixlab.model import (
     prefix_maps,
     scale_bins,
 )
-from prefixlab.oracle import enumerate_prefixes, softmax
+from prefixlab.oracle import enumerate_prefixes, prefix_marginal_sites, softmax
 from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, uniform_maps
 from tests.test_sampler import BRANCHES, multisite_schedules, same_bits
 
 
 def corrupted_logits(model, condition, prefix, plan, book):
     """The scale-k logits of ``prefix`` corrupted under ``plan``, computed
-    apart from ``guided_step``: embed, apply, sign, then read the row."""
+    apart from ``guided_step``: a uniform-prefix plan's token maps embedded
+    and signed in place of the prefix, any other plan's embedding
+    corrupted and signed; then the row is read."""
+    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
+        signature = model.embed([prefix_maps(plan.uniform_tokens, model.schedule)], book)
+        return model.logits(condition, len(prefix) + 1, signature.signature[0])
     embedding = model.embed([prefix], book).embedding
     corrupted = apply_corruption(embedding, [plan], book, model.schedule, model.params)
     signature = context_signature(corrupted, model.thresholds)[0]
     return model.logits(condition, embedding.step, signature)
+
+
+# The variants that act on prefix embeddings only, and those with a token
+# reading, which a tabular step can contrast under.
+EMBEDDING_ONLY = [CorruptionVariant.SAME_SCALE_POSITION, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING]
+TOKEN_VARIANTS = [CorruptionVariant.SAME_SCALE_TOKEN, CorruptionVariant.RANDOM_CODEBOOK,
+                  CorruptionVariant.UNIFORM_PREFIX]
+
+
+def hand_corrupted_key(prefix, plan, schedule):
+    """The prefix key of the token maps ``prefix`` corrupted under a token
+    plan, each selected site of a copy of its grid rewritten in (row,
+    column) place: the reference a tabular corrupted row is read at."""
+    if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
+        return tuple(m.key() for m in prefix_maps(plan.uniform_tokens, schedule))
+    grids = [m.ids.copy() for m in prefix]
+    for n, ((j, u), (_, du)) in enumerate(zip(plan.selected, plan.donors)):
+        w = schedule.grid(j)[1]
+        grids[j - 1][u // w, u % w] = (
+            prefix[j - 1].ids[du // w, du % w]
+            if plan.variant is CorruptionVariant.SAME_SCALE_TOKEN else plan.code_draws[n][1])
+    return tuple(tuple(g.ravel().tolist()) for g in grids)
 
 
 @pytest.fixture(scope="module")
@@ -250,11 +279,67 @@ class TestGuidedStepTabular:
         assert step.evaluations == 1
         assert step.branches.cond_corr is None
 
-    def test_corrupted_reference_rejects_tabular(self, small_tabular):
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    @pytest.mark.parametrize("variant", EMBEDDING_ONLY)
+    def test_corrupted_reference_rejects_tabular(self, small_tabular, small_book, variant,
+                                                 fraction):
+        # A tabular stack has no embedding, so a variant that corrupts
+        # embeddings only has no reading on it. A contrasting step raises
+        # naming it, whether or not it draws a plan (at n_p 0 none is drawn).
         prefix = [TokenMap(1, np.asarray([[0]]))]
-        config = GuidanceConfig(lam=1.0, reference="corrupted")
-        with pytest.raises(GuidanceConfigError):
-            guided_step(small_tabular, 0, prefix, config)
+        config = GuidanceConfig(lam=1.0, fraction=fraction, variant=variant,
+                                reference="corrupted")
+        plan = plan_corruption(small_tabular.schedule, 2, fraction, variant, 0) if (
+            config.draws_plan(2, small_tabular.schedule)) else None
+        with pytest.raises(GuidanceConfigError, match=f"the {variant.value} variant"):
+            guided_step(small_tabular, 0, prefix, config, book=small_book, plan=plan)
+        # Without a contrast the variant is not read.
+        step = guided_step(small_tabular, 0, prefix, replace(config, lam=0.0))
+        assert step.branches.cond_corr is None
+
+    @given(st.sampled_from(TOKEN_VARIANTS), st.sampled_from([0.2, 0.5, 1.0]),
+           st.integers(2, 3), st.sampled_from([0.0, 1.0]), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_corrupted_row_is_the_row_at_the_corrupted_key(
+        self, multisite_tabular, multisite_book, variant, fraction, k, gamma, seed
+    ):
+        # The fixtures are only read: the model's marginal memo is not used.
+        model, schedule = multisite_tabular, multisite_tabular.schedule
+        rng = np.random.default_rng(seed)
+        prefix = [TokenMap(j, rng.integers(0, 4, schedule.grid(j))) for j in range(1, k)]
+        plan = plan_corruption(schedule, k, fraction, variant, seed, book=multisite_book)
+        config = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant,
+                                reference="corrupted")
+        step = guided_step(model, 1, prefix, config, plan=plan)
+        key = hand_corrupted_key(prefix, plan, schedule)
+        assert step.plans == (plan,)
+        assert np.array_equal(step.branches.cond_corr, np.log(model.row(1, k, key)))
+        if gamma:
+            assert np.array_equal(step.branches.null_corr,
+                                  np.log(model.row(NULL_CONDITION, k, key)))
+        clean = tuple(m.key() for m in prefix)
+        assert np.array_equal(step.branches.cond_gen, np.log(model.row(1, k, clean)))
+
+    @pytest.mark.parametrize("kind, variant", [
+        *(("tabular", v) for v in TOKEN_VARIANTS[:2]),
+        *(("count", v) for v in CorruptionVariant if v is not CorruptionVariant.UNIFORM_PREFIX),
+    ])
+    def test_step_that_selects_no_site_has_the_clean_pair(
+        self, kind, variant, multisite_tabular, multisite_count, multisite_book
+    ):
+        # At n_p 0 a site-selecting variant draws no plan, on either kind,
+        # and the corrupted pair is the clean pair.
+        model = multisite_tabular if kind == "tabular" else multisite_count
+        prefix = uniform_maps(model.schedule, 4, seed=3)[:2]
+        config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.0, variant=variant,
+                                reference="corrupted")
+        assert not config.draws_plan(3, model.schedule)
+        step = guided_step(model, 0, prefix, config, book=multisite_book)
+        b = step.branches
+        assert step.plans == (None,) and step.evaluations == 4
+        assert np.array_equal(b.cond_corr, b.cond_gen)
+        assert np.array_equal(b.null_corr, b.null_gen)
 
 
 class TestGuidedStepCount:
@@ -341,15 +426,42 @@ class TestGuidedStepCount:
             with pytest.raises(MissingRowError, match=f"condition {condition}"):
                 guided_step(model, condition, prefix, config, book=small_book)
 
-    def test_exact_marginal_rejects_count_model(self, small_count, small_book):
-        prefix = [TokenMap(1, np.asarray([[1]]))]
-        config = GuidanceConfig(lam=1.0, reference="exact-marginal")
-        with pytest.raises(GuidanceConfigError):
-            guided_step(small_count, 0, prefix, config, book=small_book)
+    @pytest.mark.parametrize("gamma, lam", [(0.0, 1.5), (1.0, 0.5), (2.0, 2.0)])
+    def test_exact_marginal_step_is_the_four_term_form(self, deep_count, gamma, lam):
+        # The count model's own exact prefix marginals stand in for the
+        # corrupted branches.
+        model, book, corpus = deep_count
+        prefix = corpus[2][1][:2]
+        step = guided_step(model, 1, prefix, GuidanceConfig(gamma=gamma, lam=lam), book=book)
+        signature = model.embed([prefix], book).signature
+        l_cg, l_ng = (model.branch_logits(c, 3, signature)[0] for c in (1, NULL_CONDITION))
+        l_cc, l_nc = (np.log(prefix_marginal_sites(model, c, 3, book=book))
+                      for c in (1, NULL_CONDITION))
+        four_term = ((1 + lam) * (1 + gamma) * l_cg - (1 + lam) * gamma * l_ng
+                     - lam * (1 + gamma) * l_cc + lam * gamma * l_nc)
+        np.testing.assert_allclose(step.logits, four_term, rtol=0, atol=1e-12)
+        assert step.plans == (None,) and step.evaluations == 2 + 2 * (gamma > 0)
+
+    def test_exact_marginal_walk_past_the_cap_raises(self):
+        # 4 ids on the 9 prefix sites of scale 4 make 4**9 = 262,144 prefixes;
+        # the walk to scale 3 has 4**5.
+        schedule = ScaleSchedule(((1, 1), (2, 2), (2, 2), (4, 4)))
+        book = Codebook.seeded(4, 4, 2, seed=7)
+        corpus = make_corpus(schedule, book, num_conditions=2, count=8, seed=1)
+        model = fit_count_model(
+            corpus, schedule, book, vocab=4, num_conditions=2, alpha=1.0,
+            spec=SignatureSpec(2, 0), embed_seed=0, embed_dim=3, include_null=True,
+        )
+        assert 4 ** schedule.prefix_sites(4) > PREFIX_STATE_CAP >= 4 ** schedule.prefix_sites(3)
+        with pytest.raises(TooLargeError, match=str(4 ** 9)):
+            prefix_marginal_sites(model, 0, 4, book=book)
+        with pytest.raises(TooLargeError):
+            guided_step(model, 0, corpus[0][1][:3], GuidanceConfig(lam=1.0), book=book)
+        assert prefix_marginal_sites(model, 0, 3, book=book).shape == (2, 2, 4)
 
     def test_cfg_without_null_rows_rejected(self, small_schedule, small_book):
         from prefixlab.model import fit_count_model
-        from tests.conftest import make_corpus
+        from tests.conftest import make_corpus, uniform_maps
 
         corpus = make_corpus(small_schedule, small_book, 2, 6, seed=9)
         model = fit_count_model(
@@ -623,6 +735,44 @@ class TestStackedStep:
 
     @given(
         st.data(),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from(TOKEN_VARIANTS),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.integers(0, 2**16),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tabular_corrupted_rows_equal_one_prefix_steps(
+        self, data, gamma, variant, fraction, seed, rows
+    ):
+        # Rows under their own plans, and rows without one, each read at
+        # its own corrupted key.
+        schedule = data.draw(multisite_schedules(max_prefix_sites=5))
+        k = data.draw(st.integers(1, schedule.num_scales))
+        book = Codebook.seeded(schedule.num_scales, 2, 2, seed=7)
+        model = build_tabular(schedule, vocab=2, num_conditions=2, seed=seed)
+        config = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant,
+                                reference="corrupted")
+        rng = np.random.default_rng(seed)
+        prefixes = [[TokenMap(j, rng.integers(0, 2, schedule.grid(j))) for j in range(1, k)]
+                    for _ in range(rows)]
+        draws = config.draws_plan(k, schedule)
+        plans = [plan_corruption(schedule, k, fraction, variant, seed + i, book=book)
+                 if draws or i % 2 else None for i in range(rows)]
+        step = guided_step(model, 1, model.embed(prefixes), config, plan=plans, stack=True)
+        alone = [guided_step(model, 1, prefix, config, plan=plan)
+                 for prefix, plan in zip(prefixes, plans)]
+        assert step.evaluations == sum(a.evaluations for a in alone)
+        for i, want in enumerate(alone):
+            got = step.row(i)
+            assert got.plans == want.plans and same_bits(got.logits, want.logits)
+            for name in BRANCHES:
+                a, b = getattr(got.branches, name), getattr(want.branches, name)
+                assert (a is None) == (b is None)
+                assert a is None or same_bits(a, b)
+
+    @given(
+        st.data(),
         st.sampled_from(["tabular", "count"]),
         st.sampled_from([0.0, 1.0]),
         st.integers(0, 2**16),
@@ -686,6 +836,7 @@ class TestStackedStep:
         # No signed stack given: the prefixes are embedded in one stacked
         # call, at every step including the first (the empty stack), and
         # the planned rows, of several variants, are taken from that stack.
+        import prefixlab.guidance
         import prefixlab.model
 
         schedule = data.draw(multisite_schedules(max_prefix_sites=5))
@@ -706,13 +857,19 @@ class TestStackedStep:
                     for _ in range(rows)]
         plans = [plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book=book)
                  if c.draws_plan(k, schedule) else None for i, c in enumerate(configs)]
-        embed_prefix, embedded = prefixlab.model.embed_prefix, []
-        prefixlab.model.embed_prefix = lambda *a: embedded.append(a) or embed_prefix(*a)
+        embed_prefix, calls = prefixlab.model.embed_prefix, []
+        corrupt = prefixlab.guidance.corrupted_signatures
+        prefixlab.model.embed_prefix = lambda *a: calls.append("embed") or embed_prefix(*a)
+        prefixlab.guidance.corrupted_signatures = (
+            lambda *a: calls.append("corrupt") or corrupt(*a))
         try:
             step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, stack=True)
         finally:
             prefixlab.model.embed_prefix = embed_prefix
-        assert len(embedded) == 1
+            prefixlab.guidance.corrupted_signatures = corrupt
+        # The clean prefixes are embedded in one call, before any row is
+        # corrupted (uniform-prefix rows embed their plans' grids then).
+        assert calls[:2] in (["embed"], ["embed", "corrupt"])
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
         for i, want in enumerate(alone):

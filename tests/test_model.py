@@ -24,7 +24,6 @@ from prefixlab.model import (
     enumerate_prefix_keys,
     fit_count_model,
     predict_logits,
-    prefix_key,
     prefix_maps,
     prefix_state_count,
     tabular_from_rows,
@@ -39,14 +38,21 @@ class TestPrefixKeys:
             TokenMap(1, np.asarray([[2]])),
             TokenMap(2, np.asarray([[0, 1], [2, 0]])),
         ]
-        key = prefix_key(maps)
+        key = tuple(m.key() for m in maps)
         assert key == ((2,), (0, 1, 2, 0))
         back = prefix_maps(key, small_schedule)
         for a, b in zip(maps, back):
             assert np.array_equal(a.ids, b.ids)
 
-    def test_key_accepts_raw_tuples(self):
-        assert prefix_key([(0, 1), (2,)]) == ((0, 1), (2,))
+    def test_tabular_stack_signs_maps_and_raw_keys_alike(self, small_schedule):
+        # A tabular stack's signature is the canonical key: int tuples, from
+        # token maps, tuples or NumPy integer arrays alike.
+        model = build_tabular(small_schedule, 3, 1, seed=0)
+        maps = [TokenMap(1, np.asarray([[2]])), TokenMap(2, np.asarray([[0, 1], [2, 0]]))]
+        raw = [(2,), np.asarray([0, 1, 2, 0], np.int32)]
+        signed = model.embed([maps, raw, [(np.int64(2),), (0, 1, 2, 0)]])
+        assert signed.signature == [((2,), (0, 1, 2, 0))] * 3
+        assert all(type(x) is int for x in signed.signature[1][1])
 
     def test_state_count_by_hand(self):
         two_scalar = ScaleSchedule(((1, 1), (1, 1)))
@@ -594,7 +600,7 @@ class TestCarriedEmbeddings:
                 assert signed.signature[i] == fresh.signature[0]
                 if kind == "tabular":
                     assert signed.embedding is fresh.embedding is None
-                    assert signed.signature[i] == prefix_key(maps[:k])
+                    assert signed.signature[i] == tuple(m.key() for m in maps[:k])
                 else:
                     assert_row_equals(signed.embedding, i, fresh.embedding)
 
@@ -616,7 +622,7 @@ class TestCarriedEmbeddings:
         assert empty.embedding is EMPTY_EMBEDDING and empty.signature == [()] * 4
         for k in range(2, sched.num_scales + 1):
             maps = [p[: k - 1] for p in prefixes]
-            keys = [prefix_key(p) for p in maps]
+            keys = [tuple(m.key() for m in p) for p in maps]
             signed = model.embed(keys, book)
             assert len(signed.signature) == 4
             for other in (model.embed(maps, book), model.embed(maps[:2] + keys[2:], book)):
@@ -733,6 +739,7 @@ class TestMapRule:
         # The tabular table is keyed by flattened ids, so only the map rule
         # tells a (2, 1) map from the (1, 2) scale's, or scale 3's from 1's.
         from prefixlab.guidance import GuidanceConfig, guided_step
+        from prefixlab.oracle import augmented_cfg, augmented_vpg
 
         sched = ScaleSchedule(((1, 1), (1, 2), (2, 2)))
         model = build_tabular(sched, 2, 2, 0)
@@ -743,8 +750,24 @@ class TestMapRule:
             guided_step(model, 0, prefix, GuidanceConfig())
         with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
             guided_step(model, 0, [good, prefix], GuidanceConfig(), stack=True)
+        # The exact augmented laws key the prefix by the same rule.
+        for law in (augmented_vpg, augmented_cfg):
+            with pytest.raises(InvalidInputError, match=re.escape(f"prefix 0: {problem}")):
+                law(model, 0, prefix, 1.0)
         # The well-formed prefix of the same scales is read.
         assert predict_logits(model, 0, good).shape == sched.grid(len(good) + 1) + (2,)
+
+    @pytest.mark.parametrize("prefix, scale", [
+        ([(0,), (0.7, 1.9)], 2),
+        ([np.asarray([1.0])], 1),
+        ([(True,)], 1),
+    ])
+    def test_tabular_embed_rejects_non_integer_key_ids(self, prefix, scale):
+        model = build_tabular(ScaleSchedule(((1, 1), (1, 2), (2, 2))), 2, 2, 0)
+        sites = model.schedule.sites(scale)
+        with pytest.raises(InvalidInputError,
+                           match=f"the key's part at scale {scale} is not {sites} integer ids"):
+            model.embed([prefix])
 
     def test_a_map_is_for_its_own_scale(self, multisite_count, multisite_book):
         # A (2, 2) map labelled scale 1 is not scale 2's map.

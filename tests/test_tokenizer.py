@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError, InvalidScheduleError, InvalidTokenError
-from prefixlab.model import prefix_key
 from prefixlab.tokenizer import (
     Codebook,
     ScaleSchedule,
@@ -119,9 +118,6 @@ NON_INTEGER_VALUES = {
     "token_map_bools": (lambda: TokenMap(1, [[True, False]]), InvalidInputError),
     "token_map_bool_among_ints": (lambda: TokenMap(1, [[True, 1]]), InvalidInputError),
     "token_map_bool_array": (lambda: TokenMap(1, np.ones((1, 2), bool)), InvalidInputError),
-    "prefix_key_floats": (lambda: prefix_key([(0, 1), (0.7, 1.9)]), InvalidInputError),
-    "prefix_key_float_array": (lambda: prefix_key([np.asarray([1.0])]), InvalidInputError),
-    "prefix_key_bools": (lambda: prefix_key([(True,)]), InvalidInputError),
     "schedule_floats": (lambda: ScaleSchedule(((1.5, 1), (2.9, 2))), InvalidScheduleError),
     "schedule_bools": (lambda: ScaleSchedule(((True, True),)), InvalidScheduleError),
 }
@@ -147,7 +143,6 @@ def test_numpy_integers_accepted():
     book = Codebook.seeded(2, 3, 2, seed=0)
     assert np.array_equal(book.table(np.int32(2)), book.vectors[1])
     assert TokenMap(1, np.ones((1, 2), np.int32)).ids.dtype == np.int64
-    assert prefix_key([np.asarray([1, 2], np.int32)]) == ((1, 2),)
     assert ScaleSchedule(((np.int64(1), np.int32(2)),)).dims == ((1, 2),)
 
 

@@ -69,8 +69,8 @@ MUTANTS = (
            "evaluate(NULL_CONDITION) if needs_cfg else None",
            "evaluate(condition) if needs_cfg else None"),
     Mutant("exact_marginal_pair_at_condition", "src/prefixlab/guidance.py",
-           "np.log(prefix_marginal_sites(model, c, k))",
-           "np.log(prefix_marginal_sites(model, condition, k))"),
+           "np.log(prefix_marginal_sites(model, c, k, book=book))",
+           "np.log(prefix_marginal_sites(model, condition, k, book=book))"),
     Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
            "from .errors import InvalidInputError",
            "from . import guidance\nfrom .errors import InvalidInputError"),
@@ -133,7 +133,10 @@ MUTANTS = (
     Mutant("apply_corruption_skips_step_check", "src/prefixlab/corruption.py",
            "if p.step != step:", "if False:"),
     Mutant("stacked_corruption_reads_row_0_plan", "src/prefixlab/corruption.py",
-           "for i, p in enumerate(plans)", "for i, p in enumerate([plans[0]] * len(plans))"),
+           "(i, u, du, n) for i, p in enumerate(plans)",
+           "(i, u, du, n) for i, p in enumerate([plans[0]] * len(plans))"),
+    Mutant("token_reading_keeps_target_id", "src/prefixlab/corruption.py",
+           "parts[j - 1][u] = key[j - 1][du] if token", "parts[j - 1][u] = key[j - 1][u] if token"),
     Mutant("selection_size_rounds_down", "src/prefixlab/corruption.py",
            "(2 * p * sites + q) // (2 * q)", "(2 * p * sites) // (2 * q)"),
     Mutant("full_embedding_keeps_target", "src/prefixlab/corruption.py",
