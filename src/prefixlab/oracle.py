@@ -2,10 +2,12 @@
 
 Everything here is exact: one engine, ``chain_law``, walks the prefix space
 one scale at a time, chaining the per-site step laws of every live prefix
-of a scale at once (CPT rows, or a count model's own predictions). The
-enumerators and marginals read its last level, and the augmented
-distributions are the normalized ratio forms the guidance algebra is
-supposed to reproduce.
+of a scale at once (CPT rows, or a count model's own predictions). A level's
+live prefixes are the model's own signed stack, extended one scale at a time
+as ``sampler.rollouts`` extends it, so the map rule checks no prefix the walk
+built. The enumerators and marginals read its
+last level, and the augmented distributions are the normalized ratio forms
+the guidance algebra is supposed to reproduce.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .model import (
     enumerate_prefix_keys,
     scale_maps,
 )
-from .tokenizer import Codebook
+from .tokenizer import Codebook, accumulate_latent
 
 
 @dataclass(frozen=True)
@@ -50,26 +52,50 @@ class Distribution:
         return dict(zip(self.outcomes, self.probs))
 
 
-def chain_law(step_laws, num_scales: int) -> tuple[list[PrefixKey], np.ndarray]:
-    """Every sequence of ``num_scales`` token maps with positive probability,
-    walked one scale at a time, as (keys, probs) in lexicographic order.
+def chain_law(model, step_laws, num_scales: int, book: Codebook | None = None):
+    """Every prefix of ``num_scales`` token maps with positive probability,
+    walked one scale at a time, as (signed, ids, probs) in lexicographic
+    order: the model's signed stack of them, each scale's (P, h_j, w_j) ids
+    and their probabilities.
 
-    ``step_laws(keys)`` returns the per-site laws, (P, h*w, V), of the map
-    after each of a level's P live prefix keys; sites are independent given
-    the prefix. Laws of a stack of G walks over one prefix space, (G, P,
-    h*w, V), are walked together: ``probs`` is then (G, P), and a key is
-    kept where any of the G gives it mass (the others carry it at 0)."""
-    keys, probs = [()], np.ones(1)
-    for _ in range(num_scales):
-        laws = step_laws(keys)
-        maps = scale_maps(laws.shape[-1], laws.shape[-2])
-        flat = laws.reshape((-1,) + laws.shape[-2:])
-        joint = probs[..., None] * _joint_law(flat).reshape(laws.shape[:-2] + (-1,))
-        live = (joint > 0.0).reshape((-1,) + joint.shape[-2:]).any(axis=0)
-        rows, cols = np.nonzero(live)
-        keys = [keys[i] + (maps[j],) for i, j in zip(rows.tolist(), cols.tolist())]
-        probs = joint[..., rows, cols]
-    return keys, probs
+    ``step_laws(signed)`` returns the per-site laws, (P, h*w, V), of the map
+    after each of a level's P live prefixes; sites are independent given
+    the prefix. A level takes the stack's live rows and extends them by
+    their new ids with ``model.extend``, after accumulating their latents
+    from ``book`` where the stack has an embedding, as ``sampler.rollouts``
+    does; a tabular walk reads no codebook. A level of more than
+    ``PREFIX_STATE_CAP`` prefixes (P times the scale's maps) raises
+    TooLargeError once its laws are read, before it is formed. Laws of a
+    stack of G walks over one prefix space, (G, P, h*w, V), are walked
+    together: ``probs`` is then (G, P), and a prefix is kept where any of
+    the G gives it mass (the others carry it at 0)."""
+    signed, ids, probs = model.embed([()], book), [], np.ones(1)
+    latent = None if signed.embedding is None else np.zeros(
+        (1,) + model.schedule.final_dims + (book.latent_dim,))
+    for k in range(1, num_scales + 1):
+        laws = step_laws(signed)
+        if (states := laws.shape[-3] * model.vocab ** laws.shape[-2]) > PREFIX_STATE_CAP:
+            raise TooLargeError(states, PREFIX_STATE_CAP)
+        rows, cols, probs = live_maps(probs, laws)
+        new = np.stack(np.unravel_index(cols, (model.vocab,) * laws.shape[-2]), axis=-1)
+        new = new.reshape((len(cols),) + model.schedule.grid(k))
+        ids = [a[rows] for a in ids] + [new]
+        if latent is not None:
+            latent = accumulate_latent(latent[rows], k, new, book)
+        signed = model.extend(signed.take(rows), new, latent)
+    return signed, ids, probs
+
+
+def live_maps(probs: np.ndarray, laws: np.ndarray):
+    """One level of a walk from its P prefixes' probabilities, (..., P),
+    and per-site laws, (..., P, h*w, V): the (row, column) of each
+    (prefix, map in ``scale_maps`` order) that any walk gives mass, in
+    lexicographic order, and its probabilities, (..., N)."""
+    flat = laws.reshape((-1,) + laws.shape[-2:])
+    joint = probs[..., None] * _joint_law(flat).reshape(laws.shape[:-2] + (-1,))
+    live = (joint > 0.0).reshape((-1,) + joint.shape[-2:]).any(axis=0)
+    rows, cols = np.nonzero(live)
+    return rows, cols, joint[..., rows, cols]
 
 
 def _joint_law(laws: np.ndarray) -> np.ndarray:
@@ -82,35 +108,34 @@ def _joint_law(laws: np.ndarray) -> np.ndarray:
     return joint
 
 
-def _site_laws(model, condition: Condition, book: Codebook | None = None):
-    """Per-site step laws of a tabular or count model, as ``chain_law`` takes them."""
-    def laws(keys):
-        k = len(keys[0]) + 1
-        if isinstance(model, TabularModel):
-            return model.rows(condition, k, keys)
-        signatures = model.embed(keys, book).signature
-        return np.exp(np.stack([model.logits(condition, k, sig) for sig in signatures]))
-    return lambda keys: laws(keys).reshape(len(keys), -1, model.vocab)
+def _site_laws(model, condition: Condition):
+    """Per-site step laws of a tabular or count model's signed stack, as
+    ``chain_law`` takes them: table rows, or the exp of the logits."""
+    def laws(signed):
+        args = condition, signed.step, signed.signature
+        rows = model.rows(*args) if isinstance(model, TabularModel) else np.exp(model.branch_logits(*args))
+        return rows.reshape(len(signed.signature), -1, model.vocab)
+    return laws
 
 
 def step_map_distribution(model: TabularModel, condition: Condition, key: PrefixKey) -> Distribution:
     """Joint distribution over the whole token maps of the step after ``key``."""
-    laws = _site_laws(model, condition)([key])
+    laws = model.rows(condition, len(key) + 1, [key]).reshape(1, -1, model.vocab)
     return Distribution(scale_maps(model.vocab, laws.shape[1]), _joint_law(laws)[0])
 
 
 def enumerate_prefixes(model: TabularModel, condition: Condition, k: int) -> list[tuple[PrefixKey, float]]:
     """All (prefix, p(prefix | c)) pairs for the step at scale k."""
-    keys, probs = chain_law(_site_laws(model, condition), k - 1)
-    return list(zip(keys, probs.tolist()))
+    signed, _, probs = chain_law(model, _site_laws(model, condition), k - 1)
+    return list(zip(signed.signature, probs.tolist()))
 
 
 def _step_joint(model: TabularModel, condition: Condition, k: int):
-    """Scale k's prefixes, its maps, and p(prefix, r_k | c) over both, (P, V**S)."""
+    """Scale k's prefix keys, its maps, and p(prefix, r_k | c) over both, (P, V**S)."""
     laws = _site_laws(model, condition)
-    keys, probs = chain_law(laws, k - 1)
+    signed, _, probs = chain_law(model, laws, k - 1)
     maps = scale_maps(model.vocab, model.schedule.sites(k))
-    return keys, maps, probs[:, None] * _joint_law(laws(keys))
+    return signed.signature, maps, probs[:, None] * _joint_law(laws(signed))
 
 
 def prefix_marginal(model: TabularModel, condition: Condition, k: int) -> Distribution:
@@ -128,20 +153,17 @@ def prefix_marginal_sites(
     models keep it per (condition, k), and the first call at a scale keeps
     every condition's and the null condition's, from one stacked walk; the
     marginals are the same bits as one walk each. Count models walk the
-    exp of their logits on every call, each level's prefixes embedded as one
-    signed stack, and need the codebook; a walk of more than
-    ``PREFIX_STATE_CAP`` prefixes raises TooLargeError."""
+    exp of their logits on every call, each level's prefixes carried as one
+    signed stack, and need the codebook; a level of more than
+    ``PREFIX_STATE_CAP`` prefixes raises TooLargeError (``chain_law``)."""
     if isinstance(model, TabularModel):
         memo = model._marginals
-        conditions = [*range(model.num_conditions), NULL_CONDITION]
-        if (condition, k) not in memo and condition in conditions:
-            for c, total in zip(conditions, _marginal_sites(model, k, _class_laws(model))):
-                memo[(c, k)] = total
+        keys = [(c, k) for c in [*range(model.num_conditions), NULL_CONDITION]]
+        if (condition, k) not in memo and (condition, k) in keys:
+            memo.update(zip(keys, _marginal_sites(model, k, _class_laws(model))))
         if (condition, k) in memo:
             return memo[(condition, k)]
-    elif (states := model.vocab ** model.schedule.prefix_sites(k)) > PREFIX_STATE_CAP:
-        raise TooLargeError(states, PREFIX_STATE_CAP)
-    return _marginal_sites(model, k, _site_laws(model, condition, book))
+    return _marginal_sites(model, k, _site_laws(model, condition), book)
 
 
 def _class_laws(model: TabularModel):
@@ -149,19 +171,19 @@ def _class_laws(model: TabularModel):
     of the null condition, stacked for ``chain_law`` as (C + 1, P, h*w, V).
     The null rows are the mean of the stacked class rows, the same bits as
     ``TabularModel.rows`` gives them."""
-    def laws(keys):
-        k = len(keys[0]) + 1
-        rows = np.stack([model.rows(c, k, keys) for c in range(model.num_conditions)])
+    def laws(signed):
+        rows = np.stack([model.rows(c, signed.step, signed.signature)
+                         for c in range(model.num_conditions)])
         stacked = np.concatenate([rows, rows.mean(axis=0)[None]])
-        return stacked.reshape(len(stacked), len(keys), -1, model.vocab)
+        return stacked.reshape(stacked.shape[:2] + (-1, model.vocab))
     return laws
 
 
-def _marginal_sites(model, k: int, laws) -> np.ndarray:
+def _marginal_sites(model, k: int, laws, book: Codebook | None = None) -> np.ndarray:
     """Per-site p(r_k), (..., h_k, w_k, V), read-only, weighting the scale-k
     laws of ``laws`` (one walk's or a stack's) by the prefix law to k - 1."""
-    keys, probs = chain_law(laws, k - 1)
-    total = (probs[..., None, None] * laws(keys)).sum(axis=-3)
+    signed, _, probs = chain_law(model, laws, k - 1, book)
+    total = (probs[..., None, None] * laws(signed)).sum(axis=-3)
     total = total.reshape(total.shape[:-2] + model.schedule.grid(k) + (model.vocab,))
     total.setflags(write=False)
     return total

@@ -27,8 +27,8 @@ from .config import GuidanceConfig, SamplerConfig
 from .corruption import CorruptionPlan, plan_corruption
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidedStep, guided_step
-from .model import Condition, TokenMap
-from .oracle import Distribution, chain_law, softmax
+from .model import Condition, TokenMap, scale_maps
+from .oracle import Distribution, chain_law, live_maps, softmax
 from .tokenizer import Codebook, accumulate_latent
 
 
@@ -282,15 +282,22 @@ def rollout_distribution(
     reference, lam = 0, a fixed corruption plan, or a scale whose variant can
     select no site (``GuidanceConfig.draws_plan`` is false, so the corrupted
     pair is the clean pair); ``guided_step`` rejects any other guided scale
-    as ill-defined. A scale's live prefixes take one stacked ``guided_step``
-    and one ``truncated_law``.
+    as ill-defined. A scale's live prefixes, the model's signed stack that
+    ``oracle.chain_law`` carries, take one stacked ``guided_step`` and one
+    ``truncated_law``. The last scale's laws are read once more, without
+    extending the stack, and are not capped; the outcome keys are built
+    once, from the walk's ids.
     """
 
-    def step_laws(keys):
-        plan = (fixed_plans or {}).get(len(keys[0]) + 1)
-        logits = guided_step(model, condition, keys, gconfig, book=book, stack=True,
-                             plan=None if plan is None else [plan] * len(keys)).logits
-        return truncated_law(logits, sconfig).reshape(len(keys), -1, logits.shape[-1])
+    def step_laws(signed):
+        plan, size = (fixed_plans or {}).get(signed.step), len(signed.signature)
+        logits = guided_step(model, condition, signed, gconfig, book=book, stack=True,
+                             plan=None if plan is None else [plan] * size).logits
+        return truncated_law(logits, sconfig).reshape(size, -1, logits.shape[-1])
 
-    keys, probs = chain_law(step_laws, model.schedule.num_scales)
+    signed, ids, probs = chain_law(model, step_laws, model.schedule.num_scales - 1, book)
+    rows, cols, probs = live_maps(probs, step_laws(signed))
+    prefixes = list(zip(*[map(tuple, a.reshape(len(a), -1).tolist()) for a in ids])) or [()]
+    maps = scale_maps(model.vocab, model.schedule.sites(model.schedule.num_scales))
+    keys = [prefixes[i] + (maps[j],) for i, j in zip(rows.tolist(), cols.tolist())]
     return Distribution(tuple(keys), probs / probs.sum())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from prefixlab.model import (
     SignatureSpec,
@@ -99,6 +101,20 @@ def multisite_count(multisite_schedule, multisite_book):
 def multisite_tabular(multisite_schedule):
     """A tabular model on the multi-site schedule, with the count model's vocabulary."""
     return build_tabular(multisite_schedule, vocab=4, num_conditions=2, seed=5)
+
+
+@st.composite
+def multisite_schedules(draw, max_prefix_sites=None):
+    """Two or three scales whose last grid has several sites; the earlier
+    grids fit inside it and are ordered by site count."""
+    fh, fw = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    earlier = draw(st.lists(
+        st.tuples(st.integers(1, fh), st.integers(1, fw)), min_size=1, max_size=2
+    ))
+    dims = sorted(earlier, key=lambda hw: hw[0] * hw[1]) + [(fh, fw)]
+    if max_prefix_sites is not None:
+        assume(sum(h * w for h, w in dims[:-1]) <= max_prefix_sites)
+    return ScaleSchedule(tuple(dims))
 
 
 def uniform_maps(schedule, vocab, seed):

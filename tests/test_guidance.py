@@ -40,8 +40,8 @@ from prefixlab.model import (
 from prefixlab.oracle import enumerate_prefixes, prefix_marginal_sites, softmax
 from prefixlab.sampler import SamplerConfig, rollouts
 from prefixlab.tokenizer import Codebook, ScaleSchedule
-from tests.conftest import make_corpus, uniform_maps
-from tests.test_sampler import BRANCHES, multisite_schedules, same_bits
+from tests.conftest import make_corpus, multisite_schedules, uniform_maps
+from tests.test_sampler import BRANCHES, same_bits
 
 
 def corrupted_logits(model, condition, prefix, plan, book):

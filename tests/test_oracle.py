@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import re
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from prefixlab.errors import InvalidInputError
 from prefixlab.guidance import GuidanceConfig
 from prefixlab.model import (
     NULL_CONDITION,
+    SignatureSpec,
     TabularModel,
     build_tabular,
+    enumerate_prefix_keys,
+    fit_count_model,
     predict_logits,
     prefix_maps,
 )
@@ -37,6 +41,7 @@ from prefixlab.oracle import (
 )
 from prefixlab.sampler import SamplerConfig, rollout_distribution
 from prefixlab.tokenizer import Codebook, ScaleSchedule
+from tests.conftest import make_corpus, multisite_schedules
 
 
 class TestDistribution:
@@ -261,8 +266,23 @@ def reference_chain_law(step_law, num_scales):
 
 
 def stacked(step_law):
-    """A per-prefix step law as the stacked ``step_laws`` of ``chain_law``."""
-    return lambda keys: np.stack([step_law(key) for key in keys])
+    """A per-prefix step law as the stacked ``step_laws`` of ``chain_law``,
+    read at the keys of a tabular stack's signatures."""
+    return lambda signed: np.stack([step_law(key) for key in signed.signature])
+
+
+def site_rows(sites, vocab):
+    """A tabular model with no rows whose scale k is one row of
+    ``sites[k - 1]`` sites, in any order (a ``ScaleSchedule`` orders them),
+    for walks whose step laws are given."""
+    schedule = SimpleNamespace(grid=lambda k: (1, sites[k - 1]), sites=lambda k: sites[k - 1])
+    return TabularModel(schedule, vocab, 1, {})
+
+
+def keys_of(ids):
+    """The prefix keys of a walk's rows, from each scale's (P, h, w) ids."""
+    return [tuple(map(tuple, parts)) for parts in zip(*[a.reshape(len(a), -1).tolist()
+                                                       for a in ids])]
 
 
 def per_prefix_marginal_sites(step_law, shape, k):
@@ -291,8 +311,11 @@ class TestChainLawEngine:
                 law[0, -1] = 0.0
             return law
 
-        keys, probs = chain_law(stacked(step_law), len(sites))
-        assert list(zip(keys, probs.tolist())) == reference_chain_law(step_law, len(sites))
+        model = site_rows(sites, vocab)
+        signed, ids, probs = chain_law(model, stacked(step_law), len(sites))
+        assert keys_of(ids) == signed.signature
+        assert list(zip(signed.signature, probs.tolist())) == reference_chain_law(
+            step_law, len(sites))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_tabular_marginal_sites_equal_the_per_prefix_sum_bit_for_bit(self, k):
@@ -368,7 +391,7 @@ class TestChainLawEngine:
         walks = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("prefixlab.oracle.chain_law",
-                       lambda *args: walks.append(args[1]) or chain_law(*args))
+                       lambda *args: walks.append(args[2]) or chain_law(*args))
             for k in range(1, schedule.num_scales + 1):
                 for c in [NULL_CONDITION, *range(conditions)]:
                     law = lambda key: model.row(c, len(key) + 1, key).reshape(-1, vocab)  # noqa: E731
@@ -376,6 +399,57 @@ class TestChainLawEngine:
                     got = prefix_marginal_sites(model, c, k)
                     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
         assert walks == list(range(schedule.num_scales))
+
+    @given(multisite_schedules(max_prefix_sites=5), st.integers(2, 3), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_each_level_is_the_stack_embed_gives_its_keys(self, schedule, vocab, data):
+        # The walk extends the live rows of its stack as rollouts do; each
+        # level equals the model's ``embed`` of the level's keys: the same
+        # signatures and, for a count stack, the same embedding bits.
+        book = Codebook.seeded(schedule.num_scales, vocab, 2, seed=7)
+        kind = data.draw(st.sampled_from(["tabular", "count"]))
+        model = build_tabular(schedule, vocab, 2, seed=1) if kind == "tabular" else fit_count_model(
+            make_corpus(schedule, book, num_conditions=2, count=12, seed=5), schedule, book,
+            vocab=vocab, num_conditions=2, alpha=1.0, spec=SignatureSpec(bins=3, seed=0),
+            embed_seed=11, embed_dim=3, include_null=False)
+
+        def laws(signed):
+            logits = model.branch_logits(0, signed.step, signed.signature)
+            return np.exp(logits).reshape(len(signed.signature), -1, vocab)
+
+        for k in range(1, schedule.num_scales + 1):
+            signed, ids, probs = chain_law(model, laws, k - 1, book)
+            keys = keys_of(ids) or [()]
+            assert keys == enumerate_prefix_keys(schedule, vocab, k)
+            assert signed.step == k and probs.shape == (len(keys),)
+            fresh = model.embed(keys, book)
+            assert signed.signature == fresh.signature
+            if kind == "tabular":
+                assert signed.embedding is fresh.embedding is None
+                continue
+            for a, b in zip(signed.embedding.grids + signed.embedding.pooled,
+                            fresh.embedding.grids + fresh.embedding.pooled):
+                assert a.tobytes() == b.tobytes()
+
+    def test_the_walk_checks_no_prefix_it_builds(self, small_count, small_book, monkeypatch):
+        # The map rule checks each prefix a caller gives; a walk's only
+        # check is of its empty root, whatever the number of live prefixes.
+        import prefixlab.model
+
+        seen = []
+        problem = prefixlab.model.prefix_problem
+        monkeypatch.setattr(prefixlab.model, "prefix_problem",
+                            lambda prefix, *a: seen.append(prefix) or problem(prefix, *a))
+        gconfig = GuidanceConfig(lam=1.0, reference="exact-marginal")
+        law = rollout_distribution(small_count, 0, gconfig, SamplerConfig(), small_book)
+        prefix_marginal_sites(small_count, 1, 2, book=small_book)
+        assert len(law.outcomes) == 3 ** 5
+        assert seen and all(prefix == () for prefix in seen)
+        # A prefix the caller gives is checked.
+        maps = prefix_maps(law.outcomes[7][:1], small_count.schedule)
+        seen.clear()
+        predict_logits(small_count, 0, maps, book=small_book)
+        assert len(seen) == 1 and seen[0] is maps
 
 
 def brute_force_joint(model, condition):

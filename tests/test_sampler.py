@@ -13,9 +13,10 @@ from prefixlab.errors import (
     DegenerateDistributionError,
     IllDefinedLawError,
     InvalidInputError,
+    TooLargeError,
 )
 from prefixlab.guidance import GuidanceConfig, guided_step
-from prefixlab.oracle import softmax
+from prefixlab.oracle import prefix_marginal_sites, softmax
 from prefixlab.sampler import (
     SamplerConfig,
     rollout_distribution,
@@ -34,7 +35,7 @@ from prefixlab.model import (
     tabular_from_rows,
 )
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap, decode_maps
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, multisite_schedules
 from tests.test_oracle import reference_chain_law
 
 
@@ -371,20 +372,6 @@ def assert_same_rollouts(got, expected):
                 assert a is None or same_bits(a, b)
 
 
-@st.composite
-def multisite_schedules(draw, max_prefix_sites=None):
-    """Two or three scales whose last grid has several sites; the earlier
-    grids fit inside it and are ordered by site count."""
-    fh, fw = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
-    earlier = draw(st.lists(
-        st.tuples(st.integers(1, fh), st.integers(1, fw)), min_size=1, max_size=2
-    ))
-    dims = sorted(earlier, key=lambda hw: hw[0] * hw[1]) + [(fh, fw)]
-    if max_prefix_sites is not None:
-        assume(sum(h * w for h, w in dims[:-1]) <= max_prefix_sites)
-    return ScaleSchedule(tuple(dims))
-
-
 ROLLOUT_CASES = {
     # Tabular model, CFG and prefix contrast against the exact marginal.
     "tabular_exact_marginal": (
@@ -525,6 +512,11 @@ class TestCarriedRollouts:
         # sample's own signature in its row (a tabular model's prefix key),
         # and a count model's prefix embedding too.
         model, book = request.getfixturevalue(f"multisite_{kind}"), multisite_book
+        if kind == "tabular":
+            # The exact-marginal pair's walks sign and extend stacks too;
+            # with every marginal kept first, only the carried ones count.
+            for k in range(1, model.schedule.num_scales + 1):
+                prefix_marginal_sites(model, 1, k)
         stacks = []
         for name in ("embed", "extend"):
             method = getattr(type(model), name)
@@ -768,24 +760,42 @@ class TestRolloutLaw:
         st.sampled_from([0.8, 2.0]),
         st.sampled_from([SamplerConfig(), SamplerConfig(top_k=2, top_p=0.9, temperature=0.8),
                          SamplerConfig(top_p=0.7)]),
+        st.one_of(st.none(), st.sampled_from(["exact-marginal", *CorruptionVariant])),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_law_equals_a_per_prefix_chain_bit_for_bit(
-        self, dims, vocab, seed, gamma, lam, sconfig
+        self, dims, vocab, seed, gamma, lam, sconfig, count
     ):
+        # ``count`` is None for a tabular model under the exact-marginal
+        # reference, else a count model's reference: the exact marginal, or
+        # the prefix corrupted by this variant under a fixed plan at each
+        # guided scale.
         schedule = ScaleSchedule(dims)
         assume(vocab ** sum(h * w for h, w in dims) <= 243)
-        model = build_tabular(schedule, vocab, 2, seed=seed)
         book = Codebook.seeded(len(dims), vocab, 2, seed=0)
         gconfig = GuidanceConfig(gamma=gamma, lam=lam, reference="exact-marginal")
+        plans = {}
+        if count is None:
+            model = build_tabular(schedule, vocab, 2, seed=seed)
+        else:
+            corpus = make_corpus(schedule, book, num_conditions=2, count=12, seed=seed)
+            model = fit_count_model(
+                corpus, schedule, book, vocab=vocab, num_conditions=2, alpha=1.0,
+                spec=SignatureSpec(bins=3, seed=0), embed_seed=seed, embed_dim=3,
+                include_null=True)
+        if count not in (None, "exact-marginal"):
+            gconfig = replace(gconfig, fraction=0.5, variant=count, reference="corrupted")
+            plans = {k: plan_corruption(schedule, k, 0.5, count, seed + k, book=book)
+                     for k in range(2, len(dims) + 1)}
 
         def step_law(key):
-            step = guided_step(model, 1, prefix_maps(key, schedule), gconfig, book=book)
+            step = guided_step(model, 1, prefix_maps(key, schedule), gconfig, book=book,
+                               plan=plans.get(len(key) + 1))
             return truncated_law(step.logits, sconfig).reshape(-1, vocab)
 
         pairs = reference_chain_law(step_law, len(dims))
         probs = np.asarray([p for _, p in pairs])
-        law = rollout_distribution(model, 1, gconfig, sconfig, book)
+        law = rollout_distribution(model, 1, gconfig, sconfig, book, fixed_plans=plans)
         assert law.outcomes == tuple(key for key, _ in pairs)
         assert np.array_equal(law.probs.view(np.int64), (probs / probs.sum()).view(np.int64))
 
@@ -853,6 +863,24 @@ class TestRolloutLaw:
         assert len(law.outcomes) == 2 ** 5
         assert law.outcomes == fixed.outcomes
         assert np.array_equal(law.probs.view(np.int64), fixed.probs.view(np.int64))
+
+    def test_prefix_level_past_the_cap_raises(self, monkeypatch):
+        # V = 3 on (1,1),(2,2): the walk forms one level of 3 prefixes; the
+        # 243 sequences of the last level are the law's outcomes, not capped.
+        schedule = ScaleSchedule(((1, 1), (2, 2)))
+        book = Codebook.seeded(2, 3, 2, seed=7)
+        model = fit_count_model(
+            make_corpus(schedule, book, num_conditions=2, count=12, seed=5), schedule, book,
+            vocab=3, num_conditions=2, alpha=1.0, spec=SignatureSpec(bins=2, seed=0),
+            embed_seed=0, embed_dim=4, include_null=True,
+        )
+        gconfig = GuidanceConfig(lam=1.0, fraction=0.0, reference="corrupted")
+        monkeypatch.setattr("prefixlab.oracle.PREFIX_STATE_CAP", 2)
+        with pytest.raises(TooLargeError, match="has 3 states, cap is 2"):
+            rollout_distribution(model, 0, gconfig, SamplerConfig(), book)
+        monkeypatch.setattr("prefixlab.oracle.PREFIX_STATE_CAP", 3)
+        law = rollout_distribution(model, 0, gconfig, SamplerConfig(), book)
+        assert len(law.outcomes) == 3 ** 5
 
     def test_stochastic_corruption_has_no_law(self, small_count, small_book):
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")

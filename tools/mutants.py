@@ -93,10 +93,12 @@ MUTANTS = (
            "np.stack([_normalized_power_ratio(cond, ref, s) for s in block])",
            "_normalized_power_ratio(cond, ref, column(block))"),
     Mutant("marginal_ignores_prefix_weights", "src/prefixlab/oracle.py",
-           "(probs[..., None, None] * laws(keys)).sum(axis=-3)",
-           "laws(keys).sum(axis=-3)"),
+           "(probs[..., None, None] * laws(signed)).sum(axis=-3)",
+           "laws(signed).sum(axis=-3)"),
     Mutant("chain_law_keeps_zero_mass", "src/prefixlab/oracle.py",
            "(joint > 0.0)", "(joint >= 0.0)"),
+    Mutant("walk_takes_row_0_for_every_live_row", "src/prefixlab/oracle.py",
+           "signed.take(rows)", "signed.take(np.zeros_like(rows))"),
     Mutant("joint_law_reversed_site_order", "src/prefixlab/oracle.py",
            "for site in np.moveaxis(laws, 1, 0):",
            "for site in np.moveaxis(laws, 1, 0)[::-1]:"),
