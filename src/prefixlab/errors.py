@@ -8,8 +8,9 @@ from typing import Callable, NamedTuple
 
 
 def integral(value) -> bool:
-    """An int or NumPy integer, not a bool; a boundary coerces no other value."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    """An int or NumPy integer, not a bool; a boundary coerces no other value.
+    A plain int, the common case on hot paths, skips the ABC check."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def real(value) -> bool:

@@ -156,36 +156,36 @@ def guided_step(
     *,
     book: Codebook | None = None,
     plan: CorruptionPlan | Sequence[CorruptionPlan | None] | None = None,
-    stack: bool = False,
 ) -> GuidedStep:
     """Evaluate only the branches the configuration needs and compose them.
 
-    ``prefix`` is the generated token history (list of TokenMap, or a prefix
-    key). A corrupted branch runs on the prefix corrupted under ``plan``,
-    signed in full; the step draws nothing at random, so where
-    ``config.draws_plan`` holds and no plan is given it raises
-    IllDefinedLawError. Without a plan (as where the variant selects no
-    site) the corrupted pair is the clean pair.
+    ``prefix`` is the generated token history: one prefix (list of
+    TokenMap, or a prefix key), or the model's signed stack of P prefixes
+    of one step, built by its ``embed`` and ``extend``. A corrupted branch
+    runs on the prefix corrupted under ``plan``, signed in full; the step
+    draws nothing at random, so where ``config.draws_plan`` holds and no
+    plan is given it raises IllDefinedLawError. Without a plan (as where
+    the variant selects no site) the corrupted pair is the clean pair.
 
-    With ``stack``, ``prefix`` is a stack of P prefixes of one scale, and
-    ``plan``, where given, holds one plan per prefix (a row's plan may be
-    None). ``config`` is one config for every row, or a sequence of one per
+    A signed stack is taken only by the model kind that signed it; its
+    ``step`` is k and its signature list has one entry per row. ``plan``,
+    where given, then holds one plan per row (a row's plan may be None),
+    and ``config`` is one config for every row, or a sequence of one per
     row; the rows' configs share gamma and reference, and each row
-    contrasts, with its own lambda, where its own config does. The stack is
-    the model's signed stack, whose ``step`` is k and whose signature list
-    has one entry per row, or a list of prefixes, which the model's
-    ``embed`` checks and signs in one call (the one prefix of a one-prefix
-    call as a list of one). A signed stack is taken only by a stacked step
-    of the model kind that signed it. The step is then evaluated for the
-    whole stack at once, the same way for either model kind: the clean pair
-    (and the exact-marginal pair, walked by ``prefix_marginal_sites`` with
-    ``book``) comes from ``gather_branches``, and the corrupted pair is
-    ``branch_logits`` of ``corruption.corrupted_signatures``, the planned
-    rows corrupted and signed together. Under the corrupted reference a
-    contrasting step on a stack with no embedding (a tabular stack) raises
-    GuidanceConfigError for a variant that corrupts embeddings only, and one
-    on a count stack needs the codebook. Its arrays have a leading P axis.
-    The one-prefix call is the P = 1 case and returns that row.
+    contrasts, with its own lambda, where its own config does. The step is
+    evaluated for the whole stack at once, the same way for either model
+    kind: the clean pair (and the exact-marginal pair, walked by
+    ``prefix_marginal_sites`` with ``book``) comes from ``gather_branches``,
+    and the corrupted pair is ``branch_logits`` of
+    ``corruption.corrupted_signatures``, the planned rows corrupted and
+    signed together. Under the corrupted reference a contrasting step on a
+    stack with no embedding (a tabular stack) raises GuidanceConfigError for
+    a variant that corrupts embeddings only, and one on a count stack needs
+    the codebook. Its arrays have a leading P axis. Any other ``prefix``,
+    a list of prefixes too, is one prefix: it takes one plan or None and
+    one config (else InvalidInputError), and the model's ``embed`` checks
+    it and signs it as a stack of one row, the P = 1 case, whose row is
+    returned.
 
     ``gather_branches`` is also the gather that ``oracle.verify_identities``
     composes and judges on a tabular model at every strength it checks. What
@@ -195,16 +195,16 @@ def guided_step(
     """
     if not isinstance(model, (TabularModel, CountModel)):
         raise InvalidInputError(f"unknown predictor type {type(model)!r}")
-    if isinstance(prefix, SignedEmbedding) and not (
-            stack and (prefix.embedding is None) == isinstance(model, TabularModel)):
-        raise InvalidInputError("a signed stack is taken only by a stacked step of its model kind")
-    if not stack:
-        prefix, plan = [prefix], None if plan is None else [plan]
-    signed = prefix if isinstance(prefix, SignedEmbedding) else model.embed(prefix, book)
+    one = not isinstance(prefix, SignedEmbedding)
+    if one and not (isinstance(plan, (CorruptionPlan, type(None)))
+                    and isinstance(config, GuidanceConfig)):
+        raise InvalidInputError("one prefix takes one plan (or None) and one config")
+    signed = model.embed([prefix], book) if one else prefix
+    if (signed.embedding is None) != isinstance(model, TabularModel):
+        raise InvalidInputError("a signed stack is taken only by the model kind that signed it")
     size = len(signed.signature)
-    plans = [None] * size if plan is None else list(plan)
-    configs = ([config] * size if isinstance(config, GuidanceConfig)
-               else list(config) if stack else [])
+    plans = [plan] if one else [None] * size if plan is None else list(plan)
+    configs = [config] * size if isinstance(config, GuidanceConfig) else list(config)
     if not size or len(plans) != size or len(configs) != size:
         raise InvalidInputError(
             "a stack takes one plan per prefix, and one config or one per prefix")
@@ -241,4 +241,4 @@ def guided_step(
         if array is not None:
             array.setflags(write=False)
     step = GuidedStep(k, logits, branches, used, contrasted)
-    return step if stack else step.row(0)
+    return step.row(0) if one else step

@@ -39,6 +39,14 @@ PROB_FLOOR = 1e-9
 PrefixKey = tuple[tuple[int, ...], ...]
 
 
+def check_condition(condition) -> None:
+    """Raise InvalidInputError naming ``condition`` unless it is the null
+    condition or an integer: a bool or float hashes as the class it equals,
+    so it would read that class's rows."""
+    if condition is not NULL_CONDITION and not integral(condition):
+        raise InvalidInputError(f"condition {condition!r} is not an integer or the null condition")
+
+
 def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
     """What keeps ``prefix`` from holding scales 1..``scales``, naming the
     first scale at fault, or None. It has ``scales`` parts; the map at
@@ -54,6 +62,15 @@ def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
         elif len(part) != schedule.sites(j) or not all(map(integral, part)):
             return f"the key's part at scale {j} is not {schedule.sites(j)} integer ids"
     return None
+
+
+def check_codebook(model, book: Codebook) -> None:
+    """Raise InvalidInputError naming both shapes unless ``book`` has a code
+    table per scale of ``model`` and one code per token id."""
+    if (book.num_scales, book.vocab) != (model.schedule.num_scales, model.vocab):
+        raise InvalidInputError(
+            f"a codebook of {book.num_scales} scales x {book.vocab} codes does not fit a "
+            f"model of {model.schedule.num_scales} scales x {model.vocab} token ids")
 
 
 def _check_prefixes(prefixes: Sequence, schedule: ScaleSchedule) -> None:
@@ -231,13 +248,15 @@ class TabularModel:
     def rows(self, condition: Condition, k: int, keys: Sequence[PrefixKey]) -> np.ndarray:
         """Probability tables of a stack of scale-k prefix keys, (P, h_k, w_k, V).
         The null condition mixes the classes uniformly: one mean over the
-        stacked class rows, the same bits as a mean per key."""
+        stacked class rows, the same bits as a mean per key. Each class row
+        is read by ``row``, which checks the condition first."""
         if condition is NULL_CONDITION:
             return np.mean([self.rows(c, k, keys) for c in range(self.num_conditions)], axis=0)
         return np.stack([self.row(condition, k, key) for key in keys])
 
     def row(self, condition: Condition, k: int, key: PrefixKey) -> np.ndarray:
         """Probability table for one step; null condition mixes classes uniformly."""
+        check_condition(condition)
         if condition is NULL_CONDITION:
             return self.rows(condition, k, [key])[0]
         try:
@@ -396,7 +415,8 @@ class CountModel:
         as its token maps or its prefix key, embedded in one stacked
         ``embed_prefix`` call. A prefix that does not hold the first
         prefix's scales, each as ``prefix_problem`` requires, raises
-        InvalidInputError naming it and the scale at fault."""
+        InvalidInputError naming it and the scale at fault, and so does a
+        codebook that does not fit (``check_codebook``)."""
         fitted = self.params[0].shape[1]
         if book is None:
             raise InvalidInputError("a count model embeds a prefix with the codebook")
@@ -404,6 +424,7 @@ class CountModel:
             raise InvalidInputError(
                 f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
             )
+        check_codebook(self, book)
         _check_prefixes(prefixes, self.schedule)
         ids = [np.array([p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
                         dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j))
@@ -438,6 +459,7 @@ class CountModel:
     def logits(self, condition: Condition, k: int, signature) -> np.ndarray:
         """The read-only scale-k logits of a prefix with this signature, kept
         per (condition, k, signature)."""
+        check_condition(condition)
         key = (condition, k, signature)
         logits = self._logits.get(key)
         if logits is None:

@@ -27,6 +27,7 @@ from .model import (
     PREFIX_STATE_CAP,
     PrefixKey,
     TabularModel,
+    check_condition,
     enumerate_prefix_keys,
     scale_maps,
 )
@@ -155,28 +156,20 @@ def prefix_marginal_sites(
     marginals are the same bits as one walk each. Count models walk the
     exp of their logits on every call, each level's prefixes carried as one
     signed stack, and need the codebook; a level of more than
-    ``PREFIX_STATE_CAP`` prefixes raises TooLargeError (``chain_law``)."""
+    ``PREFIX_STATE_CAP`` prefixes raises TooLargeError (``chain_law``). A
+    condition that is neither an integer nor the null condition raises
+    InvalidInputError before the memo is read."""
+    check_condition(condition)
     if isinstance(model, TabularModel):
-        memo = model._marginals
-        keys = [(c, k) for c in [*range(model.num_conditions), NULL_CONDITION]]
-        if (condition, k) not in memo and (condition, k) in keys:
-            memo.update(zip(keys, _marginal_sites(model, k, _class_laws(model))))
+        memo, conditions = model._marginals, [*range(model.num_conditions), NULL_CONDITION]
+        if (condition, k) not in memo and condition in conditions:
+            # One walk of every condition's laws, the null rows read from the model too.
+            reads = [_site_laws(model, c) for c in conditions]
+            stacked = _marginal_sites(model, k, lambda signed: np.stack([r(signed) for r in reads]))
+            memo.update(((c, k), marginal) for c, marginal in zip(conditions, stacked))
         if (condition, k) in memo:
             return memo[(condition, k)]
     return _marginal_sites(model, k, _site_laws(model, condition), book)
-
-
-def _class_laws(model: TabularModel):
-    """The per-site step laws of every condition of a tabular model and then
-    of the null condition, stacked for ``chain_law`` as (C + 1, P, h*w, V).
-    The null rows are the mean of the stacked class rows, the same bits as
-    ``TabularModel.rows`` gives them."""
-    def laws(signed):
-        rows = np.stack([model.rows(c, signed.step, signed.signature)
-                         for c in range(model.num_conditions)])
-        stacked = np.concatenate([rows, rows.mean(axis=0)[None]])
-        return stacked.reshape(stacked.shape[:2] + (-1, model.vocab))
-    return laws
 
 
 def _marginal_sites(model, k: int, laws, book: Codebook | None = None) -> np.ndarray:

@@ -27,7 +27,7 @@ from .config import GuidanceConfig, SamplerConfig
 from .corruption import CorruptionPlan, plan_corruption
 from .errors import DegenerateDistributionError, InvalidInputError
 from .guidance import GuidedStep, guided_step
-from .model import Condition, TokenMap, scale_maps
+from .model import Condition, TokenMap, check_codebook, scale_maps
 from .oracle import Distribution, chain_law, live_maps, softmax
 from .tokenizer import Codebook, accumulate_latent
 
@@ -172,13 +172,15 @@ def rollouts(
     and so is the prefix each step reads: the model's signed stack, built
     by its ``embed`` and grown by its ``extend``, whose rows
     ``guided_step`` takes as its prefix. Nothing is carried past the last
-    scale.
+    scale. A codebook that does not fit the model (``check_codebook``)
+    raises InvalidInputError before any sample is drawn.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
     lanes = list(lanes)
     if not lanes:
         raise InvalidInputError("rollouts need at least one lane")
+    check_codebook(model, book)
     sconfig, schedule = lanes[0][1], model.schedule
 
     def shared(s):
@@ -204,8 +206,7 @@ def rollouts(
             groups.setdefault(i if draws[lane] else (lane, signed.signature[i]), []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
-            model, condition, signed.take(firsts), [configs[i] for i in firsts],
-            book=book, stack=True,
+            model, condition, signed.take(firsts), [configs[i] for i in firsts], book=book,
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
                                   plan_seeds[i], book=book) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
@@ -291,7 +292,7 @@ def rollout_distribution(
 
     def step_laws(signed):
         plan, size = (fixed_plans or {}).get(signed.step), len(signed.signature)
-        logits = guided_step(model, condition, signed, gconfig, book=book, stack=True,
+        logits = guided_step(model, condition, signed, gconfig, book=book,
                              plan=None if plan is None else [plan] * size).logits
         return truncated_law(logits, sconfig).reshape(size, -1, logits.shape[-1])
 

@@ -1,5 +1,6 @@
 """Guidance algebra and per-step branch orchestration."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -347,17 +348,18 @@ class TestGuidedStepCount:
         with pytest.raises(InvalidInputError):
             guided_step(small_count, 0, [], GuidanceConfig())
 
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_corrupted_reference_needs_codebook(self, small_count, small_book, signed):
-        # A stack given as its prefixes or as its signed stack: either way
-        # the corrupted branch is not built without the codebook.
+    def test_corrupted_reference_needs_codebook(self, small_count, small_book):
+        # The stack is not signed without the codebook, and once signed its
+        # corrupted branch is not built without it.
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         plans = [plan_corruption(small_count.schedule, 2, 1.0, config.variant, seed,
                                  book=small_book) for seed in range(2)]
-        stack = small_count.embed(prefixes, small_book) if signed else prefixes
         with pytest.raises(InvalidInputError, match="codebook"):
-            guided_step(small_count, 0, stack, config, plan=plans, stack=True)
+            small_count.embed(prefixes, None)
+        stack = small_count.embed(prefixes, small_book)
+        with pytest.raises(InvalidInputError, match="codebook"):
+            guided_step(small_count, 0, stack, config, plan=plans)
 
     def test_corrupted_branch_counts(self, deep_count, monkeypatch):
         # The clean embedding's two prefix scales are binned once, however
@@ -490,31 +492,30 @@ class TestGuidedStepCount:
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0)
         first = guided_step(small_count, 0, small_count.embed([()] * 2, small_book), config,
-                            book=small_book, stack=True)
+                            book=small_book)
         assert first.k == 1 and first.logits.shape == (2, 1, 1, 3)
         carried = guided_step(small_count, 0, small_count.embed(prefixes, small_book),
-                              config, book=small_book, stack=True)
-        fresh = guided_step(small_count, 0, prefixes, config, book=small_book, stack=True)
-        assert carried.k == fresh.k == 2
-        assert np.array_equal(carried.logits, fresh.logits)
+                              config, book=small_book)
+        for i, prefix in enumerate(prefixes):
+            fresh = guided_step(small_count, 0, prefix, config, book=small_book)
+            assert carried.k == fresh.k == 2
+            assert np.array_equal(carried.logits[i], fresh.logits)
 
-    def test_signed_stack_rejected_for_other_kind_and_one_prefix(
+    def test_signed_stack_is_taken_only_by_its_model_kind(
         self, small_tabular, small_count, small_book
     ):
-        # A signed stack is taken only by a stacked step of the model kind
-        # that signed it: a count stack by a count model, a tabular stack
-        # by a tabular model. A one-prefix step embeds its own prefix.
-        rule = "a signed stack is taken only by a stacked step of its model kind"
+        # A signed stack is taken only by the model kind that signed it: a
+        # count stack by a count model, a tabular stack by a tabular model.
+        rule = "a signed stack is taken only by the model kind that signed it"
         prefix = [TokenMap(1, np.asarray([[1]]))]
         for signer, reader in ((small_count, small_tabular), (small_tabular, small_count)):
             for rows in ([()], [prefix]):
                 signed = signer.embed(rows, small_book)
                 with pytest.raises(InvalidInputError, match=rule):
-                    guided_step(reader, 0, signed, GuidanceConfig(), book=small_book, stack=True)
-                with pytest.raises(InvalidInputError, match=rule):
-                    guided_step(signer, 0, signed, GuidanceConfig(), book=small_book)
-            # One prefix's signed stack is a stack of one row.
-            step = guided_step(signer, 0, signed, GuidanceConfig(), book=small_book, stack=True)
+                    guided_step(reader, 0, signed, GuidanceConfig(), book=small_book)
+            # One prefix's signed stack is a stack of one row, and its step
+            # is the stacked step.
+            step = guided_step(signer, 0, signed, GuidanceConfig(), book=small_book)
             assert step.k == 2 and step.logits.shape == (1, 2, 2, 3)
             fresh = guided_step(signer, 0, prefix, GuidanceConfig(), book=small_book)
             assert step.logits[0].tobytes() == fresh.logits.tobytes()
@@ -524,16 +525,39 @@ class TestGuidedStepCount:
     ):
         for model in (small_tabular, small_count):
             with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
-                guided_step(model, 0, [(), ((1,),)], GuidanceConfig(), book=small_book,
-                            stack=True)
+                model.embed([(), ((1,),)], small_book)
+
+    def test_prefix_list_is_read_as_one_prefix(self, small_tabular, small_count, small_book):
+        # Only a signed stack is a stack, and no flag makes a list one: a
+        # list of prefixes is one prefix whose parts are prefixes, which the
+        # map rule names by its scale.
+        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
+        with pytest.raises(TypeError, match="stack"):
+            guided_step(small_tabular, 0, prefixes, GuidanceConfig(), stack=True)
+        for model in (small_tabular, small_count):
+            for stack in (prefixes, [((0,),), ((1,),)]):
+                with pytest.raises(InvalidInputError,
+                                   match="prefix 0: the key's part at scale 1 is not 1 integer"):
+                    guided_step(model, 0, stack, GuidanceConfig(), book=small_book)
+
+    def test_one_prefix_takes_one_plan_and_one_config(self, small_count, small_book):
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
+        rule = re.escape("one prefix takes one plan (or None) and one config")
+        for plans, configs in (([plan], config), ([plan, None], config), (plan, [config])):
+            with pytest.raises(InvalidInputError, match=rule):
+                guided_step(small_count, 0, prefix, configs, book=small_book, plan=plans)
+        assert guided_step(small_count, 0, prefix, config, book=small_book,
+                           plan=plan).plans == (plan,)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
     @pytest.mark.parametrize("variant", list(CorruptionVariant))
-    def test_signed_stack_equals_keys_stack_at_every_scale(
+    def test_maps_stack_equals_keys_stack_at_every_scale(
         self, multisite_count, multisite_book, gamma, variant
     ):
-        # A stack given as its signed stack and the same stack given as
-        # prefix keys take the same step bit for bit, at every k of a
+        # A stack signed from its prefix keys and the same stack signed from
+        # their token maps take the same step bit for bit, at every k of a
         # schedule whose scales after the first have several sites, with
         # rows of their own strength and plan, some without a plan.
         model, book = multisite_count, multisite_book
@@ -547,15 +571,17 @@ class TestGuidedStepCount:
             plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book=book)
                      if i % 2 or c.draws_plan(k, schedule) else None
                      for i, c in enumerate(configs)]
-            by_signed = guided_step(model, 1, model.embed(keys, book), configs,
-                                    book=book, plan=plans, stack=True)
-            by_keys = guided_step(model, 1, keys, configs, book=book, plan=plans, stack=True)
-            assert by_signed.k == by_keys.k == k
-            assert by_signed.plans == by_keys.plans
-            assert by_signed.contrasted == by_keys.contrasted
-            assert same_bits(by_signed.logits, by_keys.logits)
+            by_keys = guided_step(model, 1, model.embed(keys, book), configs,
+                                  book=book, plan=plans)
+            by_maps = guided_step(
+                model, 1, model.embed([prefix_maps(key, schedule) for key in keys], book),
+                configs, book=book, plan=plans)
+            assert by_maps.k == by_keys.k == k
+            assert by_maps.plans == by_keys.plans
+            assert by_maps.contrasted == by_keys.contrasted
+            assert same_bits(by_maps.logits, by_keys.logits)
             for name in BRANCHES:
-                a, b = getattr(by_signed.branches, name), getattr(by_keys.branches, name)
+                a, b = getattr(by_maps.branches, name), getattr(by_keys.branches, name)
                 assert (a is None) == (b is None)
                 assert a is None or same_bits(a, b)
             keys = [key + (tuple(rng.integers(0, 4, schedule.sites(k)).tolist()),)
@@ -717,8 +743,7 @@ class TestStackedStep:
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
-        stacked = model.embed(prefixes, book) if kind == "count" else prefixes
-        step = guided_step(model, 1, stacked, config, book=book, plan=plans, stack=True)
+        step = guided_step(model, 1, model.embed(prefixes, book), config, book=book, plan=plans)
         assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, plan in zip(prefixes, plans)]
@@ -759,7 +784,7 @@ class TestStackedStep:
         draws = config.draws_plan(k, schedule)
         plans = [plan_corruption(schedule, k, fraction, variant, seed + i, book=book)
                  if draws or i % 2 else None for i in range(rows)]
-        step = guided_step(model, 1, model.embed(prefixes), config, plan=plans, stack=True)
+        step = guided_step(model, 1, model.embed(prefixes), config, plan=plans)
         alone = [guided_step(model, 1, prefix, config, plan=plan)
                  for prefix, plan in zip(prefixes, plans)]
         assert step.evaluations == sum(a.evaluations for a in alone)
@@ -813,8 +838,7 @@ class TestStackedStep:
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
-        stacked = model.embed(prefixes, book) if kind == "count" else prefixes
-        step = guided_step(model, 1, stacked, configs, book=book, plan=plans, stack=True)
+        step = guided_step(model, 1, model.embed(prefixes, book), configs, book=book, plan=plans)
         alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
         assert step.evaluations == sum(a.evaluations for a in alone)
@@ -833,9 +857,10 @@ class TestStackedStep:
     def test_count_stack_embedded_in_one_call_equals_one_prefix_steps(
         self, data, gamma, seed, rows
     ):
-        # No signed stack given: the prefixes are embedded in one stacked
-        # call, at every step including the first (the empty stack), and
-        # the planned rows, of several variants, are taken from that stack.
+        # The prefixes are embedded in one stacked call, at every step
+        # including the first (the empty stack), the step embeds no clean
+        # prefix again, and the planned rows, of several variants, are taken
+        # from that stack.
         import prefixlab.guidance
         import prefixlab.model
 
@@ -863,7 +888,8 @@ class TestStackedStep:
         prefixlab.guidance.corrupted_signatures = (
             lambda *a: calls.append("corrupt") or corrupt(*a))
         try:
-            step = guided_step(model, 1, prefixes, configs, book=book, plan=plans, stack=True)
+            step = guided_step(model, 1, model.embed(prefixes, book), configs, book=book,
+                               plan=plans)
         finally:
             prefixlab.model.embed_prefix = embed_prefix
             prefixlab.guidance.corrupted_signatures = corrupt
@@ -884,28 +910,26 @@ class TestStackedStep:
     def test_rows_of_a_stack_share_gamma_and_reference(self, small_tabular):
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0, lam=1.0)
-        step = guided_step(small_tabular, 0, prefixes, [config, replace(config, lam=0.0)],
-                           stack=True)
+        stack = small_tabular.embed(prefixes)
+        step = guided_step(small_tabular, 0, stack, [config, replace(config, lam=0.0)])
         assert step.contrasted == (True, False)
         assert step.row(1).branches.cond_corr is None and step.evaluations == 4 + 2
         for other in (replace(config, gamma=0.5), replace(config, reference="corrupted")):
             with pytest.raises(InvalidInputError, match="share gamma and reference"):
-                guided_step(small_tabular, 0, prefixes, [config, other], stack=True)
+                guided_step(small_tabular, 0, stack, [config, other])
         with pytest.raises(InvalidInputError, match="one config or one per prefix"):
-            guided_step(small_tabular, 0, prefixes, [config], stack=True)
+            guided_step(small_tabular, 0, stack, [config])
 
     def test_stack_is_one_step_with_one_entry_per_prefix(self, small_count, small_book):
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
+        stack = small_count.embed(prefixes, small_book)
         with pytest.raises(InvalidInputError, match="one plan per prefix"):
-            guided_step(small_count, 0, prefixes, config, book=small_book, plan=[plan],
-                        stack=True)
+            guided_step(small_count, 0, stack, config, book=small_book, plan=[plan])
         with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
-            guided_step(small_count, 0, [[], prefixes[0]], config, book=small_book, stack=True)
+            small_count.embed([[], prefixes[0]], small_book)
         with pytest.raises(IllDefinedLawError, match="needs a plan"):
-            guided_step(small_count, 0, prefixes, config, book=small_book,
-                        plan=[plan, None, plan], stack=True)
-        step = guided_step(small_count, 0, prefixes, config, book=small_book,
-                           plan=[plan] * 3, stack=True)
+            guided_step(small_count, 0, stack, config, book=small_book, plan=[plan, None, plan])
+        step = guided_step(small_count, 0, stack, config, book=small_book, plan=[plan] * 3)
         assert step.plans == (plan,) * 3 and step.row(1).plans == (plan,)

@@ -658,8 +658,8 @@ multisite_schedules = st.integers(2, 3).flatmap(
 class TestCountBranchInputsAgree:
     """The three count-model step inputs give one branch for every corpus
     prefix: ``predict_logits`` on its token maps, its row of a stacked
-    ``guided_step`` on the prefixes, and ``CountModel.logits`` of its row of
-    the stack that ``extend`` carries."""
+    ``guided_step`` on the stack ``embed`` signs from the prefixes, and
+    ``CountModel.logits`` of its row of the stack that ``extend`` carries."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -694,7 +694,8 @@ class TestCountBranchInputsAgree:
             for k in range(1, sched.num_scales + 1):
                 prefixes = [maps[: k - 1] for _, maps in corpus]
                 for c in (0, 1, NULL_CONDITION):
-                    stacked = guided_step(model, c, prefixes, config, book=book, stack=True)
+                    stacked = guided_step(model, c, model.embed(prefixes, book), config,
+                                          book=book)
                     assert stacked.k == k
                     for i, prefix in enumerate(prefixes):
                         via_maps = predict_logits(model, c, prefix, book=book)
@@ -749,7 +750,7 @@ class TestMapRule:
         with pytest.raises(InvalidInputError, match=re.escape(f"prefix 0: {problem}")):
             guided_step(model, 0, prefix, GuidanceConfig())
         with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
-            guided_step(model, 0, [good, prefix], GuidanceConfig(), stack=True)
+            model.embed([good, prefix])
         # The exact augmented laws key the prefix by the same rule.
         for law in (augmented_vpg, augmented_cfg):
             with pytest.raises(InvalidInputError, match=re.escape(f"prefix 0: {problem}")):
@@ -776,16 +777,13 @@ class TestMapRule:
             predict_logits(multisite_count, 0, prefix, book=multisite_book)
 
     @pytest.mark.parametrize("part", [(0, 1, 2), (0, 1, 2, 3.0)])
-    def test_stacked_step_names_a_short_or_non_integer_key_part(
+    def test_stack_embed_names_a_short_or_non_integer_key_part(
         self, part, multisite_count, multisite_book
     ):
-        from prefixlab.guidance import GuidanceConfig, guided_step
-
         keys = [((1,), (0, 1, 2, 3)), ((1,), part)]
         with pytest.raises(InvalidInputError,
                            match="prefix 1: the key's part at scale 2 is not 4 integer ids"):
-            guided_step(multisite_count, 0, keys, GuidanceConfig(), book=multisite_book,
-                        stack=True)
+            multisite_count.embed(keys, multisite_book)
 
     @pytest.mark.parametrize("shapes, bad", [
         ([(1, 4)] * 3, 0),
@@ -812,7 +810,6 @@ class TestMapRule:
     @settings(max_examples=40, deadline=None)
     @given(sched=multisite_schedules, data=st.data())
     def test_any_misshapen_map_is_named_by_its_scale(self, sched, data):
-        from prefixlab.guidance import GuidanceConfig, guided_step
         from tests.conftest import make_corpus
 
         j = data.draw(st.integers(1, sched.num_scales))
@@ -839,5 +836,63 @@ class TestMapRule:
                 with pytest.raises(InvalidInputError, match=re.escape(problem)):
                     predict_logits(kind, 0, maps[:j], book=book)
                 with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
-                    guided_step(kind, 0, [corpus[0][1][:j], maps[:j]], GuidanceConfig(),
-                                book=book, stack=True)
+                    kind.embed([corpus[0][1][:j], maps[:j]], book)
+
+
+class TestBoundaryChecks:
+    """A condition is a class id or the null condition, and a codebook has
+    the model's scales and token ids; each is checked before any row, memo
+    or code table is read."""
+
+    @pytest.mark.parametrize("condition", [True, 1.0])
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
+    def test_bool_or_float_condition_is_named_at_every_entry(
+        self, kind, condition, request, small_book
+    ):
+        # True and 1.0 hash as class 1: unchecked, they read its rows and
+        # its memoized marginals, before and after class 1 fills them.
+        from prefixlab.guidance import GuidanceConfig, guided_step
+        from prefixlab.oracle import prefix_marginal_sites
+        from prefixlab.sampler import SamplerConfig, rollouts
+
+        model = request.getfixturevalue(f"small_{kind}")
+        prefix = [TokenMap(1, np.asarray([[1]]))]
+        config = GuidanceConfig(gamma=1.0, lam=1.0, reference="exact-marginal")
+        calls = [
+            lambda c: guided_step(model, c, prefix, config, book=small_book).logits,
+            lambda c: predict_logits(model, c, prefix, book=small_book),
+            lambda c: prefix_marginal_sites(model, c, 2, book=small_book),
+            lambda c: rollouts(model, c, [(config, SamplerConfig(seed=0))], small_book, 2),
+        ]
+        rule = re.escape(f"condition {condition!r} is not an integer or the null condition")
+        for _ in range(2):  # before class 1's reads fill the memos, then after
+            for call in calls:
+                with pytest.raises(InvalidInputError, match=rule):
+                    call(condition)
+            for call in calls:
+                call(1)
+        # A NumPy integer is the class it equals.
+        for call in calls[:3]:
+            assert call(np.int64(1)).tobytes() == call(1).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_codebook_that_does_not_fit_is_rejected(
+        self, seed, small_tabular, small_count, small_book
+    ):
+        # With 2 codes for 3 token ids, seeds 1 and 5 once sampled no id
+        # past the book and returned; the others failed decoding at scale 2.
+        from prefixlab.guidance import GuidanceConfig
+        from prefixlab.sampler import SamplerConfig, rollouts
+
+        lane = [(GuidanceConfig(), SamplerConfig(seed=seed))]
+        for book, shape in ((Codebook.seeded(2, 2, 2, seed=7), "2 scales x 2 codes"),
+                            (Codebook.seeded(3, 3, 2, seed=7), "3 scales x 3 codes")):
+            rule = re.escape(f"a codebook of {shape} does not fit a model of "
+                             "2 scales x 3 token ids")
+            for model in (small_tabular, small_count):
+                with pytest.raises(InvalidInputError, match=rule):
+                    rollouts(model, 0, lane, book, 1)
+            with pytest.raises(InvalidInputError, match=rule):
+                small_count.embed([()], book)
+        for model in (small_tabular, small_count):
+            assert len(rollouts(model, 0, lane, small_book, 1)[0]) == 1

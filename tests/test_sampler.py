@@ -550,7 +550,7 @@ class TestCarriedRollouts:
         import prefixlab.sampler
         from prefixlab.model import SignedEmbedding
 
-        book = multisite_book
+        book = multisite_book if kind == "count" else Codebook.seeded(3, 2, 2, seed=7)
         model = multisite_count if kind == "count" else build_tabular(
             ScaleSchedule(((1, 1), (1, 2), (2, 2))), vocab=2, num_conditions=2, seed=0)
         reference = "corrupted" if kind == "count" else "exact-marginal"

@@ -122,6 +122,9 @@ MUTANTS = (
            "seeds = [s.seed + i for _, s in lanes", "seeds = [sconfig.seed + i for _, s in lanes"),
     Mutant("rollouts_stack_rows_misaligned", "src/prefixlab/sampler.py",
            "signed.take(firsts)", "signed.take(range(len(firsts)))"),
+    # The name stays referenced, so only the behaviour changes.
+    Mutant("rollouts_codebook_fit_unchecked", "src/prefixlab/sampler.py",
+           "    check_codebook(model, book)\n", "    False and check_codebook(model, book)\n"),
     Mutant("signed_stack_step_off_by_one", "src/prefixlab/model.py",
            "return len(self.signature[0]) + 1", "return len(self.signature[0])"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
@@ -160,6 +163,8 @@ MUTANTS = (
            "if (part.k, part.ids.shape) != (j, schedule.grid(j)):", "if part.k != j:"),
     Mutant("count_model_null_rows_unchecked", "src/prefixlab/model.py",
            "if not self.include_null:", "if False:"),
+    Mutant("condition_check_accepts_any", "src/prefixlab/model.py",
+           "if condition is not NULL_CONDITION and not integral(condition):", "if False:"),
     Mutant("null_row_is_condition_0", "src/prefixlab/model.py",
            "np.mean([self.rows(c, k, keys) for c in range(self.num_conditions)], axis=0)",
            "self.rows(0, k, keys)"),
