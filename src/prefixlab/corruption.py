@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (UNIT_INTERVAL, GuidanceConfigError, InconsistentPlanError,
-                     InvalidFractionError, InvalidInputError)
+from .errors import UNIT_INTERVAL, GuidanceConfigError, InconsistentPlanError, InvalidFractionError
 from .model import EmbeddingParams, PrefixEmbedding, PrefixKey, SignedEmbedding, context_signature
 from .tokenizer import Codebook, ScaleSchedule
 
@@ -136,17 +135,14 @@ EMBEDDING_ONLY = frozenset({CorruptionVariant.SAME_SCALE_POSITION,
                             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING})
 
 
-def check_corruptible(signed: SignedEmbedding, variants, book: Codebook | None) -> None:
+def check_corruptible(signed: SignedEmbedding, variants) -> None:
     """Raise unless the signed stack ``signed`` can be corrupted under each
     of ``variants``: a stack with no embedding (a tabular stack) has no
     reading of an ``EMBEDDING_ONLY`` variant, which raises
-    GuidanceConfigError naming it, and an embedded (count) stack is
-    corrupted with the codebook."""
+    GuidanceConfigError naming it."""
     named = sorted(v.value for v in EMBEDDING_ONLY.intersection(variants))
     if signed.embedding is None and named:
         raise GuidanceConfigError(f"the {named[0]} variant corrupts embeddings; the stack has none")
-    if signed.embedding is not None and book is None:
-        raise InvalidInputError("count-model guidance needs the codebook")
 
 
 def _check_plans(plans: Sequence[CorruptionPlan], step: int, rows: int) -> CorruptionVariant:
@@ -184,8 +180,8 @@ def corrupt_key(key: PrefixKey, plan: CorruptionPlan) -> PrefixKey:
     return tuple(map(tuple, parts))
 
 
-def corrupted_signatures(model, signed: SignedEmbedding, plans: Sequence[CorruptionPlan | None],
-                         book: Codebook | None) -> list:
+def corrupted_signatures(model, signed: SignedEmbedding,
+                         plans: Sequence[CorruptionPlan | None]) -> list:
     """The signatures of ``model``'s signed stack ``signed``, each row with
     a plan of ``plans`` (one per row, None for a row kept clean) corrupted
     under it and signed in full.
@@ -196,7 +192,7 @@ def corrupted_signatures(model, signed: SignedEmbedding, plans: Sequence[Corrupt
     model's ``embed``, and so are a count stack's under uniform_prefix,
     whose reading takes only a signature's length from the row. A count
     stack's rows under any other variant are read by ``apply_corruption``
-    and binned by the model's thresholds.
+    with the model's own codebook and binned by the model's thresholds.
     """
     signatures = list(signed.signature)
     for variant in dict.fromkeys(p.variant for p in plans if p is not None):
@@ -204,10 +200,11 @@ def corrupted_signatures(model, signed: SignedEmbedding, plans: Sequence[Corrupt
         taken, planned = signed.take(rows), [plans[i] for i in rows]
         if taken.embedding is None or variant is CorruptionVariant.UNIFORM_PREFIX:
             corrupted = model.embed(
-                [corrupt_key(key, p) for key, p in zip(taken.signature, planned)], book).signature
+                [corrupt_key(key, p) for key, p in zip(taken.signature, planned)]).signature
         else:
             corrupted = context_signature(apply_corruption(
-                taken.embedding, planned, book, model.schedule, model.params), model.thresholds)
+                taken.embedding, planned, model.book, model.schedule, model.params),
+                model.thresholds)
         for i, signature in zip(rows, corrupted):
             signatures[i] = signature
     return signatures

@@ -88,7 +88,7 @@ def _pair(evaluate, condition: Condition, needs_cfg: bool) -> tuple:
 
 
 def gather_branches(model, condition: Condition, k: int, signatures: Sequence,
-                    needs_cfg: bool, marginal: bool, book: Codebook | None = None) -> BranchLogits:
+                    needs_cfg: bool, marginal: bool) -> BranchLogits:
     """The branches of a step at scale k on a stack's ``signatures``, read by
     either model kind's ``branch_logits``: at ``condition`` and, when
     ``needs_cfg``, at the null condition; when the step contrasts against
@@ -99,7 +99,7 @@ def gather_branches(model, condition: Condition, k: int, signatures: Sequence,
     its own reads of the same rows and marginals."""
     gen = _pair(lambda c: model.branch_logits(c, k, signatures), condition, needs_cfg)
     corr = () if not marginal else _pair(lambda c: np.broadcast_to(
-        np.log(prefix_marginal_sites(model, c, k, book=book)), gen[0].shape), condition, needs_cfg)
+        np.log(prefix_marginal_sites(model, c, k)), gen[0].shape), condition, needs_cfg)
     return BranchLogits(*gen, *corr)
 
 
@@ -166,26 +166,29 @@ def guided_step(
     draws nothing at random, so where ``config.draws_plan`` holds and no
     plan is given it raises IllDefinedLawError. Without a plan (as where
     the variant selects no site) the corrupted pair is the clean pair.
+    Neither model kind reads ``book``: a count model reads only its own
+    codebook (``CountModel.book``), and a tabular model none. It is kept
+    for callers that pass it, as the trace replay of ``bench/workloads.py``
+    does.
 
-    A signed stack is taken only by the model kind that signed it; its
-    ``step`` is k and its signature list has one entry per row. ``plan``,
-    where given, then holds one plan per row (a row's plan may be None),
-    and ``config`` is one config for every row, or a sequence of one per
-    row; the rows' configs share gamma and reference, and each row
-    contrasts, with its own lambda, where its own config does. The step is
-    evaluated for the whole stack at once, the same way for either model
-    kind: the clean pair (and the exact-marginal pair, walked by
-    ``prefix_marginal_sites`` with ``book``) comes from ``gather_branches``,
-    and the corrupted pair is ``branch_logits`` of
+    A signed stack is stepped only by the model that signed it (else
+    InvalidInputError); its ``step`` is k and its signature list has one
+    entry per row. ``plan``, where given, then holds one plan per row (a
+    row's plan may be None), and ``config`` is one config for every row, or
+    a sequence of one per row; the rows' configs share gamma and reference,
+    and each row contrasts, with its own lambda, where its own config does.
+    The step is evaluated for the whole stack at once, the same way for
+    either model kind: the clean pair (and the exact-marginal pair, walked
+    by ``prefix_marginal_sites``) comes from ``gather_branches``, and the
+    corrupted pair is ``branch_logits`` of
     ``corruption.corrupted_signatures``, the planned rows corrupted and
     signed together. Under the corrupted reference a contrasting step on a
     stack with no embedding (a tabular stack) raises GuidanceConfigError for
-    a variant that corrupts embeddings only, and one on a count stack needs
-    the codebook. Its arrays have a leading P axis. Any other ``prefix``,
-    a list of prefixes too, is one prefix: it takes one plan or None and
-    one config (else InvalidInputError), and the model's ``embed`` checks
-    it and signs it as a stack of one row, the P = 1 case, whose row is
-    returned.
+    a variant that corrupts embeddings only. Its arrays have a leading P
+    axis. Any other ``prefix``, a list of prefixes too, is one prefix: it
+    takes one plan or None and one config (else InvalidInputError), and the
+    model's ``embed`` checks it and signs it as a stack of one row, the
+    P = 1 case, whose row is returned.
 
     ``gather_branches`` is also the gather that ``oracle.verify_identities``
     composes and judges on a tabular model at every strength it checks. What
@@ -199,9 +202,9 @@ def guided_step(
     if one and not (isinstance(plan, (CorruptionPlan, type(None)))
                     and isinstance(config, GuidanceConfig)):
         raise InvalidInputError("one prefix takes one plan (or None) and one config")
-    signed = model.embed([prefix], book) if one else prefix
-    if (signed.embedding is None) != isinstance(model, TabularModel):
-        raise InvalidInputError("a signed stack is taken only by the model kind that signed it")
+    signed = model.embed([prefix]) if one else prefix
+    if signed.model is not model:
+        raise InvalidInputError("a signed stack is stepped only by the model that signed it")
     size = len(signed.signature)
     plans = [plan] if one else [None] * size if plan is None else list(plan)
     configs = [config] * size if isinstance(config, GuidanceConfig) else list(config)
@@ -221,9 +224,9 @@ def guided_step(
     # The plan of each row that contrasts against a corrupted prefix.
     used = tuple(p if flag and not exact else None for p, flag in zip(plans, contrasted))
     branches = gather_branches(model, condition, k, signed.signature, gamma > 0,
-                               any(contrasted) and exact, book)
+                               any(contrasted) and exact)
     if any(contrasted) and not exact:
-        check_corruptible(signed, {c.variant for c, flag in zip(configs, contrasted) if flag}, book)
+        check_corruptible(signed, {c.variant for c, flag in zip(configs, contrasted) if flag})
         draws = {i: c.draws_plan(k, model.schedule) for i, c in by_id.items()}
         if any(p is None and draws[id(c)] for p, c in zip(plans, configs)):
             raise IllDefinedLawError(f"the corrupted branch at scale {k} needs a plan")
@@ -231,7 +234,7 @@ def guided_step(
         # the corrupted pair is the clean pair.
         gen = corr = branches.cond_gen, branches.null_gen
         if any(p is not None for p in used):
-            signatures = corrupted_signatures(model, signed, used, book)
+            signatures = corrupted_signatures(model, signed, used)
             corr = _pair(lambda c: model.branch_logits(c, k, signatures), condition, gamma > 0)
         branches = BranchLogits(*gen, *corr)
 

@@ -167,9 +167,8 @@ def _timed(metric) -> tuple[float | None, str, float]:
 
 
 def _exact_kl_cell(spec: ExperimentSpec, gconfig: GuidanceConfig) -> float:
-    guided = rollout_distribution(spec.model, spec.condition, gconfig, spec.sampler, spec.book)
-    baseline = rollout_distribution(spec.model, spec.condition, GuidanceConfig(),
-                                    SamplerConfig(), spec.book)
+    guided = rollout_distribution(spec.model, spec.condition, gconfig, spec.sampler)
+    baseline = rollout_distribution(spec.model, spec.condition, GuidanceConfig(), SamplerConfig())
     return exact_kl(guided, baseline)
 
 

@@ -66,11 +66,14 @@ def prefix_problem(prefix, schedule: ScaleSchedule, scales: int) -> str | None:
 
 def check_codebook(model, book: Codebook) -> None:
     """Raise InvalidInputError naming both shapes unless ``book`` has a code
-    table per scale of ``model`` and one code per token id."""
+    table per scale of ``model`` and one code per token id, and, for a count
+    model, unless it is the codebook the model was fitted on."""
     if (book.num_scales, book.vocab) != (model.schedule.num_scales, model.vocab):
         raise InvalidInputError(
             f"a codebook of {book.num_scales} scales x {book.vocab} codes does not fit a "
             f"model of {model.schedule.num_scales} scales x {model.vocab} token ids")
+    if isinstance(model, CountModel) and book is not model.book:
+        raise InvalidInputError("a count model reads only the codebook it was fitted on")
 
 
 def _check_prefixes(prefixes: Sequence, schedule: ScaleSchedule) -> None:
@@ -226,12 +229,12 @@ class TabularModel:
     # rollout asks for the same few keys at every step.
     _marginals: dict = field(default_factory=dict, init=False, repr=False)
 
-    def embed(self, prefixes: Sequence, book: Codebook | None = None) -> SignedEmbedding:
+    def embed(self, prefixes: Sequence) -> SignedEmbedding:
         """The stack of ``prefixes``, prefixes of one step each given as its
         token maps or its prefix key, checked as ``CountModel.embed`` checks
-        them; its signatures are their prefix keys. ``book`` is not read."""
+        them; its signatures are their prefix keys."""
         _check_prefixes(prefixes, self.schedule)
-        return SignedEmbedding(None, [
+        return SignedEmbedding(self, None, [
             tuple(p.key() if isinstance(p, TokenMap) else tuple(map(int, p)) for p in prefix)
             for prefix in prefixes])
 
@@ -239,7 +242,7 @@ class TabularModel:
         """A stack of step k extended by the rows' scale-k ``ids``, (n, h_k,
         w_k): each row's key gains its ids. ``latent`` is not read."""
         parts = ids.reshape(len(ids), -1).tolist()
-        return SignedEmbedding(None, [s + (tuple(p),) for s, p in zip(signed.signature, parts)])
+        return SignedEmbedding(self, None, [s + (tuple(p),) for s, p in zip(signed.signature, parts)])
 
     def branch_logits(self, condition: Condition, k: int, signatures: Sequence) -> np.ndarray:
         """The log table rows of a stack's signatures at scale k, (P, h_k, w_k, V)."""
@@ -362,8 +365,9 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray) -> lis
 
 @dataclass(frozen=True)
 class SignedEmbedding:
-    """A signed stack, built by a model's ``embed``: prefixes of one step
-    and the list of its rows' signatures, the keys the model reads them by.
+    """A signed stack, built by a model's ``embed``: the ``model`` that
+    signed it, prefixes of one step and the list of its rows' signatures,
+    the keys that model reads them by. Only that model steps it.
 
     A tabular stack's signatures are its rows' prefix keys and its
     ``embedding`` is None. A count stack's embedding stacks its rows'
@@ -373,6 +377,7 @@ class SignedEmbedding:
     carries the row count and the step.
     """
 
+    model: TabularModel | CountModel = field(repr=False)
     embedding: PrefixEmbedding | None
     signature: list
 
@@ -386,15 +391,16 @@ class SignedEmbedding:
         e = self.embedding
         taken = None if e is None else PrefixEmbedding(
             *(tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled)))
-        return SignedEmbedding(taken, [self.signature[i] for i in rows])
+        return SignedEmbedding(self.model, taken, [self.signature[i] for i in rows])
 
 
 @dataclass(frozen=True, eq=False)
 class CountModel:
     """Smoothed count tables keyed by (scale, condition, context signature), and
     the read-only signature ``thresholds`` and embedding ``params`` that sign a
-    prefix, seeded once by ``fit_count_model``; compared and hashed by
-    identity, as its tables are arrays."""
+    prefix, seeded once by ``fit_count_model``, with the codebook ``book`` it
+    was fitted on, the one codebook its ``embed`` and every exact walk of its
+    law read; compared and hashed by identity, as its tables are arrays."""
 
     schedule: ScaleSchedule
     vocab: int
@@ -402,6 +408,7 @@ class CountModel:
     alpha: float
     thresholds: np.ndarray = field(repr=False)
     params: EmbeddingParams = field(repr=False)
+    book: Codebook = field(repr=False)
     counts: dict  # (k, condition, signature) -> np.ndarray (h_k, w_k, V)
     include_null: bool
     # One read-only (h_k, w_k, V) grid per (condition, k, signature) that
@@ -410,27 +417,18 @@ class CountModel:
     # one), so it grows with the distinct prefix signatures, not the calls.
     _logits: dict = field(default_factory=dict, init=False, repr=False)
 
-    def embed(self, prefixes: Sequence, book: Codebook) -> SignedEmbedding:
+    def embed(self, prefixes: Sequence) -> SignedEmbedding:
         """The signed stack of ``prefixes``, prefixes of one step each given
-        as its token maps or its prefix key, embedded in one stacked
-        ``embed_prefix`` call. A prefix that does not hold the first
-        prefix's scales, each as ``prefix_problem`` requires, raises
-        InvalidInputError naming it and the scale at fault, and so does a
-        codebook that does not fit (``check_codebook``)."""
-        fitted = self.params[0].shape[1]
-        if book is None:
-            raise InvalidInputError("a count model embeds a prefix with the codebook")
-        if book.latent_dim != fitted:
-            raise InvalidInputError(
-                f"codebook latent size {book.latent_dim} is not the fitted {fitted}"
-            )
-        check_codebook(self, book)
+        as its token maps or its prefix key, embedded with the model's own
+        codebook in one stacked ``embed_prefix`` call. A prefix that does not
+        hold the first prefix's scales, each as ``prefix_problem`` requires,
+        raises InvalidInputError naming it and the scale at fault."""
         _check_prefixes(prefixes, self.schedule)
         ids = [np.array([p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
                         dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j))
                for j, parts in enumerate(zip(*prefixes), start=1)]
-        embedding = embed_prefix(ids, book, self.schedule, self.params)
-        return SignedEmbedding(embedding, context_signature(embedding, self.thresholds)
+        embedding = embed_prefix(ids, self.book, self.schedule, self.params)
+        return SignedEmbedding(self, embedding, context_signature(embedding, self.thresholds)
                                if ids else [()] * len(prefixes))
 
     def extend(self, signed: SignedEmbedding, ids, latent: np.ndarray) -> SignedEmbedding:
@@ -446,7 +444,7 @@ class CountModel:
             raise InvalidInputError("a stack extends one latent per row")
         grid, pooled = embed_scale(latent, k, self.schedule, self.params)
         bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
-        return SignedEmbedding(signed.embedding.extended(grid, pooled),
+        return SignedEmbedding(self, signed.embedding.extended(grid, pooled),
                                [s + (tuple(b),) for s, b in zip(signed.signature, bins)])
 
     def branch_logits(self, condition: Condition, k: int, signatures: Sequence) -> np.ndarray:
@@ -533,7 +531,8 @@ def fit_count_model(
     include_null: bool,
 ) -> CountModel:
     """Aggregate per-(scale, condition, signature) token counts over a corpus,
-    whose every sequence must pass ``check_corpus_sequence``."""
+    whose every sequence must pass ``check_corpus_sequence``. The model keeps
+    ``book``, which must fit it (``check_codebook``), and reads with it."""
     if len(corpus) == 0:
         raise InvalidInputError("count-model corpus must be non-empty")
     if not POSITIVE.holds(alpha):
@@ -543,13 +542,14 @@ def fit_count_model(
         schedule, vocab, num_conditions, alpha,
         spec.thresholds(schedule.num_scales, embed_dim),
         embedding_params(schedule, book.latent_dim, embed_dim, embed_seed),
-        counts, include_null,
+        book, counts, include_null,
     )
+    check_codebook(model, book)
     scale_ids = _corpus_ids(corpus, schedule, vocab, num_conditions)
     # Every sequence advances one scale at a time: its step-k signature
     # counts its scale-k ids, then its embedding is extended by that scale.
     latent = np.zeros((len(corpus),) + schedule.final_dims + (book.latent_dim,))
-    signed = SignedEmbedding(EMPTY_EMBEDDING, [()] * len(corpus))
+    signed = model.embed([()] * len(corpus))
     for k, ids in enumerate(scale_ids, start=1):
         # Site u's id v is bin u * vocab + v of a sequence's histogram.
         flat = ids.reshape(len(corpus), -1) + np.arange(schedule.sites(k)) * vocab
@@ -569,26 +569,19 @@ def fit_count_model(
     return model
 
 
-def predict_logits(
-    model,
-    condition: Condition,
-    prefix,
-    *,
-    book: Codebook | None = None,
-) -> np.ndarray:
+def predict_logits(model, condition: Condition, prefix) -> np.ndarray:
     """Scale-k logits, shape (h_k, w_k, V), for the step following ``prefix``.
 
     ``prefix`` is one prefix, its token maps or its prefix key, embedded on
-    its own by the model's ``embed`` as a stack of one row (a count model's
-    with ``book``), whose row 0 of ``branch_logits`` is returned: the
-    per-prefix reference that a row of a stacked, carried or corrupted
-    signed stack equals bit for bit. A caller holding a signed stack reads
-    its rows with ``branch_logits``; a ``SignedEmbedding`` given here raises
-    InvalidInputError.
+    its own by the model's ``embed`` as a stack of one row, whose row 0 of
+    ``branch_logits`` is returned: the per-prefix reference that a row of a
+    stacked, carried or corrupted signed stack equals bit for bit. A caller
+    holding a signed stack reads its rows with ``branch_logits``; a
+    ``SignedEmbedding`` given here raises InvalidInputError.
     """
     if isinstance(prefix, SignedEmbedding):
         raise InvalidInputError("predict_logits takes one prefix, not a signed stack")
     if not isinstance(model, (TabularModel, CountModel)):
         raise InvalidInputError(f"unknown predictor type {type(model)!r}")
-    signed = model.embed([prefix], book)
+    signed = model.embed([prefix])
     return model.branch_logits(condition, signed.step, signed.signature)[0]

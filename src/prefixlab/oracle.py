@@ -31,7 +31,7 @@ from .model import (
     enumerate_prefix_keys,
     scale_maps,
 )
-from .tokenizer import Codebook, accumulate_latent
+from .tokenizer import accumulate_latent
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Distribution:
         return dict(zip(self.outcomes, self.probs))
 
 
-def chain_law(model, step_laws, num_scales: int, book: Codebook | None = None):
+def chain_law(model, step_laws, num_scales: int):
     """Every prefix of ``num_scales`` token maps with positive probability,
     walked one scale at a time, as (signed, ids, probs) in lexicographic
     order: the model's signed stack of them, each scale's (P, h_j, w_j) ids
@@ -63,16 +63,17 @@ def chain_law(model, step_laws, num_scales: int, book: Codebook | None = None):
     after each of a level's P live prefixes; sites are independent given
     the prefix. A level takes the stack's live rows and extends them by
     their new ids with ``model.extend``, after accumulating their latents
-    from ``book`` where the stack has an embedding, as ``sampler.rollouts``
-    does; a tabular walk reads no codebook. A level of more than
+    from the model's own codebook (``CountModel.book``) where the stack has
+    an embedding, as ``sampler.rollouts`` does; a tabular walk reads no
+    codebook. A level of more than
     ``PREFIX_STATE_CAP`` prefixes (P times the scale's maps) raises
     TooLargeError once its laws are read, before it is formed. Laws of a
     stack of G walks over one prefix space, (G, P, h*w, V), are walked
     together: ``probs`` is then (G, P), and a prefix is kept where any of
     the G gives it mass (the others carry it at 0)."""
-    signed, ids, probs = model.embed([()], book), [], np.ones(1)
+    signed, ids, probs = model.embed([()]), [], np.ones(1)
     latent = None if signed.embedding is None else np.zeros(
-        (1,) + model.schedule.final_dims + (book.latent_dim,))
+        (1,) + model.schedule.final_dims + (model.book.latent_dim,))
     for k in range(1, num_scales + 1):
         laws = step_laws(signed)
         if (states := laws.shape[-3] * model.vocab ** laws.shape[-2]) > PREFIX_STATE_CAP:
@@ -82,7 +83,7 @@ def chain_law(model, step_laws, num_scales: int, book: Codebook | None = None):
         new = new.reshape((len(cols),) + model.schedule.grid(k))
         ids = [a[rows] for a in ids] + [new]
         if latent is not None:
-            latent = accumulate_latent(latent[rows], k, new, book)
+            latent = accumulate_latent(latent[rows], k, new, model.book)
         signed = model.extend(signed.take(rows), new, latent)
     return signed, ids, probs
 
@@ -146,16 +147,14 @@ def prefix_marginal(model: TabularModel, condition: Condition, k: int) -> Distri
     return Distribution(tuple(compress(maps, total > 0.0)), total[total > 0.0])
 
 
-def prefix_marginal_sites(
-    model, condition: Condition, k: int, *, book: Codebook | None = None
-) -> np.ndarray:
+def prefix_marginal_sites(model, condition: Condition, k: int) -> np.ndarray:
     """Per-site p(r_k | c), shape (h_k, w_k, V), read-only, under the model's
     own prefix law walked to k - 1; step k's joint is never formed. Tabular
     models keep it per (condition, k), and the first call at a scale keeps
     every condition's and the null condition's, from one stacked walk; the
     marginals are the same bits as one walk each. Count models walk the
     exp of their logits on every call, each level's prefixes carried as one
-    signed stack, and need the codebook; a level of more than
+    signed stack with their own codebook; a level of more than
     ``PREFIX_STATE_CAP`` prefixes raises TooLargeError (``chain_law``). A
     condition that is neither an integer nor the null condition raises
     InvalidInputError before the memo is read."""
@@ -169,13 +168,13 @@ def prefix_marginal_sites(
             memo.update(((c, k), marginal) for c, marginal in zip(conditions, stacked))
         if (condition, k) in memo:
             return memo[(condition, k)]
-    return _marginal_sites(model, k, _site_laws(model, condition), book)
+    return _marginal_sites(model, k, _site_laws(model, condition))
 
 
-def _marginal_sites(model, k: int, laws, book: Codebook | None = None) -> np.ndarray:
+def _marginal_sites(model, k: int, laws) -> np.ndarray:
     """Per-site p(r_k), (..., h_k, w_k, V), read-only, weighting the scale-k
     laws of ``laws`` (one walk's or a stack's) by the prefix law to k - 1."""
-    signed, _, probs = chain_law(model, laws, k - 1, book)
+    signed, _, probs = chain_law(model, laws, k - 1)
     total = (probs[..., None, None] * laws(signed)).sum(axis=-3)
     total = total.reshape(total.shape[:-2] + model.schedule.grid(k) + (model.vocab,))
     total.setflags(write=False)

@@ -172,8 +172,9 @@ def rollouts(
     and so is the prefix each step reads: the model's signed stack, built
     by its ``embed`` and grown by its ``extend``, whose rows
     ``guided_step`` takes as its prefix. Nothing is carried past the last
-    scale. A codebook that does not fit the model (``check_codebook``)
-    raises InvalidInputError before any sample is drawn.
+    scale. A codebook that does not fit the model, or that is not a count
+    model's own (``check_codebook``), raises InvalidInputError before any
+    sample is drawn.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -195,7 +196,7 @@ def rollouts(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     scales: list[tuple[np.ndarray, list[tuple[GuidedStep, int]]]] = []
     latent = np.zeros((total,) + schedule.final_dims + (book.latent_dim,))
-    signed = model.embed([()] * total, book)
+    signed = model.embed([()] * total)
     for k in range(1, schedule.num_scales + 1):
         # Drawn whether or not the step uses it, so each stream stays the same.
         plan_seeds = [int(rng.integers(2**32)) for rng in rngs]
@@ -206,7 +207,7 @@ def rollouts(
             groups.setdefault(i if draws[lane] else (lane, signed.signature[i]), []).append(i)
         firsts = [members[0] for members in groups.values()]
         step = guided_step(
-            model, condition, signed.take(firsts), [configs[i] for i in firsts], book=book,
+            model, condition, signed.take(firsts), [configs[i] for i in firsts],
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
                                   plan_seeds[i], book=book) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
@@ -273,7 +274,6 @@ def rollout_distribution(
     condition: Condition,
     gconfig: GuidanceConfig,
     sconfig: SamplerConfig,
-    book: Codebook,
     *,
     fixed_plans: dict[int, CorruptionPlan] | None = None,
 ) -> Distribution:
@@ -292,11 +292,11 @@ def rollout_distribution(
 
     def step_laws(signed):
         plan, size = (fixed_plans or {}).get(signed.step), len(signed.signature)
-        logits = guided_step(model, condition, signed, gconfig, book=book,
+        logits = guided_step(model, condition, signed, gconfig,
                              plan=None if plan is None else [plan] * size).logits
         return truncated_law(logits, sconfig).reshape(size, -1, logits.shape[-1])
 
-    signed, ids, probs = chain_law(model, step_laws, model.schedule.num_scales - 1, book)
+    signed, ids, probs = chain_law(model, step_laws, model.schedule.num_scales - 1)
     rows, cols, probs = live_maps(probs, step_laws(signed))
     prefixes = list(zip(*[map(tuple, a.reshape(len(a), -1).tolist()) for a in ids])) or [()]
     maps = scale_maps(model.vocab, model.schedule.sites(model.schedule.num_scales))

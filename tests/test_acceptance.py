@@ -283,7 +283,7 @@ def test_criterion_7_sampler_laws(small_count, small_book):
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,
-                book=small_book, plan=recorded.plans[0],
+                plan=recorded.plans[0],
             )
             assert np.array_equal(recorded.logits, replayed.logits)
 
@@ -299,7 +299,7 @@ def test_criterion_8_toy_frechet():
         assert toy_frechet(a, b) == pytest.approx(9.0, abs=1e-6)
 
 
-def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
+def test_criterion_9_branch_counts(small_tabular, small_count):
     with report(9, "branch evaluations follow the 1/2/2/4 table; masks skip the contrast"):
         tab_prefix = [TokenMap(1, np.asarray([[1]]))]
         expected = {(0.0, 0.0): 1, (1.0, 0.0): 2, (0.0, 1.0): 2, (1.0, 1.0): 4}
@@ -311,12 +311,12 @@ def test_criterion_9_branch_counts(small_tabular, small_count, small_book):
                 gamma=gamma, lam=lam, fraction=1.0, reference="corrupted"
             )
             plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0)
-            step = guided_step(small_count, 0, tab_prefix, config, book=small_book,
+            step = guided_step(small_count, 0, tab_prefix, config,
                                plan=plan)
             assert step.evaluations == count, (gamma, lam)
 
         masked = GuidanceConfig(lam=1.0, fraction=1.0, scale_mask=(3,), reference="corrupted")
-        step = guided_step(small_count, 0, tab_prefix, masked, book=small_book)
+        step = guided_step(small_count, 0, tab_prefix, masked)
         assert step.evaluations == 1
         assert step.branches.cond_corr is None
         assert step.plans[0] is None

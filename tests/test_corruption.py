@@ -391,20 +391,20 @@ class TestTokenReading:
         prefixes = [embedded_prefix(k, seed + i)[0] for i in range(len(variants))]
         plans = [None if v is None else plan_corruption(SCHEDULE, k, 0.5, v, seed + i, book=BOOK)
                  for i, v in enumerate(variants)]
-        count = COUNT.embed(prefixes, BOOK)
-        got = corrupted_signatures(COUNT, count, plans, BOOK)
+        count = COUNT.embed(prefixes)
+        got = corrupted_signatures(COUNT, count, plans)
         for i, (prefix, plan) in enumerate(zip(prefixes, plans)):
-            alone = COUNT.embed([prefix], BOOK)
+            alone = COUNT.embed([prefix])
             if plan is None:
                 want = alone.signature[0]
             elif plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-                want = COUNT.embed([plan.uniform_tokens], BOOK).signature[0]
+                want = COUNT.embed([plan.uniform_tokens]).signature[0]
             else:
                 want = context_signature(apply_corruption(
                     alone.embedding, [plan], BOOK, SCHEDULE, COUNT.params), COUNT.thresholds)[0]
             assert got[i] == want
         token = [p if p is None or p.variant in TOKEN_READ else None for p in plans]
         keys = [tuple(m.key() for m in prefix) for prefix in prefixes]
-        got = corrupted_signatures(KEYED, KEYED.embed(prefixes), token, BOOK)
+        got = corrupted_signatures(KEYED, KEYED.embed(prefixes), token)
         assert got == [key if p is None else corrupt_key(key, p) for key, p in zip(keys, token)]
 

@@ -51,9 +51,9 @@ def corrupted_logits(model, condition, prefix, plan, book):
     and signed in place of the prefix, any other plan's embedding
     corrupted and signed; then the row is read."""
     if plan.variant is CorruptionVariant.UNIFORM_PREFIX:
-        signature = model.embed([prefix_maps(plan.uniform_tokens, model.schedule)], book)
+        signature = model.embed([prefix_maps(plan.uniform_tokens, model.schedule)])
         return model.logits(condition, len(prefix) + 1, signature.signature[0])
-    embedding = model.embed([prefix], book).embedding
+    embedding = model.embed([prefix]).embedding
     corrupted = apply_corruption(embedding, [plan], book, model.schedule, model.params)
     signature = context_signature(corrupted, model.thresholds)[0]
     return model.logits(condition, embedding.step, signature)
@@ -282,7 +282,7 @@ class TestGuidedStepTabular:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     @pytest.mark.parametrize("variant", EMBEDDING_ONLY)
-    def test_corrupted_reference_rejects_tabular(self, small_tabular, small_book, variant,
+    def test_corrupted_reference_rejects_tabular(self, small_tabular, variant,
                                                  fraction):
         # A tabular stack has no embedding, so a variant that corrupts
         # embeddings only has no reading on it. A contrasting step raises
@@ -293,7 +293,7 @@ class TestGuidedStepTabular:
         plan = plan_corruption(small_tabular.schedule, 2, fraction, variant, 0) if (
             config.draws_plan(2, small_tabular.schedule)) else None
         with pytest.raises(GuidanceConfigError, match=f"the {variant.value} variant"):
-            guided_step(small_tabular, 0, prefix, config, book=small_book, plan=plan)
+            guided_step(small_tabular, 0, prefix, config, plan=plan)
         # Without a contrast the variant is not read.
         step = guided_step(small_tabular, 0, prefix, replace(config, lam=0.0))
         assert step.branches.cond_corr is None
@@ -327,7 +327,7 @@ class TestGuidedStepTabular:
         *(("count", v) for v in CorruptionVariant if v is not CorruptionVariant.UNIFORM_PREFIX),
     ])
     def test_step_that_selects_no_site_has_the_clean_pair(
-        self, kind, variant, multisite_tabular, multisite_count, multisite_book
+        self, kind, variant, multisite_tabular, multisite_count
     ):
         # At n_p 0 a site-selecting variant draws no plan, on either kind,
         # and the corrupted pair is the clean pair.
@@ -336,7 +336,7 @@ class TestGuidedStepTabular:
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.0, variant=variant,
                                 reference="corrupted")
         assert not config.draws_plan(3, model.schedule)
-        step = guided_step(model, 0, prefix, config, book=multisite_book)
+        step = guided_step(model, 0, prefix, config)
         b = step.branches
         assert step.plans == (None,) and step.evaluations == 4
         assert np.array_equal(b.cond_corr, b.cond_gen)
@@ -344,23 +344,6 @@ class TestGuidedStepTabular:
 
 
 class TestGuidedStepCount:
-    def test_needs_codebook(self, small_count):
-        with pytest.raises(InvalidInputError):
-            guided_step(small_count, 0, [], GuidanceConfig())
-
-    def test_corrupted_reference_needs_codebook(self, small_count, small_book):
-        # The stack is not signed without the codebook, and once signed its
-        # corrupted branch is not built without it.
-        prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
-        config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
-        plans = [plan_corruption(small_count.schedule, 2, 1.0, config.variant, seed,
-                                 book=small_book) for seed in range(2)]
-        with pytest.raises(InvalidInputError, match="codebook"):
-            small_count.embed(prefixes, None)
-        stack = small_count.embed(prefixes, small_book)
-        with pytest.raises(InvalidInputError, match="codebook"):
-            guided_step(small_count, 0, stack, config, plan=plans)
-
     def test_corrupted_branch_counts(self, deep_count, monkeypatch):
         # The clean embedding's two prefix scales are binned once, however
         # many branches read it. A corrupted branch signs its corrupted
@@ -389,13 +372,13 @@ class TestGuidedStepCount:
             (corrupted(1.0, 0.05), 4, 0),
             (corrupted(1.0, 0.05, uniform), 4, 2),
         ]
-        clean = predict_logits(model, 0, prefix, book=book)
+        clean = predict_logits(model, 0, prefix)
         for config, expected, rebinned in cases:
             plan = plan_corruption(
                 model.schedule, 3, config.fraction, config.variant, 0, book=book
             ) if config.draws_plan(3, model.schedule) else None
             binned.clear()
-            step = guided_step(model, 0, prefix, config, book=book, plan=plan)
+            step = guided_step(model, 0, prefix, config, plan=plan)
             assert step.evaluations == expected
             assert len(binned) == len(prefix) + rebinned
             assert step.plans[0] is plan
@@ -413,31 +396,31 @@ class TestGuidedStepCount:
         seeded = []
         monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed))
         with pytest.raises(IllDefinedLawError, match="scale 2 needs a plan"):
-            guided_step(small_count, 0, prefix, config, book=small_book)
-        step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+            guided_step(small_count, 0, prefix, config)
+        step = guided_step(small_count, 0, prefix, config, plan=plan)
         assert step.plans == (plan,)
         assert seeded == []
 
     @pytest.mark.parametrize("condition", [7, -1])
     def test_unknown_condition_raises_for_both_model_kinds(
-        self, condition, small_tabular, small_count, small_book
+        self, condition, small_tabular, small_count
     ):
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(gamma=1.0)
         for model in (small_tabular, small_count):
             with pytest.raises(MissingRowError, match=f"condition {condition}"):
-                guided_step(model, condition, prefix, config, book=small_book)
+                guided_step(model, condition, prefix, config)
 
     @pytest.mark.parametrize("gamma, lam", [(0.0, 1.5), (1.0, 0.5), (2.0, 2.0)])
     def test_exact_marginal_step_is_the_four_term_form(self, deep_count, gamma, lam):
         # The count model's own exact prefix marginals stand in for the
         # corrupted branches.
-        model, book, corpus = deep_count
+        model, _, corpus = deep_count
         prefix = corpus[2][1][:2]
-        step = guided_step(model, 1, prefix, GuidanceConfig(gamma=gamma, lam=lam), book=book)
-        signature = model.embed([prefix], book).signature
+        step = guided_step(model, 1, prefix, GuidanceConfig(gamma=gamma, lam=lam))
+        signature = model.embed([prefix]).signature
         l_cg, l_ng = (model.branch_logits(c, 3, signature)[0] for c in (1, NULL_CONDITION))
-        l_cc, l_nc = (np.log(prefix_marginal_sites(model, c, 3, book=book))
+        l_cc, l_nc = (np.log(prefix_marginal_sites(model, c, 3))
                       for c in (1, NULL_CONDITION))
         four_term = ((1 + lam) * (1 + gamma) * l_cg - (1 + lam) * gamma * l_ng
                      - lam * (1 + gamma) * l_cc + lam * gamma * l_nc)
@@ -456,10 +439,10 @@ class TestGuidedStepCount:
         )
         assert 4 ** schedule.prefix_sites(4) > PREFIX_STATE_CAP >= 4 ** schedule.prefix_sites(3)
         with pytest.raises(TooLargeError, match=str(4 ** 9)):
-            prefix_marginal_sites(model, 0, 4, book=book)
+            prefix_marginal_sites(model, 0, 4)
         with pytest.raises(TooLargeError):
-            guided_step(model, 0, corpus[0][1][:3], GuidanceConfig(lam=1.0), book=book)
-        assert prefix_marginal_sites(model, 0, 3, book=book).shape == (2, 2, 4)
+            guided_step(model, 0, corpus[0][1][:3], GuidanceConfig(lam=1.0))
+        assert prefix_marginal_sites(model, 0, 3).shape == (2, 2, 4)
 
     def test_cfg_without_null_rows_rejected(self, small_schedule, small_book):
         from prefixlab.model import fit_count_model
@@ -472,62 +455,71 @@ class TestGuidedStepCount:
             include_null=False,
         )
         with pytest.raises(MissingRowError, match="gamma > 0"):
-            guided_step(model, 0, [], GuidanceConfig(gamma=1.0), book=small_book)
+            guided_step(model, 0, [], GuidanceConfig(gamma=1.0))
 
-    def test_fixed_plan_overrides_sampling(self, small_count, small_book):
+    def test_fixed_plan_overrides_sampling(self, small_count):
         prefix = [TokenMap(1, np.asarray([[2]]))]
         plan = plan_corruption(
             small_count.schedule, 2, 1.0,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=77,
         )
         config = GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted")
-        a = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
-        b = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+        a = guided_step(small_count, 0, prefix, config, plan=plan)
+        b = guided_step(small_count, 0, prefix, config, plan=plan)
         assert a.plans[0] is plan
         assert np.array_equal(a.logits, b.logits)
 
-    def test_signed_stack_is_the_prefix(self, small_count, small_book):
+    def test_signed_stack_is_the_prefix(self, small_count):
         # The stack's step is read from its embedding and its row count from
         # its signature list: the empty stack of two rows is a step at scale 1.
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(2)]
         config = GuidanceConfig(gamma=1.0)
-        first = guided_step(small_count, 0, small_count.embed([()] * 2, small_book), config,
-                            book=small_book)
+        first = guided_step(small_count, 0, small_count.embed([()] * 2), config)
         assert first.k == 1 and first.logits.shape == (2, 1, 1, 3)
-        carried = guided_step(small_count, 0, small_count.embed(prefixes, small_book),
-                              config, book=small_book)
+        carried = guided_step(small_count, 0, small_count.embed(prefixes), config)
         for i, prefix in enumerate(prefixes):
-            fresh = guided_step(small_count, 0, prefix, config, book=small_book)
+            fresh = guided_step(small_count, 0, prefix, config)
             assert carried.k == fresh.k == 2
             assert np.array_equal(carried.logits[i], fresh.logits)
 
-    def test_signed_stack_is_taken_only_by_its_model_kind(
+    def test_signed_stack_is_stepped_only_by_its_signer(
         self, small_tabular, small_count, small_book
     ):
-        # A signed stack is taken only by the model kind that signed it: a
-        # count stack by a count model, a tabular stack by a tabular model.
-        rule = "a signed stack is taken only by the model kind that signed it"
+        # A signed stack is stepped only by the model that signed it: not by
+        # the other kind, nor by another model of its kind. Read by a count
+        # model of another signature spec and embed seed, a count stack's
+        # signatures would bin the signer's embeddings; read by a tabular
+        # model on ((1,1),(1,4)), a stack keyed on 2x2 maps would give a
+        # (1, 1, 4, 3) step.
+        rule = "a signed stack is stepped only by the model that signed it"
         prefix = [TokenMap(1, np.asarray([[1]]))]
-        for signer, reader in ((small_count, small_tabular), (small_tabular, small_count)):
+        other_count = fit_count_model(
+            make_corpus(small_count.schedule, small_book, 2, 12, 5), small_count.schedule,
+            small_book, vocab=3, num_conditions=2, alpha=1.0, spec=SignatureSpec(4, 1),
+            embed_seed=12, embed_dim=4, include_null=True)
+        other_tabular = build_tabular(ScaleSchedule(((1, 1), (1, 4))), 3, 2, seed=0)
+        for signer, readers in ((small_count, (small_tabular, other_count)),
+                                (small_tabular, (small_count, other_tabular))):
             for rows in ([()], [prefix]):
-                signed = signer.embed(rows, small_book)
-                with pytest.raises(InvalidInputError, match=rule):
-                    guided_step(reader, 0, signed, GuidanceConfig(), book=small_book)
+                signed = signer.embed(rows)
+                for reader in readers:
+                    with pytest.raises(InvalidInputError, match=rule):
+                        guided_step(reader, 0, signed, GuidanceConfig())
             # One prefix's signed stack is a stack of one row, and its step
             # is the stacked step.
-            step = guided_step(signer, 0, signed, GuidanceConfig(), book=small_book)
+            step = guided_step(signer, 0, signed, GuidanceConfig())
             assert step.k == 2 and step.logits.shape == (1, 2, 2, 3)
-            fresh = guided_step(signer, 0, prefix, GuidanceConfig(), book=small_book)
+            fresh = guided_step(signer, 0, prefix, GuidanceConfig())
             assert step.logits[0].tobytes() == fresh.logits.tobytes()
 
     def test_stack_prefixes_hold_one_step_on_both_kinds(
-        self, small_tabular, small_count, small_book
+        self, small_tabular, small_count
     ):
         for model in (small_tabular, small_count):
             with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
-                model.embed([(), ((1,),)], small_book)
+                model.embed([(), ((1,),)])
 
-    def test_prefix_list_is_read_as_one_prefix(self, small_tabular, small_count, small_book):
+    def test_prefix_list_is_read_as_one_prefix(self, small_tabular, small_count):
         # Only a signed stack is a stack, and no flag makes a list one: a
         # list of prefixes is one prefix whose parts are prefixes, which the
         # map rule names by its scale.
@@ -538,7 +530,7 @@ class TestGuidedStepCount:
             for stack in (prefixes, [((0,),), ((1,),)]):
                 with pytest.raises(InvalidInputError,
                                    match="prefix 0: the key's part at scale 1 is not 1 integer"):
-                    guided_step(model, 0, stack, GuidanceConfig(), book=small_book)
+                    guided_step(model, 0, stack, GuidanceConfig())
 
     def test_one_prefix_takes_one_plan_and_one_config(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]
@@ -547,8 +539,8 @@ class TestGuidedStepCount:
         rule = re.escape("one prefix takes one plan (or None) and one config")
         for plans, configs in (([plan], config), ([plan, None], config), (plan, [config])):
             with pytest.raises(InvalidInputError, match=rule):
-                guided_step(small_count, 0, prefix, configs, book=small_book, plan=plans)
-        assert guided_step(small_count, 0, prefix, config, book=small_book,
+                guided_step(small_count, 0, prefix, configs, plan=plans)
+        assert guided_step(small_count, 0, prefix, config,
                            plan=plan).plans == (plan,)
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0])
@@ -571,11 +563,10 @@ class TestGuidedStepCount:
             plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book=book)
                      if i % 2 or c.draws_plan(k, schedule) else None
                      for i, c in enumerate(configs)]
-            by_keys = guided_step(model, 1, model.embed(keys, book), configs,
-                                  book=book, plan=plans)
+            by_keys = guided_step(model, 1, model.embed(keys), configs, plan=plans)
             by_maps = guided_step(
-                model, 1, model.embed([prefix_maps(key, schedule) for key in keys], book),
-                configs, book=book, plan=plans)
+                model, 1, model.embed([prefix_maps(key, schedule) for key in keys]),
+                configs, plan=plans)
             assert by_maps.k == by_keys.k == k
             assert by_maps.plans == by_keys.plans
             assert by_maps.contrasted == by_keys.contrasted
@@ -603,8 +594,8 @@ class TestGuidedStepCount:
         config = GuidanceConfig(
             gamma=gamma, lam=1.0, fraction=fraction, variant=variant, reference="corrupted"
         )
-        fixed = guided_step(model, 1, prefix, config, book=book, plan=plan)
-        drawn = guided_step(model, 1, prefix, config, book=book, plan=plan_corruption(
+        fixed = guided_step(model, 1, prefix, config, plan=plan)
+        drawn = guided_step(model, 1, prefix, config, plan=plan_corruption(
             model.schedule, k, fraction, variant, seed=4, book=book
         ))
         assert fixed.plans[0] is plan
@@ -623,7 +614,7 @@ class TestGuidedStepCount:
 
     @pytest.mark.parametrize("variant", [v for v in CorruptionVariant
                                          if v is not CorruptionVariant.UNIFORM_PREFIX])
-    def test_fraction_rounding_to_no_site_corrupts_nothing(self, small_count, small_book, variant):
+    def test_fraction_rounding_to_no_site_corrupts_nothing(self, small_count, variant):
         # The step at scale 2 has one prefix site, and 0.25 * 1 rounds to 0:
         # a site-selecting variant then has no site to corrupt, the step
         # needs no plan, and the corrupted pair is the clean pair.
@@ -631,7 +622,7 @@ class TestGuidedStepCount:
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=0.25, variant=variant,
                                 reference="corrupted")
         assert not config.draws_plan(2, small_count.schedule)
-        step = guided_step(small_count, 0, prefix, config, book=small_book)
+        step = guided_step(small_count, 0, prefix, config)
         assert step.plans[0] is None
         b = step.branches
         assert np.array_equal(b.cond_corr, b.cond_gen)
@@ -670,7 +661,7 @@ class TestGuidedStepCount:
         prefix = corpus[0][1][:1]
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
         plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, book=book)
-        step = guided_step(model, 0, prefix, config, book=book, plan=plan)
+        step = guided_step(model, 0, prefix, config, plan=plan)
         assert step.plans[0] is plan
         assert np.array_equal(step.branches.cond_corr,
                               corrupted_logits(model, 0, prefix, plan, book))
@@ -683,13 +674,13 @@ class TestGuidedStepCount:
         config = GuidanceConfig(lam=1.0, fraction=fraction, reference="corrupted")
         plan = plan_corruption(model.schedule, 3, fraction, config.variant, seed=0, book=book)
         with pytest.raises(InconsistentPlanError, match="step 3"):
-            guided_step(model, 0, corpus[0][1][:1], config, book=book, plan=plan)
+            guided_step(model, 0, corpus[0][1][:1], config, plan=plan)
 
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, book=small_book)
-        step = guided_step(small_count, 0, prefix, config, book=small_book, plan=plan)
+        step = guided_step(small_count, 0, prefix, config, plan=plan)
         assert step.plans[0] is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
             want = corrupted_logits(small_count, cond, prefix, plan, small_book)
@@ -743,9 +734,9 @@ class TestStackedStep:
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
-        step = guided_step(model, 1, model.embed(prefixes, book), config, book=book, plan=plans)
+        step = guided_step(model, 1, model.embed(prefixes), config, plan=plans)
         assert step.logits.shape == (rows,) + schedule.grid(k) + (vocab,)
-        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+        alone = [guided_step(model, 1, prefix, config, plan=plan)
                  for prefix, plan in zip(prefixes, plans)]
         assert step.evaluations == sum(a.evaluations for a in alone)
         for i, want in enumerate(alone):
@@ -838,8 +829,8 @@ class TestStackedStep:
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
-        step = guided_step(model, 1, model.embed(prefixes, book), configs, book=book, plan=plans)
-        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+        step = guided_step(model, 1, model.embed(prefixes), configs, plan=plans)
+        alone = [guided_step(model, 1, prefix, config, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
         assert step.evaluations == sum(a.evaluations for a in alone)
         for i, want in enumerate(alone):
@@ -888,7 +879,7 @@ class TestStackedStep:
         prefixlab.guidance.corrupted_signatures = (
             lambda *a: calls.append("corrupt") or corrupt(*a))
         try:
-            step = guided_step(model, 1, model.embed(prefixes, book), configs, book=book,
+            step = guided_step(model, 1, model.embed(prefixes), configs,
                                plan=plans)
         finally:
             prefixlab.model.embed_prefix = embed_prefix
@@ -896,7 +887,7 @@ class TestStackedStep:
         # The clean prefixes are embedded in one call, before any row is
         # corrupted (uniform-prefix rows embed their plans' grids then).
         assert calls[:2] in (["embed"], ["embed", "corrupt"])
-        alone = [guided_step(model, 1, prefix, config, book=book, plan=plan)
+        alone = [guided_step(model, 1, prefix, config, plan=plan)
                  for prefix, config, plan in zip(prefixes, configs, plans)]
         for i, want in enumerate(alone):
             got = step.row(i)
@@ -924,12 +915,12 @@ class TestStackedStep:
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
-        stack = small_count.embed(prefixes, small_book)
+        stack = small_count.embed(prefixes)
         with pytest.raises(InvalidInputError, match="one plan per prefix"):
-            guided_step(small_count, 0, stack, config, book=small_book, plan=[plan])
+            guided_step(small_count, 0, stack, config, plan=[plan])
         with pytest.raises(InvalidInputError, match="prefix 1: it holds 1 scales, not 0"):
-            small_count.embed([[], prefixes[0]], small_book)
+            small_count.embed([[], prefixes[0]])
         with pytest.raises(IllDefinedLawError, match="needs a plan"):
-            guided_step(small_count, 0, stack, config, book=small_book, plan=[plan, None, plan])
-        step = guided_step(small_count, 0, stack, config, book=small_book, plan=[plan] * 3)
+            guided_step(small_count, 0, stack, config, plan=[plan, None, plan])
+        step = guided_step(small_count, 0, stack, config, plan=[plan] * 3)
         assert step.plans == (plan,) * 3 and step.row(1).plans == (plan,)

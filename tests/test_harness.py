@@ -136,32 +136,30 @@ def nuclear_norm_frechet(images_a, images_b):
 
 
 class TestCountModelMarginal:
-    def test_sites_normalized(self, small_count, small_book):
-        sites = prefix_marginal_sites(small_count, 0, k=2, book=small_book)
+    def test_sites_normalized(self, small_count):
+        sites = prefix_marginal_sites(small_count, 0, k=2)
         assert sites.shape == (2, 2, 3)
         np.testing.assert_allclose(sites.sum(axis=-1), 1.0, atol=1e-9)
 
-    def test_first_scale_equals_direct_prediction(self, small_count, small_book):
+    def test_first_scale_equals_direct_prediction(self, small_count):
         from prefixlab.model import predict_logits
 
-        sites = prefix_marginal_sites(small_count, 0, k=1, book=small_book)
-        direct = np.exp(predict_logits(small_count, 0, [], book=small_book))
+        sites = prefix_marginal_sites(small_count, 0, k=1)
+        direct = np.exp(predict_logits(small_count, 0, []))
         np.testing.assert_allclose(sites, direct, atol=1e-12)
 
 
-    def test_sites_weigh_each_prefix_prediction_by_its_law(self, small_count, small_book):
+    def test_sites_weigh_each_prefix_prediction_by_its_law(self, small_count):
         # Each level's prefixes are embedded as one signed stack; the walk
         # equals weighing each prefix's own prediction.
         from prefixlab.model import predict_logits, prefix_maps
 
-        first = np.exp(predict_logits(small_count, 0, [], book=small_book)).reshape(-1)
+        first = np.exp(predict_logits(small_count, 0, [])).reshape(-1)
         want = sum(p * np.exp(predict_logits(
-            small_count, 0, prefix_maps(((v,),), small_count.schedule), book=small_book))
+            small_count, 0, prefix_maps(((v,),), small_count.schedule)))
             for v, p in enumerate(first))
-        sites = prefix_marginal_sites(small_count, 0, k=2, book=small_book)
+        sites = prefix_marginal_sites(small_count, 0, k=2)
         np.testing.assert_allclose(sites, want, rtol=0, atol=1e-15)
-        with pytest.raises(InvalidInputError, match="codebook"):
-            prefix_marginal_sites(small_count, 0, k=2)
 
 
 class TestSweepGrid:

@@ -29,7 +29,7 @@ from prefixlab.model import (
     tabular_from_rows,
 )
 from prefixlab.tokenizer import Codebook, ScaleSchedule, TokenMap
-from tests.conftest import stacked_ids
+from tests.conftest import make_corpus, stacked_ids
 
 
 class TestPrefixKeys:
@@ -221,7 +221,7 @@ class TestSignatures:
         # of a step-1 stack the signature ().
         emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
         assert context_signature(emb, SignatureSpec(4, 0).thresholds(2, 4)) == []
-        signed = small_count.embed([[], ()], small_book)
+        signed = small_count.embed([[], ()])
         assert signed.embedding is EMPTY_EMBEDDING and signed.signature == [(), ()]
 
     def test_single_bin_collapses_all_prefixes(self, small_book, small_schedule):
@@ -251,7 +251,7 @@ class TestCountModel:
             corpus, sched, book, vocab=3, num_conditions=1,
             alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
         )
-        probs = predict_logits(model, 0, [], book=book)
+        probs = predict_logits(model, 0, [])
         np.testing.assert_allclose(np.exp(probs[0, 0]), [0.5, 0.25, 0.25])
 
     def test_more_data_moves_toward_empirical(self):
@@ -262,7 +262,7 @@ class TestCountModel:
             corpus, sched, book, vocab=3, num_conditions=1,
             alpha=1.0, spec=SignatureSpec(4, 0), embed_seed=0, embed_dim=4, include_null=True,
         )
-        probs = np.exp(predict_logits(model, 0, [], book=book)[0, 0])
+        probs = np.exp(predict_logits(model, 0, [])[0, 0])
         np.testing.assert_allclose(probs, [0.6, 0.2, 0.2])
 
     def test_unseen_context_falls_back_to_uniform(self, small_count, small_book):
@@ -451,7 +451,7 @@ class TestSeededTables:
                 variant=CorruptionVariant.UNIFORM_PREFIX, reference="corrupted",
             )
             plan = plan_corruption(small_schedule, 2, 1.0, config.variant, 0, book=small_book)
-            guided_step(model, 0, corpus[0][1][:1], config, book=small_book, plan=plan)
+            guided_step(model, 0, corpus[0][1][:1], config, plan=plan)
         assert len(builds) == 2
 
     @pytest.mark.parametrize("bins", [1, 2, 5])
@@ -476,10 +476,6 @@ class TestPredictLogits:
         )
         assert grid.shape == (1, 1, 3)
 
-    def test_count_model_needs_codebook(self, small_count):
-        with pytest.raises(InvalidInputError, match="codebook"):
-            predict_logits(small_count, 0, [])
-
     def test_signed_stack_rejected_by_name_on_both_model_kinds(
         self, small_tabular, small_count, small_book
     ):
@@ -491,26 +487,21 @@ class TestPredictLogits:
         latent = accumulate_latent(np.zeros((1, 2, 2, 2)), 1, ids, small_book)
         stacks = []
         for model in (small_tabular, small_count):
-            first = model.embed([()], small_book)
+            first = model.embed([()])
             stacks += [first, model.extend(first, ids, latent)]
         for signed in stacks:
             for model in (small_tabular, small_count):
                 with pytest.raises(InvalidInputError, match="signed stack"):
-                    predict_logits(model, 0, signed, book=small_book)
+                    predict_logits(model, 0, signed)
 
-    def test_count_model_reads_prefix_keys_and_rejects_other_codebooks(
-        self, small_count, small_book
-    ):
+    def test_count_model_reads_a_prefix_key_as_its_maps(self, small_count):
         # A prefix key and its token maps give the same logits bit for bit.
         for v in range(3):
             maps = [TokenMap(1, np.asarray([[v]]))]
             for condition in (0, 1, NULL_CONDITION):
-                by_key = predict_logits(small_count, condition, ((v,),), book=small_book)
-                by_maps = predict_logits(small_count, condition, maps, book=small_book)
+                by_key = predict_logits(small_count, condition, ((v,),))
+                by_maps = predict_logits(small_count, condition, maps)
                 assert by_key.shape == (2, 2, 3) and by_key.tobytes() == by_maps.tobytes()
-        wider = Codebook.seeded(2, 3, small_book.latent_dim + 1, seed=7)
-        with pytest.raises(InvalidInputError, match="latent size"):
-            predict_logits(small_count, 0, [], book=wider)
 
     def test_unknown_model_type_raises(self):
         with pytest.raises(InvalidInputError):
@@ -518,18 +509,18 @@ class TestPredictLogits:
 
     @pytest.mark.parametrize("condition", [7, -1, 2])
     def test_unknown_condition_raises_for_both_model_kinds(
-        self, condition, small_tabular, small_count, small_book
+        self, condition, small_tabular, small_count
     ):
         # Both models were built for conditions 0 and 1.
         maps = [TokenMap(1, np.asarray([[1]]))]
         for model in (small_tabular, small_count):
             with pytest.raises(MissingRowError, match=f"condition {condition}"):
-                predict_logits(model, condition, maps, book=small_book)
+                predict_logits(model, condition, maps)
         assert not any(key[0] == condition for key in small_count._logits)
 
-    def test_count_logits_are_memoized_read_only(self, small_count, small_book):
+    def test_count_logits_are_memoized_read_only(self, small_count):
         maps = [TokenMap(1, np.asarray([[2]]))]
-        signature = small_count.embed([maps], small_book).signature[0]
+        signature = small_count.embed([maps]).signature[0]
         first = small_count.logits(1, 2, signature)
         assert not first.flags.writeable
         with pytest.raises(ValueError):
@@ -543,7 +534,7 @@ class TestPredictLogits:
                 assert kept.setdefault(condition, grid) is grid
                 expected = np.log(small_count.site_probs(condition, 2, signature))
                 assert grid.shape == (2, 2, 3) and np.array_equal(grid, expected)
-                read = predict_logits(small_count, condition, maps, book=small_book)
+                read = predict_logits(small_count, condition, maps)
                 assert read.tobytes() == grid.tobytes()
 
 
@@ -589,14 +580,14 @@ class TestCarriedEmbeddings:
         sched = model.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(5)]
         latent = np.zeros((5,) + sched.final_dims + (3,))
-        signed = model.embed([()] * 5, book)
+        signed = model.embed([()] * 5)
         for k in range(1, sched.num_scales):
             stacked = np.stack([p[k - 1].ids for p in prefixes])
             latent = accumulate_latent(latent, k, stacked, book)
             signed = model.extend(signed, stacked, latent)
             assert signed.step == k + 1 and len(signed.signature) == 5
             for i, maps in enumerate(prefixes):
-                fresh = model.embed([maps[:k]], book)
+                fresh = model.embed([maps[:k]])
                 assert signed.signature[i] == fresh.signature[0]
                 if kind == "tabular":
                     assert signed.embedding is fresh.embedding is None
@@ -604,39 +595,39 @@ class TestCarriedEmbeddings:
                 else:
                     assert_row_equals(signed.embedding, i, fresh.embedding)
 
-    def test_extend_takes_one_latent_per_row(self, multisite_count, multisite_book):
+    def test_extend_takes_one_latent_per_row(self, multisite_count):
         ids = np.zeros((2, 1, 1), dtype=int)
         latent = np.zeros((2,) + multisite_count.schedule.final_dims + (3,))
         with pytest.raises(InvalidInputError, match="one latent per row"):
-            multisite_count.extend(multisite_count.embed([()] * 3, multisite_book), ids, latent)
+            multisite_count.extend(multisite_count.embed([()] * 3), ids, latent)
 
-    def test_maps_and_keys_embed_as_one_signed_stack(self, multisite_count, multisite_book):
+    def test_maps_and_keys_embed_as_one_signed_stack(self, multisite_count):
         # Prefixes given as token maps, as prefix keys or as a mix of both
         # embed to one signed stack whose rows are each prefix's stack of
         # one row, bit for bit.
         from tests.conftest import uniform_maps
 
-        model, book, sched = multisite_count, multisite_book, multisite_count.schedule
+        model, sched = multisite_count, multisite_count.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(4)]
-        empty = model.embed([()] * 4, book)
+        empty = model.embed([()] * 4)
         assert empty.embedding is EMPTY_EMBEDDING and empty.signature == [()] * 4
         for k in range(2, sched.num_scales + 1):
             maps = [p[: k - 1] for p in prefixes]
             keys = [tuple(m.key() for m in p) for p in maps]
-            signed = model.embed(keys, book)
+            signed = model.embed(keys)
             assert len(signed.signature) == 4
-            for other in (model.embed(maps, book), model.embed(maps[:2] + keys[2:], book)):
+            for other in (model.embed(maps), model.embed(maps[:2] + keys[2:])):
                 assert other.signature == signed.signature
                 for i in range(4):
                     assert_row_equals(signed.embedding, i, other.embedding, i)
             for i, prefix in enumerate(maps):
-                fresh = model.embed([prefix], book)
+                fresh = model.embed([prefix])
                 assert signed.signature[i] == fresh.signature[0]
                 assert_row_equals(signed.embedding, i, fresh.embedding)
             taken = signed.take([2, 0])
             assert taken.signature == [signed.signature[2], signed.signature[0]]
             for row, i in enumerate([2, 0]):
-                assert_row_equals(taken.embedding, row, model.embed([maps[i]], book).embedding)
+                assert_row_equals(taken.embedding, row, model.embed([maps[i]]).embedding)
 
 
 def assert_row_equals(stack, i, other, j=0):
@@ -682,23 +673,22 @@ class TestCountBranchInputsAgree:
         )
         embed, stacks = CountModel.embed, []  # (rows given, stack returned) per call
 
-        def recording(self, prefixes, book):
-            stacks.append((len(prefixes), embed(self, prefixes, book)))
+        def recording(self, prefixes):
+            stacks.append((len(prefixes), embed(self, prefixes)))
             return stacks[-1][1]
 
         latent = np.zeros((count,) + sched.final_dims + (2,))
         config = GuidanceConfig()  # gamma = lam = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CountModel, "embed", recording)
-            carried = model.embed([()] * count, book)
+            carried = model.embed([()] * count)
             for k in range(1, sched.num_scales + 1):
                 prefixes = [maps[: k - 1] for _, maps in corpus]
                 for c in (0, 1, NULL_CONDITION):
-                    stacked = guided_step(model, c, model.embed(prefixes, book), config,
-                                          book=book)
+                    stacked = guided_step(model, c, model.embed(prefixes), config)
                     assert stacked.k == k
                     for i, prefix in enumerate(prefixes):
-                        via_maps = predict_logits(model, c, prefix, book=book)
+                        via_maps = predict_logits(model, c, prefix)
                         via_carried = model.logits(c, k, carried.signature[i])
                         assert via_maps.shape == sched.grid(k) + (vocab,)
                         assert (via_maps.tobytes() == stacked.logits[i].tobytes()
@@ -720,16 +710,16 @@ class TestMapRule:
 
     @pytest.mark.parametrize("shape", [(1, 4), (3, 3)])
     def test_predict_logits_and_guided_step_name_a_misshapen_map(
-        self, shape, multisite_count, multisite_book
+        self, shape, multisite_count
     ):
         from prefixlab.guidance import GuidanceConfig, guided_step
 
         prefix = [TokenMap(1, np.asarray([[1]])), TokenMap(2, np.zeros(shape, dtype=int))]
         problem = re.escape(f"the map at scale 2 has k=2 and shape {shape}")
         with pytest.raises(InvalidInputError, match=problem):
-            predict_logits(multisite_count, 0, prefix, book=multisite_book)
+            predict_logits(multisite_count, 0, prefix)
         with pytest.raises(InvalidInputError, match="prefix 0: the map at scale 2"):
-            guided_step(multisite_count, 0, prefix, GuidanceConfig(), book=multisite_book)
+            guided_step(multisite_count, 0, prefix, GuidanceConfig())
 
     @pytest.mark.parametrize("prefix, problem", [
         ([TokenMap(1, np.asarray([[1]])), TokenMap(2, np.zeros((2, 1), dtype=int))],
@@ -770,20 +760,20 @@ class TestMapRule:
                            match=f"the key's part at scale {scale} is not {sites} integer ids"):
             model.embed([prefix])
 
-    def test_a_map_is_for_its_own_scale(self, multisite_count, multisite_book):
+    def test_a_map_is_for_its_own_scale(self, multisite_count):
         # A (2, 2) map labelled scale 1 is not scale 2's map.
         prefix = [TokenMap(1, np.asarray([[1]])), TokenMap(1, np.zeros((2, 2), dtype=int))]
         with pytest.raises(InvalidInputError, match="scale 2 has k=1"):
-            predict_logits(multisite_count, 0, prefix, book=multisite_book)
+            predict_logits(multisite_count, 0, prefix)
 
     @pytest.mark.parametrize("part", [(0, 1, 2), (0, 1, 2, 3.0)])
     def test_stack_embed_names_a_short_or_non_integer_key_part(
-        self, part, multisite_count, multisite_book
+        self, part, multisite_count
     ):
         keys = [((1,), (0, 1, 2, 3)), ((1,), part)]
         with pytest.raises(InvalidInputError,
                            match="prefix 1: the key's part at scale 2 is not 4 integer ids"):
-            multisite_count.embed(keys, multisite_book)
+            multisite_count.embed(keys)
 
     @pytest.mark.parametrize("shapes, bad", [
         ([(1, 4)] * 3, 0),
@@ -834,9 +824,9 @@ class TestMapRule:
             # A tabular model checks the prefix before it reads a table.
             for kind in (model, TabularModel(sched, 2, 1, {})):
                 with pytest.raises(InvalidInputError, match=re.escape(problem)):
-                    predict_logits(kind, 0, maps[:j], book=book)
+                    predict_logits(kind, 0, maps[:j])
                 with pytest.raises(InvalidInputError, match=re.escape(f"prefix 1: {problem}")):
-                    kind.embed([corpus[0][1][:j], maps[:j]], book)
+                    kind.embed([corpus[0][1][:j], maps[:j]])
 
 
 class TestBoundaryChecks:
@@ -859,9 +849,9 @@ class TestBoundaryChecks:
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, reference="exact-marginal")
         calls = [
-            lambda c: guided_step(model, c, prefix, config, book=small_book).logits,
-            lambda c: predict_logits(model, c, prefix, book=small_book),
-            lambda c: prefix_marginal_sites(model, c, 2, book=small_book),
+            lambda c: guided_step(model, c, prefix, config).logits,
+            lambda c: predict_logits(model, c, prefix),
+            lambda c: prefix_marginal_sites(model, c, 2),
             lambda c: rollouts(model, c, [(config, SamplerConfig(seed=0))], small_book, 2),
         ]
         rule = re.escape(f"condition {condition!r} is not an integer or the null condition")
@@ -885,6 +875,7 @@ class TestBoundaryChecks:
         from prefixlab.sampler import SamplerConfig, rollouts
 
         lane = [(GuidanceConfig(), SamplerConfig(seed=seed))]
+        corpus = make_corpus(small_count.schedule, small_book, 2, 12, 5)
         for book, shape in ((Codebook.seeded(2, 2, 2, seed=7), "2 scales x 2 codes"),
                             (Codebook.seeded(3, 3, 2, seed=7), "3 scales x 3 codes")):
             rule = re.escape(f"a codebook of {shape} does not fit a model of "
@@ -893,6 +884,17 @@ class TestBoundaryChecks:
                 with pytest.raises(InvalidInputError, match=rule):
                     rollouts(model, 0, lane, book, 1)
             with pytest.raises(InvalidInputError, match=rule):
-                small_count.embed([()], book)
+                fit_count_model(corpus, small_count.schedule, book, 3, 2, 1.0,
+                                SignatureSpec(4, 0), 11, 4, True)
         for model in (small_tabular, small_count):
             assert len(rollouts(model, 0, lane, small_book, 1)[0]) == 1
+
+    def test_fit_rejects_a_codebook_of_more_codes_than_token_ids(self, small_schedule, small_book):
+        # A corpus of ids 0..2 fits under 4 codes, but the model's every
+        # read would take a codebook of 3 token ids: it is named at the fit.
+        corpus = make_corpus(small_schedule, small_book, 2, 12, 5)
+        rule = re.escape("a codebook of 2 scales x 4 codes does not fit a model of "
+                         "2 scales x 3 token ids")
+        with pytest.raises(InvalidInputError, match=rule):
+            fit_count_model(corpus, small_schedule, Codebook.seeded(2, 4, 2, seed=7), 3, 2, 1.0,
+                            SignatureSpec(4, 0), 11, 4, True)

@@ -327,19 +327,19 @@ class TestChainLawEngine:
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_count_marginal_sites_equal_the_per_prefix_sum_bit_for_bit(
-        self, multisite_count, multisite_book
+        self, multisite_count
     ):
         model = multisite_count
         for c in (0, NULL_CONDITION):
             for k in (2, 3):
                 def law(key):
                     maps = prefix_maps(key, model.schedule)
-                    logits = predict_logits(model, c, maps, book=multisite_book)
+                    logits = predict_logits(model, c, maps)
                     return np.exp(logits).reshape(-1, model.vocab)
 
                 shape = model.schedule.grid(k) + (model.vocab,)
                 expected = per_prefix_marginal_sites(law, shape, k)
-                got = prefix_marginal_sites(model, c, k, book=multisite_book)
+                got = prefix_marginal_sites(model, c, k)
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("outcome", [(0, 1, 2), (0, 1, 2, 0, 1), (0, 3, 1, 2), (-1, 0, 0, 0)])
@@ -418,11 +418,11 @@ class TestChainLawEngine:
             return np.exp(logits).reshape(len(signed.signature), -1, vocab)
 
         for k in range(1, schedule.num_scales + 1):
-            signed, ids, probs = chain_law(model, laws, k - 1, book)
+            signed, ids, probs = chain_law(model, laws, k - 1)
             keys = keys_of(ids) or [()]
             assert keys == enumerate_prefix_keys(schedule, vocab, k)
             assert signed.step == k and probs.shape == (len(keys),)
-            fresh = model.embed(keys, book)
+            fresh = model.embed(keys)
             assert signed.signature == fresh.signature
             if kind == "tabular":
                 assert signed.embedding is fresh.embedding is None
@@ -431,7 +431,7 @@ class TestChainLawEngine:
                             fresh.embedding.grids + fresh.embedding.pooled):
                 assert a.tobytes() == b.tobytes()
 
-    def test_the_walk_checks_no_prefix_it_builds(self, small_count, small_book, monkeypatch):
+    def test_the_walk_checks_no_prefix_it_builds(self, small_count, monkeypatch):
         # The map rule checks each prefix a caller gives; a walk's only
         # check is of its empty root, whatever the number of live prefixes.
         import prefixlab.model
@@ -441,14 +441,14 @@ class TestChainLawEngine:
         monkeypatch.setattr(prefixlab.model, "prefix_problem",
                             lambda prefix, *a: seen.append(prefix) or problem(prefix, *a))
         gconfig = GuidanceConfig(lam=1.0, reference="exact-marginal")
-        law = rollout_distribution(small_count, 0, gconfig, SamplerConfig(), small_book)
-        prefix_marginal_sites(small_count, 1, 2, book=small_book)
+        law = rollout_distribution(small_count, 0, gconfig, SamplerConfig())
+        prefix_marginal_sites(small_count, 1, 2)
         assert len(law.outcomes) == 3 ** 5
         assert seen and all(prefix == () for prefix in seen)
         # A prefix the caller gives is checked.
         maps = prefix_maps(law.outcomes[7][:1], small_count.schedule)
         seen.clear()
-        predict_logits(small_count, 0, maps, book=small_book)
+        predict_logits(small_count, 0, maps)
         assert len(seen) == 1 and seen[0] is maps
 
 
@@ -495,7 +495,6 @@ class TestChainedLawsAgainstBruteForce:
     def test_every_exact_law_matches_the_full_product(self, model):
         sched = model.schedule
         vocab = model.vocab
-        book = Codebook.seeded(sched.num_scales, vocab, 2, seed=0)
         for c in list(range(model.num_conditions)) + [NULL_CONDITION]:
             joint = brute_force_joint(model, c)
             assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
@@ -529,7 +528,7 @@ class TestChainedLawsAgainstBruteForce:
                     rtol=0, atol=1e-12,
                 )
 
-            law = rollout_distribution(model, c, GuidanceConfig(), SamplerConfig(), book)
+            law = rollout_distribution(model, c, GuidanceConfig(), SamplerConfig())
             assert list(law.outcomes) == list(joint)
             np.testing.assert_allclose(
                 law.probs, list(joint.values()), rtol=0, atol=1e-12

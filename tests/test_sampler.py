@@ -123,7 +123,7 @@ class TestTruncation:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DegenerateDistributionError, match="NaN"):
             rollout_distribution(small_tabular, 0, GuidanceConfig(gamma=1e308),
-                                 SamplerConfig(), None)
+                                 SamplerConfig())
 
     @pytest.mark.parametrize("logits, temperature", [
         ([np.inf, 0.0], 1.0), ([1e308, 0.0], 0.1), ([-1e308, -np.inf], 0.1)])
@@ -148,7 +148,7 @@ class TestTruncation:
             logits = guided_step(model, 0, ((0,),), config).logits
             assert np.isposinf(logits).any() and not np.isnan(logits).any()
             with pytest.raises(DegenerateDistributionError, match=r"\+inf"):
-                rollout_distribution(model, 0, config, SamplerConfig(), book)
+                rollout_distribution(model, 0, config, SamplerConfig())
             with pytest.raises(DegenerateDistributionError, match=r"\+inf"):
                 rollouts(model, 0, [(config, SamplerConfig())], book, 4)
 
@@ -301,7 +301,7 @@ class TestSampling:
         for idx, recorded in enumerate(result.trace):
             replayed = guided_step(
                 small_count, result.condition, list(result.maps[:idx]), gconfig,
-                book=small_book, plan=recorded.plans[0],
+                plan=recorded.plans[0],
             )
             assert np.array_equal(recorded.logits, replayed.logits)
 
@@ -335,7 +335,7 @@ def reference_rollouts(model, condition, gconfig, sconfig, book, count):
             plan = plan_corruption(
                 model.schedule, k, gconfig.fraction, gconfig.variant, plan_seed, book=book
             ) if gconfig.draws_plan(k, model.schedule) else None
-            step = guided_step(model, condition, maps, gconfig, book=book, plan=plan)
+            step = guided_step(model, condition, maps, gconfig, plan=plan)
             ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]
             maps.append(TokenMap(k, ids))
             steps.append(step)
@@ -445,7 +445,7 @@ class TestRollouts:
                        or guided_step(model, c, signed, *args, **kwargs))
             got = rollouts(model, 1, [(gconfig, sconfig)], book, count)[0]
         assert_same_rollouts(got, reference_rollouts(model, 1, gconfig, sconfig, book, count))
-        clean = set(model.embed([r.maps[:1] for r in got], book).signature)
+        clean = set(model.embed([r.maps[:1] for r in got]).signature)
         draws = variant is CorruptionVariant.UNIFORM_PREFIX
         assert [set(rows) for rows in stacks] == [{k} for k in range(1, schedule.num_scales + 1)]
         scales = [k for rows in stacks for k in rows]
@@ -465,8 +465,20 @@ class TestRollouts:
     def test_count_model_rejects_a_codebook_of_another_latent_size(self, small_count):
         schedule = small_count.schedule
         book = Codebook.seeded(schedule.num_scales, small_count.vocab, 3, seed=0)
-        with pytest.raises(InvalidInputError, match="latent size 3 is not the fitted 2"):
+        with pytest.raises(InvalidInputError, match="reads only the codebook it was fitted on"):
             rollouts(small_count, 0, [(GuidanceConfig(), SamplerConfig())], book, 1)[0]
+
+    def test_count_model_rejects_a_foreign_codebook_of_its_own_shape(
+        self, small_count, small_book
+    ):
+        # Every shape fits, so only the model's own codebook tells: read
+        # with another, a count model's samples would be decoded and
+        # signed with codes it was not fitted on.
+        book = Codebook.seeded(small_book.num_scales, small_book.vocab, small_book.latent_dim, 99)
+        lane = [(GuidanceConfig(), SamplerConfig())]
+        with pytest.raises(InvalidInputError, match="reads only the codebook it was fitted on"):
+            rollouts(small_count, 0, lane, book, 1)
+        assert len(rollouts(small_count, 0, lane, small_book, 1)[0]) == 1
 
 
 class TestCarriedRollouts:
@@ -488,7 +500,7 @@ class TestCarriedRollouts:
                 for result in rollouts(model, 1, [(gconfig, SamplerConfig(seed=3))], book, 4)[0]:
                     for idx, step in enumerate(result.trace):
                         fresh = guided_step(
-                            model, 1, list(result.maps[:idx]), gconfig, book=book,
+                            model, 1, list(result.maps[:idx]), gconfig,
                             plan=step.plans[0],
                         )
                         assert fresh.k == step.k and fresh.plans == step.plans
@@ -532,7 +544,7 @@ class TestCarriedRollouts:
         for k, signed in enumerate(stacks, start=1):
             assert signed.step == k and len(signed.signature) == len(results)
             for i, result in enumerate(results):
-                fresh = model.embed([result.maps[: k - 1]], book)
+                fresh = model.embed([result.maps[: k - 1]])
                 assert signed.signature[i] == fresh.signature[0]
                 if kind == "tabular":
                     assert signed.embedding is fresh.embedding is None
@@ -789,18 +801,18 @@ class TestRolloutLaw:
                      for k in range(2, len(dims) + 1)}
 
         def step_law(key):
-            step = guided_step(model, 1, prefix_maps(key, schedule), gconfig, book=book,
+            step = guided_step(model, 1, prefix_maps(key, schedule), gconfig,
                                plan=plans.get(len(key) + 1))
             return truncated_law(step.logits, sconfig).reshape(-1, vocab)
 
         pairs = reference_chain_law(step_law, len(dims))
         probs = np.asarray([p for _, p in pairs])
-        law = rollout_distribution(model, 1, gconfig, sconfig, book, fixed_plans=plans)
+        law = rollout_distribution(model, 1, gconfig, sconfig, fixed_plans=plans)
         assert law.outcomes == tuple(key for key, _ in pairs)
         assert np.array_equal(law.probs.view(np.int64), (probs / probs.sum()).view(np.int64))
 
-    def test_unguided_law_matches_model_joint(self, m1, m1_book):
-        law = rollout_distribution(m1, 0, GuidanceConfig(), SamplerConfig(), m1_book)
+    def test_unguided_law_matches_model_joint(self, m1):
+        law = rollout_distribution(m1, 0, GuidanceConfig(), SamplerConfig())
         expected = {
             ((0,), (0,)): 0.75 * 0.6,
             ((0,), (1,)): 0.75 * 0.4,
@@ -812,9 +824,9 @@ class TestRolloutLaw:
         for seq, p in expected.items():
             assert got[seq] == pytest.approx(p, abs=1e-12)
 
-    def test_guided_law_hand_derived(self, m1, m1_book):
+    def test_guided_law_hand_derived(self, m1):
         gconfig = GuidanceConfig(lam=1.0, reference="exact-marginal")
-        law = rollout_distribution(m1, 0, gconfig, SamplerConfig(), m1_book)
+        law = rollout_distribution(m1, 0, gconfig, SamplerConfig())
         aug0 = np.asarray([0.72, 0.32]) / 1.04
         aug1 = np.asarray([0.08, 1.28]) / 1.36
         expected = {
@@ -825,9 +837,9 @@ class TestRolloutLaw:
         }
         assert law.as_dict() == pytest.approx(expected, abs=1e-9)
 
-    def test_truncation_shrinks_support(self, m1, m1_book):
+    def test_truncation_shrinks_support(self, m1):
         law = rollout_distribution(
-            m1, 0, GuidanceConfig(), SamplerConfig(top_k=1), m1_book
+            m1, 0, GuidanceConfig(), SamplerConfig(top_k=1)
         )
         assert law.as_dict() == {((0,), (0,)): 1.0}
 
@@ -853,12 +865,12 @@ class TestRolloutLaw:
         if variant is CorruptionVariant.UNIFORM_PREFIX:
             # It draws whole token grids whatever the selection.
             with pytest.raises(IllDefinedLawError, match="scale 2"):
-                rollout_distribution(model, 1, gconfig, SamplerConfig(), book)
+                rollout_distribution(model, 1, gconfig, SamplerConfig())
             return
         empty = plan_corruption(model.schedule, 2, 0.25, variant, seed=0, book=book)
         assert empty.selected == ()
-        law = rollout_distribution(model, 1, gconfig, SamplerConfig(), book)
-        fixed = rollout_distribution(model, 1, gconfig, SamplerConfig(), book,
+        law = rollout_distribution(model, 1, gconfig, SamplerConfig())
+        fixed = rollout_distribution(model, 1, gconfig, SamplerConfig(),
                                      fixed_plans={2: empty})
         assert len(law.outcomes) == 2 ** 5
         assert law.outcomes == fixed.outcomes
@@ -877,15 +889,15 @@ class TestRolloutLaw:
         gconfig = GuidanceConfig(lam=1.0, fraction=0.0, reference="corrupted")
         monkeypatch.setattr("prefixlab.oracle.PREFIX_STATE_CAP", 2)
         with pytest.raises(TooLargeError, match="has 3 states, cap is 2"):
-            rollout_distribution(model, 0, gconfig, SamplerConfig(), book)
+            rollout_distribution(model, 0, gconfig, SamplerConfig())
         monkeypatch.setattr("prefixlab.oracle.PREFIX_STATE_CAP", 3)
-        law = rollout_distribution(model, 0, gconfig, SamplerConfig(), book)
+        law = rollout_distribution(model, 0, gconfig, SamplerConfig())
         assert len(law.outcomes) == 3 ** 5
 
-    def test_stochastic_corruption_has_no_law(self, small_count, small_book):
+    def test_stochastic_corruption_has_no_law(self, small_count):
         gconfig = GuidanceConfig(lam=1.0, fraction=0.5, reference="corrupted")
         with pytest.raises(IllDefinedLawError):
-            rollout_distribution(small_count, 0, gconfig, SamplerConfig(), small_book)
+            rollout_distribution(small_count, 0, gconfig, SamplerConfig())
 
     @pytest.fixture(scope="class")
     def three_scale_count(self):
@@ -909,20 +921,20 @@ class TestRolloutLaw:
         )
         with pytest.raises(IllDefinedLawError, match="scale 3"):
             rollout_distribution(
-                model, 0, self.CORRUPTED, SamplerConfig(), book, fixed_plans={2: plan}
+                model, 0, self.CORRUPTED, SamplerConfig(), fixed_plans={2: plan}
             )
         with pytest.raises(IllDefinedLawError, match="scale 2"):
             rollout_distribution(
-                model, 0, self.CORRUPTED, SamplerConfig(), book, fixed_plans={}
+                model, 0, self.CORRUPTED, SamplerConfig(), fixed_plans={}
             )
 
     def test_mask_without_guided_scale_is_the_unguided_law(self, three_scale_count):
-        model, book = three_scale_count
+        model, _ = three_scale_count
         masked = rollout_distribution(
-            model, 0, replace(self.CORRUPTED, scale_mask={1}), SamplerConfig(), book
+            model, 0, replace(self.CORRUPTED, scale_mask={1}), SamplerConfig()
         )
         plain = rollout_distribution(
-            model, 0, replace(self.CORRUPTED, lam=0.0), SamplerConfig(), book
+            model, 0, replace(self.CORRUPTED, lam=0.0), SamplerConfig()
         )
         assert len(plain.outcomes) == 128
         assert masked.outcomes == plain.outcomes
@@ -948,7 +960,7 @@ class TestRolloutLaw:
         )
         gconfig = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         law = rollout_distribution(
-            model, 0, gconfig, SamplerConfig(), m1_book, fixed_plans={2: plan},
+            model, 0, gconfig, SamplerConfig(), fixed_plans={2: plan},
         )
         assert sum(law.probs) == pytest.approx(1.0, abs=1e-12)
         assert len(law.outcomes) == 4

@@ -65,7 +65,7 @@ TABULAR_CASES = {
 def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
     # Schedule (1,1),(2,2) with V = 3: five sites, 243 sequences untruncated.
     gconfig, sconfig = TABULAR_CASES[case]
-    law = rollout_distribution(small_tabular, 1, gconfig, sconfig, small_book)
+    law = rollout_distribution(small_tabular, 1, gconfig, sconfig)
     samples = [
         tuple(m.key() for m in result.maps)
         for result in rollouts(
@@ -86,7 +86,7 @@ def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book)
     )
     sconfig = SamplerConfig(top_k=2, top_p=0.9)
     law = rollout_distribution(
-        small_count, 0, gconfig, sconfig, small_book, fixed_plans={2: plan}
+        small_count, 0, gconfig, sconfig, fixed_plans={2: plan}
     )
     rng = np.random.default_rng(2024)
     samples = []
@@ -94,7 +94,7 @@ def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book)
         maps = []
         for k in range(1, schedule.num_scales + 1):
             step = guided_step(
-                small_count, 0, maps, gconfig, book=small_book,
+                small_count, 0, maps, gconfig,
                 plan=plan if k == 2 else None,
             )
             ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]

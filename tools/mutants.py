@@ -69,8 +69,8 @@ MUTANTS = (
            "evaluate(NULL_CONDITION) if needs_cfg else None",
            "evaluate(condition) if needs_cfg else None"),
     Mutant("exact_marginal_pair_at_condition", "src/prefixlab/guidance.py",
-           "np.log(prefix_marginal_sites(model, c, k, book=book))",
-           "np.log(prefix_marginal_sites(model, condition, k, book=book))"),
+           "np.log(prefix_marginal_sites(model, c, k))",
+           "np.log(prefix_marginal_sites(model, condition, k))"),
     Mutant("oracle_imports_guidance_at_load", "src/prefixlab/oracle.py",
            "from .errors import InvalidInputError",
            "from . import guidance\nfrom .errors import InvalidInputError"),
@@ -125,8 +125,13 @@ MUTANTS = (
     # The name stays referenced, so only the behaviour changes.
     Mutant("rollouts_codebook_fit_unchecked", "src/prefixlab/sampler.py",
            "    check_codebook(model, book)\n", "    False and check_codebook(model, book)\n"),
+    Mutant("count_model_foreign_codebook_accepted", "src/prefixlab/model.py",
+           "isinstance(model, CountModel) and book is not model.book",
+           "isinstance(model, CountModel) and False"),
     Mutant("signed_stack_step_off_by_one", "src/prefixlab/model.py",
            "return len(self.signature[0]) + 1", "return len(self.signature[0])"),
+    Mutant("stack_read_by_another_model", "src/prefixlab/guidance.py",
+           "if signed.model is not model:", "if False:"),
     Mutant("stacked_rows_read_first_row_lambda", "src/prefixlab/guidance.py",
            "c.lam if flag else 0.0", "configs[0].lam if flag else 0.0"),
     Mutant("missing_plan_not_rejected", "src/prefixlab/guidance.py",
