@@ -84,33 +84,25 @@ def _round_half_up(sites: int, fraction: float) -> int:
     return (2 * p * sites + q) // (2 * q)
 
 
-# Variants whose plans draw from the codebook, with the name their error gives.
-_NEEDS_BOOK = {
-    CorruptionVariant.RANDOM_CODEBOOK: "random-codebook",
-    CorruptionVariant.UNIFORM_PREFIX: "uniform-prefix",
-}
-
-
 def plan_corruption(
     schedule: ScaleSchedule,
     k: int,
     fraction: float,
     variant: CorruptionVariant,
     seed: int,
-    book: Codebook | None = None,
+    vocab: int,
 ) -> CorruptionPlan:
     """Sample sites uniformly without replacement, donors with replacement.
 
     Self-donation is allowed, which keeps 1x1 scales well-defined. The
-    random-codebook and uniform-prefix variants need the codebook to know how
-    many tables and codes there are to draw from. A plan that selects no site
+    random-codebook variant draws a code of one of the schedule's scale
+    tables, and the uniform-prefix variant whole token grids, from the
+    model's ``vocab`` token ids, one code per id. A plan that selects no site
     has no site, donor or code draw; ``rollouts`` never draws one for a
     site-selecting variant (``GuidanceConfig.draws_plan``), and the
     uniform-prefix variant ignores the selection and draws whole token grids.
     """
     size = selection_size(schedule, k, fraction)
-    if book is None and variant in _NEEDS_BOOK:
-        raise InconsistentPlanError(f"{_NEEDS_BOOK[variant]} plans need the codebook")
     rng = np.random.default_rng(seed)
     sites = [schedule.sites(j) for j in range(1, k)]
     all_sites = [(j, u) for j, n in enumerate(sites, start=1) for u in range(n)]
@@ -121,11 +113,11 @@ def plan_corruption(
     uniform_tokens: tuple[tuple[int, ...], ...] = ()
     if variant is CorruptionVariant.RANDOM_CODEBOOK:
         code_draws = tuple(
-            (int(rng.integers(book.num_scales)) + 1, int(rng.integers(book.vocab)))
+            (int(rng.integers(schedule.num_scales)) + 1, int(rng.integers(vocab)))
             for _ in selected
         )
     elif variant is CorruptionVariant.UNIFORM_PREFIX:
-        uniform_tokens = tuple(tuple(rng.integers(book.vocab, size=n).tolist()) for n in sites)
+        uniform_tokens = tuple(tuple(rng.integers(vocab, size=n).tolist()) for n in sites)
     return CorruptionPlan(k, variant, fraction, selected, donors, seed,
                           code_draws, uniform_tokens)
 
@@ -222,7 +214,8 @@ def apply_corruption(
     ``embedding`` stacks embeddings of one step on a leading axis, and
     ``plans`` holds one plan per row, all of one variant: row i is corrupted
     under plan i, and every scale is rewritten for the whole stack at once.
-    Input untouched; sites outside the selection are copied verbatim. A
+    Input untouched; sites outside the selection are copied verbatim, and
+    the rows' latents are passed through as they are. A
     uniform-prefix plan replaces the prefix's tokens, not its embedding, so
     it is read on prefix keys (``corrupt_key``) and raises
     InconsistentPlanError here. ``params`` are the ``embedding_params`` the
@@ -231,7 +224,7 @@ def apply_corruption(
     ``x @ proj.T`` is, so a row equals its corruption alone bit for bit.
     """
     step = embedding.step
-    variant = _check_plans(plans, step, len(embedding.grids[0]) if embedding.grids else 0)
+    variant = _check_plans(plans, step, len(embedding.latent))
     if variant is CorruptionVariant.UNIFORM_PREFIX:
         raise InconsistentPlanError("a uniform_prefix plan is read on prefix keys, not embeddings")
     grids = [g.copy() for g in embedding.grids]
@@ -259,4 +252,4 @@ def apply_corruption(
             content = np.array([book.table(scale)[code] for scale, code in draws])
             at = tgt
         grids[j - 1][tgt] = (content[:, None] @ proj.T)[:, 0] + pos[j - 1][at[1:]]
-    return PrefixEmbedding(tuple(grids), embedding.pooled)
+    return PrefixEmbedding(tuple(grids), embedding.pooled, embedding.latent)

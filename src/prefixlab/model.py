@@ -10,11 +10,11 @@ Both kinds carry prefixes in one form, the signed stack: prefixes of one
 step with the list of their rows' signatures, the keys the model reads them
 by, so one prefix is a stack of one row. Each kind owns three operations on
 it: ``embed`` turns prefixes (token maps or prefix keys), checked by
-``prefix_problem``, into a stack; ``extend`` adds the scale just sampled;
-``branch_logits`` reads a stack's logits, (P, h, w, V). A tabular stack's
-signatures are its rows' prefix keys and it has no embedding; a count
-stack's embedding stacks its rows' prefix embeddings, which its signatures
-bin.
+``prefix_problem``, into a stack; ``extend`` adds the scale just sampled,
+given as its ids; ``branch_logits`` reads a stack's logits, (P, h, w, V). A
+tabular stack's signatures are its rows' prefix keys and it has no
+embedding; a count stack's embedding stacks its rows' prefix embeddings and
+cumulative latents, and its signatures bin the embeddings.
 """
 
 from __future__ import annotations
@@ -85,6 +85,19 @@ def _check_prefixes(prefixes: Sequence, schedule: ScaleSchedule) -> None:
             raise InvalidInputError(f"prefix {i}: {problem}")
 
 
+def _check_ids(signed: SignedEmbedding, ids, schedule: ScaleSchedule) -> int:
+    """The step k of the signed stack ``signed``, once ``ids`` holds one
+    scale-k map per row of it, shape (rows, h_k, w_k); else
+    InvalidInputError naming both shapes. The ids' range is not read."""
+    k = signed.step
+    expected = (len(signed.signature),) + schedule.grid(k)
+    if np.shape(ids) != expected:
+        raise InvalidInputError(
+            f"ids of shape {np.shape(ids)} do not extend a stack of step {k}: "
+            f"its rows' scale-{k} maps have shape {expected}")
+    return k
+
+
 def prefix_maps(key: PrefixKey, schedule: ScaleSchedule) -> list[TokenMap]:
     """The token maps of a prefix key, scales 1..len(key): the inverse of
     ``TokenMap.key()`` scale by scale."""
@@ -128,22 +141,24 @@ class PrefixEmbedding:
     ``grids[j-1]`` holds each row's e_{j,u}, shape (n, h_j, w_j, m).
     ``pooled[j-1]`` keeps the pooled cumulative features the content terms
     were computed from, so corruption variants can rebuild individual
-    components.
+    components. ``latent`` holds each row's cumulative latent after its
+    last scale, shape (n, fh, fw, d), zero for a row of step 1: the latent
+    the next scale's codes are added to.
     """
 
     grids: tuple[np.ndarray, ...]
     pooled: tuple[np.ndarray, ...]
+    latent: np.ndarray
 
     @property
     def step(self) -> int:
         return len(self.grids) + 1
 
-    def extended(self, grid: np.ndarray, pooled: np.ndarray) -> "PrefixEmbedding":
-        """This embedding with one more scale: the embedding for the next step."""
-        return PrefixEmbedding(self.grids + (grid,), self.pooled + (pooled,))
+    def extended(self, latent, grid, pooled) -> "PrefixEmbedding":
+        """This embedding with one more scale, whose cumulative latent is
+        ``latent``: the embedding for the next step."""
+        return PrefixEmbedding(self.grids + (grid,), self.pooled + (pooled,), latent)
 
-
-EMPTY_EMBEDDING = PrefixEmbedding((), ())
 
 EmbeddingParams = tuple[np.ndarray, tuple[np.ndarray, ...]]
 
@@ -193,16 +208,19 @@ def embed_prefix(
     a time by :func:`embed_scale`.
 
     ``ids`` holds for each scale j the stacked (n, h_j, w_j) ids of the n
-    prefixes; with no scale it gives ``EMPTY_EMBEDDING``. ``params`` are
-    the ``embedding_params`` of ``schedule`` and the codebook's latent size,
-    as a fitted count model carries them.
+    prefixes; with no scale it gives an embedding of no scale and a zero
+    latent with no row axis. ``params`` are the ``embedding_params`` of
+    ``schedule`` and the codebook's latent size, as a fitted count model
+    carries them. No package code calls it: it is the reference, built
+    apart from ``CountModel.extend``, that tests hold a count model's
+    stacks to.
     """
     rows = ids[0].shape[:-2] if ids else ()
     latent = np.zeros(rows + schedule.final_dims + (book.latent_dim,))
-    embedding = EMPTY_EMBEDDING
+    embedding = PrefixEmbedding((), (), latent)
     for j, scale_ids in enumerate(ids, start=1):
         latent = accumulate_latent(latent, j, scale_ids, book)
-        embedding = embedding.extended(*embed_scale(latent, j, schedule, params))
+        embedding = embedding.extended(latent, *embed_scale(latent, j, schedule, params))
     return embedding
 
 
@@ -238,9 +256,11 @@ class TabularModel:
             tuple(p.key() if isinstance(p, TokenMap) else tuple(map(int, p)) for p in prefix)
             for prefix in prefixes])
 
-    def extend(self, signed: SignedEmbedding, ids: np.ndarray, latent) -> SignedEmbedding:
+    def extend(self, signed: SignedEmbedding, ids: np.ndarray) -> SignedEmbedding:
         """A stack of step k extended by the rows' scale-k ``ids``, (n, h_k,
-        w_k): each row's key gains its ids. ``latent`` is not read."""
+        w_k), checked as ``CountModel.extend`` checks them: each row's key
+        gains its ids."""
+        _check_ids(signed, ids, self.schedule)
         parts = ids.reshape(len(ids), -1).tolist()
         return SignedEmbedding(self, None, [s + (tuple(p),) for s, p in zip(signed.signature, parts)])
 
@@ -356,8 +376,9 @@ def context_signature(embedding: PrefixEmbedding, thresholds: np.ndarray) -> lis
     for the whole stack.
 
     ``thresholds`` is ``SignatureSpec.thresholds(num_scales, m)``, as a
-    fitted count model carries it. ``EMPTY_EMBEDDING`` has no row to bin;
-    ``CountModel.embed`` gives each row of step 1 the signature ().
+    fitted count model carries it. An embedding of step 1 has no scale to
+    bin and gives []; a count stack gives each row of step 1 the
+    signature ().
     """
     bins = [scale_bins(grid, thresholds[j]).tolist() for j, grid in enumerate(embedding.grids)]
     return [tuple(map(tuple, row)) for row in zip(*bins)]
@@ -371,10 +392,10 @@ class SignedEmbedding:
 
     A tabular stack's signatures are its rows' prefix keys and its
     ``embedding`` is None. A count stack's embedding stacks its rows'
-    prefix embeddings and its signatures bin them, so branches evaluated on
-    one stack share each signature. A signature has one part per scale of
-    the prefix, and the stack of step 1 has one () per row, so the list
-    carries the row count and the step.
+    prefix embeddings and cumulative latents, and its signatures bin the
+    embeddings, so branches evaluated on one stack share each signature. A
+    signature has one part per scale of the prefix, and the stack of step 1
+    has one () per row, so the list carries the row count and the step.
     """
 
     model: TabularModel | CountModel = field(repr=False)
@@ -387,10 +408,11 @@ class SignedEmbedding:
         return len(self.signature[0]) + 1
 
     def take(self, rows: Sequence[int]) -> "SignedEmbedding":
-        """The signed stack of ``rows`` of this stack, in that order."""
+        """The signed stack of ``rows`` of this stack, in that order, their
+        latents included."""
         e = self.embedding
         taken = None if e is None else PrefixEmbedding(
-            *(tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled)))
+            *(tuple(a[rows] for a in arrays) for arrays in (e.grids, e.pooled)), e.latent[rows])
         return SignedEmbedding(self.model, taken, [self.signature[i] for i in rows])
 
 
@@ -399,8 +421,9 @@ class CountModel:
     """Smoothed count tables keyed by (scale, condition, context signature), and
     the read-only signature ``thresholds`` and embedding ``params`` that sign a
     prefix, seeded once by ``fit_count_model``, with the codebook ``book`` it
-    was fitted on, the one codebook its ``embed`` and every exact walk of its
-    law read; compared and hashed by identity, as its tables are arrays."""
+    was fitted on, the one codebook whose codes its ``extend`` adds to a
+    stack's latents; compared and hashed by identity, as its tables are
+    arrays."""
 
     schedule: ScaleSchedule
     vocab: int
@@ -419,32 +442,35 @@ class CountModel:
 
     def embed(self, prefixes: Sequence) -> SignedEmbedding:
         """The signed stack of ``prefixes``, prefixes of one step each given
-        as its token maps or its prefix key, embedded with the model's own
-        codebook in one stacked ``embed_prefix`` call. A prefix that does not
-        hold the first prefix's scales, each as ``prefix_problem`` requires,
-        raises InvalidInputError naming it and the scale at fault."""
+        as its token maps or its prefix key: a stack of step 1 with one zero
+        latent per prefix, extended by each of their scales in turn. A
+        prefix that does not hold the first prefix's scales, each as
+        ``prefix_problem`` requires, raises InvalidInputError naming it and
+        the scale at fault."""
         _check_prefixes(prefixes, self.schedule)
-        ids = [np.array([p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
-                        dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j))
-               for j, parts in enumerate(zip(*prefixes), start=1)]
-        embedding = embed_prefix(ids, self.book, self.schedule, self.params)
-        return SignedEmbedding(self, embedding, context_signature(embedding, self.thresholds)
-                               if ids else [()] * len(prefixes))
+        latent = np.zeros((len(prefixes),) + self.schedule.final_dims + (self.book.latent_dim,))
+        signed = SignedEmbedding(self, PrefixEmbedding((), (), latent), [()] * len(prefixes))
+        for j, parts in enumerate(zip(*prefixes), start=1):
+            signed = self.extend(signed, np.array(
+                [p.ids.ravel() if isinstance(p, TokenMap) else p for p in parts],
+                dtype=np.int64).reshape((len(parts),) + self.schedule.grid(j)))
+        return signed
 
-    def extend(self, signed: SignedEmbedding, ids, latent: np.ndarray) -> SignedEmbedding:
-        """A signed stack of step k extended by one scale.
+    def extend(self, signed: SignedEmbedding, ids) -> SignedEmbedding:
+        """A signed stack of step k extended by the rows' scale-k ``ids``,
+        (n, h_k, w_k); ids of any other shape raise InvalidInputError
+        naming both shapes.
 
-        ``latent`` stacks the rows' cumulative latents after scale k, shape
-        (n, fh, fw, d), which already hold the scale-k ``ids`` (not read).
-        The new scale is embedded and binned for the whole stack at once;
-        each row's signature of the rest is carried over.
+        The codes of ``ids`` in the model's own codebook are added to the
+        rows' carried latents, and the new scale is embedded and binned for
+        the whole stack at once; each row's signature of the rest is
+        carried over.
         """
-        k = signed.step
-        if len(signed.signature) != len(latent):
-            raise InvalidInputError("a stack extends one latent per row")
+        k = _check_ids(signed, ids, self.schedule)
+        latent = accumulate_latent(signed.embedding.latent, k, ids, self.book)
         grid, pooled = embed_scale(latent, k, self.schedule, self.params)
         bins = scale_bins(grid, self.thresholds[k - 1]).tolist()
-        return SignedEmbedding(self, signed.embedding.extended(grid, pooled),
+        return SignedEmbedding(self, signed.embedding.extended(latent, grid, pooled),
                                [s + (tuple(b),) for s, b in zip(signed.signature, bins)])
 
     def branch_logits(self, condition: Condition, k: int, signatures: Sequence) -> np.ndarray:
@@ -548,7 +574,6 @@ def fit_count_model(
     scale_ids = _corpus_ids(corpus, schedule, vocab, num_conditions)
     # Every sequence advances one scale at a time: its step-k signature
     # counts its scale-k ids, then its embedding is extended by that scale.
-    latent = np.zeros((len(corpus),) + schedule.final_dims + (book.latent_dim,))
     signed = model.embed([()] * len(corpus))
     for k, ids in enumerate(scale_ids, start=1):
         # Site u's id v is bin u * vocab + v of a sequence's histogram.
@@ -564,8 +589,7 @@ def fit_count_model(
                 null = counts.setdefault((k, NULL_CONDITION, sig), np.zeros_like(table))
                 null += table
         if k < schedule.num_scales:
-            latent = accumulate_latent(latent, k, ids, book)
-            signed = model.extend(signed, ids, latent)
+            signed = model.extend(signed, ids)
     return model
 
 

@@ -4,10 +4,10 @@ Everything here is exact: one engine, ``chain_law``, walks the prefix space
 one scale at a time, chaining the per-site step laws of every live prefix
 of a scale at once (CPT rows, or a count model's own predictions). A level's
 live prefixes are the model's own signed stack, extended one scale at a time
-as ``sampler.rollouts`` extends it, so the map rule checks no prefix the walk
-built. The enumerators and marginals read its
-last level, and the augmented distributions are the normalized ratio forms
-the guidance algebra is supposed to reproduce.
+by ``model.extend`` as ``sampler.rollouts`` extends it, so the map rule checks
+no prefix the walk built and no codebook is read here. The enumerators and
+marginals read its last level, and the augmented distributions are the
+normalized ratio forms the guidance algebra is supposed to reproduce.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .model import (
     enumerate_prefix_keys,
     scale_maps,
 )
-from .tokenizer import accumulate_latent
 
 
 @dataclass(frozen=True)
@@ -61,19 +60,15 @@ def chain_law(model, step_laws, num_scales: int):
 
     ``step_laws(signed)`` returns the per-site laws, (P, h*w, V), of the map
     after each of a level's P live prefixes; sites are independent given
-    the prefix. A level takes the stack's live rows and extends them by
-    their new ids with ``model.extend``, after accumulating their latents
-    from the model's own codebook (``CountModel.book``) where the stack has
-    an embedding, as ``sampler.rollouts`` does; a tabular walk reads no
-    codebook. A level of more than
-    ``PREFIX_STATE_CAP`` prefixes (P times the scale's maps) raises
-    TooLargeError once its laws are read, before it is formed. Laws of a
-    stack of G walks over one prefix space, (G, P, h*w, V), are walked
-    together: ``probs`` is then (G, P), and a prefix is kept where any of
-    the G gives it mass (the others carry it at 0)."""
+    the prefix. A level takes the stack's live rows (a count stack's
+    latents with them) and extends them by their new ids with
+    ``model.extend``, as ``sampler.rollouts`` does; the walk reads no
+    codebook. A level of more than ``PREFIX_STATE_CAP`` prefixes (P times
+    the scale's maps) raises TooLargeError once its laws are read, before
+    it is formed. Laws of a stack of G walks over one prefix space, (G, P,
+    h*w, V), are walked together: ``probs`` is then (G, P), and a prefix is
+    kept where any of the G gives it mass (the others carry it at 0)."""
     signed, ids, probs = model.embed([()]), [], np.ones(1)
-    latent = None if signed.embedding is None else np.zeros(
-        (1,) + model.schedule.final_dims + (model.book.latent_dim,))
     for k in range(1, num_scales + 1):
         laws = step_laws(signed)
         if (states := laws.shape[-3] * model.vocab ** laws.shape[-2]) > PREFIX_STATE_CAP:
@@ -82,9 +77,7 @@ def chain_law(model, step_laws, num_scales: int):
         new = np.stack(np.unravel_index(cols, (model.vocab,) * laws.shape[-2]), axis=-1)
         new = new.reshape((len(cols),) + model.schedule.grid(k))
         ids = [a[rows] for a in ids] + [new]
-        if latent is not None:
-            latent = accumulate_latent(latent[rows], k, new, model.book)
-        signed = model.extend(signed.take(rows), new, latent)
+        signed = model.extend(signed.take(rows), new)
     return signed, ids, probs
 
 
@@ -154,7 +147,7 @@ def prefix_marginal_sites(model, condition: Condition, k: int) -> np.ndarray:
     every condition's and the null condition's, from one stacked walk; the
     marginals are the same bits as one walk each. Count models walk the
     exp of their logits on every call, each level's prefixes carried as one
-    signed stack with their own codebook; a level of more than
+    signed stack; a level of more than
     ``PREFIX_STATE_CAP`` prefixes raises TooLargeError (``chain_law``). A
     condition that is neither an integer nor the null condition raises
     InvalidInputError before the memo is read."""

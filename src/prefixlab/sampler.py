@@ -168,13 +168,14 @@ def rollouts(
     input (a count model's clean signature, a tabular model's prefix key),
     whose members share the row. So each lane has the rows it would have
     alone. Each row's law is truncated once and all samples are sampled in
-    one pass. The samples' latents are carried forward one scale at a time,
-    and so is the prefix each step reads: the model's signed stack, built
-    by its ``embed`` and grown by its ``extend``, whose rows
-    ``guided_step`` takes as its prefix. Nothing is carried past the last
-    scale. A codebook that does not fit the model, or that is not a count
-    model's own (``check_codebook``), raises InvalidInputError before any
-    sample is drawn.
+    one pass. The prefix each step reads is carried forward one scale at a
+    time: the model's signed stack, built by its ``embed`` and grown by its
+    ``extend`` from the sampled ids, whose rows ``guided_step`` takes as its
+    prefix; it is not carried past the last scale. ``book`` only decodes:
+    each sample's latent, its image, is accumulated from it scale by scale.
+    Plans draw from the model's ``vocab``. A codebook that does not fit the
+    model, or that is not a count model's own (``check_codebook``), raises
+    InvalidInputError before any sample is drawn.
     """
     if count < 1:
         raise InvalidInputError(f"rollout count must be >= 1, got {count}")
@@ -209,7 +210,7 @@ def rollouts(
         step = guided_step(
             model, condition, signed.take(firsts), [configs[i] for i in firsts],
             plan=[plan_corruption(schedule, k, configs[i].fraction, configs[i].variant,
-                                  plan_seeds[i], book=book) if draws[i // count] else None
+                                  plan_seeds[i], model.vocab) if draws[i // count] else None
                   for i in firsts] if any(draws) else None,
         )
         rows = np.empty(total, dtype=np.intp)
@@ -218,7 +219,7 @@ def rollouts(
         ids = truncate_and_sample(step.logits, sconfig, rngs, rows)
         latent = accumulate_latent(latent, k, ids, book)
         if k < schedule.num_scales:
-            signed = model.extend(signed, ids, latent)
+            signed = model.extend(signed, ids)
         scales.append((ids, [(step, row) for row in rows.tolist()]))
     # Per sample: its ids at every scale, and its (step, row) at every scale.
     samples = zip(seeds, latent, zip(*(ids for ids, _ in scales)),

@@ -182,7 +182,7 @@ def test_criterion_5_corruption_invariants():
 
         # Full-embedding outputs stay inside the same-scale embedding set.
         plan = plan_corruption(
-            sched, 3, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=1
+            sched, 3, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=1, vocab=book.vocab
         )
         out = apply_corruption(emb, [plan], book, sched, params)
         for j, grid in enumerate(out.grids):
@@ -197,7 +197,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
-            plan = plan_corruption(sched, 3, 0.0, variant, seed=2, book=book)
+            plan = plan_corruption(sched, 3, 0.0, variant, seed=2, vocab=book.vocab)
             out = apply_corruption(emb, [plan], book, sched, params)
             for a, b in zip(out.grids, emb.grids):
                 assert np.array_equal(a, b)
@@ -213,7 +213,7 @@ def test_criterion_5_corruption_invariants():
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
-            plan = plan_corruption(scalar_sched, 2, 1.0, variant, seed=3)
+            plan = plan_corruption(scalar_sched, 2, 1.0, variant, seed=3, vocab=scalar_book.vocab)
             out = apply_corruption(scalar_emb, [plan], scalar_book, scalar_sched, scalar_params)
             np.testing.assert_allclose(
                 out.grids[0], scalar_emb.grids[0], atol=1e-12
@@ -310,7 +310,8 @@ def test_criterion_9_branch_counts(small_tabular, small_count):
             config = GuidanceConfig(
                 gamma=gamma, lam=lam, fraction=1.0, reference="corrupted"
             )
-            plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0)
+            plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0,
+                                   small_count.vocab)
             step = guided_step(small_count, 0, tab_prefix, config,
                                plan=plan)
             assert step.evaluations == count, (gamma, lam)

@@ -98,13 +98,13 @@ class TestPlanning:
     def test_fraction_outside_unit_interval_raises(self):
         for bad in (-0.1, 1.5):
             with pytest.raises(InvalidFractionError):
-                plan_corruption(SCHEDULE, 3, bad, CorruptionVariant.SAME_SCALE_TOKEN, 0)
+                plan_corruption(SCHEDULE, 3, bad, CorruptionVariant.SAME_SCALE_TOKEN, 0, BOOK.vocab)
             with pytest.raises(InvalidFractionError):
                 selection_size(SCHEDULE, 2, bad)
 
     def test_selection_without_replacement_donors_same_scale(self):
         plan = plan_corruption(
-            SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, seed=1
+            SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, seed=1, vocab=BOOK.vocab
         )
         assert len(plan.selected) == selection_size(SCHEDULE, 4, 0.5)
         assert len(set(plan.selected)) == len(plan.selected)
@@ -114,15 +114,13 @@ class TestPlanning:
             assert 0 <= du < SCHEDULE.sites(j)
 
     def test_seed_determinism(self):
-        a = plan_corruption(SCHEDULE, 4, 0.3, CorruptionVariant.SAME_SCALE_POSITION, 5)
-        b = plan_corruption(SCHEDULE, 4, 0.3, CorruptionVariant.SAME_SCALE_POSITION, 5)
+        a = plan_corruption(SCHEDULE, 4, 0.3, CorruptionVariant.SAME_SCALE_POSITION, 5, BOOK.vocab)
+        b = plan_corruption(SCHEDULE, 4, 0.3, CorruptionVariant.SAME_SCALE_POSITION, 5, BOOK.vocab)
         assert a == b
 
-    def test_random_codebook_needs_book(self):
-        with pytest.raises(InconsistentPlanError):
-            plan_corruption(SCHEDULE, 3, 0.5, CorruptionVariant.RANDOM_CODEBOOK, 0)
+    def test_random_codebook_draws_a_scale_table_and_a_token_id(self):
         plan = plan_corruption(
-            SCHEDULE, 3, 0.5, CorruptionVariant.RANDOM_CODEBOOK, 0, book=BOOK
+            SCHEDULE, 3, 0.5, CorruptionVariant.RANDOM_CODEBOOK, 0, BOOK.vocab
         )
         assert len(plan.code_draws) == len(plan.selected)
         for scale, code in plan.code_draws:
@@ -130,10 +128,8 @@ class TestPlanning:
             assert 0 <= code < BOOK.vocab
 
     def test_uniform_prefix_draws_whole_grids(self):
-        with pytest.raises(InconsistentPlanError):
-            plan_corruption(SCHEDULE, 3, 0.5, CorruptionVariant.UNIFORM_PREFIX, 0)
         plan = plan_corruption(
-            SCHEDULE, 3, 0.5, CorruptionVariant.UNIFORM_PREFIX, 0, book=BOOK
+            SCHEDULE, 3, 0.5, CorruptionVariant.UNIFORM_PREFIX, 0, BOOK.vocab
         )
         assert [len(ids) for ids in plan.uniform_tokens] == [1, 4]
         assert all(0 <= x < BOOK.vocab for ids in plan.uniform_tokens for x in ids)
@@ -142,7 +138,7 @@ class TestPlanning:
     @settings(max_examples=25, deadline=None)
     def test_selected_sites_always_in_prefix(self, seed):
         plan = plan_corruption(
-            SCHEDULE, 4, 0.4, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed
+            SCHEDULE, 4, 0.4, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed, BOOK.vocab
         )
         for j, u in plan.selected:
             assert 1 <= j < 4
@@ -153,7 +149,7 @@ class TestApplication:
     def test_zero_fraction_is_identity(self):
         _, emb = embedded_prefix(4)
         plan = plan_corruption(
-            SCHEDULE, 4, 0.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
+            SCHEDULE, 4, 0.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0, BOOK.vocab
         )
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for a, b in zip(out.grids, emb.grids):
@@ -163,7 +159,7 @@ class TestApplication:
         _, emb = embedded_prefix(4)
         before = [g.copy() for g in emb.grids]
         plan = plan_corruption(
-            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 3
+            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 3, BOOK.vocab
         )
         apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for a, b in zip(emb.grids, before):
@@ -172,7 +168,7 @@ class TestApplication:
     def test_full_embedding_outputs_stay_in_scale_set(self):
         _, emb = embedded_prefix(4)
         plan = plan_corruption(
-            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
+            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2, BOOK.vocab
         )
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for j, grid in enumerate(out.grids):
@@ -183,7 +179,7 @@ class TestApplication:
     def test_full_embedding_variant_copies_each_donor(self):
         _, emb = embedded_prefix(4)
         plan = plan_corruption(
-            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2
+            SCHEDULE, 4, 1.0, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 2, BOOK.vocab
         )
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         moved = 0
@@ -206,14 +202,14 @@ class TestApplication:
             CorruptionVariant.SAME_SCALE_POSITION,
             CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
         ):
-            plan = plan_corruption(sched, 2, 1.0, variant, seed=4)
+            plan = plan_corruption(sched, 2, 1.0, variant, seed=4, vocab=book.vocab)
             out = apply_corruption(emb, [plan], book, sched, params)
             np.testing.assert_allclose(out.grids[0], emb.grids[0], atol=1e-12)
 
     def test_token_and_position_variants_match_hand_formula(self):
         _, emb = embedded_prefix(3)
         proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
-        plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9)
+        plan = plan_corruption(SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_TOKEN, 9, BOOK.vocab)
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
             h, w = SCHEDULE.grid(j)
@@ -221,7 +217,7 @@ class TestApplication:
             expected = emb.pooled[j - 1][0][don] @ proj.T + pos[j - 1][tgt]
             np.testing.assert_allclose(out.grids[j - 1][0][tgt], expected)
         plan = plan_corruption(
-            SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_POSITION, 9
+            SCHEDULE, 3, 1.0, CorruptionVariant.SAME_SCALE_POSITION, 9, BOOK.vocab
         )
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for (j, u), (_, du) in zip(plan.selected, plan.donors):
@@ -234,7 +230,7 @@ class TestApplication:
         _, emb = embedded_prefix(3)
         proj, pos = embedding_params(SCHEDULE, BOOK.latent_dim, 4, EMBED_SEED)
         plan = plan_corruption(
-            SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, book=BOOK
+            SCHEDULE, 3, 1.0, CorruptionVariant.RANDOM_CODEBOOK, 6, BOOK.vocab
         )
         out = apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
         for idx, (j, u) in enumerate(plan.selected):
@@ -250,7 +246,7 @@ class TestApplication:
         # rejects it by name.
         maps, emb = embedded_prefix(3)
         plan = plan_corruption(
-            SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, book=BOOK
+            SCHEDULE, 3, 0.0, CorruptionVariant.UNIFORM_PREFIX, 8, BOOK.vocab
         )
         assert corrupt_key(tuple(m.key() for m in maps), plan) == plan.uniform_tokens
         with pytest.raises(InconsistentPlanError, match="uniform_prefix"):
@@ -259,7 +255,7 @@ class TestApplication:
     def test_step_mismatch_raises(self):
         _, emb = embedded_prefix(3)
         plan = plan_corruption(
-            SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0
+            SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, 0, BOOK.vocab
         )
         with pytest.raises(InconsistentPlanError):
             apply_corruption(emb, [plan], BOOK, SCHEDULE, PARAMS)
@@ -298,7 +294,7 @@ def corrupted_site_by_site(embedding, plan, book, schedule, params):
         else:
             scale, code = plan.code_draws[idx]
             grids[j - 1][0][tgt] = book.table(scale)[code] @ proj.T + pos[j - 1][tgt]
-    return PrefixEmbedding(tuple(grids), embedding.pooled)
+    return PrefixEmbedding(tuple(grids), embedding.pooled, embedding.latent)
 
 
 def assert_same_row(got, i, want):
@@ -321,7 +317,7 @@ class TestStackedApplication:
         # Bit for bit: the stack projects each content vector as a one-row
         # matrix, which is what one vector's ``x @ proj.T`` computes.
         prefixes, embeddings = zip(*(embedded_prefix(k, seed + i) for i in range(rows)))
-        plans = [plan_corruption(SCHEDULE, k, fraction, variant, seed + i, book=BOOK)
+        plans = [plan_corruption(SCHEDULE, k, fraction, variant, seed + i, BOOK.vocab)
                  for i in range(rows)]
         stack = embed_prefix(stacked_ids(prefixes), BOOK, SCHEDULE, PARAMS)
         stacked = apply_corruption(stack, plans, BOOK, SCHEDULE, PARAMS)
@@ -334,7 +330,7 @@ class TestStackedApplication:
     def test_stack_takes_one_plan_per_row_of_one_variant(self):
         prefixes = [embedded_prefix(3, seed)[0] for seed in range(2)]
         stack = embed_prefix(stacked_ids(prefixes), BOOK, SCHEDULE, PARAMS)
-        full, token = (plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
+        full, token = (plan_corruption(SCHEDULE, 3, 0.5, variant, 0, BOOK.vocab)
                        for variant in (CorruptionVariant.SAME_SCALE_FULL_EMBEDDING,
                                        CorruptionVariant.SAME_SCALE_TOKEN))
         with pytest.raises(InconsistentPlanError, match="1 plans for a stack of 2"):
@@ -354,7 +350,7 @@ class TestTokenReading:
     def test_target_takes_its_donors_id_or_its_drawn_code(self, variant, fraction, k, seed):
         maps, _ = embedded_prefix(k, seed)
         key = tuple(m.key() for m in maps)
-        plan = plan_corruption(SCHEDULE, k, fraction, variant, seed, book=BOOK)
+        plan = plan_corruption(SCHEDULE, k, fraction, variant, seed, BOOK.vocab)
         got = corrupt_key(key, plan)
         assert [len(part) for part in got] == [len(part) for part in key]
         targets = {}
@@ -369,13 +365,13 @@ class TestTokenReading:
                                          CorruptionVariant.SAME_SCALE_FULL_EMBEDDING])
     def test_embedding_only_plan_has_no_token_reading(self, variant):
         maps, _ = embedded_prefix(3)
-        plan = plan_corruption(SCHEDULE, 3, 0.5, variant, 0)
+        plan = plan_corruption(SCHEDULE, 3, 0.5, variant, 0, BOOK.vocab)
         with pytest.raises(InconsistentPlanError, match=variant.value):
             corrupt_key(tuple(m.key() for m in maps), plan)
 
     def test_key_reading_checks_the_plans_step(self):
         maps, _ = embedded_prefix(3)
-        plan = plan_corruption(SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, 0)
+        plan = plan_corruption(SCHEDULE, 4, 0.5, CorruptionVariant.SAME_SCALE_TOKEN, 0, BOOK.vocab)
         with pytest.raises(InconsistentPlanError, match="step 4"):
             corrupt_key(tuple(m.key() for m in maps), plan)
 
@@ -389,7 +385,7 @@ class TestTokenReading:
         # row is its corrupted key. The embedding-only variants have no
         # tabular reading.
         prefixes = [embedded_prefix(k, seed + i)[0] for i in range(len(variants))]
-        plans = [None if v is None else plan_corruption(SCHEDULE, k, 0.5, v, seed + i, book=BOOK)
+        plans = [None if v is None else plan_corruption(SCHEDULE, k, 0.5, v, seed + i, BOOK.vocab)
                  for i, v in enumerate(variants)]
         count = COUNT.embed(prefixes)
         got = corrupted_signatures(COUNT, count, plans)

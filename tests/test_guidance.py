@@ -290,7 +290,8 @@ class TestGuidedStepTabular:
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(lam=1.0, fraction=fraction, variant=variant,
                                 reference="corrupted")
-        plan = plan_corruption(small_tabular.schedule, 2, fraction, variant, 0) if (
+        plan = plan_corruption(
+            small_tabular.schedule, 2, fraction, variant, 0, small_tabular.vocab) if (
             config.draws_plan(2, small_tabular.schedule)) else None
         with pytest.raises(GuidanceConfigError, match=f"the {variant.value} variant"):
             guided_step(small_tabular, 0, prefix, config, plan=plan)
@@ -309,7 +310,7 @@ class TestGuidedStepTabular:
         model, schedule = multisite_tabular, multisite_tabular.schedule
         rng = np.random.default_rng(seed)
         prefix = [TokenMap(j, rng.integers(0, 4, schedule.grid(j))) for j in range(1, k)]
-        plan = plan_corruption(schedule, k, fraction, variant, seed, book=multisite_book)
+        plan = plan_corruption(schedule, k, fraction, variant, seed, multisite_book.vocab)
         config = GuidanceConfig(gamma=gamma, lam=1.0, fraction=fraction, variant=variant,
                                 reference="corrupted")
         step = guided_step(model, 1, prefix, config, plan=plan)
@@ -375,7 +376,7 @@ class TestGuidedStepCount:
         clean = predict_logits(model, 0, prefix)
         for config, expected, rebinned in cases:
             plan = plan_corruption(
-                model.schedule, 3, config.fraction, config.variant, 0, book=book
+                model.schedule, 3, config.fraction, config.variant, 0, book.vocab
             ) if config.draws_plan(3, model.schedule) else None
             binned.clear()
             step = guided_step(model, 0, prefix, config, plan=plan)
@@ -392,7 +393,8 @@ class TestGuidedStepCount:
         # one it seeds no generator.
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(lam=1.0, fraction=1.0, variant=variant, reference="corrupted")
-        plan = plan_corruption(small_count.schedule, 2, 1.0, variant, seed=0, book=small_book)
+        plan = plan_corruption(small_count.schedule, 2, 1.0, variant, seed=0,
+                               vocab=small_book.vocab)
         seeded = []
         monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed))
         with pytest.raises(IllDefinedLawError, match="scale 2 needs a plan"):
@@ -461,7 +463,7 @@ class TestGuidedStepCount:
         prefix = [TokenMap(1, np.asarray([[2]]))]
         plan = plan_corruption(
             small_count.schedule, 2, 1.0,
-            CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=77,
+            CorruptionVariant.SAME_SCALE_FULL_EMBEDDING, seed=77, vocab=small_count.vocab
         )
         config = GuidanceConfig(lam=0.5, fraction=1.0, reference="corrupted")
         a = guided_step(small_count, 0, prefix, config, plan=plan)
@@ -535,7 +537,7 @@ class TestGuidedStepCount:
     def test_one_prefix_takes_one_plan_and_one_config(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[1]]))]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
-        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, small_book.vocab)
         rule = re.escape("one prefix takes one plan (or None) and one config")
         for plans, configs in (([plan], config), ([plan, None], config), (plan, [config])):
             with pytest.raises(InvalidInputError, match=rule):
@@ -560,7 +562,7 @@ class TestGuidedStepCount:
         keys = [()] * len(configs)
         for k in range(1, schedule.num_scales + 1):
             # Every row that draws a plan has one, and so has every odd row.
-            plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book=book)
+            plans = [plan_corruption(schedule, k, 0.5, variant, 10 * k + i, book.vocab)
                      if i % 2 or c.draws_plan(k, schedule) else None
                      for i, c in enumerate(configs)]
             by_keys = guided_step(model, 1, model.embed(keys), configs, plan=plans)
@@ -590,13 +592,13 @@ class TestGuidedStepCount:
         model, book, corpus = deep_count
         prefix = corpus[1][1][:prefix_scales]
         k = prefix_scales + 1
-        plan = plan_corruption(model.schedule, k, fraction, variant, seed=4, book=book)
+        plan = plan_corruption(model.schedule, k, fraction, variant, seed=4, vocab=book.vocab)
         config = GuidanceConfig(
             gamma=gamma, lam=1.0, fraction=fraction, variant=variant, reference="corrupted"
         )
         fixed = guided_step(model, 1, prefix, config, plan=plan)
         drawn = guided_step(model, 1, prefix, config, plan=plan_corruption(
-            model.schedule, k, fraction, variant, seed=4, book=book
+            model.schedule, k, fraction, variant, seed=4, vocab=book.vocab
         ))
         assert fixed.plans[0] is plan
         assert drawn.plans[0] == plan
@@ -660,7 +662,7 @@ class TestGuidedStepCount:
         model, book, corpus = deep_count
         prefix = corpus[0][1][:1]
         config = GuidanceConfig(lam=1.0, fraction=0.25, variant=variant, reference="corrupted")
-        plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, book=book)
+        plan = plan_corruption(model.schedule, 2, 1.0, variant, seed=2, vocab=book.vocab)
         step = guided_step(model, 0, prefix, config, plan=plan)
         assert step.plans[0] is plan
         assert np.array_equal(step.branches.cond_corr,
@@ -672,14 +674,15 @@ class TestGuidedStepCount:
         # at scale 3 does not apply to the step at scale 2.
         model, book, corpus = deep_count
         config = GuidanceConfig(lam=1.0, fraction=fraction, reference="corrupted")
-        plan = plan_corruption(model.schedule, 3, fraction, config.variant, seed=0, book=book)
+        plan = plan_corruption(model.schedule, 3, fraction, config.variant, seed=0,
+                               vocab=book.vocab)
         with pytest.raises(InconsistentPlanError, match="step 3"):
             guided_step(model, 0, corpus[0][1][:1], config, plan=plan)
 
     def test_both_corrupted_branches_share_one_plan(self, small_count, small_book):
         prefix = [TokenMap(1, np.asarray([[0]]))]
         config = GuidanceConfig(gamma=1.0, lam=1.0, fraction=1.0, reference="corrupted")
-        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, book=small_book)
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 5, small_book.vocab)
         step = guided_step(small_count, 0, prefix, config, plan=plan)
         assert step.plans[0] is plan
         for cond, got in ((0, step.branches.cond_corr), (NULL_CONDITION, step.branches.null_corr)):
@@ -730,7 +733,7 @@ class TestStackedStep:
         # Where no plan is drawn, every other row is given one anyway.
         draws = config.draws_plan(k, schedule)
         plans = [
-            plan_corruption(schedule, k, fraction, variant, seed + i, book=book)
+            plan_corruption(schedule, k, fraction, variant, seed + i, book.vocab)
             if kind == "count" and (draws or i % 2) else None
             for i in range(rows)
         ]
@@ -773,7 +776,7 @@ class TestStackedStep:
         prefixes = [[TokenMap(j, rng.integers(0, 2, schedule.grid(j))) for j in range(1, k)]
                     for _ in range(rows)]
         draws = config.draws_plan(k, schedule)
-        plans = [plan_corruption(schedule, k, fraction, variant, seed + i, book=book)
+        plans = [plan_corruption(schedule, k, fraction, variant, seed + i, book.vocab)
                  if draws or i % 2 else None for i in range(rows)]
         step = guided_step(model, 1, model.embed(prefixes), config, plan=plans)
         alone = [guided_step(model, 1, prefix, config, plan=plan)
@@ -825,7 +828,7 @@ class TestStackedStep:
                     for _ in range(rows)]
         # Where a row draws no plan, every other row is given one anyway.
         plans = [
-            plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book=book)
+            plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book.vocab)
             if kind == "count" and (c.draws_plan(k, schedule) or i % 2) else None
             for i, c in enumerate(configs)
         ]
@@ -871,18 +874,18 @@ class TestStackedStep:
         rng = np.random.default_rng(seed)
         prefixes = [[TokenMap(j, rng.integers(0, 3, schedule.grid(j))) for j in range(1, k)]
                     for _ in range(rows)]
-        plans = [plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book=book)
+        plans = [plan_corruption(schedule, k, c.fraction, c.variant, seed + i, book.vocab)
                  if c.draws_plan(k, schedule) else None for i, c in enumerate(configs)]
-        embed_prefix, calls = prefixlab.model.embed_prefix, []
+        embed, calls = prefixlab.model.CountModel.embed, []
         corrupt = prefixlab.guidance.corrupted_signatures
-        prefixlab.model.embed_prefix = lambda *a: calls.append("embed") or embed_prefix(*a)
+        prefixlab.model.CountModel.embed = lambda *a: calls.append("embed") or embed(*a)
         prefixlab.guidance.corrupted_signatures = (
             lambda *a: calls.append("corrupt") or corrupt(*a))
         try:
             step = guided_step(model, 1, model.embed(prefixes), configs,
                                plan=plans)
         finally:
-            prefixlab.model.embed_prefix = embed_prefix
+            prefixlab.model.CountModel.embed = embed
             prefixlab.guidance.corrupted_signatures = corrupt
         # The clean prefixes are embedded in one call, before any row is
         # corrupted (uniform-prefix rows embed their plans' grids then).
@@ -914,7 +917,7 @@ class TestStackedStep:
     def test_stack_is_one_step_with_one_entry_per_prefix(self, small_count, small_book):
         prefixes = [[TokenMap(1, np.asarray([[v]]))] for v in range(3)]
         config = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
-        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, book=small_book)
+        plan = plan_corruption(small_count.schedule, 2, 1.0, config.variant, 0, small_book.vocab)
         stack = small_count.embed(prefixes)
         with pytest.raises(InvalidInputError, match="one plan per prefix"):
             guided_step(small_count, 0, stack, config, plan=[plan])

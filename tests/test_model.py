@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from prefixlab.errors import InvalidInputError, MissingRowError, TooLargeError
 from prefixlab.model import (
-    EMPTY_EMBEDDING,
     NULL_CONDITION,
     PROB_FLOOR,
     CountModel,
@@ -218,11 +217,12 @@ class TestEmbedding:
 class TestSignatures:
     def test_empty_prefix_signature(self, small_count, small_book, small_schedule):
         # The empty embedding has no row to bin; a count model gives each row
-        # of a step-1 stack the signature ().
+        # of a step-1 stack the signature () and a zero latent.
         emb = embed_prefix([], small_book, small_schedule, embedding_params(small_schedule, 2, 4, 11))
         assert context_signature(emb, SignatureSpec(4, 0).thresholds(2, 4)) == []
         signed = small_count.embed([[], ()])
-        assert signed.embedding is EMPTY_EMBEDDING and signed.signature == [(), ()]
+        assert signed.embedding.grids == () and signed.signature == [(), ()]
+        assert signed.embedding.latent.shape == (2, 2, 2, 2) and not signed.embedding.latent.any()
 
     def test_single_bin_collapses_all_prefixes(self, small_book, small_schedule):
         spec = SignatureSpec(bins=1, seed=0)
@@ -450,7 +450,7 @@ class TestSeededTables:
                 gamma=1.0, lam=1.0, fraction=1.0,
                 variant=CorruptionVariant.UNIFORM_PREFIX, reference="corrupted",
             )
-            plan = plan_corruption(small_schedule, 2, 1.0, config.variant, 0, book=small_book)
+            plan = plan_corruption(small_schedule, 2, 1.0, config.variant, 0, small_book.vocab)
             guided_step(model, 0, corpus[0][1][:1], config, plan=plan)
         assert len(builds) == 2
 
@@ -481,14 +481,11 @@ class TestPredictLogits:
     ):
         # A signed stack of either kind is read with branch_logits; as a
         # prefix it names the form instead of failing in the map rule.
-        from prefixlab.tokenizer import accumulate_latent
-
         ids = np.asarray([[[1]]])
-        latent = accumulate_latent(np.zeros((1, 2, 2, 2)), 1, ids, small_book)
         stacks = []
         for model in (small_tabular, small_count):
             first = model.embed([()])
-            stacks += [first, model.extend(first, ids, latent)]
+            stacks += [first, model.extend(first, ids)]
         for signed in stacks:
             for model in (small_tabular, small_count):
                 with pytest.raises(InvalidInputError, match="signed stack"):
@@ -572,19 +569,19 @@ class TestCarriedEmbeddings:
     @pytest.mark.parametrize("kind", ["tabular", "count"])
     def test_extend_equals_fresh_embedding(self, kind, request, multisite_book):
         # A tabular stack's rows are each prefix's key; a count stack's are
-        # each prefix's signature and embedding, bit for bit.
-        from prefixlab.tokenizer import accumulate_latent
+        # each prefix's signature and embedding, bit for bit, as the model
+        # signs it and as ``embed_prefix`` builds it apart from ``extend``,
+        # and its latent is the prefix's decoded maps.
+        from prefixlab.tokenizer import decode_maps
         from tests.conftest import uniform_maps
 
         model, book = request.getfixturevalue(f"multisite_{kind}"), multisite_book
         sched = model.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(5)]
-        latent = np.zeros((5,) + sched.final_dims + (3,))
         signed = model.embed([()] * 5)
         for k in range(1, sched.num_scales):
             stacked = np.stack([p[k - 1].ids for p in prefixes])
-            latent = accumulate_latent(latent, k, stacked, book)
-            signed = model.extend(signed, stacked, latent)
+            signed = model.extend(signed, stacked)
             assert signed.step == k + 1 and len(signed.signature) == 5
             for i, maps in enumerate(prefixes):
                 fresh = model.embed([maps[:k]])
@@ -594,12 +591,31 @@ class TestCarriedEmbeddings:
                     assert signed.signature[i] == tuple(m.key() for m in maps[:k])
                 else:
                     assert_row_equals(signed.embedding, i, fresh.embedding)
+                    reference = embed_prefix(stacked_ids([maps[:k]]), book, sched, model.params)
+                    assert_row_equals(signed.embedding, i, reference)
+                    assert signed.embedding.latent[i].tobytes() == decode_maps(
+                        maps[:k], sched, book).tobytes()
 
-    def test_extend_takes_one_latent_per_row(self, multisite_count):
-        ids = np.zeros((2, 1, 1), dtype=int)
-        latent = np.zeros((2,) + multisite_count.schedule.final_dims + (3,))
-        with pytest.raises(InvalidInputError, match="one latent per row"):
-            multisite_count.extend(multisite_count.embed([()] * 3), ids, latent)
+    @pytest.mark.parametrize("kind", ["tabular", "count"])
+    def test_extend_takes_one_map_of_the_scale_grid_per_row(self, kind):
+        # A stack of step k extends only by ids of shape (rows,) + grid(k);
+        # too few maps, or maps of another grid with as many sites or not,
+        # raise naming both shapes.
+        sched = ScaleSchedule(((1, 1), (2, 2), (2, 2)))
+        book = Codebook.seeded(3, 3, 2, seed=7)
+        model = build_tabular(sched, 3, 2, seed=0) if kind == "tabular" else fit_count_model(
+            make_corpus(sched, book, num_conditions=2, count=6, seed=0), sched, book, vocab=3,
+            num_conditions=2, alpha=1.0, spec=SignatureSpec(bins=3, seed=0), embed_seed=0,
+            embed_dim=3, include_null=True,
+        )
+        three, two = model.embed([()] * 3), model.embed([((1,),)] * 2)
+        for signed, shape, expected in ((three, (2, 1, 1), (3, 1, 1)),
+                                        (two, (2, 1, 4), (2, 2, 2)), (two, (2, 1, 2), (2, 2, 2))):
+            problem = re.escape(f"ids of shape {shape}") + ".*" + re.escape(f"shape {expected}")
+            with pytest.raises(InvalidInputError, match=problem):
+                model.extend(signed, np.zeros(shape, dtype=np.int64))
+        extended = model.extend(two, np.zeros((2, 2, 2), dtype=np.int64))
+        assert extended.step == 3 and len(extended.signature) == 2
 
     def test_maps_and_keys_embed_as_one_signed_stack(self, multisite_count):
         # Prefixes given as token maps, as prefix keys or as a mix of both
@@ -610,7 +626,9 @@ class TestCarriedEmbeddings:
         model, sched = multisite_count, multisite_count.schedule
         prefixes = [uniform_maps(sched, 4, seed) for seed in range(4)]
         empty = model.embed([()] * 4)
-        assert empty.embedding is EMPTY_EMBEDDING and empty.signature == [()] * 4
+        assert empty.embedding.grids == () and empty.signature == [()] * 4
+        assert empty.embedding.latent.shape == (4,) + sched.final_dims + (3,)
+        assert not empty.embedding.latent.any()
         for k in range(2, sched.num_scales + 1):
             maps = [p[: k - 1] for p in prefixes]
             keys = [tuple(m.key() for m in p) for p in maps]
@@ -631,9 +649,11 @@ class TestCarriedEmbeddings:
 
 
 def assert_row_equals(stack, i, other, j=0):
-    """Row i of a stacked embedding is row j of ``other``, bit for bit."""
+    """Row i of a stacked embedding is row j of ``other``, its latent
+    included, bit for bit."""
     assert len(stack.grids) == len(other.grids)
-    for a, b in zip(stack.grids + stack.pooled, other.grids + other.pooled):
+    for a, b in zip(stack.grids + stack.pooled + (stack.latent,),
+                    other.grids + other.pooled + (other.latent,)):
         assert a[i].shape == b[j].shape and a[i].tobytes() == b[j].tobytes()
 
 
@@ -661,7 +681,6 @@ class TestCountBranchInputsAgree:
     )
     def test_maps_stacked_and_carried_agree(self, sched, vocab, count, seed):
         from prefixlab.guidance import GuidanceConfig, guided_step
-        from prefixlab.tokenizer import accumulate_latent
         from tests.conftest import make_corpus
 
         book = Codebook.seeded(sched.num_scales, vocab, 2, seed=seed)
@@ -677,7 +696,6 @@ class TestCountBranchInputsAgree:
             stacks.append((len(prefixes), embed(self, prefixes)))
             return stacks[-1][1]
 
-        latent = np.zeros((count,) + sched.final_dims + (2,))
         config = GuidanceConfig()  # gamma = lam = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CountModel, "embed", recording)
@@ -695,8 +713,7 @@ class TestCountBranchInputsAgree:
                                 == via_carried.tobytes())
                 if k < sched.num_scales:
                     ids = np.stack([maps[k - 1].ids for _, maps in corpus])
-                    latent = accumulate_latent(latent, k, ids, book)
-                    carried = model.extend(carried, ids, latent)
+                    carried = model.extend(carried, ids)
                     assert len(carried.signature) == count
         # Every stack embed returned, at every step, has one signature per row.
         assert len(stacks) > sched.num_scales

@@ -333,7 +333,7 @@ def reference_rollouts(model, condition, gconfig, sconfig, book, count):
         for k in range(1, model.schedule.num_scales + 1):
             plan_seed = int(rng.integers(2**32))
             plan = plan_corruption(
-                model.schedule, k, gconfig.fraction, gconfig.variant, plan_seed, book=book
+                model.schedule, k, gconfig.fraction, gconfig.variant, plan_seed, book.vocab
             ) if gconfig.draws_plan(k, model.schedule) else None
             step = guided_step(model, condition, maps, gconfig, plan=plan)
             ids = truncate_and_sample(step.logits[None], sconfig, [rng])[0]
@@ -797,7 +797,7 @@ class TestRolloutLaw:
                 include_null=True)
         if count not in (None, "exact-marginal"):
             gconfig = replace(gconfig, fraction=0.5, variant=count, reference="corrupted")
-            plans = {k: plan_corruption(schedule, k, 0.5, count, seed + k, book=book)
+            plans = {k: plan_corruption(schedule, k, 0.5, count, seed + k, book.vocab)
                      for k in range(2, len(dims) + 1)}
 
         def step_law(key):
@@ -867,7 +867,7 @@ class TestRolloutLaw:
             with pytest.raises(IllDefinedLawError, match="scale 2"):
                 rollout_distribution(model, 1, gconfig, SamplerConfig())
             return
-        empty = plan_corruption(model.schedule, 2, 0.25, variant, seed=0, book=book)
+        empty = plan_corruption(model.schedule, 2, 0.25, variant, seed=0, vocab=book.vocab)
         assert empty.selected == ()
         law = rollout_distribution(model, 1, gconfig, SamplerConfig())
         fixed = rollout_distribution(model, 1, gconfig, SamplerConfig(),
@@ -917,7 +917,7 @@ class TestRolloutLaw:
     def test_fixed_plans_must_cover_every_guided_scale(self, three_scale_count):
         model, book = three_scale_count
         plan = plan_corruption(
-            model.schedule, 2, 0.5, self.CORRUPTED.variant, seed=0, book=book
+            model.schedule, 2, 0.5, self.CORRUPTED.variant, seed=0, vocab=book.vocab
         )
         with pytest.raises(IllDefinedLawError, match="scale 3"):
             rollout_distribution(
@@ -956,7 +956,7 @@ class TestRolloutLaw:
             include_null=True,
         )
         plan = plan_corruption(
-            sched, 2, 1.0, CorruptionVariant.UNIFORM_PREFIX, seed=3, book=m1_book
+            sched, 2, 1.0, CorruptionVariant.UNIFORM_PREFIX, seed=3, vocab=m1_book.vocab
         )
         gconfig = GuidanceConfig(lam=1.0, fraction=1.0, reference="corrupted")
         law = rollout_distribution(

@@ -80,7 +80,7 @@ def test_rollout_frequencies_match_exact_law(case, small_tabular, small_book):
 ])
 def test_fixed_plan_sampling_matches_exact_law(variant, small_count, small_book):
     schedule = small_count.schedule
-    plan = plan_corruption(schedule, 2, 1.0, variant, seed=5, book=small_book)
+    plan = plan_corruption(schedule, 2, 1.0, variant, seed=5, vocab=small_book.vocab)
     gconfig = GuidanceConfig(
         gamma=1.0, lam=1.5, fraction=1.0, variant=variant, reference="corrupted"
     )

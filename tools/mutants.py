@@ -161,6 +161,11 @@ MUTANTS = (
     Mutant("extend_carries_row_0_signature", "src/prefixlab/model.py",
            "[s + (tuple(b),) for s, b in zip(signed.signature, bins)]",
            "[signed.signature[0] + (tuple(b),) for b in bins]"),
+    Mutant("extend_forgets_carried_latent", "src/prefixlab/model.py",
+           "accumulate_latent(signed.embedding.latent, k, ids, self.book)",
+           "accumulate_latent(np.zeros_like(signed.embedding.latent), k, ids, self.book)"),
+    Mutant("take_reads_row_0_latent", "src/prefixlab/model.py",
+           "e.latent[rows]", "e.latent[[0] * len(rows)]"),
     Mutant("tabular_extend_carries_row_0_key", "src/prefixlab/model.py",
            "[s + (tuple(p),) for s, p in zip(signed.signature, parts)]",
            "[signed.signature[0] + (tuple(p),) for p in parts]"),
